@@ -6,15 +6,17 @@
 //!
 //! Every workload generates a world from `--seed`, builds it with the real
 //! `prefix2org` binary, serves it with `prefix2org serve`, and drives one
-//! keep-alive connection in a closed loop. The workloads differ in scale
-//! and in where the measured time goes:
+//! keep-alive connection in a closed loop. `setup_s` is spawn to first
+//! `/health` 200. The workloads differ in scale and in where the measured
+//! time goes:
 //!
-//! - `build-xl`: an xl world; the build is the measured work, `setup_s` is
-//!   the `generate` step;
-//! - `lookup-default`: a default-scale world; `GET /prefix/<q>` is the
-//!   measured work, `setup_s` is spawn to first `/health` 200;
-//! - `batch-xl`: an xl world; `POST /batch` of 1,000 queries is the
-//!   measured work, `setup_s` is spawn to first `/health` 200.
+//! - `lookup-default`: a default-scale world whose artifact fits in L2;
+//!   `GET /prefix/<q>` takes most of the loop time, so HTTP parse, render,
+//!   framing and the socket dominate;
+//! - `batch-xl`: an xl world; `POST /batch` of 1,000 queries takes most of
+//!   the loop time, so per-record LPM and render dominate, and the xl CLI
+//!   builds give `build_s` its superlinear ingest, clustering and freeze
+//!   costs.
 //!
 //! With `--trace 0` the last stdout line carries the end-to-end metrics;
 //! with `--trace 1` it carries the per-layer metrics from in-process replays
@@ -22,6 +24,7 @@
 //! against the benchmark's own longest-prefix match and the in-process
 //! frozen dataset; a failed check makes the run exit 1.
 
+mod calib;
 mod client;
 mod inproc;
 mod proc;
@@ -51,7 +54,6 @@ const BATCH_LINES: usize = 1000;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Workload {
-    BuildXl,
     LookupDefault,
     BatchXl,
 }
@@ -59,7 +61,6 @@ enum Workload {
 impl Workload {
     fn parse(name: &str) -> Option<Workload> {
         match name {
-            "build-xl" => Some(Workload::BuildXl),
             "lookup-default" => Some(Workload::LookupDefault),
             "batch-xl" => Some(Workload::BatchXl),
             _ => None,
@@ -68,7 +69,6 @@ impl Workload {
 
     fn name(self) -> &'static str {
         match self {
-            Workload::BuildXl => "build-xl",
             Workload::LookupDefault => "lookup-default",
             Workload::BatchXl => "batch-xl",
         }
@@ -77,25 +77,23 @@ impl Workload {
     fn scale(self) -> &'static str {
         match self {
             Workload::LookupDefault => "default",
-            Workload::BuildXl | Workload::BatchXl => "xl",
+            Workload::BatchXl => "xl",
         }
     }
 
-    /// CLI builds per run; `build_s` is their quiet value.
+    /// CLI builds per run; `build_s` is their median.
     fn builds(self) -> usize {
         match self {
-            Workload::LookupDefault => 17,
-            Workload::BuildXl | Workload::BatchXl => 1,
+            Workload::LookupDefault => 50,
+            Workload::BatchXl => 2,
         }
     }
 
-    /// Server boots per run; a serve workload's `setup_s` is their quiet
-    /// value.
+    /// Server boots per run; `setup_s` is their median.
     fn boots(self) -> usize {
         match self {
-            Workload::BuildXl => 1,
-            Workload::LookupDefault => 9,
-            Workload::BatchXl => 3,
+            Workload::LookupDefault => 15,
+            Workload::BatchXl => 5,
         }
     }
 
@@ -103,16 +101,15 @@ impl Workload {
     fn batch_bodies(self) -> usize {
         match self {
             Workload::LookupDefault => 8,
-            Workload::BuildXl | Workload::BatchXl => 32,
+            Workload::BatchXl => 32,
         }
     }
 
     /// Shares of `--seconds` spent in the timed lookup and batch loops.
     fn loop_shares(self) -> (f64, f64) {
         match self {
-            Workload::BuildXl => (0.2, 1.0),
-            Workload::LookupDefault => (1.0, 1.0),
-            Workload::BatchXl => (0.5, 1.0),
+            Workload::LookupDefault => (0.6, 0.4),
+            Workload::BatchXl => (0.4, 0.6),
         }
     }
 }
@@ -188,6 +185,8 @@ struct Metric {
     value: f64,
     unit: &'static str,
     samples: usize,
+    /// The uncalibrated value, for times divided by the host's slowness.
+    raw: Option<f64>,
 }
 
 #[derive(Default)]
@@ -203,7 +202,22 @@ impl Report {
             value,
             unit,
             samples,
+            raw: None,
         });
+    }
+
+    /// Puts the median of calibrated `(seconds, slowness)` samples, with
+    /// the median of the raw seconds beside it.
+    fn timed(&mut self, name: &'static str, samples: &[(f64, f64)], unit: &'static str) {
+        let calibrated: Vec<f64> = samples.iter().map(|&(s, k)| s / k).collect();
+        let raw: Vec<f64> = samples.iter().map(|&(s, _)| s).collect();
+        self.put(
+            name,
+            stats::median(&calibrated).unwrap_or(0.0),
+            unit,
+            samples.len(),
+        );
+        self.metrics.last_mut().expect("just put").raw = stats::median(&raw);
     }
 
     fn ctx(&mut self, key: &str, value: impl ToString) {
@@ -367,6 +381,16 @@ struct LoopStats {
     elapsed: f64,
 }
 
+impl LoopStats {
+    /// Divides every time by the slowness measured around the loop.
+    fn calibrate(&mut self, slowness: f64) {
+        for t in &mut self.latencies {
+            *t /= slowness;
+        }
+        self.elapsed /= slowness;
+    }
+}
+
 /// The pools one server is driven with, plus what each must answer.
 struct Pools {
     lookups: Vec<Query>,
@@ -487,29 +511,13 @@ fn round(
     Ok(out)
 }
 
-/// The quiet rounds of a run: the eighth of round slots whose lookup round
-/// had the lowest median latency. Other tenants of the machine slow it down
-/// in stretches of a second or more; the quiet slots measure the program
-/// rather than the neighbours, and a change that slows every request still
-/// slows every slot. Lookup rounds carry thousands of samples, so they tell
-/// the machine's state best, and each slot's batch round ran right next to
-/// its lookup round.
-fn quiet_slots(lookups: &[LoopStats]) -> Vec<usize> {
-    let mut ranked: Vec<(f64, usize)> = lookups
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.latencies.is_empty())
-        .map(|(i, r)| (stats::median(&r.latencies).unwrap_or(0.0), i))
-        .collect();
-    ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("latencies are never NaN"));
-    ranked.truncate(ranked.len().div_ceil(8));
-    ranked.into_iter().map(|(_, i)| i).collect()
-}
-
-/// A loop's summary over its quiet slots: the median and throughput of
-/// their pooled samples, and the `tail` percentile as the median of each
-/// quiet round's own when every quiet round has ten samples beyond it (so
-/// one burst inside one round moves it little), else of the pooled samples.
+/// A loop's summary over every round of the run, from samples already
+/// divided by the slowness around their round: the median and the `tail`
+/// percentile of the pooled samples, and the median of the rounds' own
+/// throughputs. Rounds are spread through the whole run, so a slow stretch
+/// the calibration misses moves a median little. The tail is p90: on a
+/// shared host, rarer latencies follow the neighbours (the xl lookup p99
+/// spread 0.17-0.27 over six seeds where p90 spread 0.03).
 struct Summary {
     p50: f64,
     tail: f64,
@@ -517,50 +525,24 @@ struct Summary {
     samples: usize,
 }
 
-fn summarize(rounds: &[LoopStats], quiet: &[usize], unit: f64, tail: f64) -> Summary {
-    let chosen: Vec<Vec<f64>> = quiet
-        .iter()
-        .map(|&i| {
-            stats::sorted(
-                &rounds[i]
-                    .latencies
-                    .iter()
-                    .map(|s| s * unit)
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .collect();
-    let pooled = stats::sorted(&chosen.concat());
-    let per_round = chosen
-        .iter()
-        .all(|s| stats::samples_beyond(s.len(), tail) >= 10);
-    let tail_value = if per_round {
-        let tails: Vec<f64> = chosen
+fn summarize(rounds: &[LoopStats], unit: f64, tail: f64) -> Summary {
+    let pooled = stats::sorted(
+        &rounds
             .iter()
-            .filter_map(|s| stats::percentile(s, tail))
-            .collect();
-        stats::median(&tails)
-    } else {
-        stats::percentile(&pooled, tail)
-    };
-    let items: u64 = quiet.iter().map(|&i| rounds[i].items).sum();
-    let elapsed: f64 = quiet.iter().map(|&i| rounds[i].elapsed).sum();
+            .flat_map(|r| r.latencies.iter().map(|s| s * unit))
+            .collect::<Vec<_>>(),
+    );
+    let rates: Vec<f64> = rounds
+        .iter()
+        .filter(|r| r.elapsed > 0.0)
+        .map(|r| r.items as f64 / r.elapsed)
+        .collect();
     Summary {
         p50: stats::percentile(&pooled, 50.0).unwrap_or(0.0),
-        tail: tail_value.unwrap_or(0.0),
-        rate: if elapsed > 0.0 {
-            items as f64 / elapsed
-        } else {
-            0.0
-        },
+        tail: stats::percentile(&pooled, tail).unwrap_or(0.0),
+        rate: stats::median(&rates).unwrap_or(0.0),
         samples: pooled.len(),
     }
-}
-
-/// The quiet value of repeated whole measurements (builds, boots): the
-/// nearest-rank 12.5th percentile, the same eighth the loops keep.
-fn quiet_value(samples: &[f64]) -> f64 {
-    stats::percentile(&stats::sorted(samples), 12.5).unwrap_or(0.0)
 }
 
 /// The two request loops over one connection.
@@ -641,7 +623,8 @@ fn reconcile_requests(server: &Server, conn: &mut Conn) -> Result<u64, String> {
 struct Built {
     world: World,
     generate_s: f64,
-    build_s: Vec<f64>,
+    /// Wall seconds of each build, with the slowness around it.
+    builds: Vec<(f64, f64)>,
     build_rss_mb: Vec<f64>,
     frozen_bytes: u64,
     routed: usize,
@@ -653,15 +636,15 @@ impl Built {
     /// export has one line per routed prefix and the same digest as every
     /// earlier build of this world.
     fn rebuild(&mut self, args: &Args, run_dir: &Path, tally: &mut Tally) -> Result<(), String> {
-        let (secs, rss_mb, digest) = cli_build(
+        let (timed, rss_mb, digest) = cli_build(
             args,
             &self.world.dir,
             run_dir,
-            self.build_s.len(),
+            self.builds.len(),
             self.routed,
             tally,
         )?;
-        self.build_s.push(secs);
+        self.builds.push(timed);
         self.build_rss_mb.push(rss_mb);
         tally.check(if digest == self.digest {
             Ok(())
@@ -672,7 +655,8 @@ impl Built {
     }
 }
 
-/// One timed CLI build of `dir`: seconds, peak RSS in MB, export digest.
+/// One timed CLI build of `dir` on every CPU: wall seconds with the
+/// slowness around them, peak RSS in MB, export digest.
 fn cli_build(
     args: &Args,
     dir: &Path,
@@ -680,15 +664,18 @@ fn cli_build(
     n: usize,
     routed: usize,
     tally: &mut Tally,
-) -> Result<(f64, f64, u64), String> {
+) -> Result<((f64, f64), f64, u64), String> {
     let dir_s = dir.to_str().ok_or("non-UTF-8 work path")?;
     let export = dir.join("dataset.jsonl");
     let export_s = export.to_str().ok_or("non-UTF-8 work path")?;
-    let run = proc::run_cli(
-        &args.bin,
-        &["build", "--in", dir_s, "--out", export_s],
-        &run_dir.join(format!("build{n}.log")),
-    )?;
+    let (run, k) = calib::throughout(|| {
+        proc::run_cli(
+            &args.bin,
+            &["build", "--in", dir_s, "--out", export_s],
+            &run_dir.join(format!("build{n}.log")),
+        )
+    });
+    let run = run?;
     let bytes = std::fs::read(&export).map_err(|e| format!("reading export: {e}"))?;
     let lines = bytes.iter().filter(|&&b| b == b'\n').count();
     tally.check(if lines == routed {
@@ -699,7 +686,7 @@ fn cli_build(
         ))
     });
     Ok((
-        run.wall.as_secs_f64(),
+        (run.wall.as_secs_f64(), k),
         run.max_rss_kib as f64 / 1024.0,
         body_hash(&bytes),
     ))
@@ -751,7 +738,7 @@ fn generate_and_build(
         .lines()
         .filter(|l| !l.trim().is_empty())
         .count();
-    let (secs, rss_mb, digest) = cli_build(args, &dir, run_dir, 0, routed, tally)?;
+    let (timed, rss_mb, digest) = cli_build(args, &dir, run_dir, 0, routed, tally)?;
     tally.check(check_digest_registry(
         &args.work,
         wl.scale(),
@@ -771,7 +758,7 @@ fn generate_and_build(
     Ok(Built {
         world: load_world(&dir)?,
         generate_s: gen.wall.as_secs_f64(),
-        build_s: vec![secs],
+        builds: vec![timed],
         build_rss_mb: vec![rss_mb],
         frozen_bytes,
         routed,
@@ -899,15 +886,24 @@ fn run_untraced(
     let boot_at = spread(wl.boots() - 1, rounds);
     let mut lookups = Vec::with_capacity(rounds);
     let mut batches = Vec::with_capacity(rounds);
+    let mut slowness = Vec::with_capacity(rounds);
     for r in 0..rounds {
+        let cpus: Vec<usize> = proc::serve_cpu(r).into_iter().collect();
         if let Some(cpu) = proc::serve_cpu(r) {
-            proc::pin_current_thread(&[cpu]);
             server.pin(cpu);
         }
-        lookups.push(loops.lookups(lookup_share * args.seconds / rounds as f64, tally)?);
-        batches.push(loops.batches(batch_share * args.seconds / rounds as f64, tally)?);
+        let (timed, k) = calib::around(&cpus, || -> Result<_, String> {
+            let lk = loops.lookups(lookup_share * args.seconds / rounds as f64, tally)?;
+            let bt = loops.batches(batch_share * args.seconds / rounds as f64, tally)?;
+            Ok((lk, bt))
+        });
+        let (mut lk, mut bt) = timed?;
+        lk.calibrate(k);
+        bt.calibrate(k);
+        lookups.push(lk);
+        batches.push(bt);
+        slowness.push(k);
         for _ in build_at.iter().filter(|&&at| at == r) {
-            proc::pin_current_thread(&[]);
             built.rebuild(args, run_dir, tally)?;
         }
         for _ in boot_at.iter().filter(|&&at| at == r) {
@@ -929,22 +925,16 @@ fn run_untraced(
     server.stop();
     proc::pin_current_thread(&[]);
 
-    let setup = if wl == Workload::BuildXl {
-        vec![built.generate_s]
-    } else {
-        boots.clone()
-    };
-    let quiet = quiet_slots(&lookups);
-    let lk = summarize(&lookups, &quiet, 1e6, 99.0);
-    let bt = summarize(&batches, &quiet, 1e3, 90.0);
+    let lk = summarize(&lookups, 1e6, 90.0);
+    let bt = summarize(&batches, 1e3, 90.0);
     let n_prefixes = built.world.records.len() as f64;
-    report.put("setup_s", quiet_value(&setup), "s", setup.len());
     report.put(
-        "build_s",
-        quiet_value(&built.build_s),
+        "setup_s",
+        stats::median(&boots).unwrap_or(0.0),
         "s",
-        built.build_s.len(),
+        boots.len(),
     );
+    report.timed("build_s", &built.builds, "s");
     report.put(
         "build_peak_rss_mb",
         stats::median(&built.build_rss_mb).unwrap_or(0.0),
@@ -958,7 +948,7 @@ fn run_untraced(
         1,
     );
     report.put("lookup_p50_us", lk.p50, "us", lk.samples);
-    report.put("lookup_p99_us", lk.tail, "us", lk.samples);
+    report.put("lookup_p90_us", lk.tail, "us", lk.samples);
     report.put("lookup_rps", lk.rate, "1/s", lk.samples);
     report.put("batch_prefixes_per_s", bt.rate, "1/s", bt.samples);
     report.put("batch_p50_ms", bt.p50, "ms", bt.samples);
@@ -967,6 +957,10 @@ fn run_untraced(
 
     report.ctx("generate_s", format!("{:.3}", built.generate_s));
     report.ctx("rounds", rounds);
+    report.ctx(
+        "slowness_median",
+        format!("{:.3}", stats::median(&slowness).unwrap_or(0.0)),
+    );
     report.ctx("lookup_supported_percentile", fmt_supported(lk.samples));
     report.ctx("batch_supported_percentile", fmt_supported(bt.samples));
     Ok(())
@@ -1000,7 +994,7 @@ fn run_traced(
     let wl = args.workload;
     let built = generate_and_build(args, run_dir, tally, report)?;
     let world = &built.world;
-    let cli_build_ms = ms(built.build_s[0]);
+    let cli_build_ms = ms(built.builds[0].0);
     let threads = proc::nproc();
     let mut tr = Tracer::new();
 
@@ -1361,8 +1355,9 @@ fn main() {
         .collect();
     println!("context {{{}}}", ctx.join(","));
     for m in &report.metrics {
+        let raw = m.raw.map_or(String::new(), |r| format!("  raw {r:.4}"));
         println!(
-            "{:<34} {:>16.4} {:<6} n={}",
+            "{:<34} {:>16.4} {:<6} n={}{raw}",
             m.name, m.value, m.unit, m.samples
         );
     }

@@ -51,8 +51,8 @@ pub fn pin_current_thread(cpus: &[usize]) {
 /// both sides at once, so one CPU costs no parallelism and saves the
 /// cross-CPU wake-up on every round trip. Slots alternate between CPUs 0
 /// and 1: the two virtual CPUs of a shared host are slowed by different
-/// neighbours at different times, and the quiet slots can then come from
-/// whichever was calmer.
+/// neighbours at different times, so every run samples both, and each
+/// slot is calibrated against the CPU it ran on.
 pub fn serve_cpu(slot: usize) -> Option<usize> {
     (nproc() >= 2).then_some(slot % 2)
 }
