@@ -7,9 +7,10 @@
 //! persisted to `BENCH_serve.json` at the repository root.
 //!
 //! Also times cold start — process spawn to an answered `/health` — for
-//! the frozen zero-copy artifact against the full parse-and-run load over
-//! the same built directory (`P2O_BENCH_SERVE_SCALE` picks the world
-//! size; default `default`, CI smoke uses `tiny`).
+//! the frozen zero-copy artifact of a built directory against a generated
+//! but unbuilt copy of the same world, which pays the full load plus an
+//! in-memory freeze (`P2O_BENCH_SERVE_SCALE` picks the world size;
+//! default `default`, CI smoke uses `tiny`).
 //!
 //! ```text
 //! cargo bench -p p2o-cli --bench serve            # human-readable
@@ -210,8 +211,8 @@ fn run_level(addr: &str, prefixes: &[String], clients: usize, budget: Duration) 
 
 /// One cold boot: process spawn to an answered `/health`, in
 /// milliseconds. Asserts the server actually booted in the expected mode
-/// (frozen attach vs full load), so the two timings can't silently
-/// measure the same path. Also returns the parsed `/health` body so
+/// (artifact attach vs in-memory freeze), so the two timings can't
+/// silently measure the same path. Also returns the parsed `/health` body so
 /// callers can record the snapshot posture (override count, ROV tallies).
 fn boot_once(dir: &std::path::Path, extra: &[&str], expect_frozen: bool) -> (f64, Json) {
     let started = Instant::now();
@@ -328,28 +329,35 @@ fn main() {
         levels.push(level);
     }
 
-    // Cold-start: spawn-to-/health, the frozen zero-copy attach against
-    // the full parse-and-run load over the same built directory, best of
-    // three each. `P2O_BENCH_SERVE_SCALE` picks the world size (CI smoke
-    // uses tiny; the committed baseline records default).
+    // Cold-start: spawn-to-/health, the frozen zero-copy attach of a built
+    // directory against a generated-but-unbuilt copy of the same world,
+    // whose boot pays the full parse-and-run load plus the in-memory
+    // freeze and thaw check; best of three each. `P2O_BENCH_SERVE_SCALE`
+    // picks the world size (CI smoke uses tiny; the committed baseline
+    // records default).
     let cold_scale =
         std::env::var("P2O_BENCH_SERVE_SCALE").unwrap_or_else(|_| "default".to_string());
     let cold_dir =
         TempDir(std::env::temp_dir().join(format!("p2o-bench-cold-{}", std::process::id())));
     generate_world_scale(&cold_dir.0, &cold_scale);
     build_world(&cold_dir.0);
+    let unbuilt_dir = TempDir(
+        std::env::temp_dir().join(format!("p2o-bench-cold-unbuilt-{}", std::process::id())),
+    );
+    generate_world_scale(&unbuilt_dir.0, &cold_scale);
     let frozen_ms = best_boot_ms(&cold_dir.0, &[], true);
-    let full_ms = best_boot_ms(&cold_dir.0, &["--no-frozen"], false);
+    let full_ms = best_boot_ms(&unbuilt_dir.0, &[], false);
     println!(
-        "  cold start ({cold_scale}): frozen {frozen_ms:.1}ms vs full load {full_ms:.1}ms \
-         = {:.1}x",
+        "  cold start ({cold_scale}): frozen {frozen_ms:.1}ms vs full load + in-memory freeze \
+         {full_ms:.1}ms = {:.1}x",
         full_ms / frozen_ms
     );
 
     // Operator-exception boot: a one-rule file asserting the first routed
     // prefix. The frozen artifact was built without rules, so the digest
-    // reads stale and this measures the full-load-with-rules path — the
-    // price an operator pays for running overrides without rebuilding.
+    // reads stale and this measures the full load with rules, frozen in
+    // memory — the price an operator pays for running overrides without
+    // rebuilding.
     let first_prefix = {
         let (_server, cold_addr) = start_server_with(&cold_dir.0, &[]);
         fetch_prefixes(&cold_addr)[0].replace("%2f", "/")

@@ -4,7 +4,6 @@ use std::fs;
 use std::path::Path;
 
 use p2o_net::{AddressFamily, Prefix};
-use p2o_radix::PrefixMap;
 use p2o_synth::corrupt::{corrupt_world, CorruptionConfig};
 use p2o_synth::{World, WorldConfig};
 use p2o_util::atomic;
@@ -493,16 +492,15 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         dir,
         exceptions_text.as_deref().map(str::as_bytes),
     )?;
-    let payload = prefix2org::freeze(&pipeline_inputs, &dataset, &merge_edges, canonical_digest);
-    let thawed = prefix2org::FrozenDataset::from_payload(payload.clone())
-        .map_err(|e| format!("frozen artifact failed self-validation: {e}"))?;
-    if thawed.to_jsonl() != jsonl {
-        return Err(CliError::General(
-            "frozen artifact does not thaw back to the canonical export".to_string(),
-        ));
-    }
-    drop(thawed);
-    let framed = atomic::frame(&payload);
+    let frozen = prefix2org::freeze_verified(
+        &pipeline_inputs,
+        &dataset,
+        &merge_edges,
+        canonical_digest,
+        &jsonl,
+    )?;
+    let framed = atomic::frame(frozen.payload());
+    drop(frozen);
     atomic::write_atomic(&vfs, &frozen_path, prefix2org::FROZEN_LABEL, &framed)
         .map_err(|e| format!("writing {}: {e}", frozen_path.display()))?;
     stamp.record("frozen", &frozen_path_str, &framed);
@@ -745,17 +743,22 @@ pub fn lookup(args: &Parsed) -> Result<(), CliError> {
     if args.positional().is_empty() {
         return Err("lookup needs at least one prefix argument".into());
     }
-    let mut map: PrefixMap<usize> = PrefixMap::new();
-    for (i, rec) in records.iter().enumerate() {
-        map.insert(rec.prefix, i);
-    }
+    let by_prefix: std::collections::HashMap<Prefix, &ExportRecord> =
+        records.iter().map(|rec| (rec.prefix, rec)).collect();
     for q in args.positional() {
         let prefix: Prefix = q.parse().map_err(|e| format!("{q:?}: {e}"))?;
-        match map.longest_match(&prefix) {
+        // Longest match: probe the query, then each shorter supernet, and
+        // stop at the first that is a record.
+        let supernet = |p: &Prefix| match p {
+            Prefix::V4(p) => p.supernet().map(Prefix::V4),
+            Prefix::V6(p) => p.supernet().map(Prefix::V6),
+        };
+        let covering =
+            std::iter::successors(Some(prefix), supernet).find_map(|p| by_prefix.get(&p).copied());
+        match covering {
             None => println!("{prefix}: no covering routed prefix in the snapshot"),
-            Some((covering, &idx)) => {
-                let rec = &records[idx];
-                println!("{prefix} -> routed as {covering}");
+            Some(rec) => {
+                println!("{prefix} -> routed as {}", rec.prefix);
                 println!("  Direct Owner : {} ({})", rec.direct_owner, rec.do_alloc);
                 println!("  DO block     : {} via {}", rec.do_prefix, rec.registry);
                 for (name, block, alloc) in &rec.delegated_customers {
@@ -1023,7 +1026,6 @@ pub fn serve(args: &Parsed) -> Result<(), CliError> {
         .get_num::<usize>("threads")?
         .unwrap_or_else(prefix2org::default_threads)
         .max(1);
-    let use_frozen = !args.has("no-frozen");
     let allow_quit = args.has("allow-quit");
     let exceptions_path = args.get("exceptions").map(std::path::PathBuf::from);
     let access_log = args
@@ -1077,55 +1079,54 @@ pub fn serve(args: &Parsed) -> Result<(), CliError> {
                 set
             }
         };
-        // Prefer the frozen artifact: one framed read plus O(1) arena
-        // attachment instead of re-parsing WHOIS/MRT and re-running the
-        // pipeline. Staleness (inputs changed since the freeze) and any
-        // load failure fall back to the full load with a warning — the
-        // frozen path is an accelerator, never a gate.
-        if use_frozen {
-            let frozen_path = dir.join(prefix2org::FROZEN_FILE);
-            if frozen_path.is_file() {
-                match prefix2org::FrozenDataset::load(&vfs, &frozen_path) {
-                    Ok(frozen) => {
-                        // The current digest includes this serve's exception
-                        // rules; a frozen artifact built with different (or
-                        // no) rules reads as stale and the full load below
-                        // applies the live rules instead.
-                        let current = checkpoint::canonical_inputs_digest_with(
-                            &vfs,
-                            dir,
-                            exceptions_text.as_deref().map(str::as_bytes),
-                        )?;
-                        if frozen.inputs_digest() == current {
-                            return Ok(p2o_serve::Snapshot::from_frozen(
-                                dir.to_path_buf(),
-                                0,
-                                frozen,
-                            ));
-                        }
-                        eprintln!(
-                            "warning: {}: frozen artifact is stale (inputs changed since it \
-                             was built); falling back to a full load",
-                            frozen_path.display()
-                        );
+        // Every snapshot serves a frozen dataset. Attach the artifact when
+        // its stamped inputs digest matches the directory's current one:
+        // one framed read plus O(1) arena attachment. The current digest
+        // includes this serve's exception rules, so an artifact built with
+        // different (or no) rules reads as stale. A missing, stale or
+        // unloadable artifact costs a full load, frozen in memory by the
+        // same verified freeze `build` runs — the answers are identical
+        // either way, only the boot time differs.
+        let frozen_path = dir.join(prefix2org::FROZEN_FILE);
+        if frozen_path.is_file() {
+            match prefix2org::FrozenDataset::load(&vfs, &frozen_path) {
+                Ok(frozen) => {
+                    let current = checkpoint::canonical_inputs_digest_with(
+                        &vfs,
+                        dir,
+                        exceptions_text.as_deref().map(str::as_bytes),
+                    )?;
+                    if frozen.inputs_digest() == current {
+                        return Ok(p2o_serve::Snapshot::from_frozen(
+                            dir.to_path_buf(),
+                            0,
+                            frozen,
+                        ));
                     }
-                    Err(e) => eprintln!("warning: {e}; falling back to a full load"),
+                    eprintln!(
+                        "warning: {}: frozen artifact is stale (inputs changed since it \
+                         was built); freezing a full load in memory",
+                        frozen_path.display()
+                    );
                 }
+                Err(e) => eprintln!("warning: {e}; freezing a full load in memory"),
             }
         }
-        let outcome = store::load_inputs_mode(&vfs, dir, None, threads, store::IngestMode::Lenient)
-            .map_err(|e| e.to_string())?;
-        let inputs = outcome.inputs;
-        Ok(p2o_serve::Snapshot::assemble_with(
+        let inputs = store::load_inputs_mode(&vfs, dir, None, threads, store::IngestMode::Lenient)
+            .map_err(|e| e.to_string())?
+            .inputs;
+        p2o_serve::Snapshot::freeze_in_memory(
             dir.to_path_buf(),
             0,
-            inputs.tree,
-            inputs.routes,
-            inputs.clusters,
-            inputs.rpki,
+            &PipelineInputs {
+                delegations: &inputs.tree,
+                routes: &inputs.routes,
+                asn_clusters: &inputs.clusters,
+                rpki: &inputs.rpki,
+            },
+            &exceptions,
             threads,
-            exceptions,
-        ))
+        )
     });
 
     // Boot load through the same gate; an unhealthy directory is an
@@ -1136,7 +1137,11 @@ pub fn serve(args: &Parsed) -> Result<(), CliError> {
         dir.display(),
         initial.len(),
         initial.digest,
-        if initial.is_frozen() { ", frozen" } else { "" },
+        if initial.from_artifact() {
+            ", frozen"
+        } else {
+            ""
+        },
         match initial.exception_count() {
             0 => String::new(),
             n => format!(", {n} exception override(s)"),

@@ -91,10 +91,7 @@ fn run(argv: &[String]) -> Result<(), CliError> {
             &["strict", "resume", "spill", "strict-mem"],
         )?),
         "fsck" => commands::fsck(&args::Parsed::parse_with_switches(rest, &["gc"])?),
-        "serve" => commands::serve(&args::Parsed::parse_with_switches(
-            rest,
-            &["no-frozen", "allow-quit"],
-        )?),
+        "serve" => commands::serve(&args::Parsed::parse_with_switches(rest, &["allow-quit"])?),
         "explain" => commands::explain(&args::Parsed::parse_with_switches(rest, &["frozen"])?),
         "lookup" => commands::lookup(&args::Parsed::parse(rest)?),
         "org" => commands::org(&args::Parsed::parse(rest)?),
@@ -201,18 +198,19 @@ USAGE:
       and orphaned spill runs) after the audit, then re-audits; the exit
       code reflects the directory's state after collection.
 
-  prefix2org serve DIR [--addr HOST:PORT] [--threads N] [--no-frozen]
+  prefix2org serve DIR [--addr HOST:PORT] [--threads N]
                    [--access-log FILE] [--allow-quit] [--exceptions FILE.jsonl]
       Serve the directory as a long-running lookup service (default
       address 127.0.0.1:8642). The directory is fsck-audited before
-      loading; damage refuses to start with exit 2. When DIR/world.p2ob
-      exists and matches the directory's current inputs, the snapshot is
-      attached from it in milliseconds instead of re-running the
-      pipeline; --no-frozen forces the full load, and a stale or damaged
-      artifact falls back to it with a warning. Endpoints:
-      GET /prefix/<cidr> (longest-match lookup with DO, DC chain,
-      cluster, MOAS origin set, and the explain-identical provenance
-      chain), POST /batch (one CIDR per line, JSONL out), GET /dump
+      loading; damage refuses to start with exit 2. Every snapshot
+      serves a frozen dataset: when DIR/world.p2ob matches the
+      directory's current inputs it is attached in milliseconds;
+      when it is missing or stale, the full load is frozen in memory
+      at boot (with a warning if stale), answering identically.
+      Endpoints: GET /prefix/<cidr> (longest-match lookup with DO, DC
+      chain, cluster, MOAS origin set, and the matched record's stored
+      provenance chain, as `explain --frozen` prints it), POST /batch
+      (one CIDR per line, JSONL out), GET /dump
       [?serial=N] (full table as a reset, or the delta since serial N),
       GET /metrics (Prometheus text exposition incl. serve.* cumulative
       counters and rolling-window latency/rate gauges), POST /reload

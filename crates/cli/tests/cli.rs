@@ -78,8 +78,33 @@ fn generate_build_lookup_org_validate() {
     assert!(out.contains("Direct Owner"), "{out}");
     assert!(out.contains("no covering routed prefix"), "{out}");
 
-    // Org query: grab an owner name from the dataset itself.
+    // Lookup is a longest match: the last address of every IPv4 record
+    // resolves to the most specific record covering it.
     let text = std::fs::read_to_string(dataset).unwrap();
+    let records = prefix2org::from_jsonl(&text).expect("export parses");
+    let queries: Vec<p2o_net::Prefix> = records
+        .iter()
+        .filter_map(|r| r.prefix.as_v4())
+        .map(|p| p2o_net::Prefix4::new(p.last_addr(), 32).unwrap().into())
+        .collect();
+    let query_strings: Vec<String> = queries.iter().map(|q| q.to_string()).collect();
+    let mut args = vec!["lookup", "--dataset", dataset];
+    args.extend(query_strings.iter().map(String::as_str));
+    let out = run_ok(&args);
+    for q in &queries {
+        let want = records
+            .iter()
+            .map(|r| r.prefix)
+            .filter(|p| p.contains(q))
+            .max_by_key(p2o_net::Prefix::len)
+            .expect("a record covers its own last address");
+        assert!(
+            out.contains(&format!("{q} -> routed as {want}\n")),
+            "{q} must resolve to {want}:\n{out}"
+        );
+    }
+
+    // Org query: grab an owner name from the dataset itself.
     let first = p2o_util::Json::parse(text.lines().next().unwrap()).unwrap();
     let owner = first
         .get("direct_owner")

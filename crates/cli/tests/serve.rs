@@ -8,8 +8,11 @@ use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 
+use p2o_net::{Prefix, Prefix4, Prefix6};
 use p2o_serve::HttpClient;
 use p2o_util::Json;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_prefix2org")
@@ -64,11 +67,17 @@ impl Server {
     }
 
     fn start_with(dir: &Path, extra: &[&str]) -> Server {
+        Self::spawn(dir, extra, Stdio::null())
+    }
+
+    /// A test that reads the boot line sends `stderr` to a file: a pipe
+    /// nobody drains would make the server's `eprintln!` panic once closed.
+    fn spawn(dir: &Path, extra: &[&str], stderr: Stdio) -> Server {
         let mut child = Command::new(bin())
             .args(["serve", dir.to_str().unwrap(), "--addr", "127.0.0.1:0"])
             .args(extra)
             .stdout(Stdio::piped())
-            .stderr(Stdio::null())
+            .stderr(stderr)
             .spawn()
             .expect("spawning serve");
         let stdout = child.stdout.take().expect("serve stdout");
@@ -290,11 +299,13 @@ fn endpoint_surface_dump_metrics_health_and_reload() {
     }
 }
 
-/// A built directory boots from the frozen artifact (`/health` reports
-/// `frozen: true`), answers byte-identically to both `explain --frozen`
-/// and a live `explain`, matches a `--no-frozen` full-load boot digest
-/// for digest, and a stale artifact (inputs regenerated after the
-/// freeze) silently falls back to the full load.
+/// A built directory passes `fsck`, boots from the frozen artifact
+/// (`/health` reports `frozen: true`, the boot line ends `, frozen)`, and
+/// the first `/health` answers within 2 s of spawn), and answers
+/// byte-identically to both `explain --frozen` and `explain`. A twin
+/// directory without the artifact freezes the same world in memory to the
+/// same digest, and a stale artifact (inputs regenerated after the freeze)
+/// is not served.
 #[test]
 fn frozen_boot_serves_identically_and_stale_artifact_falls_back() {
     let dir = temp_dir("frozen-boot");
@@ -311,12 +322,46 @@ fn frozen_boot_serves_identically_and_stale_artifact_falls_back() {
         dir.join("world.p2ob").is_file(),
         "build writes the frozen artifact"
     );
+    let fsck = run(&["fsck", &dir_s]);
+    assert_eq!(
+        fsck.status.code(),
+        Some(0),
+        "fsck must pass the built directory:\n{}",
+        String::from_utf8_lossy(&fsck.stdout)
+    );
 
     let digest;
     {
-        let server = Server::start(&dir);
+        let log = std::env::temp_dir().join(format!(
+            "p2o-serve-frozen-boot-{}.stderr",
+            std::process::id()
+        ));
+        let spawned = std::time::Instant::now();
+        let server = Server::spawn(
+            &dir,
+            &[],
+            Stdio::from(std::fs::File::create(&log).expect("stderr file")),
+        );
         let mut client = server.client();
-        let health = Json::parse(&client.get("/health").expect("health").text()).expect("parses");
+        let first = client.get("/health").expect("health");
+        let boot_ms = spawned.elapsed().as_millis();
+        assert_eq!(first.status, 200);
+        assert!(
+            boot_ms < 2000,
+            "frozen boot answered /health after {boot_ms} ms (budget 2000 ms)"
+        );
+        let boot_line = std::fs::read_to_string(&log)
+            .expect("stderr log")
+            .lines()
+            .find(|l| l.starts_with("loaded "))
+            .map(String::from)
+            .expect("boot line on stderr");
+        let _ = std::fs::remove_file(&log);
+        assert!(
+            boot_line.ends_with(", frozen)"),
+            "boot line must say frozen: {boot_line:?}"
+        );
+        let health = Json::parse(&first.text()).expect("parses");
         assert_eq!(
             health.get("frozen").and_then(Json::as_bool),
             Some(true),
@@ -352,34 +397,41 @@ fn frozen_boot_serves_identically_and_stale_artifact_falls_back() {
         }
     }
 
-    // --no-frozen forces the full load; same content, same digest.
-    {
-        let server = Server::start_with(&dir, &["--no-frozen"]);
+    // `(frozen, snapshot digest)` from a fresh boot's `/health`.
+    let boot = |d: &Path| {
+        let server = Server::start(d);
         let mut client = server.client();
         let health = Json::parse(&client.get("/health").expect("health").text()).expect("parses");
-        assert_eq!(health.get("frozen").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            health.get("snapshot").and_then(|s| s.as_str()),
-            Some(digest.as_str()),
-            "full load and frozen attach must agree on the content digest"
-        );
-    }
+        let frozen = health.get("frozen").and_then(Json::as_bool);
+        let snapshot = health.get("snapshot").and_then(|s| s.as_str());
+        (frozen, snapshot.expect("digest").to_string())
+    };
+
+    // The same world without its artifact freezes in memory at boot:
+    // same content, same digest.
+    let twin = temp_dir("frozen-boot-twin");
+    generate(&twin, "4243");
+    assert_eq!(
+        boot(&twin),
+        (Some(false), digest.clone()),
+        "in-memory freeze and artifact attach must agree on the content digest"
+    );
 
     // Regenerating the inputs strands the old artifact; boot detects the
-    // stale inputs digest and falls back to the full load.
+    // stale inputs digest and freezes the new inputs in memory instead,
+    // serving exactly what an unbuilt copy of the new world serves.
+    generate(&twin, "4244");
+    let (_, new_digest) = boot(&twin);
+    assert_ne!(new_digest, digest, "seeds 4243 and 4244 differ");
     generate(&dir, "4244");
-    {
-        let server = Server::start(&dir);
-        let mut client = server.client();
-        let health = Json::parse(&client.get("/health").expect("health").text()).expect("parses");
-        assert_eq!(
-            health.get("frozen").and_then(Json::as_bool),
-            Some(false),
-            "stale artifact must not be served: {health:?}"
-        );
-    }
+    assert_eq!(
+        boot(&dir),
+        (Some(false), new_digest),
+        "a stale artifact must not be served; the regenerated world is"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&twin);
 }
 
 #[test]
@@ -394,4 +446,252 @@ fn serve_refuses_an_unhealthy_directory_with_exit_2() {
     let diag: Vec<&str> = stderr.lines().collect();
     assert_eq!(diag.len(), 1, "one-line diagnostic, got:\n{stderr}");
     assert!(diag[0].contains("integrity error"), "{stderr}");
+}
+
+/// The exported records of a `build --out` JSONL file.
+fn export_records(path: &Path) -> Vec<prefix2org::ExportRecord> {
+    prefix2org::from_jsonl(&std::fs::read_to_string(path).expect("export")).expect("parses")
+}
+
+/// The most specific record prefix covering `q` — the answer every
+/// surface must agree on.
+fn covering(records: &[prefix2org::ExportRecord], q: &Prefix) -> Option<Prefix> {
+    records
+        .iter()
+        .map(|r| r.prefix)
+        .filter(|p| p.contains(q))
+        .max_by_key(Prefix::len)
+}
+
+/// A host-length query inside `p`: random host bits under its network.
+fn host_in(p: &Prefix, rng: &mut StdRng) -> Prefix {
+    match p {
+        Prefix::V4(p4) => {
+            let host = if p4.len() == 32 {
+                0
+            } else {
+                (rng.next_u64() as u32) >> p4.len()
+            };
+            Prefix::V4(Prefix4::new(p4.bits() | host, 32).expect("host route"))
+        }
+        Prefix::V6(p6) => {
+            let r = (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64());
+            let host = if p6.len() == 128 { 0 } else { r >> p6.len() };
+            Prefix::V6(Prefix6::new(p6.bits() | host, 128).expect("host route"))
+        }
+    }
+}
+
+/// `explain` stdout for several prefixes, one entry per argument: entries
+/// are separated by a blank line and a trace never contains one.
+fn explain_entries(out: &str) -> Vec<String> {
+    out.split("\n\n")
+        .map(|e| format!("{}\n", e.trim_end_matches('\n')))
+        .collect()
+}
+
+/// One answer per question, whatever surface asks it and however the
+/// server booted. The same world is generated twice; only one copy is
+/// built, so one server attaches `world.p2ob` and the other freezes the
+/// full load in memory. Seeded queries cover record prefixes, host-length
+/// more-specifics, uncovered space, and a prefix a `filter` rule removed.
+/// Every query must get the same `/prefix` body and `/batch` line from
+/// both servers, with provenance equal to the trace `explain --frozen`
+/// prints (after its `covered by` note), equal to `explain --exceptions`
+/// for record prefixes, and a 404 exactly when no record covers it.
+#[test]
+fn every_query_gets_one_answer_across_surfaces_and_boot_paths() {
+    let seed = "7";
+    let built = temp_dir("one-answer-built");
+    let unbuilt = temp_dir("one-answer-unbuilt");
+    generate(&built, seed);
+    generate(&unbuilt, seed);
+    let built_s = built.to_str().unwrap().to_string();
+    let export = built.join("dataset.jsonl");
+    let export_s = export.to_str().unwrap().to_string();
+
+    // Pick the rule targets from a plain build: an assert on one record
+    // and a filter on a record that another record covers.
+    run_ok(&["build", "--in", &built_s, "--out", &export_s]);
+    let plain = export_records(&export);
+    let mut rng = StdRng::seed_from_u64(0x0123_4567_89AB_CDEF);
+    let covered: Vec<Prefix> = plain
+        .iter()
+        .map(|r| r.prefix)
+        .filter(|p| plain.iter().any(|o| o.prefix != *p && o.prefix.contains(p)))
+        .collect();
+    assert!(covered.len() > 1, "seed {seed} has covered records");
+    let filtered = covered[rng.random_range(0..covered.len())];
+    let asserted = loop {
+        let p = plain[rng.random_range(0..plain.len())].prefix;
+        if p != filtered {
+            break p;
+        }
+    };
+    let rules_dir = temp_dir("one-answer-rules");
+    let rules = rules_dir.join("exceptions.jsonl");
+    std::fs::write(
+        &rules,
+        format!(
+            "{{\"prefix\":\"{asserted}\",\"action\":\"assert\",\"org\":\"One Answer LLC\"}}\n\
+             {{\"prefix\":\"{filtered}\",\"action\":\"filter\"}}\n"
+        ),
+    )
+    .expect("writing exceptions");
+    let rules_s = rules.to_str().unwrap().to_string();
+    run_ok(&[
+        "build",
+        "--in",
+        &built_s,
+        "--out",
+        &export_s,
+        "--exceptions",
+        &rules_s,
+    ]);
+    let records = export_records(&export);
+    assert_eq!(
+        records.len() + 1,
+        plain.len(),
+        "the filter drops one record"
+    );
+
+    // Seeded queries from the four classes.
+    let mut record_queries: Vec<Prefix> = vec![asserted];
+    record_queries.extend((0..12).map(|_| records[rng.random_range(0..records.len())].prefix));
+    let mut queries = record_queries.clone();
+    queries.extend((0..24).map(|_| {
+        host_in(
+            &records[rng.random_range(0..records.len())].prefix,
+            &mut rng,
+        )
+    }));
+    let mut uncovered = 0;
+    while uncovered < 8 {
+        let q = if uncovered % 4 == 3 {
+            let bits = (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64());
+            Prefix::V6(Prefix6::new(bits, 128).unwrap())
+        } else {
+            Prefix::V4(Prefix4::new(rng.next_u64() as u32, 32).unwrap())
+        };
+        if covering(&records, &q).is_none() {
+            queries.push(q);
+            uncovered += 1;
+        }
+    }
+    queries.push(filtered);
+    let expected: Vec<Option<Prefix>> = queries.iter().map(|q| covering(&records, q)).collect();
+    assert!(
+        expected.last().unwrap().is_some(),
+        "a covering record answers the filtered prefix"
+    );
+
+    // Both boots, both surfaces.
+    let servers = [
+        Server::start_with(&built, &["--exceptions", &rules_s]),
+        Server::start_with(&unbuilt, &["--exceptions", &rules_s]),
+    ];
+    let mut answers: Vec<(Vec<(u16, String)>, String)> = Vec::new();
+    for (server, frozen) in servers.iter().zip([true, false]) {
+        let mut client = server.client();
+        let health = Json::parse(&client.get("/health").expect("health").text()).expect("parses");
+        assert_eq!(
+            health.get("frozen").and_then(Json::as_bool),
+            Some(frozen),
+            "{health:?}"
+        );
+        let singles = queries
+            .iter()
+            .map(|q| {
+                let resp = client
+                    .get(&format!("/prefix/{}", q.to_string().replace('/', "%2f")))
+                    .expect("lookup");
+                (resp.status, resp.text())
+            })
+            .collect();
+        let body: Vec<String> = queries.iter().map(Prefix::to_string).collect();
+        let batch = client
+            .post("/batch", body.join("\n").as_bytes())
+            .expect("batch");
+        assert_eq!(batch.status, 200);
+        answers.push((singles, batch.text()));
+    }
+    // The artifact and in-memory boots answer byte-for-byte alike.
+    for (i, q) in queries.iter().enumerate() {
+        assert_eq!(
+            answers[0].0[i], answers[1].0[i],
+            "{q}: /prefix by boot path"
+        );
+    }
+    assert_eq!(answers[0].1, answers[1].1, "/batch by boot path");
+    let (singles, batch) = &answers[0];
+    let lines: Vec<&str> = batch.lines().collect();
+    assert_eq!(lines.len(), queries.len());
+
+    let frozen_explain = {
+        let mut args = vec!["explain", "--in", &built_s, "--frozen"];
+        let texts: Vec<String> = queries.iter().map(Prefix::to_string).collect();
+        args.extend(texts.iter().map(String::as_str));
+        explain_entries(&run_ok(&args))
+    };
+    assert_eq!(frozen_explain.len(), queries.len());
+    let live_explain = {
+        let mut args = vec!["explain", "--in", &built_s, "--exceptions", &rules_s];
+        let texts: Vec<String> = record_queries.iter().map(Prefix::to_string).collect();
+        args.extend(texts.iter().map(String::as_str));
+        explain_entries(&run_ok(&args))
+    };
+    assert_eq!(live_explain.len(), record_queries.len());
+
+    for (i, q) in queries.iter().enumerate() {
+        let (status, body) = &singles[i];
+        let line = Json::parse(lines[i]).expect("batch line parses");
+        assert_eq!(
+            line.get("query").and_then(Json::as_str),
+            Some(q.to_string().as_str())
+        );
+        let Some(matched) = expected[i] else {
+            assert_eq!(*status, 404, "{q} is uncovered: {body}");
+            assert!(line.get("error").is_some(), "{q}: {line:?}");
+            assert_eq!(
+                frozen_explain[i],
+                format!("{q}: no covering record in the frozen dataset\n")
+            );
+            continue;
+        };
+        assert_eq!(*status, 200, "{q}: {body}");
+        assert_eq!(*body, format!("{}\n", lines[i]), "{q}: /prefix vs /batch");
+        assert_eq!(
+            line.get("matched").and_then(Json::as_str),
+            Some(matched.to_string().as_str()),
+            "{q}"
+        );
+        let provenance = line
+            .get("provenance")
+            .and_then(Json::as_str)
+            .expect("provenance");
+        let stored = if matched == *q {
+            frozen_explain[i].clone()
+        } else {
+            let note = format!("{q}: covered by {matched}; its stored trace follows\n");
+            frozen_explain[i]
+                .strip_prefix(&note)
+                .unwrap_or_else(|| panic!("{q}: no covered-by note in {:?}", frozen_explain[i]))
+                .to_string()
+        };
+        assert_eq!(provenance, stored, "{q}: serve vs explain --frozen");
+        if let Some(j) = record_queries.iter().position(|r| r == q) {
+            assert_eq!(provenance, live_explain[j], "{q}: serve vs explain");
+        }
+        if *q == asserted {
+            assert_eq!(
+                line.get("rule").and_then(Json::as_str),
+                Some("local_exception")
+            );
+        }
+    }
+
+    drop(servers);
+    for dir in [&built, &unbuilt, &rules_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

@@ -11,10 +11,12 @@
 //!
 //! **Byte-identical derivation.** Freezing is defined against the canonical
 //! JSONL export: [`FrozenDataset::to_jsonl`] must reproduce
-//! [`crate::export::to_jsonl`] exactly, and the builder verifies the digest
-//! before the artifact is written. The meta section carries both the JSONL
-//! digest (identity) and the inputs digest (staleness: serve recomputes the
-//! input digest and falls back to a full build when they disagree).
+//! [`crate::export::to_jsonl`] exactly, and [`freeze_verified`] checks it
+//! on every freeze — before `build` writes the artifact and before `serve`
+//! answers from one frozen in memory. The meta section carries both the
+//! JSONL digest (identity) and the inputs digest (staleness: serve
+//! recomputes the input digest and, when they disagree, freezes a full
+//! load in memory instead).
 //!
 //! Layout (arena sections, byte offsets in DESIGN.md §4h):
 //!
@@ -221,6 +223,29 @@ pub fn freeze(
     w.section("lpm4", freeze_v4(&v4_entries));
     w.section("lpm6", freeze_v6(&v6_entries));
     w.finish()
+}
+
+/// [`freeze`], then prove the result before anyone uses it: the payload
+/// must pass the full [`FrozenDataset::from_payload`] audit and thaw back
+/// to `jsonl` — the canonical export of `dataset` — byte for byte.
+///
+/// The one freeze sequence in the system: `build` frames and writes the
+/// verified [`payload`](FrozenDataset::payload) as `world.p2ob`, and
+/// `serve` serves the returned dataset directly when that file is missing
+/// or stale. The payload is moved, never copied.
+pub fn freeze_verified(
+    inputs: &PipelineInputs<'_>,
+    dataset: &Prefix2OrgDataset,
+    merge_edges: &[MergeEdge],
+    inputs_digest: u64,
+    jsonl: &str,
+) -> Result<FrozenDataset, String> {
+    let frozen = FrozenDataset::from_payload(freeze(inputs, dataset, merge_edges, inputs_digest))
+        .map_err(|e| format!("frozen artifact failed self-validation: {e}"))?;
+    if frozen.to_jsonl() != jsonl {
+        return Err("frozen artifact does not thaw back to the canonical export".to_string());
+    }
+    Ok(frozen)
 }
 
 /// The parsed section geometry of a frozen payload.
@@ -518,6 +543,12 @@ impl FrozenDataset {
         self.sections.inputs_digest
     }
 
+    /// The validated, unframed payload — the bytes `build` frames and
+    /// writes as `world.p2ob`.
+    pub fn payload(&self) -> &[u8] {
+        &self.payload
+    }
+
     /// Longest-prefix match over the frozen record set: the most specific
     /// record prefix covering `q`, with the record index. Zero allocation.
     pub fn lookup(&self, q: &Prefix) -> Option<(Prefix, u32)> {
@@ -686,6 +717,26 @@ mod tests {
         assert_eq!(frozen.to_jsonl(), jsonl);
         assert_eq!(frozen.jsonl_digest(), Digest::of_bytes(jsonl.as_bytes()).0);
         assert_eq!(frozen.inputs_digest(), 0xDEAD_BEEF);
+    }
+
+    #[test]
+    fn freeze_verified_returns_the_plain_freeze_and_rejects_a_thaw_mismatch() {
+        let world = World::generate(WorldConfig::tiny(42));
+        let built = world.build_inputs();
+        let inputs = PipelineInputs {
+            delegations: &built.tree,
+            routes: &built.routes,
+            asn_clusters: &built.clusters,
+            rpki: &built.rpki,
+        };
+        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
+        let jsonl = to_jsonl(&dataset);
+        let frozen = freeze_verified(&inputs, &dataset, &edges, 7, &jsonl).unwrap();
+        assert_eq!(frozen.payload(), &freeze(&inputs, &dataset, &edges, 7)[..]);
+        let mut other = jsonl.clone();
+        other.push('\n');
+        let err = freeze_verified(&inputs, &dataset, &edges, 7, &other).unwrap_err();
+        assert!(err.contains("does not thaw back"), "{err}");
     }
 
     #[test]

@@ -71,7 +71,9 @@ pub use delta::{diff, DatasetDelta, OwnerChange};
 pub use exceptions::{ExceptionAction, ExceptionSet, ExceptionSummary};
 pub use explain::{attribution_trace, attribution_trace_with};
 pub use export::{from_jsonl, to_jsonl, ExportRecord};
-pub use frozen::{freeze, FrozenDataset, FROZEN_FILE, FROZEN_FORMAT_VERSION, FROZEN_LABEL};
+pub use frozen::{
+    freeze, freeze_verified, FrozenDataset, FROZEN_FILE, FROZEN_FORMAT_VERSION, FROZEN_LABEL,
+};
 pub use leasing::{infer_leasing, LeasingCandidate, LeasingOptions};
 pub use pipeline::{default_threads, Pipeline, PipelineInputs};
 pub use resolve::{DelegationStep, OwnershipRecord, Resolver};

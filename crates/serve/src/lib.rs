@@ -24,10 +24,12 @@
 //! - [`client`]: a minimal blocking client used by the tests, the chaos
 //!   harness, and the `bench serve` load harness.
 //!
-//! The correctness anchor: a served lookup's `provenance` string is
-//! byte-identical to what `prefix2org explain` prints for the same prefix
-//! on the same artifact — both render the same precomputed decision trace
-//! via [`prefix2org::attribution_trace`].
+//! The correctness anchor: every snapshot serves one representation, a
+//! validated [`prefix2org::FrozenDataset`] — attached from `world.p2ob`
+//! when it is fresh, frozen in memory at load when it is missing or
+//! stale. A served lookup's `provenance` is the matched record's stored
+//! trace: what `prefix2org explain --frozen` prints for the query, and
+//! byte-identical to `prefix2org explain` for a record prefix.
 
 pub mod access;
 pub mod client;

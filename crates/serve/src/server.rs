@@ -769,7 +769,7 @@ fn health(state: &Arc<ServerState>, snap: &Arc<Snapshot>) -> (u16, &'static str,
     o.set("serial", snap.serial);
     o.set("snapshot", snap.digest.clone());
     o.set("prefixes", snap.len() as u64);
-    o.set("frozen", snap.is_frozen());
+    o.set("frozen", snap.from_artifact());
     o.set("exceptions", snap.exception_count());
     o.set("rov", rov_json(snap));
     o.set("uptime_seconds", state.started.elapsed().as_secs());
@@ -805,7 +805,14 @@ fn status_page(state: &Arc<ServerState>, snap: &Arc<Snapshot>) -> (u16, &'static
     snapshot.set("serial", snap.serial);
     snapshot.set("digest", snap.digest.clone());
     snapshot.set("generation", state.cell.generation());
-    snapshot.set("backing", if snap.is_frozen() { "frozen" } else { "live" });
+    snapshot.set(
+        "backing",
+        if snap.from_artifact() {
+            "artifact"
+        } else {
+            "memory"
+        },
+    );
     snapshot.set("prefixes", snap.len() as u64);
     snapshot.set("exceptions", snap.exception_count());
     snapshot.set("rov", rov_json(snap));
@@ -1215,7 +1222,7 @@ fn dump_header(kind: &str, snap: &Arc<Snapshot>, from: Option<u64>) -> Json {
     }
     o.set("serial", snap.serial);
     o.set("snapshot", snap.digest.clone());
-    o.set("records", snap.records().len() as u64);
+    o.set("records", snap.len() as u64);
     o
 }
 
@@ -1269,7 +1276,7 @@ fn reload(
             o.set("dir", new.dir.display().to_string());
             o.set("serial", new.serial);
             o.set("snapshot", new.digest.clone());
-            o.set("records", new.records().len() as u64);
+            o.set("records", new.len() as u64);
             (200, "application/json", format!("{o}\n").into_bytes())
         }
     }

@@ -200,13 +200,18 @@ fn malformed_cidrs_map_to_deterministic_400_404() {
 fn test_snapshot(seed: u64) -> p2o_serve::Snapshot {
     let world = p2o_synth::World::generate(p2o_synth::WorldConfig::tiny(seed));
     let built = world.build_inputs();
-    p2o_serve::Snapshot::assemble(
+    let inputs = prefix2org::PipelineInputs {
+        delegations: &built.tree,
+        routes: &built.routes,
+        asn_clusters: &built.clusters,
+        rpki: &built.rpki,
+    };
+    p2o_serve::Snapshot::freeze_in_memory(
         std::path::PathBuf::from(format!("seed-{seed}")),
         0,
-        built.tree,
-        built.routes,
-        built.clusters,
-        built.rpki,
+        &inputs,
+        &prefix2org::ExceptionSet::new(),
         1,
     )
+    .expect("fresh freeze verifies")
 }

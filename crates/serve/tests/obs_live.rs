@@ -26,15 +26,20 @@ use p2o_util::Json;
 fn snapshot_from_seed(seed: u64, serial: u64) -> Snapshot {
     let world = p2o_synth::World::generate(p2o_synth::WorldConfig::tiny(seed));
     let built = world.build_inputs();
-    Snapshot::assemble(
+    let inputs = prefix2org::PipelineInputs {
+        delegations: &built.tree,
+        routes: &built.routes,
+        asn_clusters: &built.clusters,
+        rpki: &built.rpki,
+    };
+    Snapshot::freeze_in_memory(
         PathBuf::from(format!("seed-{seed}")),
         serial,
-        built.tree,
-        built.routes,
-        built.clusters,
-        built.rpki,
+        &inputs,
+        &prefix2org::ExceptionSet::new(),
         1,
     )
+    .expect("fresh freeze verifies")
 }
 
 fn seed_loader() -> SnapshotLoader {
@@ -184,7 +189,7 @@ fn status_health_and_metrics_expose_windowed_series_under_load() {
     // ...snapshot identity, connection gauge, flight-recorder occupancy.
     assert_eq!(
         walk(&status, &["snapshot", "backing"]).as_str(),
-        Some("live")
+        Some("memory")
     );
     assert_eq!(walk_u64(&status, &["snapshot", "serial"]), 0);
     assert!(walk_u64(&status, &["connections", "active"]) >= 1);

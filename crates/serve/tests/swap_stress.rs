@@ -24,17 +24,27 @@ use std::sync::Arc;
 use p2o_serve::{Snapshot, SnapshotCell};
 
 fn snapshot_from_seed(seed: u64, serial: u64) -> Snapshot {
+    snapshot_with(seed, serial, &prefix2org::ExceptionSet::new())
+}
+
+/// The tiny world at `seed`, frozen in memory with `exceptions` applied.
+fn snapshot_with(seed: u64, serial: u64, exceptions: &prefix2org::ExceptionSet) -> Snapshot {
     let world = p2o_synth::World::generate(p2o_synth::WorldConfig::tiny(seed));
     let built = world.build_inputs();
-    Snapshot::assemble(
+    let inputs = prefix2org::PipelineInputs {
+        delegations: &built.tree,
+        routes: &built.routes,
+        asn_clusters: &built.clusters,
+        rpki: &built.rpki,
+    };
+    Snapshot::freeze_in_memory(
         PathBuf::from(format!("seed-{seed}")),
         serial,
-        built.tree,
-        built.routes,
-        built.clusters,
-        built.rpki,
+        &inputs,
+        exceptions,
         1,
     )
+    .expect("fresh freeze verifies")
 }
 
 #[test]
@@ -142,18 +152,7 @@ fn reload_applies_and_rejects_exception_files() {
                 rejected.len()
             ));
         }
-        let world = p2o_synth::World::generate(p2o_synth::WorldConfig::tiny(41));
-        let built = world.build_inputs();
-        Ok(Snapshot::assemble_with(
-            PathBuf::from("seed-41"),
-            0,
-            built.tree,
-            built.routes,
-            built.clusters,
-            built.rpki,
-            1,
-            set,
-        ))
+        Ok(snapshot_with(41, 0, &set))
     });
     let server = p2o_serve::spawn(p2o_serve::ServerConfig::default(), initial, loader)
         .expect("server spawns");
