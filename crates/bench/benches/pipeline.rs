@@ -68,12 +68,9 @@ fn run_parse(world: &World, threads: usize) {
         };
     }
     black_box(db);
-    let routes = if threads > 1 {
-        RouteTable::from_mrt_threaded(world.mrt.clone(), threads)
-    } else {
-        RouteTable::from_mrt(world.mrt.clone())
-    };
-    black_box(routes.expect("synthetic MRT parses"));
+    let routes = RouteTable::from_mrt_lenient(world.mrt.clone(), None, threads);
+    assert!(routes.quarantined.is_empty(), "synthetic MRT parses");
+    black_box(routes.table);
 }
 
 /// The committed baseline's speedup entry for `(stage, scale)`, if the
@@ -245,7 +242,7 @@ fn bench_json(budget_ms: u64) {
             rpki: &built.rpki,
         };
         let (dataset, edges) =
-            Pipeline::with_threads(max_threads).dataset_with_evidence(&inputs, None);
+            Pipeline::with_threads(max_threads).dataset_with_evidence(&inputs, None, None);
         let payload = prefix2org::freeze(&inputs, &dataset, &edges, 0);
         let frozen = prefix2org::FrozenDataset::from_payload(payload).expect("fresh freeze");
         let queries: Vec<Prefix> = dataset.records().iter().map(|r| r.prefix).collect();

@@ -8,6 +8,8 @@
 //! produced by `p2o-synth` flow through the identical binary path a real
 //! collector dump would.
 
+use std::convert::Infallible;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use p2o_net::Prefix;
@@ -235,16 +237,142 @@ fn decode_rib_body(
     }))
 }
 
-/// Length in bytes of the MRT record starting at `buf[0]` (12-byte header
-/// plus body), or `None` when fewer than 12 header bytes are available.
-/// The streaming (`--spill`) loader walks record boundaries with this so
-/// it can shard a dump into record-aligned chunks without decoding bodies.
-pub fn record_frame_len(buf: &[u8]) -> Option<usize> {
-    if buf.len() < 12 {
-        return None;
+/// Bytes in an MRT record header: timestamp, type, subtype, body length.
+pub const HEADER_LEN: usize = 12;
+
+/// One step of the lenient framing: what a dump holds at an offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame {
+    /// A well-framed TABLE_DUMP_V2 record; `start..end` covers its header
+    /// and body.
+    Record {
+        /// Offset of the header.
+        start: usize,
+        /// Offset just past the body.
+        end: usize,
+        /// The TABLE_DUMP_V2 subtype.
+        subtype: u16,
+    },
+    /// An unreadable byte range `start..end`. Framing resumes at `end`: the
+    /// next plausible header, or the end of the dump when there is none.
+    Damaged {
+        /// Offset of the header that failed the checks.
+        start: usize,
+        /// Where framing resumes.
+        end: usize,
+        /// The quarantine variant for the range.
+        kind: IngestErrorKind,
+        /// Which check the header failed.
+        message: &'static str,
+    },
+}
+
+impl Frame {
+    /// Offset of the next frame.
+    pub fn end(&self) -> usize {
+        match *self {
+            Frame::Record { end, .. } | Frame::Damaged { end, .. } => end,
+        }
     }
-    let body_len = u32::from_be_bytes(buf[8..12].try_into().unwrap()) as usize;
-    Some(12 + body_len)
+}
+
+/// `(type, subtype, body length)` of a record header.
+fn parse_header(h: &[u8; HEADER_LEN]) -> (u16, u16, usize) {
+    (
+        u16::from_be_bytes([h[4], h[5]]),
+        u16::from_be_bytes([h[6], h[7]]),
+        u32::from_be_bytes([h[8], h[9], h[10], h[11]]) as usize,
+    )
+}
+
+/// Frames the dump at `pos`: the one framing step behind every MRT reader,
+/// whole-buffer or streamed. It needs only the dump's `total` length and
+/// `header(at)`, the 12 header bytes at `at` (asked for only when they lie
+/// inside the dump), so a caller may serve headers from memory or through
+/// a read window over a file and still find the same frames. `Ok(None)` at
+/// the end of the dump.
+///
+/// A header that fails the checks (too short, not TABLE_DUMP_V2, or a body
+/// longer than the rest of the dump) starts a damaged range. Its length
+/// field is trusted first: if skipping `12 + len` bytes lands exactly at
+/// the end or on a plausible header, only this record is damaged.
+/// Otherwise the length itself is corrupt and the scan walks forward byte
+/// by byte to the next plausible header.
+pub fn frame_at<E>(
+    total: usize,
+    pos: usize,
+    mut header: impl FnMut(usize) -> Result<[u8; HEADER_LEN], E>,
+) -> Result<Option<Frame>, E> {
+    if pos >= total {
+        return Ok(None);
+    }
+    let head = if total - pos >= HEADER_LEN {
+        Some(parse_header(&header(pos)?))
+    } else {
+        None
+    };
+    let message = match head {
+        None => "truncated MRT header",
+        Some((mrt_type, _, _)) if mrt_type != MRT_TYPE_TABLE_DUMP_V2 => "unsupported MRT type",
+        Some((_, _, len)) if len > total - pos - HEADER_LEN => "record body exceeds input",
+        Some((_, subtype, len)) => {
+            return Ok(Some(Frame::Record {
+                start: pos,
+                end: pos + HEADER_LEN + len,
+                subtype,
+            }))
+        }
+    };
+    // Whether `at` looks like the start of a record whose body fits.
+    let mut plausible = |at: usize| -> Result<bool, E> {
+        if total.saturating_sub(at) < HEADER_LEN {
+            return Ok(false);
+        }
+        let (mrt_type, subtype, len) = parse_header(&header(at)?);
+        Ok(mrt_type == MRT_TYPE_TABLE_DUMP_V2
+            && (1..=MAX_PLAUSIBLE_SUBTYPE).contains(&subtype)
+            && len <= total - at - HEADER_LEN)
+    };
+    let mut resync = None;
+    if let Some(cand) = head.and_then(|(_, _, len)| (pos + HEADER_LEN).checked_add(len)) {
+        if cand == total || plausible(cand)? {
+            resync = Some(cand);
+        }
+    }
+    if resync.is_none() {
+        for at in pos + 1..total {
+            if plausible(at)? {
+                resync = Some(at);
+                break;
+            }
+        }
+    }
+    let kind = match head {
+        None => IngestErrorKind::MrtTruncated,
+        Some((mrt_type, _, _)) if mrt_type != MRT_TYPE_TABLE_DUMP_V2 => IngestErrorKind::MrtBadType,
+        Some(_) if resync.is_some() => IngestErrorKind::MrtBadLength,
+        // The length overruns the input and no later header exists: the
+        // dump was cut mid-record.
+        Some(_) => IngestErrorKind::MrtTruncated,
+    };
+    Ok(Some(Frame::Damaged {
+        start: pos,
+        end: resync.unwrap_or(total),
+        kind,
+        message,
+    }))
+}
+
+/// [`frame_at`] over a dump held whole in memory.
+pub fn frame_in(buf: &[u8], pos: usize) -> Option<Frame> {
+    let header = |at: usize| {
+        Ok::<_, Infallible>(
+            buf[at..at + HEADER_LEN]
+                .try_into()
+                .expect("frame_at asks only for headers inside the dump"),
+        )
+    };
+    frame_at(buf.len(), pos, header).unwrap_or_else(|never| match never {})
 }
 
 impl MrtReader {
@@ -312,29 +440,24 @@ impl MrtReader {
 
     /// Pulls the next raw record: `(subtype, body)`.
     fn next_record(&mut self) -> Result<Option<(u16, Bytes)>, MrtParseError> {
-        if self.offset == self.buf.len() {
-            return Ok(None);
+        match frame_in(&self.buf, self.offset) {
+            None => Ok(None),
+            Some(Frame::Damaged { message, .. }) => Err(self.err(message)),
+            Some(Frame::Record {
+                start,
+                end,
+                subtype,
+            }) => Ok(Some((subtype, self.take(start, end)))),
         }
-        if self.buf.len() - self.offset < 12 {
-            return Err(self.err("truncated MRT header"));
-        }
-        let mut header = self.buf.slice(self.offset..self.offset + 12);
-        let _ts = header.get_u32();
-        let mrt_type = header.get_u16();
-        let subtype = header.get_u16();
-        let len = header.get_u32() as usize;
-        if mrt_type != MRT_TYPE_TABLE_DUMP_V2 {
-            return Err(self.err("unsupported MRT type"));
-        }
-        if self.buf.len() - self.offset - 12 < len {
-            return Err(self.err("record body exceeds input"));
-        }
-        let body = self.buf.slice(self.offset + 12..self.offset + 12 + len);
-        self.offset += 12 + len;
+    }
+
+    /// Consumes the well-framed record `start..end` and returns its body.
+    fn take(&mut self, start: usize, end: usize) -> Bytes {
+        self.offset = end;
         if let Some(o) = &self.obs {
-            o.bytes.add(12 + len as u64);
+            o.bytes.add((end - start) as u64);
         }
-        Ok(Some((subtype, body)))
+        self.buf.slice(start + HEADER_LEN..end)
     }
 
     /// Reads the next RIB record, or `None` at end of dump.
@@ -358,119 +481,6 @@ impl MrtReader {
         let mut out = Vec::new();
         while let Some(rec) = self.next_rib()? {
             out.push(rec);
-        }
-        Ok(out)
-    }
-
-    /// Like [`read_all`](Self::read_all), but decodes record bodies on
-    /// `threads` scoped threads.
-    ///
-    /// The cheap part — walking the 12-byte framing headers — stays
-    /// sequential; the per-record body decode (prefix, entries, path
-    /// attributes) fans out over contiguous chunks and the results are
-    /// joined in chunk order, so the returned records, any error value, and
-    /// all `mrt.*` counters match the sequential path exactly on success.
-    /// (On a malformed dump the error is the sequential one — the earliest
-    /// failing record — but counters may also include records decoded after
-    /// the failure point by other threads.)
-    pub fn read_all_parallel(mut self, threads: usize) -> Result<Vec<RibRecord>, MrtParseError> {
-        if threads <= 1 {
-            // Still trace the one-shard decode so `--trace` timelines stay
-            // populated on single-core runs.
-            let obs = self.obs.clone();
-            let log = obs.as_ref().and_then(|o| o.obs.thread_log("mrt.decode"));
-            let span = log.as_ref().map(|l| {
-                let s = l.span("mrt.decode");
-                s.arg("shard", 0);
-                s
-            });
-            let out = self.read_all();
-            if let (Some(s), Ok(recs)) = (&span, &out) {
-                s.arg("records", recs.len());
-            }
-            drop(span);
-            return out;
-        }
-        // Sequential frame scan: slicing `Bytes` is refcount bumps, not
-        // copies, so this is a tiny fraction of the decode cost.
-        let mut frames: Vec<(u16, Bytes, usize)> = Vec::new();
-        while let Some((subtype, body)) = self.next_record()? {
-            frames.push((subtype, body, self.offset));
-        }
-        if frames.len() < 2 * threads {
-            let log = self
-                .obs
-                .as_ref()
-                .and_then(|o| o.obs.thread_log("mrt.decode"));
-            let span = log.as_ref().map(|l| {
-                let s = l.span("mrt.decode");
-                s.arg("shard", 0);
-                s.arg("frames", frames.len());
-                s
-            });
-            let mut out = Vec::new();
-            for (subtype, body, offset) in frames {
-                if let Some(rec) = decode_rib_body(subtype, body, offset, &self.peers)? {
-                    if let Some(o) = &self.obs {
-                        o.tick_record(rec.entries.len());
-                    }
-                    out.push(rec);
-                }
-            }
-            if let Some(s) = &span {
-                s.arg("records", out.len());
-            }
-            return Ok(out);
-        }
-        let chunk = frames.len().div_ceil(threads);
-        let peers = &self.peers;
-        let obs = &self.obs;
-        let shards: Vec<Result<Vec<RibRecord>, MrtParseError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = frames
-                .chunks(chunk)
-                .enumerate()
-                .map(|(idx, shard)| {
-                    scope.spawn(move || {
-                        let log = obs.as_ref().and_then(|o| o.obs.thread_log("mrt.decode"));
-                        let span = log.as_ref().map(|l| {
-                            let s = l.span("mrt.decode");
-                            s.arg("shard", idx);
-                            s.arg("frames", shard.len());
-                            s
-                        });
-                        let timer = obs.as_ref().map(|o| o.obs.stage("mrt.decode"));
-                        let mut out = Vec::with_capacity(shard.len());
-                        for (subtype, body, offset) in shard {
-                            if let Some(rec) =
-                                decode_rib_body(*subtype, body.clone(), *offset, peers)?
-                            {
-                                if let Some(o) = obs {
-                                    o.tick_record(rec.entries.len());
-                                }
-                                out.push(rec);
-                            }
-                        }
-                        if let Some(mut t) = timer {
-                            t.items(out.len() as u64);
-                        }
-                        if let Some(s) = &span {
-                            s.arg("records", out.len());
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("mrt decode shard panicked"))
-                .collect()
-        });
-        // Chunks are contiguous and in offset order, so the first chunk that
-        // failed holds the earliest-offset error — the one the sequential
-        // reader would have reported.
-        let mut out = Vec::with_capacity(frames.len());
-        for shard in shards {
-            out.extend(shard?);
         }
         Ok(out)
     }
@@ -501,66 +511,6 @@ impl MrtReader {
         }
     }
 
-    /// Whether `pos` looks like the start of a TABLE_DUMP_V2 record whose
-    /// claimed body fits inside the input.
-    fn plausible_header(buf: &[u8], pos: usize) -> bool {
-        if buf.len() < pos + 12 {
-            return false;
-        }
-        let mrt_type = u16::from_be_bytes([buf[pos + 4], buf[pos + 5]]);
-        if mrt_type != MRT_TYPE_TABLE_DUMP_V2 {
-            return false;
-        }
-        let subtype = u16::from_be_bytes([buf[pos + 6], buf[pos + 7]]);
-        if subtype == 0 || subtype > MAX_PLAUSIBLE_SUBTYPE {
-            return false;
-        }
-        let len =
-            u32::from_be_bytes([buf[pos + 8], buf[pos + 9], buf[pos + 10], buf[pos + 11]]) as usize;
-        len <= buf.len() - pos - 12
-    }
-
-    /// Where parsing can resume after a framing error at `failed`.
-    ///
-    /// The length field is trusted first: if skipping `12 + len` bytes
-    /// lands exactly at EOF or on a plausible header, only this one record
-    /// is damaged. Otherwise the length itself is corrupt and the scanner
-    /// walks forward byte by byte looking for the next plausible header.
-    /// `None` means the rest of the input is unusable.
-    fn resync_from(&self, failed: usize) -> Option<usize> {
-        let buf = &self.buf[..];
-        if buf.len() - failed >= 12 {
-            let len = u32::from_be_bytes([
-                buf[failed + 8],
-                buf[failed + 9],
-                buf[failed + 10],
-                buf[failed + 11],
-            ]) as usize;
-            if let Some(cand) = (failed + 12).checked_add(len) {
-                if cand == buf.len() || Self::plausible_header(buf, cand) {
-                    return Some(cand);
-                }
-            }
-        }
-        (failed + 1..buf.len()).find(|&pos| Self::plausible_header(buf, pos))
-    }
-
-    /// Classifies a framing failure at the start of `rest` (`resynced` says
-    /// whether a later plausible header exists).
-    fn classify_framing(rest: &[u8], resynced: bool) -> IngestErrorKind {
-        if rest.len() < 12 {
-            IngestErrorKind::MrtTruncated
-        } else if u16::from_be_bytes([rest[4], rest[5]]) != MRT_TYPE_TABLE_DUMP_V2 {
-            IngestErrorKind::MrtBadType
-        } else if resynced {
-            IngestErrorKind::MrtBadLength
-        } else {
-            // The length field overruns the input and no later header
-            // exists: the dump was cut mid-record.
-            IngestErrorKind::MrtTruncated
-        }
-    }
-
     /// Lenient frame scan: collects every well-framed record and
     /// quarantines unreadable byte ranges, resyncing after each failure.
     /// Frames are `(subtype, body, offset_after_record, record_start)`.
@@ -568,28 +518,29 @@ impl MrtReader {
     fn scan_frames_lenient(&mut self) -> (Vec<(u16, Bytes, usize, usize)>, Vec<QuarantinedRecord>) {
         let mut frames = Vec::new();
         let mut quarantined = Vec::new();
-        loop {
-            let start = self.offset;
-            match self.next_record() {
-                Ok(None) => break,
-                Ok(Some((subtype, body))) => frames.push((subtype, body, self.offset, start)),
-                Err(e) => {
-                    let resync = self.resync_from(start);
-                    let end = resync.unwrap_or(self.buf.len());
-                    let kind = Self::classify_framing(&self.buf[start..], resync.is_some());
+        while let Some(frame) = frame_in(&self.buf, self.offset) {
+            match frame {
+                Frame::Record {
+                    start,
+                    end,
+                    subtype,
+                } => {
+                    let body = self.take(start, end);
+                    frames.push((subtype, body, end, start));
+                }
+                Frame::Damaged {
+                    start,
+                    end,
+                    kind,
+                    message,
+                } => {
                     quarantined.push(QuarantinedRecord::new(
                         kind,
                         start as u64,
                         &self.buf[start..end],
-                        e.message,
+                        message,
                     ));
-                    match resync {
-                        Some(next) => self.offset = next,
-                        None => {
-                            self.offset = self.buf.len();
-                            break;
-                        }
-                    }
+                    self.offset = end;
                 }
             }
         }
@@ -627,9 +578,9 @@ impl MrtReader {
     /// Lenient read: decodes every recoverable RIB record and quarantines
     /// the rest — one bad record costs one record, not the run. Never
     /// fails; an unrecoverable tail becomes a single quarantine entry.
-    /// Decode parallelism, tracing spans, and `mrt.*` counters mirror
-    /// [`read_all_parallel`](Self::read_all_parallel), so on clean input
-    /// the two paths are observationally identical.
+    /// Bodies decode on `threads` scoped threads over contiguous runs of
+    /// frames, joined in frame order, so the result is the same at any
+    /// thread count; each shard records an `mrt.decode` span and stage.
     pub fn read_all_lenient(mut self, threads: usize) -> LenientMrt {
         let (frames, mut quarantined) = self.scan_frames_lenient();
         let records = if threads <= 1 || frames.len() < 2 * threads {
@@ -719,26 +670,6 @@ mod tests {
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
-    }
-
-    #[test]
-    fn record_frame_len_walks_whole_dumps() {
-        let mut w = MrtWriter::new(0, 1, &peers());
-        w.push(p("203.0.113.0/24"), &[entry(0, &[3356, 64512])]);
-        w.push(p("2001:db8::/32"), &[entry(1, &[174, 64513])]);
-        let data = w.finish();
-        // Walking frame by frame must land exactly on the end.
-        let mut off = 0usize;
-        let mut frames = 0usize;
-        while off < data.len() {
-            let len = record_frame_len(&data[off..]).expect("header available");
-            assert!(off + len <= data.len());
-            off += len;
-            frames += 1;
-        }
-        assert_eq!(off, data.len());
-        assert_eq!(frames, 3, "peer table + two RIB records");
-        assert_eq!(record_frame_len(&data[..11]), None);
     }
 
     fn entry(peer: u16, path: &[u32]) -> RibEntry {
@@ -952,7 +883,9 @@ mod tests {
         let mut w = MrtWriter::new(0, 1, &peers());
         for i in 0..500u32 {
             let prefix = Prefix::V4(p2o_net::Prefix4::new_truncated(i << 12, 20));
-            w.push(prefix, &[entry((i % 2) as u16, &[3356, 64512 + i])]);
+            // Record 10 references a peer the table does not have.
+            let peer = if i == 10 { 9 } else { (i % 2) as u16 };
+            w.push(prefix, &[entry(peer, &[3356, 64512 + i])]);
         }
         // Interleave an unknown subtype mid-dump.
         let mut data = BytesMut::from(&w.finish()[..]);
@@ -963,49 +896,26 @@ mod tests {
         data.put_u32(0xDEADBEEF);
         let data = data.freeze();
 
-        let seq = MrtReader::new(data.clone()).unwrap().read_all().unwrap();
-        for threads in [1, 2, 3, 8] {
+        let seq = MrtReader::new(data.clone()).unwrap().read_all_lenient(1);
+        assert_eq!(seq.records.len(), 499);
+        assert_eq!(seq.quarantined.len(), 1);
+        for threads in [2, 3, 8] {
             let obs = p2o_obs::Obs::new();
             let mut r = MrtReader::new(data.clone()).unwrap();
             r.instrument(&obs);
-            let par = r.read_all_parallel(threads).unwrap();
+            let par = r.read_all_lenient(threads);
             assert_eq!(par, seq, "threads={threads}");
-            assert_eq!(obs.counter("mrt.records").get(), 500);
-            assert_eq!(obs.counter("mrt.entries").get(), 500);
-            if threads > 1 {
-                let decode_stages = obs
-                    .report()
-                    .stages
-                    .iter()
-                    .filter(|s| s.name == "mrt.decode")
-                    .map(|s| s.items.unwrap_or(0))
-                    .collect::<Vec<_>>();
-                assert!(decode_stages.len() > 1, "threads={threads}");
-                assert_eq!(decode_stages.iter().sum::<u64>(), 500);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_read_reports_earliest_error() {
-        let mut w = MrtWriter::new(0, 1, &peers());
-        for i in 0..100u32 {
-            let prefix = Prefix::V4(p2o_net::Prefix4::new_truncated(i << 12, 20));
-            // Record 10 references a peer the table does not have.
-            let peer = if i == 10 { 9 } else { 0 };
-            w.push(prefix, &[entry(peer, &[3356, 64512 + i])]);
-        }
-        let data = w.finish();
-        let seq_err = MrtReader::new(data.clone())
-            .unwrap()
-            .read_all()
-            .unwrap_err();
-        for threads in [2, 4, 8] {
-            let par_err = MrtReader::new(data.clone())
-                .unwrap()
-                .read_all_parallel(threads)
-                .unwrap_err();
-            assert_eq!(par_err, seq_err, "threads={threads}");
+            assert_eq!(obs.counter("mrt.records").get(), 499);
+            assert_eq!(obs.counter("mrt.entries").get(), 499);
+            let decode_stages = obs
+                .report()
+                .stages
+                .iter()
+                .filter(|s| s.name == "mrt.decode")
+                .map(|s| s.items.unwrap_or(0))
+                .collect::<Vec<_>>();
+            assert!(decode_stages.len() > 1, "threads={threads}");
+            assert_eq!(decode_stages.iter().sum::<u64>(), 499);
         }
     }
 
@@ -1145,6 +1055,95 @@ mod tests {
         // body failures are detected in different phases.
         assert_eq!(out.quarantined[0].offset, s1 as u64);
         assert_eq!(out.quarantined[1].offset, s3 as u64);
+    }
+
+    /// A dump with every framing fault the lenient reader recovers from —
+    /// a bad type, a length lie, an inserted junk frame, a torn tail — plus
+    /// one undecodable body, which frames cleanly.
+    fn damaged_dump() -> Vec<u8> {
+        let peer_table = MrtWriter::new(0, 1, &peers()).finish();
+        let mut out = peer_table.to_vec();
+        for i in 0..12u32 {
+            let mut w = MrtWriter::new(0, 1, &peers());
+            w.push(
+                Prefix::V4(p2o_net::Prefix4::new_truncated((10 + i) << 24, 16)),
+                &[entry(0, &[3356, 64512 + i])],
+            );
+            let mut rec = w.finish()[peer_table.len()..].to_vec();
+            match i {
+                2 => rec[4..6].copy_from_slice(&0x2222u16.to_be_bytes()),
+                4 => rec[8..12].copy_from_slice(&0xFFFF_FF00u32.to_be_bytes()),
+                6 => out.extend_from_slice(&[0, 0, 0, 0, 0x22, 0x22, 0, 0, 0, 0, 0, 4, 1, 2, 3, 4]),
+                8 => rec[HEADER_LEN..].fill(0xFF),
+                11 => rec.truncate(7),
+                _ => {}
+            }
+            out.extend_from_slice(&rec);
+        }
+        out
+    }
+
+    #[test]
+    fn framing_through_small_windows_matches_the_whole_buffer() {
+        let data = damaged_dump();
+        let mut whole = Vec::new();
+        let mut pos = 0;
+        while let Some(frame) = frame_in(&data, pos) {
+            pos = frame.end();
+            whole.push(frame);
+        }
+        assert_eq!(pos, data.len());
+        let damaged: Vec<(u64, IngestErrorKind)> = whole
+            .iter()
+            .filter_map(|f| match *f {
+                Frame::Damaged { start, kind, .. } => Some((start as u64, kind)),
+                Frame::Record { .. } => None,
+            })
+            .collect();
+        let kinds: Vec<IngestErrorKind> = damaged.iter().map(|d| d.1).collect();
+        assert_eq!(
+            kinds,
+            [
+                IngestErrorKind::MrtBadType,
+                IngestErrorKind::MrtBadLength,
+                IngestErrorKind::MrtBadType,
+                IngestErrorKind::MrtTruncated,
+            ]
+        );
+        // The lenient reader quarantines exactly those ranges, plus the one
+        // body that frames cleanly but does not decode.
+        let lenient = MrtReader::new(Bytes::from(data.clone()))
+            .unwrap()
+            .read_all_lenient(1);
+        let framing: Vec<(u64, IngestErrorKind)> = lenient
+            .quarantined
+            .iter()
+            .filter(|q| q.kind != IngestErrorKind::MrtBadRecord)
+            .map(|q| (q.offset, q.kind))
+            .collect();
+        assert_eq!(framing, damaged);
+        assert_eq!(lenient.quarantined.len(), damaged.len() + 1);
+
+        // Serving headers through a window that holds only a few bytes of
+        // the dump at a time finds the same frames and damaged ranges.
+        for window in [HEADER_LEN, 13, 40, 256] {
+            let mut win_start = 0usize;
+            let mut win: Vec<u8> = Vec::new();
+            let mut header = |at: usize| -> Result<[u8; HEADER_LEN], ()> {
+                if at < win_start || at + HEADER_LEN > win_start + win.len() {
+                    win = data[at..(at + window).min(data.len())].to_vec();
+                    win_start = at;
+                }
+                Ok(win[at - win_start..][..HEADER_LEN].try_into().unwrap())
+            };
+            let mut frames = Vec::new();
+            let mut pos = 0;
+            while let Some(frame) = frame_at(data.len(), pos, &mut header).unwrap() {
+                pos = frame.end();
+                frames.push(frame);
+            }
+            assert_eq!(frames, whole, "window {window}");
+        }
     }
 
     #[test]

@@ -74,18 +74,6 @@ impl RouteTable {
         Ok(table)
     }
 
-    /// Like [`from_mrt`](Self::from_mrt), but decodes RIB record bodies on
-    /// `threads` threads via [`MrtReader::read_all_parallel`]. The resulting
-    /// table is identical.
-    pub fn from_mrt_threaded(data: bytes::Bytes, threads: usize) -> Result<Self, MrtParseError> {
-        let reader = MrtReader::new(data)?;
-        let mut table = RouteTable::new();
-        for record in reader.read_all_parallel(threads)? {
-            table.add_rib_record(&record);
-        }
-        Ok(table)
-    }
-
     /// Builds a table from a binary MRT dump with observability: ticks the
     /// reader's `mrt.*` counters and records a `bgp.parse` stage whose item
     /// count is the number of RIB records.
@@ -107,35 +95,12 @@ impl RouteTable {
         Ok(table)
     }
 
-    /// Threaded variant of [`from_mrt_instrumented`](Self::from_mrt_instrumented):
-    /// same `bgp.parse` stage and `mrt.*` counters, plus one `mrt.decode`
-    /// stage per decode shard when `threads > 1`. At `threads <= 1` the
-    /// decode still routes through [`MrtReader::read_all_parallel`] so a
-    /// single-core `--trace` run records its one-shard `mrt.decode` span.
-    pub fn from_mrt_instrumented_threaded(
-        data: bytes::Bytes,
-        obs: &p2o_obs::Obs,
-        threads: usize,
-    ) -> Result<Self, MrtParseError> {
-        let mut timer = obs.stage("bgp.parse");
-        let mut reader = MrtReader::new(data)?;
-        reader.instrument(obs);
-        let mut table = RouteTable::new();
-        let records = reader.read_all_parallel(threads)?;
-        timer.items(records.len() as u64);
-        for record in &records {
-            table.add_rib_record(record);
-        }
-        timer.finish();
-        Ok(table)
-    }
-
     /// Lenient variant of the `from_mrt*` constructors: corrupt records
     /// are quarantined instead of failing the parse — one bad record
-    /// costs one record, not the run. With `obs` the same `bgp.parse`
-    /// stage, `mrt.decode` spans, and `mrt.*` counters are recorded as
-    /// the strict instrumented path, so on clean input the two are
-    /// observationally identical.
+    /// costs one record, not the run. With `obs` it records the `bgp.parse`
+    /// stage and `mrt.*` counters of the strict instrumented path, plus one
+    /// `mrt.decode` span and stage per decode shard; record bodies decode
+    /// on `threads` threads with identical results at any count.
     pub fn from_mrt_lenient(
         data: bytes::Bytes,
         obs: Option<&p2o_obs::Obs>,
@@ -178,13 +143,15 @@ impl RouteTable {
         }
     }
 
-    /// Merges another table into this one (multi-collector union).
-    pub fn merge(&mut self, other: &RouteTable) {
-        for (prefix, origins) in &other.routes {
-            self.routes
-                .entry(*prefix)
-                .or_default()
-                .extend(origins.iter().copied());
+    /// Merges another table into this one (multi-collector union). Into
+    /// an empty table, `other` is moved, not copied.
+    pub fn merge(&mut self, other: RouteTable) {
+        if self.routes.is_empty() {
+            self.routes = other.routes;
+        } else {
+            for (prefix, origins) in other.routes {
+                self.routes.entry(prefix).or_default().extend(origins);
+            }
         }
         self.filtered += other.filtered;
     }
@@ -298,7 +265,7 @@ mod tests {
         let data = w.finish();
         let t = RouteTable::from_mrt(data.clone()).unwrap();
         assert_eq!(t.len(), 2);
-        assert_eq!(RouteTable::from_mrt_threaded(data, 4).unwrap(), t);
+        assert_eq!(RouteTable::from_mrt_lenient(data, None, 4).table, t);
         assert_eq!(t.v4_count(), 1);
         assert_eq!(t.v6_count(), 1);
         assert!(t.origins(&p("203.0.113.0/24")).unwrap().contains(&18692));
@@ -409,7 +376,7 @@ mod tests {
         let mut b = RouteTable::new();
         b.add_route(p("10.0.0.0/8"), 2);
         b.add_route(p("11.0.0.0/8"), 3);
-        a.merge(&b);
+        a.merge(b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.origins(&p("10.0.0.0/8")).unwrap().len(), 2);
     }

@@ -189,21 +189,11 @@ fn input_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Digest over every input file (relative path + content), the
-/// output-affecting options, and the content of a local exceptions file
-/// when one is in play. Any changed, added, or removed input file — or
-/// changed option or exception rule — changes the digest and forces a
-/// recompute. Exceptions are hashed by content only (not path), so moving
-/// the rule file without editing it does not invalidate a checkpoint or
-/// mark a frozen artifact stale.
-pub fn inputs_digest_with(
-    vfs: &Vfs,
-    dir: &Path,
-    strict: bool,
-    quarantine_samples: usize,
-    exceptions: Option<&[u8]>,
-    mem: crate::store::MemOptions,
-) -> Result<u64, String> {
+/// Digest over every input file (relative path + content): the part of
+/// every inputs digest that reads the disk. `build` hashes the files once
+/// and derives both its checkpoint digest ([`inputs_digest`]) and its
+/// frozen-artifact digest ([`canonical_inputs_digest`]) from this value.
+pub fn files_digest(vfs: &Vfs, dir: &Path) -> Result<Digest, String> {
     let mut d = Digest::of_bytes(b"p2o-build-inputs-v1");
     for path in input_files(dir) {
         let rel = path
@@ -216,7 +206,24 @@ pub fn inputs_digest_with(
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         d = d.chain(Digest::of_parts([rel.as_bytes(), content.as_slice()]));
     }
-    d = d.chain(Digest::of_parts([
+    Ok(d)
+}
+
+/// The checkpoint digest: the [`files_digest`] with the output-affecting
+/// options and the content of a local exceptions file, when one is in
+/// play, chained on. Any changed, added, or removed input file — or
+/// changed option or exception rule — changes the digest and forces a
+/// recompute. Exceptions are hashed by content only (not path), so moving
+/// the rule file without editing it does not invalidate a checkpoint or
+/// mark a frozen artifact stale.
+pub fn inputs_digest(
+    files: Digest,
+    strict: bool,
+    quarantine_samples: usize,
+    exceptions: Option<&[u8]>,
+    mem: crate::store::MemOptions,
+) -> u64 {
+    let mut d = files.chain(Digest::of_parts([
         &[strict as u8][..],
         &(quarantine_samples as u64).to_le_bytes(),
     ]));
@@ -236,24 +243,19 @@ pub fn inputs_digest_with(
             &budget.to_le_bytes(),
         ]));
     }
-    Ok(d.0)
+    d.0
 }
 
 /// The option-independent digest of a directory's input files: what
-/// [`inputs_digest_with`] yields for the default build options. The frozen
+/// [`inputs_digest`] yields for the default build options. The frozen
 /// dataset stamps this into its META section so `serve` can detect a
 /// stale artifact no matter which flags the original build ran with. A
 /// build with `--exceptions` chains the rule-file content in, so a `serve`
 /// run with a different (or no) exceptions file sees the artifact as stale
 /// and falls back to a full load applying its own rules.
-pub fn canonical_inputs_digest_with(
-    vfs: &Vfs,
-    dir: &Path,
-    exceptions: Option<&[u8]>,
-) -> Result<u64, String> {
-    inputs_digest_with(
-        vfs,
-        dir,
+pub fn canonical_inputs_digest(files: Digest, exceptions: Option<&[u8]>) -> u64 {
+    inputs_digest(
+        files,
         false,
         p2o_util::ingest::DEFAULT_QUARANTINE_SAMPLES,
         exceptions,
@@ -324,39 +326,33 @@ mod tests {
         fs::write(dir.join("meta.tsv"), b"seed\t1\n").unwrap();
         fs::write(dir.join("whois/ARIN.txt"), b"NetRange: x\n").unwrap();
 
-        let base = inputs_digest_with(&vfs, &dir, false, 8, None, inmem).unwrap();
-        assert_eq!(
-            base,
-            inputs_digest_with(&vfs, &dir, false, 8, None, inmem).unwrap()
-        );
+        let digest = |strict, samples, exceptions| {
+            inputs_digest(
+                files_digest(&vfs, &dir).unwrap(),
+                strict,
+                samples,
+                exceptions,
+                inmem,
+            )
+        };
+        let base = digest(false, 8, None);
+        assert_eq!(base, digest(false, 8, None));
         // Content change, new file, and option changes all move the digest.
         fs::write(dir.join("meta.tsv"), b"seed\t2\n").unwrap();
-        let changed = inputs_digest_with(&vfs, &dir, false, 8, None, inmem).unwrap();
+        let changed = digest(false, 8, None);
         assert_ne!(base, changed);
         fs::write(dir.join("whois/RIPE.txt"), b"inetnum: y\n").unwrap();
-        let added = inputs_digest_with(&vfs, &dir, false, 8, None, inmem).unwrap();
+        let added = digest(false, 8, None);
         assert_ne!(changed, added);
-        assert_ne!(
-            added,
-            inputs_digest_with(&vfs, &dir, true, 8, None, inmem).unwrap()
-        );
-        assert_ne!(
-            added,
-            inputs_digest_with(&vfs, &dir, false, 9, None, inmem).unwrap()
-        );
+        assert_ne!(added, digest(true, 8, None));
+        assert_ne!(added, digest(false, 9, None));
         // Exceptions content participates: presence and edits both move
         // the digest; the same content always digests the same.
         let rule = br#"{"prefix":"10.0.0.0/24","action":"filter"}"#;
-        let with_exc = inputs_digest_with(&vfs, &dir, false, 8, Some(rule), inmem).unwrap();
+        let with_exc = digest(false, 8, Some(rule));
         assert_ne!(added, with_exc);
-        assert_eq!(
-            with_exc,
-            inputs_digest_with(&vfs, &dir, false, 8, Some(rule), inmem).unwrap()
-        );
-        assert_ne!(
-            with_exc,
-            inputs_digest_with(&vfs, &dir, false, 8, Some(b"other"), inmem).unwrap()
-        );
+        assert_eq!(with_exc, digest(false, 8, Some(rule)));
+        assert_ne!(with_exc, digest(false, 8, Some(b"other")));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -367,7 +363,8 @@ mod tests {
         let dir = tmp_dir("memdigest");
         let vfs = Vfs::real();
         fs::write(dir.join("meta.tsv"), b"seed\t1\n").unwrap();
-        let digest = |mem: MemOptions| inputs_digest_with(&vfs, &dir, false, 8, None, mem).unwrap();
+        let files = files_digest(&vfs, &dir).unwrap();
+        let digest = |mem: MemOptions| inputs_digest(files, false, 8, None, mem);
 
         let inmem = digest(MemOptions::default());
         let spill = digest(MemOptions {

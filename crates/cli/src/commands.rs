@@ -287,14 +287,18 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         requested.push(("trace", p));
     }
 
-    let inputs_digest = checkpoint::inputs_digest_with(
-        &vfs,
-        dir,
+    // The input files are hashed once; the checkpoint digest chains this
+    // invocation's options onto the file digest, the frozen artifact's
+    // digest the default options.
+    let files_digest = checkpoint::files_digest(&vfs, dir)?;
+    let exceptions_bytes = exceptions_text.as_deref().map(str::as_bytes);
+    let inputs_digest = checkpoint::inputs_digest(
+        files_digest,
         strict,
         quarantine_samples,
-        exceptions_text.as_deref().map(str::as_bytes),
+        exceptions_bytes,
         mem,
-    )?;
+    );
     let (ckpt_decision, stamp_torn) = if args.has("resume") {
         match evaluate_resume(&vfs, out, inputs_digest, &requested, report_to_stdout) {
             ResumeDecision::Skip { verified } => {
@@ -321,12 +325,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         obs.as_ref().expect("obs created above").enable_tracing();
     }
 
-    let outcome = store::load_inputs_budgeted(&vfs, dir, obs.as_ref(), threads, mode, mem)
-        .map_err(|e| match e {
-            store::LoadError::Ingest(err) => CliError::Ingest(err.to_string()),
-            store::LoadError::Budget(msg) => CliError::Ingest(msg),
-            store::LoadError::Other(msg) => CliError::General(msg),
-        })?;
+    let outcome = store::load_inputs(&vfs, dir, obs.as_ref(), threads, mode, mem)?;
     let store::LoadOutcome {
         inputs,
         mut quarantine,
@@ -437,18 +436,10 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         asn_clusters: &inputs.clusters,
         rpki: &inputs.rpki,
     };
-    // The frozen artifact needs the merge evidence next to the dataset;
-    // `dataset_with_evidence` is the same deterministic run plus edge
-    // capture. Observed builds keep `run_with_obs` (the golden counters
-    // depend on it) and pay one extra evidence pass.
-    let (mut dataset, merge_edges) = match &obs {
-        Some(o) => {
-            let ds = pipeline.run_with_obs(&pipeline_inputs, o);
-            let (_, edges) = pipeline.dataset_with_evidence(&pipeline_inputs, None);
-            (ds, edges)
-        }
-        None => pipeline.dataset_with_evidence(&pipeline_inputs, None),
-    };
+    // One pipeline run yields the dataset and the merge evidence the frozen
+    // artifact needs; an observed build records its counters and stages.
+    let (mut dataset, merge_edges) =
+        pipeline.dataset_with_evidence(&pipeline_inputs, None, obs.as_ref());
     // Operator exceptions apply after resolution and clustering, so an
     // assert overrides the inferred attribution (keeping its evidence) and
     // a filter drops the record entirely — from the export, the frozen
@@ -487,11 +478,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     // `serve` can detect staleness no matter which flags this build ran
     // with, and the thaw check proves the artifact reproduces the export
     // byte-for-byte before anything touches disk.
-    let canonical_digest = checkpoint::canonical_inputs_digest_with(
-        &vfs,
-        dir,
-        exceptions_text.as_deref().map(str::as_bytes),
-    )?;
+    let canonical_digest = checkpoint::canonical_inputs_digest(files_digest, exceptions_bytes);
     let frozen = prefix2org::freeze_verified(
         &pipeline_inputs,
         &dataset,
@@ -709,7 +696,15 @@ pub fn explain(args: &Parsed) -> Result<(), CliError> {
         }
         return Ok(());
     }
-    let inputs = store::load_inputs_with(dir, None, threads)?;
+    let inputs = store::load_inputs(
+        &Vfs::real(),
+        dir,
+        None,
+        threads,
+        store::IngestMode::Lenient,
+        store::MemOptions::default(),
+    )?
+    .inputs;
     let pipeline = Pipeline::with_threads(threads);
     let pipeline_inputs = PipelineInputs {
         delegations: &inputs.tree,
@@ -893,7 +888,15 @@ pub fn diff(args: &Parsed) -> Result<(), CliError> {
 pub fn validate(args: &Parsed) -> Result<(), CliError> {
     let dir = Path::new(args.require("in")?);
     let records = load_dataset(args.require("dataset")?)?;
-    let inputs = store::load_inputs(dir)?;
+    let inputs = store::load_inputs(
+        &Vfs::real(),
+        dir,
+        None,
+        1,
+        store::IngestMode::Lenient,
+        store::MemOptions::default(),
+    )?
+    .inputs;
     if inputs.truth.is_empty() {
         return Err(format!("{} has no truth/lists.tsv", dir.display()).into());
     }
@@ -1079,42 +1082,41 @@ pub fn serve(args: &Parsed) -> Result<(), CliError> {
                 set
             }
         };
-        // Every snapshot serves a frozen dataset. Attach the artifact when
-        // its stamped inputs digest matches the directory's current one:
-        // one framed read plus O(1) arena attachment. The current digest
-        // includes this serve's exception rules, so an artifact built with
-        // different (or no) rules reads as stale. A missing, stale or
-        // unloadable artifact costs a full load, frozen in memory by the
-        // same verified freeze `build` runs — the answers are identical
-        // either way, only the boot time differs.
-        let frozen_path = dir.join(prefix2org::FROZEN_FILE);
-        if frozen_path.is_file() {
-            match prefix2org::FrozenDataset::load(&vfs, &frozen_path) {
-                Ok(frozen) => {
-                    let current = checkpoint::canonical_inputs_digest_with(
-                        &vfs,
-                        dir,
-                        exceptions_text.as_deref().map(str::as_bytes),
-                    )?;
-                    if frozen.inputs_digest() == current {
-                        return Ok(p2o_serve::Snapshot::from_frozen(
-                            dir.to_path_buf(),
-                            0,
-                            frozen,
-                        ));
-                    }
-                    eprintln!(
-                        "warning: {}: frozen artifact is stale (inputs changed since it \
-                         was built); freezing a full load in memory",
-                        frozen_path.display()
-                    );
-                }
-                Err(e) => eprintln!("warning: {e}; freezing a full load in memory"),
+        // Every snapshot serves a frozen dataset. Attach the artifact the
+        // audit just validated when its stamped inputs digest matches the
+        // directory's current one. The current digest includes this serve's
+        // exception rules, so an artifact built with different (or no)
+        // rules reads as stale. A missing or stale artifact costs a full
+        // load, frozen in memory by the same verified freeze `build` runs —
+        // the answers are identical either way, only the boot time differs.
+        if let Some(frozen) = report.frozen {
+            let current = checkpoint::canonical_inputs_digest(
+                checkpoint::files_digest(&vfs, dir)?,
+                exceptions_text.as_deref().map(str::as_bytes),
+            );
+            if frozen.inputs_digest() == current {
+                return Ok(p2o_serve::Snapshot::from_frozen(
+                    dir.to_path_buf(),
+                    0,
+                    frozen,
+                ));
             }
+            eprintln!(
+                "warning: {}: frozen artifact is stale (inputs changed since it was \
+                 built); freezing a full load in memory",
+                dir.join(prefix2org::FROZEN_FILE).display()
+            );
         }
-        let inputs = store::load_inputs_mode(&vfs, dir, None, threads, store::IngestMode::Lenient)
-            .map_err(|e| e.to_string())?
-            .inputs;
+        let inputs = store::load_inputs(
+            &vfs,
+            dir,
+            None,
+            threads,
+            store::IngestMode::Lenient,
+            store::MemOptions::default(),
+        )
+        .map_err(|e| e.to_string())?
+        .inputs;
         p2o_serve::Snapshot::freeze_in_memory(
             dir.to_path_buf(),
             0,

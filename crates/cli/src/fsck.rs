@@ -32,7 +32,7 @@ use p2o_util::vfs::Vfs;
 use crate::store::FORMAT_VERSION;
 
 /// What an audit found.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct FsckReport {
     /// Damage findings, one line each. Empty = the directory is healthy.
     pub findings: Vec<String>,
@@ -40,6 +40,9 @@ pub struct FsckReport {
     pub verified: u64,
     /// Non-damage observations (e.g. "no MANIFEST.tsv").
     pub notes: Vec<String>,
+    /// The directory's own `world.p2ob` as the audit validated it, so
+    /// `serve` attaches it without unframing and validating it again.
+    pub frozen: Option<prefix2org::FrozenDataset>,
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -97,11 +100,16 @@ pub fn audit(vfs: &Vfs, dir: &Path) -> Result<FsckReport, String> {
                 Err(e) => report
                     .findings
                     .push(format!("{}: frozen dataset frame damaged: {e}", rel(path))),
-                Ok(payload) => match prefix2org::FrozenDataset::validate_payload(&payload) {
+                Ok(payload) => match prefix2org::FrozenDataset::from_payload(payload) {
                     Err(e) => report
                         .findings
                         .push(format!("{}: frozen dataset invalid: {e}", rel(path))),
-                    Ok(()) => report.verified += 1,
+                    Ok(frozen) => {
+                        report.verified += 1;
+                        if *path == dir.join(prefix2org::FROZEN_FILE) {
+                            report.frozen = Some(frozen);
+                        }
+                    }
                 },
             }
         } else if path.file_name().is_some_and(|n| n == "exceptions.jsonl") {
@@ -314,7 +322,7 @@ mod tests {
             asn_clusters: &built.clusters,
             rpki: &built.rpki,
         };
-        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
+        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
         let payload = prefix2org::freeze(&inputs, &dataset, &edges, 7);
         let framed = atomic::frame(&payload);
         let p2ob = dir.join("world.p2ob");
@@ -323,6 +331,10 @@ mod tests {
         let report = audit(&vfs, &dir).unwrap();
         assert!(report.findings.is_empty(), "{:?}", report.findings);
         assert_eq!(report.verified, 1);
+        assert_eq!(
+            report.frozen.expect("audited artifact kept").payload(),
+            payload
+        );
 
         // Truncation and bit flips both break the outer frame.
         fs::write(&p2ob, &framed[..framed.len() - 3]).unwrap();

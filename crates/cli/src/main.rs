@@ -53,6 +53,16 @@ impl From<String> for CliError {
     }
 }
 
+impl From<store::LoadError> for CliError {
+    fn from(e: store::LoadError) -> Self {
+        match e {
+            store::LoadError::Ingest(err) => CliError::Ingest(err.to_string()),
+            store::LoadError::Budget(msg) => CliError::Ingest(msg),
+            store::LoadError::Other(msg) => CliError::General(msg),
+        }
+    }
+}
+
 impl From<&str> for CliError {
     fn from(e: &str) -> Self {
         CliError::General(e.to_string())

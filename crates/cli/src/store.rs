@@ -18,11 +18,10 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use p2o_bgp::RouteTable;
+use p2o_bgp::{mrt, RouteTable};
 use p2o_net::Prefix;
 use p2o_synth::World;
-use p2o_util::ingest::{IngestError, Quarantine, QuarantinedRecord};
-use p2o_util::interner::Interner;
+use p2o_util::ingest::{IngestError, Quarantine, QuarantinedRecord, EXCERPT_BYTES};
 use p2o_util::manifest::{Manifest, VerifyIssue};
 use p2o_util::spill::{self, MemBudget, RunMerger, RunWriter, SpillRecord, SpillTuning};
 use p2o_util::vfs::Vfs;
@@ -253,8 +252,8 @@ pub struct MemOptions {
     pub strict: bool,
 }
 
-/// What [`load_inputs_mode`] returns: the parsed inputs plus every record
-/// the lenient parsers rejected (empty on clean input, and always empty in
+/// What [`load_inputs`] returns: the parsed inputs plus every record the
+/// lenient parsers rejected (empty on clean input, and always empty in
 /// strict mode — strict aborts instead), and the manifest verification
 /// outcome (torn/altered artifacts are *reported*, never fatal).
 pub struct LoadOutcome {
@@ -273,28 +272,6 @@ pub struct LoadOutcome {
     pub memory: p2o_obs::MemorySummary,
 }
 
-/// Loads and parses a snapshot directory through the real substrate paths.
-pub fn load_inputs(dir: &Path) -> Result<LoadedInputs, String> {
-    load_inputs_with(dir, None, 1)
-}
-
-/// [`load_inputs`] with optional observability and parallelism: when `obs`
-/// is given, the WHOIS and MRT parsers tick their `whois.*` / `mrt.*` /
-/// `bgp.parse` counters and stages into it; when `threads > 1`, WHOIS dumps
-/// are parsed in object-boundary shards and MRT RIB bodies are decoded in
-/// chunks on that many threads (identical outputs either way). Corrupt
-/// records are skipped leniently; callers that need the quarantine or
-/// strict aborts use [`load_inputs_mode`].
-pub fn load_inputs_with(
-    dir: &Path,
-    obs: Option<&p2o_obs::Obs>,
-    threads: usize,
-) -> Result<LoadedInputs, String> {
-    load_inputs_mode(&Vfs::real(), dir, obs, threads, IngestMode::Lenient)
-        .map(|outcome| outcome.inputs)
-        .map_err(|e| e.to_string())
-}
-
 /// Picks the first bad record (lowest offset) from a per-file batch and
 /// turns it into the strict-mode abort.
 fn strict_abort(file: &str, records: Vec<QuarantinedRecord>) -> LoadError {
@@ -306,39 +283,133 @@ fn strict_abort(file: &str, records: Vec<QuarantinedRecord>) -> LoadError {
     LoadError::Ingest(first.to_error())
 }
 
-/// The full-control loader behind [`load_inputs_with`]: parses every input
-/// through the lenient (resyncing) parsers, quarantining rejected records.
-/// In [`IngestMode::Strict`] the first rejected record of any file aborts
-/// the load with its typed diagnostic instead. When the directory carries a
-/// `MANIFEST.tsv`, every listed artifact is verified against its recorded
-/// digest first; mismatches are returned in [`LoadOutcome::torn`] (and
-/// ticked onto `store.torn_detected`) but never abort the load.
-pub fn load_inputs_mode(
-    vfs: &Vfs,
-    dir: &Path,
-    obs: Option<&p2o_obs::Obs>,
-    threads: usize,
-    mode: IngestMode,
-) -> Result<LoadOutcome, LoadError> {
-    load_inputs_budgeted(vfs, dir, obs, threads, mode, MemOptions::default())
-}
-
-/// The bounded-memory sources: whois dumps keyed by registry, the MRT RIB,
-/// and the RPKI JSONL. Indexed by the interned source symbol, in
-/// processing order.
-enum SpillSource {
-    /// `whois/<STEM>.txt`, parsed with the registry's parser.
-    Whois(Registry, String),
+/// Which parser an input file goes through.
+#[derive(Clone, Copy)]
+enum InputKind {
+    /// `whois/<REGISTRY>.txt`, parsed with the registry's parser.
+    Whois(Registry),
     /// `rib.mrt`.
     Mrt,
     /// `rpki.jsonl`.
     Rpki,
 }
 
+/// One large input file, in processing order. Its index is also its spill
+/// source symbol, so the run merge replays the files in this order.
+struct Input {
+    path: PathBuf,
+    /// The file name quarantine records carry (`whois/ARIN.txt`, ...).
+    label: String,
+    kind: InputKind,
+    /// Damaged MRT byte ranges the spill sharder quarantined, with
+    /// whole-file offsets; they never reach a chunk.
+    damage: Vec<QuarantinedRecord>,
+}
+
+/// The parse state a load accumulates chunk by chunk. The in-memory load
+/// hands it each input file whole as one chunk; the spill load hands it
+/// the chunks the run merge replays. Either way every byte of every input
+/// goes through [`Ingest::chunk`].
+struct Ingest<'a> {
+    inputs: Vec<Input>,
+    /// Inputs before this index are finished.
+    finished: usize,
+    /// Rejected records of the input being ingested.
+    pending: Vec<QuarantinedRecord>,
+    db: WhoisDb,
+    routes: RouteTable,
+    repo: p2o_rpki::RpkiRepository,
+    quarantine: Quarantine,
+    mode: IngestMode,
+    obs: Option<&'a p2o_obs::Obs>,
+    threads: usize,
+    budget: &'a MemBudget,
+}
+
+impl Ingest<'_> {
+    /// Parses one chunk of input `idx` into the state. `base` rebases the
+    /// parser's chunk-relative offsets onto the whole file: the lines
+    /// before the chunk for the text inputs, the shift from chunk to file
+    /// byte offsets for the MRT RIB. A whole file is one chunk at base 0.
+    fn chunk(&mut self, idx: usize, base: u64, payload: Vec<u8>) -> Result<(), LoadError> {
+        self.finish_before(idx)?;
+        let len = payload.len() as u64;
+        self.budget.charge(len);
+        let input = &self.inputs[idx];
+        match input.kind {
+            InputKind::Whois(registry) => {
+                let text = chunk_text(&payload, &input.path)?;
+                let before = self.db.problems().len();
+                match registry {
+                    Registry::Rir(Rir::Arin) => self.db.add_arin_parallel(text, self.threads),
+                    Registry::Rir(Rir::Lacnic)
+                    | Registry::Nir(p2o_whois::Nir::NicBr)
+                    | Registry::Nir(p2o_whois::Nir::NicMx) => {
+                        self.db.add_lacnic_parallel(text, registry, self.threads)
+                    }
+                    reg => self.db.add_rpsl_parallel(text, reg, self.threads),
+                };
+                self.pending
+                    .extend(self.db.problems()[before..].iter().map(|p| {
+                        let mut q = p.to_quarantined();
+                        q.offset += base;
+                        q
+                    }));
+            }
+            InputKind::Mrt => {
+                let lenient = RouteTable::from_mrt_lenient(
+                    bytes::Bytes::from(payload),
+                    self.obs,
+                    self.threads,
+                );
+                self.routes.merge(lenient.table);
+                self.pending
+                    .extend(lenient.quarantined.into_iter().map(|mut q| {
+                        q.offset += base;
+                        q
+                    }));
+            }
+            InputKind::Rpki => {
+                let text = chunk_text(&payload, &input.path)?;
+                let rejected = p2o_rpki::persist::extend_jsonl_lenient(&mut self.repo, text, base);
+                self.pending.extend(rejected);
+            }
+        }
+        self.budget.release(len);
+        Ok(())
+    }
+
+    /// Finishes every input before `idx`: its rejected records, in offset
+    /// order, abort a strict load or join the quarantine.
+    fn finish_before(&mut self, idx: usize) -> Result<(), LoadError> {
+        while self.finished < idx {
+            let input = &mut self.inputs[self.finished];
+            self.finished += 1;
+            let mut records = std::mem::take(&mut self.pending);
+            records.append(&mut input.damage);
+            if records.is_empty() {
+                continue;
+            }
+            records.sort_by_key(|r| r.offset);
+            if self.mode == IngestMode::Strict {
+                return Err(strict_abort(&input.label, records));
+            }
+            self.quarantine.extend_from_file(&input.label, records);
+        }
+        Ok(())
+    }
+}
+
+/// A chunk of a text input as text; invalid UTF-8 fails the load.
+fn chunk_text<'a>(payload: &'a [u8], path: &Path) -> Result<&'a str, LoadError> {
+    std::str::from_utf8(payload)
+        .map_err(|e| LoadError::Other(format!("reading {}: {e}", path.display())))
+}
+
 /// The longest UTF-8-valid prefix of `buf`. Bytes cut mid-character at a
 /// slab boundary are simply not part of the prefix (they are carried into
 /// the next slab); invalid bytes anywhere else are a hard error, matching
-/// what `read_to_string` does on the in-memory path.
+/// what the in-memory load does with the whole file.
 fn utf8_prefix<'a>(buf: &'a [u8], path: &Path) -> Result<&'a str, String> {
     match std::str::from_utf8(buf) {
         Ok(text) => Ok(text),
@@ -352,23 +423,19 @@ fn utf8_prefix<'a>(buf: &'a [u8], path: &Path) -> Result<&'a str, String> {
     }
 }
 
-/// A merged spill chunk that must decode as text in full (the sharder only
-/// cuts at character boundaries, so anything else is corruption).
-fn chunk_text<'a>(payload: &'a [u8], what: &str) -> Result<&'a str, LoadError> {
-    std::str::from_utf8(payload)
-        .map_err(|e| LoadError::Other(format!("{what}: spill chunk is not UTF-8: {e}")))
-}
-
-/// Pushes one sharded chunk into the run writer.
+/// Spills one chunk of input `idx`. Its base (see [`Ingest::chunk`]) rides
+/// as an 8-byte trailer, which the merge side strips without a copy.
 fn push_chunk(
     writer: &mut RunWriter,
     seq: &mut u64,
-    sym: u32,
+    idx: usize,
     chunk_idx: &mut u32,
-    payload: Vec<u8>,
+    mut payload: Vec<u8>,
+    base: u64,
 ) -> std::io::Result<()> {
+    payload.extend_from_slice(&base.to_le_bytes());
     writer.push(SpillRecord {
-        key: SpillRecord::key_for(sym, *chunk_idx),
+        key: SpillRecord::key_for(idx as u32, *chunk_idx),
         seq: *seq,
         payload,
     })?;
@@ -386,7 +453,7 @@ fn push_chunk(
 fn shard_text_input(
     vfs: &Vfs,
     path: &Path,
-    sym: u32,
+    idx: usize,
     tuning: SpillTuning,
     budget: &MemBudget,
     writer: &mut RunWriter,
@@ -396,6 +463,16 @@ fn shard_text_input(
     let mut carry: Vec<u8> = Vec::new();
     let mut off = 0u64;
     let mut chunk_idx = 0u32;
+    let mut lines = 0u64;
+    let mut push = |writer: &mut RunWriter, payload: Vec<u8>| -> Result<(), LoadError> {
+        let n = payload.len() as u64;
+        let base = lines;
+        lines += payload.iter().filter(|&&b| b == b'\n').count() as u64;
+        push_chunk(writer, seq, idx, &mut chunk_idx, payload, base)
+            .map_err(|e| io_err("spilling", path, e))?;
+        budget.release(n);
+        Ok(())
+    };
     loop {
         let slab = vfs
             .read_range(path, off, tuning.chunk_bytes)
@@ -407,133 +484,187 @@ fn shard_text_input(
         drop(slab);
         if eof {
             if !carry.is_empty() {
-                let n = carry.len() as u64;
-                push_chunk(writer, seq, sym, &mut chunk_idx, std::mem::take(&mut carry))
-                    .map_err(|e| io_err("spilling", path, e))?;
-                budget.release(n);
+                push(writer, std::mem::take(&mut carry))?;
             }
             return Ok(());
         }
         let text = utf8_prefix(&carry, path)?;
-        if let Some(cut_at) = cut(text) {
-            if cut_at > 0 {
-                let rest = carry.split_off(cut_at);
-                let payload = std::mem::replace(&mut carry, rest);
-                let n = payload.len() as u64;
-                push_chunk(writer, seq, sym, &mut chunk_idx, payload)
-                    .map_err(|e| io_err("spilling", path, e))?;
-                budget.release(n);
-            }
+        if let Some(cut_at) = cut(text).filter(|&at| at > 0) {
+            let rest = carry.split_off(cut_at);
+            push(writer, std::mem::replace(&mut carry, rest))?;
         }
         // No boundary yet (an object larger than a slab): keep growing the
         // carry until one appears or the file ends.
     }
 }
 
-/// Shards the MRT RIB at record boundaries. The first record — the
-/// PEER_INDEX_TABLE every TABLE_DUMP_V2 decoder needs — is prepended to
-/// every later chunk, making each chunk a self-contained MRT stream that
-/// `RouteTable::from_mrt_lenient` can decode independently. A length field
-/// claiming an absurd record (corruption) drops the rest of the file into
-/// plain slab-sized chunks and lets the lenient resync sort it out.
+/// A read window over one file: byte ranges are served from one buffered
+/// slab and refilled from disk on a miss. The framing step reads headers
+/// forward, so misses are rare.
+struct Window<'a> {
+    vfs: &'a Vfs,
+    path: &'a Path,
+    slab: usize,
+    budget: &'a MemBudget,
+    start: usize,
+    buf: Vec<u8>,
+}
+
+impl Window<'_> {
+    fn bytes(&mut self, at: usize, len: usize) -> Result<&[u8], LoadError> {
+        if at < self.start || at + len > self.start + self.buf.len() {
+            self.budget.release(self.buf.len() as u64);
+            self.buf = self
+                .vfs
+                .read_range(self.path, at as u64, len.max(self.slab))
+                .map_err(|e| io_err("reading", self.path, e))?;
+            self.budget.charge(self.buf.len() as u64);
+            self.start = at;
+            if self.buf.len() < len {
+                return Err(LoadError::Other(format!(
+                    "{} shrank while it was read",
+                    self.path.display()
+                )));
+            }
+        }
+        Ok(&self.buf[at - self.start..][..len])
+    }
+
+    /// The MRT header at `at`, for [`p2o_bgp::mrt::frame_at`].
+    fn header(&mut self, at: usize) -> Result<[u8; mrt::HEADER_LEN], LoadError> {
+        Ok(self
+            .bytes(at, mrt::HEADER_LEN)?
+            .try_into()
+            .expect("header-sized slice"))
+    }
+}
+
+/// Shards the MRT RIB into record-aligned chunks through the framing step
+/// the whole-file decoder runs ([`p2o_bgp::mrt::frame_at`]), read here
+/// through a [`Window`]. So every chunk boundary is a record boundary the
+/// whole-file decoder also finds, and every damaged range is quarantined
+/// once, with its whole-file offset, into `damage` and never reaches a
+/// chunk. Each chunk is the PEER_INDEX_TABLE followed by a run of
+/// contiguous records, a self-contained MRT stream; a damaged range or
+/// the chunk size ends the run.
+#[allow(clippy::too_many_arguments)]
 fn shard_mrt_input(
     vfs: &Vfs,
     path: &Path,
-    sym: u32,
+    idx: usize,
     tuning: SpillTuning,
     budget: &MemBudget,
     writer: &mut RunWriter,
     seq: &mut u64,
+    damage: &mut Vec<QuarantinedRecord>,
 ) -> Result<(), LoadError> {
-    let spilled = |e: std::io::Error| io_err("spilling", path, e);
-    let mut carry: Vec<u8> = Vec::new();
-    let mut chunk: Vec<u8> = Vec::new();
-    let mut peer: Vec<u8> = Vec::new();
+    let total = vfs.file_len(path).map_err(|e| io_err("reading", path, e))? as usize;
+    let mut window = Window {
+        vfs,
+        path,
+        slab: tuning.chunk_bytes,
+        budget,
+        start: 0,
+        buf: Vec::new(),
+    };
+    let frame_at =
+        |window: &mut Window, pos: usize| mrt::frame_at(total, pos, |at| window.header(at));
+
+    // The peer table decides whether anything in the file is readable.
+    // The lenient open sees the same leading record, and at least one byte
+    // past the excerpt, as it would in the whole file, so an unreadable
+    // table yields the same single whole-file quarantine record.
+    let first = frame_at(&mut window, 0)?;
+    let head_len = first
+        .map_or(0, |f| f.end())
+        .max(total.min(EXCERPT_BYTES + 1));
+    let head = bytes::Bytes::copy_from_slice(window.bytes(0, head_len)?);
+    let (reader, unreadable) = mrt::MrtReader::new_lenient(head);
+    let (Some(_), Some(mrt::Frame::Record { end: peer_len, .. })) = (reader, first) else {
+        damage.extend(unreadable);
+        budget.release(window.buf.len() as u64);
+        return Ok(());
+    };
+    let peer = window.bytes(0, peer_len)?.to_vec();
+
+    // Every chunk starts as a copy of the peer table; `base` is the file
+    // offset of the chunk's first record, so chunk offsets map to file
+    // offsets by adding `base - peer_len`.
+    let mut chunk = peer.clone();
+    budget.charge(2 * peer_len as u64);
+    let mut base = peer_len;
     let mut chunk_idx = 0u32;
-    let mut raw_tail = false;
-    let mut off = 0u64;
-    let max_record = tuning.chunk_bytes.saturating_mul(16).max(1 << 20);
-    loop {
-        let slab = vfs
-            .read_range(path, off, tuning.chunk_bytes)
-            .map_err(|e| io_err("reading", path, e))?;
-        let eof = slab.is_empty();
-        off += slab.len() as u64;
-        budget.charge(slab.len() as u64);
-        carry.extend_from_slice(&slab);
-        drop(slab);
-        while !raw_tail {
-            let Some(need) = p2o_bgp::mrt::record_frame_len(&carry) else {
-                break;
-            };
-            if need > max_record {
-                raw_tail = true;
-                break;
+    let mut flush = |chunk: &mut Vec<u8>, base: usize| -> Result<(), LoadError> {
+        if chunk.len() > peer_len {
+            let payload = std::mem::replace(chunk, peer.clone());
+            let n = payload.len() as u64;
+            push_chunk(
+                writer,
+                seq,
+                idx,
+                &mut chunk_idx,
+                payload,
+                (base - peer_len) as u64,
+            )
+            .map_err(|e| io_err("spilling", path, e))?;
+            budget.release(n);
+            budget.charge(peer_len as u64);
+        }
+        Ok(())
+    };
+    let mut pos = peer_len;
+    while let Some(frame) = frame_at(&mut window, pos)? {
+        match frame {
+            mrt::Frame::Record { start, end, .. } => {
+                if chunk.len() == peer_len {
+                    base = start;
+                }
+                chunk.extend_from_slice(window.bytes(start, end - start)?);
+                budget.charge((end - start) as u64);
+                if chunk.len() - peer_len >= tuning.chunk_bytes {
+                    flush(&mut chunk, base)?;
+                }
             }
-            if carry.len() < need {
-                break;
-            }
-            let rest = carry.split_off(need);
-            let record = std::mem::replace(&mut carry, rest);
-            if peer.is_empty() {
-                budget.charge(record.len() as u64);
-                peer = record.clone();
-            }
-            chunk.extend_from_slice(&record);
-            drop(record);
-            if chunk.len() >= tuning.chunk_bytes {
-                let n = chunk.len() as u64;
-                let payload = frame_mrt_chunk(chunk_idx, &peer, &mut chunk);
-                push_chunk(writer, seq, sym, &mut chunk_idx, payload).map_err(spilled)?;
-                budget.release(n);
+            mrt::Frame::Damaged {
+                start,
+                end,
+                kind,
+                message,
+            } => {
+                flush(&mut chunk, base)?;
+                let excerpt = window.bytes(start, (end - start).min(EXCERPT_BYTES + 1))?;
+                damage.push(QuarantinedRecord::new(kind, start as u64, excerpt, message));
             }
         }
-        if raw_tail {
-            chunk.append(&mut carry);
-            if chunk.len() >= tuning.chunk_bytes {
-                let n = chunk.len() as u64;
-                let payload = frame_mrt_chunk(chunk_idx, &peer, &mut chunk);
-                push_chunk(writer, seq, sym, &mut chunk_idx, payload).map_err(spilled)?;
-                budget.release(n);
-            }
-        }
-        if eof {
-            // Trailing bytes that never formed a whole record (a torn tail)
-            // ride along; the lenient decoder quarantines them.
-            chunk.append(&mut carry);
-            if !chunk.is_empty() {
-                let n = chunk.len() as u64;
-                let payload = frame_mrt_chunk(chunk_idx, &peer, &mut chunk);
-                push_chunk(writer, seq, sym, &mut chunk_idx, payload).map_err(spilled)?;
-                budget.release(n);
-            }
-            budget.release(peer.len() as u64);
-            return Ok(());
-        }
+        pos = frame.end();
     }
+    flush(&mut chunk, base)?;
+    budget.release(2 * peer_len as u64 + window.buf.len() as u64);
+    Ok(())
 }
 
-/// Assembles one MRT chunk payload: chunk 0 already starts with the peer
-/// index table; every later chunk gets a copy prepended.
-fn frame_mrt_chunk(chunk_idx: u32, peer: &[u8], chunk: &mut Vec<u8>) -> Vec<u8> {
-    if chunk_idx == 0 || peer.is_empty() {
-        std::mem::take(chunk)
-    } else {
-        let mut payload = Vec::with_capacity(peer.len() + chunk.len());
-        payload.extend_from_slice(peer);
-        payload.append(chunk);
-        payload
-    }
-}
-
-/// [`load_inputs_mode`] with a memory policy: `mem.spill` streams every
-/// large input (WHOIS dumps, the MRT RIB, the RPKI JSONL) through sorted,
-/// framed spill runs under `DIR/spill/` and merge-resolves them with a
-/// bounded working set; the output is byte-identical to the in-memory
-/// path. With a budget and no `--spill`, a projected overrun degrades
-/// gracefully into spilling (warning + `mem.budget_exceeded`), or aborts
-/// with [`LoadError::Budget`] under `mem.strict`.
-pub fn load_inputs_budgeted(
+/// Loads and parses a snapshot directory: every input through the lenient
+/// (resyncing) parsers, rejected records quarantined. In
+/// [`IngestMode::Strict`] the first rejected record of any file aborts the
+/// load with its typed diagnostic instead. When the directory carries a
+/// `MANIFEST.tsv`, every listed artifact is verified against its recorded
+/// digest first; mismatches are returned in [`LoadOutcome::torn`] (and
+/// ticked onto `store.torn_detected`) but never abort the load.
+///
+/// With `obs`, the parsers tick their `whois.*` / `mrt.*` / `bgp.parse`
+/// counters and stages into it; with `threads > 1`, WHOIS text is parsed
+/// in object-boundary shards and MRT bodies are decoded on that many
+/// threads (identical outputs either way).
+///
+/// `mem.spill` streams the large inputs (WHOIS dumps, the MRT RIB, the
+/// RPKI JSONL) through sorted, framed spill runs under `DIR/spill/` and
+/// ingests the chunks the run merge replays, with a bounded working set.
+/// The chunks are cut only where the whole-file parsers find a boundary,
+/// so the result — routes, quarantine, strict diagnostic — is the
+/// in-memory load's. With a budget and no `--spill`, a projected overrun
+/// degrades gracefully into spilling (warning + `mem.budget_exceeded`),
+/// or aborts with [`LoadError::Budget`] under `mem.strict`.
+pub fn load_inputs(
     vfs: &Vfs,
     dir: &Path,
     obs: Option<&p2o_obs::Obs>,
@@ -545,7 +676,6 @@ pub fn load_inputs_budgeted(
         vfs.read_to_string(&path)
             .map_err(|e| io_err("reading", &path, e))
     };
-    let mut quarantine = Quarantine::new();
     if let Some(o) = obs {
         // Register the whole counter families up front so clean runs report
         // explicit zeros rather than missing series.
@@ -598,21 +728,16 @@ pub fn load_inputs_budgeted(
         }
     }
 
-    // WHOIS dumps: the file stem names the registry; the registry picks the
-    // parser. Listed up front — both the memory projection and either
-    // ingest path need the sorted set.
+    // The large inputs in processing order: WHOIS dumps (the file stem
+    // names the registry, the registry picks the parser), the RIB, RPKI.
     let whois_dir = dir.join("whois");
-    let mut db = WhoisDb::new();
-    if let Some(o) = obs {
-        db.instrument(o);
-    }
     let mut entries: Vec<PathBuf> = std::fs::read_dir(&whois_dir)
         .map_err(|e| io_err("listing", &whois_dir, e))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "txt"))
         .collect();
     entries.sort();
-    let mut whois_files: Vec<(PathBuf, Registry, String)> = Vec::with_capacity(entries.len());
+    let mut inputs: Vec<Input> = Vec::with_capacity(entries.len() + 2);
     for path in entries {
         let stem = path
             .file_stem()
@@ -622,23 +747,31 @@ pub fn load_inputs_budgeted(
             .parse()
             .map_err(|e| format!("{}: {e}", path.display()))?;
         let label = format!("whois/{stem}.txt");
-        whois_files.push((path, registry, label));
+        inputs.push(Input {
+            path,
+            label,
+            kind: InputKind::Whois(registry),
+            damage: Vec::new(),
+        });
     }
-    let mrt_path = dir.join("rib.mrt");
-    let rpki_path = dir.join("rpki.jsonl");
+    for (name, kind) in [("rib.mrt", InputKind::Mrt), ("rpki.jsonl", InputKind::Rpki)] {
+        inputs.push(Input {
+            path: dir.join(name),
+            label: name.to_string(),
+            kind,
+            damage: Vec::new(),
+        });
+    }
 
-    // The memory decision. The in-memory path holds each large input whole
+    // The memory decision. The in-memory load holds each large input whole
     // while parsing it, so its working set is at least the largest input
     // file; when a budget says that cannot fit, degrade into the spill
     // path (or abort under --strict-mem). The projection is per-file, not
-    // total, because the in-memory path releases each file before reading
-    // the next.
+    // total, because each file is released before the next is read.
     let budget_bytes = mem.budget.unwrap_or(0);
-    let projected: u64 = whois_files
+    let projected: u64 = inputs
         .iter()
-        .map(|(p, _, _)| p.clone())
-        .chain([mrt_path.clone(), rpki_path.clone()])
-        .filter_map(|p| vfs.file_len(&p).ok())
+        .filter_map(|input| vfs.file_len(&input.path).ok())
         .max()
         .unwrap_or(0);
     let mut spilling = mem.spill;
@@ -659,168 +792,73 @@ pub fn load_inputs_budgeted(
         degraded = true;
     }
     let budget = MemBudget::new(mem.budget);
-
-    let apply_whois = |db: &mut WhoisDb, registry: Registry, text: &str| match registry {
-        Registry::Rir(Rir::Arin) => db.add_arin_parallel(text, threads),
-        Registry::Rir(Rir::Lacnic)
-        | Registry::Nir(p2o_whois::Nir::NicBr)
-        | Registry::Nir(p2o_whois::Nir::NicMx) => db.add_lacnic_parallel(text, registry, threads),
-        reg => db.add_rpsl_parallel(text, reg, threads),
+    let mut db = WhoisDb::new();
+    if let Some(o) = obs {
+        db.instrument(o);
+    }
+    let mut ingest = Ingest {
+        inputs,
+        finished: 0,
+        pending: Vec::new(),
+        db,
+        routes: RouteTable::new(),
+        repo: p2o_rpki::RpkiRepository::new(),
+        quarantine: Quarantine::new(),
+        mode,
+        obs,
+        threads,
+        budget: &budget,
     };
-
-    let mut routes = RouteTable::new();
-    let mut repo = p2o_rpki::RpkiRepository::new();
     let mut spill_stats = p2o_util::spill::SpillStats::default();
-
     if spilling {
-        // Streaming ingest: shard every large input into one global spill
-        // store, keyed by (interned source symbol, chunk index), then
-        // merge-resolve in exactly the sequential processing order. Chunks
-        // are cut at object / record / line boundaries, so concatenated
-        // parses equal the whole-file parse and the export stays
-        // byte-identical.
+        // Shard every large input into one global spill store keyed by
+        // (input index, chunk index), then ingest the chunks the merge
+        // replays in exactly the in-memory processing order.
         let tuning = SpillTuning::for_budget(budget_bytes);
         // Debris from an earlier interrupted spill build must not mix with
         // this run's files (fsck --gc also cleans it offline).
         spill::clean_spill_dir(vfs, dir).map_err(|e| io_err("cleaning spill dir under", dir, e))?;
-        let mut interner = Interner::new();
-        let mut sources: Vec<SpillSource> = Vec::new();
         let mut writer = RunWriter::new(vfs, dir, tuning, &budget)
             .map_err(|e| io_err("creating spill dir under", dir, e))?;
         let mut seq = 0u64;
-        for (path, registry, label) in &whois_files {
-            let sym = interner.intern(label).0;
-            debug_assert_eq!(sym as usize, sources.len());
-            sources.push(SpillSource::Whois(*registry, label.clone()));
-            shard_text_input(
-                vfs,
-                path,
-                sym,
-                tuning,
-                &budget,
-                &mut writer,
-                &mut seq,
-                |t| p2o_whois::shard::last_object_boundary(t).map(|(byte, _)| byte),
-            )?;
+        for (idx, input) in ingest.inputs.iter_mut().enumerate() {
+            let (path, w, s) = (&input.path, &mut writer, &mut seq);
+            match input.kind {
+                InputKind::Whois(_) => {
+                    shard_text_input(vfs, path, idx, tuning, &budget, w, s, |t| {
+                        p2o_whois::shard::last_object_boundary(t).map(|(byte, _)| byte)
+                    })?
+                }
+                InputKind::Mrt => {
+                    shard_mrt_input(vfs, path, idx, tuning, &budget, w, s, &mut input.damage)?
+                }
+                InputKind::Rpki => shard_text_input(vfs, path, idx, tuning, &budget, w, s, |t| {
+                    t.rfind('\n').map(|i| i + 1)
+                })?,
+            }
         }
-        let sym = interner.intern("rib.mrt").0;
-        debug_assert_eq!(sym as usize, sources.len());
-        sources.push(SpillSource::Mrt);
-        shard_mrt_input(vfs, &mrt_path, sym, tuning, &budget, &mut writer, &mut seq)?;
-        let sym = interner.intern("rpki.jsonl").0;
-        debug_assert_eq!(sym as usize, sources.len());
-        sources.push(SpillSource::Rpki);
-        shard_text_input(
-            vfs,
-            &rpki_path,
-            sym,
-            tuning,
-            &budget,
-            &mut writer,
-            &mut seq,
-            |t| t.rfind('\n').map(|i| i + 1),
-        )?;
         let (runs, bytes_written) = writer
             .finish()
             .map_err(|e| io_err("writing spill runs under", dir, e))?;
         spill_stats.runs_created = runs.len() as u64;
         spill_stats.bytes_written = bytes_written;
 
-        // Merge-resolve: records arrive in global (source, chunk) order —
-        // the exact order the sequential loader reads the files — with the
-        // working set bounded to one read block per run plus the single
-        // chunk being resolved.
+        // The working set stays bounded to one read block per run plus the
+        // single chunk being ingested.
         let mut merger = RunMerger::new(vfs, &runs, tuning).map_err(LoadError::Other)?;
-        let mut cur_sym = u32::MAX;
-        let mut whois_lines = 0u64;
-        let mut mrt_base = 0u64;
-        let mut rpki_lines = 0u64;
         while let Some(record) = merger.next_record().map_err(LoadError::Other)? {
-            let sym = (record.key >> 32) as u32;
-            let chunk_idx = record.key as u32;
-            if sym != cur_sym {
-                cur_sym = sym;
-                whois_lines = 0;
-                mrt_base = 0;
-                rpki_lines = 0;
-            }
-            let chunk_len = record.payload.len() as u64;
-            budget.charge(chunk_len);
-            let source = sources
-                .get(sym as usize)
-                .ok_or_else(|| LoadError::Other(format!("spill run names unknown source {sym}")))?;
-            match source {
-                SpillSource::Whois(registry, label) => {
-                    let text = chunk_text(&record.payload, label)?;
-                    let before = db.problems().len();
-                    apply_whois(&mut db, *registry, text);
-                    let fresh: Vec<QuarantinedRecord> = db.problems()[before..]
-                        .iter()
-                        .map(|p| {
-                            // Problem lines are 1-based within the chunk;
-                            // rebase onto the whole file.
-                            let mut q = p.to_quarantined();
-                            q.offset += whois_lines;
-                            q
-                        })
-                        .collect();
-                    whois_lines += text.bytes().filter(|&b| b == b'\n').count() as u64;
-                    if !fresh.is_empty() {
-                        if mode == IngestMode::Strict {
-                            return Err(strict_abort(label, fresh));
-                        }
-                        quarantine.extend_from_file(label, fresh);
-                    }
-                }
-                SpillSource::Mrt => {
-                    // Later chunks carry a prepended copy of the peer index
-                    // table; quarantine byte offsets rebase past it.
-                    let peer_len = if chunk_idx == 0 {
-                        0
-                    } else {
-                        p2o_bgp::mrt::record_frame_len(&record.payload)
-                            .map(|n| n as u64)
-                            .unwrap_or(0)
-                    };
-                    let original = chunk_len - peer_len.min(chunk_len);
-                    let lenient = RouteTable::from_mrt_lenient(
-                        bytes::Bytes::from(record.payload),
-                        obs,
-                        threads,
-                    );
-                    routes.merge(&lenient.table);
-                    if !lenient.quarantined.is_empty() {
-                        let rebased: Vec<QuarantinedRecord> = lenient
-                            .quarantined
-                            .into_iter()
-                            .map(|mut q| {
-                                q.offset = mrt_base + q.offset.saturating_sub(peer_len);
-                                q
-                            })
-                            .collect();
-                        if mode == IngestMode::Strict {
-                            return Err(strict_abort("rib.mrt", rebased));
-                        }
-                        quarantine.extend_from_file("rib.mrt", rebased);
-                    }
-                    mrt_base += original;
-                    budget.release(chunk_len);
-                    continue;
-                }
-                SpillSource::Rpki => {
-                    let text = chunk_text(&record.payload, "rpki.jsonl")?;
-                    let rejected =
-                        p2o_rpki::persist::extend_jsonl_lenient(&mut repo, text, rpki_lines);
-                    rpki_lines += text.bytes().filter(|&b| b == b'\n').count() as u64;
-                    if !rejected.is_empty() {
-                        if mode == IngestMode::Strict {
-                            return Err(strict_abort("rpki.jsonl", rejected));
-                        }
-                        quarantine.extend_from_file("rpki.jsonl", rejected);
-                    }
-                }
-            }
-            budget.release(chunk_len);
+            let idx = (record.key >> 32) as usize;
+            let mut payload = record.payload;
+            let at = payload
+                .len()
+                .checked_sub(8)
+                .filter(|_| idx < ingest.inputs.len());
+            let at = at.ok_or_else(|| {
+                LoadError::Other(format!("spill run holds a malformed chunk of source {idx}"))
+            })?;
+            let base = u64::from_le_bytes(payload[at..].try_into().expect("8-byte trailer"));
+            payload.truncate(at);
+            ingest.chunk(idx, base, payload)?;
         }
         let read_stats = merger.stats();
         spill_stats.runs_merged = read_stats.runs_merged;
@@ -830,58 +868,23 @@ pub fn load_inputs_budgeted(
         // point would be debris, so a clean finish removes the directory.
         spill::clean_spill_dir(vfs, dir).map_err(|e| io_err("cleaning spill dir under", dir, e))?;
     } else {
-        // In-memory ingest: each large input is read whole, parsed, and
-        // released before the next — the classic path, with the working
-        // set accounted so `mem.peak_bytes` is honest either way.
-        for (path, registry, label) in &whois_files {
-            let text = read(path.clone())?;
-            budget.charge(text.len() as u64);
-            let before = db.problems().len();
-            apply_whois(&mut db, *registry, &text);
-            let fresh: Vec<QuarantinedRecord> = db.problems()[before..]
-                .iter()
-                .map(|p| p.to_quarantined())
-                .collect();
-            budget.release(text.len() as u64);
-            if !fresh.is_empty() {
-                if mode == IngestMode::Strict {
-                    return Err(strict_abort(label, fresh));
-                }
-                quarantine.extend_from_file(label, fresh);
-            }
-        }
-
-        // BGP: always the lenient (resyncing) reader — on clean input it is
-        // observationally identical to the strict instrumented path.
-        let mrt = vfs
-            .read(&mrt_path)
-            .map_err(|e| io_err("reading", &mrt_path, e))?;
-        budget.charge(mrt.len() as u64);
-        let mrt_len = mrt.len() as u64;
-        let lenient = RouteTable::from_mrt_lenient(bytes::Bytes::from(mrt), obs, threads);
-        budget.release(mrt_len);
-        if !lenient.quarantined.is_empty() {
-            if mode == IngestMode::Strict {
-                return Err(strict_abort("rib.mrt", lenient.quarantined));
-            }
-            quarantine.extend_from_file("rib.mrt", lenient.quarantined);
-        }
-        routes = lenient.table;
-
-        // RPKI.
-        let rpki_len = vfs.file_len(&rpki_path).unwrap_or(0);
-        budget.charge(rpki_len);
-        let (loaded, rejected) = p2o_rpki::persist::load_jsonl_lenient(vfs, &rpki_path)
-            .map_err(|e| io_err("reading", &rpki_path, e))?;
-        budget.release(rpki_len);
-        repo = loaded;
-        if !rejected.is_empty() {
-            if mode == IngestMode::Strict {
-                return Err(strict_abort("rpki.jsonl", rejected));
-            }
-            quarantine.extend_from_file("rpki.jsonl", rejected);
+        // In-memory ingest: each large input is read whole, parsed as one
+        // chunk, and released before the next.
+        for idx in 0..ingest.inputs.len() {
+            let path = &ingest.inputs[idx].path;
+            let bytes = vfs.read(path).map_err(|e| io_err("reading", path, e))?;
+            ingest.chunk(idx, 0, bytes)?;
+            ingest.finish_before(idx + 1)?;
         }
     }
+    ingest.finish_before(ingest.inputs.len())?;
+    let Ingest {
+        mut db,
+        routes,
+        repo,
+        quarantine,
+        ..
+    } = ingest;
 
     // JPNIC back-fill.
     if let Ok(text) = read(dir.join("jpnic_alloc.tsv")) {

@@ -44,15 +44,13 @@ fn temp_dir(name: &str) -> PathBuf {
 }
 
 fn generate(dir: &Path, seed: &str) {
-    run_ok(&[
-        "generate",
-        "--out",
-        dir.to_str().unwrap(),
-        "--scale",
-        "tiny",
-        "--seed",
-        seed,
-    ]);
+    generate_with(dir, &["--scale", "tiny", "--seed", seed]);
+}
+
+fn generate_with(dir: &Path, args: &[&str]) {
+    let mut argv = vec!["generate", "--out", dir.to_str().unwrap()];
+    argv.extend_from_slice(args);
+    run_ok(&argv);
 }
 
 /// Pull one `"key": N` value out of a JSON report without a parser.
@@ -147,6 +145,194 @@ fn spill_export_is_byte_identical_across_threads_and_budgets() {
             );
         }
     }
+}
+
+/// Builds `dir` with `extra` flags and returns the export bytes plus the
+/// run report's `data_quality` and `memory` sections.
+fn build_report(
+    dir: &Path,
+    name: &str,
+    extra: &[&str],
+) -> (Vec<u8>, p2o_util::json::Json, p2o_util::json::Json) {
+    let out = dir.join(format!("{name}.jsonl"));
+    let report = dir.join(format!("{name}.json"));
+    let mut args = vec![
+        "build",
+        "--in",
+        dir.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+        "--report",
+        report.to_str().unwrap(),
+    ];
+    args.extend_from_slice(extra);
+    run_ok(&args);
+    let text = std::fs::read_to_string(&report).expect("report");
+    let json = p2o_util::json::Json::parse(&text).expect("report parses");
+    let section = |key: &str| {
+        json.get(key)
+            .unwrap_or_else(|| panic!("{key} section"))
+            .clone()
+    };
+    (
+        std::fs::read(&out).expect("export"),
+        section("data_quality"),
+        section("memory"),
+    )
+}
+
+/// The `prefix2org: ingest error: ...` line a `--strict` build exits with.
+fn strict_diagnostic(dir: &Path, extra: &[&str]) -> String {
+    let out = dir.join("strict.jsonl");
+    let mut args = vec![
+        "build",
+        "--in",
+        dir.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+        "--strict",
+    ];
+    args.extend_from_slice(extra);
+    let result = run(&args);
+    assert_eq!(
+        result.status.code(),
+        Some(2),
+        "--strict {extra:?} must abort"
+    );
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    let lines: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("ingest error"))
+        .collect();
+    assert_eq!(lines.len(), 1, "one diagnostic line:\n{stderr}");
+    lines[0].to_string()
+}
+
+/// On corrupt input the spill build is still the in-memory build: the
+/// same export bytes, the same `data_quality` section (counts, per-kind
+/// tallies, every sample with its whole-file offset), and the same
+/// `--strict` diagnostic, at one thread and at four. Chunks are cut only
+/// where the whole-file parsers find a boundary, and damaged MRT ranges
+/// are quarantined once by the framing pass, never split by a chunk cut.
+#[test]
+fn spill_matches_in_memory_on_corrupt_input() {
+    let cases: &[(&str, &str, &str, &str, &str)] = &[
+        ("default", "99", "0.02", "1", "262144"),
+        ("default", "99", "0.02", "2", "262144"),
+        ("default", "99", "0.02", "3", "262144"),
+        ("default", "99", "0.02", "4", "262144"),
+        ("tiny", "7", "0.10", "21", "16384"),
+    ];
+    for &(scale, seed, rate, corrupt_seed, budget) in cases {
+        let dir = temp_dir(&format!("corrupt-{scale}-{corrupt_seed}"));
+        generate_with(
+            &dir,
+            &[
+                "--scale",
+                scale,
+                "--seed",
+                seed,
+                "--corrupt-rate",
+                rate,
+                "--corrupt-seed",
+                corrupt_seed,
+            ],
+        );
+        for threads in ["1", "4"] {
+            let case = format!("{scale} corrupt seed {corrupt_seed}, threads {threads}");
+            let common = ["--threads", threads, "--quarantine-samples", "4096"];
+            let (golden, golden_quality, _) = build_report(&dir, "inmem", &common);
+            let spill = [&common[..], &["--spill", "--mem-budget", budget]].concat();
+            let (export, quality, memory) = build_report(&dir, "spill", &spill);
+            assert_eq!(memory.get("mode").and_then(|m| m.as_str()), Some("spill"));
+            assert!(
+                export == golden,
+                "spill export diverged from the in-memory export ({case})"
+            );
+            assert_eq!(quality, golden_quality, "data_quality diverged ({case})");
+            assert_eq!(
+                strict_diagnostic(
+                    &dir,
+                    &["--threads", threads, "--spill", "--mem-budget", budget]
+                ),
+                strict_diagnostic(&dir, &["--threads", threads]),
+                "strict diagnostic diverged ({case})"
+            );
+        }
+    }
+}
+
+/// A RIB whose leading PEER_INDEX_TABLE is unreadable is one quarantined
+/// record covering the whole file in memory; the spill build must report
+/// exactly that record and export the same bytes, not a record per chunk.
+#[test]
+fn spill_matches_in_memory_on_unreadable_peer_table() {
+    let dir = temp_dir("peer-table");
+    generate(&dir, "4805");
+    let rib = std::fs::read(dir.join("rib.mrt")).expect("rib");
+    let mut wrong_subtype = rib.clone();
+    wrong_subtype[6..8].copy_from_slice(&2u16.to_be_bytes());
+    let variants: [(&str, Vec<u8>); 4] = [
+        ("garbage", b"not an MRT dump at all".to_vec()),
+        ("empty", Vec::new()),
+        ("torn peer table", rib[..30].to_vec()),
+        ("wrong subtype", wrong_subtype),
+    ];
+    for (name, bytes) in variants {
+        std::fs::write(dir.join("rib.mrt"), bytes).expect("write rib");
+        let common = ["--quarantine-samples", "4096"];
+        let (golden, golden_quality, _) = build_report(&dir, "inmem", &common);
+        let spill = [&common[..], &["--spill", "--mem-budget", "16384"]].concat();
+        let (export, quality, _) = build_report(&dir, "spill", &spill);
+        assert!(export == golden, "spill export diverged ({name})");
+        assert_eq!(quality, golden_quality, "data_quality diverged ({name})");
+    }
+}
+
+/// The budget bites at default scale: the in-memory build's accounted
+/// peak (the largest input file, held whole) is above a budget that the
+/// spill build stays under, across several spill runs, with identical
+/// export bytes. At tiny scale no budget shows this: the in-memory peak
+/// is below the spill path's floor.
+#[test]
+fn spill_stays_under_a_budget_the_in_memory_build_exceeds() {
+    const BUDGET: u64 = 262_144;
+    let dir = temp_dir("bites");
+    generate_with(&dir, &["--scale", "default", "--seed", "99"]);
+    let (golden, _, inmem) = build_report(&dir, "inmem", &[]);
+    let budget = BUDGET.to_string();
+    let (export, _, spill) = build_report(&dir, "spill", &["--spill", "--mem-budget", &budget]);
+    let field = |section: &p2o_util::json::Json, key: &str| {
+        section
+            .get(key)
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("memory.{key}"))
+    };
+    assert_eq!(
+        inmem.get("mode").and_then(|m| m.as_str()),
+        Some("in-memory")
+    );
+    assert_eq!(spill.get("mode").and_then(|m| m.as_str()), Some("spill"));
+    let inmem_peak = field(&inmem, "peak_bytes");
+    let spill_peak = field(&spill, "peak_bytes");
+    assert!(
+        inmem_peak > BUDGET,
+        "in-memory peak {inmem_peak} no longer exceeds the budget {BUDGET}"
+    );
+    assert!(
+        spill_peak <= BUDGET,
+        "spill peak {spill_peak} broke the budget {BUDGET}"
+    );
+    assert_eq!(field(&spill, "budget_exceeded"), 0);
+    assert!(field(&spill, "spill_runs_created") >= 2, "{spill:?}");
+    assert_eq!(
+        field(&spill, "spill_runs_created"),
+        field(&spill, "spill_runs_merged")
+    );
+    assert!(
+        export == golden,
+        "spill export diverged from the in-memory export"
+    );
 }
 
 /// The `mem.*` counter family flows through to the Prometheus exposition

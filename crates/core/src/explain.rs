@@ -18,7 +18,7 @@
 use p2o_net::Prefix;
 use p2o_obs::DecisionTrace;
 
-use crate::cluster::{Clusterer, MergeEdge};
+use crate::cluster::MergeEdge;
 use crate::dataset::Prefix2OrgDataset;
 use crate::exceptions::{ExceptionAction, ExceptionSet};
 use crate::pipeline::{Pipeline, PipelineInputs};
@@ -125,8 +125,8 @@ fn push_cluster_steps(
 }
 
 /// Builds the full decision trace for `prefix` against an already-computed
-/// `dataset` and `merge_edges` (a clustering run with
-/// [`Clusterer::with_merge_evidence`] enabled).
+/// `dataset` and `merge_edges`, as [`Pipeline::dataset_with_evidence`]
+/// returns them.
 ///
 /// For any prefix with a record in `dataset`, the result is byte-identical
 /// to [`Pipeline::explain`] on the same inputs — the serve snapshot relies
@@ -202,50 +202,11 @@ impl Pipeline {
         // Re-run resolution over the routed table (plus this prefix, when it
         // is not routed) and cluster with merge evidence, so the final label
         // and every merge touching this owner can be reported.
-        let (mut dataset, merge_edges) = self.dataset_with_evidence(inputs, Some(prefix));
+        let (mut dataset, merge_edges) = self.dataset_with_evidence(inputs, Some(prefix), None);
         if let Some(set) = exceptions {
             set.apply(&mut dataset);
         }
         attribution_trace_with(inputs, &dataset, &merge_edges, exceptions, prefix)
-    }
-
-    /// Runs resolution and clustering with merge-evidence recording and
-    /// assembles the dataset — the precomputation behind
-    /// [`attribution_trace`]. When `extra` names a prefix missing from the
-    /// routing table it is resolved alongside the routed set, so even
-    /// hypothetical mappings get a record.
-    pub fn dataset_with_evidence(
-        &self,
-        inputs: &PipelineInputs<'_>,
-        extra: Option<&Prefix>,
-    ) -> (Prefix2OrgDataset, Vec<MergeEdge>) {
-        let mut prefixes: Vec<Prefix> = inputs.routes.iter().map(|(p, _)| *p).collect();
-        if let Some(prefix) = extra {
-            if inputs.routes.origins(prefix).is_none() {
-                prefixes.push(*prefix);
-            }
-        }
-        let (ownership, unresolved) = self.resolve_stage(inputs.delegations, &prefixes);
-        let clustering = Clusterer::new(self.cluster_options)
-            .with_threads(self.threads)
-            .with_merge_evidence()
-            .cluster(
-                &ownership,
-                inputs.routes,
-                inputs.asn_clusters,
-                inputs.rpki,
-                inputs.delegations.names(),
-            );
-        let merge_edges = clustering.merge_edges.clone();
-        let mut dataset = Prefix2OrgDataset::assemble(
-            ownership,
-            clustering,
-            unresolved,
-            inputs.routes.all_origins().len(),
-            inputs.delegations.names(),
-        );
-        dataset.apply_rov(inputs.routes, inputs.rpki);
-        (dataset, merge_edges)
     }
 }
 
@@ -337,7 +298,7 @@ mod tests {
         };
         let pipeline = Pipeline::with_threads(2);
         // The snapshot precomputation: one dataset + merge-edge list.
-        let (dataset, edges) = pipeline.dataset_with_evidence(&inputs, None);
+        let (dataset, edges) = pipeline.dataset_with_evidence(&inputs, None, None);
         for q in ["63.80.52.0/24", "63.64.0.0/16", "198.51.100.0/24"] {
             let prefix: Prefix = q.parse().unwrap();
             let live = pipeline.explain(&inputs, &prefix);

@@ -704,7 +704,7 @@ mod tests {
             asn_clusters: &built.clusters,
             rpki: &built.rpki,
         };
-        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
+        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
         let jsonl = to_jsonl(&dataset);
         let payload = freeze(&inputs, &dataset, &edges, 0xDEAD_BEEF);
         (FrozenDataset::from_payload(payload).unwrap(), jsonl)
@@ -729,7 +729,7 @@ mod tests {
             asn_clusters: &built.clusters,
             rpki: &built.rpki,
         };
-        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
+        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
         let jsonl = to_jsonl(&dataset);
         let frozen = freeze_verified(&inputs, &dataset, &edges, 7, &jsonl).unwrap();
         assert_eq!(frozen.payload(), &freeze(&inputs, &dataset, &edges, 7)[..]);
@@ -749,7 +749,7 @@ mod tests {
             asn_clusters: &built.clusters,
             rpki: &built.rpki,
         };
-        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
+        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
         let payload = freeze(&inputs, &dataset, &edges, 1);
         let frozen = FrozenDataset::from_payload(payload).unwrap();
         assert_eq!(frozen.len(), dataset.len());
@@ -785,7 +785,7 @@ mod tests {
             asn_clusters: &built.clusters,
             rpki: &built.rpki,
         };
-        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
+        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
         let a = freeze(&inputs, &dataset, &edges, 5);
         let b = freeze(&inputs, &dataset, &edges, 5);
         assert_eq!(a, b, "same inputs must freeze to identical bytes");

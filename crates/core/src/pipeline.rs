@@ -6,7 +6,7 @@ use p2o_net::Prefix;
 use p2o_rpki::ValidatedRepo;
 use p2o_whois::DelegationTree;
 
-use crate::cluster::{ClusterOptions, Clusterer};
+use crate::cluster::{ClusterOptions, Clusterer, MergeEdge};
 use crate::dataset::Prefix2OrgDataset;
 use crate::resolve::{OwnershipRecord, Resolver};
 
@@ -67,29 +67,28 @@ impl Pipeline {
 
     /// Runs the full pipeline and assembles the dataset.
     pub fn run(&self, inputs: &PipelineInputs<'_>) -> Prefix2OrgDataset {
-        self.run_inner(inputs, None)
+        self.dataset_with_evidence(inputs, None, None).0
     }
 
-    /// Runs the full pipeline with observability: per-stage wall times
-    /// (`pipeline.resolve`, `pipeline.cluster`, `pipeline.assemble`) plus
-    /// resolution and cluster-merge counters on `obs`.
-    pub fn run_with_obs(
+    /// The one pipeline run behind every entry point: resolution,
+    /// clustering with merge-evidence recording, assembly and ROV,
+    /// returning the dataset and the merge edges the frozen artifact and
+    /// `explain` need. When `extra` names a
+    /// prefix missing from the routing table it is resolved alongside the
+    /// routed set, so even hypothetical mappings get a record. With `obs`,
+    /// the run records its `pipeline.*`, `cluster.*` and `rov.*` counters,
+    /// the `pipeline.resolve` / `pipeline.cluster` / `pipeline.assemble`
+    /// stages, and the resolve and group-build spans.
+    pub fn dataset_with_evidence(
         &self,
         inputs: &PipelineInputs<'_>,
-        obs: &p2o_obs::Obs,
-    ) -> Prefix2OrgDataset {
-        self.run_inner(inputs, Some(obs))
-    }
-
-    fn run_inner(
-        &self,
-        inputs: &PipelineInputs<'_>,
+        extra: Option<&Prefix>,
         obs: Option<&p2o_obs::Obs>,
-    ) -> Prefix2OrgDataset {
+    ) -> (Prefix2OrgDataset, Vec<MergeEdge>) {
         // One pass over the table collects the prefix list and counts MOAS
         // prefixes together.
         let mut moas = 0usize;
-        let mut prefixes: Vec<Prefix> = Vec::with_capacity(inputs.routes.len());
+        let mut prefixes: Vec<Prefix> = Vec::with_capacity(inputs.routes.len() + 1);
         for (p, origins) in inputs.routes.iter() {
             if origins.len() > 1 {
                 moas += 1;
@@ -100,6 +99,11 @@ impl Pipeline {
             o.counter("pipeline.routed_prefixes")
                 .add(prefixes.len() as u64);
             o.counter("pipeline.moas_prefixes").add(moas as u64);
+        }
+        if let Some(prefix) = extra {
+            if inputs.routes.origins(prefix).is_none() {
+                prefixes.push(*prefix);
+            }
         }
 
         let resolve_timer = obs.map(|o| o.stage("pipeline.resolve"));
@@ -114,11 +118,13 @@ impl Pipeline {
         }
 
         let cluster_timer = obs.map(|o| o.stage("pipeline.cluster"));
-        let mut clusterer = Clusterer::new(self.cluster_options).with_threads(self.threads);
+        let mut clusterer = Clusterer::new(self.cluster_options)
+            .with_threads(self.threads)
+            .with_merge_evidence();
         if let Some(o) = obs {
             clusterer = clusterer.with_obs(o);
         }
-        let clustering = clusterer.cluster(
+        let mut clustering = clusterer.cluster(
             &ownership,
             inputs.routes,
             inputs.asn_clusters,
@@ -143,6 +149,7 @@ impl Pipeline {
             o.counter("cluster.rpki_covered_prefixes")
                 .add(clustering.rpki_covered_prefixes as u64);
         }
+        let merge_edges = std::mem::take(&mut clustering.merge_edges);
 
         let assemble_timer = obs.map(|o| o.stage("pipeline.assemble"));
         let mut dataset = Prefix2OrgDataset::assemble(
@@ -163,7 +170,7 @@ impl Pipeline {
             t.items(dataset.len() as u64);
             t.finish();
         }
-        dataset
+        (dataset, merge_edges)
     }
 
     /// The resolution stage alone (exposed for benches).

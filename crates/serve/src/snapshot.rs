@@ -75,7 +75,7 @@ impl Snapshot {
         threads: usize,
     ) -> Result<Snapshot, String> {
         let (mut dataset, merge_edges) =
-            Pipeline::with_threads(threads.max(1)).dataset_with_evidence(inputs, None);
+            Pipeline::with_threads(threads.max(1)).dataset_with_evidence(inputs, None, None);
         exceptions.apply(&mut dataset);
         let jsonl = to_jsonl(&dataset);
         let frozen = freeze_verified(inputs, &dataset, &merge_edges, 0, &jsonl)?;

@@ -46,6 +46,7 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use p2o_bgp::mrt::{frame_in, Frame};
 use p2o_whois::{Registry, Rir};
 
 use crate::world::World;
@@ -157,18 +158,12 @@ enum MrtMode {
 fn mrt_frames(buf: &[u8]) -> Option<Vec<(usize, usize)>> {
     let mut frames = Vec::new();
     let mut pos = 0usize;
-    while pos < buf.len() {
-        if buf.len() - pos < 12 {
+    while let Some(frame) = frame_in(buf, pos) {
+        let Frame::Record { start, end, .. } = frame else {
             return None;
-        }
-        let body_len =
-            u32::from_be_bytes([buf[pos + 8], buf[pos + 9], buf[pos + 10], buf[pos + 11]]) as usize;
-        let total = 12 + body_len;
-        if buf.len() - pos < total {
-            return None;
-        }
-        frames.push((pos, total));
-        pos += total;
+        };
+        frames.push((start, end - start));
+        pos = end;
     }
     Some(frames)
 }

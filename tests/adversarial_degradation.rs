@@ -55,7 +55,7 @@ fn build(built: &BuiltInputs) -> (Prefix2OrgDataset, Vec<MergeEdge>) {
         asn_clusters: &built.clusters,
         rpki: &built.rpki,
     };
-    Pipeline::with_threads(2).dataset_with_evidence(&inputs, None)
+    Pipeline::with_threads(2).dataset_with_evidence(&inputs, None, None)
 }
 
 /// `(prefix → (rov, final cluster))`, keyed canonically for order-free diffs.
@@ -287,7 +287,7 @@ fn override_provenance_agrees_across_explain_dataset_and_frozen() {
         rpki: &built.rpki,
     };
     let pipeline = Pipeline::with_threads(2);
-    let (mut dataset, merge_edges) = pipeline.dataset_with_evidence(&inputs, None);
+    let (mut dataset, merge_edges) = pipeline.dataset_with_evidence(&inputs, None, None);
 
     // Override the first prefix the hijacker ROA flipped to Invalid; fall
     // back to the first record if none of the affected prefixes is an

@@ -119,14 +119,15 @@ fn run() -> (prefix2org::Prefix2OrgDataset, p2o_obs::RunReport) {
     let obs = Obs::new();
     let built = world.build_inputs_with(Some(&obs));
     assert!(built.rpki_problems.is_empty());
-    let dataset = Pipeline::default().run_with_obs(
+    let (dataset, _) = Pipeline::default().dataset_with_evidence(
         &PipelineInputs {
             delegations: &built.tree,
             routes: &built.routes,
             asn_clusters: &built.clusters,
             rpki: &built.rpki,
         },
-        &obs,
+        None,
+        Some(&obs),
     );
     (dataset, obs.report())
 }
