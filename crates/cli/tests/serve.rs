@@ -434,6 +434,136 @@ fn frozen_boot_serves_identically_and_stale_artifact_falls_back() {
     let _ = std::fs::remove_dir_all(&twin);
 }
 
+/// What only the binary shows: `serve --access-log FILE --allow-quit`
+/// answers every endpoint with an `X-P2O-Request-Id`, exposes the serve
+/// series on `/metrics`, exits 0 after `POST /quit` with its drain report
+/// on stderr, and leaves an access log naming every probed endpoint in
+/// request-id order.
+#[test]
+fn serve_binary_probes_every_endpoint_then_drains_on_quit() {
+    let dir = temp_dir("smoke");
+    generate(&dir, "42");
+    let access = dir.join("access.jsonl");
+    let stderr_log = dir.join("serve.stderr");
+    let mut server = Server::spawn(
+        &dir,
+        &["--access-log", access.to_str().unwrap(), "--allow-quit"],
+        Stdio::from(std::fs::File::create(&stderr_log).expect("stderr file")),
+    );
+    let mut client = server.client();
+    let prefix = served_prefixes(&mut client, 1).remove(0);
+    let mut probe = |method: &str, path: &str, body: &[u8]| {
+        let resp = if method == "GET" {
+            client.get(path)
+        } else {
+            client.post(path, body)
+        }
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"));
+        assert_eq!(resp.status, 200, "{method} {path}: {}", resp.text());
+        let id = resp.header("x-p2o-request-id").unwrap_or("");
+        assert!(
+            id.parse::<u64>().is_ok(),
+            "{method} {path}: request id {id:?}"
+        );
+        resp
+    };
+    probe("GET", "/health", b"");
+    let lookup = probe(
+        "GET",
+        &format!("/prefix/{}", prefix.replace('/', "%2f")),
+        b"",
+    );
+    let answer = Json::parse(&lookup.text()).expect("lookup parses");
+    assert_eq!(
+        answer.get("query").and_then(Json::as_str),
+        Some(prefix.as_str())
+    );
+    let batch = probe("POST", "/batch", format!("{prefix}\n").as_bytes()).text();
+    assert_eq!(batch, lookup.text(), "one /batch line == the /prefix body");
+    let metrics = probe("GET", "/metrics", b"").text();
+    probe("GET", "/status", b"");
+    probe("GET", "/debug/requests?n=20", b"");
+    probe("GET", "/debug/trace?ms=50", b"");
+    let series: std::collections::BTreeSet<&str> = metrics
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| l.split(['{', ' ']).next().unwrap())
+        .collect();
+    for name in [
+        "p2o_serve_connections_total",
+        "p2o_serve_requests_total",
+        "p2o_serve_http_4xx_total",
+        "p2o_serve_http_5xx_total",
+        "p2o_serve_reloads_total",
+        "p2o_serve_uptime_seconds",
+        "p2o_serve_connections_active",
+        "p2o_serve_window_latency_ns",
+        "p2o_serve_window_rate",
+    ] {
+        assert!(series.contains(name), "missing {name}; saw {series:?}");
+    }
+    probe("POST", "/quit", b"");
+    drop(client);
+
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = server.child.try_wait().expect("wait on serve") {
+            break status;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "serve never exited after /quit"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let stderr = std::fs::read_to_string(&stderr_log).expect("stderr log");
+    assert!(
+        status.success(),
+        "serve exited {status} after /quit:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("serve: drained after"),
+        "no drain report:\n{stderr}"
+    );
+
+    let records: Vec<Json> = std::fs::read_to_string(&access)
+        .expect("access log")
+        .lines()
+        .map(|l| Json::parse(l).expect("access line parses"))
+        .collect();
+    assert!(!records.is_empty(), "access log is empty after the drain");
+    let ids: Vec<u64> = records
+        .iter()
+        .map(|r| r.get("id").and_then(Json::as_u64).expect("id"))
+        .collect();
+    assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "ids not increasing: {ids:?}"
+    );
+    let mut endpoints = std::collections::BTreeSet::new();
+    for r in &records {
+        assert_eq!(r.get("status").and_then(Json::as_u64), Some(200), "{r:?}");
+        endpoints.insert(r.get("endpoint").and_then(Json::as_str).expect("endpoint"));
+    }
+    for name in [
+        "health",
+        "dump",
+        "prefix",
+        "batch",
+        "metrics",
+        "status",
+        "debug.requests",
+        "debug.trace",
+        "quit",
+    ] {
+        assert!(
+            endpoints.contains(name),
+            "access log never names {name}: {endpoints:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn serve_refuses_an_unhealthy_directory_with_exit_2() {
     let dir = temp_dir("unhealthy");

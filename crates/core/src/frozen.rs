@@ -35,6 +35,7 @@
 //! torn writes and bit rot are caught before any of the above is trusted;
 //! [`FrozenDataset::validate_payload`] then audits the interior for `fsck`.
 
+use std::fmt;
 use std::path::Path;
 
 use p2o_net::{Prefix, Prefix4, Prefix6};
@@ -43,8 +44,9 @@ use p2o_rpki::RovStatus;
 use p2o_util::arena::{u128_at, u32_at, u64_at, ArenaIndex, ArenaWriter};
 use p2o_util::atomic::read_framed;
 use p2o_util::interner::{StringBlob, StringBlobBuilder};
+use p2o_util::json::{write_escaped, write_u32_array};
 use p2o_util::vfs::Vfs;
-use p2o_util::{Digest, Json};
+use p2o_util::Digest;
 use p2o_whois::alloc::AllocationType;
 use p2o_whois::Registry;
 
@@ -118,6 +120,18 @@ fn alloc_index(t: AllocationType) -> u8 {
         .iter()
         .position(|a| *a == t)
         .expect("every allocation type is in ALL") as u8
+}
+
+/// Writes the allocation type at `index` as Listing 1 prints it: the
+/// registry keyword upper-cased, as a JSON string. Every keyword is short
+/// ASCII, so it is upper-cased in a stack buffer.
+fn write_alloc<W: fmt::Write>(out: &mut W, index: u8) -> fmt::Result {
+    let keyword = AllocationType::ALL[index as usize].keyword().as_bytes();
+    let mut buf = [0u8; 32];
+    let upper = &mut buf[..keyword.len()];
+    upper.copy_from_slice(keyword);
+    upper.make_ascii_uppercase();
+    write_escaped(out, std::str::from_utf8(upper).expect("keywords are ASCII"))
 }
 
 /// Flattens an already-built dataset (plus the evidence needed for
@@ -510,11 +524,9 @@ impl FrozenDataset {
             .expect("validated")
     }
 
-    fn pool_slice(&self, off: u32, len: u32) -> Vec<u32> {
+    fn pool_slice(&self, off: u32, len: u32) -> impl ExactSizeIterator<Item = u32> + '_ {
         let pool = &self.payload[self.sections.pool.clone()];
-        (0..len)
-            .map(|i| u32_at(pool, (off + i) as usize * 4).expect("validated"))
-            .collect()
+        (off..off + len).map(move |i| u32_at(pool, i as usize * 4).expect("validated"))
     }
 
     /// Number of records.
@@ -580,7 +592,7 @@ impl FrozenDataset {
 
     /// The BGP origin ASNs observed for record `idx` at freeze time,
     /// ascending.
-    pub fn origins(&self, idx: u32) -> Vec<u32> {
+    pub fn origins(&self, idx: u32) -> impl ExactSizeIterator<Item = u32> + '_ {
         self.pool_slice(self.rec_u32(idx, 80), self.rec_u32(idx, 84))
     }
 
@@ -652,7 +664,9 @@ impl FrozenDataset {
                 NONE_ID => None,
                 id => Some(self.strings().get(id).expect("validated").to_string()),
             },
-            origin_asn_clusters: self.pool_slice(self.rec_u32(idx, 72), self.rec_u32(idx, 76)),
+            origin_asn_clusters: self
+                .pool_slice(self.rec_u32(idx, 72), self.rec_u32(idx, 76))
+                .collect(),
             final_cluster_label: self.rec_str(idx, 52).to_string(),
             cluster: ClusterId(0),
             rov: RovStatus::from_u8(recs[base + 61]).expect("validated"),
@@ -666,10 +680,63 @@ impl FrozenDataset {
         }
     }
 
-    /// The Listing-1 JSON body of record `idx` — byte-identical to
-    /// [`PrefixRecord::listing1_json`] on the live dataset.
-    pub fn listing1_json(&self, idx: u32) -> Json {
-        self.prefix_record(idx).listing1_json()
+    /// Writes record `idx`'s Listing-1 object into `out`, byte-identical
+    /// to [`PrefixRecord::listing1_json`] on the live dataset. It reads the
+    /// fixed-width record, the string blob, the chain-step table and the
+    /// u32 pool in place: nothing is thawed and nothing is allocated.
+    pub fn write_listing1<W: fmt::Write>(&self, idx: u32, out: &mut W) -> fmt::Result {
+        let recs = &self.payload[self.sections.recs.clone()];
+        let base = idx as usize * REC_SIZE;
+        let at = |off: usize| u32_at(recs, base + off).expect("validated");
+        let strings = self.strings();
+        let text = |id: u32| strings.get(id).expect("validated");
+        out.write_str("{\"RIR\":")?;
+        write_escaped(out, text(at(36)))?;
+        out.write_str(",\"Direct Owner (DO)\":")?;
+        write_escaped(out, text(at(40)))?;
+        let do_prefix = read_prefix(recs, base + PFX_SIZE).expect("validated");
+        write!(
+            out,
+            ",\"DO Prefix\":\"{do_prefix}\",\"DO Allocation Type\":"
+        )?;
+        write_alloc(out, recs[base + 60])?;
+        out.write_str(",\"Delegated Customer(s) (DC)\":[")?;
+        let dcsteps = &self.payload[self.sections.dcsteps.clone()];
+        for (n, step) in (at(64)..at(64) + at(68)).enumerate() {
+            let sbase = step as usize * DC_SIZE;
+            out.write_str(if n == 0 {
+                "{\"org_name\":"
+            } else {
+                ",{\"org_name\":"
+            })?;
+            write_escaped(
+                out,
+                text(u32_at(dcsteps, sbase + PFX_SIZE).expect("validated")),
+            )?;
+            let prefix = read_prefix(dcsteps, sbase).expect("validated");
+            write!(out, ",\"prefix\":\"{prefix}\",\"alloc\":")?;
+            write_alloc(out, dcsteps[sbase + 22])?;
+            out.write_char('}')?;
+        }
+        out.write_str("],\"Base name\":")?;
+        write_escaped(out, text(at(44)))?;
+        out.write_str(",\"RPKI Certificate\":")?;
+        match at(48) {
+            NONE_ID => out.write_str("null")?,
+            id => write_escaped(out, text(id))?,
+        }
+        out.write_str(",\"Origin ASN Cluster\":")?;
+        write_u32_array(out, self.pool_slice(at(72), at(76)))?;
+        let rov = RovStatus::from_u8(recs[base + 61]).expect("validated");
+        write!(out, ",\"RPKI ROV\":\"{}\",\"Final Cluster\":", rov.as_str())?;
+        write_escaped(out, text(at(52)))?;
+        // An asserted override replaces the final label with the asserted
+        // org, so the flag byte plus the label reconstruct it.
+        if recs[base + 62] == 1 {
+            out.write_str(",\"Local Exception\":")?;
+            write_escaped(out, text(at(52)))?;
+        }
+        out.write_char('}')
     }
 
     /// Thaws record `idx` into its canonical [`ExportRecord`].
@@ -758,10 +825,9 @@ mod tests {
             assert_eq!(frozen.lookup(&rec.prefix), Some((rec.prefix, idx)));
             assert_eq!(frozen.exact(&rec.prefix), Some(idx));
             assert_eq!(frozen.record_prefix(idx), rec.prefix);
-            assert_eq!(
-                frozen.listing1_json(idx).to_string(),
-                rec.listing1_json().to_string()
-            );
+            let mut listing1 = String::new();
+            frozen.write_listing1(idx, &mut listing1).unwrap();
+            assert_eq!(listing1, rec.listing1_json().to_string());
             assert_eq!(
                 frozen.provenance(idx),
                 attribution_trace(&inputs, &dataset, &edges, &rec.prefix).render()
@@ -771,7 +837,19 @@ mod tests {
                 .origins(&rec.prefix)
                 .map(|s| s.iter().copied().collect())
                 .unwrap_or_default();
-            assert_eq!(frozen.origins(idx), want);
+            assert_eq!(frozen.origins(idx).collect::<Vec<_>>(), want);
+        }
+    }
+
+    #[test]
+    fn every_allocation_type_prints_as_listing1_does() {
+        for (index, t) in AllocationType::ALL.iter().enumerate() {
+            let mut out = String::new();
+            write_alloc(&mut out, index as u8).unwrap();
+            assert_eq!(
+                out,
+                p2o_util::Json::from(t.keyword().to_uppercase()).to_string()
+            );
         }
     }
 

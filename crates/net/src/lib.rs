@@ -24,6 +24,7 @@ pub mod error;
 pub mod prefix;
 pub mod range;
 pub mod span;
+mod text;
 pub mod v4;
 pub mod v6;
 

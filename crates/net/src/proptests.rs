@@ -176,3 +176,42 @@ fn span_matches_brute_force() {
         assert_eq!(span.v4_addresses(), brute.len() as u64);
     });
 }
+
+/// IPv4 `Display` prints the address exactly as `std::net::Ipv4Addr` does.
+#[test]
+fn v4_display_matches_std() {
+    run_cases(2048, |g| {
+        for p in [Prefix4::new_truncated(g.u32(), 32), gen_prefix4(g)] {
+            let std_addr = std::net::Ipv4Addr::from(p.bits());
+            assert_eq!(p.to_string(), format!("{std_addr}/{}", p.len()));
+        }
+    });
+}
+
+/// IPv6 `Display` prints the address exactly as `std::net::Ipv6Addr` does,
+/// outside `::ffff:0:0/96`, where std switches to the dotted IPv4 tail.
+/// Addresses are drawn with random runs of zero groups so that `::`
+/// placement (longest run, leftmost on ties, never a single group) is
+/// exercised.
+#[test]
+fn v6_display_matches_std_outside_v4_mapped() {
+    let v4_mapped = Prefix6::new(0xffff_u128 << 32, 96).unwrap();
+    run_cases(4096, |g| {
+        let mut groups: [u16; 8] = core::array::from_fn(|_| g.u32() as u16);
+        for _ in 0..g.below(4) {
+            let start = g.below(8);
+            let end = (start + g.range(1, 8)).min(8);
+            groups[start..end].fill(0);
+        }
+        let bits = groups
+            .iter()
+            .fold(0u128, |acc, &gr| (acc << 16) | gr as u128);
+        if v4_mapped.contains_addr(bits) {
+            return;
+        }
+        let p = Prefix6::new_truncated(bits, 128);
+        let std_addr = std::net::Ipv6Addr::from(bits);
+        assert_eq!(p.to_string(), format!("{std_addr}/128"));
+        assert_eq!(crate::v6::fmt_addr(bits), std_addr.to_string());
+    });
+}

@@ -5,6 +5,7 @@ use core::fmt;
 use core::str::FromStr;
 
 use crate::error::ParseError;
+use crate::text::AsciiBuf;
 
 /// A canonical IPv4 CIDR prefix: a 32-bit network address plus a length in
 /// `0..=32`, with all host bits guaranteed zero.
@@ -160,14 +161,20 @@ fn mask(len: u8) -> u32 {
     }
 }
 
+/// Appends `bits` in dotted-quad form: the one IPv4 address formatter.
+fn push_addr<const N: usize>(buf: &mut AsciiBuf<N>, bits: u32) {
+    for (i, octet) in bits.to_be_bytes().into_iter().enumerate() {
+        if i > 0 {
+            buf.push(b'.');
+        }
+        buf.push_dec(octet);
+    }
+}
+
 fn fmt_addr(bits: u32) -> String {
-    format!(
-        "{}.{}.{}.{}",
-        bits >> 24,
-        (bits >> 16) & 0xFF,
-        (bits >> 8) & 0xFF,
-        bits & 0xFF
-    )
+    let mut buf = AsciiBuf::<15>::new();
+    push_addr(&mut buf, bits);
+    buf.to_text()
 }
 
 /// Parses a dotted-quad IPv4 address into a big-endian `u32`.
@@ -216,7 +223,10 @@ impl Prefix4 {
 
 impl fmt::Display for Prefix4 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", fmt_addr(self.bits), self.len)
+        let mut buf = AsciiBuf::<18>::new();
+        push_addr(&mut buf, self.bits);
+        buf.push_len(self.len);
+        buf.write_to(f)
     }
 }
 

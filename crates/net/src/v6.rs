@@ -5,6 +5,7 @@ use core::fmt;
 use core::str::FromStr;
 
 use crate::error::ParseError;
+use crate::text::AsciiBuf;
 
 /// A canonical IPv6 CIDR prefix: a 128-bit network address plus a length in
 /// `0..=128`, with all host bits guaranteed zero.
@@ -164,9 +165,8 @@ fn mask(len: u8) -> u128 {
     }
 }
 
-/// Formats a 128-bit address in RFC 5952 form: lowercase hex groups with the
-/// single longest run of two or more zero groups compressed to `::`.
-pub fn fmt_addr(bits: u128) -> String {
+/// Appends `bits` in RFC 5952 form: the one IPv6 address formatter.
+fn push_addr<const N: usize>(buf: &mut AsciiBuf<N>, bits: u128) {
     let groups: [u16; 8] = core::array::from_fn(|i| (bits >> (112 - 16 * i)) as u16);
     // Find the longest run of zero groups (length >= 2), leftmost on ties.
     let (mut best_start, mut best_len) = (0usize, 0usize);
@@ -186,30 +186,31 @@ pub fn fmt_addr(bits: u128) -> String {
             i += 1;
         }
     }
-    let mut out = String::with_capacity(40);
-    if best_len >= 2 {
-        for (idx, g) in groups.iter().enumerate().take(best_start) {
-            if idx > 0 {
-                out.push(':');
-            }
-            out.push_str(&format!("{g:x}"));
-        }
-        out.push_str("::");
-        for (idx, g) in groups.iter().enumerate().skip(best_start + best_len) {
-            if idx > best_start + best_len {
-                out.push(':');
-            }
-            out.push_str(&format!("{g:x}"));
-        }
-    } else {
-        for (idx, g) in groups.iter().enumerate() {
-            if idx > 0 {
-                out.push(':');
-            }
-            out.push_str(&format!("{g:x}"));
-        }
+    if best_len < 2 {
+        best_start = 8; // no run to compress
     }
-    out
+    let mut i = 0;
+    while i < 8 {
+        if i == best_start {
+            buf.push(b':');
+            buf.push(b':');
+            i += best_len;
+            continue;
+        }
+        if i > 0 && i != best_start + best_len {
+            buf.push(b':');
+        }
+        buf.push_hex(groups[i]);
+        i += 1;
+    }
+}
+
+/// Formats a 128-bit address in RFC 5952 form: lowercase hex groups with the
+/// single longest run of two or more zero groups compressed to `::`.
+pub fn fmt_addr(bits: u128) -> String {
+    let mut buf = AsciiBuf::<39>::new();
+    push_addr(&mut buf, bits);
+    buf.to_text()
 }
 
 /// Parses an IPv6 address (RFC 4291 textual form, without embedded IPv4
@@ -292,7 +293,10 @@ impl Prefix6 {
 
 impl fmt::Display for Prefix6 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", fmt_addr(self.bits), self.len)
+        let mut buf = AsciiBuf::<43>::new();
+        push_addr(&mut buf, self.bits);
+        buf.push_len(self.len);
+        buf.write_to(f)
     }
 }
 

@@ -41,4 +41,4 @@ pub use access::AccessLog;
 pub use client::{HttpClient, HttpResponse};
 pub use http::{Request, RequestParser};
 pub use server::{spawn, ServerConfig, ServerHandle, SnapshotLoader, ENDPOINTS};
-pub use snapshot::{Snapshot, SnapshotCell, SnapshotReader};
+pub use snapshot::{Answer, Snapshot, SnapshotCell, SnapshotReader};

@@ -47,13 +47,13 @@ use std::time::{Duration, Instant};
 
 use p2o_net::Prefix;
 use p2o_obs::{promexpo, FlightRecorder, FlightSample, Obs, WindowedHistogram, WINDOWS};
-use p2o_util::json::Json;
+use p2o_util::json::{write_escaped, Json};
 use prefix2org::delta::diff_exports;
 use prefix2org::ExportRecord;
 
 use crate::access::AccessLog;
 use crate::http::{self, Request, RequestParser};
-use crate::snapshot::{Snapshot, SnapshotCell, SnapshotReader};
+use crate::snapshot::{Answer, Snapshot, SnapshotCell, SnapshotReader};
 
 /// Re-verifies and loads an artifact directory into a [`Snapshot`]. The
 /// returned snapshot's `serial` is overwritten by the server (boot = 0,
@@ -174,6 +174,21 @@ struct EndpointStat {
     requests: p2o_obs::Counter,
 }
 
+/// The request path's metric handles, registered once at spawn so that no
+/// request takes the registry lock or scans it by name.
+struct ServeMetrics {
+    /// `serve.requests`: every response, early rejects included.
+    requests: p2o_obs::Counter,
+    http_4xx: p2o_obs::Counter,
+    http_5xx: p2o_obs::Counter,
+    /// `serve.batch_prefixes`: non-blank `/batch` lines answered.
+    batch_prefixes: p2o_obs::Counter,
+    /// `serve.lookup_ns`: one sample per `/prefix` lookup and `/batch` line.
+    lookup_ns: p2o_obs::Histogram,
+    /// Parallel to [`ENDPOINTS`].
+    endpoints: Vec<EndpointStat>,
+}
+
 /// Shared server state: the snapshot cell, metrics, loader, delta log.
 struct ServerState {
     cell: Arc<SnapshotCell>,
@@ -195,8 +210,7 @@ struct ServerState {
     started: Instant,
     /// Monotonic request-id source; ids start at 1.
     request_ids: AtomicU64,
-    /// Parallel to [`ENDPOINTS`].
-    stats: Vec<EndpointStat>,
+    metrics: ServeMetrics,
     flight: FlightRecorder,
     access: Option<AccessLog>,
     allow_quit: bool,
@@ -229,11 +243,11 @@ struct RequestOutcome<'a> {
 /// to the windowed series, the flight recorder, or the access log.
 fn finish_request(state: &ServerState, out: &RequestOutcome<'_>) {
     if (400..500).contains(&out.status) {
-        state.obs.counter("serve.http_4xx").incr();
+        state.metrics.http_4xx.incr();
     } else if out.status >= 500 {
-        state.obs.counter("serve.http_5xx").incr();
+        state.metrics.http_5xx.incr();
     }
-    let stat = &state.stats[out.endpoint_idx];
+    let stat = &state.metrics.endpoints[out.endpoint_idx];
     stat.requests.incr();
     stat.windowed.record(out.latency_ns);
     stat.cumulative.record(out.latency_ns);
@@ -370,7 +384,7 @@ pub fn spawn(
         .local_addr()
         .map_err(|e| format!("resolving bound address: {e}"))?;
     let obs = Arc::new(Obs::new());
-    let stats = register_serve_metrics(&obs);
+    let metrics = register_serve_metrics(&obs);
     let state = Arc::new(ServerState {
         cell: Arc::new(SnapshotCell::new(Arc::new(initial))),
         obs,
@@ -384,7 +398,7 @@ pub fn spawn(
         addr,
         started: Instant::now(),
         request_ids: AtomicU64::new(0),
-        stats,
+        metrics,
         flight: FlightRecorder::new(FLIGHT_CAPACITY, FLIGHT_SLOW),
         access: config.access_log,
         allow_quit: config.allow_quit,
@@ -406,30 +420,33 @@ pub fn spawn(
 
 /// Registers the `serve.*` metric family up front so a fresh server's
 /// `/metrics` shows explicit zeros rather than missing series, and builds
-/// the per-endpoint recording handles.
-fn register_serve_metrics(obs: &Obs) -> Vec<EndpointStat> {
-    for name in [
-        "serve.connections",
-        "serve.requests",
-        "serve.http_4xx",
-        "serve.http_5xx",
-        "serve.reloads",
-        "serve.reload_failures",
-        "serve.batch_prefixes",
-        "serve.access_log_failures",
-    ] {
-        obs.counter(name);
+/// the request path's recording handles.
+fn register_serve_metrics(obs: &Obs) -> ServeMetrics {
+    // Registration order is exposition order.
+    obs.counter("serve.connections");
+    let requests = obs.counter("serve.requests");
+    let http_4xx = obs.counter("serve.http_4xx");
+    let http_5xx = obs.counter("serve.http_5xx");
+    obs.counter("serve.reloads");
+    obs.counter("serve.reload_failures");
+    let batch_prefixes = obs.counter("serve.batch_prefixes");
+    obs.counter("serve.access_log_failures");
+    ServeMetrics {
+        requests,
+        http_4xx,
+        http_5xx,
+        batch_prefixes,
+        lookup_ns: obs.histogram("serve.lookup_ns"),
+        endpoints: ENDPOINTS
+            .iter()
+            .map(|&name| EndpointStat {
+                name,
+                windowed: WindowedHistogram::new(),
+                cumulative: obs.histogram(&format!("serve.latency.{name}")),
+                requests: obs.counter(&format!("serve.requests.{name}")),
+            })
+            .collect(),
     }
-    obs.histogram("serve.lookup_ns");
-    ENDPOINTS
-        .iter()
-        .map(|&name| EndpointStat {
-            name,
-            windowed: WindowedHistogram::new(),
-            cumulative: obs.histogram(&format!("serve.latency.{name}")),
-            requests: obs.counter(&format!("serve.requests.{name}")),
-        })
-        .collect()
 }
 
 fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
@@ -443,7 +460,7 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
             // Overflow reject: no connection thread, but still a response
             // — record it like any other so 503 latencies are visible.
             let started = Instant::now();
-            state.obs.counter("serve.requests").incr();
+            state.metrics.requests.incr();
             let id = state.next_request_id();
             let mut stream = stream;
             let _ = stream.write_all(&http::response(
@@ -505,7 +522,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> std::io
                 Ok(None) => break,
                 Err(bad) => {
                     let started = Instant::now();
-                    state.obs.counter("serve.requests").incr();
+                    state.metrics.requests.incr();
                     let id = state.next_request_id();
                     let snap = reader.get();
                     let (serial, digest) = (snap.serial, snap.digest.clone());
@@ -612,7 +629,7 @@ fn respond(
     request: &Request,
 ) -> (Vec<u8>, bool) {
     let started = Instant::now();
-    state.obs.counter("serve.requests").incr();
+    state.metrics.requests.incr();
     let id = state.next_request_id();
     let snap = Arc::clone(reader.get());
     let endpoint_idx = classify(request.path());
@@ -760,7 +777,8 @@ fn method_matches(method: &str, path: &str) -> bool {
 /// endpoints.
 fn health(state: &Arc<ServerState>, snap: &Arc<Snapshot>) -> (u16, &'static str, Vec<u8>) {
     let (count_60s, rate_60s) = state
-        .stats
+        .metrics
+        .endpoints
         .iter()
         .map(|s| s.windowed.window(60))
         .fold((0u64, 0f64), |(c, r), w| (c + w.count, r + w.rate_per_sec));
@@ -825,7 +843,7 @@ fn status_page(state: &Arc<ServerState>, snap: &Arc<Snapshot>) -> (u16, &'static
     o.set("connections", conns);
     o.set("requests_total", state.request_ids.load(Ordering::Relaxed));
     let mut endpoints = Json::object();
-    for stat in &state.stats {
+    for stat in &state.metrics.endpoints {
         let mut ep = Json::object();
         ep.set("requests_total", stat.requests.get());
         let mut windows = Json::object();
@@ -980,7 +998,7 @@ fn windowed_exposition(state: &Arc<ServerState>) -> String {
     );
     out.push_str("# TYPE p2o_serve_window_latency_ns gauge\n");
     let mut rates = String::new();
-    for stat in &state.stats {
+    for stat in &state.metrics.endpoints {
         for &(label, secs) in WINDOWS {
             let w = stat.windowed.window(secs);
             for (q, v) in [
@@ -1102,18 +1120,30 @@ fn lookup_one(
                     "{prefix}: no covering routed prefix in the snapshot"
                 )),
             ),
-            Some(json) => (200, "application/json", format!("{json}\n").into_bytes()),
+            Some(answer) => {
+                let mut body = String::new();
+                write_line(&mut body, &answer);
+                (200, "application/json", body.into_bytes())
+            }
         },
     };
     state
-        .obs
-        .histogram("serve.lookup_ns")
+        .metrics
+        .lookup_ns
         .record(started.elapsed().as_nanos() as u64);
     result
 }
 
+/// Appends `answer` and its newline to `out`. (Writes into a `String`
+/// cannot fail, here and in [`write_line_error`].)
+fn write_line(out: &mut String, answer: &Answer<'_>) {
+    let _ = answer.write_to(out);
+    out.push('\n');
+}
+
 /// `POST /batch`: one CIDR per line in, one JSON object per line out, in
 /// input order. Per-line failures (`error` objects) don't fail the batch.
+/// Every line is written straight into the one response body.
 fn batch(
     state: &Arc<ServerState>,
     snap: &Arc<Snapshot>,
@@ -1136,29 +1166,30 @@ fn batch(
         count += 1;
         let started = Instant::now();
         match query.parse::<Prefix>() {
-            Err(e) => {
-                let mut o = Json::object();
-                o.set("query", query);
-                o.set("error", format!("{e}"));
-                out.push_str(&format!("{o}\n"));
-            }
+            Err(e) => write_line_error(&mut out, query, &e.to_string()),
             Ok(prefix) => match snap.lookup(&prefix) {
                 None => {
-                    let mut o = Json::object();
-                    o.set("query", query);
-                    o.set("error", "no covering routed prefix in the snapshot");
-                    out.push_str(&format!("{o}\n"));
+                    write_line_error(&mut out, query, "no covering routed prefix in the snapshot")
                 }
-                Some(json) => out.push_str(&format!("{json}\n")),
+                Some(answer) => write_line(&mut out, &answer),
             },
         }
         state
-            .obs
-            .histogram("serve.lookup_ns")
+            .metrics
+            .lookup_ns
             .record(started.elapsed().as_nanos() as u64);
     }
-    state.obs.counter("serve.batch_prefixes").add(count);
+    state.metrics.batch_prefixes.add(count);
     (200, "application/jsonl", out.into_bytes())
+}
+
+/// Appends a `/batch` line's `{"query":…,"error":…}` object and newline.
+fn write_line_error(out: &mut String, query: &str, error: &str) {
+    out.push_str("{\"query\":");
+    let _ = write_escaped(out, query);
+    out.push_str(",\"error\":");
+    let _ = write_escaped(out, error);
+    out.push_str("}\n");
 }
 
 /// `GET /dump[?serial=N]`: RTR-style reset/delta semantics. Without a

@@ -21,12 +21,13 @@
 //! those slow-path acquisitions so the stress test can assert the read
 //! path stayed lock-free between reloads.
 
+use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use p2o_net::Prefix;
-use p2o_util::json::Json;
+use p2o_util::json::{write_escaped, write_u32_array};
 use prefix2org::{
     freeze_verified, to_jsonl, ExceptionSet, ExportRecord, FrozenDataset, Pipeline, PipelineInputs,
 };
@@ -136,12 +137,12 @@ impl Snapshot {
         self.frozen.exception_count()
     }
 
-    /// Answers one lookup: longest-match `query` against the dataset and
-    /// return the full response object `{query, matched, record, rov,
-    /// origins, moas, provenance, serial, snapshot}` — plus `rule:
-    /// "local_exception"` when the matched attribution was overridden by an
-    /// operator rule — or `None` when no routed prefix in the snapshot
-    /// covers the query.
+    /// Answers one lookup: longest-match `query` against the dataset, or
+    /// `None` when no routed prefix in the snapshot covers the query. The
+    /// [`Answer`] renders the full response object `{query, matched,
+    /// serial, snapshot, record, rov, origins, moas, provenance}` — plus
+    /// `rule: "local_exception"` when the matched attribution was
+    /// overridden by an operator rule — when it is written.
     ///
     /// One provenance rule holds for every query: `provenance` is the
     /// *matched record's* trace, stored at freeze time. That is what
@@ -151,26 +152,59 @@ impl Snapshot {
     /// prints. A prefix a `filter` rule removed is no record, so a query
     /// for it is answered like any other: by the record covering it, if
     /// one does.
-    pub fn lookup(&self, query: &Prefix) -> Option<Json> {
+    pub fn lookup(&self, query: &Prefix) -> Option<Answer<'_>> {
         let (matched, idx) = self.frozen.lookup(query)?;
-        let origins = self.frozen.origins(idx);
-        let mut out = Json::object();
-        out.set("query", query.to_string());
-        out.set("matched", matched.to_string());
-        out.set("serial", self.serial);
-        out.set("snapshot", self.digest.clone());
-        out.set("record", self.frozen.listing1_json(idx));
-        out.set("rov", self.frozen.rov(idx).as_str());
-        if self.frozen.has_local_exception(idx) {
-            out.set("rule", "local_exception");
+        Some(Answer {
+            snapshot: self,
+            query: *query,
+            matched,
+            idx,
+        })
+    }
+}
+
+/// One `/prefix` answer: the query, the record that covers it, and the
+/// snapshot that answered. Nothing is rendered until it is written, and
+/// then [`write_to`](Answer::write_to) (or `Display`) writes the object
+/// straight from the frozen arena: no record is thawed and no `Json` value
+/// is built.
+pub struct Answer<'a> {
+    snapshot: &'a Snapshot,
+    query: Prefix,
+    matched: Prefix,
+    idx: u32,
+}
+
+impl Answer<'_> {
+    /// Writes the answer's JSON object (no trailing newline) into `out`.
+    pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        let snap = self.snapshot;
+        let (frozen, idx) = (&snap.frozen, self.idx);
+        write!(
+            out,
+            "{{\"query\":\"{}\",\"matched\":\"{}\",\"serial\":{},\"snapshot\":",
+            self.query, self.matched, snap.serial
+        )?;
+        write_escaped(out, &snap.digest)?;
+        out.write_str(",\"record\":")?;
+        frozen.write_listing1(idx, out)?;
+        write!(out, ",\"rov\":\"{}\"", frozen.rov(idx).as_str())?;
+        if frozen.has_local_exception(idx) {
+            out.write_str(",\"rule\":\"local_exception\"")?;
         }
-        out.set(
-            "origins",
-            Json::Arr(origins.iter().map(|&a| Json::from(a)).collect()),
-        );
-        out.set("moas", origins.len() > 1);
-        out.set("provenance", self.frozen.provenance(idx));
-        Some(out)
+        out.write_str(",\"origins\":")?;
+        let origins = frozen.origins(idx);
+        let moas = origins.len() > 1;
+        write_u32_array(out, origins)?;
+        write!(out, ",\"moas\":{moas},\"provenance\":")?;
+        write_escaped(out, frozen.provenance(idx))?;
+        out.write_char('}')
+    }
+}
+
+impl fmt::Display for Answer<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 
@@ -265,6 +299,7 @@ impl SnapshotReader {
 mod tests {
     use super::*;
     use p2o_synth::{World, WorldConfig};
+    use p2o_util::Json;
 
     fn snapshot_from_seed(seed: u64, serial: u64) -> Snapshot {
         let world = World::generate(WorldConfig::tiny(seed));
@@ -293,6 +328,7 @@ mod tests {
         assert_eq!(snap.records().len(), snap.len());
         let first = snap.records()[0].prefix;
         let hit = snap.lookup(&first).expect("exported prefix resolves");
+        let hit = Json::parse(&hit.to_string()).expect("answer is one JSON object");
         assert_eq!(
             hit.get("matched").unwrap().as_str().unwrap(),
             first.to_string()
@@ -304,6 +340,118 @@ mod tests {
         assert!(snap
             .lookup(&"255.255.255.255/32".parse().unwrap())
             .is_none());
+    }
+
+    /// The `/prefix` object the answer must reproduce, built with [`Json`]
+    /// from the live dataset the snapshot was frozen from: the record's
+    /// `listing1_json`, its freshly rendered trace, and its routed origins.
+    fn expected_answer(
+        snap: &Snapshot,
+        inputs: &PipelineInputs<'_>,
+        dataset: &prefix2org::Prefix2OrgDataset,
+        edges: &[prefix2org::MergeEdge],
+        query: &Prefix,
+    ) -> Option<Json> {
+        let rec = dataset
+            .records()
+            .iter()
+            .filter(|r| r.prefix.contains(query))
+            .max_by_key(|r| r.prefix.len())?;
+        let origins: Vec<u32> = inputs
+            .routes
+            .origins(&rec.prefix)
+            .map(|set| set.iter().copied().collect())
+            .unwrap_or_default();
+        let mut out = Json::object();
+        out.set("query", query.to_string());
+        out.set("matched", rec.prefix.to_string());
+        out.set("serial", snap.serial);
+        out.set("snapshot", snap.digest.clone());
+        out.set("record", rec.listing1_json());
+        out.set("rov", rec.rov.as_str());
+        if rec.local_exception.is_some() {
+            out.set("rule", "local_exception");
+        }
+        out.set(
+            "origins",
+            Json::Arr(origins.iter().map(|&a| Json::from(a)).collect()),
+        );
+        out.set("moas", origins.len() > 1);
+        out.set(
+            "provenance",
+            prefix2org::attribution_trace(inputs, dataset, edges, &rec.prefix).render(),
+        );
+        Some(out)
+    }
+
+    /// Every answer the arena writer renders is byte-identical to the
+    /// `Json` build of the same object from the live dataset — for every
+    /// record, the last host of every IPv4 record, and uncovered space —
+    /// including an asserted org name that needs every kind of escape.
+    #[test]
+    fn answers_are_byte_identical_to_a_json_build_from_the_live_dataset() {
+        // Seed 6: its tiny world has records with no RPKI certificate.
+        let world = World::generate(WorldConfig::tiny(6));
+        let built = world.build_inputs();
+        let inputs = PipelineInputs {
+            delegations: &built.tree,
+            routes: &built.routes,
+            asn_clusters: &built.clusters,
+            rpki: &built.rpki,
+        };
+        let (mut dataset, edges) =
+            Pipeline::with_threads(1).dataset_with_evidence(&inputs, None, None);
+        let target = dataset.records()[dataset.len() / 2].prefix;
+        let mut rule = Json::object();
+        rule.set("prefix", target.to_string());
+        rule.set("action", "assert");
+        rule.set("org", "Acme \"Q\" \\ Ctl\u{1}\tTab Ünïcødé 直営");
+        let (exceptions, quarantined) = ExceptionSet::parse_lenient(&rule.to_string());
+        assert!(quarantined.is_empty() && exceptions.len() == 1);
+        let snap = Snapshot::freeze_in_memory(PathBuf::from("t"), 3, &inputs, &exceptions, 1)
+            .expect("fresh freeze verifies");
+        exceptions.apply(&mut dataset);
+
+        let mut queries: Vec<Prefix> = dataset.records().iter().map(|r| r.prefix).collect();
+        for rec in dataset.records() {
+            if let Prefix::V4(p) = rec.prefix {
+                queries.push(Prefix::V4(p2o_net::Prefix4::new_truncated(
+                    p.last_addr(),
+                    32,
+                )));
+            }
+        }
+        for uncovered in ["255.255.255.255/32", "0.0.0.0/0", "::/0", "ff00::/8"] {
+            queries.push(uncovered.parse().unwrap());
+        }
+        let (mut rules, mut null_certs, mut empty_chains, mut moas, mut misses) = (0, 0, 0, 0, 0);
+        for q in &queries {
+            let want = expected_answer(&snap, &inputs, &dataset, &edges, q);
+            let got = snap.lookup(q).map(|answer| answer.to_string());
+            assert_eq!(got, want.as_ref().map(Json::to_string), "query {q}");
+            let Some(want) = want else {
+                misses += 1;
+                continue;
+            };
+            let record = want.get("record").unwrap();
+            rules += want.get("rule").is_some() as u32;
+            null_certs += record.get("RPKI Certificate").unwrap().is_null() as u32;
+            empty_chains += record
+                .get("Delegated Customer(s) (DC)")
+                .and_then(Json::as_array)
+                .unwrap()
+                .is_empty() as u32;
+            moas += want.get("moas").and_then(Json::as_bool).unwrap() as u32;
+        }
+        for (what, n) in [
+            ("a local-exception rule", rules),
+            ("a null RPKI certificate", null_certs),
+            ("an empty DC chain", empty_chains),
+            ("a MOAS record", moas),
+            ("an uncovered query", misses),
+        ] {
+            assert!(n > 0, "the query set must cover {what}");
+        }
     }
 
     #[test]

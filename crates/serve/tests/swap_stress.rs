@@ -77,6 +77,7 @@ fn readers_see_exactly_one_snapshot_and_never_lock_in_steady_state() {
                 let serial = snap.serial;
                 let query = snap.records()[0].prefix;
                 let hit = snap.lookup(&query).expect("own prefix resolves");
+                let hit = p2o_util::Json::parse(&hit.to_string()).expect("answer parses");
                 let body_digest = hit.get("snapshot").unwrap().as_str().unwrap().to_string();
                 let body_serial = hit.get("serial").unwrap().as_u64().unwrap();
                 assert_eq!(digest, body_digest, "torn read: digest mismatch");

@@ -139,7 +139,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_number(out, *n),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => {
+                let _ = write_escaped(out, s);
+            }
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -156,7 +158,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    let _ = write_escaped(out, k);
                     out.push(':');
                     v.write_compact(out);
                 }
@@ -187,7 +189,7 @@ impl Json {
                         out.push_str(",\n");
                     }
                     indent(out, depth + 1);
-                    write_escaped(out, k);
+                    let _ = write_escaped(out, k);
                     out.push_str(": ");
                     v.write_pretty(out, depth + 1);
                 }
@@ -264,24 +266,51 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `s` as a JSON string literal: quoted, with `"`, `\\` and the
+/// C0 controls escaped (`\n`, `\r`, `\t`, `\b`, `\f`, else `\u00XX`).
+///
+/// The one JSON string escaper in the workspace: [`Json`] serializes
+/// through it, and so does every writer that renders JSON straight into a
+/// buffer. Every byte it escapes is ASCII, so it scans bytes and copies each
+/// unescaped run in one `write_str`; a run never splits a multi-byte char.
+pub fn write_escaped<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.write_str(&s[run..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            0x08 => out.write_str("\\b")?,
+            0x0C => out.write_str("\\f")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
+
+/// Writes `values` as a JSON array of integers — the bytes [`Json`] gives
+/// the same numbers.
+pub fn write_u32_array<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    values: impl IntoIterator<Item = u32>,
+) -> fmt::Result {
+    out.write_char('[')?;
+    for (n, v) in values.into_iter().enumerate() {
+        if n > 0 {
+            out.write_char(',')?;
+        }
+        write!(out, "{v}")?;
+    }
+    out.write_char(']')
 }
 
 /// A parse failure with a byte offset into the input.
@@ -583,6 +612,48 @@ mod tests {
         );
         assert!(v.get("z").is_some_and(Json::is_null));
         assert!(v.get("missing").is_none());
+    }
+
+    /// The char-by-char escaper [`Json`] wrote strings with before the
+    /// shared [`write_escaped`]; kept as the reference it must match.
+    fn reference_escaped(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn escaper_matches_char_by_char_reference() {
+        crate::check::run_cases(4096, |g| {
+            let mut s = String::new();
+            for _ in 0..g.below(12) {
+                match g.below(4) {
+                    0 => s.push(char::from(g.below(0x20) as u8)),
+                    1 => s.push(*g.pick(&['"', '\\', '\u{7f}'])),
+                    _ => s.push_str(&g.unicode_string(4)),
+                }
+            }
+            let mut want = String::new();
+            reference_escaped(&mut want, &s);
+            let mut got = String::new();
+            write_escaped(&mut got, &s).unwrap();
+            assert_eq!(got, want, "{s:?}");
+            assert_eq!(Json::parse(&got).unwrap().as_str(), Some(s.as_str()));
+        });
     }
 
     #[test]
