@@ -17,7 +17,7 @@ use p2o_bgp::RouteTable;
 use p2o_net::Prefix;
 use p2o_synth::{World, WorldConfig};
 use p2o_util::Json;
-use p2o_whois::{Registry, Rir, WhoisDb};
+use p2o_whois::WhoisDb;
 use prefix2org::cluster::{ClusterOptions, Clusterer};
 use prefix2org::{Pipeline, PipelineInputs};
 
@@ -57,15 +57,7 @@ fn bench_resolution_threads() {
 fn run_parse(world: &World, threads: usize) {
     let mut db = WhoisDb::new();
     for dump in &world.whois_dumps {
-        match dump.registry {
-            Registry::Rir(Rir::Arin) => db.add_arin_parallel(&dump.text, threads),
-            Registry::Rir(Rir::Lacnic)
-            | Registry::Nir(p2o_whois::Nir::NicBr)
-            | Registry::Nir(p2o_whois::Nir::NicMx) => {
-                db.add_lacnic_parallel(&dump.text, dump.registry, threads)
-            }
-            reg => db.add_rpsl_parallel(&dump.text, reg, threads),
-        };
+        db.add_dump(&dump.text, dump.registry, threads);
     }
     black_box(db);
     let routes = RouteTable::from_mrt_lenient(world.mrt.clone(), None, threads);

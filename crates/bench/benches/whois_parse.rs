@@ -5,7 +5,7 @@ use std::hint::black_box;
 
 use p2o_bench::timing::{bench, bench_throughput, group};
 use p2o_synth::{World, WorldConfig};
-use p2o_whois::{Registry, Rir, WhoisDb};
+use p2o_whois::{Registry, WhoisDb};
 
 fn dumps() -> Vec<(Registry, String)> {
     let world = World::generate(WorldConfig::default_scale(0xBE7C));
@@ -21,11 +21,7 @@ fn bench_parse(dumps: &[(Registry, String)]) {
     for (registry, text) in dumps {
         bench_throughput(&format!("{registry}"), text.len() as u64, || {
             let mut db = WhoisDb::new();
-            match registry {
-                Registry::Rir(Rir::Arin) => db.add_arin(black_box(text)),
-                Registry::Rir(Rir::Lacnic) => db.add_lacnic(black_box(text), *registry),
-                reg => db.add_rpsl(black_box(text), *reg),
-            };
+            db.add_dump(black_box(text), *registry, 1);
             black_box(db.record_count())
         });
     }
@@ -36,11 +32,7 @@ fn bench_tree_build(dumps: &[(Registry, String)]) {
     bench("whois_tree_build", || {
         let mut db = WhoisDb::new();
         for (registry, text) in dumps {
-            match registry {
-                Registry::Rir(Rir::Arin) => db.add_arin(text),
-                Registry::Rir(Rir::Lacnic) => db.add_lacnic(text, *registry),
-                reg => db.add_rpsl(text, *reg),
-            };
+            db.add_dump(text, *registry, 1);
         }
         let (tree, stats) = db.build();
         black_box((tree.len(), stats))

@@ -578,71 +578,37 @@ impl MrtReader {
     /// Lenient read: decodes every recoverable RIB record and quarantines
     /// the rest — one bad record costs one record, not the run. Never
     /// fails; an unrecoverable tail becomes a single quarantine entry.
-    /// Bodies decode on `threads` scoped threads over contiguous runs of
-    /// frames, joined in frame order, so the result is the same at any
-    /// thread count; each shard records an `mrt.decode` span and stage.
+    /// Bodies decode through the shard runner over contiguous runs of
+    /// frames on up to `threads` threads, folded in frame order, so the
+    /// result is the same at any thread count; each shard records an
+    /// `mrt.decode` span.
     pub fn read_all_lenient(mut self, threads: usize) -> LenientMrt {
         let (frames, mut quarantined) = self.scan_frames_lenient();
-        let records = if threads <= 1 || frames.len() < 2 * threads {
-            let log = self
-                .obs
-                .as_ref()
-                .and_then(|o| o.obs.thread_log("mrt.decode"));
-            let span = log.as_ref().map(|l| {
-                let s = l.span("mrt.decode");
-                s.arg("shard", 0);
-                s.arg("frames", frames.len());
-                s
-            });
-            let out =
-                Self::decode_frames_lenient(&frames, &self.peers, &self.obs, &mut quarantined);
-            if let Some(s) = &span {
-                s.arg("records", out.len());
-            }
-            out
-        } else {
-            let chunk = frames.len().div_ceil(threads);
-            let peers = &self.peers;
-            let obs = &self.obs;
-            let shards: Vec<(Vec<RibRecord>, Vec<QuarantinedRecord>)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = frames
-                        .chunks(chunk)
-                        .enumerate()
-                        .map(|(idx, shard)| {
-                            scope.spawn(move || {
-                                let log = obs.as_ref().and_then(|o| o.obs.thread_log("mrt.decode"));
-                                let span = log.as_ref().map(|l| {
-                                    let s = l.span("mrt.decode");
-                                    s.arg("shard", idx);
-                                    s.arg("frames", shard.len());
-                                    s
-                                });
-                                let timer = obs.as_ref().map(|o| o.obs.stage("mrt.decode"));
-                                let mut q = Vec::new();
-                                let out = Self::decode_frames_lenient(shard, peers, obs, &mut q);
-                                if let Some(mut t) = timer {
-                                    t.items(out.len() as u64);
-                                }
-                                if let Some(s) = &span {
-                                    s.arg("records", out.len());
-                                }
-                                (out, q)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("mrt decode shard panicked"))
-                        .collect()
-                });
-            let mut out = Vec::with_capacity(frames.len());
-            for (recs, q) in shards {
-                out.extend(recs);
-                quarantined.extend(q);
-            }
-            out
-        };
+        let (peers, obs) = (&self.peers, &self.obs);
+        let shards = p2o_obs::split_shards(&frames, threads);
+        let decoded = p2o_obs::run_shards(
+            obs.as_ref().map(|o| &o.obs),
+            "mrt.decode",
+            shards,
+            |shard, span| {
+                let mut q = Vec::new();
+                let out = Self::decode_frames_lenient(shard, peers, obs, &mut q);
+                if let Some(s) = span {
+                    s.arg("frames", shard.len());
+                    s.arg("records", out.len());
+                }
+                (out, q)
+            },
+        );
+        let (records, decode_failures) = decoded
+            .into_iter()
+            .reduce(|(mut records, mut q), (more, more_q)| {
+                records.extend(more);
+                q.extend(more_q);
+                (records, q)
+            })
+            .unwrap_or_default();
+        quarantined.extend(decode_failures);
         // Framing and body failures interleave; report them in byte order.
         quarantined.sort_by_key(|q| q.offset);
         LenientMrt {
@@ -901,21 +867,28 @@ mod tests {
         assert_eq!(seq.quarantined.len(), 1);
         for threads in [2, 3, 8] {
             let obs = p2o_obs::Obs::new();
+            obs.enable_tracing();
             let mut r = MrtReader::new(data.clone()).unwrap();
             r.instrument(&obs);
             let par = r.read_all_lenient(threads);
             assert_eq!(par, seq, "threads={threads}");
             assert_eq!(obs.counter("mrt.records").get(), 499);
             assert_eq!(obs.counter("mrt.entries").get(), 499);
-            let decode_stages = obs
-                .report()
-                .stages
+            // Per-shard timing is a trace span, never a stage row.
+            assert!(obs.report().stages.is_empty(), "threads={threads}");
+            let decoded: Vec<u64> = obs
+                .take_trace()
+                .threads
                 .iter()
-                .filter(|s| s.name == "mrt.decode")
-                .map(|s| s.items.unwrap_or(0))
-                .collect::<Vec<_>>();
-            assert!(decode_stages.len() > 1, "threads={threads}");
-            assert_eq!(decode_stages.iter().sum::<u64>(), 499);
+                .flat_map(|t| &t.events)
+                .filter(|e| e.name == "mrt.decode" && e.phase == p2o_obs::TracePhase::Begin)
+                .map(|e| {
+                    let records = e.args.iter().find(|(k, _)| k == "records");
+                    records.expect("records arg").1.parse().unwrap()
+                })
+                .collect();
+            assert!(decoded.len() > 1, "threads={threads}");
+            assert_eq!(decoded.iter().sum::<u64>(), 499);
         }
     }
 

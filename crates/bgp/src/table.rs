@@ -99,8 +99,8 @@ impl RouteTable {
     /// are quarantined instead of failing the parse — one bad record
     /// costs one record, not the run. With `obs` it records the `bgp.parse`
     /// stage and `mrt.*` counters of the strict instrumented path, plus one
-    /// `mrt.decode` span and stage per decode shard; record bodies decode
-    /// on `threads` threads with identical results at any count.
+    /// `mrt.decode` trace span per decode shard; record bodies decode on
+    /// up to `threads` threads with identical results at any count.
     pub fn from_mrt_lenient(
         data: bytes::Bytes,
         obs: Option<&p2o_obs::Obs>,

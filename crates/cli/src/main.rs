@@ -167,8 +167,9 @@ USAGE:
       anything torn or stale recomputes with a warning, never an abort.
       --quarantine-samples caps the sample records carried into the
       report's data_quality section (default 8).
-      --threads defaults to the number of available cores; 1 forces the
-      fully sequential path (the output is identical either way).
+      --threads defaults to the number of available cores; 1 runs every
+      stage on one thread (the output and the report's stage rows are
+      identical either way; per-shard timing is in the --trace file).
       --report writes a JSON run report (per-stage wall times, counters,
       histograms) and prints its summary table to stderr; `--report -`
       writes the JSON to stdout (the human summary moves to stderr).

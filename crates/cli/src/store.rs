@@ -340,15 +340,7 @@ impl Ingest<'_> {
             InputKind::Whois(registry) => {
                 let text = chunk_text(&payload, &input.path)?;
                 let before = self.db.problems().len();
-                match registry {
-                    Registry::Rir(Rir::Arin) => self.db.add_arin_parallel(text, self.threads),
-                    Registry::Rir(Rir::Lacnic)
-                    | Registry::Nir(p2o_whois::Nir::NicBr)
-                    | Registry::Nir(p2o_whois::Nir::NicMx) => {
-                        self.db.add_lacnic_parallel(text, registry, self.threads)
-                    }
-                    reg => self.db.add_rpsl_parallel(text, reg, self.threads),
-                };
+                self.db.add_dump(text, registry, self.threads);
                 self.pending
                     .extend(self.db.problems()[before..].iter().map(|p| {
                         let mut q = p.to_quarantined();

@@ -277,6 +277,91 @@ fn build_trace_and_metrics_emit_valid_artifacts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--threads` changes timing and nothing else: the export, the frozen
+/// artifact, the run report's stage rows and the set of span names are
+/// the same at one thread and at four. Per-shard timing lives only in the
+/// trace, as extra spans of the same names.
+#[test]
+fn thread_count_changes_only_timing() {
+    let dir = temp_dir("threads");
+    let dir_s = dir.to_str().unwrap();
+    run_ok(&["generate", "--out", dir_s, "--scale", "tiny", "--seed", "7"]);
+    let build = |threads: &str| {
+        let export = dir.join(format!("dataset-{threads}.jsonl"));
+        let report = dir.join(format!("run-{threads}.json"));
+        let trace = dir.join(format!("trace-{threads}.json"));
+        run_ok(&[
+            "build",
+            "--in",
+            dir_s,
+            "--out",
+            export.to_str().unwrap(),
+            "--threads",
+            threads,
+            "--report",
+            report.to_str().unwrap(),
+            "--trace",
+            trace.to_str().unwrap(),
+        ]);
+        let report = p2o_util::Json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+        let mut stages: Vec<String> = p2o_obs::RunReport::from_json(&report)
+            .unwrap()
+            .stages
+            .into_iter()
+            .map(|s| s.name)
+            .collect();
+        stages.sort();
+        let trace = p2o_util::Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let spans: Vec<String> = trace
+            .as_array()
+            .expect("trace is a JSON array")
+            .iter()
+            .filter(|e| e.get("ph").and_then(p2o_util::Json::as_str) == Some("B"))
+            .map(|e| {
+                e.get("name")
+                    .and_then(p2o_util::Json::as_str)
+                    .unwrap()
+                    .to_string()
+            })
+            .collect();
+        let frozen = std::fs::read(dir.join("world.p2ob")).unwrap();
+        (std::fs::read(&export).unwrap(), frozen, stages, spans)
+    };
+    let (export1, frozen1, stages1, spans1) = build("1");
+    let (export4, frozen4, stages4, spans4) = build("4");
+    assert!(!export1.is_empty());
+    assert_eq!(export1, export4, "export differs between 1 and 4 threads");
+    assert_eq!(
+        frozen1, frozen4,
+        "world.p2ob differs between 1 and 4 threads"
+    );
+    assert_eq!(
+        stages1, stages4,
+        "stage rows differ between 1 and 4 threads"
+    );
+    let set = |spans: &[String]| {
+        spans
+            .iter()
+            .cloned()
+            .collect::<std::collections::BTreeSet<_>>()
+    };
+    assert_eq!(set(&spans1), set(&spans4), "span names differ");
+    let count = |spans: &[String], name: &str| spans.iter().filter(|s| *s == name).count();
+    for name in [
+        "whois.parse",
+        "mrt.decode",
+        "resolve",
+        "cluster.group_build",
+    ] {
+        assert!(
+            count(&spans4, name) > count(&spans1, name),
+            "{name}: four threads trace no extra shard spans"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn build_report_dash_writes_json_to_stdout() {
     let dir = temp_dir("report-dash");
@@ -382,11 +467,35 @@ fn corrupt_rate_zero_is_byte_identical_to_clean_generate() {
         "--corrupt-rate",
         "0",
     ]);
-    for file in ["rib.mrt", "rpki.jsonl", "whois/RIPE.txt", "whois/ARIN.txt"] {
+    let files = |root: &Path| {
+        let mut files = Vec::new();
+        let mut dirs = vec![root.to_path_buf()];
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    files.push(path.strip_prefix(root).unwrap().to_path_buf());
+                }
+            }
+        }
+        files.sort();
+        files
+    };
+    let generated = files(&clean);
+    assert!(generated.len() > 10, "{generated:?}");
+    assert_eq!(
+        generated,
+        files(&zeroed),
+        "--corrupt-rate 0 changed the file set"
+    );
+    for file in &generated {
         assert_eq!(
             std::fs::read(clean.join(file)).unwrap(),
             std::fs::read(zeroed.join(file)).unwrap(),
-            "--corrupt-rate 0 changed {file}"
+            "--corrupt-rate 0 changed {}",
+            file.display()
         );
     }
     let _ = std::fs::remove_dir_all(&clean);
@@ -395,56 +504,61 @@ fn corrupt_rate_zero_is_byte_identical_to_clean_generate() {
 
 #[test]
 fn lenient_build_survives_corruption_and_reports_data_quality() {
-    let dir = temp_dir("corrupt-lenient");
-    let dir_s = dir.to_str().unwrap();
-    run_ok(&[
-        "generate",
-        "--out",
-        dir_s,
-        "--scale",
-        "tiny",
-        "--seed",
-        "42",
-        "--corrupt-rate",
-        "0.1",
-        "--corrupt-seed",
-        "7",
-    ]);
-    let dataset = dir.join("dataset.jsonl");
-    let report = dir.join("run.json");
-    let out = run(&[
-        "build",
-        "--in",
-        dir_s,
-        "--out",
-        dataset.to_str().unwrap(),
-        "--report",
-        report.to_str().unwrap(),
-    ]);
-    // Lenient is the default: the build completes (exit 0) and warns.
-    assert!(
-        out.status.success(),
-        "lenient build failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("corrupt records quarantined"), "{stderr}");
-    assert!(!std::fs::read_to_string(&dataset).unwrap().is_empty());
+    for rate in ["0", "0.01", "0.1"] {
+        let dir = temp_dir(&format!("corrupt-lenient-{rate}"));
+        let dir_s = dir.to_str().unwrap();
+        run_ok(&[
+            "generate",
+            "--out",
+            dir_s,
+            "--scale",
+            "tiny",
+            "--seed",
+            "42",
+            "--corrupt-rate",
+            rate,
+            "--corrupt-seed",
+            "7",
+        ]);
+        let dataset = dir.join("dataset.jsonl");
+        let report = dir.join("run.json");
+        let out = run(&[
+            "build",
+            "--in",
+            dir_s,
+            "--out",
+            dataset.to_str().unwrap(),
+            "--report",
+            report.to_str().unwrap(),
+        ]);
+        // Lenient is the default: the build completes (exit 0) at any rate.
+        assert!(
+            out.status.success(),
+            "lenient build failed at rate {rate}:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(!std::fs::read_to_string(&dataset).unwrap().is_empty());
 
-    // The report carries a data_quality section with nonzero counts that
-    // agree with the ingest.quarantined counters.
-    let doc = p2o_util::Json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
-    let parsed = p2o_obs::RunReport::from_json(&doc).unwrap();
-    let dq = parsed.data_quality.as_ref().expect("data_quality present");
-    assert!(dq.quarantined > 0, "nothing quarantined at rate 0.1");
-    assert_eq!(parsed.counter("ingest.quarantined"), Some(dq.quarantined));
-    let per_layer_sum: u64 = dq.per_layer.iter().map(|(_, n)| n).sum();
-    let per_kind_sum: u64 = dq.per_kind.iter().map(|(_, n)| n).sum();
-    assert_eq!(per_layer_sum, dq.quarantined);
-    assert_eq!(per_kind_sum, dq.quarantined);
-    assert!(!dq.samples.is_empty());
+        // The report carries a data_quality section whose per-layer and
+        // per-kind counts add up to the ingest.quarantined total, which is
+        // zero exactly when nothing was corrupted.
+        let doc = p2o_util::Json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+        let parsed = p2o_obs::RunReport::from_json(&doc).unwrap();
+        let dq = parsed.data_quality.as_ref().expect("data_quality present");
+        assert_eq!(dq.quarantined == 0, rate == "0", "rate {rate}: {dq:?}");
+        assert_eq!(parsed.counter("ingest.quarantined"), Some(dq.quarantined));
+        let per_layer_sum: u64 = dq.per_layer.iter().map(|(_, n)| n).sum();
+        let per_kind_sum: u64 = dq.per_kind.iter().map(|(_, n)| n).sum();
+        assert_eq!(per_layer_sum, dq.quarantined, "rate {rate}");
+        assert_eq!(per_kind_sum, dq.quarantined, "rate {rate}");
+        // The warning and the samples appear exactly when records were lost.
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let warned = stderr.contains("corrupt records quarantined");
+        assert_eq!(warned, rate != "0", "rate {rate}: {stderr}");
+        assert_eq!(dq.samples.is_empty(), rate == "0", "rate {rate}");
 
-    let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

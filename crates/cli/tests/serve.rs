@@ -825,3 +825,184 @@ fn every_query_gets_one_answer_across_surfaces_and_boot_paths() {
         let _ = std::fs::remove_dir_all(dir);
     }
 }
+
+/// `(rov, final cluster)` per record prefix of a `build --out` export.
+fn rov_and_cluster(path: &Path) -> std::collections::BTreeMap<String, (String, String)> {
+    export_records(path)
+        .into_iter()
+        .map(|r| {
+            (
+                r.prefix.to_string(),
+                (r.rov.as_str().to_string(), r.final_cluster),
+            )
+        })
+        .collect()
+}
+
+/// The first `prefix` of the pin's `key` list.
+fn first_pinned_prefix(pin: &Json, key: &str) -> String {
+    let list = pin.get(key).and_then(Json::as_array).expect("pin list");
+    let first = list.first().unwrap_or_else(|| panic!("pin has no {key}"));
+    first
+        .get("prefix")
+        .and_then(Json::as_str)
+        .expect("prefix")
+        .to_string()
+}
+
+/// The semantic-adversary pins under `tests/expectations/` hold through the
+/// binary: each generated world passes fsck, its build moves exactly the
+/// pinned prefixes away from the clean build, exception rules written from
+/// the expired-TA pin restore the clean attribution, and `serve` reports
+/// the overrides and the degraded ROV states.
+#[test]
+fn adversarial_worlds_degrade_as_pinned_through_the_binary() {
+    let root = temp_dir("adversarial");
+    let pins = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/expectations");
+    let world = |dir: &Path, extra: &[&str]| {
+        let mut args = vec![
+            "generate",
+            "--out",
+            dir.to_str().unwrap(),
+            "--scale",
+            "tiny",
+            "--seed",
+            "41",
+        ];
+        args.extend_from_slice(extra);
+        run_ok(&args);
+    };
+    let build = |dir: &Path, out: &str, extra: &[&str]| {
+        let export = dir.join(out);
+        let mut args = vec!["build", "--in", dir.to_str().unwrap()];
+        args.extend_from_slice(&["--out", export.to_str().unwrap()]);
+        args.extend_from_slice(extra);
+        run_ok(&args);
+        rov_and_cluster(&export)
+    };
+    let clean_dir = root.join("clean");
+    world(&clean_dir, &[]);
+    let clean = build(&clean_dir, "dataset.jsonl", &[]);
+
+    let cells = [
+        ("expired-cert", "7"),
+        ("resource-overclaim", "7"),
+        ("conflicting-roas", "7"),
+        ("orphaned-delegation", "7"),
+        ("expired-cert", "45"),
+    ];
+    for (class, seed) in cells {
+        let dir = root.join(format!("{class}-{seed}"));
+        world(&dir, &["--adversarial", class, "--adversarial-seed", seed]);
+        assert!(dir.join("adversary.json").exists(), "{class} {seed}");
+        // The mutation is semantic: every file is whole.
+        run_ok(&["fsck", dir.to_str().unwrap()]);
+        let adv = build(&dir, "dataset.jsonl", &[]);
+
+        let pin_path = pins.join(format!("{class}-s{seed}.json"));
+        let pin = Json::parse(&std::fs::read_to_string(&pin_path).expect("pin")).expect("pin");
+        let mut expected = clean.clone();
+        for (key, is_rov) in [("rov_transitions", true), ("attribution_changes", false)] {
+            for t in pin.get(key).and_then(Json::as_array).expect("pin list") {
+                let prefix = t.get("prefix").and_then(Json::as_str).expect("prefix");
+                let from = t.get("clean").and_then(Json::as_str).expect("clean");
+                let to = t
+                    .get("adversarial")
+                    .and_then(Json::as_str)
+                    .expect("adversarial");
+                let slot = expected.get_mut(prefix).expect("pinned prefix is routed");
+                let value = if is_rov { &mut slot.0 } else { &mut slot.1 };
+                assert_eq!(value, from, "{class} {seed} {prefix}: clean side");
+                *value = to.to_string();
+            }
+        }
+        assert_eq!(adv, expected, "{class} {seed}: build drifted from its pin");
+        let tally = pin.get("rov_adversarial").expect("rov_adversarial");
+        for state in ["valid", "invalid", "not_found"] {
+            let n = adv.values().filter(|(rov, _)| rov == state).count() as u64;
+            assert_eq!(
+                Some(n),
+                tally.get(state).and_then(Json::as_u64),
+                "{class} {seed} {state}"
+            );
+        }
+    }
+
+    // The expired ARIN trust anchor splits clusters; asserting each moved
+    // prefix back to its clean label restores the clean projection.
+    let dir = root.join("expired-cert-45");
+    let pin =
+        Json::parse(&std::fs::read_to_string(pins.join("expired-cert-s45.json")).unwrap()).unwrap();
+    let changes = pin
+        .get("attribution_changes")
+        .and_then(Json::as_array)
+        .unwrap();
+    assert!(!changes.is_empty(), "seed 45 must change attributions");
+    let rules: String = changes
+        .iter()
+        .map(|c| {
+            let mut rule = Json::object();
+            rule.set("prefix", c.get("prefix").and_then(Json::as_str).unwrap());
+            rule.set("action", "assert");
+            rule.set("org", c.get("clean").and_then(Json::as_str).unwrap());
+            format!("{rule}\n")
+        })
+        .collect();
+    let exceptions = dir.join("exceptions.jsonl");
+    std::fs::write(&exceptions, rules).unwrap();
+    let exceptions = exceptions.to_str().unwrap();
+    let restored = build(&dir, "restored.jsonl", &["--exceptions", exceptions]);
+    let labels = |m: &std::collections::BTreeMap<String, (String, String)>| {
+        m.iter()
+            .map(|(p, (_, c))| (p.clone(), c.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        labels(&restored),
+        labels(&clean),
+        "exceptions did not restore"
+    );
+
+    // Served with the rules, the overrides and the degraded ROV show.
+    let server = Server::start_with(&dir, &["--exceptions", exceptions]);
+    let mut client = server.client();
+    let lookup = |client: &mut HttpClient, prefix: &str| {
+        let resp = client.get(&format!("/prefix/{}", prefix.replace('/', "%2f")));
+        let resp = resp.expect("lookup");
+        assert_eq!(resp.status, 200, "{prefix}: {}", resp.text());
+        Json::parse(&resp.text()).expect("answer parses")
+    };
+    let overridden = lookup(
+        &mut client,
+        &first_pinned_prefix(&pin, "attribution_changes"),
+    );
+    assert_eq!(
+        overridden.get("rule").and_then(Json::as_str),
+        Some("local_exception")
+    );
+    let record = overridden.get("record").expect("record");
+    let exception = record.get("Local Exception").and_then(Json::as_str);
+    assert!(!exception.unwrap_or_default().is_empty(), "{record:?}");
+    let degraded = lookup(&mut client, &first_pinned_prefix(&pin, "rov_transitions"));
+    assert_eq!(
+        degraded.get("rov").and_then(Json::as_str),
+        Some("not_found")
+    );
+    let health = client.get("/health").expect("health");
+    let health = Json::parse(&health.text()).expect("health parses");
+    let overrides = health.get("exceptions").and_then(Json::as_u64);
+    assert!(overrides.unwrap_or(0) > 0, "{health:?}");
+    drop(server);
+
+    // A misissued hijacker ROA turns real announcements invalid.
+    let dir = root.join("conflicting-roas-7");
+    let pin = Json::parse(&std::fs::read_to_string(pins.join("conflicting-roas-s7.json")).unwrap())
+        .unwrap();
+    let server = Server::start(&dir);
+    let mut client = server.client();
+    let hijacked = lookup(&mut client, &first_pinned_prefix(&pin, "rov_transitions"));
+    assert_eq!(hijacked.get("rov").and_then(Json::as_str), Some("invalid"));
+    drop(server);
+
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -114,7 +114,7 @@ impl Default for ClusterOptions {
 /// contiguous record ranges, so appending the per-key member vectors in
 /// shard order reproduces the sequential per-key member order exactly —
 /// which is what keeps union-find inputs, cluster ids and labels
-/// byte-identical between the threaded and sequential paths.
+/// byte-identical at any shard count.
 #[derive(Default)]
 struct GroupShard {
     r_groups: HashMap<(Symbol, CertId), Vec<Symbol>>,
@@ -187,7 +187,7 @@ pub struct Clusterer {
     /// Options for this run.
     pub options: ClusterOptions,
     /// Worker threads for the 𝓡/𝓐 group-build pass; `0` and `1` both mean
-    /// sequential. The output is byte-identical at any thread count.
+    /// one inline shard. The output is byte-identical at any thread count.
     pub threads: usize,
     /// Record [`ClusteringOutput::merge_edges`]; off by default (the edge
     /// list allocates per union and is only needed by `p2o explain`).
@@ -270,63 +270,29 @@ impl Clusterer {
 
         // --- 𝓡 groups: (base name, child-most RC). ---
         // --- 𝓐 groups: (base name, origin ASN cluster). ---
-        let threads = self.threads.max(1);
-        let obs = self.obs.clone();
-        let groups = if threads > 1 && records.len() >= 2 * threads {
-            let chunk = records.len().div_ceil(threads);
-            let shards: Vec<GroupShard> = std::thread::scope(|scope| {
-                let handles: Vec<_> = records
-                    .chunks(chunk)
-                    .zip(w_of_record.chunks(chunk))
-                    .enumerate()
-                    .map(|(idx, (recs, ws))| {
-                        let base_of_w = &base_of_w;
-                        let obs = obs.clone();
-                        scope.spawn(move || {
-                            let log = obs
-                                .as_ref()
-                                .and_then(|o| o.thread_log("cluster.group_build"));
-                            let span = log.as_ref().map(|l| {
-                                let s = l.span("cluster.group_build");
-                                s.arg("shard", idx);
-                                s.arg("records", recs.len());
-                                s
-                            });
-                            let shard =
-                                GroupShard::build(recs, ws, base_of_w, routes, asn_clusters, rpki);
-                            drop(span);
-                            shard
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            let mut merged = GroupShard::default();
-            for shard in shards {
-                merged.merge(shard);
-            }
+        // Both slices have one entry per record, so they cut at the same
+        // boundaries.
+        let shards: Vec<_> = p2o_obs::split_shards(records, self.threads)
+            .into_iter()
+            .zip(p2o_obs::split_shards(&w_of_record, self.threads))
+            .collect();
+        let groups = p2o_obs::run_shards(
+            self.obs.as_ref(),
+            "cluster.group_build",
+            shards,
+            |(recs, ws), span| {
+                if let Some(s) = span {
+                    s.arg("records", recs.len());
+                }
+                GroupShard::build(recs, ws, &base_of_w, routes, asn_clusters, rpki)
+            },
+        )
+        .into_iter()
+        .reduce(|mut merged, shard| {
+            merged.merge(shard);
             merged
-        } else {
-            let log = obs
-                .as_ref()
-                .and_then(|o| o.thread_log("cluster.group_build"));
-            let span = log.as_ref().map(|l| {
-                let s = l.span("cluster.group_build");
-                s.arg("shard", 0);
-                s.arg("records", records.len());
-                s
-            });
-            let shard = GroupShard::build(
-                records,
-                &w_of_record,
-                &base_of_w,
-                routes,
-                asn_clusters,
-                rpki,
-            );
-            drop(span);
-            shard
-        };
+        })
+        .unwrap_or_default();
         let GroupShard {
             r_groups,
             a_groups,

@@ -26,11 +26,11 @@ pub struct PipelineInputs<'a> {
 /// The pipeline: resolution (§5.2) then clustering (§5.3).
 ///
 /// Resolution is embarrassingly parallel per prefix; `threads > 1` shards
-/// the routed-prefix list across `std::thread` scoped threads (CPU-bound
+/// the routed-prefix list through [`p2o_obs::run_shards`] (CPU-bound
 /// fan-out — no async runtime involved). The clustering group-build pass
 /// shards the same way. The default is [`default_threads`] (all cores);
-/// `threads = 1` forces the sequential path. Output is byte-identical at
-/// any thread count.
+/// `threads = 1` runs each pass as one inline shard. Output is
+/// byte-identical at any thread count.
 #[derive(Debug, Clone, Copy)]
 pub struct Pipeline {
     /// Clustering options (ablations flip these).
@@ -182,63 +182,30 @@ impl Pipeline {
         self.resolve_shards(tree, prefixes, None)
     }
 
-    /// [`Pipeline::resolve_stage`] with optional tracing: each shard worker
-    /// opens a `resolve` span on its own thread-local trace buffer.
+    /// [`Pipeline::resolve_stage`] with optional tracing: the prefixes
+    /// resolve in contiguous shards through the shard runner, one
+    /// `resolve` span each, concatenated in shard order.
     fn resolve_shards(
         &self,
         tree: &DelegationTree,
         prefixes: &[Prefix],
         obs: Option<&p2o_obs::Obs>,
     ) -> (Vec<OwnershipRecord>, usize) {
-        if self.threads <= 1 || prefixes.len() < 2 * self.threads {
-            let log = obs.and_then(|o| o.thread_log("resolve"));
-            let span = log.as_ref().map(|l| {
-                let s = l.span("resolve");
-                s.arg("shard", 0);
-                s.arg("prefixes", prefixes.len());
-                s
-            });
-            let (records, unresolved) = Resolver.resolve_all(tree, prefixes.iter());
-            if let Some(s) = &span {
-                s.arg("resolved", records.len());
+        let shards = p2o_obs::split_shards(prefixes, self.threads);
+        p2o_obs::run_shards(obs, "resolve", shards, |shard, span| {
+            let out = Resolver.resolve_all(tree, shard.iter());
+            if let Some(s) = span {
+                s.arg("prefixes", shard.len());
+                s.arg("resolved", out.0.len());
             }
-            return (records, unresolved);
-        }
-        let chunk = prefixes.len().div_ceil(self.threads);
-        let mut shard_results: Vec<(Vec<OwnershipRecord>, usize)> =
-            Vec::with_capacity(self.threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = prefixes
-                .chunks(chunk)
-                .enumerate()
-                .map(|(idx, shard)| {
-                    scope.spawn(move || {
-                        let log = obs.and_then(|o| o.thread_log("resolve"));
-                        let span = log.as_ref().map(|l| {
-                            let s = l.span("resolve");
-                            s.arg("shard", idx);
-                            s.arg("prefixes", shard.len());
-                            s
-                        });
-                        let out = Resolver.resolve_all(tree, shard.iter());
-                        if let Some(s) = &span {
-                            s.arg("resolved", out.0.len());
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                shard_results.push(h.join().expect("resolver shard panicked"));
-            }
-        });
-        let mut records = Vec::with_capacity(prefixes.len());
-        let mut unresolved = 0;
-        for (mut shard, misses) in shard_results {
-            records.append(&mut shard);
-            unresolved += misses;
-        }
-        (records, unresolved)
+            out
+        })
+        .into_iter()
+        .reduce(|(mut records, unresolved), (mut more, misses)| {
+            records.append(&mut more);
+            (records, unresolved + misses)
+        })
+        .unwrap_or_default()
     }
 }
 

@@ -24,7 +24,7 @@
 //! golden-snapshot test pins exact counter values for a fixed-seed world.
 //! Wall-clock fields are the only nondeterministic part.
 //!
-//! Four companion modules extend the registry:
+//! Five companion modules extend the registry:
 //!
 //! - [`trace`] — hierarchical spans in per-thread lock-free buffers with a
 //!   Chrome trace-event (Perfetto) export, enabled via
@@ -33,6 +33,8 @@
 //!   [`Obs::detach_tracer`] for live capture windows;
 //! - [`runtime`] — serve-path primitives: [`WindowedHistogram`] rolling
 //!   latency windows and the [`FlightRecorder`] per-request ring;
+//! - [`shards`] — the ordered shard runner every parallel build stage
+//!   fans out through, one trace span per shard;
 //! - [`promexpo`] — Prometheus text exposition of a [`RunReport`];
 //! - [`provenance`] — deterministic per-answer decision traces for
 //!   `p2o explain`.
@@ -40,12 +42,14 @@
 pub mod promexpo;
 pub mod provenance;
 pub mod runtime;
+pub mod shards;
 pub mod trace;
 
 pub use provenance::{DecisionStep, DecisionTrace};
 pub use runtime::{
     FlightRecord, FlightRecorder, FlightSample, WindowSnapshot, WindowedHistogram, WINDOWS,
 };
+pub use shards::{run_shards, shard_count, split_shards};
 pub use trace::{Span, ThreadLog, ThreadTrace, Trace, TraceEvent, TracePhase, Tracer};
 
 use std::fmt;

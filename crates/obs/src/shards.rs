@@ -1,0 +1,168 @@
+//! The one fork-join path of the build.
+//!
+//! The four data-parallel passes — bulk WHOIS parsing, MRT body decoding,
+//! DO/DC resolution and the 𝓡/𝓐 group build — cut their input into
+//! contiguous shards, hand them to [`run_shards`], and fold the results in
+//! shard order. Because each shard covers a contiguous run of the input
+//! and results come back in shard order, the folded output is the same at
+//! any thread count, including the single shard that runs inline on the
+//! caller's thread.
+//!
+//! The runner records trace spans, never stage timers: the run report
+//! lists the same per-layer stages at every thread count, and per-shard
+//! timing lives only in the trace.
+
+use crate::{Obs, Span};
+
+/// How many shards `n` work items split into on `threads` workers: one,
+/// run inline, when `threads <= 1` or there are fewer than two items per
+/// worker; `threads` otherwise.
+pub fn shard_count(threads: usize, n: usize) -> usize {
+    if threads <= 1 || n < 2 * threads {
+        1
+    } else {
+        threads
+    }
+}
+
+/// Cuts `items` into the contiguous shards of a [`shard_count`] fan-out,
+/// each at most `ceil(len / shards)` long. A single shard is the whole
+/// slice, even when it is empty, so there is always at least one.
+pub fn split_shards<T>(items: &[T], threads: usize) -> Vec<&[T]> {
+    match shard_count(threads, items.len()) {
+        1 => vec![items],
+        shards => items.chunks(items.len().div_ceil(shards)).collect(),
+    }
+}
+
+/// Runs `work` on every shard and returns the results in shard order.
+///
+/// Several shards run on scoped threads, one each; a single shard runs
+/// inline on the calling thread. With tracing on in `obs`, every shard
+/// records one `name` span, on a thread log of that name, tagged with its
+/// `shard` index; `work` receives the span to attach more arguments. A
+/// panicking shard re-raises its panic on the caller once the other
+/// shards have finished.
+pub fn run_shards<S, T, F>(obs: Option<&Obs>, name: &str, shards: Vec<S>, work: F) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    F: Fn(S, Option<&Span<'_>>) -> T + Sync,
+{
+    let run = |idx: usize, shard: S| {
+        let log = obs.and_then(|o| o.thread_log(name));
+        let span = log.as_ref().map(|l| l.span(name));
+        if let Some(s) = &span {
+            s.arg("shard", idx);
+        }
+        work(shard, span.as_ref())
+    };
+    if shards.len() == 1 {
+        return shards.into_iter().map(|shard| run(0, shard)).collect();
+    }
+    let run = &run;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .into_iter()
+            .enumerate()
+            .map(|(idx, shard)| scope.spawn(move || run(idx, shard)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::TracePhase;
+
+    #[test]
+    fn shard_count_fans_out_only_with_two_items_per_worker() {
+        assert_eq!(shard_count(0, 100), 1);
+        assert_eq!(shard_count(1, 100), 1);
+        assert_eq!(shard_count(4, 7), 1);
+        assert_eq!(shard_count(4, 8), 4);
+        assert_eq!(split_shards::<u8>(&[], 4), vec![&[] as &[u8]]);
+        let items: Vec<u32> = (0..9).collect();
+        let shards = split_shards(&items, 4);
+        assert_eq!(shards, vec![&items[0..3], &items[3..6], &items[6..9]]);
+        assert_eq!(split_shards(&items, 1), vec![&items[..]]);
+    }
+
+    #[test]
+    fn results_come_back_in_shard_order() {
+        let items: Vec<u64> = (0..1000).collect();
+        for threads in [1, 2, 3, 8] {
+            let sums = run_shards(None, "sum", split_shards(&items, threads), |s, _| {
+                (s[0], s.iter().sum::<u64>())
+            });
+            assert_eq!(sums.len(), shard_count(threads, items.len()));
+            assert!(sums.windows(2).all(|w| w[0].0 < w[1].0), "{sums:?}");
+            assert_eq!(sums.iter().map(|s| s.1).sum::<u64>(), 499_500);
+        }
+    }
+
+    #[test]
+    fn a_single_shard_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = run_shards(None, "one", vec![()], |_, _| std::thread::current().id());
+        assert_eq!(ids, vec![caller]);
+        let ids = run_shards(None, "two", vec![(), ()], |_, _| {
+            std::thread::current().id()
+        });
+        assert!(ids.iter().all(|&id| id != caller));
+    }
+
+    #[test]
+    fn each_shard_gets_one_span_carrying_its_index() {
+        for shards in [1usize, 3] {
+            let obs = Obs::new();
+            obs.enable_tracing();
+            run_shards(Some(&obs), "work", (0..shards).collect(), |i, span| {
+                span.expect("tracing is on").arg("item", i);
+            });
+            let trace = obs.take_trace();
+            assert_eq!(trace.span_count("work"), shards);
+            let mut tagged: Vec<(String, String)> = trace
+                .threads
+                .iter()
+                .inspect(|t| assert_eq!(t.name, "work"))
+                .flat_map(|t| &t.events)
+                .filter(|e| e.phase == TracePhase::Begin)
+                .map(|e| (e.args[0].1.clone(), e.args[1].1.clone()))
+                .collect();
+            tagged.sort();
+            let want: Vec<(String, String)> = (0..shards)
+                .map(|i| (i.to_string(), i.to_string()))
+                .collect();
+            assert_eq!(tagged, want);
+            // The runner adds spans only, never stage rows.
+            assert!(obs.report().stages.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_propagates() {
+        for shards in [1usize, 3] {
+            let caught = std::panic::catch_unwind(|| {
+                run_shards(None, "boom", (0..shards).collect(), |i, _| {
+                    if i == shards - 1 {
+                        panic!("shard {i} failed");
+                    }
+                    i
+                })
+            });
+            let payload = caught.expect_err("the panic must reach the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("panic payload is the shard's message");
+            assert_eq!(message, &format!("shard {} failed", shards - 1));
+        }
+    }
+}

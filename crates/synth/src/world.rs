@@ -194,19 +194,7 @@ impl World {
             db.instrument(o);
         }
         for dump in &self.whois_dumps {
-            match dump.registry {
-                Registry::Rir(Rir::Arin) => {
-                    db.add_arin(&dump.text);
-                }
-                Registry::Rir(Rir::Lacnic)
-                | Registry::Nir(Nir::NicBr)
-                | Registry::Nir(Nir::NicMx) => {
-                    db.add_lacnic(&dump.text, dump.registry);
-                }
-                reg => {
-                    db.add_rpsl(&dump.text, reg);
-                }
-            }
+            db.add_dump(&dump.text, dump.registry, 1);
         }
         db.fill_jpnic_alloc(|p| self.jpnic_alloc.get(p).copied());
         let (tree, whois_stats) = db.build();

@@ -1,10 +1,6 @@
 //! String interning with dense `u32` symbols.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use crate::digest::fnv1a_64;
 
 /// A handle to an interned string. Symbols are dense (`0..len`) and therefore
 /// usable directly as vector indices, e.g. into a [`crate::UnionFind`].
@@ -91,108 +87,6 @@ impl Interner {
             .iter()
             .enumerate()
             .map(|(i, s)| (Symbol(i as u32), s.as_str()))
-    }
-}
-
-/// Number of lock stripes in a [`ConcurrentInterner`]. A power of two so the
-/// shard index is a cheap mask of the string hash.
-const SHARDS: usize = 16;
-
-/// A sharded, lock-striped interner safe to share across threads.
-///
-/// Lookups are striped over [`SHARDS`] independent mutexes keyed by string
-/// hash, so threads interning different names rarely contend; symbol
-/// assignment goes through one short critical section on the shared string
-/// table to keep symbols dense (`0..len`). Symbol *values* depend on arrival
-/// order, so callers that need deterministic symbols (everything feeding the
-/// golden snapshot) must intern from a single thread or in a fixed order —
-/// concurrency buys safety for the parallel ingest paths, not determinism.
-///
-/// ```
-/// use p2o_util::ConcurrentInterner;
-/// let i = ConcurrentInterner::new();
-/// let a = i.intern("verizon");
-/// assert_eq!(i.intern("verizon"), a);
-/// assert_eq!(i.hits(), 1);
-/// assert_eq!(i.freeze().resolve(a), "verizon");
-/// ```
-#[derive(Debug)]
-pub struct ConcurrentInterner {
-    shards: Vec<Mutex<HashMap<String, Symbol>>>,
-    strings: Mutex<Vec<String>>,
-    hits: AtomicU64,
-}
-
-impl Default for ConcurrentInterner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ConcurrentInterner {
-    /// Creates an empty concurrent interner.
-    pub fn new() -> Self {
-        Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            strings: Mutex::new(Vec::new()),
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    fn shard_of(s: &str) -> usize {
-        (fnv1a_64(s.as_bytes()) as usize) & (SHARDS - 1)
-    }
-
-    /// Interns `s`, returning its symbol (existing or freshly assigned).
-    /// Safe to call from any number of threads.
-    pub fn intern(&self, s: &str) -> Symbol {
-        let mut shard = self.shards[Self::shard_of(s)].lock().unwrap();
-        if let Some(&sym) = shard.get(s) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return sym;
-        }
-        // Still holding the shard lock, so no other thread can race this
-        // string; the strings lock is only for the dense id hand-out.
-        let sym = {
-            let mut strings = self.strings.lock().unwrap();
-            let sym = Symbol(strings.len() as u32);
-            strings.push(s.to_string());
-            sym
-        };
-        shard.insert(s.to_string(), sym);
-        sym
-    }
-
-    /// Looks up the symbol for `s` without interning it.
-    pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.shards[Self::shard_of(s)]
-            .lock()
-            .unwrap()
-            .get(s)
-            .copied()
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.strings.lock().unwrap().len()
-    }
-
-    /// Whether nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// How many [`intern`](Self::intern) calls found their string already
-    /// present — the cache-hit count surfaced as the `interner.hits` counter.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Consumes the concurrent interner into an immutable, lock-free
-    /// [`Interner`] for the read-mostly phases downstream of ingest.
-    pub fn freeze(self) -> Interner {
-        Interner::from_strings(self.strings.into_inner().unwrap())
     }
 }
 
@@ -432,75 +326,6 @@ mod tests {
     #[should_panic(expected = "duplicate string")]
     fn from_strings_rejects_duplicates() {
         let _ = Interner::from_strings(vec!["a".into(), "a".into()]);
-    }
-
-    #[test]
-    fn concurrent_interner_basic_round_trip() {
-        let i = ConcurrentInterner::new();
-        let a = i.intern("alpha");
-        let b = i.intern("beta");
-        assert_ne!(a, b);
-        assert_eq!(i.intern("alpha"), a);
-        assert_eq!(i.get("beta"), Some(b));
-        assert_eq!(i.get("gamma"), None);
-        assert_eq!(i.len(), 2);
-        assert_eq!(i.hits(), 1);
-        let frozen = i.freeze();
-        assert_eq!(frozen.resolve(a), "alpha");
-        assert_eq!(frozen.resolve(b), "beta");
-    }
-
-    #[test]
-    fn concurrent_interner_sequential_order_matches_interner() {
-        // Single-threaded use must hand out the same dense ids as the plain
-        // Interner — this is what keeps the golden snapshot deterministic.
-        let names = ["x", "y", "x", "z", "y", "x"];
-        let mut plain = Interner::new();
-        let conc = ConcurrentInterner::new();
-        for n in names {
-            assert_eq!(conc.intern(n), plain.intern(n));
-        }
-        assert_eq!(conc.hits(), 3);
-        let frozen = conc.freeze();
-        for (sym, s) in plain.iter() {
-            assert_eq!(frozen.resolve(sym), s);
-        }
-    }
-
-    #[test]
-    fn concurrent_interner_is_consistent_under_contention() {
-        let i = ConcurrentInterner::new();
-        let names: Vec<String> = (0..64).map(|n| format!("org-{n}")).collect();
-        let per_thread: Vec<Vec<(String, Symbol)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|t| {
-                    let i = &i;
-                    let names = &names;
-                    scope.spawn(move || {
-                        // Each thread walks the corpus from a different
-                        // offset so first-intern races are common.
-                        (0..names.len())
-                            .map(|k| {
-                                let name = &names[(k + t * 13) % names.len()];
-                                (name.clone(), i.intern(name))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(i.len(), names.len());
-        // Every thread must agree on one symbol per string, all symbols
-        // dense, and freeze() must round-trip each of them.
-        assert_eq!(i.hits(), (8 * names.len() - names.len()) as u64);
-        let frozen = i.freeze();
-        let mut seen = std::collections::HashMap::new();
-        for (name, sym) in per_thread.into_iter().flatten() {
-            assert!(sym.index() < names.len());
-            assert_eq!(frozen.resolve(sym), name);
-            assert_eq!(*seen.entry(name).or_insert(sym), sym);
-        }
     }
 
     #[test]

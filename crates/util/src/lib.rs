@@ -49,7 +49,7 @@ pub mod vfs;
 pub use atomic::{read_framed, write_atomic, write_framed, FrameError};
 pub use digest::{fnv1a_64, Digest};
 pub use ingest::{IngestError, IngestErrorKind, IngestLayer, Quarantine, QuarantinedRecord};
-pub use interner::{ConcurrentInterner, Interner, Symbol};
+pub use interner::{Interner, Symbol};
 pub use json::Json;
 pub use manifest::{Manifest, VerifyIssue};
 pub use union_find::UnionFind;

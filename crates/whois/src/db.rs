@@ -4,11 +4,11 @@ use std::collections::HashMap;
 
 use p2o_net::Prefix;
 use p2o_radix::PrefixMap;
-use p2o_util::{ConcurrentInterner, Interner, Symbol};
+use p2o_util::{Interner, Symbol};
 
 use crate::alloc::{AllocationType, OwnershipLevel};
 use crate::record::{OrgObject, OrgRef, RawWhoisRecord};
-use crate::registry::{Nir, Registry};
+use crate::registry::{Nir, Registry, Rir};
 
 /// One resolved delegation on a prefix: the holder organization, the
 /// allocation type, and provenance.
@@ -200,182 +200,100 @@ impl WhoisDb {
         }
     }
 
+    /// Ingests one bulk dump in the format `registry` publishes: ARIN
+    /// `NetRange` blocks, LACNIC CIDR blocks (LACNIC, NIC.br, NIC.mx) or
+    /// RPSL (everyone else), parsed on up to `threads` threads as
+    /// [`add_rpsl_parallel`](Self::add_rpsl_parallel) describes. Returns
+    /// the number of problems encountered.
+    pub fn add_dump(&mut self, text: &str, registry: Registry, threads: usize) -> usize {
+        match registry {
+            Registry::Rir(Rir::Arin) => self.add_arin_parallel(text, threads),
+            Registry::Rir(Rir::Lacnic) | Registry::Nir(Nir::NicBr) | Registry::Nir(Nir::NicMx) => {
+                self.add_lacnic_parallel(text, registry, threads)
+            }
+            _ => self.add_rpsl_parallel(text, registry, threads),
+        }
+    }
+
     /// Ingests an RPSL-flavour dump (RIPE, APNIC, AFRINIC, RPSL NIRs).
     /// Returns the number of problems encountered.
     pub fn add_rpsl(&mut self, text: &str, source: Registry) -> usize {
-        let dump = crate::rpsl::parse_dump(text, source);
-        for org in dump.orgs {
-            self.orgs.insert(org.handle, org.name);
-        }
-        self.tick("whois.records", dump.records.len() as u64);
-        self.tick("whois.malformed", dump.problems.len() as u64);
-        self.records.extend(dump.records);
-        let n = dump.problems.len();
-        self.problems.extend(dump.problems);
-        n
+        self.add_rpsl_parallel(text, source, 1)
     }
 
     /// Ingests an ARIN-flavour dump. Returns the number of problems.
     pub fn add_arin(&mut self, text: &str) -> usize {
-        let dump = crate::arin::parse_dump(text);
-        self.tick("whois.records", dump.records.len() as u64);
-        self.tick("whois.malformed", dump.problems.len() as u64);
-        self.records.extend(dump.records);
-        let n = dump.problems.len();
-        self.problems.extend(dump.problems);
-        n
+        self.add_arin_parallel(text, 1)
     }
 
     /// Ingests a LACNIC-flavour dump. Returns the number of problems.
     pub fn add_lacnic(&mut self, text: &str, source: Registry) -> usize {
-        let dump = crate::lacnic::parse_dump(text, source);
-        self.tick("whois.records", dump.records.len() as u64);
-        self.tick("whois.malformed", dump.problems.len() as u64);
-        self.records.extend(dump.records);
-        let n = dump.problems.len();
-        self.problems.extend(dump.problems);
-        n
+        self.add_lacnic_parallel(text, source, 1)
     }
 
     /// Like [`add_rpsl`](Self::add_rpsl), but splits the text at object
-    /// boundaries and parses the shards on `threads` scoped threads. The
+    /// boundaries and parses the shards on up to `threads` threads. The
     /// resulting record/org order (and therefore everything downstream,
     /// including symbol assignment in [`build`](Self::build)) is identical
-    /// to the sequential call.
+    /// at any thread count.
     pub fn add_rpsl_parallel(&mut self, text: &str, source: Registry, threads: usize) -> usize {
-        let dumps = self.parse_sharded(text, threads, move |shard| {
+        self.ingest(text, threads, |shard| {
             crate::rpsl::parse_dump(shard, source)
-        });
-        let Some(dumps) = dumps else {
-            return self.trace_seq_parse(text.len(), |db| db.add_rpsl(text, source));
-        };
-        let mut problems = 0;
-        for (offset, mut dump) in dumps {
-            for org in dump.orgs {
-                self.orgs.insert(org.handle, org.name);
-            }
-            for p in &mut dump.problems {
-                p.line += offset;
-            }
-            self.tick("whois.records", dump.records.len() as u64);
-            self.tick("whois.malformed", dump.problems.len() as u64);
-            self.records.extend(dump.records);
-            problems += dump.problems.len();
-            self.problems.extend(dump.problems);
-        }
-        problems
+        })
     }
 
     /// Parallel variant of [`add_arin`](Self::add_arin); see
     /// [`add_rpsl_parallel`](Self::add_rpsl_parallel) for the guarantees.
     pub fn add_arin_parallel(&mut self, text: &str, threads: usize) -> usize {
-        let dumps = self.parse_sharded(text, threads, |shard| {
+        self.ingest(text, threads, |shard| {
             let dump = crate::arin::parse_dump(shard);
             crate::rpsl::RpslDump {
                 records: dump.records,
                 orgs: Vec::new(),
                 problems: dump.problems,
             }
-        });
-        let Some(dumps) = dumps else {
-            return self.trace_seq_parse(text.len(), |db| db.add_arin(text));
-        };
-        self.merge_record_dumps(dumps)
+        })
     }
 
     /// Parallel variant of [`add_lacnic`](Self::add_lacnic); see
     /// [`add_rpsl_parallel`](Self::add_rpsl_parallel) for the guarantees.
     pub fn add_lacnic_parallel(&mut self, text: &str, source: Registry, threads: usize) -> usize {
-        let dumps = self.parse_sharded(text, threads, move |shard| {
+        self.ingest(text, threads, |shard| {
             let dump = crate::lacnic::parse_dump(shard, source);
             crate::rpsl::RpslDump {
                 records: dump.records,
                 orgs: Vec::new(),
                 problems: dump.problems,
             }
-        });
-        let Some(dumps) = dumps else {
-            return self.trace_seq_parse(text.len(), |db| db.add_lacnic(text, source));
-        };
-        self.merge_record_dumps(dumps)
+        })
     }
 
-    /// Traces a sequential-fallback dump parse as a single `whois.parse`
-    /// span (shard 0) so `--trace` timelines stay populated when sharding
-    /// is not worthwhile; the threaded path traces per shard instead.
-    fn trace_seq_parse<R>(&mut self, bytes: usize, parse: impl FnOnce(&mut Self) -> R) -> R {
-        let obs = self.obs.clone();
-        let log = obs.as_ref().and_then(|o| o.thread_log("whois.parse"));
-        let span = log.as_ref().map(|l| {
-            let s = l.span("whois.parse");
-            s.arg("shard", 0);
-            s.arg("bytes", bytes);
-            s
-        });
-        let out = parse(self);
-        drop(span);
-        out
-    }
-
-    /// Shards `text` at object boundaries and runs `parse` on each shard in
-    /// its own scoped thread, recording one `whois.parse` stage per shard.
-    /// Returns `None` when sharding is not worthwhile (one thread or one
-    /// shard) so callers fall back to the sequential path.
-    fn parse_sharded<F>(
-        &self,
+    /// Shards `text` at object boundaries, parses the shards through the
+    /// shard runner (one `whois.parse` span each), and merges the dumps in
+    /// shard order with problem lines rebased onto the whole text.
+    fn ingest(
+        &mut self,
         text: &str,
         threads: usize,
-        parse: F,
-    ) -> Option<Vec<(usize, crate::rpsl::RpslDump)>>
-    where
-        F: Fn(&str) -> crate::rpsl::RpslDump + Copy + Send,
-    {
-        if threads <= 1 {
-            return None;
-        }
-        let shards = crate::shard::split_at_object_boundaries(text, threads);
-        if shards.len() <= 1 {
-            return None;
-        }
-        let obs = self.obs.clone();
-        Some(std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .enumerate()
-                .map(|(idx, shard)| {
-                    let obs = obs.clone();
-                    let shard = *shard;
-                    scope.spawn(move || {
-                        let log = obs.as_ref().and_then(|o| o.thread_log("whois.parse"));
-                        let span = log.as_ref().map(|l| l.span("whois.parse"));
-                        let timer = obs.as_ref().map(|o| o.stage("whois.parse"));
-                        let dump = parse(shard.text);
-                        if let Some(mut t) = timer {
-                            t.items(dump.records.len() as u64);
-                        }
-                        if let Some(s) = &span {
-                            s.arg("shard", idx);
-                            s.arg("bytes", shard.text.len());
-                            s.arg("records", dump.records.len());
-                        }
-                        (shard.line_offset, dump)
-                    })
-                })
-                .collect();
-            // Joining in spawn order keeps the merged record order identical
-            // to the sequential parse.
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("whois parse shard panicked"))
-                .collect()
-        }))
-    }
-
-    /// Merges per-shard dumps (already in shard order) for the org-less
-    /// ARIN/LACNIC flavours.
-    fn merge_record_dumps(&mut self, dumps: Vec<(usize, crate::rpsl::RpslDump)>) -> usize {
+        parse: impl Fn(&str) -> crate::rpsl::RpslDump + Sync,
+    ) -> usize {
+        let shards = crate::shard::split_at_object_boundaries(
+            text,
+            p2o_obs::shard_count(threads, text.len()),
+        );
+        let dumps = p2o_obs::run_shards(self.obs.as_ref(), "whois.parse", shards, |shard, span| {
+            let dump = parse(shard.text);
+            if let Some(s) = span {
+                s.arg("bytes", shard.text.len());
+                s.arg("records", dump.records.len());
+            }
+            (shard.line_offset, dump)
+        });
         let mut problems = 0;
         for (offset, mut dump) in dumps {
+            for org in dump.orgs {
+                self.orgs.insert(org.handle, org.name);
+            }
             for p in &mut dump.problems {
                 p.line += offset;
             }
@@ -468,9 +386,10 @@ impl WhoisDb {
         };
 
         // Records arrive in ingestion order, so interning here hands out the
-        // same symbols on every run even though the interner is the
-        // thread-safe variant.
-        let interner = ConcurrentInterner::new();
+        // same symbols on every run. `interns` counts every name interned;
+        // the calls beyond the distinct names are the `interner.hits`.
+        let mut names = Interner::new();
+        let mut interns = 0u64;
         // Key: (prefix, alloc). Value: the winning entry so far.
         let mut best: HashMap<(Prefix, AllocationType), DelegationEntry> = HashMap::new();
         for rec in self.records {
@@ -478,16 +397,15 @@ impl WhoisDb {
                 stats.missing_alloc += 1;
                 continue;
             };
-            let org_name = match &rec.org {
-                OrgRef::Name(n) => interner.intern(n),
-                OrgRef::Handle(h) => match self.orgs.get(h) {
-                    Some(n) => interner.intern(n),
-                    None => {
-                        stats.unresolved_handles += 1;
-                        interner.intern(h)
-                    }
-                },
+            let name = match &rec.org {
+                OrgRef::Name(n) => n,
+                OrgRef::Handle(h) => self.orgs.get(h).unwrap_or_else(|| {
+                    stats.unresolved_handles += 1;
+                    h
+                }),
             };
+            let org_name = names.intern(name);
+            interns += 1;
             for prefix in rec.net.to_prefixes() {
                 let entry = DelegationEntry {
                     org_name,
@@ -525,8 +443,6 @@ impl WhoisDb {
         // delegations, then terminal assignments; newest first within a depth.
         // (A mutable full iteration over PrefixMap is not exposed; collect the
         // keys first.)
-        let hits = interner.hits();
-        let names = interner.freeze();
         let keys: Vec<Prefix> = map.iter().map(|(k, _)| k).collect();
         for k in keys {
             let v = map.get_mut(&k).expect("key just listed");
@@ -550,7 +466,7 @@ impl WhoisDb {
                 .add(stats.missing_alloc as u64);
             o.counter("whois.prefixes").add(stats.prefixes as u64);
             o.counter("interner.symbols").add(names.len() as u64);
-            o.counter("interner.hits").add(hits);
+            o.counter("interner.hits").add(interns - names.len() as u64);
             let h = o.histogram("whois.entries_per_prefix");
             for (_, v) in map.iter() {
                 h.record(v.len() as u64);
@@ -906,6 +822,7 @@ changed:     20240801
         sp += seq.add_lacnic(&lacnic, Registry::Rir(Rir::Lacnic));
 
         let obs = p2o_obs::Obs::new();
+        obs.enable_tracing();
         let mut par = WhoisDb::new();
         par.instrument(&obs);
         let mut pp = 0;
@@ -918,14 +835,11 @@ changed:     20240801
         assert_eq!(seq.orgs, par.orgs);
         let report = obs.report();
         assert_eq!(report.counter("whois.records"), Some(68));
+        // Per-shard timing is a trace span, never a stage row.
+        assert!(report.stages.is_empty(), "{:?}", report.stages);
         assert!(
-            report
-                .stages
-                .iter()
-                .filter(|s| s.name == "whois.parse")
-                .count()
-                > 1,
-            "parallel ingest must record one whois.parse stage per shard"
+            obs.take_trace().span_count("whois.parse") > 3,
+            "parallel ingest must trace one whois.parse span per shard"
         );
 
         let (seq_tree, seq_stats) = seq.build();

@@ -12,7 +12,7 @@ use bytes::Bytes;
 use p2o_bgp::RouteTable;
 use p2o_synth::corrupt::{corrupt_world, CorruptionConfig};
 use p2o_synth::{World, WorldConfig};
-use p2o_whois::{Nir, Registry, Rir, WhoisDb};
+use p2o_whois::{Registry, WhoisDb};
 use prefix2org::{Pipeline, PipelineInputs};
 
 /// One lenient parse + pipeline run over explicit artifact bytes.
@@ -23,18 +23,12 @@ struct RunResult {
     rpki_quarantined: usize,
 }
 
-/// Mirrors the CLI loader's per-registry dispatch, but over in-memory
-/// artifacts so the test controls exactly what is corrupted.
+/// Ingests through the CLI loader's per-registry dispatch, but over
+/// in-memory artifacts so the test controls exactly what is corrupted.
 fn run_pipeline(world: &World, whois: &[(Registry, String)], mrt: Bytes, rpki: &str) -> RunResult {
     let mut db = WhoisDb::new();
     for (registry, text) in whois {
-        match registry {
-            Registry::Rir(Rir::Arin) => db.add_arin(text),
-            Registry::Rir(Rir::Lacnic) | Registry::Nir(Nir::NicBr) | Registry::Nir(Nir::NicMx) => {
-                db.add_lacnic(text, *registry)
-            }
-            reg => db.add_rpsl(text, *reg),
-        };
+        db.add_dump(text, *registry, 1);
     }
     db.fill_jpnic_alloc(|p| world.jpnic_alloc.get(p).copied());
     let whois_quarantined = db.problems().len();
