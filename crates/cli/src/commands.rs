@@ -371,10 +371,10 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     let torn_detected = torn.len() as u64 + u64::from(stamp_torn);
     if let Some(o) = &obs {
         if stamp_torn {
-            o.counter(p2o_obs::STORE_TORN_DETECTED).incr();
+            o.counter("store.torn_detected").incr();
         }
         if ckpt_decision == "recomputed" {
-            o.counter(p2o_obs::CHECKPOINT_RECOMPUTED).incr();
+            o.counter("checkpoint.recomputed").incr();
         }
     }
     if !quarantine.is_empty() {
@@ -446,11 +446,11 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     // artifact, and every index built from them.
     let exception_summary = exception_set.apply(&mut dataset);
     if let Some(o) = &obs {
-        o.counter(p2o_obs::EXCEPTIONS_ASSERTED)
+        o.counter("exceptions.asserted")
             .add(exception_summary.asserted);
-        o.counter(p2o_obs::EXCEPTIONS_FILTERED)
+        o.counter("exceptions.filtered")
             .add(exception_summary.filtered);
-        o.counter(p2o_obs::EXCEPTIONS_UNMATCHED)
+        o.counter("exceptions.unmatched")
             .add(exception_summary.unmatched);
     }
     if exceptions_path.is_some() {
@@ -503,12 +503,10 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         // Fold the I/O layer's own statistics into the counter families
         // before rendering, so the report and Prometheus export carry them.
         let io = vfs.stats();
-        o.counter(p2o_obs::IO_FAULT_INJECTED)
-            .add(io.faults_injected());
-        o.counter(p2o_obs::IO_FAULT_SHORT_WRITE)
-            .add(io.faults_short_write);
-        o.counter(p2o_obs::IO_FAULT_ENOSPC).add(io.faults_enospc);
-        o.counter(p2o_obs::IO_FAULT_EIO).add(io.faults_eio);
+        o.counter("io.fault.injected").add(io.faults_injected());
+        o.counter("io.fault.short_write").add(io.faults_short_write);
+        o.counter("io.fault.enospc").add(io.faults_enospc);
+        o.counter("io.fault.eio").add(io.faults_eio);
 
         let mut report = o.report();
         // Always present, all-zero on clean input: consumers can rely on

@@ -671,10 +671,7 @@ pub fn load_inputs(
     if let Some(o) = obs {
         // Register the whole counter families up front so clean runs report
         // explicit zeros rather than missing series.
-        p2o_obs::register_ingest_counters(o);
-        p2o_obs::register_durability_counters(o);
-        p2o_obs::register_rov_counters(o);
-        p2o_obs::register_mem_counters(o);
+        p2o_obs::catalogue::register(o, p2o_obs::catalogue::Source::BuildSetup);
     }
 
     // Meta first: the format version gate, then the snapshot date (which
@@ -713,9 +710,8 @@ pub fn load_inputs(
         torn = manifest.verify_all(vfs, dir);
         manifest_verified = manifest.len() as u64 - torn.len() as u64;
         if let Some(o) = obs {
-            o.counter(p2o_obs::STORE_TORN_DETECTED)
-                .add(torn.len() as u64);
-            o.counter(p2o_obs::CHECKPOINT_ARTIFACTS_VERIFIED)
+            o.counter("store.torn_detected").add(torn.len() as u64);
+            o.counter("checkpoint.artifacts_verified")
                 .add(manifest_verified);
         }
     }
@@ -921,18 +917,16 @@ pub fn load_inputs(
         spill_bytes_read: spill_stats.bytes_read,
     };
     if let Some(o) = obs {
-        o.counter(p2o_obs::MEM_PEAK_BYTES).add(memory.peak_bytes);
-        o.counter(p2o_obs::MEM_BUDGET_BYTES)
-            .add(memory.budget_bytes);
-        o.counter(p2o_obs::MEM_BUDGET_EXCEEDED)
-            .add(memory.budget_exceeded);
-        o.counter(p2o_obs::MEM_SPILL_RUNS_CREATED)
+        o.counter("mem.peak_bytes").add(memory.peak_bytes);
+        o.counter("mem.budget_bytes").add(memory.budget_bytes);
+        o.counter("mem.budget_exceeded").add(memory.budget_exceeded);
+        o.counter("mem.spill_runs_created")
             .add(memory.spill_runs_created);
-        o.counter(p2o_obs::MEM_SPILL_RUNS_MERGED)
+        o.counter("mem.spill_runs_merged")
             .add(memory.spill_runs_merged);
-        o.counter(p2o_obs::MEM_SPILL_BYTES_WRITTEN)
+        o.counter("mem.spill_bytes_written")
             .add(memory.spill_bytes_written);
-        o.counter(p2o_obs::MEM_SPILL_BYTES_READ)
+        o.counter("mem.spill_bytes_read")
             .add(memory.spill_bytes_read);
     }
 

@@ -4,6 +4,7 @@
 //! endpoint surface (`/prefix`, `/batch`, `/dump` serial/reset semantics,
 //! `/metrics` exposition, `/reload`).
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
@@ -122,6 +123,65 @@ fn served_prefixes(client: &mut HttpClient, n: usize) -> Vec<String> {
                 .to_string()
         })
         .collect()
+}
+
+/// The served snapshot's posture as `/health`, `/status` and `/metrics`
+/// each report it, which must agree: ROV tallies `[valid, invalid,
+/// not_found]`, the local-exception override count, and the prefix count.
+fn posture(client: &mut HttpClient) -> ([u64; 3], u64, u64) {
+    let mut get_json = |path: &str| {
+        let resp = client.get(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        Json::parse(&resp.text()).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let health = get_json("/health");
+    let status = get_json("/status");
+    let snapshot = status.get("snapshot").expect("status snapshot");
+    let metrics = client.get("/metrics").expect("metrics").text();
+    let gauge = |series: &str| -> u64 {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {series} in /metrics"))
+            .parse()
+            .expect("gauge value")
+    };
+    let states = ["valid", "invalid", "not_found"];
+    let tallies = |o: &Json| {
+        states.map(|s| {
+            o.get("rov")
+                .and_then(|rov| rov.get(s))
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("no rov.{s} in {o:?}"))
+        })
+    };
+    let surfaces = [
+        (
+            tallies(&health),
+            health.get("exceptions").and_then(Json::as_u64),
+        ),
+        (
+            tallies(snapshot),
+            snapshot.get("exceptions").and_then(Json::as_u64),
+        ),
+        (
+            states.map(|s| gauge(&format!("p2o_serve_snapshot_rov{{state=\"{s}\"}}"))),
+            Some(gauge("p2o_serve_snapshot_exceptions")),
+        ),
+    ];
+    assert!(
+        surfaces.iter().all(|s| *s == surfaces[0]),
+        "/health, /status and /metrics disagree: {surfaces:?}"
+    );
+    let prefixes = health
+        .get("prefixes")
+        .and_then(Json::as_u64)
+        .expect("prefixes");
+    assert_eq!(
+        snapshot.get("prefixes").and_then(Json::as_u64),
+        Some(prefixes)
+    );
+    let (rov, exceptions) = surfaces[0];
+    (rov, exceptions.expect("exceptions"), prefixes)
 }
 
 /// The acceptance criterion: for the same artifact directory and the same
@@ -297,6 +357,14 @@ fn endpoint_surface_dump_metrics_health_and_reload() {
         let (_, value) = line.rsplit_once(' ').expect("series value");
         assert!(value.parse::<f64>().is_ok(), "bad value: {line}");
     }
+
+    // The snapshot posture agrees across surfaces: the ROV tallies
+    // partition the served prefixes, which are the /dump records, and a
+    // server without rules overrides nothing.
+    let (rov, exceptions, prefixes) = posture(&mut client);
+    assert_eq!(rov.iter().sum::<u64>(), prefixes, "ROV tallies {rov:?}");
+    assert_eq!(prefixes, records, "/health prefixes vs /dump records");
+    assert_eq!(exceptions, 0, "no rules, no overrides");
 }
 
 /// A built directory passes `fsck`, boots from the frozen artifact
@@ -988,10 +1056,16 @@ fn adversarial_worlds_degrade_as_pinned_through_the_binary() {
         degraded.get("rov").and_then(Json::as_str),
         Some("not_found")
     );
-    let health = client.get("/health").expect("health");
-    let health = Json::parse(&health.text()).expect("health parses");
-    let overrides = health.get("exceptions").and_then(Json::as_u64);
-    assert!(overrides.unwrap_or(0) > 0, "{health:?}");
+    let asserted: std::collections::BTreeSet<&str> = changes
+        .iter()
+        .map(|c| c.get("prefix").and_then(Json::as_str).unwrap())
+        .collect();
+    let (_, overrides, _) = posture(&mut client);
+    assert_eq!(
+        overrides,
+        asserted.len() as u64,
+        "one override per asserted prefix"
+    );
     drop(server);
 
     // A misissued hijacker ROA turns real announcements invalid.
@@ -1005,4 +1079,125 @@ fn adversarial_worlds_degrade_as_pinned_through_the_binary() {
     drop(server);
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The families one Prometheus exposition declares, as `family -> (TYPE,
+/// HELP texts)`, after checking that every sample belongs to a declared
+/// family.
+fn families(text: &str) -> BTreeMap<String, (String, Vec<String>)> {
+    let mut out: BTreeMap<String, (String, Vec<String>)> = BTreeMap::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (family, kind) = rest.split_once(' ').expect("TYPE names a kind");
+            out.entry(family.to_string()).or_default().0 = kind.to_string();
+        } else if let Some(rest) = line.strip_prefix("# HELP ") {
+            let (family, help) = rest.split_once(' ').expect("HELP has text");
+            out.entry(family.to_string())
+                .or_default()
+                .1
+                .push(help.to_string());
+        }
+    }
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        let name = line.split(['{', ' ']).next().unwrap();
+        let base = ["_bucket", "_sum", "_count"]
+            .iter()
+            .find_map(|s| name.strip_suffix(s).filter(|b| out.contains_key(*b)))
+            .unwrap_or(name);
+        assert!(
+            out.contains_key(base),
+            "sample of undeclared family: {line}"
+        );
+    }
+    out
+}
+
+/// One metric catalogue: every family `build --metrics` and serve's
+/// `/metrics` emit on a tiny world matches a `p2o_obs::catalogue` row of
+/// its side with the same TYPE and carries exactly one `# HELP` line, the
+/// row's help text; every row is emitted; and DESIGN.md's metric table
+/// lists exactly the catalogue's rows.
+#[test]
+fn metric_catalogue_matches_emitted_families_and_design_table() {
+    use p2o_obs::catalogue::{Source, METRICS};
+    use p2o_obs::promexpo::family_name;
+
+    let dir = temp_dir("catalogue");
+    generate(&dir, "7");
+    let prom = dir.join("build.prom");
+    run_ok(&[
+        "build",
+        "--in",
+        dir.to_str().unwrap(),
+        "--out",
+        dir.join("dataset.jsonl").to_str().unwrap(),
+        "--metrics",
+        prom.to_str().unwrap(),
+    ]);
+    let build = std::fs::read_to_string(&prom).expect("metrics file");
+    let server = Server::start(&dir);
+    let serve = server.client().get("/metrics").expect("metrics").text();
+    drop(server);
+
+    for (side, text) in [("build", &build), ("serve", &serve)] {
+        let mut expected: BTreeMap<String, (&str, String)> = BTreeMap::new();
+        for row in METRICS {
+            let row_side = match row.source {
+                Source::BuildSetup | Source::Build => "build",
+                Source::ServeSpawn | Source::ServeScrape => "serve",
+            };
+            if row_side == side {
+                for (name, help) in row.series() {
+                    expected.insert(family_name(&name, row.kind), (row.kind.as_str(), help));
+                }
+            }
+        }
+        let emitted = families(text);
+        for (family, (kind, helps)) in &emitted {
+            let (want_kind, want_help) = expected
+                .get(family)
+                .unwrap_or_else(|| panic!("{side} emits {family}, which no catalogue row names"));
+            assert_eq!(kind, want_kind, "{side} {family}: TYPE");
+            assert_eq!(
+                helps,
+                std::slice::from_ref(want_help),
+                "{side} {family}: HELP"
+            );
+        }
+        for family in expected.keys() {
+            assert!(
+                emitted.contains_key(family),
+                "catalogue row for {family} is never emitted by {side}"
+            );
+        }
+    }
+
+    let design = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"))
+        .expect("DESIGN.md");
+    let listed: Vec<&str> = design
+        .lines()
+        .skip_while(|l| *l != "<!-- metric catalogue: begin -->")
+        .skip(3)
+        .take_while(|l| *l != "<!-- metric catalogue: end -->")
+        .collect();
+    let rows: Vec<String> = METRICS
+        .iter()
+        .map(|m| {
+            format!(
+                "| `{}` | {} | {} | {} | {} |",
+                m.name,
+                m.kind.as_str(),
+                m.unit,
+                m.source.as_str(),
+                m.help
+            )
+        })
+        .collect();
+    assert_eq!(
+        listed,
+        rows,
+        "DESIGN.md's metric table must list the catalogue's rows in order:\n{}",
+        rows.join("\n")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -162,9 +162,9 @@ impl Pipeline {
         dataset.apply_rov(inputs.routes, inputs.rpki);
         if let Some(o) = obs {
             let [valid, invalid, not_found] = dataset.rov_tallies();
-            o.counter(p2o_obs::ROV_VALID).add(valid);
-            o.counter(p2o_obs::ROV_INVALID).add(invalid);
-            o.counter(p2o_obs::ROV_NOT_FOUND).add(not_found);
+            o.counter("rov.valid").add(valid);
+            o.counter("rov.invalid").add(invalid);
+            o.counter("rov.not_found").add(not_found);
         }
         if let Some(mut t) = assemble_timer {
             t.items(dataset.len() as u64);

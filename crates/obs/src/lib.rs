@@ -24,8 +24,10 @@
 //! golden-snapshot test pins exact counter values for a fixed-seed world.
 //! Wall-clock fields are the only nondeterministic part.
 //!
-//! Five companion modules extend the registry:
+//! Six companion modules extend the registry:
 //!
+//! - [`catalogue`] — the one table naming every metric the build and the
+//!   server emit, with its kind, unit and help text;
 //! - [`trace`] — hierarchical spans in per-thread lock-free buffers with a
 //!   Chrome trace-event (Perfetto) export, enabled via
 //!   [`Obs::enable_tracing`] for build-scoped runs or attached and
@@ -39,6 +41,7 @@
 //! - [`provenance`] — deterministic per-answer decision traces for
 //!   `p2o explain`.
 
+pub mod catalogue;
 pub mod promexpo;
 pub mod provenance;
 pub mod runtime;
@@ -88,23 +91,86 @@ impl Counter {
     }
 }
 
-const BUCKETS: usize = 65;
+/// The bucket layout every histogram shares: bucket `i` holds the samples
+/// whose bit length is `i` (bucket 0 is the value zero), so 65 buckets
+/// span the full `u64` range with one `leading_zeros` per record. The
+/// cells, the Prometheus `le` bounds and the quantile estimator all read
+/// the layout from here.
+pub(crate) const BUCKETS: usize = 65;
 
-#[derive(Debug)]
-struct HistogramCells {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+/// The bucket a sample lands in.
+#[inline]
+pub(crate) fn bucket_index(value: u64) -> usize {
+    (64 - value.leading_zeros()) as usize
 }
 
-/// A power-of-two bucketed distribution of `u64` samples.
-///
-/// Bucket `i` holds samples whose bit length is `i` (bucket 0 is the value
-/// zero), so the histogram spans the full `u64` range in 65 cells with one
-/// `leading_zeros` per record. Quantiles read from bucket midpoints —
-/// coarse, but plenty to tell a 2 µs lookup from a 2 ms one.
+/// The largest value bucket `i` holds: `2^i - 1`.
+pub(crate) fn bucket_upper(i: usize) -> u64 {
+    if i >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << i) - 1
+    }
+}
+
+/// The value a quantile landing in bucket `i` reports: the middle of the
+/// bucket's `[2^(i-1), 2^i)` range (0 for bucket 0).
+pub(crate) fn bucket_midpoint(i: usize) -> u64 {
+    if i == 0 {
+        0
+    } else {
+        (1u64 << (i - 1)).saturating_add(1 << (i - 1) >> 1)
+    }
+}
+
+/// The atomic cells of one histogram: bucket counts plus count, sum, min
+/// and max. [`Histogram`] holds one set; each [`WindowedHistogram`] slot
+/// holds another.
+#[derive(Debug)]
+pub(crate) struct HistogramCells {
+    pub(crate) buckets: [AtomicU64; BUCKETS],
+    pub(crate) count: AtomicU64,
+    pub(crate) sum: AtomicU64,
+    pub(crate) min: AtomicU64,
+    pub(crate) max: AtomicU64,
+}
+
+impl HistogramCells {
+    pub(crate) fn new() -> HistogramCells {
+        HistogramCells {
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+        }
+    }
+
+    /// Records one sample: a handful of relaxed atomic updates.
+    #[inline]
+    pub(crate) fn record(&self, value: u64) {
+        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.min.fetch_min(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
+    }
+
+    /// Resets every cell to the empty state.
+    pub(crate) fn clear(&self) {
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
+        }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.min.store(u64::MAX, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
+    }
+}
+
+/// A power-of-two bucketed distribution of `u64` samples: bucket `i`
+/// holds the samples of bit length `i`. Quantiles read from bucket
+/// midpoints — coarse, but plenty to tell a 2 µs lookup from a 2 ms one.
 #[derive(Clone, Debug)]
 pub struct Histogram {
     cells: Arc<HistogramCells>,
@@ -113,13 +179,7 @@ pub struct Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            cells: Arc::new(HistogramCells {
-                buckets: [const { AtomicU64::new(0) }; BUCKETS],
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
-            }),
+            cells: Arc::new(HistogramCells::new()),
         }
     }
 }
@@ -127,13 +187,7 @@ impl Default for Histogram {
 impl Histogram {
     /// Records one sample.
     pub fn record(&self, value: u64) {
-        let idx = (64 - value.leading_zeros()) as usize;
-        let c = &self.cells;
-        c.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        c.count.fetch_add(1, Ordering::Relaxed);
-        c.sum.fetch_add(value, Ordering::Relaxed);
-        c.min.fetch_min(value, Ordering::Relaxed);
-        c.max.fetch_max(value, Ordering::Relaxed);
+        self.cells.record(value);
     }
 
     /// Number of recorded samples.
@@ -396,120 +450,18 @@ impl Obs {
     }
 }
 
-/// Counter names ticked by [`record_quarantine`]: the aggregate, one per
-/// layer, and one per error variant (suffix = the variant's
-/// `counter_suffix`). Registering them up front (via
-/// [`register_ingest_counters`]) keeps clean runs and corrupted runs
-/// structurally identical in reports and Prometheus exports.
-pub const INGEST_QUARANTINED: &str = "ingest.quarantined";
-
-/// Registers the full quarantine counter family at zero.
-pub fn register_ingest_counters(obs: &Obs) {
-    obs.counter(INGEST_QUARANTINED);
-    for layer in IngestLayer::ALL {
-        obs.counter(&format!("{INGEST_QUARANTINED}.{}", layer.name()));
-    }
-    for kind in IngestErrorKind::ALL {
-        obs.counter(&format!("{INGEST_QUARANTINED}.{}", kind.counter_suffix()));
-    }
-}
-
-/// Adds a quarantine store's counts onto the counter family registered by
-/// [`register_ingest_counters`].
+/// Adds a quarantine store's counts onto the `ingest.quarantined*`
+/// family a build registers at zero from the [`catalogue`].
 pub fn record_quarantine(obs: &Obs, quarantine: &Quarantine) {
-    obs.counter(INGEST_QUARANTINED).add(quarantine.len());
+    obs.counter("ingest.quarantined").add(quarantine.len());
     for layer in IngestLayer::ALL {
-        obs.counter(&format!("{INGEST_QUARANTINED}.{}", layer.name()))
+        obs.counter(&format!("ingest.quarantined.{}", layer.name()))
             .add(quarantine.count_for_layer(layer));
     }
     for kind in IngestErrorKind::ALL {
-        obs.counter(&format!("{INGEST_QUARANTINED}.{}", kind.counter_suffix()))
+        obs.counter(&format!("ingest.quarantined.{}", kind.counter_suffix()))
             .add(quarantine.count_for_kind(kind));
     }
-}
-
-/// Torn or altered artifacts detected by manifest/frame verification.
-pub const STORE_TORN_DETECTED: &str = "store.torn_detected";
-/// Builds whose checkpoint verified and whose pipeline was skipped.
-pub const CHECKPOINT_SKIPPED: &str = "checkpoint.skipped";
-/// Builds whose checkpoint was stale/torn and were recomputed.
-pub const CHECKPOINT_RECOMPUTED: &str = "checkpoint.recomputed";
-/// Artifacts verified against a checkpoint or manifest digest.
-pub const CHECKPOINT_ARTIFACTS_VERIFIED: &str = "checkpoint.artifacts_verified";
-/// Injected I/O faults of any kind (nonzero only under fault injection).
-pub const IO_FAULT_INJECTED: &str = "io.fault.injected";
-/// Injected short (torn) writes.
-pub const IO_FAULT_SHORT_WRITE: &str = "io.fault.short_write";
-/// Injected out-of-space failures.
-pub const IO_FAULT_ENOSPC: &str = "io.fault.enospc";
-/// Injected I/O errors.
-pub const IO_FAULT_EIO: &str = "io.fault.eio";
-
-/// Registers the durability counter family at zero, so clean runs and
-/// chaos runs are structurally identical in reports and Prometheus
-/// exports (same rationale as [`register_ingest_counters`]).
-pub fn register_durability_counters(obs: &Obs) {
-    obs.counter(STORE_TORN_DETECTED);
-    obs.counter(CHECKPOINT_SKIPPED);
-    obs.counter(CHECKPOINT_RECOMPUTED);
-    obs.counter(CHECKPOINT_ARTIFACTS_VERIFIED);
-    obs.counter(IO_FAULT_INJECTED);
-    obs.counter(IO_FAULT_SHORT_WRITE);
-    obs.counter(IO_FAULT_ENOSPC);
-    obs.counter(IO_FAULT_EIO);
-}
-
-/// Attributed prefixes whose announced routes validated as RPKI-valid.
-pub const ROV_VALID: &str = "rov.valid";
-/// Attributed prefixes with covering VRPs but no authorizing one.
-pub const ROV_INVALID: &str = "rov.invalid";
-/// Attributed prefixes with no covering VRP at all.
-pub const ROV_NOT_FOUND: &str = "rov.not_found";
-/// Operator exception rules that overrode a record's attribution.
-pub const EXCEPTIONS_ASSERTED: &str = "exceptions.asserted";
-/// Records removed from the dataset by operator filter rules.
-pub const EXCEPTIONS_FILTERED: &str = "exceptions.filtered";
-/// Exception rules that matched no attributed prefix.
-pub const EXCEPTIONS_UNMATCHED: &str = "exceptions.unmatched";
-
-/// Registers the ROV + operator-exception counter family at zero, so runs
-/// without an exception file (or any RPKI coverage) are structurally
-/// identical in reports (same rationale as [`register_ingest_counters`]).
-pub fn register_rov_counters(obs: &Obs) {
-    obs.counter(ROV_VALID);
-    obs.counter(ROV_INVALID);
-    obs.counter(ROV_NOT_FOUND);
-    obs.counter(EXCEPTIONS_ASSERTED);
-    obs.counter(EXCEPTIONS_FILTERED);
-    obs.counter(EXCEPTIONS_UNMATCHED);
-}
-
-/// Peak accounted ingest working set in bytes.
-pub const MEM_PEAK_BYTES: &str = "mem.peak_bytes";
-/// Configured memory budget in bytes (0 = unlimited).
-pub const MEM_BUDGET_BYTES: &str = "mem.budget_bytes";
-/// Charges that pushed the working set past the budget.
-pub const MEM_BUDGET_EXCEEDED: &str = "mem.budget_exceeded";
-/// Spill runs written by the streaming loader.
-pub const MEM_SPILL_RUNS_CREATED: &str = "mem.spill_runs_created";
-/// Spill runs consumed to exhaustion by the k-way merge.
-pub const MEM_SPILL_RUNS_MERGED: &str = "mem.spill_runs_merged";
-/// Bytes written to spill-run files (framed).
-pub const MEM_SPILL_BYTES_WRITTEN: &str = "mem.spill_bytes_written";
-/// Bytes read back from spill-run files (digest pass included).
-pub const MEM_SPILL_BYTES_READ: &str = "mem.spill_bytes_read";
-
-/// Registers the memory/spill counter family at zero, so in-memory runs
-/// report explicit zero spill activity instead of missing series (same
-/// rationale as [`register_ingest_counters`]).
-pub fn register_mem_counters(obs: &Obs) {
-    obs.counter(MEM_PEAK_BYTES);
-    obs.counter(MEM_BUDGET_BYTES);
-    obs.counter(MEM_BUDGET_EXCEEDED);
-    obs.counter(MEM_SPILL_RUNS_CREATED);
-    obs.counter(MEM_SPILL_RUNS_MERGED);
-    obs.counter(MEM_SPILL_BYTES_WRITTEN);
-    obs.counter(MEM_SPILL_BYTES_READ);
 }
 
 /// The `memory` section of a run report: how the build's working set was
@@ -710,12 +662,7 @@ pub(crate) fn midpoint_quantile(buckets: &[u64], count: u64, max: u64, q: f64) -
     for (i, &n) in buckets.iter().enumerate() {
         seen += n;
         if seen >= target {
-            // Midpoint of bucket i: values with bit length i.
-            return if i == 0 {
-                0
-            } else {
-                (1u64 << (i - 1)).saturating_add(1 << (i - 1) >> 1)
-            };
+            return bucket_midpoint(i);
         }
     }
     max
@@ -1117,7 +1064,7 @@ mod tests {
     fn data_quality_round_trips_and_ticks_counters() {
         use p2o_util::ingest::QuarantinedRecord;
         let obs = Obs::new();
-        register_ingest_counters(&obs);
+        catalogue::register(&obs, catalogue::Source::BuildSetup);
         let mut q = Quarantine::default();
         q.push(QuarantinedRecord::new(
             IngestErrorKind::MrtBadType,
@@ -1144,11 +1091,10 @@ mod tests {
     #[test]
     fn durability_round_trips_and_registers_zeroed_counters() {
         let obs = Obs::new();
-        register_durability_counters(&obs);
+        catalogue::register(&obs, catalogue::Source::BuildSetup);
         let mut report = obs.report();
-        assert_eq!(report.counter(STORE_TORN_DETECTED), Some(0));
-        assert_eq!(report.counter(CHECKPOINT_SKIPPED), Some(0));
-        assert_eq!(report.counter(IO_FAULT_INJECTED), Some(0));
+        assert_eq!(report.counter("store.torn_detected"), Some(0));
+        assert_eq!(report.counter("io.fault.injected"), Some(0));
         report.durability = Some(DurabilitySummary {
             atomic_writes: 14,
             artifacts_verified: 12,

@@ -16,16 +16,19 @@
 //!
 //! Dotted registry names (`whois.records`) are sanitized to the metric
 //! grammar (`[a-zA-Z_:][a-zA-Z0-9_:]*`) and prefixed `p2o_`, e.g.
-//! `p2o_whois_records_total`.
+//! `p2o_whois_records_total`. Every family whose registry name is in the
+//! [`catalogue`] gets one `# HELP` line from its row before its `# TYPE`
+//! line.
 
-use crate::{HistogramReport, RunReport, StageReport};
+use crate::catalogue::{self, Kind};
+use crate::{bucket_upper, HistogramReport, RunReport, StageReport};
 
 /// Renders `report` in the Prometheus text exposition format.
 pub fn to_prometheus(report: &RunReport) -> String {
     let mut out = String::new();
     for (name, value) in &report.counters {
-        let metric = format!("{}_total", metric_name(name));
-        out.push_str(&format!("# TYPE {metric} counter\n"));
+        let metric = family_name(name, Kind::Counter);
+        write_header(&mut out, name, &metric, Kind::Counter);
         out.push_str(&format!("{metric} {value}\n"));
     }
     for hist in &report.histograms {
@@ -35,11 +38,58 @@ pub fn to_prometheus(report: &RunReport) -> String {
     out
 }
 
+/// The exposition name of registry name `name`: sanitized, prefixed
+/// `p2o_`, and suffixed `_total` for a counter.
+pub fn family_name(name: &str, kind: Kind) -> String {
+    let mut out = metric_name(name);
+    if kind == Kind::Counter {
+        out.push_str("_total");
+    }
+    out
+}
+
+/// Writes a family's `# HELP` line, when `name` is catalogued, and its
+/// `# TYPE` line.
+fn write_header(out: &mut String, name: &str, family: &str, kind: Kind) {
+    if let Some((_, help)) = catalogue::lookup(name) {
+        out.push_str(&format!("# HELP {family} {help}\n"));
+    }
+    out.push_str(&format!("# TYPE {family} {}\n", kind.as_str()));
+}
+
+/// A catalogued family resolved once for repeated rendering: its
+/// exposition name and its `# HELP`/`# TYPE` header.
+#[derive(Clone, Debug)]
+pub struct Family {
+    /// The exposition name, e.g. `p2o_serve_uptime_seconds`.
+    pub name: String,
+    /// The `# HELP` and `# TYPE` lines.
+    pub header: String,
+}
+
+impl Family {
+    /// Resolves registry name `name` against the catalogue.
+    ///
+    /// # Panics
+    ///
+    /// When `name` has no catalogue row.
+    pub fn of(name: &str) -> Family {
+        let (row, _) = catalogue::lookup(name)
+            .unwrap_or_else(|| panic!("{name} is not in the metric catalogue"));
+        let family = family_name(name, row.kind);
+        let mut header = String::new();
+        write_header(&mut header, name, &family, row.kind);
+        Family {
+            name: family,
+            header,
+        }
+    }
+}
+
 fn render_histogram(out: &mut String, hist: &HistogramReport) {
     let metric = metric_name(&hist.name);
-    out.push_str(&format!("# TYPE {metric} histogram\n"));
-    // Emit boundaries up to the highest non-empty bucket; bucket i holds
-    // values of bit length i, so its inclusive upper bound is 2^i - 1.
+    write_header(out, &hist.name, &metric, Kind::Histogram);
+    // Emit boundaries up to the highest non-empty bucket.
     let top = hist
         .buckets
         .iter()
@@ -48,7 +98,7 @@ fn render_histogram(out: &mut String, hist: &HistogramReport) {
     let mut cumulative = 0u64;
     for (i, &n) in hist.buckets.iter().take(top).enumerate() {
         cumulative += n;
-        let le = if i >= 64 { u64::MAX } else { (1u64 << i) - 1 };
+        let le = bucket_upper(i);
         out.push_str(&format!("{metric}_bucket{{le=\"{le}\"}} {cumulative}\n"));
     }
     out.push_str(&format!("{metric}_bucket{{le=\"+Inf\"}} {}\n", hist.count));
@@ -73,27 +123,24 @@ fn render_stages(out: &mut String, stages: &[StageReport]) {
             None => agg.push((s.name.clone(), s.wall_ns, s.items.unwrap_or(0), 1)),
         }
     }
-    out.push_str("# TYPE p2o_stage_wall_seconds gauge\n");
-    for (name, wall, _, _) in &agg {
-        out.push_str(&format!(
-            "p2o_stage_wall_seconds{{stage=\"{}\"}} {}\n",
-            label_value(name),
-            *wall as f64 / 1e9
-        ));
-    }
-    out.push_str("# TYPE p2o_stage_items gauge\n");
-    for (name, _, items, _) in &agg {
-        out.push_str(&format!(
-            "p2o_stage_items{{stage=\"{}\"}} {items}\n",
-            label_value(name)
-        ));
-    }
-    out.push_str("# TYPE p2o_stage_runs gauge\n");
-    for (name, _, _, runs) in &agg {
-        out.push_str(&format!(
-            "p2o_stage_runs{{stage=\"{}\"}} {runs}\n",
-            label_value(name)
-        ));
+    let columns: [(&str, Vec<String>); 3] = [
+        (
+            "stage.wall_seconds",
+            agg.iter().map(|s| (s.1 as f64 / 1e9).to_string()).collect(),
+        ),
+        ("stage.items", agg.iter().map(|s| s.2.to_string()).collect()),
+        ("stage.runs", agg.iter().map(|s| s.3.to_string()).collect()),
+    ];
+    for (name, values) in columns {
+        let family = Family::of(name);
+        out.push_str(&family.header);
+        for (stage, value) in agg.iter().zip(values) {
+            out.push_str(&format!(
+                "{}{{stage=\"{}\"}} {value}\n",
+                family.name,
+                label_value(&stage.0)
+            ));
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! both recordable from any number of threads without a lock:
 //!
 //! - [`WindowedHistogram`] — a ring of fixed-duration slots, each holding
-//!   a power-of-two bucket histogram. Recording picks the slot for the
+//!   the cells of one cumulative histogram. Recording picks the slot for the
 //!   current time and does a handful of relaxed atomic adds; reading
 //!   merges the last N slots into p50/p90/p99/max plus a request rate
 //!   over 10s/60s/5m windows. Slots are recycled in place with an epoch
@@ -38,31 +38,27 @@ use std::time::Instant;
 
 use p2o_util::json::Json;
 
-use crate::midpoint_quantile;
+use crate::{midpoint_quantile, HistogramCells, BUCKETS};
 
 /// Duration of one ring slot, in seconds.
 pub const SLOT_SECS: u64 = 5;
 const SLOT_NS: u64 = SLOT_SECS * 1_000_000_000;
 /// Ring length: the longest window (5 m = 60 slots) plus the active slot.
 const SLOTS: usize = 61;
-const VALUE_BUCKETS: usize = 65;
 
 /// The reporting windows every [`WindowedHistogram`] serves, as
 /// `(label, seconds)` pairs: 10 s, 60 s, 5 m.
 pub const WINDOWS: &[(&str, u64)] = &[("10s", 10), ("60s", 60), ("5m", 300)];
 
-/// One ring slot: a small power-of-two histogram plus the epoch (slot
-/// period index) it currently holds samples for.
+/// One ring slot: the cumulative histogram's cells plus the epoch (slot
+/// period index) they currently hold samples for.
 struct Slot {
     /// Published epoch: samples in this slot belong to this period.
     epoch: AtomicU64,
     /// Highest epoch any thread has claimed this slot for; the claim
-    /// winner clears the counters and then publishes `epoch`.
+    /// winner clears the cells and then publishes `epoch`.
     claim: AtomicU64,
-    buckets: [AtomicU64; VALUE_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
+    cells: HistogramCells,
 }
 
 impl Slot {
@@ -70,28 +66,8 @@ impl Slot {
         Slot {
             epoch: AtomicU64::new(epoch),
             claim: AtomicU64::new(epoch),
-            buckets: [const { AtomicU64::new(0) }; VALUE_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+            cells: HistogramCells::new(),
         }
-    }
-
-    fn add(&self, value: u64) {
-        let idx = (64 - value.leading_zeros()) as usize;
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    fn clear(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 }
 
@@ -160,7 +136,7 @@ impl WindowedHistogram {
         let slot = &self.inner.slots[(e % SLOTS as u64) as usize];
         let cur = slot.epoch.load(Ordering::Acquire);
         if cur == e {
-            slot.add(value);
+            slot.cells.record(value);
             return;
         }
         if cur > e {
@@ -169,7 +145,7 @@ impl WindowedHistogram {
             return;
         }
         // The slot still holds a lapped period. Race to recycle it: the
-        // claim winner clears the counters, then publishes the epoch.
+        // claim winner clears the cells, then publishes the epoch.
         let claim = slot.claim.load(Ordering::Acquire);
         if claim < e
             && slot
@@ -177,16 +153,16 @@ impl WindowedHistogram {
                 .compare_exchange(claim, e, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
         {
-            slot.clear();
+            slot.cells.clear();
             slot.epoch.store(e, Ordering::Release);
-            slot.add(value);
+            slot.cells.record(value);
             return;
         }
         // Another thread is mid-reset; give it a short moment.
         for _ in 0..64 {
             if slot.epoch.load(Ordering::Acquire) >= e {
                 if slot.epoch.load(Ordering::Acquire) == e {
-                    slot.add(value);
+                    slot.cells.record(value);
                 } else {
                     self.inner.rollover_drops.fetch_add(1, Ordering::Relaxed);
                 }
@@ -214,7 +190,7 @@ impl WindowedHistogram {
         let cur = now_ns / SLOT_NS;
         let span_slots = window_secs.div_ceil(SLOT_SECS).clamp(1, SLOTS as u64 - 1);
         let lo = cur.saturating_sub(span_slots - 1);
-        let mut buckets = vec![0u64; VALUE_BUCKETS];
+        let mut buckets = vec![0u64; BUCKETS];
         let mut count = 0u64;
         let mut sum = 0u64;
         let mut max = 0u64;
@@ -226,10 +202,11 @@ impl WindowedHistogram {
             // Counter loads are relaxed: a reader racing a writer may see
             // a count that is one ahead of the buckets (or vice versa);
             // quantiles tolerate that by construction.
-            count += slot.count.load(Ordering::Relaxed);
-            sum += slot.sum.load(Ordering::Relaxed);
-            max = max.max(slot.max.load(Ordering::Relaxed));
-            for (acc, b) in buckets.iter_mut().zip(&slot.buckets) {
+            let cells = &slot.cells;
+            count += cells.count.load(Ordering::Relaxed);
+            sum += cells.sum.load(Ordering::Relaxed);
+            max = max.max(cells.max.load(Ordering::Relaxed));
+            for (acc, b) in buckets.iter_mut().zip(&cells.buckets) {
                 *acc += b.load(Ordering::Relaxed);
             }
         }

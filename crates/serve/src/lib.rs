@@ -21,8 +21,11 @@
 //!   `serve.*` metrics (cumulative + rolling-window), request ids, the
 //!   flight recorder, `/status` + `/debug/*` introspection, the
 //!   `/reload` swap discipline, and graceful drain;
-//! - [`client`]: a minimal blocking client used by the tests, the chaos
-//!   harness, and the `bench serve` load harness.
+//! - [`client`]: a minimal blocking client used by the tests and the
+//!   chaos harness.
+//!
+//! Serving performance is measured end to end by perfbench
+//! (`BENCHMARK.json` and `perfbench/` at the repository root).
 //!
 //! The correctness anchor: every snapshot serves one representation, a
 //! validated [`prefix2org::FrozenDataset`] — attached from `world.p2ob`

@@ -9,7 +9,7 @@
 //! | `GET /prefix/<cidr>`      | longest-match lookup: DO, DC chain, cluster, MOAS origin set, provenance |
 //! | `POST /batch`             | one CIDR per body line; JSONL responses in order |
 //! | `GET /dump[?serial=N]`    | full table as reset, or delta since serial `N` |
-//! | `GET /metrics`            | Prometheus text exposition (`serve.*` + windowed gauges + pipeline counters) |
+//! | `GET /metrics`            | Prometheus text exposition of the catalogued `serve.*` counters, histograms and gauges |
 //! | `POST /reload`            | re-verify and atomically swap to an artifact dir |
 //! | `GET /health`             | liveness + serial/digest + uptime + 60 s request rate |
 //! | `GET /status`             | ops view: per-endpoint windowed percentiles/rates, snapshot generation, connection gauge, flight-recorder occupancy |
@@ -46,7 +46,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use p2o_net::Prefix;
-use p2o_obs::{promexpo, FlightRecorder, FlightSample, Obs, WindowedHistogram, WINDOWS};
+use p2o_obs::catalogue::{self, Source};
+use p2o_obs::promexpo::{self, Family};
+use p2o_obs::{Counter, FlightRecorder, FlightSample, Histogram, Obs, WindowedHistogram, WINDOWS};
 use p2o_util::json::{write_escaped, Json};
 use prefix2org::delta::diff_exports;
 use prefix2org::ExportRecord;
@@ -81,21 +83,7 @@ const DRAIN_GRACE: Duration = Duration::from_millis(100);
 /// the full idle timeout, without any cross-thread socket plumbing.
 const STOP_POLL: Duration = Duration::from_millis(50);
 
-/// The endpoint labels every per-endpoint series is registered under.
-/// `other` collects unroutable paths, parse errors, and overflow rejects.
-pub const ENDPOINTS: &[&str] = &[
-    "prefix",
-    "batch",
-    "dump",
-    "metrics",
-    "health",
-    "status",
-    "debug.requests",
-    "debug.trace",
-    "reload",
-    "quit",
-    "other",
-];
+pub use p2o_obs::catalogue::ENDPOINTS;
 
 /// Index into [`ENDPOINTS`] for a request path.
 fn classify(path: &str) -> usize {
@@ -169,24 +157,79 @@ struct EndpointStat {
     /// Rolling 10s/60s/5m latency windows (lock-free recording).
     windowed: WindowedHistogram,
     /// Cumulative-since-boot latency histogram (`serve.latency.<name>`).
-    cumulative: p2o_obs::Histogram,
+    cumulative: Histogram,
     /// Cumulative request count (`serve.requests.<name>`).
-    requests: p2o_obs::Counter,
+    requests: Counter,
 }
 
-/// The request path's metric handles, registered once at spawn so that no
-/// request takes the registry lock or scans it by name.
+/// Every metric handle the server records into or renders, registered
+/// from the catalogue and taken once at spawn, so that nothing after spawn
+/// takes the registry lock to find a handle or looks one up by name.
 struct ServeMetrics {
+    connections: Counter,
     /// `serve.requests`: every response, early rejects included.
-    requests: p2o_obs::Counter,
-    http_4xx: p2o_obs::Counter,
-    http_5xx: p2o_obs::Counter,
+    requests: Counter,
+    http_4xx: Counter,
+    http_5xx: Counter,
+    reloads: Counter,
+    reload_failures: Counter,
     /// `serve.batch_prefixes`: non-blank `/batch` lines answered.
-    batch_prefixes: p2o_obs::Counter,
+    batch_prefixes: Counter,
+    access_log_failures: Counter,
     /// `serve.lookup_ns`: one sample per `/prefix` lookup and `/batch` line.
-    lookup_ns: p2o_obs::Histogram,
+    lookup_ns: Histogram,
     /// Parallel to [`ENDPOINTS`].
     endpoints: Vec<EndpointStat>,
+    gauges: Gauges,
+}
+
+/// The gauge families `/metrics` renders from live state on each scrape.
+struct Gauges {
+    uptime: Family,
+    connections_active: Family,
+    rss: Family,
+    window_latency: Family,
+    window_rate: Family,
+    snapshot_rov: Family,
+    snapshot_exceptions: Family,
+}
+
+impl ServeMetrics {
+    /// Registers the catalogue's `serve spawn` rows at zero, in table
+    /// order, so a fresh server's `/metrics` shows explicit zeros, then
+    /// takes the handles.
+    fn new(obs: &Obs) -> ServeMetrics {
+        catalogue::register(obs, Source::ServeSpawn);
+        ServeMetrics {
+            connections: obs.counter("serve.connections"),
+            requests: obs.counter("serve.requests"),
+            http_4xx: obs.counter("serve.http_4xx"),
+            http_5xx: obs.counter("serve.http_5xx"),
+            reloads: obs.counter("serve.reloads"),
+            reload_failures: obs.counter("serve.reload_failures"),
+            batch_prefixes: obs.counter("serve.batch_prefixes"),
+            access_log_failures: obs.counter("serve.access_log_failures"),
+            lookup_ns: obs.histogram("serve.lookup_ns"),
+            endpoints: ENDPOINTS
+                .iter()
+                .map(|&name| EndpointStat {
+                    name,
+                    windowed: WindowedHistogram::new(),
+                    cumulative: obs.histogram(&format!("serve.latency.{name}")),
+                    requests: obs.counter(&format!("serve.requests.{name}")),
+                })
+                .collect(),
+            gauges: Gauges {
+                uptime: Family::of("serve.uptime_seconds"),
+                connections_active: Family::of("serve.connections_active"),
+                rss: Family::of("serve.rss_bytes"),
+                window_latency: Family::of("serve.window_latency_ns"),
+                window_rate: Family::of("serve.window_rate"),
+                snapshot_rov: Family::of("serve.snapshot_rov"),
+                snapshot_exceptions: Family::of("serve.snapshot_exceptions"),
+            },
+        }
+    }
 }
 
 /// Shared server state: the snapshot cell, metrics, loader, delta log.
@@ -281,7 +324,7 @@ fn finish_request(state: &ServerState, out: &RequestOutcome<'_>) {
         o.set("snapshot", out.snapshot);
         o.set("family", out.family.to_string());
         if access.push(&o.to_string()).is_err() {
-            state.obs.counter("serve.access_log_failures").incr();
+            state.metrics.access_log_failures.incr();
         }
     }
 }
@@ -384,7 +427,7 @@ pub fn spawn(
         .local_addr()
         .map_err(|e| format!("resolving bound address: {e}"))?;
     let obs = Arc::new(Obs::new());
-    let metrics = register_serve_metrics(&obs);
+    let metrics = ServeMetrics::new(&obs);
     let state = Arc::new(ServerState {
         cell: Arc::new(SnapshotCell::new(Arc::new(initial))),
         obs,
@@ -416,37 +459,6 @@ pub fn spawn(
         accept_thread: Some(accept_thread),
         finished: false,
     })
-}
-
-/// Registers the `serve.*` metric family up front so a fresh server's
-/// `/metrics` shows explicit zeros rather than missing series, and builds
-/// the request path's recording handles.
-fn register_serve_metrics(obs: &Obs) -> ServeMetrics {
-    // Registration order is exposition order.
-    obs.counter("serve.connections");
-    let requests = obs.counter("serve.requests");
-    let http_4xx = obs.counter("serve.http_4xx");
-    let http_5xx = obs.counter("serve.http_5xx");
-    obs.counter("serve.reloads");
-    obs.counter("serve.reload_failures");
-    let batch_prefixes = obs.counter("serve.batch_prefixes");
-    obs.counter("serve.access_log_failures");
-    ServeMetrics {
-        requests,
-        http_4xx,
-        http_5xx,
-        batch_prefixes,
-        lookup_ns: obs.histogram("serve.lookup_ns"),
-        endpoints: ENDPOINTS
-            .iter()
-            .map(|&name| EndpointStat {
-                name,
-                windowed: WindowedHistogram::new(),
-                cumulative: obs.histogram(&format!("serve.latency.{name}")),
-                requests: obs.counter(&format!("serve.requests.{name}")),
-            })
-            .collect(),
-    }
 }
 
 fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
@@ -486,7 +498,7 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
             continue;
         }
         state.active.fetch_add(1, Ordering::Relaxed);
-        state.obs.counter("serve.connections").incr();
+        state.metrics.connections.incr();
         let conn_state = Arc::clone(&state);
         let _ = std::thread::Builder::new()
             .name("p2o-serve-conn".into())
@@ -716,7 +728,7 @@ fn route(state: &Arc<ServerState>, snap: &Arc<Snapshot>, request: &Request) -> R
         ("GET", "/metrics") => {
             let mut text = promexpo::to_prometheus(&state.obs.report());
             text.push_str(&windowed_exposition(state));
-            text.push_str(&snapshot_exposition(snap));
+            text.push_str(&snapshot_exposition(&state.metrics.gauges, snap));
             (200, "text/plain; version=0.0.4", text.into_bytes())
         }
         ("POST", "/reload") => reload(state, snap, &request.body),
@@ -838,7 +850,7 @@ fn status_page(state: &Arc<ServerState>, snap: &Arc<Snapshot>) -> (u16, &'static
     o.set("snapshot", snapshot);
     let mut conns = Json::object();
     conns.set("active", state.active.load(Ordering::Relaxed) as u64);
-    conns.set("total", state.obs.counter("serve.connections").get());
+    conns.set("total", state.metrics.connections.get());
     conns.set("max", state.max_connections as u64);
     o.set("connections", conns);
     o.set("requests_total", state.request_ids.load(Ordering::Relaxed));
@@ -974,30 +986,21 @@ fn quit(state: &Arc<ServerState>) -> Routed {
 /// scrape (gauges over rolling windows cannot live in the cumulative
 /// registry).
 fn windowed_exposition(state: &Arc<ServerState>) -> String {
+    let gauges = &state.metrics.gauges;
     let mut out = String::new();
-    out.push_str("# HELP p2o_serve_uptime_seconds Seconds since the server started.\n");
-    out.push_str("# TYPE p2o_serve_uptime_seconds gauge\n");
-    out.push_str(&format!(
-        "p2o_serve_uptime_seconds {}\n",
-        state.started.elapsed().as_secs()
-    ));
-    out.push_str("# HELP p2o_serve_connections_active Currently open connections.\n");
-    out.push_str("# TYPE p2o_serve_connections_active gauge\n");
-    out.push_str(&format!(
-        "p2o_serve_connections_active {}\n",
-        state.active.load(Ordering::Relaxed)
-    ));
-    out.push_str(
-        "# HELP p2o_serve_rss_bytes Resident set size of the serving process \
-         (0 where the platform offers no cheap probe).\n",
-    );
-    out.push_str("# TYPE p2o_serve_rss_bytes gauge\n");
-    out.push_str(&format!("p2o_serve_rss_bytes {}\n", process_rss_bytes()));
-    out.push_str(
-        "# HELP p2o_serve_window_latency_ns Rolling-window latency quantiles per endpoint.\n",
-    );
-    out.push_str("# TYPE p2o_serve_window_latency_ns gauge\n");
-    let mut rates = String::new();
+    for (family, value) in [
+        (&gauges.uptime, state.started.elapsed().as_secs()),
+        (
+            &gauges.connections_active,
+            state.active.load(Ordering::Relaxed) as u64,
+        ),
+        (&gauges.rss, process_rss_bytes()),
+    ] {
+        out.push_str(&family.header);
+        out.push_str(&format!("{} {value}\n", family.name));
+    }
+    out.push_str(&gauges.window_latency.header);
+    let mut rates = gauges.window_rate.header.clone();
     for stat in &state.metrics.endpoints {
         for &(label, secs) in WINDOWS {
             let w = stat.windowed.window(secs);
@@ -1008,18 +1011,16 @@ fn windowed_exposition(state: &Arc<ServerState>) -> String {
                 ("max", w.max),
             ] {
                 out.push_str(&format!(
-                    "p2o_serve_window_latency_ns{{endpoint=\"{}\",window=\"{label}\",quantile=\"{q}\"}} {v}\n",
-                    stat.name
+                    "{}{{endpoint=\"{}\",window=\"{label}\",quantile=\"{q}\"}} {v}\n",
+                    gauges.window_latency.name, stat.name
                 ));
             }
             rates.push_str(&format!(
-                "p2o_serve_window_rate{{endpoint=\"{}\",window=\"{label}\"}} {:.3}\n",
-                stat.name, w.rate_per_sec
+                "{}{{endpoint=\"{}\",window=\"{label}\"}} {:.3}\n",
+                gauges.window_rate.name, stat.name, w.rate_per_sec
             ));
         }
     }
-    out.push_str("# HELP p2o_serve_window_rate Rolling-window request rate per endpoint.\n");
-    out.push_str("# TYPE p2o_serve_window_rate gauge\n");
     out.push_str(&rates);
     out
 }
@@ -1050,28 +1051,23 @@ fn process_rss_bytes() -> u64 {
 /// the local-exception override count. Rendered per scrape from the
 /// snapshot `Arc` the request pinned, so the series always describe one
 /// consistent snapshot (never a mid-reload mix).
-fn snapshot_exposition(snap: &Arc<Snapshot>) -> String {
+fn snapshot_exposition(gauges: &Gauges, snap: &Arc<Snapshot>) -> String {
     let [valid, invalid, not_found] = snap.rov_tallies();
-    let mut out = String::new();
-    out.push_str(
-        "# HELP p2o_serve_snapshot_rov Served records per RPKI route origin validation state.\n",
-    );
-    out.push_str("# TYPE p2o_serve_snapshot_rov gauge\n");
+    let mut out = gauges.snapshot_rov.header.clone();
     for (label, v) in [
         ("valid", valid),
         ("invalid", invalid),
         ("not_found", not_found),
     ] {
         out.push_str(&format!(
-            "p2o_serve_snapshot_rov{{state=\"{label}\"}} {v}\n"
+            "{}{{state=\"{label}\"}} {v}\n",
+            gauges.snapshot_rov.name
         ));
     }
-    out.push_str(
-        "# HELP p2o_serve_snapshot_exceptions Served records overridden by a local exception.\n",
-    );
-    out.push_str("# TYPE p2o_serve_snapshot_exceptions gauge\n");
+    out.push_str(&gauges.snapshot_exceptions.header);
     out.push_str(&format!(
-        "p2o_serve_snapshot_exceptions {}\n",
+        "{} {}\n",
+        gauges.snapshot_exceptions.name,
         snap.exception_count()
     ));
     out
@@ -1276,7 +1272,7 @@ fn reload(
     };
     match (state.loader)(&dir) {
         Err(e) => {
-            state.obs.counter("serve.reload_failures").incr();
+            state.metrics.reload_failures.incr();
             let mut o = Json::object();
             o.set("error", format!("reload rejected: {e}"));
             o.set("serial", old.serial);
@@ -1301,7 +1297,7 @@ fn reload(
                 }
             }
             state.cell.swap(Arc::clone(&new));
-            state.obs.counter("serve.reloads").incr();
+            state.metrics.reloads.incr();
             let mut o = Json::object();
             o.set("status", "reloaded");
             o.set("dir", new.dir.display().to_string());

@@ -184,13 +184,10 @@ impl World {
     pub fn build_inputs_with(&self, obs: Option<&p2o_obs::Obs>) -> BuiltInputs {
         let mut db = WhoisDb::new();
         if let Some(o) = obs {
-            // The quarantine counter family is part of the instrumented
-            // surface even on clean input (all zeros), so clean and
+            // The zero-registered counter families are part of the
+            // instrumented surface even on clean input, so clean and
             // corrupted runs stay structurally identical.
-            p2o_obs::register_ingest_counters(o);
-            p2o_obs::register_durability_counters(o);
-            p2o_obs::register_rov_counters(o);
-            p2o_obs::register_mem_counters(o);
+            p2o_obs::catalogue::register(o, p2o_obs::catalogue::Source::BuildSetup);
             db.instrument(o);
         }
         for dump in &self.whois_dumps {

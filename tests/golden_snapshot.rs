@@ -45,7 +45,6 @@ const GOLDEN_COUNTERS: &[(&str, u64)] = &[
     // golden build performs no atomic writes, resumes, or fault injection,
     // but the counters must still be registered.
     ("store.torn_detected", 0),
-    ("checkpoint.skipped", 0),
     ("checkpoint.recomputed", 0),
     ("checkpoint.artifacts_verified", 0),
     ("io.fault.injected", 0),
