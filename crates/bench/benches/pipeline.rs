@@ -1,8 +1,9 @@
 //! Benches for the end-to-end pipeline: resolution + clustering at two
 //! world scales, resolution-stage scaling across threads, and — with
-//! `--json` — a sequential-vs-parallel comparison of the three hot stages
-//! (parse, resolve, cluster) persisted to `BENCH_pipeline.json` at the
-//! repository root.
+//! `--json` — a sequential-vs-parallel comparison of the three parallel
+//! stages (parse, resolve, cluster) plus single-thread timings of the
+//! dataset assembly and the verified freeze, persisted to
+//! `BENCH_pipeline.json` at the repository root.
 //!
 //! ```text
 //! cargo bench -p p2o-bench --bench pipeline            # human-readable
@@ -12,14 +13,14 @@
 
 use std::hint::black_box;
 
-use p2o_bench::timing::{bench, group};
+use p2o_bench::timing::{bench, bench_with_input, group};
 use p2o_bgp::RouteTable;
 use p2o_net::Prefix;
 use p2o_synth::{World, WorldConfig};
 use p2o_util::Json;
 use p2o_whois::WhoisDb;
 use prefix2org::cluster::{ClusterOptions, Clusterer};
-use prefix2org::{Pipeline, PipelineInputs};
+use prefix2org::{Pipeline, PipelineInputs, Prefix2OrgDataset};
 
 fn bench_full_pipeline() {
     group("pipeline_full");
@@ -91,7 +92,8 @@ fn baseline_speedup(baseline: Option<&Json>, stage: &str, scale: &str) -> Option
 
 /// The sequential-vs-parallel stage comparison behind `--json`: for each
 /// scale and thread count, the mean wall time of the parse, resolve, and
-/// cluster stages. Written as `BENCH_pipeline.json` at the repo root so the
+/// cluster stages, plus the single-threaded assemble and freeze stages at
+/// one thread. Written as `BENCH_pipeline.json` at the repo root so the
 /// baseline rides along with the code that produced it.
 ///
 /// Re-runs **merge** over the committed baseline instead of clobbering it:
@@ -119,6 +121,8 @@ fn bench_json(budget_ms: u64) {
     let mut parse_cases: Vec<Json> = Vec::new();
     let mut resolve_cases: Vec<Json> = Vec::new();
     let mut cluster_cases: Vec<Json> = Vec::new();
+    let mut assemble_cases: Vec<Json> = Vec::new();
+    let mut freeze_cases: Vec<Json> = Vec::new();
     let mut speedups: Vec<Json> = Vec::new();
 
     for (scale, config) in [
@@ -128,7 +132,7 @@ fn bench_json(budget_ms: u64) {
         let world = World::generate(config);
         let built = world.build_inputs();
         let prefixes: Vec<Prefix> = built.routes.iter().map(|(p, _)| *p).collect();
-        let (records, _) =
+        let (records, unresolved) =
             Pipeline::with_threads(max_threads).resolve_stage(&built.tree, &prefixes);
 
         group(&format!("json_{scale}"));
@@ -158,6 +162,49 @@ fn bench_json(budget_ms: u64) {
             stage_means.push(("cluster", threads, mean));
         }
 
+        // Assembly and the verified freeze run on one thread whatever the
+        // pipeline's count; both used to grow quadratically with the world.
+        let inputs = PipelineInputs {
+            delegations: &built.tree,
+            routes: &built.routes,
+            asn_clusters: &built.clusters,
+            rpki: &built.rpki,
+        };
+        let clustering = Clusterer::new(ClusterOptions::default())
+            .with_threads(max_threads)
+            .with_merge_evidence()
+            .cluster(
+                &records,
+                &built.routes,
+                &built.clusters,
+                &built.rpki,
+                built.tree.names(),
+            );
+        let origin_asns = built.routes.all_origins().len();
+        let mean = bench_with_input(
+            &format!("assemble/{scale}/threads_1"),
+            || (records.clone(), clustering.clone()),
+            |(records, clustering)| {
+                Prefix2OrgDataset::assemble(
+                    records,
+                    clustering,
+                    unresolved,
+                    origin_asns,
+                    built.tree.names(),
+                )
+            },
+        );
+        stage_means.push(("assemble", 1, mean));
+
+        let (dataset, edges) =
+            Pipeline::with_threads(max_threads).dataset_with_evidence(&inputs, None, None);
+        let jsonl = prefix2org::to_jsonl(&dataset);
+        let mean = bench(&format!("freeze/{scale}/threads_1"), || {
+            prefix2org::freeze_verified(&inputs, &dataset, &edges, 0, &jsonl)
+                .expect("fresh freeze verifies")
+        });
+        stage_means.push(("freeze", 1, mean));
+
         for &(stage, threads, mean_ns) in &stage_means {
             let mut case = Json::object();
             case.set("scale", scale);
@@ -166,7 +213,9 @@ fn bench_json(budget_ms: u64) {
             match stage {
                 "parse" => parse_cases.push(case),
                 "resolve" => resolve_cases.push(case),
-                _ => cluster_cases.push(case),
+                "cluster" => cluster_cases.push(case),
+                "assemble" => assemble_cases.push(case),
+                _ => freeze_cases.push(case),
             }
         }
         for stage in ["parse", "resolve", "cluster"] {
@@ -295,6 +344,8 @@ fn bench_json(budget_ms: u64) {
     groups.set("parse", Json::Arr(parse_cases));
     groups.set("resolve", Json::Arr(resolve_cases));
     groups.set("cluster", Json::Arr(cluster_cases));
+    groups.set("assemble", Json::Arr(assemble_cases));
+    groups.set("freeze", Json::Arr(freeze_cases));
     doc.set("groups", groups);
     doc.set("speedups", Json::Arr(speedups));
     doc.set("lookup", lookup);

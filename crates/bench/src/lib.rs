@@ -105,14 +105,25 @@ pub mod timing {
     /// Times `f` and prints `label  <iters> iters  <mean>/iter`. Returns the
     /// mean nanoseconds per iteration.
     pub fn bench<T>(label: &str, mut f: impl FnMut() -> T) -> f64 {
-        black_box(f());
+        bench_with_input(label, || (), |()| f())
+    }
+
+    /// [`bench`] for a routine that consumes its input: `setup` builds a
+    /// fresh input before every iteration, outside the timed region.
+    pub fn bench_with_input<I, T>(
+        label: &str,
+        mut setup: impl FnMut() -> I,
+        mut f: impl FnMut(I) -> T,
+    ) -> f64 {
+        black_box(f(setup()));
         let budget = budget();
         let started = Instant::now();
         let mut iters = 0u64;
         let mut spent = Duration::ZERO;
         while (spent < budget && started.elapsed() < budget * 4) || iters == 0 {
+            let input = setup();
             let t = Instant::now();
-            black_box(f());
+            black_box(f(input));
             spent += t.elapsed();
             iters += 1;
         }

@@ -24,6 +24,7 @@
 use std::path::{Path, PathBuf};
 
 use p2o_util::atomic;
+use p2o_util::manifest::ManifestEntry;
 use p2o_util::vfs::Vfs;
 use p2o_util::{fnv1a_64, tsv, Digest};
 
@@ -71,11 +72,17 @@ impl Stamp {
 
     /// Records an artifact written with `content` to `path`.
     pub fn record(&mut self, role: &str, path: &str, content: &[u8]) {
+        self.record_entry(role, path, ManifestEntry::of_parts(&[content]));
+    }
+
+    /// Records an artifact written to `path` whose length and digest are
+    /// already known.
+    pub fn record_entry(&mut self, role: &str, path: &str, entry: ManifestEntry) {
         self.artifacts.push(StampArtifact {
             role: role.to_string(),
             path: path.to_string(),
-            bytes: content.len() as u64,
-            digest: fnv1a_64(content),
+            bytes: entry.bytes,
+            digest: entry.digest,
         });
     }
 
@@ -157,9 +164,25 @@ impl Stamp {
     }
 }
 
+/// The `*.txt` entries of `dir` sorted by name, whatever their kind, so a
+/// caller that reads them can name one it cannot read. Empty when `dir`
+/// cannot be listed.
+pub fn txt_entries(dir: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .filter_map(|e| e.ok().map(|e| e.path()))
+                .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+                .collect()
+        })
+        .unwrap_or_default();
+    paths.sort();
+    paths
+}
+
 /// Input files hashed into the inputs digest, in deterministic order:
-/// the fixed top-level artifacts, then `whois/*.txt` and
-/// `delegated/*.txt` sorted by name.
+/// the fixed top-level artifacts, then the `whois/*.txt` and
+/// `delegated/*.txt` files sorted by name.
 fn input_files(dir: &Path) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = [
         "meta.tsv",
@@ -175,16 +198,11 @@ fn input_files(dir: &Path) -> Vec<PathBuf> {
     .filter(|p| p.is_file())
     .collect();
     for sub in ["whois", "delegated"] {
-        let mut extra: Vec<PathBuf> = std::fs::read_dir(dir.join(sub))
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok().map(|e| e.path()))
-                    .filter(|p| p.extension().is_some_and(|x| x == "txt"))
-                    .collect()
-            })
-            .unwrap_or_default();
-        extra.sort();
-        files.extend(extra);
+        files.extend(
+            txt_entries(&dir.join(sub))
+                .into_iter()
+                .filter(|p| p.is_file()),
+        );
     }
     files
 }

@@ -8,6 +8,7 @@ use p2o_synth::corrupt::{corrupt_world, CorruptionConfig};
 use p2o_synth::{World, WorldConfig};
 use p2o_util::atomic;
 use p2o_util::ingest::{IngestLayer, DEFAULT_QUARANTINE_SAMPLES};
+use p2o_util::manifest::{Manifest, ManifestEntry};
 use p2o_util::vfs::Vfs;
 use prefix2org::{ExportRecord, Pipeline, PipelineInputs};
 
@@ -209,6 +210,42 @@ fn evaluate_resume(
     }
 }
 
+/// The paper's §4.1 footnote check against the delegation files, when
+/// present: no delegation larger than /8 (IPv4) or /16 (IPv6). Each
+/// `delegated/*.txt` is read through `vfs`; one that cannot be read is
+/// named in a warning, and the check passes only when every file was read.
+fn check_delegation_files(vfs: &Vfs, dir: &Path) {
+    let delegated_dir = dir.join("delegated");
+    if !delegated_dir.is_dir() {
+        return;
+    }
+    let mut oversized = 0usize;
+    let mut unread = 0usize;
+    for path in checkpoint::txt_entries(&delegated_dir) {
+        match vfs.read_to_string(&path) {
+            Ok(text) => {
+                let (records, _) = p2o_whois::delegated::parse(&text);
+                oversized += p2o_whois::delegated::oversized_delegations(&records).len();
+            }
+            Err(e) => {
+                eprintln!(
+                    "warning: delegation-file check: cannot read {}: {e}",
+                    path.display()
+                );
+                unread += 1;
+            }
+        }
+    }
+    if oversized > 0 {
+        eprintln!("warning: {oversized} delegations exceed /8 (v4) or /16 (v6)");
+    }
+    if unread > 0 {
+        eprintln!("warning: delegation-file check incomplete: {unread} file(s) not checked");
+    } else if oversized == 0 {
+        eprintln!("delegation-file check: no delegation larger than /8 or /16 (paper §4.1)");
+    }
+}
+
 /// `build`: parse a snapshot directory, run the pipeline, write JSONL.
 pub fn build(args: &Parsed) -> Result<(), CliError> {
     let dir = Path::new(args.require("in")?);
@@ -393,25 +430,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
             )));
         }
     }
-    // The paper's §4.1 footnote check against the delegation files, when
-    // present: no delegation larger than /8 (IPv4) or /16 (IPv6).
-    let delegated_dir = dir.join("delegated");
-    if delegated_dir.is_dir() {
-        let mut oversized = 0usize;
-        if let Ok(entries) = fs::read_dir(&delegated_dir) {
-            for entry in entries.flatten() {
-                if let Ok(text) = fs::read_to_string(entry.path()) {
-                    let (records, _) = p2o_whois::delegated::parse(&text);
-                    oversized += p2o_whois::delegated::oversized_delegations(&records).len();
-                }
-            }
-        }
-        if oversized > 0 {
-            eprintln!("warning: {oversized} delegations exceed /8 (v4) or /16 (v6)");
-        } else {
-            eprintln!("delegation-file check: no delegation larger than /8 or /16 (paper §4.1)");
-        }
-    }
+    check_delegation_files(&vfs, dir);
     if !inputs.rpki_problems.is_empty() {
         eprintln!(
             "warning: {} invalid RPKI objects excluded (first: {:?})",
@@ -462,16 +481,16 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
             exception_summary.unmatched,
         );
     }
+    // The export, freeze and write phases run under stage timers when the
+    // build is observed; a plain build creates none.
+    let stage = |name: &str| obs.as_ref().map(|o| o.stage(name));
+    let timer = stage("core.export");
     let jsonl = prefix2org::to_jsonl(&dataset);
+    drop(timer);
+    let timer = stage("util.write");
     atomic::write_atomic(&vfs, out, "export", jsonl.as_bytes())
         .map_err(|e| format!("writing {}: {e}", out.display()))?;
-    let mut stamp = checkpoint::Stamp::new(inputs_digest);
-    stamp.record("export", out_str, jsonl.as_bytes());
-    if let (Some(p), Some(text)) = (exceptions_path, &exceptions_text) {
-        // Recorded for the audit trail (which rules shaped this build);
-        // the content already participates in the inputs digest.
-        stamp.record("exceptions", p, text.as_bytes());
-    }
+    drop(timer);
 
     // Freeze the same dataset into the zero-copy serve artifact. The META
     // section stamps the option-independent inputs digest so a later
@@ -479,6 +498,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     // with, and the thaw check proves the artifact reproduces the export
     // byte-for-byte before anything touches disk.
     let canonical_digest = checkpoint::canonical_inputs_digest(files_digest, exceptions_bytes);
+    let timer = stage("core.freeze");
     let frozen = prefix2org::freeze_verified(
         &pipeline_inputs,
         &dataset,
@@ -486,18 +506,43 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         canonical_digest,
         &jsonl,
     )?;
-    let framed = atomic::frame(frozen.payload());
-    drop(frozen);
-    atomic::write_atomic(&vfs, &frozen_path, prefix2org::FROZEN_LABEL, &framed)
+    drop(timer);
+    let mut stamp = checkpoint::Stamp::new(inputs_digest);
+    // The artifact's JSONL digest is the export's FNV-1a digest, so the
+    // stamp reuses it instead of hashing the export again.
+    stamp.record_entry(
+        "export",
+        out_str,
+        ManifestEntry {
+            bytes: jsonl.len() as u64,
+            digest: frozen.jsonl_digest(),
+        },
+    );
+    drop(jsonl);
+    if let (Some(p), Some(text)) = (exceptions_path, &exceptions_text) {
+        // Recorded for the audit trail (which rules shaped this build);
+        // the content already participates in the inputs digest.
+        stamp.record("exceptions", p, text.as_bytes());
+    }
+
+    // The frame header goes in front of the payload without copying it,
+    // and one pass over the framed bytes serves the stamp and the manifest.
+    let timer = stage("util.write");
+    let payload = frozen.payload();
+    let parts: [&[u8]; 2] = [&atomic::frame_header(payload), payload];
+    atomic::write_atomic_parts(&vfs, &frozen_path, prefix2org::FROZEN_LABEL, &parts)
         .map_err(|e| format!("writing {}: {e}", frozen_path.display()))?;
-    stamp.record("frozen", &frozen_path_str, &framed);
-    if let Ok(Some(mut manifest)) = p2o_util::manifest::Manifest::load(&vfs, dir) {
-        manifest.record(prefix2org::FROZEN_FILE, &framed);
+    let framed = ManifestEntry::of_parts(&parts);
+    drop(frozen);
+    stamp.record_entry("frozen", &frozen_path_str, framed);
+    if let Ok(Some(mut manifest)) = Manifest::load(&vfs, dir) {
+        manifest.record_entry(prefix2org::FROZEN_FILE, framed);
         manifest
             .save(&vfs, dir)
             .map_err(|e| format!("updating MANIFEST.tsv: {e}"))?;
     }
-    let frozen_bytes = framed.len();
+    drop(timer);
+    let frozen_bytes = framed.bytes;
 
     if let Some(o) = &obs {
         // Fold the I/O layer's own statistics into the counter families

@@ -164,6 +164,9 @@ fn build_report_emits_run_report() {
         "bgp.parse",
         "pipeline.resolve",
         "pipeline.cluster",
+        "core.export",
+        "core.freeze",
+        "util.write",
     ] {
         let s = parsed
             .stage(stage)
@@ -189,6 +192,46 @@ fn build_report_emits_run_report() {
     assert!(stderr.contains("pipeline.resolve"), "{stderr}");
     assert!(stderr.contains("whois.records"), "{stderr}");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The §4.1 delegation-file check names a `delegated/*.txt` it cannot
+/// read and passes only when it read every file; the build goes on.
+#[test]
+fn delegation_check_names_an_unreadable_file_and_does_not_pass() {
+    let dir = temp_dir("delegated");
+    let dir_s = dir.to_str().unwrap();
+    run_ok(&["generate", "--out", dir_s, "--scale", "tiny", "--seed", "7"]);
+    let dataset = dir.join("dataset.jsonl");
+    let build = || {
+        let out = run(&["build", "--in", dir_s, "--out", dataset.to_str().unwrap()]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stderr).unwrap()
+    };
+    const PASS: &str = "delegation-file check: no delegation larger than /8 or /16";
+    let clean = build();
+    assert!(clean.contains(PASS), "{clean}");
+    assert!(!clean.contains("not checked"), "{clean}");
+
+    let unreadable = dir.join("delegated").join("ZZZ.txt");
+    std::fs::create_dir(&unreadable).unwrap();
+    let stderr = build();
+    assert!(
+        stderr.contains(&format!(
+            "warning: delegation-file check: cannot read {}",
+            unreadable.display()
+        )),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("delegation-file check incomplete: 1 file(s) not checked"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains(PASS), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -42,7 +42,7 @@ pub struct PrefixClusterInfo {
 }
 
 /// Output of the clustering stage.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ClusteringOutput {
     /// Per-record annotations, index-aligned with the input records.
     pub info: Vec<PrefixClusterInfo>,

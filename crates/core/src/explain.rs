@@ -15,6 +15,8 @@
 //! guaranteeing the two paths render byte-identical attributions for any
 //! prefix the dataset covers.
 
+use std::collections::HashMap;
+
 use p2o_net::Prefix;
 use p2o_obs::DecisionTrace;
 
@@ -50,13 +52,47 @@ fn trace_prelude(inputs: &PipelineInputs<'_>, prefix: &Prefix) -> (DecisionTrace
     (trace, resolved)
 }
 
+/// Merge edges indexed by endpoint name: for each name, the edges naming
+/// it as `a` or `b`, in list order. Built once per freeze or `explain`, so
+/// a record's merge steps cost one hash lookup instead of a scan of every
+/// edge.
+pub(crate) struct MergeIndex<'e> {
+    by_name: HashMap<&'e str, Vec<&'e MergeEdge>>,
+}
+
+impl<'e> MergeIndex<'e> {
+    pub(crate) fn new(edges: &'e [MergeEdge]) -> Self {
+        let mut by_name: HashMap<&str, Vec<&MergeEdge>> = HashMap::new();
+        for edge in edges {
+            by_name.entry(&edge.a).or_default().push(edge);
+            // An edge joining a name to itself is listed once.
+            if edge.b != edge.a {
+                by_name.entry(&edge.b).or_default().push(edge);
+            }
+        }
+        MergeIndex { by_name }
+    }
+
+    /// The edges with `name` as an endpoint (exact string match), in list
+    /// order.
+    fn touching(&self, name: &str) -> impl Iterator<Item = &'e MergeEdge> + '_ {
+        self.by_name.get(name).into_iter().flatten().copied()
+    }
+}
+
 /// Appends the clustering evidence steps for `prefix`'s record in
 /// `dataset`: base name, RPKI certificate, origin-ASN clusters, every merge
 /// edge touching the Direct Owner, and the final cluster label.
+///
+/// Merge edges name basic-cleaned 𝒲 clusters while the match is on the raw
+/// Direct Owner, so an owner whose WHOIS name is not already lowercase and
+/// single-spaced gets no merge steps. Kept as is for now: matching on the
+/// cleaned name adds merge steps to most stored traces and grows the frozen
+/// artifact by more than a third.
 fn push_cluster_steps(
     trace: &mut DecisionTrace,
     dataset: &Prefix2OrgDataset,
-    merge_edges: &[MergeEdge],
+    merge_edges: &MergeIndex<'_>,
     prefix: &Prefix,
 ) {
     let Some(record) = dataset.record(prefix) else {
@@ -91,10 +127,7 @@ fn push_cluster_steps(
             .join(", ");
         trace.push("as2org.clusters", format!("origin ASN cluster(s) {list}"));
     }
-    for edge in merge_edges
-        .iter()
-        .filter(|e| e.a == record.direct_owner || e.b == record.direct_owner)
-    {
+    for edge in merge_edges.touching(&record.direct_owner) {
         let other = if edge.a == record.direct_owner {
             &edge.b
         } else {
@@ -152,6 +185,24 @@ pub fn attribution_trace_with(
     inputs: &PipelineInputs<'_>,
     dataset: &Prefix2OrgDataset,
     merge_edges: &[MergeEdge],
+    exceptions: Option<&ExceptionSet>,
+    prefix: &Prefix,
+) -> DecisionTrace {
+    indexed_trace(
+        inputs,
+        dataset,
+        &MergeIndex::new(merge_edges),
+        exceptions,
+        prefix,
+    )
+}
+
+/// [`attribution_trace_with`] against merge edges already indexed, for
+/// callers that trace many prefixes against one edge list.
+pub(crate) fn indexed_trace(
+    inputs: &PipelineInputs<'_>,
+    dataset: &Prefix2OrgDataset,
+    merge_edges: &MergeIndex<'_>,
     exceptions: Option<&ExceptionSet>,
     prefix: &Prefix,
 ) -> DecisionTrace {
@@ -213,7 +264,9 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2o_rpki::RpkiRepository;
+    use crate::cluster::ClusterOptions;
+    use crate::frozen::{freeze, FrozenDataset};
+    use p2o_rpki::{IpResourceSet, RpkiRepository, ValidatedRepo};
     use p2o_whois::WhoisDb;
 
     fn fixture() -> (p2o_whois::DelegationTree, p2o_bgp::RouteTable) {
@@ -308,6 +361,184 @@ mod tests {
                 precomputed.render(),
                 "trace divergence for {q}"
             );
+        }
+    }
+
+    /// The trace before the merge-edge index: every edge is
+    /// string-compared with the record's Direct Owner. Kept as the oracle.
+    fn filter_trace(
+        inputs: &PipelineInputs<'_>,
+        dataset: &Prefix2OrgDataset,
+        merge_edges: &[MergeEdge],
+        prefix: &Prefix,
+    ) -> DecisionTrace {
+        let (mut trace, resolved) = trace_prelude(inputs, prefix);
+        let Some(record) = dataset.record(prefix).filter(|_| resolved) else {
+            return trace;
+        };
+        trace.push(
+            "cluster.base_name",
+            format!(
+                "\"{}\" reduces to base name \"{}\"",
+                record.direct_owner, record.base_name
+            ),
+        );
+        match &record.rpki_certificate {
+            Some(cert) => trace.push("rpki.certificate", format!("covered by {cert}")),
+            None => trace.push(
+                "rpki.certificate",
+                "no covering validated Resource Certificate",
+            ),
+        }
+        trace.push(
+            "rpki.rov",
+            format!("route origin validation: {}", record.rov.as_str()),
+        );
+        if record.origin_asn_clusters.is_empty() {
+            trace.push("as2org.clusters", "origin ASNs map to no sibling cluster");
+        } else {
+            let list = record
+                .origin_asn_clusters
+                .iter()
+                .map(|c| c.to_string())
+                .collect::<Vec<_>>()
+                .join(", ");
+            trace.push("as2org.clusters", format!("origin ASN cluster(s) {list}"));
+        }
+        for edge in merge_edges
+            .iter()
+            .filter(|e| e.a == record.direct_owner || e.b == record.direct_owner)
+        {
+            let other = if edge.a == record.direct_owner {
+                &edge.b
+            } else {
+                &edge.a
+            };
+            trace.push(
+                "cluster.merge",
+                format!("merged with \"{other}\": {}", edge.evidence),
+            );
+        }
+        trace.push(
+            "cluster.final",
+            format!(
+                "final cluster \"{}\" ({} WHOIS name(s))",
+                dataset.cluster_label(record.cluster),
+                dataset.cluster_names(record.cluster).len()
+            ),
+        );
+        if let Some(org) = &record.local_exception {
+            trace.push(
+                "local_exception",
+                format!("operator rule overrides attribution to \"{org}\""),
+            );
+        }
+        trace
+    }
+
+    /// Direct Owner names that are already lowercase and single-spaced,
+    /// so they equal the cleaned names the merge edges carry. "verizon hong
+    /// kong ltd" shares a certificate with "verizon japan ltd" and origin
+    /// AS395753 with "verizon business".
+    fn merge_fixture() -> (
+        p2o_whois::DelegationTree,
+        p2o_bgp::RouteTable,
+        ValidatedRepo,
+    ) {
+        let mut whois = WhoisDb::new();
+        for (range, org) in [
+            ("210.80.198.0 - 210.80.198.255", "verizon japan ltd"),
+            ("203.193.92.0 - 203.193.92.255", "verizon hong kong ltd"),
+            ("65.196.14.0 - 65.196.14.255", "verizon business"),
+        ] {
+            whois.add_arin(&format!(
+                "NetRange: {range}\nNetType: Allocation\nOrgName: {org}\nUpdated: 2024-05-20\n"
+            ));
+        }
+        let (tree, _) = whois.build();
+        let mut routes = p2o_bgp::RouteTable::new();
+        routes.add_route("210.80.198.0/24".parse().unwrap(), 18692);
+        routes.add_route("203.193.92.0/24".parse().unwrap(), 395753);
+        routes.add_route("65.196.14.0/24".parse().unwrap(), 395753);
+
+        let mut repo = RpkiRepository::new();
+        let ta = repo.issue_trust_anchor("IANA", IpResourceSet::everything(), 20200101, 20991231);
+        for (subject, prefixes) in [
+            (
+                "verizon-apac-account",
+                &["210.80.198.0/24", "203.193.92.0/24"][..],
+            ),
+            ("verizon-us-account", &["65.196.14.0/24"][..]),
+        ] {
+            let resources: IpResourceSet = prefixes
+                .iter()
+                .map(|p| p.parse::<Prefix>().unwrap())
+                .collect();
+            repo.issue_cert(ta, subject, resources, 20200101, 20991231)
+                .unwrap();
+        }
+        let (rpki, problems) = repo.validate(20240901);
+        assert!(problems.is_empty(), "{problems:?}");
+        (tree, routes, rpki)
+    }
+
+    #[test]
+    fn indexed_merge_steps_match_the_filter_oracle_in_edge_order() {
+        let (tree, routes, rpki) = merge_fixture();
+        let clusters = p2o_as2org::As2OrgDb::new().cluster();
+        let inputs = PipelineInputs {
+            delegations: &tree,
+            routes: &routes,
+            asn_clusters: &clusters,
+            rpki: &rpki,
+        };
+        let hong_kong: Prefix = "203.193.92.0/24".parse().unwrap();
+        for threads in [1, 4] {
+            // Three names are far too few for the corpus-frequency
+            // threshold, so every repeated-position token drops.
+            let pipeline = Pipeline {
+                cluster_options: ClusterOptions {
+                    frequency_threshold: 0,
+                    ..ClusterOptions::default()
+                },
+                ..Pipeline::with_threads(threads)
+            };
+            let (dataset, edges) = pipeline.dataset_with_evidence(&inputs, None, None);
+            assert_eq!(dataset.len(), 3);
+            let frozen = FrozenDataset::from_payload(freeze(&inputs, &dataset, &edges, 0)).unwrap();
+            for (idx, rec) in dataset.records().iter().enumerate() {
+                let trace = attribution_trace(&inputs, &dataset, &edges, &rec.prefix);
+                assert_eq!(
+                    trace,
+                    filter_trace(&inputs, &dataset, &edges, &rec.prefix),
+                    "threads={threads}"
+                );
+                assert_eq!(frozen.provenance(idx as u32), trace.render());
+            }
+
+            let trace = pipeline.explain(&inputs, &hong_kong);
+            let merges: Vec<&str> = trace
+                .steps
+                .iter()
+                .filter(|s| s.rule == "cluster.merge")
+                .map(|s| s.detail.as_str())
+                .collect();
+            // Both edges touch this record, and its steps follow the edge
+            // list: the origin-ASN edge sorts first by its endpoint names.
+            assert_eq!(edges.len(), 2, "{edges:?}");
+            assert_eq!(
+                merges,
+                [
+                    format!("merged with \"verizon business\": {}", edges[0].evidence),
+                    format!("merged with \"verizon japan ltd\": {}", edges[1].evidence),
+                ],
+                "{}",
+                trace.render()
+            );
+            assert!(edges[0]
+                .evidence
+                .starts_with("shared origin-ASN cluster 395753"));
+            assert!(edges[1].evidence.starts_with("shared RPKI certificate"));
         }
     }
 }

@@ -35,7 +35,7 @@
 //! torn writes and bit rot are caught before any of the above is trusted;
 //! [`FrozenDataset::validate_payload`] then audits the interior for `fsck`.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::Path;
 
 use p2o_net::{Prefix, Prefix4, Prefix6};
@@ -52,7 +52,7 @@ use p2o_whois::Registry;
 
 use crate::cluster::{ClusterId, MergeEdge};
 use crate::dataset::{CustomerStep, Prefix2OrgDataset, PrefixRecord};
-use crate::explain::attribution_trace;
+use crate::explain::{indexed_trace, MergeIndex};
 use crate::export::{to_jsonl, ExportRecord};
 use crate::pipeline::PipelineInputs;
 
@@ -139,8 +139,9 @@ fn write_alloc<W: fmt::Write>(out: &mut W, index: u8) -> fmt::Result {
 /// in a checksummed frame and writes it atomically.
 ///
 /// `inputs` must be the same inputs the dataset was built from — the
-/// per-record provenance is rendered with [`attribution_trace`] against
-/// them, and the per-record BGP origins are taken from `inputs.routes`.
+/// per-record provenance is rendered as
+/// [`attribution_trace`](crate::attribution_trace) renders it against them,
+/// and the per-record BGP origins are taken from `inputs.routes`.
 /// `inputs_digest` is the canonical digest of the build directory's input
 /// files, stored for staleness detection at serve time.
 pub fn freeze(
@@ -149,9 +150,20 @@ pub fn freeze(
     merge_edges: &[MergeEdge],
     inputs_digest: u64,
 ) -> Vec<u8> {
-    let jsonl = to_jsonl(dataset);
-    let jsonl_digest = Digest::of_bytes(jsonl.as_bytes()).0;
+    let jsonl_digest = Digest::of_bytes(to_jsonl(dataset).as_bytes()).0;
+    freeze_with_digest(inputs, dataset, merge_edges, inputs_digest, jsonl_digest)
+}
 
+/// [`freeze`] with the digest of the dataset's canonical export already
+/// known, so the export is not rendered again to take it.
+fn freeze_with_digest(
+    inputs: &PipelineInputs<'_>,
+    dataset: &Prefix2OrgDataset,
+    merge_edges: &[MergeEdge],
+    inputs_digest: u64,
+    jsonl_digest: u64,
+) -> Vec<u8> {
+    let merge_index = MergeIndex::new(merge_edges);
     let mut strings = StringBlobBuilder::new();
     let mut recs: Vec<u8> = Vec::with_capacity(dataset.len() * REC_SIZE);
     let mut dcsteps: Vec<u8> = Vec::new();
@@ -177,7 +189,7 @@ pub fn freeze(
             Prefix::V6(p) => v6_entries.push((p, idx)),
         }
 
-        let provenance = attribution_trace(inputs, dataset, merge_edges, &rec.prefix).render();
+        let provenance = indexed_trace(inputs, dataset, &merge_index, None, &rec.prefix).render();
         let origins: Vec<u32> = inputs
             .routes
             .origins(&rec.prefix)
@@ -230,7 +242,7 @@ pub fn freeze(
 
     let mut w = ArenaWriter::new();
     w.section("meta", meta);
-    w.section("strings", strings.into_bytes());
+    w.section_parts("strings", strings.into_parts());
     w.section("recs", recs);
     w.section("dcsteps", dcsteps);
     w.section("u32pool", pool);
@@ -246,7 +258,9 @@ pub fn freeze(
 /// The one freeze sequence in the system: `build` frames and writes the
 /// verified [`payload`](FrozenDataset::payload) as `world.p2ob`, and
 /// `serve` serves the returned dataset directly when that file is missing
-/// or stale. The payload is moved, never copied.
+/// or stale. The payload is moved, never copied; the export's digest is
+/// taken from `jsonl`, and each thawed line is compared with `jsonl` as it
+/// renders, so no second copy of the export is built.
 pub fn freeze_verified(
     inputs: &PipelineInputs<'_>,
     dataset: &Prefix2OrgDataset,
@@ -254,9 +268,11 @@ pub fn freeze_verified(
     inputs_digest: u64,
     jsonl: &str,
 ) -> Result<FrozenDataset, String> {
-    let frozen = FrozenDataset::from_payload(freeze(inputs, dataset, merge_edges, inputs_digest))
+    let jsonl_digest = Digest::of_bytes(jsonl.as_bytes()).0;
+    let payload = freeze_with_digest(inputs, dataset, merge_edges, inputs_digest, jsonl_digest);
+    let frozen = FrozenDataset::from_payload(payload)
         .map_err(|e| format!("frozen artifact failed self-validation: {e}"))?;
-    if frozen.to_jsonl() != jsonl {
+    if !frozen.thaws_to(jsonl) {
         return Err("frozen artifact does not thaw back to the canonical export".to_string());
     }
     Ok(frozen)
@@ -585,7 +601,8 @@ impl FrozenDataset {
     }
 
     /// The pre-rendered decision trace of record `idx` — byte-identical to
-    /// what [`attribution_trace`] rendered at freeze time.
+    /// what [`attribution_trace`](crate::attribution_trace) rendered at
+    /// freeze time.
     pub fn provenance(&self, idx: u32) -> &str {
         self.rec_str(idx, 56)
     }
@@ -744,21 +761,43 @@ impl FrozenDataset {
         ExportRecord::from(&self.prefix_record(idx))
     }
 
+    /// Appends record `idx`'s canonical JSONL line, newline included.
+    fn push_jsonl_line(&self, idx: u32, out: &mut String) {
+        write!(out, "{}", self.export_record(idx).to_json()).expect("String writes succeed");
+        out.push('\n');
+    }
+
     /// Re-derives the canonical JSONL export. Must reproduce the original
     /// byte-for-byte; [`jsonl_digest`](Self::jsonl_digest) pins the claim.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for idx in 0..self.sections.record_count {
-            out.push_str(&self.export_record(idx).to_json().to_string());
-            out.push('\n');
+            self.push_jsonl_line(idx, &mut out);
         }
         out
+    }
+
+    /// Whether [`to_jsonl`](Self::to_jsonl) would equal `jsonl`, checked
+    /// one thawed line at a time without building the whole export.
+    fn thaws_to(&self, jsonl: &str) -> bool {
+        let mut rest = jsonl;
+        let mut line = String::new();
+        for idx in 0..self.sections.record_count {
+            line.clear();
+            self.push_jsonl_line(idx, &mut line);
+            match rest.strip_prefix(line.as_str()) {
+                Some(tail) => rest = tail,
+                None => return false,
+            }
+        }
+        rest.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::attribution_trace;
     use crate::pipeline::Pipeline;
     use p2o_synth::{World, WorldConfig};
 
@@ -800,10 +839,22 @@ mod tests {
         let jsonl = to_jsonl(&dataset);
         let frozen = freeze_verified(&inputs, &dataset, &edges, 7, &jsonl).unwrap();
         assert_eq!(frozen.payload(), &freeze(&inputs, &dataset, &edges, 7)[..]);
-        let mut other = jsonl.clone();
-        other.push('\n');
-        let err = freeze_verified(&inputs, &dataset, &edges, 7, &other).unwrap_err();
-        assert!(err.contains("does not thaw back"), "{err}");
+        // A trailing extra line, a missing last line, and an altered first
+        // line all fail the line-by-line thaw check.
+        let first_line_end = jsonl.find('\n').unwrap();
+        let last_line_start = jsonl[..jsonl.len() - 1].rfind('\n').unwrap() + 1;
+        for other in [
+            format!("{jsonl}\n"),
+            jsonl[..last_line_start].to_string(),
+            format!(
+                "{} \n{}",
+                &jsonl[..first_line_end],
+                &jsonl[first_line_end + 1..]
+            ),
+        ] {
+            let err = freeze_verified(&inputs, &dataset, &edges, 7, &other).unwrap_err();
+            assert!(err.contains("does not thaw back"), "{err}");
+        }
     }
 
     #[test]

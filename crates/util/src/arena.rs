@@ -49,7 +49,8 @@ const NAME_LEN: usize = 8;
 /// Builds an arena payload section by section.
 #[derive(Default)]
 pub struct ArenaWriter {
-    sections: Vec<(String, Vec<u8>)>,
+    /// Each section as the parts whose concatenation is its payload.
+    sections: Vec<(String, Vec<Vec<u8>>)>,
 }
 
 impl ArenaWriter {
@@ -61,6 +62,13 @@ impl ArenaWriter {
     /// Appends a named section. Names must be 1..=8 ASCII bytes and
     /// unique; both are programmer errors, so they panic.
     pub fn section(&mut self, name: &str, bytes: Vec<u8>) {
+        self.section_parts(name, vec![bytes]);
+    }
+
+    /// [`section`](Self::section) whose payload is the concatenation of
+    /// `parts`, so a section built in pieces is copied once, into the
+    /// finished buffer, and never joined first.
+    pub fn section_parts(&mut self, name: &str, parts: Vec<Vec<u8>>) {
         assert!(
             !name.is_empty() && name.len() <= NAME_LEN && name.is_ascii(),
             "section name {name:?} must be 1..=8 ASCII bytes"
@@ -69,36 +77,40 @@ impl ArenaWriter {
             self.sections.iter().all(|(n, _)| n != name),
             "duplicate section {name:?}"
         );
-        self.sections.push((name.to_string(), bytes));
+        self.sections.push((name.to_string(), parts));
     }
 
-    /// Serializes header + TOC + aligned sections into one buffer.
+    /// Serializes header + TOC + aligned sections into one buffer, sized
+    /// up front. Each section is freed as soon as it is copied in.
     pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let len = |parts: &[Vec<u8>]| parts.iter().map(Vec::len).sum::<usize>();
+        // Lay the sections out after the TOC, each 8-byte aligned.
+        let toc_end = ARENA_HEADER_LEN + self.sections.len() * ARENA_TOC_ENTRY_LEN;
+        let mut offset = toc_end.next_multiple_of(SECTION_ALIGN);
+        let mut placed: Vec<usize> = Vec::with_capacity(self.sections.len());
+        for (_, parts) in &self.sections {
+            placed.push(offset);
+            offset = (offset + len(parts)).next_multiple_of(SECTION_ALIGN);
+        }
+
+        let mut out = Vec::with_capacity(offset);
         out.extend_from_slice(&ARENA_MAGIC);
         out.extend_from_slice(&ARENA_VERSION.to_le_bytes());
         out.extend_from_slice(&[0u8; 2]);
         out.extend_from_slice(&ENDIAN_MARKER.to_le_bytes());
         out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-
-        // Lay the sections out after the TOC, each 8-byte aligned.
-        let toc_end = ARENA_HEADER_LEN + self.sections.len() * ARENA_TOC_ENTRY_LEN;
-        let mut offset = toc_end.next_multiple_of(SECTION_ALIGN);
-        let mut placed: Vec<(u64, u64)> = Vec::with_capacity(self.sections.len());
-        for (_, bytes) in &self.sections {
-            placed.push((offset as u64, bytes.len() as u64));
-            offset = (offset + bytes.len()).next_multiple_of(SECTION_ALIGN);
-        }
-        for ((name, bytes), &(off, _)) in self.sections.iter().zip(&placed) {
+        for ((name, parts), &off) in self.sections.iter().zip(&placed) {
             let mut padded = [0u8; NAME_LEN];
             padded[..name.len()].copy_from_slice(name.as_bytes());
             out.extend_from_slice(&padded);
-            out.extend_from_slice(&off.to_le_bytes());
-            out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+            out.extend_from_slice(&(off as u64).to_le_bytes());
+            out.extend_from_slice(&(len(parts) as u64).to_le_bytes());
         }
-        for ((_, bytes), &(off, _)) in self.sections.iter().zip(&placed) {
-            out.resize(off as usize, 0);
-            out.extend_from_slice(bytes);
+        for ((_, parts), off) in self.sections.into_iter().zip(placed) {
+            out.resize(off, 0);
+            for part in parts {
+                out.extend_from_slice(&part);
+            }
         }
         out
     }
@@ -247,6 +259,18 @@ mod tests {
         w.section("strings", b"hello world".to_vec());
         w.section("empty", Vec::new());
         w.finish()
+    }
+
+    #[test]
+    fn a_section_in_parts_writes_as_its_concatenation() {
+        let mut w = ArenaWriter::new();
+        w.section("meta", vec![0xAA; 5]);
+        w.section_parts(
+            "strings",
+            vec![b"hello".to_vec(), Vec::new(), b" world".to_vec()],
+        );
+        w.section("empty", Vec::new());
+        assert_eq!(w.finish(), sample());
     }
 
     #[test]

@@ -65,9 +65,15 @@ pub fn is_tmp_path(path: &Path) -> bool {
 /// or real) the destination is untouched and at worst a tmp sibling is
 /// left behind for `fsck` to report.
 pub fn write_atomic(vfs: &Vfs, path: &Path, label: &str, bytes: &[u8]) -> io::Result<()> {
+    write_atomic_parts(vfs, path, label, &[bytes])
+}
+
+/// [`write_atomic`] of the concatenated `parts`, written one after another
+/// without joining them ([`Vfs::write_parts`]).
+pub fn write_atomic_parts(vfs: &Vfs, path: &Path, label: &str, parts: &[&[u8]]) -> io::Result<()> {
     vfs.kill_check(label, "partial");
     let tmp = tmp_path(path);
-    vfs.write(&tmp, bytes)?;
+    vfs.write_parts(&tmp, parts)?;
     vfs.kill_check(label, "tmp");
     vfs.fsync(&tmp)?;
     vfs.rename(&tmp, path)?;
@@ -144,16 +150,21 @@ impl fmt::Display for FrameError {
     }
 }
 
+/// The checksummed frame header for `payload`: the bytes [`frame`] puts
+/// in front of it.
+pub fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header[0..4].copy_from_slice(&FRAME_MAGIC);
+    header[4..6].copy_from_slice(&FRAME_VERSION.to_le_bytes());
+    // Bytes 6..8 are reserved and stay zero.
+    header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[16..24].copy_from_slice(&fnv1a_64(payload).to_le_bytes());
+    header
+}
+
 /// Wraps `payload` in a checksummed frame.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
-    out.extend_from_slice(&[0u8; 2]); // reserved
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    [&frame_header(payload)[..], payload].concat()
 }
 
 /// Parses a framed byte string back into its payload, detecting every
@@ -191,9 +202,10 @@ pub fn unframe(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
     Ok(payload.to_vec())
 }
 
-/// Atomically writes `payload` wrapped in a checksummed frame.
+/// Atomically writes `payload` wrapped in a checksummed frame. The header
+/// is written in front of the payload without copying it.
 pub fn write_framed(vfs: &Vfs, path: &Path, label: &str, payload: &[u8]) -> io::Result<()> {
-    write_atomic(vfs, path, label, &frame(payload))
+    write_atomic_parts(vfs, path, label, &[&frame_header(payload), payload])
 }
 
 /// Reads a framed artifact, verifying magic, version, length, and digest.
@@ -258,6 +270,7 @@ mod tests {
         let payload = b"the quick brown fox";
         let framed = frame(payload);
         assert_eq!(framed.len(), FRAME_HEADER_LEN + payload.len());
+        assert_eq!(framed[..FRAME_HEADER_LEN], frame_header(payload));
         assert_eq!(unframe(&framed).unwrap(), payload);
         // Empty payload is legal.
         assert_eq!(unframe(&frame(b"")).unwrap(), b"");

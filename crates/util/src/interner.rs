@@ -1,6 +1,8 @@
 //! String interning with dense `u32` symbols.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// A handle to an interned string. Symbols are dense (`0..len`) and therefore
 /// usable directly as vector indices, e.g. into a [`crate::UnionFind`].
@@ -111,9 +113,16 @@ impl Interner {
 /// let view = StringBlob::parse(&bytes).unwrap();
 /// assert_eq!(view.get(hi), Some("hi"));
 /// ```
+///
+/// Each string is held once, in the blob: the lookup map keys ids by a
+/// hash of the string and checks a hit against the blob, so the builder
+/// holds no second copy of the strings it interns.
 #[derive(Debug, Default)]
 pub struct StringBlobBuilder {
-    map: HashMap<String, u32>,
+    /// The first id interned under each string hash.
+    by_hash: HashMap<u64, u32>,
+    /// Strings whose hash an earlier, different string already took.
+    collided: HashMap<String, u32>,
     offsets: Vec<u32>,
     blob: String,
 }
@@ -122,9 +131,8 @@ impl StringBlobBuilder {
     /// An empty builder.
     pub fn new() -> StringBlobBuilder {
         StringBlobBuilder {
-            map: HashMap::new(),
             offsets: vec![0],
-            blob: String::new(),
+            ..StringBlobBuilder::default()
         }
     }
 
@@ -132,8 +140,16 @@ impl StringBlobBuilder {
     /// Ids are assigned in first-intern order, so a deterministic intern
     /// sequence yields a byte-deterministic table.
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.map.get(s) {
-            return id;
+        let hash = text_hash(s);
+        let first = self.by_hash.get(&hash).copied();
+        match first {
+            Some(id) if self.text(id) == s => return id,
+            Some(_) => {
+                if let Some(&id) = self.collided.get(s) {
+                    return id;
+                }
+            }
+            None => {}
         }
         let id = (self.offsets.len() - 1) as u32;
         self.blob.push_str(s);
@@ -142,8 +158,17 @@ impl StringBlobBuilder {
             "string blob exceeds u32 offsets"
         );
         self.offsets.push(self.blob.len() as u32);
-        self.map.insert(s.to_string(), id);
+        match first {
+            None => self.by_hash.insert(hash, id),
+            Some(_) => self.collided.insert(s.to_string(), id),
+        };
         id
+    }
+
+    /// The string interned as `id`.
+    fn text(&self, id: u32) -> &str {
+        let i = id as usize;
+        &self.blob[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Number of distinct strings interned so far.
@@ -156,17 +181,31 @@ impl StringBlobBuilder {
         self.len() == 0
     }
 
+    /// The serialized table as two parts whose concatenation is
+    /// [`into_bytes`](Self::into_bytes): count and offsets, then the blob,
+    /// handed over without a copy.
+    pub fn into_parts(self) -> Vec<Vec<u8>> {
+        let count = (self.offsets.len() - 1) as u32;
+        let mut head = Vec::with_capacity(4 + self.offsets.len() * 4);
+        head.extend_from_slice(&count.to_le_bytes());
+        for off in &self.offsets {
+            head.extend_from_slice(&off.to_le_bytes());
+        }
+        vec![head, self.blob.into_bytes()]
+    }
+
     /// Serializes the table: count, offsets, blob.
     pub fn into_bytes(self) -> Vec<u8> {
-        let count = (self.offsets.len() - 1) as u32;
-        let mut out = Vec::with_capacity(4 + self.offsets.len() * 4 + self.blob.len());
-        out.extend_from_slice(&count.to_le_bytes());
-        for off in &self.offsets {
-            out.extend_from_slice(&off.to_le_bytes());
-        }
-        out.extend_from_slice(self.blob.as_bytes());
-        out
+        self.into_parts().concat()
     }
+}
+
+/// The lookup hash of an interned string: SipHash with fixed keys, so a
+/// run's collisions (harmless, but slower) are reproducible.
+fn text_hash(s: &str) -> u64 {
+    let mut h = DefaultHasher::new();
+    s.hash(&mut h);
+    h.finish()
 }
 
 /// A zero-copy view over a serialized [`StringBlobBuilder`] table.
@@ -381,5 +420,37 @@ mod tests {
         let blob_start = bad.len() - "helloworld".len();
         bad[blob_start] = 0xFF;
         assert!(StringBlob::parse(&bad).unwrap_err().contains("UTF-8"));
+    }
+
+    /// A string whose hash an earlier string already took is still
+    /// interned once, under its own id, and found again.
+    #[test]
+    fn blob_builder_survives_a_hash_collision() {
+        let mut b = StringBlobBuilder::new();
+        assert_eq!(b.intern("hello"), 0);
+        // Make "world" hash-collide with "hello".
+        b.by_hash.insert(text_hash("world"), 0);
+        assert_eq!(b.intern("world"), 1);
+        assert_eq!(b.intern("world"), 1);
+        assert_eq!(b.intern("hello"), 0);
+        assert_eq!(b.collided.len(), 1);
+        let bytes = b.into_bytes();
+        let view = StringBlob::parse(&bytes).unwrap();
+        assert_eq!((view.get(0), view.get(1)), (Some("hello"), Some("world")));
+    }
+
+    #[test]
+    fn blob_parts_concatenate_to_the_table() {
+        let build = || {
+            let mut b = StringBlobBuilder::new();
+            for s in ["a", "bc", "a", "", "déf"] {
+                b.intern(s);
+            }
+            b
+        };
+        let parts = build().into_parts();
+        assert_eq!(parts.len(), 2);
+        assert_eq!(parts[1], b"abcd\xc3\xa9f");
+        assert_eq!(parts.concat(), build().into_bytes());
     }
 }

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-use crate::digest::fnv1a_64;
+use crate::digest::{fnv1a_64, fnv1a_64_update, FNV1A_INIT};
 use crate::vfs::Vfs;
 use crate::{atomic, tsv};
 
@@ -35,6 +35,18 @@ pub struct ManifestEntry {
     pub bytes: u64,
     /// FNV-1a 64-bit digest of the artifact's content.
     pub digest: u64,
+}
+
+impl ManifestEntry {
+    /// The identity of the concatenated `parts`, hashed in one pass
+    /// without joining them — what a [`Vfs::write_parts`] of the same
+    /// parts leaves on disk.
+    pub fn of_parts(parts: &[&[u8]]) -> ManifestEntry {
+        ManifestEntry {
+            bytes: parts.iter().map(|p| p.len() as u64).sum(),
+            digest: parts.iter().fold(FNV1A_INIT, |h, p| fnv1a_64_update(h, p)),
+        }
+    }
 }
 
 /// How a single artifact failed verification against its manifest entry.
@@ -91,13 +103,12 @@ impl Manifest {
 
     /// Records (or re-records) an artifact's content.
     pub fn record(&mut self, relpath: &str, content: &[u8]) {
-        self.entries.insert(
-            relpath.to_string(),
-            ManifestEntry {
-                bytes: content.len() as u64,
-                digest: fnv1a_64(content),
-            },
-        );
+        self.record_entry(relpath, ManifestEntry::of_parts(&[content]));
+    }
+
+    /// Records (or re-records) an artifact whose identity is already known.
+    pub fn record_entry(&mut self, relpath: &str, entry: ManifestEntry) {
+        self.entries.insert(relpath.to_string(), entry);
     }
 
     /// Looks up an artifact's recorded identity.
@@ -231,6 +242,18 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn parts_record_as_their_concatenation() {
+        let mut joined = Manifest::new();
+        joined.record("world.p2ob", b"header+payload");
+        let mut split = Manifest::new();
+        split.record_entry(
+            "world.p2ob",
+            ManifestEntry::of_parts(&[b"header", b"", b"+payload"]),
+        );
+        assert_eq!(split, joined);
     }
 
     #[test]

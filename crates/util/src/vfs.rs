@@ -25,7 +25,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -184,6 +184,19 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Creates (or truncates) `path` and writes the first `len` bytes of the
+/// concatenated `parts` to it.
+fn write_prefix(path: &Path, parts: &[&[u8]], len: usize) -> io::Result<()> {
+    let mut file = fs::File::create(path)?;
+    let mut left = len;
+    for part in parts {
+        let n = part.len().min(left);
+        file.write_all(&part[..n])?;
+        left -= n;
+    }
+    Ok(())
+}
+
 impl Vfs {
     /// The production backend: plain `std::fs`, no faults.
     pub fn real() -> Vfs {
@@ -239,13 +252,22 @@ impl Vfs {
     /// leaves a prefix of the bytes on disk and returns an error, exactly
     /// like an interrupted write or a filling disk would.
     pub fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.write_parts(path, &[bytes])
+    }
+
+    /// [`write`](Self::write) of the concatenated `parts`, without
+    /// concatenating them: a frame header lands in front of its payload
+    /// with no copy of the payload. Faults see the whole concatenation, so
+    /// a torn write keeps the same prefix a single buffer would.
+    pub fn write_parts(&self, path: &Path, parts: &[&[u8]]) -> io::Result<()> {
         let c = &self.inner.cells;
+        let total: usize = parts.iter().map(|p| p.len()).sum();
         if let Some(plan) = &self.inner.fault {
             let op = c.op.fetch_add(1, Ordering::Relaxed);
             if let Some(sub) = &plan.eio_substring {
                 if path.to_string_lossy().contains(sub.as_str()) {
-                    let half = bytes.len() / 2;
-                    let _ = fs::write(path, &bytes[..half]);
+                    let half = total / 2;
+                    let _ = write_prefix(path, parts, half);
                     c.bytes_written.fetch_add(half as u64, Ordering::Relaxed);
                     c.faults_eio.fetch_add(1, Ordering::Relaxed);
                     return Err(io::Error::other(format!(
@@ -255,42 +277,39 @@ impl Vfs {
                 }
             }
             if let Some(budget) = plan.enospc_after {
-                let before = c
-                    .budget_used
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                if before.saturating_add(bytes.len() as u64) > budget {
-                    let room = budget.saturating_sub(before).min(bytes.len() as u64) as usize;
-                    let _ = fs::write(path, &bytes[..room]);
+                let before = c.budget_used.fetch_add(total as u64, Ordering::Relaxed);
+                if before.saturating_add(total as u64) > budget {
+                    let room = budget.saturating_sub(before).min(total as u64) as usize;
+                    let _ = write_prefix(path, parts, room);
                     c.bytes_written.fetch_add(room as u64, Ordering::Relaxed);
                     c.faults_enospc.fetch_add(1, Ordering::Relaxed);
                     return Err(io::Error::other(format!(
                         "injected ENOSPC writing {} ({} of {} bytes fit, op {op})",
                         path.display(),
                         room,
-                        bytes.len()
+                        total
                     )));
                 }
             }
             if let Some(k) = plan.short_write_one_in {
                 let h = splitmix64(plan.seed ^ op);
-                if h.is_multiple_of(k) && !bytes.is_empty() {
+                if h.is_multiple_of(k) && total > 0 {
                     // Deterministic torn length: at least 1 byte short.
-                    let keep = (h >> 8) as usize % bytes.len();
-                    let _ = fs::write(path, &bytes[..keep]);
+                    let keep = (h >> 8) as usize % total;
+                    let _ = write_prefix(path, parts, keep);
                     c.bytes_written.fetch_add(keep as u64, Ordering::Relaxed);
                     c.faults_short_write.fetch_add(1, Ordering::Relaxed);
                     return Err(io::Error::other(format!(
                         "injected short write to {} ({keep} of {} bytes, op {op})",
                         path.display(),
-                        bytes.len()
+                        total
                     )));
                 }
             }
         }
-        fs::write(path, bytes)?;
+        write_prefix(path, parts, total)?;
         c.writes.fetch_add(1, Ordering::Relaxed);
-        c.bytes_written
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        c.bytes_written.fetch_add(total as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -474,6 +493,47 @@ mod tests {
         assert!(err.to_string().contains("EIO"), "{err}");
         assert_eq!(fs::read(dir.join("rib.mrt")).unwrap().len(), 5);
         assert_eq!(vfs.stats().faults_eio, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn parts_write_and_tear_like_their_concatenation() {
+        let dir = tmp("parts");
+        let parts: [&[u8]; 3] = [b"head", b"", b"payload-bytes"];
+        let whole = parts.concat();
+        for plan in [
+            FaultPlan::default(),
+            FaultPlan {
+                seed: 9,
+                short_write_one_in: Some(1),
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                enospc_after: Some(6),
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                eio_substring: Some("out".to_string()),
+                ..FaultPlan::default()
+            },
+        ] {
+            let (split, joined) = (dir.join("out-split"), dir.join("out-joined"));
+            let a = Vfs::with_faults(plan.clone());
+            let b = Vfs::with_faults(plan.clone());
+            let res_a = a.write_parts(&split, &parts).map_err(|e| e.to_string());
+            let res_b = b.write(&joined, &whole).map_err(|e| e.to_string());
+            assert_eq!(res_a.is_ok(), res_b.is_ok(), "{plan:?}");
+            assert_eq!(
+                fs::read(&split).unwrap(),
+                fs::read(&joined).unwrap(),
+                "{plan:?}"
+            );
+            assert_eq!(a.stats(), b.stats(), "{plan:?}");
+        }
+        assert_eq!(
+            fs::read(dir.join("out-split")).unwrap().len(),
+            whole.len() / 2
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
