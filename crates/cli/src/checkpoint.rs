@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use p2o_util::atomic;
 use p2o_util::manifest::ManifestEntry;
 use p2o_util::vfs::Vfs;
-use p2o_util::{fnv1a_64, tsv, Digest};
+use p2o_util::{tsv, Digest};
 
 /// Suffix appended to the export path to name the stamp file.
 pub const STAMP_SUFFIX: &str = ".ckpt";
@@ -183,7 +183,7 @@ pub fn txt_entries(dir: &Path) -> Vec<PathBuf> {
 /// Input files hashed into the inputs digest, in deterministic order:
 /// the fixed top-level artifacts, then the `whois/*.txt` and
 /// `delegated/*.txt` files sorted by name.
-fn input_files(dir: &Path) -> Vec<PathBuf> {
+pub fn input_files(dir: &Path) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = [
         "meta.tsv",
         "rib.mrt",
@@ -207,33 +207,14 @@ fn input_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Digest over every input file (relative path + content): the part of
-/// every inputs digest that reads the disk. `build` hashes the files once
-/// and derives both its checkpoint digest ([`inputs_digest`]) and its
-/// frozen-artifact digest ([`canonical_inputs_digest`]) from this value.
-pub fn files_digest(vfs: &Vfs, dir: &Path) -> Result<Digest, String> {
-    let mut d = Digest::of_bytes(b"p2o-build-inputs-v1");
-    for path in input_files(dir) {
-        let rel = path
-            .strip_prefix(dir)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let content = vfs
-            .read(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        d = d.chain(Digest::of_parts([rel.as_bytes(), content.as_slice()]));
-    }
-    Ok(d)
-}
-
-/// The checkpoint digest: the [`files_digest`] with the output-affecting
-/// options and the content of a local exceptions file, when one is in
-/// play, chained on. Any changed, added, or removed input file — or
-/// changed option or exception rule — changes the digest and forces a
-/// recompute. Exceptions are hashed by content only (not path), so moving
-/// the rule file without editing it does not invalidate a checkpoint or
-/// mark a frozen artifact stale.
+/// The checkpoint digest: the files digest of
+/// [`scan_integrity`](crate::store::scan_integrity) with the
+/// output-affecting options chained on, then the content of a local
+/// exceptions file when it holds a non-blank line. Any changed, added, or
+/// removed input file — or changed option or exception rule — changes the
+/// digest and forces a recompute. Exceptions are hashed by content only
+/// (not path), so moving the rule file without editing it (or keeping it
+/// empty) does not invalidate a checkpoint or mark a frozen artifact stale.
 pub fn inputs_digest(
     files: Digest,
     strict: bool,
@@ -245,7 +226,8 @@ pub fn inputs_digest(
         &[strict as u8][..],
         &(quarantine_samples as u64).to_le_bytes(),
     ]));
-    if let Some(content) = exceptions {
+    // Only whitespace means no line `ExceptionSet::parse_lenient` reads.
+    if let Some(content) = exceptions.filter(|c| !String::from_utf8_lossy(c).trim().is_empty()) {
         d = d.chain(Digest::of_parts([b"exceptions".as_slice(), content]));
     }
     // The memory options change how the inputs are ingested (spill runs vs
@@ -283,10 +265,12 @@ pub fn canonical_inputs_digest(files: Digest, exceptions: Option<&[u8]>) -> u64 
 
 /// Whether a recorded artifact still matches the bytes on disk.
 pub fn artifact_verifies(vfs: &Vfs, artifact: &StampArtifact) -> bool {
-    match vfs.read(Path::new(&artifact.path)) {
-        Ok(bytes) => bytes.len() as u64 == artifact.bytes && fnv1a_64(&bytes) == artifact.digest,
-        Err(_) => false,
-    }
+    let entry = ManifestEntry {
+        bytes: artifact.bytes,
+        digest: artifact.digest,
+    };
+    vfs.read(Path::new(&artifact.path))
+        .is_ok_and(|bytes| entry.check(&bytes).is_none())
 }
 
 #[cfg(test)]
@@ -346,7 +330,9 @@ mod tests {
 
         let digest = |strict, samples, exceptions| {
             inputs_digest(
-                files_digest(&vfs, &dir).unwrap(),
+                crate::store::scan_integrity(&vfs, &dir)
+                    .unwrap()
+                    .files_digest,
                 strict,
                 samples,
                 exceptions,
@@ -374,6 +360,19 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A rule file with no non-blank line holds no rule, so it digests
+    /// like no file: an empty rule file kept ready for a later edit marks
+    /// nothing stale. A file with a line, even a rejected one, does not.
+    #[test]
+    fn a_rule_file_without_rules_digests_like_none() {
+        let files = Digest::of_bytes(b"files");
+        let digest = |exceptions| inputs_digest(files, false, 8, exceptions, Default::default());
+        for blank in ["", "\n", " \t\n\n", "\r\n"] {
+            assert_eq!(digest(None), digest(Some(blank.as_bytes())), "{blank:?}");
+        }
+        assert_ne!(digest(None), digest(Some(b"\nnot a rule\n")));
+    }
+
     #[test]
     fn inputs_digest_tracks_memory_options() {
         use crate::store::MemOptions;
@@ -381,7 +380,9 @@ mod tests {
         let dir = tmp_dir("memdigest");
         let vfs = Vfs::real();
         fs::write(dir.join("meta.tsv"), b"seed\t1\n").unwrap();
-        let files = files_digest(&vfs, &dir).unwrap();
+        let files = crate::store::scan_integrity(&vfs, &dir)
+            .unwrap()
+            .files_digest;
         let digest = |mem: MemOptions| inputs_digest(files, false, 8, None, mem);
 
         let inmem = digest(MemOptions::default());

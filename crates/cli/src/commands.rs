@@ -8,7 +8,7 @@ use p2o_synth::corrupt::{corrupt_world, CorruptionConfig};
 use p2o_synth::{World, WorldConfig};
 use p2o_util::atomic;
 use p2o_util::ingest::{IngestLayer, DEFAULT_QUARANTINE_SAMPLES};
-use p2o_util::manifest::{Manifest, ManifestEntry};
+use p2o_util::manifest::ManifestEntry;
 use p2o_util::vfs::Vfs;
 use prefix2org::{ExportRecord, Pipeline, PipelineInputs};
 
@@ -324,13 +324,13 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         requested.push(("trace", p));
     }
 
-    // The input files are hashed once; the checkpoint digest chains this
-    // invocation's options onto the file digest, the frozen artifact's
-    // digest the default options.
-    let files_digest = checkpoint::files_digest(&vfs, dir)?;
+    // The one integrity read of the inputs (digest and manifest check);
+    // the checkpoint digest chains this invocation's options onto the
+    // files digest, the frozen artifact's digest the default options.
+    let scan = store::scan_integrity(&vfs, dir)?;
     let exceptions_bytes = exceptions_text.as_deref().map(str::as_bytes);
     let inputs_digest = checkpoint::inputs_digest(
-        files_digest,
+        scan.files_digest,
         strict,
         quarantine_samples,
         exceptions_bytes,
@@ -366,8 +366,6 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     let store::LoadOutcome {
         inputs,
         mut quarantine,
-        torn,
-        manifest_verified,
         memory,
     } = outcome;
     if memory.mode != "in-memory" {
@@ -402,14 +400,15 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         }
         quarantine.extend_from_file(file, exception_rejects);
     }
-    for (path, issue) in &torn {
+    // Detection, not enforcement: the lenient parsers handle a torn input.
+    for (path, issue) in &scan.torn {
         eprintln!("warning: manifest: {path}: {issue}");
     }
-    let torn_detected = torn.len() as u64 + u64::from(stamp_torn);
+    let torn_detected = scan.torn.len() as u64 + u64::from(stamp_torn);
     if let Some(o) = &obs {
-        if stamp_torn {
-            o.counter("store.torn_detected").incr();
-        }
+        o.counter("store.torn_detected").add(torn_detected);
+        o.counter("checkpoint.artifacts_verified")
+            .add(scan.verified);
         if ckpt_decision == "recomputed" {
             o.counter("checkpoint.recomputed").incr();
         }
@@ -497,7 +496,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     // `serve` can detect staleness no matter which flags this build ran
     // with, and the thaw check proves the artifact reproduces the export
     // byte-for-byte before anything touches disk.
-    let canonical_digest = checkpoint::canonical_inputs_digest(files_digest, exceptions_bytes);
+    let canonical_digest = checkpoint::canonical_inputs_digest(scan.files_digest, exceptions_bytes);
     let timer = stage("core.freeze");
     let frozen = prefix2org::freeze_verified(
         &pipeline_inputs,
@@ -525,8 +524,8 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         stamp.record("exceptions", p, text.as_bytes());
     }
 
-    // The frame header goes in front of the payload without copying it,
-    // and one pass over the framed bytes serves the stamp and the manifest.
+    // The frame header goes in front of the payload without copying it;
+    // the frame is the artifact's one integrity record (no manifest row).
     let timer = stage("util.write");
     let payload = frozen.payload();
     let parts: [&[u8]; 2] = [&atomic::frame_header(payload), payload];
@@ -535,12 +534,6 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     let framed = ManifestEntry::of_parts(&parts);
     drop(frozen);
     stamp.record_entry("frozen", &frozen_path_str, framed);
-    if let Ok(Some(mut manifest)) = Manifest::load(&vfs, dir) {
-        manifest.record_entry(prefix2org::FROZEN_FILE, framed);
-        manifest
-            .save(&vfs, dir)
-            .map_err(|e| format!("updating MANIFEST.tsv: {e}"))?;
-    }
     drop(timer);
     let frozen_bytes = framed.bytes;
 
@@ -559,7 +552,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         report.data_quality = Some(quarantine.summary(quarantine_samples));
         report.durability = Some(p2o_obs::DurabilitySummary {
             atomic_writes: io.writes,
-            artifacts_verified: manifest_verified,
+            artifacts_verified: scan.verified,
             torn_detected,
             checkpoint: ckpt_decision.to_string(),
             faults_injected: io.faults_injected(),
@@ -1127,14 +1120,15 @@ pub fn serve(args: &Parsed) -> Result<(), CliError> {
         };
         // Every snapshot serves a frozen dataset. Attach the artifact the
         // audit just validated when its stamped inputs digest matches the
-        // directory's current one. The current digest includes this serve's
+        // directory's current one, which the audit's read of the inputs
+        // yields. The current digest includes this serve's
         // exception rules, so an artifact built with different (or no)
         // rules reads as stale. A missing or stale artifact costs a full
         // load, frozen in memory by the same verified freeze `build` runs —
         // the answers are identical either way, only the boot time differs.
-        if let Some(frozen) = report.frozen {
+        if let (Some(frozen), Some(files_digest)) = (report.frozen, report.files_digest) {
             let current = checkpoint::canonical_inputs_digest(
-                checkpoint::files_digest(&vfs, dir)?,
+                files_digest,
                 exceptions_text.as_deref().map(str::as_bytes),
             );
             if frozen.inputs_digest() == current {

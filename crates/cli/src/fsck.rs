@@ -1,19 +1,25 @@
 //! `prefix2org fsck` — audit a data directory for durability damage.
 //!
-//! Four checks, all read-only:
+//! Six checks, all read-only:
 //!
 //! 1. **Leftover tmp files** — any `*.p2o-tmp` anywhere under the
-//!    directory is the debris of an interrupted atomic write;
-//! 2. **Manifest verification** — every artifact `MANIFEST.tsv` records
-//!    must exist with its recorded length and digest (a short file is a
-//!    torn write, a same-length mismatch is bit-rot or tampering);
+//!    directory is the debris of an interrupted atomic write (orphaned
+//!    `*.spill` runs likewise);
+//! 2. **Manifest verification** — every file `MANIFEST.tsv` records must
+//!    exist with its recorded length and digest (a short file is a torn
+//!    write, a same-length mismatch is bit-rot or tampering). This is
+//!    [`store::scan_integrity`], the one read of the inputs, which also
+//!    yields the digest `serve` compares with the frozen artifact's;
 //! 3. **Checkpoint frames** — every `*.ckpt` must unframe cleanly (the
 //!    frame layer names the exact damage mode otherwise);
 //! 4. **Frozen datasets** — every `*.p2ob` must unframe cleanly AND pass
 //!    the full [`prefix2org::FrozenDataset`] payload audit (arena layout,
-//!    format_version gate, string/LPM table invariants, per-record bounds);
-//! 5. **Format version** — `meta.tsv`'s `format_version` must be one this
-//!    binary supports;
+//!    format_version gate, string/LPM table invariants, per-record bounds).
+//!    The frame is the artifact's one integrity record: a `MANIFEST.tsv`
+//!    row an older build wrote for it is not checked;
+//! 5. **Format version** — `meta.tsv` must pass the gate `build` applies
+//!    ([`store::parse_meta`]): a supported `format_version` and a
+//!    parseable `snapshot_date`;
 //! 6. **Exception files** — any `exceptions.jsonl` must parse rule-clean
 //!    (a rejected line in an operator override file is damage: `serve`
 //!    refuses to boot from it, and a reload onto it is rejected).
@@ -24,12 +30,12 @@
 use std::path::{Path, PathBuf};
 
 use p2o_util::atomic;
-use p2o_util::manifest::Manifest;
+use p2o_util::manifest::MANIFEST_FILE;
 use p2o_util::spill;
-use p2o_util::tsv;
 use p2o_util::vfs::Vfs;
+use p2o_util::Digest;
 
-use crate::store::FORMAT_VERSION;
+use crate::store;
 
 /// What an audit found.
 #[derive(Default)]
@@ -43,6 +49,9 @@ pub struct FsckReport {
     /// The directory's own `world.p2ob` as the audit validated it, so
     /// `serve` attaches it without unframing and validating it again.
     pub frozen: Option<prefix2org::FrozenDataset>,
+    /// The files digest of the inputs as the audit read them (`None` on a
+    /// read failure, which is a finding).
+    pub files_digest: Option<Digest>,
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -67,12 +76,7 @@ pub fn audit(vfs: &Vfs, dir: &Path) -> Result<FsckReport, String> {
         return Err(format!("{} is not a directory", dir.display()));
     }
     let mut report = FsckReport::default();
-    let rel = |path: &Path| -> String {
-        path.strip_prefix(dir)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/")
-    };
+    let rel = |path: &Path| store::relpath(dir, path);
 
     let mut files = Vec::new();
     walk(dir, &mut files);
@@ -145,40 +149,25 @@ pub fn audit(vfs: &Vfs, dir: &Path) -> Result<FsckReport, String> {
         }
     }
 
-    match Manifest::load(vfs, dir) {
-        Err(e) => report.findings.push(format!("manifest unreadable: {e}")),
-        Ok(None) => report
+    if !dir.join(MANIFEST_FILE).exists() {
+        report
             .notes
-            .push("no MANIFEST.tsv (pre-durability directory; nothing to verify)".to_string()),
-        Ok(Some(manifest)) => {
-            let issues = manifest.verify_all(vfs, dir);
-            report.verified += manifest.len() as u64 - issues.len() as u64;
-            for (path, issue) in issues {
+            .push("no MANIFEST.tsv (pre-durability directory; nothing to verify)".to_string());
+    }
+    match store::scan_integrity(vfs, dir) {
+        Err(e) => report.findings.push(e),
+        Ok(scan) => {
+            report.verified += scan.verified;
+            for (path, issue) in scan.torn {
                 report.findings.push(format!("{path}: {issue}"));
             }
+            report.files_digest = Some(scan.files_digest);
         }
     }
 
-    let meta_path = dir.join("meta.tsv");
-    if let Ok(text) = vfs.read_to_string(&meta_path) {
-        match tsv::parse_rows(&text, 2) {
-            Err(e) => report.findings.push(format!("meta.tsv: {e}")),
-            Ok(rows) => {
-                for row in rows {
-                    if row[0] == "format_version" {
-                        match row[1].parse::<u32>() {
-                            Ok(v) if v > FORMAT_VERSION => report.findings.push(format!(
-                                "meta.tsv: format_version {v} is newer than this binary \
-                                 supports (max {FORMAT_VERSION})"
-                            )),
-                            Ok(_) => {}
-                            Err(_) => report
-                                .findings
-                                .push(format!("meta.tsv: bad format_version {:?}", row[1])),
-                        }
-                    }
-                }
-            }
+    if let Ok(text) = vfs.read_to_string(&dir.join("meta.tsv")) {
+        if let Err(e) = store::parse_meta(&text) {
+            report.findings.push(e);
         }
     }
 
@@ -196,12 +185,6 @@ pub fn gc(vfs: &Vfs, dir: &Path) -> Result<Vec<String>, String> {
     if !dir.is_dir() {
         return Err(format!("{} is not a directory", dir.display()));
     }
-    let rel = |path: &Path| -> String {
-        path.strip_prefix(dir)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/")
-    };
     let mut files = Vec::new();
     walk(dir, &mut files);
     let mut removed = Vec::new();
@@ -209,7 +192,7 @@ pub fn gc(vfs: &Vfs, dir: &Path) -> Result<Vec<String>, String> {
         if atomic::is_tmp_path(path) || spill::is_spill_path(path) {
             vfs.remove_file(path)
                 .map_err(|e| format!("removing {}: {e}", path.display()))?;
-            removed.push(rel(path));
+            removed.push(store::relpath(dir, path));
         }
     }
     // Drop the spill directory itself once nothing is left inside.
@@ -228,6 +211,7 @@ pub fn gc(vfs: &Vfs, dir: &Path) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2o_util::manifest::Manifest;
     use std::fs;
 
     fn tmp_dir(name: &str) -> PathBuf {

@@ -185,7 +185,8 @@ USAGE:
       record entirely. The last rule per prefix wins. Overrides keep the
       inferred evidence and are marked in the export (local_exception),
       the frozen artifact, and every provenance trace. Rule-file content
-      participates in the checkpoint and frozen-staleness digests. A
+      participates in the checkpoint and frozen-staleness digests (a
+      file with no non-blank line holds no rule and digests like none). A
       damaged line warns and is quarantined (--strict aborts instead).
       --spill streams the ingest through sorted on-disk spill runs
       (written atomically under DIR/spill/) and merges them with a
@@ -199,15 +200,15 @@ USAGE:
       and the mem.* counters of --metrics.
 
   prefix2org fsck DIR [--gc]
-      Audit a data directory: verify every artifact against MANIFEST.tsv,
-      flag leftover .p2o-tmp files from interrupted writes and orphaned
-      .spill runs from interrupted streaming builds, check that
-      checkpoint stamps unframe cleanly, audit frozen .p2ob datasets
-      (frame digest, arena layout, format_version, string/LPM table
-      invariants), and reject unsupported format_versions. Exits 2 when
-      anything is damaged. --gc deletes the removable debris (tmp files
-      and orphaned spill runs) after the audit, then re-audits; the exit
-      code reflects the directory's state after collection.
+      Audit a data directory: verify every file `generate` recorded in
+      MANIFEST.tsv, flag leftover .p2o-tmp files from interrupted writes
+      and orphaned .spill runs from interrupted streaming builds, check
+      that checkpoint stamps unframe cleanly, audit frozen .p2ob datasets
+      (frame length, trailing bytes and digest, arena layout,
+      format_version, string/LPM table invariants), and reject unsupported
+      format_versions. Exits 2 when anything is damaged. --gc deletes the
+      removable debris (tmp files and orphaned spill runs) after the audit,
+      then re-audits; the exit code reflects the state after collection.
 
   prefix2org serve DIR [--addr HOST:PORT] [--threads N]
                    [--access-log FILE] [--allow-quit] [--exceptions FILE.jsonl]

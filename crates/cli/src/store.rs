@@ -15,19 +15,21 @@
 //!   meta.tsv               key, value (snapshot date, seed)
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 
 use p2o_bgp::{mrt, RouteTable};
 use p2o_net::Prefix;
 use p2o_synth::World;
 use p2o_util::ingest::{IngestError, Quarantine, QuarantinedRecord, EXCERPT_BYTES};
-use p2o_util::manifest::{Manifest, VerifyIssue};
+use p2o_util::manifest::{Manifest, ManifestEntry, VerifyIssue};
 use p2o_util::spill::{self, MemBudget, RunMerger, RunWriter, SpillRecord, SpillTuning};
 use p2o_util::vfs::Vfs;
-use p2o_util::{atomic, tsv};
+use p2o_util::{atomic, tsv, Digest};
 use p2o_whois::alloc::AllocationType;
 use p2o_whois::{DelegationTree, Registry, Rir, WhoisDb};
+
+use crate::checkpoint;
 
 /// Version of the on-disk directory layout, written into `meta.tsv` as
 /// `format_version`. Bump when the layout changes incompatibly; loaders
@@ -168,6 +170,89 @@ pub fn write_world(vfs: &Vfs, world: &World, dir: &Path) -> Result<Manifest, Str
     Ok(manifest)
 }
 
+/// The snapshot date in `meta.tsv`'s text (20240901 when it names none),
+/// once its `format_version` is one this binary reads: the gate `build`
+/// and `fsck` share.
+pub fn parse_meta(text: &str) -> Result<u32, String> {
+    let mut snapshot_date = 20240901;
+    for row in tsv::parse_rows(text, 2).map_err(|e| format!("meta.tsv: {e}"))? {
+        let bad = || format!("meta.tsv: bad {} {:?}", row[0], row[1]);
+        match row[0].as_str() {
+            "format_version" => {
+                let version: u32 = row[1].parse().map_err(|_| bad())?;
+                if version > FORMAT_VERSION {
+                    return Err(format!(
+                        "meta.tsv: format_version {version} is newer than this binary \
+                         supports (max {FORMAT_VERSION}); upgrade prefix2org or regenerate \
+                         the directory with this version"
+                    ));
+                }
+            }
+            "snapshot_date" => snapshot_date = row[1].parse().map_err(|_| bad())?,
+            _ => {}
+        }
+    }
+    Ok(snapshot_date)
+}
+
+/// What the integrity scan of a data directory found.
+pub struct IntegrityScan {
+    /// Digest over every input file, relative path plus content, in
+    /// [`checkpoint::input_files`] order: the part of every inputs digest
+    /// that reads the disk (the `.ckpt` stamp's and the frozen META's).
+    pub files_digest: Digest,
+    /// `MANIFEST.tsv` rows whose file failed the check, sorted by path.
+    pub torn: Vec<(String, VerifyIssue)>,
+    /// `MANIFEST.tsv` rows whose file matched.
+    pub verified: u64,
+}
+
+/// `path` relative to `dir`, with `/` separators: how `MANIFEST.tsv`, the
+/// inputs digest and `fsck` name a file.
+pub fn relpath(dir: &Path, path: &Path) -> String {
+    let rel = path.strip_prefix(dir).unwrap_or(path);
+    rel.to_string_lossy().replace('\\', "/")
+}
+
+/// The one integrity read of a data directory. Each input file is read
+/// once, in [`checkpoint::input_files`] order, and feeds both the files
+/// digest and the check against its `MANIFEST.tsv` row; the rows left over
+/// (`pfx2as.txt`, `adversary.json`) are checked after. Rows for framed
+/// files (`world.p2ob`, `.ckpt` stamps) are left to the frame check.
+/// Fails on an unreadable manifest or input file.
+pub fn scan_integrity(vfs: &Vfs, dir: &Path) -> Result<IntegrityScan, String> {
+    let manifest = Manifest::load(vfs, dir)
+        .map_err(|e| format!("manifest unreadable: {e}"))?
+        .unwrap_or_default();
+    let mut rows: BTreeMap<&str, ManifestEntry> = manifest
+        .iter()
+        .filter(|(rel, _)| !rel.ends_with(".p2ob") && !rel.ends_with(".ckpt"))
+        .collect();
+    let mut files_digest = Digest::of_bytes(b"p2o-build-inputs-v1");
+    let mut checked = BTreeMap::new();
+    for path in checkpoint::input_files(dir) {
+        let rel = relpath(dir, &path);
+        let content = vfs.read(&path).map_err(|e| io_err("reading", &path, e))?;
+        files_digest = files_digest.chain(Digest::of_parts([rel.as_bytes(), &content]));
+        if let Some(entry) = rows.remove(rel.as_str()) {
+            checked.insert(rel, entry.check(&content));
+        }
+    }
+    for rel in rows.into_keys() {
+        checked.insert(rel.to_string(), manifest.verify_file(vfs, dir, rel));
+    }
+    let verified = checked.values().filter(|issue| issue.is_none()).count() as u64;
+    let torn = checked
+        .into_iter()
+        .filter_map(|(rel, issue)| Some((rel, issue?)))
+        .collect();
+    Ok(IntegrityScan {
+        files_digest,
+        torn,
+        verified,
+    })
+}
+
 /// One ground-truth list loaded from disk.
 pub struct TruthList {
     /// The organization's display name.
@@ -254,18 +339,12 @@ pub struct MemOptions {
 
 /// What [`load_inputs`] returns: the parsed inputs plus every record the
 /// lenient parsers rejected (empty on clean input, and always empty in
-/// strict mode — strict aborts instead), and the manifest verification
-/// outcome (torn/altered artifacts are *reported*, never fatal).
+/// strict mode — strict aborts instead).
 pub struct LoadOutcome {
     /// The parsed snapshot inputs.
     pub inputs: LoadedInputs,
     /// Every rejected record, with file names stamped.
     pub quarantine: Quarantine,
-    /// Artifacts that failed `MANIFEST.tsv` verification, sorted by path.
-    pub torn: Vec<(String, VerifyIssue)>,
-    /// Artifacts that verified clean against the manifest (0 when the
-    /// directory has no manifest).
-    pub manifest_verified: u64,
     /// How the load used memory: mode, peak working set, budget pressure,
     /// and spill-run traffic. Always populated (all-zero spill fields on
     /// the in-memory path).
@@ -638,10 +717,8 @@ fn shard_mrt_input(
 /// Loads and parses a snapshot directory: every input through the lenient
 /// (resyncing) parsers, rejected records quarantined. In
 /// [`IngestMode::Strict`] the first rejected record of any file aborts the
-/// load with its typed diagnostic instead. When the directory carries a
-/// `MANIFEST.tsv`, every listed artifact is verified against its recorded
-/// digest first; mismatches are returned in [`LoadOutcome::torn`] (and
-/// ticked onto `store.torn_detected`) but never abort the load.
+/// load with its typed diagnostic instead. The load checks no digest:
+/// [`scan_integrity`] is the integrity read.
 ///
 /// With `obs`, the parsers tick their `whois.*` / `mrt.*` / `bgp.parse`
 /// counters and stages into it; with `threads > 1`, WHOIS text is parsed
@@ -676,45 +753,8 @@ pub fn load_inputs(
 
     // Meta first: the format version gate, then the snapshot date (which
     // drives RPKI validation).
-    let mut snapshot_date = 20240901u32;
-    if let Ok(meta) = read(dir.join("meta.tsv")) {
-        for row in tsv::parse_rows(&meta, 2).map_err(|e| e.to_string())? {
-            if row[0] == "format_version" {
-                let version: u32 = row[1]
-                    .parse()
-                    .map_err(|_| format!("bad format_version {:?}", row[1]))?;
-                if version > FORMAT_VERSION {
-                    return Err(LoadError::Other(format!(
-                        "{} has format_version {version}, newer than this binary supports \
-                         (max {FORMAT_VERSION}); upgrade prefix2org or regenerate the \
-                         directory with this version",
-                        dir.display()
-                    )));
-                }
-            }
-            if row[0] == "snapshot_date" {
-                snapshot_date = row[1]
-                    .parse()
-                    .map_err(|_| format!("bad snapshot_date {:?}", row[1]))?;
-            }
-        }
-    }
-
-    // Durability audit: verify every artifact the manifest records before
-    // parsing anything. Detection, not enforcement — a torn file is warned
-    // about here and then handled by the lenient parsers like any other
-    // corruption.
-    let mut torn: Vec<(String, VerifyIssue)> = Vec::new();
-    let mut manifest_verified = 0u64;
-    if let Some(manifest) = Manifest::load(vfs, dir).map_err(LoadError::Other)? {
-        torn = manifest.verify_all(vfs, dir);
-        manifest_verified = manifest.len() as u64 - torn.len() as u64;
-        if let Some(o) = obs {
-            o.counter("store.torn_detected").add(torn.len() as u64);
-            o.counter("checkpoint.artifacts_verified")
-                .add(manifest_verified);
-        }
-    }
+    let meta = read(dir.join("meta.tsv")).unwrap_or_default();
+    let snapshot_date = parse_meta(&meta).map_err(|e| format!("{}: {e}", dir.display()))?;
 
     // The large inputs in processing order: WHOIS dumps (the file stem
     // names the registry, the registry picks the parser), the RIB, RPKI.
@@ -970,8 +1010,134 @@ pub fn load_inputs(
             snapshot_date,
         },
         quarantine,
-        torn,
-        manifest_verified,
         memory,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::fs;
+
+    fn tmp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("p2o-store-{}-{name}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The digest the scan replaced: every input file's relative path and
+    /// content, chained in input order, read on its own.
+    fn files_digest_oracle(vfs: &Vfs, dir: &Path) -> Digest {
+        let mut d = Digest::of_bytes(b"p2o-build-inputs-v1");
+        for path in checkpoint::input_files(dir) {
+            let rel = path.strip_prefix(dir).unwrap().to_string_lossy();
+            let content = vfs.read(&path).unwrap();
+            d = d.chain(Digest::of_parts([rel.as_bytes(), content.as_slice()]));
+        }
+        d
+    }
+
+    /// One scan agrees with the separate digest pass and with
+    /// `Manifest::verify_all` minus the frame-checked `world.p2ob` row, on
+    /// a clean directory and after each kind of damage.
+    #[test]
+    fn scan_matches_the_digest_and_manifest_oracles() {
+        let dir = tmp_dir("scan");
+        let vfs = Vfs::real();
+        fs::create_dir_all(dir.join("whois")).unwrap();
+        fs::create_dir_all(dir.join("delegated")).unwrap();
+        let files: [(&str, &[u8]); 7] = [
+            ("meta.tsv", b"format_version\t1\n"),
+            ("rib.mrt", b"mrt bytes"),
+            ("as2org.tsv", b"1\tORG-1\tAcme\tUS\n"),
+            ("whois/ARIN.txt", b"NetRange: 10.0.0.0 - 10.0.0.255\n"),
+            (
+                "delegated/ARIN.txt",
+                b"arin|US|ipv4|10.0.0.0|256|20240901|allocated\n",
+            ),
+            ("pfx2as.txt", b"10.0.0.0\t24\t64512\n"),
+            ("adversary.json", b"{}\n"),
+        ];
+        let mut manifest = Manifest::new();
+        for (rel, bytes) in files {
+            fs::write(dir.join(rel), bytes).unwrap();
+            manifest.record(rel, bytes);
+        }
+        // A row an older build wrote for its artifact, now stale.
+        fs::write(dir.join("world.p2ob"), b"framed artifact").unwrap();
+        manifest.record("world.p2ob", b"an older artifact");
+
+        let check = |case: &str| {
+            let scan = scan_integrity(&vfs, &dir).unwrap();
+            assert_eq!(
+                scan.files_digest,
+                files_digest_oracle(&vfs, &dir),
+                "{case}: files digest"
+            );
+            let (torn, rows) = match Manifest::load(&vfs, &dir).unwrap() {
+                None => (Vec::new(), 0),
+                Some(m) => {
+                    let torn: Vec<_> = m
+                        .verify_all(&vfs, &dir)
+                        .into_iter()
+                        .filter(|(rel, _)| !rel.ends_with(".p2ob"))
+                        .collect();
+                    let rows = m.iter().filter(|(rel, _)| !rel.ends_with(".p2ob")).count();
+                    (torn, rows as u64)
+                }
+            };
+            assert_eq!(scan.torn, torn, "{case}: torn rows");
+            assert_eq!(scan.verified, rows - torn.len() as u64, "{case}: verified");
+            scan
+        };
+
+        manifest.save(&vfs, &dir).unwrap();
+        let clean = check("clean");
+        assert!(clean.torn.is_empty());
+        assert_eq!(clean.verified, files.len() as u64);
+
+        fs::write(dir.join("rib.mrt"), b"mrt").unwrap();
+        let torn = check("truncated input");
+        assert!(matches!(
+            torn.torn[..],
+            [(ref rel, VerifyIssue::LengthMismatch { .. })] if rel == "rib.mrt"
+        ));
+        assert_ne!(torn.files_digest, clean.files_digest);
+
+        fs::write(dir.join("rib.mrt"), b"MRT bytes").unwrap();
+        let edited = check("same-length edit");
+        assert!(matches!(
+            edited.torn[..],
+            [(_, VerifyIssue::DigestMismatch { .. })]
+        ));
+
+        fs::write(dir.join("rib.mrt"), b"mrt bytes").unwrap();
+        fs::remove_file(dir.join("pfx2as.txt")).unwrap();
+        let missing = check("missing listed file");
+        assert_eq!(
+            missing.torn,
+            vec![("pfx2as.txt".to_string(), VerifyIssue::Missing)]
+        );
+        assert_eq!(missing.files_digest, clean.files_digest);
+
+        // A directory where a listed delegation file should be: not an
+        // input, so the digest skips it and the row says it is missing.
+        fs::write(dir.join("pfx2as.txt"), b"10.0.0.0\t24\t64512\n").unwrap();
+        fs::create_dir(dir.join("delegated/x.txt")).unwrap();
+        manifest.record("delegated/x.txt", b"was a file");
+        manifest.save(&vfs, &dir).unwrap();
+        let listed_dir = check("delegated/x.txt directory");
+        assert_eq!(
+            listed_dir.torn,
+            vec![("delegated/x.txt".to_string(), VerifyIssue::Missing)]
+        );
+        assert_eq!(listed_dir.files_digest, clean.files_digest);
+
+        fs::remove_file(dir.join(p2o_util::manifest::MANIFEST_FILE)).unwrap();
+        let bare = check("no manifest");
+        assert_eq!((bare.torn.len(), bare.verified), (0, 0));
+        assert_eq!(bare.files_digest, clean.files_digest);
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

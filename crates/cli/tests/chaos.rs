@@ -108,7 +108,6 @@ fn killed_build_resumes_to_byte_identical_export() {
         "frozen@partial",
         "frozen@tmp",
         "frozen@final",
-        "manifest@tmp",
         "report@partial",
         "report@tmp",
         "metrics@partial",
@@ -377,6 +376,82 @@ fn frozen_artifact_damage_taxonomy_is_flagged_and_recoverable() {
         assert!(out.status.success(), "{name}: rebuilt dir must fsck clean");
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `world.p2ob` has one integrity record, its frame. `build` leaves
+/// `MANIFEST.tsv` as `generate` wrote it; bytes appended past the declared
+/// payload are frame damage that `fsck` names and that refuses `serve`
+/// boot; and a `MANIFEST.tsv` row an older build wrote for the artifact,
+/// even a stale one, neither fails the audit nor blocks the artifact boot.
+#[test]
+fn the_frame_alone_checks_the_frozen_artifact() {
+    use std::io::{BufRead, BufReader};
+
+    let dir = temp_dir("frame-alone");
+    let build = generate(&dir, "84");
+    let dir_s = dir.to_str().unwrap().to_string();
+    let generated = std::fs::read(dir.join("MANIFEST.tsv")).expect("manifest");
+    run_ok(&as_strs(&build));
+    assert_eq!(
+        std::fs::read(dir.join("MANIFEST.tsv")).unwrap(),
+        generated,
+        "build must leave MANIFEST.tsv as generate wrote it"
+    );
+    let p2ob = dir.join("world.p2ob");
+    let golden = std::fs::read(&p2ob).expect("frozen artifact written by build");
+
+    std::fs::write(&p2ob, [&golden[..], b"\0\0\0\0"].concat()).expect("append");
+    let out = run(&["fsck", &dir_s]);
+    assert_eq!(out.status.code(), Some(2), "fsck missed the appended bytes");
+    let findings = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        findings.contains("world.p2ob: frozen dataset frame damaged: trailing bytes"),
+        "{findings}"
+    );
+    let out = run(&["serve", &dir_s, "--addr", "127.0.0.1:0"]);
+    assert_eq!(out.status.code(), Some(2), "serve booted on trailing bytes");
+    std::fs::write(&p2ob, &golden).expect("restore");
+
+    let mut manifest = p2o_util::manifest::Manifest::load(&p2o_util::vfs::Vfs::real(), &dir)
+        .expect("manifest parses")
+        .expect("manifest present");
+    manifest.record("world.p2ob", b"an artifact an older build wrote");
+    manifest
+        .save(&p2o_util::vfs::Vfs::real(), &dir)
+        .expect("save manifest");
+    let out = run(&["fsck", &dir_s]);
+    assert!(
+        out.status.success(),
+        "a legacy world.p2ob row must not fail the audit:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let mut child = Command::new(bin())
+        .args(["serve", &dir_s, "--addr", "127.0.0.1:0"])
+        .env_remove(ENV_FAULT)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawning serve");
+    let line = BufReader::new(child.stdout.take().expect("stdout"))
+        .lines()
+        .next()
+        .expect("readiness line: the legacy row must not block boot")
+        .expect("readable stdout");
+    let addr = line
+        .strip_prefix("listening on ")
+        .expect("readiness format");
+    let health = p2o_serve::HttpClient::connect(addr)
+        .expect("connect")
+        .get("/health")
+        .expect("health");
+    let _ = child.kill();
+    let _ = child.wait();
+    assert!(
+        health.text().contains("\"frozen\":true"),
+        "boot must attach the artifact: {}",
+        health.text()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -195,6 +195,50 @@ fn build_report_emits_run_report() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A build over a torn input is lenient: it warns about the manifest
+/// mismatch, parses what is left, and counts the torn file in both the
+/// `store.torn_detected` counter and the report's durability section.
+#[test]
+fn build_on_a_torn_input_warns_and_counts_it() {
+    let dir = temp_dir("torn-input");
+    let dir_s = dir.to_str().unwrap();
+    run_ok(&["generate", "--out", dir_s, "--scale", "tiny", "--seed", "7"]);
+    let rib = dir.join("rib.mrt");
+    let bytes = std::fs::read(&rib).unwrap();
+    std::fs::write(&rib, &bytes[..bytes.len() / 2]).unwrap();
+
+    let report = dir.join("run.json");
+    let out = run(&[
+        "build",
+        "--in",
+        dir_s,
+        "--out",
+        dir.join("dataset.jsonl").to_str().unwrap(),
+        "--report",
+        report.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "lenient build exits 0:\n{stderr}"
+    );
+    assert!(
+        stderr.contains(&format!(
+            "warning: manifest: rib.mrt: length mismatch: manifest says {} B, file is {} B",
+            bytes.len(),
+            bytes.len() / 2
+        )),
+        "{stderr}"
+    );
+    let doc = p2o_util::Json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let parsed = p2o_obs::RunReport::from_json(&doc).unwrap();
+    assert_eq!(parsed.counter("store.torn_detected"), Some(1));
+    let durability = parsed.durability.expect("durability section");
+    assert_eq!(durability.torn_detected, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The §4.1 delegation-file check names a `delegated/*.txt` it cannot
 /// read and passes only when it read every file; the build goes on.
 #[test]

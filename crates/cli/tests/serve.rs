@@ -367,6 +367,115 @@ fn endpoint_surface_dump_metrics_health_and_reload() {
     assert_eq!(exceptions, 0, "no rules, no overrides");
 }
 
+/// The served table as a client holds it after a `/dump` reset: prefix to
+/// record JSON.
+fn reset_table(client: &mut HttpClient) -> BTreeMap<String, String> {
+    let dump = client.get("/dump").expect("dump");
+    assert_eq!(dump.status, 200);
+    dump.text()
+        .lines()
+        .skip(1)
+        .map(|line| {
+            let record = Json::parse(line).expect("dump record parses");
+            let prefix = record.get("prefix").and_then(Json::as_str).expect("prefix");
+            (prefix.to_string(), record.to_string())
+        })
+        .collect()
+}
+
+/// A rule edit changes a record's cluster label and override flag but
+/// neither its owner nor its customer chain. The reload delta still
+/// carries it: the serial-0 reset with `/dump?serial=0` applied is the
+/// serial-1 reset.
+#[test]
+fn reload_delta_applied_to_the_old_reset_is_the_new_reset() {
+    let dir = temp_dir("delta-rule");
+    generate(&dir, "7");
+    let rules = dir.join("rules.jsonl");
+    std::fs::write(&rules, b"").unwrap();
+    let server = Server::start_with(&dir, &["--exceptions", rules.to_str().unwrap()]);
+    let mut client = server.client();
+    let mut table = reset_table(&mut client);
+    let target = table.keys().next().expect("a served record").clone();
+    std::fs::write(
+        &rules,
+        format!("{{\"prefix\":\"{target}\",\"action\":\"assert\",\"org\":\"Acme Override\"}}\n"),
+    )
+    .unwrap();
+    let reload = client.post("/reload", b"").expect("reload");
+    assert_eq!(reload.status, 200, "{}", reload.text());
+
+    let delta = client.get("/dump?serial=0").expect("delta");
+    let text = delta.text();
+    let mut lines = text.lines();
+    let header = Json::parse(lines.next().expect("header")).expect("header parses");
+    assert_eq!(header.get("type").and_then(Json::as_str), Some("delta"));
+    assert_eq!(header.get("serial").and_then(Json::as_u64), Some(1));
+    let mut changed = Vec::new();
+    for line in lines {
+        let op = Json::parse(line).expect("op parses");
+        match op.get("op").and_then(Json::as_str) {
+            Some(kind @ ("add" | "change")) => {
+                let record = op.get("record").expect("op record");
+                let prefix = record.get("prefix").and_then(Json::as_str).expect("prefix");
+                if kind == "change" {
+                    changed.push(prefix.to_string());
+                }
+                table.insert(prefix.to_string(), record.to_string());
+            }
+            Some("remove") => {
+                let prefix = op.get("prefix").and_then(Json::as_str).expect("prefix");
+                table.remove(prefix);
+            }
+            other => panic!("unknown op {other:?} in {line}"),
+        }
+    }
+    assert_eq!(changed, vec![target], "the asserted record is a change op");
+    assert_eq!(
+        table,
+        reset_table(&mut client),
+        "serial-0 reset plus the delta must equal the serial-1 reset"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A rule file kept ready to edit before a `/reload` holds no rule while
+/// it is empty or blank, so it leaves a built directory's artifact fresh:
+/// the boot attaches `world.p2ob` and warns about nothing stale.
+#[test]
+fn a_rule_file_without_rules_keeps_the_frozen_artifact_attached() {
+    let dir = temp_dir("empty-rules");
+    let dir_s = dir.to_str().unwrap();
+    generate(&dir, "7");
+    run_ok(&[
+        "build",
+        "--in",
+        dir_s,
+        "--out",
+        dir.join("dataset.jsonl").to_str().unwrap(),
+    ]);
+    for (name, text) in [("empty", ""), ("blank", "\n  \n\t\r\n")] {
+        let rules = dir.join(format!("{name}.jsonl"));
+        std::fs::write(&rules, text).unwrap();
+        let log = dir.join(format!("{name}.stderr"));
+        let server = Server::spawn(
+            &dir,
+            &["--exceptions", rules.to_str().unwrap()],
+            Stdio::from(std::fs::File::create(&log).expect("stderr file")),
+        );
+        let health = Json::parse(&server.client().get("/health").expect("health").text())
+            .expect("health parses");
+        assert_eq!(
+            health.get("frozen").and_then(Json::as_bool),
+            Some(true),
+            "{name} rule file: {health:?}"
+        );
+        let stderr = std::fs::read_to_string(&log).expect("stderr log");
+        assert!(!stderr.contains("stale"), "{name} rule file:\n{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A built directory passes `fsck`, boots from the frozen artifact
 /// (`/health` reports `frozen: true`, the boot line ends `, frozen)`, and
 /// the first `/health` answers within 2 s of spawn), and answers

@@ -50,8 +50,7 @@ use p2o_obs::catalogue::{self, Source};
 use p2o_obs::promexpo::{self, Family};
 use p2o_obs::{Counter, FlightRecorder, FlightSample, Histogram, Obs, WindowedHistogram, WINDOWS};
 use p2o_util::json::{write_escaped, Json};
-use prefix2org::delta::diff_exports;
-use prefix2org::ExportRecord;
+use prefix2org::FrozenDataset;
 
 use crate::access::AccessLog;
 use crate::http::{self, Request, RequestParser};
@@ -1281,7 +1280,7 @@ fn reload(
         }
         Ok(mut snapshot) => {
             snapshot.serial = old.serial + 1;
-            let ops = render_delta_ops(old.records(), snapshot.records());
+            let ops = render_delta_ops(old.frozen(), snapshot.frozen());
             let entry = DeltaEntry {
                 from: old.serial,
                 to: snapshot.serial,
@@ -1309,34 +1308,34 @@ fn reload(
     }
 }
 
-/// Renders one reload's delta as `/dump` op lines: `add` and `change`
-/// carry the full new record, `remove` just the prefix.
-fn render_delta_ops(old: &[ExportRecord], new: &[ExportRecord]) -> String {
-    let delta = diff_exports(old, new);
-    let by_prefix: std::collections::HashMap<_, _> = new.iter().map(|r| (r.prefix, r)).collect();
+/// Renders one reload's delta as `/dump` op lines, compared record by
+/// record between the two frozen datasets: `add` for a prefix only the new
+/// one maps and `change` for one whose export record (and so its export
+/// line) differs, each carrying the full new record, then `remove`, with
+/// just the prefix, for one only the old one maps. Applied to the old
+/// snapshot's `/dump` reset, the ops yield the new one's.
+fn render_delta_ops(old: &FrozenDataset, new: &FrozenDataset) -> String {
     let mut out = String::new();
-    let op_with_record = |op: &str, prefix: &Prefix, out: &mut String| {
-        if let Some(rec) = by_prefix.get(prefix) {
-            let mut o = Json::object();
-            o.set("op", op);
-            o.set("record", rec.to_json());
-            out.push_str(&format!("{o}\n"));
-        }
-    };
-    for p in &delta.added {
-        op_with_record("add", p, &mut out);
-    }
-    for c in &delta.owner_changes {
-        op_with_record("change", &c.prefix, &mut out);
-    }
-    for p in &delta.customer_changes {
-        op_with_record("change", p, &mut out);
-    }
-    for p in &delta.removed {
+    let mut push = |op: &str, key: &str, value: Json| {
         let mut o = Json::object();
-        o.set("op", "remove");
-        o.set("prefix", p.to_string());
+        o.set("op", op);
+        o.set(key, value);
         out.push_str(&format!("{o}\n"));
+    };
+    for idx in 0..new.len() as u32 {
+        let record = new.export_record(idx);
+        match old.exact(&record.prefix) {
+            None => push("add", "record", record.to_json()),
+            Some(was) if old.export_record(was) != record => {
+                push("change", "record", record.to_json())
+            }
+            Some(_) => {}
+        }
+    }
+    for prefix in (0..old.len() as u32).map(|idx| old.record_prefix(idx)) {
+        if new.exact(&prefix).is_none() {
+            push("remove", "prefix", Json::from(prefix.to_string()));
+        }
     }
     out
 }

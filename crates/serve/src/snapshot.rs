@@ -29,14 +29,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use p2o_net::Prefix;
 use p2o_util::json::{write_escaped, write_u32_array};
 use prefix2org::{
-    freeze_verified, to_jsonl, ExceptionSet, ExportRecord, FrozenDataset, Pipeline, PipelineInputs,
+    freeze_verified, to_jsonl, ExceptionSet, FrozenDataset, Pipeline, PipelineInputs,
 };
 
 /// One immutable, query-ready view of a built artifact directory: a
 /// validated frozen dataset, pinned for the snapshot's lifetime behind the
-/// cell's `Arc`. The JSONL text and parsed export records — only needed by
-/// `/dump` and delta computation, not by lookups — are thawed lazily on
-/// first use.
+/// cell's `Arc`. The JSONL text — only needed by `/dump`, not by lookups —
+/// is thawed lazily on first use.
 pub struct Snapshot {
     /// The artifact directory this snapshot was loaded from.
     pub dir: PathBuf,
@@ -50,7 +49,6 @@ pub struct Snapshot {
     /// than frozen in memory at load.
     from_artifact: bool,
     jsonl: OnceLock<String>,
-    records: OnceLock<Vec<ExportRecord>>,
 }
 
 impl Snapshot {
@@ -91,7 +89,6 @@ impl Snapshot {
             frozen,
             from_artifact,
             jsonl: OnceLock::new(),
-            records: OnceLock::new(),
         }
     }
 
@@ -117,13 +114,9 @@ impl Snapshot {
         self.jsonl.get_or_init(|| self.frozen.to_jsonl())
     }
 
-    /// The export records (delta computation), thawed on first use.
-    pub fn records(&self) -> &[ExportRecord] {
-        self.records.get_or_init(|| {
-            (0..self.frozen.len() as u32)
-                .map(|i| self.frozen.export_record(i))
-                .collect()
-        })
+    /// The served frozen dataset (reload deltas compare two of them).
+    pub fn frozen(&self) -> &FrozenDataset {
+        &self.frozen
     }
 
     /// ROV state tallies of the served dataset: `[valid, invalid,
@@ -324,9 +317,8 @@ mod tests {
     fn lookup_hits_misses_and_provenance() {
         let snap = snapshot_from_seed(7, 0);
         assert!(!snap.from_artifact(), "frozen in memory, not attached");
-        assert!(!snap.records().is_empty(), "tiny world exports records");
-        assert_eq!(snap.records().len(), snap.len());
-        let first = snap.records()[0].prefix;
+        assert!(!snap.is_empty(), "tiny world exports records");
+        let first = snap.frozen().record_prefix(0);
         let hit = snap.lookup(&first).expect("exported prefix resolves");
         let hit = Json::parse(&hit.to_string()).expect("answer is one JSON object");
         assert_eq!(

@@ -115,7 +115,7 @@ fn assert_valid_exposition(text: &str) {
 #[test]
 fn request_ids_echo_on_every_response_and_strictly_increase() {
     let initial = snapshot_from_seed(41, 0);
-    let query = initial.records()[0].prefix.to_string();
+    let query = initial.frozen().record_prefix(0).to_string();
     let server = spawn(ServerConfig::default(), initial, seed_loader()).expect("server spawns");
     let mut client = HttpClient::connect(server.addr).expect("connect");
 
@@ -148,7 +148,7 @@ fn request_ids_echo_on_every_response_and_strictly_increase() {
 #[test]
 fn status_health_and_metrics_expose_windowed_series_under_load() {
     let initial = snapshot_from_seed(42, 0);
-    let query = initial.records()[0].prefix.to_string();
+    let query = initial.frozen().record_prefix(0).to_string();
     let server = spawn(ServerConfig::default(), initial, seed_loader()).expect("server spawns");
     let mut client = HttpClient::connect(server.addr).expect("connect");
 
@@ -227,7 +227,7 @@ fn status_health_and_metrics_expose_windowed_series_under_load() {
 #[test]
 fn debug_requests_dumps_flight_recorder_as_jsonl() {
     let initial = snapshot_from_seed(43, 0);
-    let query = initial.records()[0].prefix.to_string();
+    let query = initial.frozen().record_prefix(0).to_string();
     let server = spawn(ServerConfig::default(), initial, seed_loader()).expect("server spawns");
     let mut client = HttpClient::connect(server.addr).expect("connect");
 
@@ -286,7 +286,7 @@ fn debug_requests_dumps_flight_recorder_as_jsonl() {
 #[test]
 fn debug_trace_captures_live_request_spans_as_chrome_trace() {
     let initial = snapshot_from_seed(44, 0);
-    let query = initial.records()[0].prefix.to_string();
+    let query = initial.frozen().record_prefix(0).to_string();
     let server = spawn(ServerConfig::default(), initial, seed_loader()).expect("server spawns");
     let addr = server.addr;
 
@@ -376,7 +376,7 @@ fn graceful_drain_answers_every_accepted_request() {
     const CLIENTS: usize = 4;
 
     let initial = snapshot_from_seed(46, 0);
-    let query = initial.records()[0].prefix.to_string();
+    let query = initial.frozen().record_prefix(0).to_string();
     let config = ServerConfig {
         allow_quit: true,
         ..ServerConfig::default()
@@ -538,7 +538,7 @@ fn access_log_survives_drain_as_ordered_parseable_jsonl() {
     let log_path = dir.join("access.jsonl");
 
     let initial = snapshot_from_seed(49, 0);
-    let query = initial.records()[0].prefix.to_string();
+    let query = initial.frozen().record_prefix(0).to_string();
     let config = ServerConfig {
         access_log: Some(AccessLog::new(Vfs::real(), &log_path)),
         ..ServerConfig::default()

@@ -75,7 +75,7 @@ fn readers_see_exactly_one_snapshot_and_never_lock_in_steady_state() {
                 // assert they all belong to the same snapshot.
                 let digest = snap.digest.clone();
                 let serial = snap.serial;
-                let query = snap.records()[0].prefix;
+                let query = snap.frozen().record_prefix(0);
                 let hit = snap.lookup(&query).expect("own prefix resolves");
                 let hit = p2o_util::Json::parse(&hit.to_string()).expect("answer parses");
                 let body_digest = hit.get("snapshot").unwrap().as_str().unwrap().to_string();
@@ -137,8 +137,8 @@ fn reload_applies_and_rejects_exception_files() {
     let exc_path = tmp.join("exceptions.jsonl");
 
     let initial = snapshot_from_seed(41, 0);
-    let prefixes_before = initial.records().len() as u64;
-    let victim = initial.records()[0].prefix;
+    let prefixes_before = initial.len() as u64;
+    let victim = initial.frozen().record_prefix(0);
     // Mirrors the CLI's serve loader: re-read the rule file on every load
     // and refuse it wholesale when any line is rejected, so a torn file
     // can delay an update but never changes an answer.
@@ -262,7 +262,7 @@ fn http_responses_stay_snapshot_consistent_across_reloads() {
     const RELOADS: usize = 12;
 
     let initial = snapshot_from_seed(31, 0);
-    let query = initial.records()[0].prefix.to_string();
+    let query = initial.frozen().record_prefix(0).to_string();
     // The loader maps the requested "directory" name back to a seed, so
     // `/reload` with body `seed-32` swaps in a genuinely different world.
     let loader: p2o_serve::SnapshotLoader = Arc::new(|dir: &std::path::Path| {

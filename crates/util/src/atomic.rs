@@ -19,12 +19,13 @@
 //! Because every artifact is replaced by rename, readers never observe a
 //! half-written destination from this protocol alone. Torn-write *detection*
 //! for files that were corrupted out-of-band (or whose write was injected
-//! to fail) comes from two layers: the per-artifact digests recorded in
-//! `MANIFEST.tsv` (see [`manifest`](crate::manifest)), and — for internal
-//! binary artifacts like the build checkpoint stamp — the checksummed frame
-//! format in this module ([`write_framed`] / [`read_framed`]): a 24-byte
-//! header carrying magic, version, payload length and FNV-1a digest, so a
-//! reader can tell *exactly* how a file is damaged ([`FrameError`]).
+//! to fail) comes from two layers, one per file: the digests `generate`
+//! records in `MANIFEST.tsv` (see [`manifest`](crate::manifest)), and —
+//! for the checkpoint stamp and `world.p2ob` that `build` writes — the
+//! checksummed frame format in this module ([`write_framed`] /
+//! [`read_framed`]): a 24-byte header carrying magic, version, payload
+//! length and FNV-1a digest, so a reader can tell *exactly* how a file is
+//! damaged ([`FrameError`]).
 
 use std::fmt;
 use std::io;
@@ -112,6 +113,14 @@ pub enum FrameError {
         /// Bytes actually present after the header.
         got: u64,
     },
+    /// More bytes follow the header than it declared: an append or a
+    /// partial overwrite past the end of the payload.
+    TrailingBytes {
+        /// Length the header declared.
+        expected: u64,
+        /// Bytes actually present after the header.
+        got: u64,
+    },
     /// Payload length matches but the digest does not: bit-rot or a
     /// partially overwritten file.
     DigestMismatch {
@@ -142,6 +151,12 @@ impl fmt::Display for FrameError {
             FrameError::TruncatedPayload { expected, got } => {
                 write!(f, "torn payload: {got} of {expected} bytes")
             }
+            FrameError::TrailingBytes { expected, got } => {
+                write!(
+                    f,
+                    "trailing bytes: {got} payload bytes, {expected} declared"
+                )
+            }
             FrameError::DigestMismatch { expected, got } => write!(
                 f,
                 "digest mismatch: header says {expected:016X}, payload is {got:016X}"
@@ -170,6 +185,13 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// Parses a framed byte string back into its payload, detecting every
 /// damage mode as a distinct [`FrameError`].
 pub fn unframe(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
+    strip_frame(bytes.to_vec())
+}
+
+/// Checks that `bytes` is exactly one intact frame (the header, then a
+/// payload of the declared length and digest, and nothing after it) and
+/// strips the header in place.
+fn strip_frame(mut bytes: Vec<u8>) -> Result<Vec<u8>, FrameError> {
     if bytes.len() < FRAME_HEADER_LEN {
         return Err(FrameError::TruncatedHeader { got: bytes.len() });
     }
@@ -185,13 +207,13 @@ pub fn unframe(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
     let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     let expected_digest = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
     let payload = &bytes[FRAME_HEADER_LEN..];
-    if (payload.len() as u64) < len {
-        return Err(FrameError::TruncatedPayload {
-            expected: len,
-            got: payload.len() as u64,
-        });
+    let got = payload.len() as u64;
+    if got < len {
+        return Err(FrameError::TruncatedPayload { expected: len, got });
     }
-    let payload = &payload[..len as usize];
+    if got > len {
+        return Err(FrameError::TrailingBytes { expected: len, got });
+    }
     let got_digest = fnv1a_64(payload);
     if got_digest != expected_digest {
         return Err(FrameError::DigestMismatch {
@@ -199,7 +221,8 @@ pub fn unframe(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
             got: got_digest,
         });
     }
-    Ok(payload.to_vec())
+    bytes.drain(..FRAME_HEADER_LEN);
+    Ok(bytes)
 }
 
 /// Atomically writes `payload` wrapped in a checksummed frame. The header
@@ -208,10 +231,10 @@ pub fn write_framed(vfs: &Vfs, path: &Path, label: &str, payload: &[u8]) -> io::
     write_atomic_parts(vfs, path, label, &[&frame_header(payload), payload])
 }
 
-/// Reads a framed artifact, verifying magic, version, length, and digest.
+/// Reads a framed artifact, verifying magic, version, length, and digest;
+/// the header is stripped in place, so the payload is never copied.
 pub fn read_framed(vfs: &Vfs, path: &Path) -> Result<Vec<u8>, FrameError> {
-    let bytes = vfs.read(path).map_err(|e| FrameError::Io(e.to_string()))?;
-    unframe(&bytes)
+    strip_frame(vfs.read(path).map_err(|e| FrameError::Io(e.to_string()))?)
 }
 
 #[cfg(test)]
@@ -318,6 +341,29 @@ mod tests {
             unframe(&rot),
             Err(FrameError::DigestMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn bytes_past_the_declared_payload_are_damage() {
+        let framed = frame(b"payload-bytes");
+        let long = [&framed[..], b"tail"].concat();
+        assert_eq!(
+            unframe(&long),
+            Err(FrameError::TrailingBytes {
+                expected: 13,
+                got: 17
+            })
+        );
+
+        let dir = tmp_dir("trailing");
+        let path = dir.join("world.p2ob");
+        fs::write(&path, &long).unwrap();
+        let err = read_framed(&Vfs::real(), &path).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "trailing bytes: 17 payload bytes, 13 declared"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

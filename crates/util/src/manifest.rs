@@ -3,14 +3,19 @@
 //! `generate` records every artifact it writes — relative path, byte
 //! length, FNV-1a digest — into a `MANIFEST.tsv` sidecar at the root of the
 //! data directory, written last (and atomically) so it describes the final
-//! on-disk state. Consumers use it two ways:
+//! on-disk state. The manifest is `generate`'s alone: the files `build`
+//! writes into the directory (`world.p2ob`, checkpoint stamps) carry their
+//! own checksummed frame (see [`atomic`](crate::atomic)) and get no row.
 //!
-//! - `build` verifies each input file against its manifest entry before
-//!   parsing and reports (never aborts on) any mismatch — a torn or
-//!   bit-rotted file is *detected* durably rather than surfacing as a
-//!   confusing parse error deep in a substrate;
+//! The CLI checks the rows in one integrity scan, which reads each listed
+//! file once and [`check`](ManifestEntry::check)s it against its row:
+//!
+//! - `build` reports (never aborts on) any mismatch before parsing — a
+//!   torn or bit-rotted file is *detected* durably rather than surfacing as
+//!   a confusing parse error deep in a substrate;
 //! - `prefix2org fsck` audits an entire directory and exits nonzero when
-//!   anything is missing, truncated, or altered.
+//!   anything is missing, truncated, or altered, and `serve` refuses to
+//!   boot from such a directory.
 //!
 //! The manifest is plain TSV (`path`, `bytes`, 16-hex `digest`) with a `#`
 //! comment header, so it is diffable and greppable like every other
@@ -46,6 +51,23 @@ impl ManifestEntry {
             bytes: parts.iter().map(|p| p.len() as u64).sum(),
             digest: parts.iter().fold(FNV1A_INIT, |h, p| fnv1a_64_update(h, p)),
         }
+    }
+
+    /// Checks `content` against this identity; `None` means it matches.
+    /// The content is hashed only when its length does.
+    pub fn check(&self, content: &[u8]) -> Option<VerifyIssue> {
+        let got = content.len() as u64;
+        if got != self.bytes {
+            return Some(VerifyIssue::LengthMismatch {
+                expected: self.bytes,
+                got,
+            });
+        }
+        let got = fnv1a_64(content);
+        (got != self.digest).then_some(VerifyIssue::DigestMismatch {
+            expected: self.digest,
+            got,
+        })
     }
 }
 
@@ -109,21 +131,6 @@ impl Manifest {
     /// Records (or re-records) an artifact whose identity is already known.
     pub fn record_entry(&mut self, relpath: &str, entry: ManifestEntry) {
         self.entries.insert(relpath.to_string(), entry);
-    }
-
-    /// Looks up an artifact's recorded identity.
-    pub fn get(&self, relpath: &str) -> Option<ManifestEntry> {
-        self.entries.get(relpath).copied()
-    }
-
-    /// Number of recorded artifacts.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the manifest records nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Iterates entries in sorted path order.
@@ -196,26 +203,11 @@ impl Manifest {
     /// Verifies one artifact on disk against its manifest entry; `None`
     /// means the artifact is not listed (nothing to check).
     pub fn verify_file(&self, vfs: &Vfs, dir: &Path, relpath: &str) -> Option<VerifyIssue> {
-        let entry = self.get(relpath)?;
-        let path = dir.join(relpath);
-        let bytes = match vfs.read(&path) {
-            Ok(b) => b,
-            Err(_) => return Some(VerifyIssue::Missing),
-        };
-        if bytes.len() as u64 != entry.bytes {
-            return Some(VerifyIssue::LengthMismatch {
-                expected: entry.bytes,
-                got: bytes.len() as u64,
-            });
+        let entry = self.entries.get(relpath)?;
+        match vfs.read(&dir.join(relpath)) {
+            Ok(bytes) => entry.check(&bytes),
+            Err(_) => Some(VerifyIssue::Missing),
         }
-        let got = fnv1a_64(&bytes);
-        if got != entry.digest {
-            return Some(VerifyIssue::DigestMismatch {
-                expected: entry.digest,
-                got,
-            });
-        }
-        None
     }
 
     /// Verifies every recorded artifact; returns `(relpath, issue)` pairs in

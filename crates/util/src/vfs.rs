@@ -229,11 +229,6 @@ impl Vfs {
         }
     }
 
-    /// Whether any fault is armed on this handle.
-    pub fn is_faulty(&self) -> bool {
-        self.inner.fault.is_some()
-    }
-
     /// Current statistics.
     pub fn stats(&self) -> VfsStats {
         let c = &self.inner.cells;
@@ -311,13 +306,6 @@ impl Vfs {
         c.writes.fetch_add(1, Ordering::Relaxed);
         c.bytes_written.fetch_add(total as u64, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Writes without fault injection or statistics — used by the atomic
-    /// protocol to materialize a *deliberately* torn file before a
-    /// kill-point fires.
-    pub fn write_raw(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        fs::write(path, bytes)
     }
 
     /// Reads a file's bytes.
