@@ -200,7 +200,7 @@ fn bench_json(budget_ms: u64) {
             Pipeline::with_threads(max_threads).dataset_with_evidence(&inputs, None, None);
         let jsonl = prefix2org::to_jsonl(&dataset);
         let mean = bench(&format!("freeze/{scale}/threads_1"), || {
-            prefix2org::freeze_verified(&inputs, &dataset, &edges, 0, &jsonl)
+            prefix2org::freeze_verified(&inputs, &dataset, &edges, 0, &jsonl, None)
                 .expect("fresh freeze verifies")
         });
         stage_means.push(("freeze", 1, mean));
@@ -271,7 +271,10 @@ fn bench_json(budget_ms: u64) {
     // binary search over one contiguous buffer) against the heap radix
     // tree (per-node allocations, pointer-chasing walk), both answering
     // every record prefix of the default-scale dataset. Single-threaded
-    // by construction, so the ratio is valid on any recorder.
+    // by construction, so the ratio is valid on any recorder. Beside it,
+    // the artifact's size per record and what rendering one record's
+    // answer body costs: its Listing-1 object plus its provenance as a
+    // JSON string, for every record in order.
     group("json_lookup");
     let lookup = {
         let world = World::generate(WorldConfig::default_scale(0xF1F0));
@@ -310,9 +313,27 @@ fn bench_json(budget_ms: u64) {
             }
             black_box(acc)
         });
+        let render_mean = bench("render/default/listing1_and_provenance", || {
+            let mut out = String::new();
+            for idx in 0..frozen.len() as u32 {
+                out.clear();
+                frozen
+                    .write_listing1(idx, &mut out)
+                    .expect("String writes succeed");
+                frozen
+                    .write_provenance_json(idx, &mut out)
+                    .expect("String writes succeed");
+                black_box(&out);
+            }
+        });
         let mut l = Json::object();
         l.set("scale", "default");
         l.set("queries", n);
+        l.set(
+            "frozen_bytes_per_record",
+            frozen.payload().len() as f64 / n as f64,
+        );
+        l.set("record_render_ns", render_mean / n as f64);
         l.set("radix_heap_ns_per_lookup", radix_mean / n as f64);
         l.set("frozen_lpm_ns_per_lookup", frozen_mean / n as f64);
         l.set(

@@ -263,14 +263,16 @@ pub fn canonical_inputs_digest(files: Digest, exceptions: Option<&[u8]>) -> u64 
     )
 }
 
-/// Whether a recorded artifact still matches the bytes on disk.
-pub fn artifact_verifies(vfs: &Vfs, artifact: &StampArtifact) -> bool {
+/// The bytes on disk of a recorded artifact, when they still match the
+/// record.
+pub fn verified_bytes(vfs: &Vfs, artifact: &StampArtifact) -> Option<Vec<u8>> {
     let entry = ManifestEntry {
         bytes: artifact.bytes,
         digest: artifact.digest,
     };
     vfs.read(Path::new(&artifact.path))
-        .is_ok_and(|bytes| entry.check(&bytes).is_none())
+        .ok()
+        .filter(|bytes| entry.check(bytes).is_none())
 }
 
 #[cfg(test)]
@@ -434,13 +436,13 @@ mod tests {
         let mut stamp = Stamp::new(0);
         stamp.record("export", path.to_str().unwrap(), b"line one\n");
         let a = stamp.artifact("export").unwrap();
-        assert!(artifact_verifies(&vfs, a));
+        assert_eq!(verified_bytes(&vfs, a).as_deref(), Some(&b"line one\n"[..]));
         fs::write(&path, b"line on").unwrap();
-        assert!(!artifact_verifies(&vfs, a));
+        assert!(verified_bytes(&vfs, a).is_none());
         fs::write(&path, b"line two\n").unwrap();
-        assert!(!artifact_verifies(&vfs, a));
+        assert!(verified_bytes(&vfs, a).is_none());
         fs::remove_file(&path).unwrap();
-        assert!(!artifact_verifies(&vfs, a));
+        assert!(verified_bytes(&vfs, a).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 }

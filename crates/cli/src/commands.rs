@@ -146,8 +146,9 @@ enum ResumeDecision {
 
 /// Evaluates `build --resume`: skip iff the stamp exists, its inputs
 /// digest matches, and every artifact this invocation asks for is recorded
-/// (same path) and verifies on disk. Anything else recomputes with a
-/// warning — never an abort.
+/// (same path) and verifies on disk — the frozen artifact only in the
+/// format this binary reads. Anything else recomputes with a warning —
+/// never an abort.
 fn evaluate_resume(
     vfs: &Vfs,
     out: &Path,
@@ -188,14 +189,18 @@ fn evaluate_resume(
             for (role, path) in requested {
                 match stamp.artifact(role) {
                     Some(a) if a.path == *path => {
-                        if checkpoint::artifact_verifies(vfs, a) {
-                            verified += 1;
-                        } else {
+                        let Some(bytes) = checkpoint::verified_bytes(vfs, a) else {
                             return recompute(
                                 &format!("{role} artifact {path} is missing or altered"),
                                 false,
                             );
+                        };
+                        if *role == "frozen" {
+                            if let Some(why) = unreadable_frozen(&bytes) {
+                                return recompute(&format!("frozen artifact {path} {why}"), false);
+                            }
                         }
+                        verified += 1;
                     }
                     _ => {
                         return recompute(
@@ -207,6 +212,22 @@ fn evaluate_resume(
             }
             ResumeDecision::Skip { verified }
         }
+    }
+}
+
+/// Why this binary cannot serve the framed `world.p2ob` bytes a stamp
+/// vouched for, judged by the `format_version` they carry: `None` when it
+/// can. The stamp's digest already covers the frame, so only its header
+/// is skipped.
+fn unreadable_frozen(framed: &[u8]) -> Option<String> {
+    let payload = framed.get(atomic::FRAME_HEADER_LEN..).unwrap_or_default();
+    match prefix2org::frozen::payload_format_version(payload) {
+        Ok(prefix2org::FROZEN_FORMAT_VERSION) => None,
+        Ok(version) => Some(format!(
+            "has format_version {version}, but this binary reads format_version {}",
+            prefix2org::FROZEN_FORMAT_VERSION
+        )),
+        Err(e) => Some(format!("does not parse ({e})")),
     }
 }
 
@@ -497,15 +518,14 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     // with, and the thaw check proves the artifact reproduces the export
     // byte-for-byte before anything touches disk.
     let canonical_digest = checkpoint::canonical_inputs_digest(scan.files_digest, exceptions_bytes);
-    let timer = stage("core.freeze");
     let frozen = prefix2org::freeze_verified(
         &pipeline_inputs,
         &dataset,
         &merge_edges,
         canonical_digest,
         &jsonl,
+        obs.as_ref(),
     )?;
-    drop(timer);
     let mut stamp = checkpoint::Stamp::new(inputs_digest);
     // The artifact's JSONL digest is the export's FNV-1a digest, so the
     // stamp reuses it instead of hashing the export again.

@@ -166,6 +166,7 @@ fn build_report_emits_run_report() {
         "pipeline.cluster",
         "core.export",
         "core.freeze",
+        "core.thaw_verify",
         "util.write",
     ] {
         let s = parsed

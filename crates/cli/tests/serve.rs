@@ -476,6 +476,76 @@ fn a_rule_file_without_rules_keeps_the_frozen_artifact_attached() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `build --resume` keeps a stamped artifact only when this binary can
+/// serve it. A `world.p2ob` of the previous format, under a valid frame
+/// and stamped as the older build that wrote it would have stamped it,
+/// passes the stamp's length and digest check, yet `serve` refuses it, so
+/// resume rebuilds it and `serve` then attaches the new artifact.
+#[test]
+fn resume_rebuilds_an_artifact_of_an_older_format() {
+    let dir = temp_dir("resume-old-format");
+    let dir_s = dir.to_str().unwrap();
+    generate(&dir, "7");
+    let dataset = dir.join("dataset.jsonl");
+    let build = ["build", "--in", dir_s, "--out", dataset.to_str().unwrap()];
+    run_ok(&build);
+
+    let p2ob = dir.join("world.p2ob");
+    let current = std::fs::read(&p2ob).unwrap();
+    let mut payload = p2o_util::atomic::unframe(&current).expect("artifact unframes");
+    let meta = p2o_util::arena::ArenaIndex::parse(&payload)
+        .expect("arena parses")
+        .get("meta")
+        .expect("meta section");
+    let older = (prefix2org::FROZEN_FORMAT_VERSION - 1).to_le_bytes();
+    payload[meta.start..meta.start + 4].copy_from_slice(&older);
+    let old = p2o_util::atomic::frame(&payload);
+    std::fs::write(&p2ob, &old).unwrap();
+    let stamp_path = dir.join("dataset.jsonl.ckpt");
+    let stamp =
+        String::from_utf8(p2o_util::atomic::unframe(&std::fs::read(&stamp_path).unwrap()).unwrap())
+            .unwrap();
+    let restamped: String = stamp
+        .lines()
+        .map(|line| match line.split('\t').collect::<Vec<_>>()[..] {
+            ["artifact", "frozen", path, _, _] => format!(
+                "artifact\tfrozen\t{path}\t{}\t{:016X}\n",
+                old.len(),
+                p2o_util::fnv1a_64(&old)
+            ),
+            _ => format!("{line}\n"),
+        })
+        .collect();
+    assert_ne!(restamped, stamp, "the stamp has a frozen row");
+    std::fs::write(&stamp_path, p2o_util::atomic::frame(restamped.as_bytes())).unwrap();
+
+    let out = run(&[&build[..], &["--resume"]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("resumed"),
+        "resume kept an artifact serve refuses:\n{stderr}"
+    );
+    let want = format!(
+        "has format_version {}, but this binary reads format_version {}; recomputing",
+        prefix2org::FROZEN_FORMAT_VERSION - 1,
+        prefix2org::FROZEN_FORMAT_VERSION
+    );
+    assert!(stderr.contains(&want), "{stderr}");
+    assert_eq!(std::fs::read(&p2ob).unwrap(), current);
+
+    let server = Server::start(&dir);
+    let health = Json::parse(&server.client().get("/health").expect("health").text())
+        .expect("health parses");
+    assert_eq!(
+        health.get("frozen").and_then(Json::as_bool),
+        Some(true),
+        "{health:?}"
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A built directory passes `fsck`, boots from the frozen artifact
 /// (`/health` reports `frozen: true`, the boot line ends `, frozen)`, and
 /// the first `/health` answers within 2 s of spawn), and answers

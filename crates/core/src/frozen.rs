@@ -5,9 +5,10 @@
 //! tree. The frozen artifact trades that for a **single-read, zero-copy**
 //! form: one arena buffer ([`p2o_util::arena`]) holding fixed-width
 //! records, one interned-string table ([`p2o_util::interner::StringBlob`]),
-//! flattened per-family LPM span tables ([`p2o_radix::freeze`]), and the
-//! pre-rendered per-record provenance — so `prefix2org serve` answers its
-//! first lookup milliseconds after exec, with no per-record allocation.
+//! flattened per-family LPM span tables ([`p2o_radix::freeze`]), and each
+//! record's decision trace as its `(rule, detail)` steps — so `prefix2org
+//! serve` answers its first lookup milliseconds after exec, with no
+//! per-record allocation.
 //!
 //! **Byte-identical derivation.** Freezing is defined against the canonical
 //! JSONL export: [`FrozenDataset::to_jsonl`] must reproduce
@@ -21,14 +22,21 @@
 //! Layout (arena sections, byte offsets in DESIGN.md §4h):
 //!
 //! ```text
-//! meta     32 B    format_version, record/step/pool counts, digests
+//! meta     32 B    format_version, record/DC-step/pool counts, digests
 //! strings  var     StringBlob: count | offsets | UTF-8 blob
-//! recs     n×88 B  fixed-width records (string ids, pool slices)
+//! recs     n×88 B  fixed-width records (string ids, first trace step,
+//!                  pool slices)
 //! dcsteps  k×24 B  delegated-customer chain steps
+//! steps    t×8 B   decision-trace steps: rule and detail string ids
 //! u32pool  m×4 B   shared u32 arrays (ASN clusters, BGP origins)
 //! lpm4     var     frozen IPv4 span table, values = record indices
 //! lpm6     var     frozen IPv6 span table, values = record indices
 //! ```
+//!
+//! A record's trace steps run from its first-step index to the next
+//! record's (the last record's to the end of `steps`). The trace's subject
+//! line is the record's prefix, so it is not stored, and no rendered text
+//! is: [`p2o_obs::provenance::write_trace`] lays the steps out on demand.
 //!
 //! Everything is little-endian. The artifact on disk is this payload
 //! wrapped in the standard checksummed frame ([`p2o_util::atomic`]), so
@@ -39,6 +47,8 @@ use std::fmt::{self, Write as _};
 use std::path::Path;
 
 use p2o_net::{Prefix, Prefix4, Prefix6};
+use p2o_obs::provenance::{write_trace, write_trace_json};
+use p2o_obs::Obs;
 use p2o_radix::{freeze_v4, freeze_v6, LpmView4, LpmView6};
 use p2o_rpki::RovStatus;
 use p2o_util::arena::{u128_at, u32_at, u64_at, ArenaIndex, ArenaWriter};
@@ -59,10 +69,12 @@ use crate::pipeline::PipelineInputs;
 /// The frozen artifact's file name inside a build directory.
 pub const FROZEN_FILE: &str = "world.p2ob";
 
-/// Interior format version; readers require an exact match (v2 repurposed
-/// two record pad bytes for the ROV state and the local-exception flag, so
-/// a v1 artifact's zeroed pads would silently read as `rov: valid`).
-pub const FROZEN_FORMAT_VERSION: u32 = 2;
+/// Interior format version; readers require an exact match. v2 repurposed
+/// two record pad bytes for the ROV state and the local-exception flag (a
+/// v1 artifact's zeroed pads would silently read as `rov: valid`); v3
+/// stores each trace as `(rule, detail)` steps, and the record field that
+/// held a rendered trace's string id holds its first-step index.
+pub const FROZEN_FORMAT_VERSION: u32 = 3;
 
 /// The kill-point / frame label the artifact is written under.
 pub const FROZEN_LABEL: &str = "frozen";
@@ -74,6 +86,8 @@ const NONE_ID: u32 = u32::MAX;
 const REC_SIZE: usize = 88;
 /// Fixed-width delegated-customer step size.
 const DC_SIZE: usize = 24;
+/// Decision-trace step size: rule string id u32 | detail string id u32.
+const STEP_SIZE: usize = 8;
 /// Serialized prefix size: family u8 | len u8 | bits u128 LE.
 const PFX_SIZE: usize = 18;
 /// Meta section size.
@@ -138,9 +152,9 @@ fn write_alloc<W: fmt::Write>(out: &mut W, index: u8) -> fmt::Result {
 /// provenance) into the frozen arena payload. The caller wraps the payload
 /// in a checksummed frame and writes it atomically.
 ///
-/// `inputs` must be the same inputs the dataset was built from — the
-/// per-record provenance is rendered as
-/// [`attribution_trace`](crate::attribution_trace) renders it against them,
+/// `inputs` must be the same inputs the dataset was built from — each
+/// record's trace steps are the ones
+/// [`attribution_trace`](crate::attribution_trace) builds against them,
 /// and the per-record BGP origins are taken from `inputs.routes`.
 /// `inputs_digest` is the canonical digest of the build directory's input
 /// files, stored for staleness detection at serve time.
@@ -167,8 +181,10 @@ fn freeze_with_digest(
     let mut strings = StringBlobBuilder::new();
     let mut recs: Vec<u8> = Vec::with_capacity(dataset.len() * REC_SIZE);
     let mut dcsteps: Vec<u8> = Vec::new();
+    let mut steps: Vec<u8> = Vec::new();
     let mut pool: Vec<u8> = Vec::new();
     let mut dc_count = 0u32;
+    let mut step_count = 0u32;
     let mut pool_count = 0u32;
     let mut v4_entries: Vec<(Prefix4, u32)> = Vec::new();
     let mut v6_entries: Vec<(Prefix6, u32)> = Vec::new();
@@ -189,7 +205,8 @@ fn freeze_with_digest(
             Prefix::V6(p) => v6_entries.push((p, idx)),
         }
 
-        let provenance = indexed_trace(inputs, dataset, &merge_index, None, &rec.prefix).render();
+        let trace = indexed_trace(inputs, dataset, &merge_index, None, &rec.prefix);
+        debug_assert_eq!(trace.subject, rec.prefix.to_string());
         let origins: Vec<u32> = inputs
             .routes
             .origins(&rec.prefix)
@@ -219,7 +236,12 @@ fn freeze_with_digest(
         };
         recs.extend_from_slice(&rpki_id.to_le_bytes());
         recs.extend_from_slice(&strings.intern(&rec.final_cluster_label).to_le_bytes());
-        recs.extend_from_slice(&strings.intern(&provenance).to_le_bytes());
+        recs.extend_from_slice(&step_count.to_le_bytes());
+        for step in &trace.steps {
+            steps.extend_from_slice(&strings.intern(&step.rule).to_le_bytes());
+            steps.extend_from_slice(&strings.intern(&step.detail).to_le_bytes());
+        }
+        step_count += trace.steps.len() as u32;
         recs.push(alloc_index(rec.do_alloc));
         recs.push(rec.rov.as_u8());
         recs.push(rec.local_exception.is_some() as u8);
@@ -245,6 +267,7 @@ fn freeze_with_digest(
     w.section_parts("strings", strings.into_parts());
     w.section("recs", recs);
     w.section("dcsteps", dcsteps);
+    w.section("steps", steps);
     w.section("u32pool", pool);
     w.section("lpm4", freeze_v4(&v4_entries));
     w.section("lpm6", freeze_v6(&v6_entries));
@@ -260,16 +283,23 @@ fn freeze_with_digest(
 /// `serve` serves the returned dataset directly when that file is missing
 /// or stale. The payload is moved, never copied; the export's digest is
 /// taken from `jsonl`, and each thawed line is compared with `jsonl` as it
-/// renders, so no second copy of the export is built.
+/// renders, so no second copy of the export is built. An observed build
+/// times the freeze as stage `core.freeze` and the audit plus thaw check
+/// as `core.thaw_verify`.
 pub fn freeze_verified(
     inputs: &PipelineInputs<'_>,
     dataset: &Prefix2OrgDataset,
     merge_edges: &[MergeEdge],
     inputs_digest: u64,
     jsonl: &str,
+    obs: Option<&Obs>,
 ) -> Result<FrozenDataset, String> {
+    let stage = |name: &str| obs.map(|o| o.stage(name));
+    let timer = stage("core.freeze");
     let jsonl_digest = Digest::of_bytes(jsonl.as_bytes()).0;
     let payload = freeze_with_digest(inputs, dataset, merge_edges, inputs_digest, jsonl_digest);
+    drop(timer);
+    let _timer = stage("core.thaw_verify");
     let frozen = FrozenDataset::from_payload(payload)
         .map_err(|e| format!("frozen artifact failed self-validation: {e}"))?;
     if !frozen.thaws_to(jsonl) {
@@ -283,6 +313,7 @@ struct Sections {
     strings: core::ops::Range<usize>,
     recs: core::ops::Range<usize>,
     dcsteps: core::ops::Range<usize>,
+    steps: core::ops::Range<usize>,
     pool: core::ops::Range<usize>,
     lpm4: core::ops::Range<usize>,
     lpm6: core::ops::Range<usize>,
@@ -293,14 +324,15 @@ struct Sections {
     lpm6_parts: (usize, usize),
     record_count: u32,
     dc_count: u32,
+    step_count: u32,
     pool_count: u32,
     jsonl_digest: u64,
     inputs_digest: u64,
 }
 
-/// Arena parse + meta decode + section-size arithmetic. Shared by the
-/// cheap loader and the deep validator.
-fn index_sections(payload: &[u8]) -> Result<Sections, String> {
+/// The arena index of a frozen payload and its meta section, checked for
+/// size only.
+fn parse_meta(payload: &[u8]) -> Result<(ArenaIndex, &[u8]), String> {
     let arena = ArenaIndex::parse(payload)?;
     let meta = arena.require("meta")?;
     if meta.len() != META_SIZE {
@@ -309,7 +341,21 @@ fn index_sections(payload: &[u8]) -> Result<Sections, String> {
             meta.len()
         ));
     }
-    let m = &payload[meta];
+    Ok((arena, &payload[meta]))
+}
+
+/// The `format_version` an unframed payload declares, read without
+/// auditing anything else: what `build --resume` checks before it keeps an
+/// artifact.
+pub fn payload_format_version(payload: &[u8]) -> Result<u32, String> {
+    let (_, meta) = parse_meta(payload)?;
+    Ok(u32_at(meta, 0).expect("meta length checked"))
+}
+
+/// Arena parse + meta decode + section-size arithmetic. Shared by the
+/// cheap loader and the deep validator.
+fn index_sections(payload: &[u8]) -> Result<Sections, String> {
+    let (arena, m) = parse_meta(payload)?;
     let format_version = u32_at(m, 0).expect("meta length checked");
     if format_version > FROZEN_FORMAT_VERSION {
         return Err(format!(
@@ -345,6 +391,14 @@ fn index_sections(payload: &[u8]) -> Result<Sections, String> {
             dc_count as usize * DC_SIZE
         ));
     }
+    let steps = arena.require("steps")?;
+    if steps.len() % STEP_SIZE != 0 || steps.len() / STEP_SIZE > u32::MAX as usize {
+        return Err(format!(
+            "steps section is {} bytes, not a whole number of {STEP_SIZE}-byte steps",
+            steps.len()
+        ));
+    }
+    let step_count = (steps.len() / STEP_SIZE) as u32;
     let pool = arena.require("u32pool")?;
     if pool.len() != pool_count as usize * 4 {
         return Err(format!(
@@ -365,6 +419,7 @@ fn index_sections(payload: &[u8]) -> Result<Sections, String> {
         strings: arena.require("strings")?,
         recs,
         dcsteps,
+        steps,
         pool,
         lpm4,
         lpm6,
@@ -372,6 +427,7 @@ fn index_sections(payload: &[u8]) -> Result<Sections, String> {
         lpm6_parts,
         record_count,
         dc_count,
+        step_count,
         pool_count,
         jsonl_digest,
         inputs_digest,
@@ -389,6 +445,10 @@ fn index_sections(payload: &[u8]) -> Result<Sections, String> {
 /// [`validate_payload`]: FrozenDataset::validate_payload
 pub struct FrozenDataset {
     payload: Vec<u8>,
+    /// The string table's blob, copied out of `payload` once it validated,
+    /// so a string read slices a `str`. Re-checking each string's UTF-8 on
+    /// every read made `/batch` at xl scale about 10% slower (2-vCPU VM).
+    text: String,
     sections: Sections,
 }
 
@@ -410,9 +470,13 @@ impl FrozenDataset {
 
     /// Validates an unframed payload and takes ownership of it.
     pub fn from_payload(payload: Vec<u8>) -> Result<FrozenDataset, String> {
-        Self::validate_payload(&payload)?;
+        let text = Self::audit(&payload)?.to_string();
         let sections = index_sections(&payload).expect("validated");
-        Ok(FrozenDataset { payload, sections })
+        Ok(FrozenDataset {
+            payload,
+            text,
+            sections,
+        })
     }
 
     /// The full interior audit behind [`load`](Self::load) — also what
@@ -420,10 +484,18 @@ impl FrozenDataset {
     /// container (magic, endianness marker, container version, TOC bounds),
     /// the meta section (size, `format_version` gate, section-size
     /// arithmetic), the string table (monotone offsets, UTF-8), both LPM
-    /// blobs (sorted canonical keys, ancestor links, span invariants), and
-    /// every record and chain step (string ids, allocation-type and pool
-    /// ranges, prefix canonicality, LPM keys ↔ record prefixes bijection).
+    /// blobs (sorted canonical keys, ancestor links, span invariants), every
+    /// record and chain step (string ids, allocation-type and pool ranges,
+    /// prefix canonicality, LPM keys ↔ record prefixes bijection), and
+    /// every trace step (rule and detail string ids; first-step indices
+    /// non-decreasing and inside the step table).
     pub fn validate_payload(payload: &[u8]) -> Result<(), String> {
+        Self::audit(payload).map(drop)
+    }
+
+    /// [`validate_payload`](Self::validate_payload), returning the string
+    /// table's validated text.
+    fn audit(payload: &[u8]) -> Result<&str, String> {
         let s = index_sections(payload)?;
         let strings =
             StringBlob::parse(&payload[s.strings.clone()]).map_err(|e| format!("strings: {e}"))?;
@@ -434,6 +506,7 @@ impl FrozenDataset {
         let recs = &payload[s.recs.clone()];
         let mut v4_seen = 0usize;
         let mut v6_seen = 0usize;
+        let mut prev_first_step = 0u32;
         for i in 0..s.record_count as usize {
             let base = i * REC_SIZE;
             let err = |what: &str| format!("record {i}: {what}");
@@ -445,7 +518,6 @@ impl FrozenDataset {
                 ("direct_owner", 40),
                 ("base_name", 44),
                 ("final_cluster", 52),
-                ("provenance", 56),
             ] {
                 if !str_ok(at(off)) {
                     return Err(err(&format!("{name} string id out of range")));
@@ -454,6 +526,13 @@ impl FrozenDataset {
             if at(48) != NONE_ID && !str_ok(at(48)) {
                 return Err(err("rpki_certificate string id out of range"));
             }
+            if at(56) < prev_first_step {
+                return Err(err("first trace step precedes the previous record's"));
+            }
+            if at(56) > s.step_count {
+                return Err(err("first trace step past the step table"));
+            }
+            prev_first_step = at(56);
             let registry = strings.get(at(36)).expect("checked above");
             if registry.parse::<Registry>().is_err() {
                 return Err(err(&format!("unknown registry {registry:?}")));
@@ -510,11 +589,21 @@ impl FrozenDataset {
                 return Err(format!("step {i}: allocation type index out of range"));
             }
         }
-        Ok(())
+
+        let steps = &payload[s.steps.clone()];
+        for i in 0..s.step_count as usize {
+            for (name, off) in [("rule", 0), ("detail", 4)] {
+                if !str_ok(u32_at(steps, i * STEP_SIZE + off).expect("steps sized above")) {
+                    return Err(format!("trace step {i}: {name} string id out of range"));
+                }
+            }
+        }
+        Ok(strings.text())
     }
 
     fn strings(&self) -> StringBlob<'_> {
-        StringBlob::attach(&self.payload[self.sections.strings.clone()]).expect("validated")
+        StringBlob::attach(&self.payload[self.sections.strings.clone()], &self.text)
+            .expect("validated")
     }
 
     #[inline]
@@ -600,11 +689,44 @@ impl FrozenDataset {
         read_prefix(recs, idx as usize * REC_SIZE).expect("validated")
     }
 
-    /// The pre-rendered decision trace of record `idx` — byte-identical to
-    /// what [`attribution_trace`](crate::attribution_trace) rendered at
-    /// freeze time.
-    pub fn provenance(&self, idx: u32) -> &str {
-        self.rec_str(idx, 56)
+    /// Record `idx`'s stored decision-trace steps, `(rule, detail)` in
+    /// order. The trace's subject is the record's prefix.
+    fn trace_steps(&self, idx: u32) -> impl Iterator<Item = (&str, &str)> + Clone + '_ {
+        let end = if idx + 1 < self.sections.record_count {
+            self.rec_u32(idx + 1, 56)
+        } else {
+            self.sections.step_count
+        };
+        let steps = &self.payload[self.sections.steps.clone()];
+        let strings = self.strings();
+        (self.rec_u32(idx, 56)..end).map(move |i| {
+            let text = |off: usize| {
+                let id = u32_at(steps, i as usize * STEP_SIZE + off).expect("validated");
+                strings.get(id).expect("validated")
+            };
+            (text(0), text(4))
+        })
+    }
+
+    /// Record `idx`'s decision trace as text, laid out by [`write_trace`]:
+    /// byte-identical to what [`attribution_trace`](crate::attribution_trace)
+    /// renders for the record's prefix against the inputs it was frozen
+    /// from.
+    pub fn provenance(&self, idx: u32) -> String {
+        let mut out = String::new();
+        write_trace(&mut out, self.record_prefix(idx), self.trace_steps(idx))
+            .expect("String writes succeed");
+        out
+    }
+
+    /// Writes record `idx`'s [`provenance`](Self::provenance) as a JSON
+    /// string literal, with nothing allocated.
+    pub fn write_provenance_json<W: fmt::Write + ?Sized>(
+        &self,
+        idx: u32,
+        out: &mut W,
+    ) -> fmt::Result {
+        write_trace_json(out, self.record_prefix(idx), self.trace_steps(idx))
     }
 
     /// The BGP origin ASNs observed for record `idx` at freeze time,
@@ -837,7 +959,7 @@ mod tests {
         };
         let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
         let jsonl = to_jsonl(&dataset);
-        let frozen = freeze_verified(&inputs, &dataset, &edges, 7, &jsonl).unwrap();
+        let frozen = freeze_verified(&inputs, &dataset, &edges, 7, &jsonl, None).unwrap();
         assert_eq!(frozen.payload(), &freeze(&inputs, &dataset, &edges, 7)[..]);
         // A trailing extra line, a missing last line, and an altered first
         // line all fail the line-by-line thaw check.
@@ -852,7 +974,7 @@ mod tests {
                 &jsonl[first_line_end + 1..]
             ),
         ] {
-            let err = freeze_verified(&inputs, &dataset, &edges, 7, &other).unwrap_err();
+            let err = freeze_verified(&inputs, &dataset, &edges, 7, &other, None).unwrap_err();
             assert!(err.contains("does not thaw back"), "{err}");
         }
     }
@@ -936,7 +1058,22 @@ mod tests {
         );
     }
 
-    const GOLDEN_FROZEN_DIGEST: u64 = 0xf511_c084_1386_8e1b;
+    const GOLDEN_FROZEN_DIGEST: u64 = 0x346b_cb58_3ec7_c8db;
+
+    /// Size guard: traces are stored as `(rule, detail)` string-id steps,
+    /// not rendered text, so the tiny seed-42 payload stays near its v3
+    /// size. Format v2 stored rendered traces: 260,681 B for 312 records,
+    /// 835.5 B per record. v3 measures 315.5 B per record; the bound is
+    /// that plus 5%.
+    #[test]
+    fn frozen_payload_stays_under_its_v3_size_per_record() {
+        let (frozen, _) = frozen_from_seed(42);
+        let per_record = frozen.payload.len() as f64 / frozen.len() as f64;
+        assert!(
+            per_record <= 315.5 * 1.05,
+            "{per_record:.1} B per record: the frozen traces grew"
+        );
+    }
 
     #[test]
     fn validate_rejects_damage() {
@@ -959,6 +1096,18 @@ mod tests {
         let err = FrozenDataset::validate_payload(&bad).unwrap_err();
         assert!(err.contains("newer than this reader"), "{err}");
 
+        // An artifact of the previous format (rendered traces) is refused
+        // and must be rebuilt.
+        let mut bad = payload.clone();
+        bad[meta_range.start..meta_range.start + 4]
+            .copy_from_slice(&(FROZEN_FORMAT_VERSION - 1).to_le_bytes());
+        let err = FrozenDataset::validate_payload(&bad).unwrap_err();
+        assert!(
+            err.contains("older than this reader") && err.contains("rebuild the artifact"),
+            "{err}"
+        );
+        assert_eq!(payload_format_version(&bad), Ok(FROZEN_FORMAT_VERSION - 1));
+
         // Corrupt record count: section arithmetic breaks.
         let mut bad = payload.clone();
         bad[meta_range.start + 4..meta_range.start + 8].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -972,6 +1121,39 @@ mod tests {
             .copy_from_slice(&0xFFFF_FF00u32.to_le_bytes());
         let err = FrozenDataset::validate_payload(&bad).unwrap_err();
         assert!(err.contains("string id out of range"), "{err}");
+
+        // A trace step whose detail id is past the string table.
+        let steps_range = arena.require("steps").unwrap();
+        let mut bad = payload.clone();
+        bad[steps_range.start + 4..steps_range.start + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = FrozenDataset::validate_payload(&bad).unwrap_err();
+        assert!(
+            err.contains("trace step 0: detail string id out of range"),
+            "{err}"
+        );
+
+        // Record 1's first trace step before record 0's.
+        let first_step = |rec: usize| recs_range.start + rec * REC_SIZE + 56;
+        assert!(u32_at(&payload, first_step(1)).unwrap() > 0);
+        let mut bad = payload.clone();
+        bad[first_step(0)..first_step(0) + 4].copy_from_slice(&1u32.to_le_bytes());
+        bad[first_step(1)..first_step(1) + 4].copy_from_slice(&0u32.to_le_bytes());
+        let err = FrozenDataset::validate_payload(&bad).unwrap_err();
+        assert!(
+            err.contains("record 1: first trace step precedes the previous record's"),
+            "{err}"
+        );
+
+        // The last record's first step past the end of the step table.
+        let last = frozen.len() - 1;
+        let steps = (steps_range.len() / STEP_SIZE) as u32;
+        let mut bad = payload.clone();
+        bad[first_step(last)..first_step(last) + 4].copy_from_slice(&(steps + 1).to_le_bytes());
+        let err = FrozenDataset::validate_payload(&bad).unwrap_err();
+        assert!(
+            err.contains("first trace step past the step table"),
+            "{err}"
+        );
 
         // Flip a bit inside the LPM section.
         let lpm_range = arena.require("lpm4").unwrap();

@@ -3,12 +3,13 @@
 //!
 //! A [`Snapshot`] serves exactly one representation: a validated
 //! [`FrozenDataset`] — fixed-width records, flattened LPM span tables, and
-//! every record's decision trace rendered at freeze time. It comes from
-//! one of two places. [`Snapshot::from_frozen`] attaches the directory's
-//! `world.p2ob` when that artifact is fresh; [`Snapshot::freeze_in_memory`]
-//! runs the pipeline over a full load and freezes the result at boot,
-//! through the same [`prefix2org::freeze_verified`] call `build` uses
-//! before it writes the artifact. Either way a query is answered by slicing
+//! every record's decision trace, stored at freeze time as its steps. It
+//! comes from one of two places. [`Snapshot::from_frozen`] attaches the
+//! directory's `world.p2ob` when that artifact is fresh;
+//! [`Snapshot::freeze_in_memory`] runs the pipeline over a full load and
+//! freezes the result at boot, through the same
+//! [`prefix2org::freeze_verified`] call `build` uses before it writes the
+//! artifact. Either way a query is answered by slicing
 //! the arena: no filesystem access, no pipeline stage, and the same bytes
 //! for the same question no matter how the snapshot was obtained.
 //!
@@ -77,7 +78,7 @@ impl Snapshot {
             Pipeline::with_threads(threads.max(1)).dataset_with_evidence(inputs, None, None);
         exceptions.apply(&mut dataset);
         let jsonl = to_jsonl(&dataset);
-        let frozen = freeze_verified(inputs, &dataset, &merge_edges, 0, &jsonl)?;
+        let frozen = freeze_verified(inputs, &dataset, &merge_edges, 0, &jsonl, None)?;
         Ok(Self::attach(dir, serial, frozen, false))
     }
 
@@ -190,7 +191,7 @@ impl Answer<'_> {
         let moas = origins.len() > 1;
         write_u32_array(out, origins)?;
         write!(out, ",\"moas\":{moas},\"provenance\":")?;
-        write_escaped(out, frozen.provenance(idx))?;
+        frozen.write_provenance_json(idx, out)?;
         out.write_char('}')
     }
 }

@@ -208,21 +208,20 @@ fn text_hash(s: &str) -> u64 {
     h.finish()
 }
 
-/// A zero-copy view over a serialized [`StringBlobBuilder`] table.
+/// A zero-copy view over a serialized [`StringBlobBuilder`] table. Its
+/// blob is a `str` that [`parse`](Self::parse) validated once, so
+/// [`get`](Self::get) slices it without re-checking any string's UTF-8.
 #[derive(Debug, Clone, Copy)]
 pub struct StringBlob<'a> {
     offsets: &'a [u8],
-    blob: &'a [u8],
+    text: &'a str,
     count: usize,
 }
 
 impl<'a> StringBlob<'a> {
-    /// Attaches a view to an **already-validated** table: header and
-    /// bounds arithmetic only, O(1). [`get`](Self::get) stays panic-free on
-    /// arbitrary bytes (it re-checks UTF-8 and slices fallibly), but only
-    /// bytes a prior [`parse`](Self::parse) vouched for are guaranteed to
-    /// resolve every id — use `parse` for untrusted input.
-    pub fn attach(bytes: &'a [u8]) -> Result<StringBlob<'a>, String> {
+    /// Splits a serialized table into its count, offsets and blob:
+    /// header and bounds arithmetic only, O(1).
+    fn split(bytes: &'a [u8]) -> Result<(usize, &'a [u8], &'a [u8]), String> {
         let count = crate::arena::u32_at(bytes, 0)
             .ok_or_else(|| "string table truncated before count".to_string())?
             as usize;
@@ -236,23 +235,18 @@ impl<'a> StringBlob<'a> {
                 bytes.len()
             ));
         }
-        Ok(StringBlob {
-            offsets: &bytes[4..blob_start],
-            blob: &bytes[blob_start..],
-            count,
-        })
+        Ok((count, &bytes[4..blob_start], &bytes[blob_start..]))
     }
 
     /// Parses and fully validates a serialized table: the header and every
     /// offset are bounds-checked, offsets must be monotone, and the whole
     /// blob must be valid UTF-8 split at string boundaries.
     pub fn parse(bytes: &'a [u8]) -> Result<StringBlob<'a>, String> {
-        let view = Self::attach(bytes)?;
-        let count = view.count;
-        let blob = view.blob;
+        let (count, offsets, blob) = Self::split(bytes)?;
+        let offset = |i: usize| crate::arena::u32_at(offsets, i * 4).expect("offsets sized");
         let mut prev = 0u32;
         for i in 0..=count {
-            let off = view.offset(i);
+            let off = offset(i);
             if off < prev {
                 return Err(format!("string table offsets not monotone at {i}"));
             }
@@ -264,13 +258,44 @@ impl<'a> StringBlob<'a> {
                 blob.len()
             ));
         }
-        for i in 0..count {
-            let range = view.offset(i) as usize..view.offset(i + 1) as usize;
-            if std::str::from_utf8(&blob[range]).is_err() {
-                return Err(format!("string {i} is not valid UTF-8"));
-            }
+        let text = std::str::from_utf8(blob).map_err(|e| {
+            format!(
+                "string table blob is not valid UTF-8 at byte {}",
+                e.valid_up_to()
+            )
+        })?;
+        if let Some(i) = (0..count).find(|&i| !text.is_char_boundary(offset(i) as usize)) {
+            return Err(format!("string {i} does not start a UTF-8 character"));
         }
-        Ok(view)
+        Ok(StringBlob {
+            offsets,
+            text,
+            count,
+        })
+    }
+
+    /// Re-attaches a table [`parse`](Self::parse) accepted to its blob
+    /// text, which the caller kept from that parse: header and bounds
+    /// arithmetic only, O(1).
+    pub fn attach(bytes: &'a [u8], text: &'a str) -> Result<StringBlob<'a>, String> {
+        let (count, offsets, blob) = Self::split(bytes)?;
+        if blob.len() != text.len() {
+            return Err(format!(
+                "string table blob is {} bytes, its text {}",
+                blob.len(),
+                text.len()
+            ));
+        }
+        Ok(StringBlob {
+            offsets,
+            text,
+            count,
+        })
+    }
+
+    /// The blob: every string, concatenated in id order.
+    pub fn text(&self) -> &'a str {
+        self.text
     }
 
     #[inline]
@@ -284,10 +309,8 @@ impl<'a> StringBlob<'a> {
         if id as usize >= self.count {
             return None;
         }
-        let range = self.offset(id as usize) as usize..self.offset(id as usize + 1) as usize;
-        // Validated at parse; fallible slicing + a cheap UTF-8 re-check
-        // keep this panic-free even on merely attached bytes.
-        std::str::from_utf8(self.blob.get(range)?).ok()
+        self.text
+            .get(self.offset(id as usize) as usize..self.offset(id as usize + 1) as usize)
     }
 
     /// Number of stored strings.
@@ -420,6 +443,16 @@ mod tests {
         let blob_start = bad.len() - "helloworld".len();
         bad[blob_start] = 0xFF;
         assert!(StringBlob::parse(&bad).unwrap_err().contains("UTF-8"));
+        // A valid blob split inside a character: "é" as two one-byte
+        // strings.
+        let mut split = Vec::new();
+        for v in [2u32, 0, 1, 2] {
+            split.extend_from_slice(&v.to_le_bytes());
+        }
+        split.extend_from_slice("é".as_bytes());
+        assert!(StringBlob::parse(&split)
+            .unwrap_err()
+            .contains("string 1 does not start a UTF-8 character"));
     }
 
     /// A string whose hash an earlier string already took is still

@@ -271,30 +271,82 @@ fn write_number(out: &mut String, n: f64) {
 ///
 /// The one JSON string escaper in the workspace: [`Json`] serializes
 /// through it, and so does every writer that renders JSON straight into a
-/// buffer. Every byte it escapes is ASCII, so it scans bytes and copies each
-/// unescaped run in one `write_str`; a run never splits a multi-byte char.
+/// buffer. A writer that assembles one string literal from pieces writes
+/// the quotes itself and its text through an [`Escaper`].
 pub fn write_escaped<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
     out.write_char('"')?;
-    let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.write_str(&s[run..i])?;
-        match b {
-            b'"' => out.write_str("\\\"")?,
-            b'\\' => out.write_str("\\\\")?,
-            b'\n' => out.write_str("\\n")?,
-            b'\r' => out.write_str("\\r")?,
-            b'\t' => out.write_str("\\t")?,
-            0x08 => out.write_str("\\b")?,
-            0x0C => out.write_str("\\f")?,
-            _ => write!(out, "\\u{b:04x}")?,
-        }
-        run = i + 1;
-    }
-    out.write_str(&s[run..])?;
+    Escaper::new(out).write_str(s)?;
     out.write_char('"')
+}
+
+/// The body of a JSON string literal: every `&str` written through it
+/// reaches the wrapped writer escaped as [`write_escaped`] escapes it,
+/// without the surrounding quotes.
+pub struct Escaper<'a, W: ?Sized>(&'a mut W);
+
+impl<'a, W: fmt::Write + ?Sized> Escaper<'a, W> {
+    /// Escapes what is written into `out`.
+    pub fn new(out: &'a mut W) -> Self {
+        Escaper(out)
+    }
+}
+
+impl<W: fmt::Write + ?Sized> fmt::Write for Escaper<'_, W> {
+    /// Every byte that needs escaping is ASCII, so the scan is bytewise
+    /// and each clean run is copied in one `write_str`; a run never splits
+    /// a multi-byte char. Clean text is skipped eight bytes at a time.
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let out = &mut *self.0;
+        let bytes = s.as_bytes();
+        let mut run = 0;
+        let mut i = 0;
+        while i < bytes.len() {
+            if let Some(word) = bytes.get(i..i + 8) {
+                if is_clean(u64::from_le_bytes(word.try_into().expect("8 bytes"))) {
+                    i += 8;
+                    continue;
+                }
+            }
+            for (at, &b) in bytes.iter().enumerate().take(i + 8).skip(i) {
+                if b >= 0x20 && b != b'"' && b != b'\\' {
+                    continue;
+                }
+                if run < at {
+                    out.write_str(&s[run..at])?;
+                }
+                match b {
+                    b'"' => out.write_str("\\\"")?,
+                    b'\\' => out.write_str("\\\\")?,
+                    b'\n' => out.write_str("\\n")?,
+                    b'\r' => out.write_str("\\r")?,
+                    b'\t' => out.write_str("\\t")?,
+                    0x08 => out.write_str("\\b")?,
+                    0x0C => out.write_str("\\f")?,
+                    _ => write!(out, "\\u{b:04x}")?,
+                }
+                run = at + 1;
+            }
+            i += 8;
+        }
+        if run < bytes.len() {
+            out.write_str(&s[run..])?;
+        }
+        Ok(())
+    }
+}
+
+/// Whether none of the eight bytes in `word` needs escaping: no byte is
+/// below 0x20, `"` or `\\`. Each test is the exact "some byte is zero" /
+/// "some byte is below n" bit trick, so bytes of 0x80 and above (UTF-8)
+/// count as clean.
+fn is_clean(word: u64) -> bool {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let below = |w: u64, n: u64| w.wrapping_sub(ONES * n) & !w & HIGHS;
+    (below(word, 0x20)
+        | below(word ^ (ONES * b'"' as u64), 1)
+        | below(word ^ (ONES * b'\\' as u64), 1))
+        == 0
 }
 
 /// Writes `values` as a JSON array of integers — the bytes [`Json`] gives
