@@ -1,9 +1,9 @@
 //! Benches for the end-to-end pipeline: resolution + clustering at two
 //! world scales, resolution-stage scaling across threads, and — with
-//! `--json` — a sequential-vs-parallel comparison of the three parallel
-//! stages (parse, resolve, cluster) plus single-thread timings of the
-//! dataset assembly and the verified freeze, persisted to
-//! `BENCH_pipeline.json` at the repository root.
+//! `--json` — a sequential-vs-parallel comparison of the four sharded
+//! stages (parse, resolve, cluster, and the verified freeze) plus
+//! single-thread timings of the dataset assembly and the export, persisted
+//! to `BENCH_pipeline.json` at the repository root.
 //!
 //! ```text
 //! cargo bench -p p2o-bench --bench pipeline            # human-readable
@@ -91,9 +91,9 @@ fn baseline_speedup(baseline: Option<&Json>, stage: &str, scale: &str) -> Option
 }
 
 /// The sequential-vs-parallel stage comparison behind `--json`: for each
-/// scale and thread count, the mean wall time of the parse, resolve, and
-/// cluster stages, plus the single-threaded assemble and freeze stages at
-/// one thread. Written as `BENCH_pipeline.json` at the repo root so the
+/// scale and thread count, the mean wall time of the parse, resolve,
+/// cluster and freeze stages, plus the single-threaded assemble and export
+/// stages at one thread. Written as `BENCH_pipeline.json` at the repo root so the
 /// baseline rides along with the code that produced it.
 ///
 /// Re-runs **merge** over the committed baseline instead of clobbering it:
@@ -122,6 +122,7 @@ fn bench_json(budget_ms: u64) {
     let mut resolve_cases: Vec<Json> = Vec::new();
     let mut cluster_cases: Vec<Json> = Vec::new();
     let mut assemble_cases: Vec<Json> = Vec::new();
+    let mut export_cases: Vec<Json> = Vec::new();
     let mut freeze_cases: Vec<Json> = Vec::new();
     let mut speedups: Vec<Json> = Vec::new();
 
@@ -162,8 +163,7 @@ fn bench_json(budget_ms: u64) {
             stage_means.push(("cluster", threads, mean));
         }
 
-        // Assembly and the verified freeze run on one thread whatever the
-        // pipeline's count; both used to grow quadratically with the world.
+        // Assembly and the export run on one thread.
         let inputs = PipelineInputs {
             delegations: &built.tree,
             routes: &built.routes,
@@ -198,12 +198,18 @@ fn bench_json(budget_ms: u64) {
 
         let (dataset, edges) =
             Pipeline::with_threads(max_threads).dataset_with_evidence(&inputs, None, None);
-        let jsonl = prefix2org::to_jsonl(&dataset);
-        let mean = bench(&format!("freeze/{scale}/threads_1"), || {
-            prefix2org::freeze_verified(&inputs, &dataset, &edges, 0, &jsonl, None)
-                .expect("fresh freeze verifies")
+        let mean = bench(&format!("export/{scale}/threads_1"), || {
+            black_box(prefix2org::to_jsonl(&dataset))
         });
-        stage_means.push(("freeze", 1, mean));
+        stage_means.push(("export", 1, mean));
+        let jsonl = prefix2org::to_jsonl(&dataset);
+        for &threads in &thread_counts {
+            let mean = bench(&format!("freeze/{scale}/threads_{threads}"), || {
+                prefix2org::freeze_verified(&inputs, &dataset, &edges, 0, &jsonl, threads, None)
+                    .expect("fresh freeze verifies")
+            });
+            stage_means.push(("freeze", threads, mean));
+        }
 
         for &(stage, threads, mean_ns) in &stage_means {
             let mut case = Json::object();
@@ -215,10 +221,11 @@ fn bench_json(budget_ms: u64) {
                 "resolve" => resolve_cases.push(case),
                 "cluster" => cluster_cases.push(case),
                 "assemble" => assemble_cases.push(case),
+                "export" => export_cases.push(case),
                 _ => freeze_cases.push(case),
             }
         }
-        for stage in ["parse", "resolve", "cluster"] {
+        for stage in ["parse", "resolve", "cluster", "freeze"] {
             let at = |threads: usize| {
                 stage_means
                     .iter()
@@ -366,6 +373,7 @@ fn bench_json(budget_ms: u64) {
     groups.set("resolve", Json::Arr(resolve_cases));
     groups.set("cluster", Json::Arr(cluster_cases));
     groups.set("assemble", Json::Arr(assemble_cases));
+    groups.set("export", Json::Arr(export_cases));
     groups.set("freeze", Json::Arr(freeze_cases));
     doc.set("groups", groups);
     doc.set("speedups", Json::Arr(speedups));

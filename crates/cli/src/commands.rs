@@ -269,6 +269,7 @@ fn check_delegation_files(vfs: &Vfs, dir: &Path) {
 
 /// `build`: parse a snapshot directory, run the pipeline, write JSONL.
 pub fn build(args: &Parsed) -> Result<(), CliError> {
+    let started = std::time::Instant::now();
     let dir = Path::new(args.require("in")?);
     let out_str = args.require("out")?;
     let out = Path::new(out_str);
@@ -345,10 +346,22 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         requested.push(("trace", p));
     }
 
+    let obs = (report_path.is_some() || trace_path.is_some() || metrics_path.is_some())
+        .then(p2o_obs::Obs::new);
+    if trace_path.is_some() {
+        // Must be on before loading: the WHOIS/MRT parse shards trace too.
+        obs.as_ref().expect("obs created above").enable_tracing();
+    }
+    // Every phase below runs under a stage timer when the build is
+    // observed; a plain build creates none.
+    let stage = |name: &str| obs.as_ref().map(|o| o.stage(name));
+
     // The one integrity read of the inputs (digest and manifest check);
     // the checkpoint digest chains this invocation's options onto the
     // files digest, the frozen artifact's digest the default options.
+    let timer = stage("util.digest");
     let scan = store::scan_integrity(&vfs, dir)?;
+    drop(timer);
     let exceptions_bytes = exceptions_text.as_deref().map(str::as_bytes);
     let inputs_digest = checkpoint::inputs_digest(
         scan.files_digest,
@@ -375,13 +388,6 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     } else {
         ("created", false)
     };
-
-    let obs = (report_path.is_some() || trace_path.is_some() || metrics_path.is_some())
-        .then(p2o_obs::Obs::new);
-    if trace_path.is_some() {
-        // Must be on before loading: the WHOIS/MRT parse shards trace too.
-        obs.as_ref().expect("obs created above").enable_tracing();
-    }
 
     let outcome = store::load_inputs(&vfs, dir, obs.as_ref(), threads, mode, mem)?;
     let store::LoadOutcome {
@@ -450,7 +456,9 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
             )));
         }
     }
+    let timer = stage("whois.delegated");
     check_delegation_files(&vfs, dir);
+    drop(timer);
     if !inputs.rpki_problems.is_empty() {
         eprintln!(
             "warning: {} invalid RPKI objects excluded (first: {:?})",
@@ -501,9 +509,6 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
             exception_summary.unmatched,
         );
     }
-    // The export, freeze and write phases run under stage timers when the
-    // build is observed; a plain build creates none.
-    let stage = |name: &str| obs.as_ref().map(|o| o.stage(name));
     let timer = stage("core.export");
     let jsonl = prefix2org::to_jsonl(&dataset);
     drop(timer);
@@ -524,6 +529,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         &merge_edges,
         canonical_digest,
         &jsonl,
+        threads,
         obs.as_ref(),
     )?;
     let mut stamp = checkpoint::Stamp::new(inputs_digest);
@@ -567,6 +573,14 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         o.counter("io.fault.eio").add(io.faults_eio);
 
         let mut report = o.report();
+        // What no stage row saw, from the start of the build to here: the
+        // report, metrics, trace and stamp writes follow at once.
+        let attributed: u64 = report.stages.iter().map(|s| s.wall_ns).sum();
+        report.stages.push(p2o_obs::StageReport {
+            name: "build.unattributed".to_string(),
+            wall_ns: (started.elapsed().as_nanos() as u64).saturating_sub(attributed),
+            items: None,
+        });
         // Always present, all-zero on clean input: consumers can rely on
         // the sections existing.
         report.data_quality = Some(quarantine.summary(quarantine_samples));

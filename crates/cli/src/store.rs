@@ -17,6 +17,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use p2o_bgp::{mrt, RouteTable};
 use p2o_net::Prefix;
@@ -403,6 +404,10 @@ struct Ingest<'a> {
     obs: Option<&'a p2o_obs::Obs>,
     threads: usize,
     budget: &'a MemBudget,
+    /// Time spent in the WHOIS parsers, summed over dumps and chunks.
+    whois_parse: Duration,
+    /// Time spent in the RPKI JSONL loader, summed over chunks.
+    rpki_load: Duration,
 }
 
 impl Ingest<'_> {
@@ -419,7 +424,9 @@ impl Ingest<'_> {
             InputKind::Whois(registry) => {
                 let text = chunk_text(&payload, &input.path)?;
                 let before = self.db.problems().len();
+                let started = Instant::now();
                 self.db.add_dump(text, registry, self.threads);
+                self.whois_parse += started.elapsed();
                 self.pending
                     .extend(self.db.problems()[before..].iter().map(|p| {
                         let mut q = p.to_quarantined();
@@ -442,7 +449,9 @@ impl Ingest<'_> {
             }
             InputKind::Rpki => {
                 let text = chunk_text(&payload, &input.path)?;
+                let started = Instant::now();
                 let rejected = p2o_rpki::persist::extend_jsonl_lenient(&mut self.repo, text, base);
+                self.rpki_load += started.elapsed();
                 self.pending.extend(rejected);
             }
         }
@@ -721,9 +730,11 @@ fn shard_mrt_input(
 /// [`scan_integrity`] is the integrity read.
 ///
 /// With `obs`, the parsers tick their `whois.*` / `mrt.*` / `bgp.parse`
-/// counters and stages into it; with `threads > 1`, WHOIS text is parsed
-/// in object-boundary shards and MRT bodies are decoded on that many
-/// threads (identical outputs either way).
+/// counters and stages into it, and the load times its own phases as the
+/// stages `whois.parse` (summed over the dumps), `rpki.load`,
+/// `as2org.cluster` and `rpki.validate`; with `threads > 1`, WHOIS text
+/// is parsed in object-boundary shards and MRT bodies are decoded on that
+/// many threads (identical outputs either way).
 ///
 /// `mem.spill` streams the large inputs (WHOIS dumps, the MRT RIB, the
 /// RPKI JSONL) through sorted, framed spill runs under `DIR/spill/` and
@@ -836,6 +847,8 @@ pub fn load_inputs(
         obs,
         threads,
         budget: &budget,
+        whois_parse: Duration::ZERO,
+        rpki_load: Duration::ZERO,
     };
     let mut spill_stats = p2o_util::spill::SpillStats::default();
     if spilling {
@@ -911,8 +924,15 @@ pub fn load_inputs(
         routes,
         repo,
         quarantine,
+        whois_parse,
+        rpki_load,
         ..
     } = ingest;
+    if let Some(o) = obs {
+        o.record_stage("whois.parse", whois_parse);
+        o.record_stage("rpki.load", rpki_load);
+    }
+    let stage = |name: &str| obs.map(|o| o.stage(name));
 
     // JPNIC back-fill.
     if let Ok(text) = read(dir.join("jpnic_alloc.tsv")) {
@@ -930,14 +950,18 @@ pub fn load_inputs(
     let (tree, whois_stats) = db.build();
 
     // AS2Org + siblings.
+    let timer = stage("as2org.cluster");
     let mut as2org = p2o_as2org::As2OrgDb::new();
     as2org.load_records_tsv(&read(dir.join("as2org.tsv"))?)?;
     if let Ok(text) = read(dir.join("siblings.tsv")) {
         as2org.load_siblings_tsv(&text)?;
     }
     let clusters = as2org.cluster();
+    drop(timer);
 
+    let timer = stage("rpki.validate");
     let (rpki, rpki_problems) = repo.validate(snapshot_date);
+    drop(timer);
 
     let memory = p2o_obs::MemorySummary {
         mode: if degraded {

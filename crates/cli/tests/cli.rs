@@ -160,14 +160,21 @@ fn build_report_emits_run_report() {
     let parsed = p2o_obs::RunReport::from_json(&doc).unwrap();
     assert!(!parsed.stages.is_empty(), "report has no stages");
     for stage in [
-        "whois.build",
+        "util.digest",
+        "whois.parse",
         "bgp.parse",
+        "rpki.load",
+        "whois.build",
+        "as2org.cluster",
+        "rpki.validate",
+        "whois.delegated",
         "pipeline.resolve",
         "pipeline.cluster",
         "core.export",
         "core.freeze",
         "core.thaw_verify",
         "util.write",
+        "build.unattributed",
     ] {
         let s = parsed
             .stage(stage)

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use p2o_as2org::AsnClusters;
 use p2o_bgp::RouteTable;
 use p2o_rpki::{CertId, ValidatedRepo};
-use p2o_strings::clean::basic_clean;
+use p2o_strings::pipeline::{stage, StagedName};
 use p2o_strings::BaseNameExtractor;
 use p2o_util::{Interner, Symbol, UnionFind};
 
@@ -186,8 +186,9 @@ impl GroupShard {
 pub struct Clusterer {
     /// Options for this run.
     pub options: ClusterOptions,
-    /// Worker threads for the 𝓡/𝓐 group-build pass; `0` and `1` both mean
-    /// one inline shard. The output is byte-identical at any thread count.
+    /// Worker threads for the owner-name cleaning and 𝓡/𝓐 group-build
+    /// passes; `0` and `1` both mean one inline shard. The output is
+    /// byte-identical at any thread count.
     pub threads: usize,
     /// Record [`ClusteringOutput::merge_edges`]; off by default (the edge
     /// list allocates per union and is only needed by `p2o explain`).
@@ -206,14 +207,15 @@ impl Clusterer {
         }
     }
 
-    /// Sets the worker-thread count for the group-build pass.
+    /// Sets the worker-thread count for the sharded passes.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// Attaches an observability registry: group-build shards record
-    /// `cluster.group_build` spans when tracing is enabled on `obs`.
+    /// Attaches an observability registry: name-cleaning and group-build
+    /// shards record `cluster.clean_names` and `cluster.group_build` spans
+    /// when tracing is enabled on `obs`.
     pub fn with_obs(mut self, obs: &p2o_obs::Obs) -> Self {
         self.obs = Some(obs.clone());
         self
@@ -237,36 +239,51 @@ impl Clusterer {
         names: &Interner,
     ) -> ClusteringOutput {
         // --- Base names (§5.3.1): corpus = all Direct Owner names. ---
-        let extractor = BaseNameExtractor::build(
-            records.iter().map(|r| names.resolve(r.direct_owner)),
+        // Each distinct owner is cleaned once and weighs in with its record
+        // count, in first-seen record order.
+        let mut slot_of_owner: HashMap<Symbol, usize> = HashMap::new();
+        let mut owners: Vec<&str> = Vec::new();
+        let mut weights: Vec<usize> = Vec::new();
+        let mut owner_of_record: Vec<usize> = Vec::with_capacity(records.len());
+        for rec in records {
+            let slot = *slot_of_owner.entry(rec.direct_owner).or_insert_with(|| {
+                owners.push(names.resolve(rec.direct_owner));
+                weights.push(0);
+                owners.len() - 1
+            });
+            weights[slot] += 1;
+            owner_of_record.push(slot);
+        }
+        let (extractor, staged) = name_pass(
+            &owners,
+            &weights,
             self.options.frequency_threshold,
+            self.threads,
+            self.obs.as_ref(),
         );
 
         // --- 𝒲 clusters: exact (basic-cleaned) Direct Owner name. ---
-        // Cleaning is cached per owner *symbol*: the first record carrying a
-        // given owner is also the first record that could mint its 𝒲
-        // cluster, so skipping repeat owners cannot change 𝒲 numbering.
+        // Owners in first-seen order are the records' order of first
+        // occurrence, so 𝒲 numbering is the per-record walk's.
         let mut w_names = Interner::new();
         let mut base_names = Interner::new();
-        let mut w_of_record: Vec<Symbol> = Vec::with_capacity(records.len());
         let mut base_of_w: Vec<Symbol> = Vec::new();
-        let mut w_of_owner: HashMap<Symbol, Symbol> = HashMap::new();
-        for rec in records {
-            let w = match w_of_owner.get(&rec.direct_owner) {
-                Some(&w) => w,
-                None => {
-                    let owner = names.resolve(rec.direct_owner);
-                    let w = w_names.intern(&basic_clean(owner));
-                    if w.index() == base_of_w.len() {
-                        // Fresh 𝒲 cluster: compute its base name once.
-                        base_of_w.push(base_names.intern(&extractor.extract(owner)));
-                    }
-                    w_of_owner.insert(rec.direct_owner, w);
-                    w
+        let w_of_owner: Vec<Symbol> = staged
+            .iter()
+            .map(|name| {
+                let w = w_names.intern(&name.basic);
+                if w.index() == base_of_w.len() {
+                    // Fresh 𝒲 cluster: finish its base name once.
+                    base_of_w.push(base_names.intern(&extractor.base_of(name)));
                 }
-            };
-            w_of_record.push(w);
-        }
+                w
+            })
+            .collect();
+        drop(staged);
+        let w_of_record: Vec<Symbol> = owner_of_record
+            .into_iter()
+            .map(|slot| w_of_owner[slot])
+            .collect();
 
         // --- 𝓡 groups: (base name, child-most RC). ---
         // --- 𝓐 groups: (base name, origin ASN cluster). ---
@@ -431,6 +448,42 @@ impl Clusterer {
     }
 }
 
+/// The §5.3.1 name pass over distinct owner names and their record
+/// counts: each name is staged once, in ordered shards (cleaning is a pure
+/// function of the name), and the corpus counts every token of a staged
+/// name once per record, so the frequent-word set is the per-record one.
+/// Returns the extractor and the staged names, index-aligned with `owners`.
+fn name_pass(
+    owners: &[&str],
+    weights: &[usize],
+    threshold: usize,
+    threads: usize,
+    obs: Option<&p2o_obs::Obs>,
+) -> (BaseNameExtractor, Vec<StagedName>) {
+    let staged: Vec<StagedName> = p2o_obs::run_shards(
+        obs,
+        "cluster.clean_names",
+        p2o_obs::split_shards(owners, threads),
+        |shard, span| {
+            if let Some(s) = span {
+                s.arg("names", shard.len());
+            }
+            shard.iter().map(|name| stage(name)).collect::<Vec<_>>()
+        },
+    )
+    .into_iter()
+    .flatten()
+    .collect();
+    let extractor = BaseNameExtractor::from_weighted(
+        staged
+            .iter()
+            .zip(weights)
+            .map(|(name, &weight)| (name.corporate.as_str(), weight)),
+        threshold,
+    );
+    (extractor, staged)
+}
+
 /// Roman numerals for cluster labels (`verizon-I`, `fastly-II`, ... per
 /// Table 3). Falls back to arabic beyond 3999.
 fn roman(mut n: usize) -> String {
@@ -468,6 +521,7 @@ mod tests {
     use crate::resolve::OwnershipRecord;
     use p2o_net::Prefix;
     use p2o_rpki::{IpResourceSet, RoaPrefix, RpkiRepository};
+    use p2o_strings::clean::basic_clean;
     use p2o_whois::alloc::AllocationType;
     use p2o_whois::{Registry, Rir};
 
@@ -740,6 +794,124 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    /// The per-record name pass the weighted one replaced: the corpus
+    /// counts every record's owner, and every record's base name is
+    /// extracted from its raw owner. Returns the sorted frequent words and
+    /// one base name per record.
+    fn per_record_oracle(owners: &[String], threshold: usize) -> (Vec<String>, Vec<String>) {
+        use p2o_strings::clean::{
+            drop_corporate_words, drop_frequent_words, drop_geo_words, refill_short, regex_clean,
+        };
+        use std::collections::HashSet;
+        let corporate = |name: &str| drop_corporate_words(&regex_clean(&basic_clean(name)));
+        let mut counts: HashMap<String, usize> = HashMap::new();
+        for name in owners {
+            for tok in corporate(name).split_whitespace() {
+                *counts.entry(tok.to_string()).or_insert(0) += 1;
+            }
+        }
+        let frequent: HashSet<String> = counts
+            .into_iter()
+            .filter(|(_, c)| *c > threshold)
+            .map(|(w, _)| w)
+            .collect();
+        let bases = owners
+            .iter()
+            .map(|name| {
+                let corporate = corporate(name);
+                let frequent = drop_frequent_words(&corporate, |t| frequent.contains(t));
+                refill_short(&drop_geo_words(&frequent), &corporate)
+            })
+            .collect();
+        let mut frequent: Vec<String> = frequent.into_iter().collect();
+        frequent.sort();
+        (frequent, bases)
+    }
+
+    #[test]
+    fn weighted_name_pass_matches_the_per_record_oracle() {
+        p2o_util::check::run_cases(24, |g| {
+            let words = [
+                "acme", "Acme", "ACME", "globex", "initech", "network", "Network", "telecom",
+                "japan", "tokyo", "data", "centre", "corp", "inc", "GmbH", "s.a.", "ltd", "kd",
+                "level", "3", "1600", "street", "(legacy)", "café",
+            ];
+            let mut owners: Vec<String> = Vec::new();
+            for _ in 0..g.range(1, 40) {
+                let mut name = (0..g.range(1, 4))
+                    .map(|_| *g.pick(&words))
+                    .collect::<Vec<_>>()
+                    // Owners that differ only in spacing.
+                    .join(if g.chance(0.2) { "   " } else { " " });
+                if g.chance(0.2) {
+                    name = format!("  {name} ");
+                }
+                // Owners repeat: each holds one to sixty records.
+                for _ in 0..g.range(1, 60) {
+                    owners.push(name.clone());
+                }
+            }
+            // Two tokens on the threshold's edge: `edgehundred` counts 100
+            // (kept), `edgeextra` 101 (frequent), each split over two
+            // owners and never in first position.
+            let split = g.range(1, 100);
+            for (owner, n) in [
+                ("zeta edgehundred", split),
+                ("omega Edgehundred", 100 - split),
+                ("kappa edgeextra", split),
+                ("sigma edgeextra", 101 - split),
+            ] {
+                owners.extend(std::iter::repeat_n(owner.to_string(), n));
+            }
+            // Shuffle the record order.
+            for i in (1..owners.len()).rev() {
+                owners.swap(i, g.below(i + 1));
+            }
+            let (frequent, bases) = per_record_oracle(&owners, 100);
+            assert!(frequent.contains(&"edgeextra".to_string()));
+            assert!(!frequent.contains(&"edgehundred".to_string()));
+
+            let mut names = Interner::new();
+            let records: Vec<OwnershipRecord> = owners
+                .iter()
+                .enumerate()
+                .map(|(i, owner)| {
+                    let prefix = format!("10.{}.{}.0/24", i / 256, i % 256);
+                    rec(&mut names, &prefix, owner)
+                })
+                .collect();
+            let routes = RouteTable::new();
+            let clusters = p2o_as2org::As2OrgDb::new().cluster();
+            let (rpki, _) = RpkiRepository::new().validate(20240901);
+            for threads in [1, 3] {
+                let out = Clusterer::default()
+                    .with_threads(threads)
+                    .cluster(&records, &routes, &clusters, &rpki, &names);
+                let got: Vec<&str> = out.info.iter().map(|i| i.base_name.as_str()).collect();
+                assert_eq!(got, bases, "threads={threads}");
+
+                // The pass over distinct owners and their record counts.
+                let mut distinct: Vec<&str> = Vec::new();
+                let mut weights: Vec<usize> = Vec::new();
+                for owner in &owners {
+                    match distinct.iter().position(|d| d == owner) {
+                        Some(slot) => weights[slot] += 1,
+                        None => {
+                            distinct.push(owner);
+                            weights.push(1);
+                        }
+                    }
+                }
+                let (extractor, staged) = name_pass(&distinct, &weights, 100, threads, None);
+                assert_eq!(extractor.frequent_words(), frequent, "threads={threads}");
+                for (owner, base) in owners.iter().zip(&bases) {
+                    let slot = distinct.iter().position(|d| d == owner).unwrap();
+                    assert_eq!(&extractor.base_of(&staged[slot]), base, "{owner:?}");
+                }
+            }
+        });
     }
 
     #[test]

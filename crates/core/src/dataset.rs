@@ -429,6 +429,12 @@ impl Prefix2OrgDataset {
         &self.records
     }
 
+    /// The records, for tests that hand-edit fields in place.
+    #[cfg(test)]
+    pub(crate) fn records_mut(&mut self) -> &mut [PrefixRecord] {
+        &mut self.records
+    }
+
     /// Number of mapped prefixes.
     pub fn len(&self) -> usize {
         self.records.len()

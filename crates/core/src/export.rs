@@ -7,9 +7,20 @@
 //! rendering with display names lives in
 //! [`Prefix2OrgDataset::record_json`]). Import round-trips every field
 //! needed to query a snapshot without re-running the pipeline.
+//!
+//! One writer lays out every export line: `write_export_json`, from
+//! borrowed field values through the one JSON escaper. [`to_jsonl`] feeds
+//! it each [`PrefixRecord`]; the frozen artifact feeds it straight from its
+//! arena ([`crate::FrozenDataset::write_export_json`]), both for its own
+//! export and for the thaw check that proves the two agree.
+//! [`ExportRecord::to_json`] builds the same object as a [`Json`] tree and
+//! is the writer's test oracle.
+
+use std::fmt;
 
 use p2o_net::Prefix;
 use p2o_rpki::RovStatus;
+use p2o_util::json::{write_escaped, write_u32_array};
 use p2o_util::Json;
 use p2o_whois::alloc::AllocationType;
 use p2o_whois::Registry;
@@ -81,7 +92,9 @@ fn parse_alloc(s: &str) -> Option<AllocationType> {
 
 impl ExportRecord {
     /// The record as one JSON object (prefixes and the registry as their
-    /// display strings, allocation types as their variant names).
+    /// display strings, allocation types as their variant names): the
+    /// export writer's test oracle. The export itself is written without
+    /// building a tree, by `write_export_json`.
     pub fn to_json(&self) -> Json {
         let mut o = Json::object();
         o.set("prefix", self.prefix.to_string());
@@ -201,11 +214,117 @@ impl ExportRecord {
     }
 }
 
+/// One record's export field values, borrowed from wherever the record
+/// lives: a [`PrefixRecord`] or a frozen arena.
+pub(crate) struct ExportFields<'a, D, C> {
+    /// The routed prefix.
+    pub(crate) prefix: Prefix,
+    /// The registry's display name.
+    pub(crate) registry: &'a str,
+    /// The Direct Owner's WHOIS organization name.
+    pub(crate) direct_owner: &'a str,
+    /// The Direct Owner delegation's block.
+    pub(crate) do_prefix: Prefix,
+    /// The Direct Owner delegation's allocation type.
+    pub(crate) do_alloc: AllocationType,
+    /// The Delegated Customer chain: `(name, prefix, allocation type)`.
+    pub(crate) delegated_customers: D,
+    /// The Direct Owner's base name.
+    pub(crate) base_name: &'a str,
+    /// The child-most Resource Certificate id, colon-hex.
+    pub(crate) rpki_certificate: Option<&'a str>,
+    /// The origin ASN cluster ids.
+    pub(crate) origin_asn_clusters: C,
+    /// RFC 6811 validation state.
+    pub(crate) rov: RovStatus,
+    /// The final cluster label.
+    pub(crate) final_cluster: &'a str,
+    /// The asserted organization of a local operator exception.
+    pub(crate) local_exception: Option<&'a str>,
+}
+
+/// The export fields of a live dataset record.
+fn fields_of(
+    rec: &PrefixRecord,
+) -> ExportFields<
+    '_,
+    impl Iterator<Item = (&str, Prefix, AllocationType)>,
+    impl Iterator<Item = u32> + '_,
+> {
+    ExportFields {
+        prefix: rec.prefix,
+        registry: match rec.registry {
+            Registry::Rir(r) => r.name(),
+            Registry::Nir(n) => n.name(),
+        },
+        direct_owner: &rec.direct_owner,
+        do_prefix: rec.do_prefix,
+        do_alloc: rec.do_alloc,
+        delegated_customers: rec
+            .delegated_customers
+            .iter()
+            .map(|s| (s.org_name.as_str(), s.prefix, s.alloc)),
+        base_name: &rec.base_name,
+        rpki_certificate: rec.rpki_certificate.as_deref(),
+        origin_asn_clusters: rec.origin_asn_clusters.iter().copied(),
+        rov: rec.rov,
+        final_cluster: &rec.final_cluster_label,
+        local_exception: rec.local_exception.as_deref(),
+    }
+}
+
+/// Writes one record's export object: one JSONL line without its
+/// newline, byte-identical to [`ExportRecord::to_json`] rendered compact.
+/// Strings go through the one JSON escaper; prefixes and allocation-type
+/// names never need escaping and are written as they display.
+pub(crate) fn write_export_json<'a, W, D, C>(
+    out: &mut W,
+    rec: ExportFields<'a, D, C>,
+) -> fmt::Result
+where
+    W: fmt::Write + ?Sized,
+    D: IntoIterator<Item = (&'a str, Prefix, AllocationType)>,
+    C: IntoIterator<Item = u32>,
+{
+    write!(out, "{{\"prefix\":\"{}\",\"registry\":", rec.prefix)?;
+    write_escaped(out, rec.registry)?;
+    out.write_str(",\"direct_owner\":")?;
+    write_escaped(out, rec.direct_owner)?;
+    write!(
+        out,
+        ",\"do_prefix\":\"{}\",\"do_alloc\":\"{:?}\",\"delegated_customers\":[",
+        rec.do_prefix, rec.do_alloc
+    )?;
+    for (n, (name, prefix, alloc)) in rec.delegated_customers.into_iter().enumerate() {
+        out.write_str(if n == 0 { "[" } else { ",[" })?;
+        write_escaped(out, name)?;
+        write!(out, ",\"{prefix}\",\"{alloc:?}\"]")?;
+    }
+    out.write_str("],\"base_name\":")?;
+    write_escaped(out, rec.base_name)?;
+    out.write_str(",\"rpki_certificate\":")?;
+    match rec.rpki_certificate {
+        Some(id) => write_escaped(out, id)?,
+        None => out.write_str("null")?,
+    }
+    out.write_str(",\"origin_asn_clusters\":")?;
+    write_u32_array(out, rec.origin_asn_clusters)?;
+    out.write_str(",\"rov\":")?;
+    write_escaped(out, rec.rov.as_str())?;
+    out.write_str(",\"final_cluster\":")?;
+    write_escaped(out, rec.final_cluster)?;
+    if let Some(org) = rec.local_exception {
+        out.write_str(",\"local_exception\":")?;
+        write_escaped(out, org)?;
+    }
+    out.write_char('}')
+}
+
 /// Serializes the whole dataset as JSON Lines.
 pub fn to_jsonl(dataset: &Prefix2OrgDataset) -> String {
     let mut out = String::new();
     for rec in dataset.records() {
-        out.push_str(&ExportRecord::from(rec).to_json().to_string());
+        write_export_json(&mut out, fields_of(rec)).expect("String writes succeed");
         out.push('\n');
     }
     out
@@ -298,6 +417,97 @@ NetRange: 63.80.52.0 - 63.80.52.255\nNetType: Reassignment\nOrgName: Ceva Inc\nU
         text.push_str("this is not json\n");
         let err = from_jsonl(&text).unwrap_err();
         assert!(err.contains(&format!("line {}", ds.len() + 1)), "{err}");
+    }
+
+    /// Every record's export line, written directly from the live record
+    /// and from the frozen arena, equals the `Json`-tree oracle's
+    /// rendering; and the whole export is those lines.
+    fn assert_lines_match_the_oracle(
+        inputs: &PipelineInputs<'_>,
+        dataset: &Prefix2OrgDataset,
+        edges: &[crate::MergeEdge],
+    ) {
+        let frozen =
+            crate::FrozenDataset::from_payload(crate::freeze(inputs, dataset, edges, 0)).unwrap();
+        let mut oracle = String::new();
+        for (idx, rec) in dataset.records().iter().enumerate() {
+            let want = ExportRecord::from(rec).to_json().to_string();
+            let mut direct = String::new();
+            write_export_json(&mut direct, fields_of(rec)).unwrap();
+            assert_eq!(direct, want, "record {idx}, live");
+            let mut thawed = String::new();
+            frozen.write_export_json(idx as u32, &mut thawed).unwrap();
+            assert_eq!(thawed, want, "record {idx}, frozen");
+            oracle.push_str(&want);
+            oracle.push('\n');
+        }
+        assert_eq!(to_jsonl(dataset), oracle);
+        assert_eq!(frozen.to_jsonl(), oracle);
+    }
+
+    #[test]
+    fn export_writer_matches_the_json_tree_oracle() {
+        use p2o_synth::{World, WorldConfig};
+        use p2o_whois::alloc::AllocationType as A;
+
+        for seed in [7, 42] {
+            let world = World::generate(WorldConfig::tiny(seed));
+            let built = world.build_inputs();
+            let inputs = PipelineInputs {
+                delegations: &built.tree,
+                routes: &built.routes,
+                asn_clusters: &built.clusters,
+                rpki: &built.rpki,
+            };
+            let (mut dataset, edges) =
+                Pipeline::default().dataset_with_evidence(&inputs, None, None);
+            assert_lines_match_the_oracle(&inputs, &dataset, &edges);
+            if seed != 7 {
+                continue;
+            }
+
+            // Hand-edited records: every field the pipeline never fills
+            // with awkward text.
+            let awkward = [
+                "quote \" and back\\slash",
+                "controls \u{1}\u{8}\u{c}\u{1f}\r\n end",
+                "tab\there",
+                "Telefônica 网络 😀",
+                "",
+            ];
+            let v6 = dataset
+                .records()
+                .iter()
+                .position(|r| matches!(r.prefix, Prefix::V6(_)))
+                .expect("the tiny world routes IPv6");
+            let step = |n: usize| crate::CustomerStep {
+                org_name: awkward[n % awkward.len()].to_string(),
+                prefix: "10.0.0.0/8".parse().unwrap(),
+                alloc: A::ALL[n % A::ALL.len()],
+            };
+            let records = dataset.records_mut();
+            for (n, idx) in [0, 1, 2, 3, 4, v6].into_iter().enumerate() {
+                let rec = &mut records[idx];
+                rec.direct_owner = awkward[n % awkward.len()].to_string();
+                rec.base_name = awkward[(n + 1) % awkward.len()].to_string();
+                rec.final_cluster_label = awkward[(n + 2) % awkward.len()].to_string();
+                rec.rpki_certificate = match n % 3 {
+                    0 => None,
+                    1 => Some(awkward[n % awkward.len()].to_string()),
+                    _ => Some("0a:1b:2c".to_string()),
+                };
+                rec.delegated_customers = match n % 3 {
+                    0 => Vec::new(),
+                    1 => vec![step(n)],
+                    _ => (n..n + 3).map(step).collect(),
+                };
+                rec.origin_asn_clusters = (0..n as u32).map(|c| c * 70_000).collect();
+                // An asserted exception names the label it replaced it
+                // with.
+                rec.local_exception = (n % 2 == 1).then(|| rec.final_cluster_label.clone());
+            }
+            assert_lines_match_the_oracle(&inputs, &dataset, &edges);
+        }
     }
 
     #[test]

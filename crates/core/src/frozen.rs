@@ -14,10 +14,18 @@
 //! JSONL export: [`FrozenDataset::to_jsonl`] must reproduce
 //! [`crate::export::to_jsonl`] exactly, and [`freeze_verified`] checks it
 //! on every freeze — before `build` writes the artifact and before `serve`
-//! answers from one frozen in memory. The meta section carries both the
-//! JSONL digest (identity) and the inputs digest (staleness: serve
-//! recomputes the input digest and, when they disagree, freezes a full
-//! load in memory instead).
+//! answers from one frozen in memory. Both sides write their lines with
+//! the export's one writer: the frozen side feeds it straight from the
+//! arena ([`FrozenDataset::write_export_json`]). The meta section carries
+//! both the JSONL digest (identity) and the inputs digest (staleness:
+//! serve recomputes the input digest and, when they disagree, freezes a
+//! full load in memory instead).
+//!
+//! **Ordered shards.** The freeze runs in contiguous record shards, each
+//! against its own string table, merged in shard order: later tables are
+//! absorbed into the first in id order and their ids and offsets patched,
+//! so every string keeps its first-seen id and the payload is the same at
+//! any shard count.
 //!
 //! Layout (arena sections, byte offsets in DESIGN.md §4h):
 //!
@@ -43,12 +51,12 @@
 //! torn writes and bit rot are caught before any of the above is trusted;
 //! [`FrozenDataset::validate_payload`] then audits the interior for `fsck`.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::path::Path;
 
 use p2o_net::{Prefix, Prefix4, Prefix6};
 use p2o_obs::provenance::{write_trace, write_trace_json};
-use p2o_obs::Obs;
+use p2o_obs::{run_shards, split_shards, Obs};
 use p2o_radix::{freeze_v4, freeze_v6, LpmView4, LpmView6};
 use p2o_rpki::RovStatus;
 use p2o_util::arena::{u128_at, u32_at, u64_at, ArenaIndex, ArenaWriter};
@@ -60,10 +68,10 @@ use p2o_util::Digest;
 use p2o_whois::alloc::AllocationType;
 use p2o_whois::Registry;
 
-use crate::cluster::{ClusterId, MergeEdge};
-use crate::dataset::{CustomerStep, Prefix2OrgDataset, PrefixRecord};
+use crate::cluster::MergeEdge;
+use crate::dataset::{Prefix2OrgDataset, PrefixRecord};
 use crate::explain::{indexed_trace, MergeIndex};
-use crate::export::{to_jsonl, ExportRecord};
+use crate::export::{to_jsonl, write_export_json, ExportFields};
 use crate::pipeline::PipelineInputs;
 
 /// The frozen artifact's file name inside a build directory.
@@ -157,7 +165,8 @@ fn write_alloc<W: fmt::Write>(out: &mut W, index: u8) -> fmt::Result {
 /// [`attribution_trace`](crate::attribution_trace) builds against them,
 /// and the per-record BGP origins are taken from `inputs.routes`.
 /// `inputs_digest` is the canonical digest of the build directory's input
-/// files, stored for staleness detection at serve time.
+/// files, stored for staleness detection at serve time. This is the
+/// one-shard freeze; [`freeze_verified`] takes a shard count.
 pub fn freeze(
     inputs: &PipelineInputs<'_>,
     dataset: &Prefix2OrgDataset,
@@ -165,21 +174,43 @@ pub fn freeze(
     inputs_digest: u64,
 ) -> Vec<u8> {
     let jsonl_digest = Digest::of_bytes(to_jsonl(dataset).as_bytes()).0;
-    freeze_with_digest(inputs, dataset, merge_edges, inputs_digest, jsonl_digest)
+    freeze_with_digest(
+        inputs,
+        dataset,
+        merge_edges,
+        inputs_digest,
+        jsonl_digest,
+        1,
+        None,
+    )
 }
 
-/// [`freeze`] with the digest of the dataset's canonical export already
-/// known, so the export is not rendered again to take it.
-fn freeze_with_digest(
+/// The sections of one contiguous record range, laid out as the sequential
+/// freeze lays them out but against the shard's own string table: string
+/// ids are the shard's, and chain-step, trace-step and pool offsets count
+/// from the shard's first. LPM entries carry global record indices.
+struct ShardSections {
+    recs: Vec<u8>,
+    dcsteps: Vec<u8>,
+    steps: Vec<u8>,
+    pool: Vec<u8>,
+    dc_count: u32,
+    step_count: u32,
+    pool_count: u32,
+    v4_entries: Vec<(Prefix4, u32)>,
+    v6_entries: Vec<(Prefix6, u32)>,
+}
+
+/// Freezes `records`, the dataset's records from index `first` on.
+fn freeze_shard(
     inputs: &PipelineInputs<'_>,
     dataset: &Prefix2OrgDataset,
-    merge_edges: &[MergeEdge],
-    inputs_digest: u64,
-    jsonl_digest: u64,
-) -> Vec<u8> {
-    let merge_index = MergeIndex::new(merge_edges);
+    merge_index: &MergeIndex<'_>,
+    first: usize,
+    records: &[PrefixRecord],
+) -> (StringBlobBuilder, ShardSections) {
     let mut strings = StringBlobBuilder::new();
-    let mut recs: Vec<u8> = Vec::with_capacity(dataset.len() * REC_SIZE);
+    let mut recs: Vec<u8> = Vec::with_capacity(records.len() * REC_SIZE);
     let mut dcsteps: Vec<u8> = Vec::new();
     let mut steps: Vec<u8> = Vec::new();
     let mut pool: Vec<u8> = Vec::new();
@@ -198,14 +229,13 @@ fn freeze_with_digest(
         (off, vals.len() as u32)
     };
 
-    for (idx, rec) in dataset.records().iter().enumerate() {
-        let idx = idx as u32;
+    for (idx, rec) in (first as u32..).zip(records) {
         match rec.prefix {
             Prefix::V4(p) => v4_entries.push((p, idx)),
             Prefix::V6(p) => v6_entries.push((p, idx)),
         }
 
-        let trace = indexed_trace(inputs, dataset, &merge_index, None, &rec.prefix);
+        let trace = indexed_trace(inputs, dataset, merge_index, None, &rec.prefix);
         debug_assert_eq!(trace.subject, rec.prefix.to_string());
         let origins: Vec<u32> = inputs
             .routes
@@ -253,6 +283,117 @@ fn freeze_with_digest(
         recs.extend_from_slice(&org_off.to_le_bytes());
         recs.extend_from_slice(&org_len.to_le_bytes());
     }
+    let sections = ShardSections {
+        recs,
+        dcsteps,
+        steps,
+        pool,
+        dc_count,
+        step_count,
+        pool_count,
+        v4_entries,
+        v6_entries,
+    };
+    (strings, sections)
+}
+
+/// Rewrites the little-endian u32 at `off` in place.
+fn patch_u32(bytes: &mut [u8], off: usize, f: impl FnOnce(u32) -> u32) {
+    let field = &mut bytes[off..off + 4];
+    let value = f(u32::from_le_bytes(field.try_into().expect("4 bytes")));
+    field.copy_from_slice(&value.to_le_bytes());
+}
+
+impl ShardSections {
+    /// Moves the shard onto the global tables: `ids` maps its string ids
+    /// to global ones, and its chain steps, trace steps and pool values
+    /// follow the `dc`, `step` and `pool` entries of the shards before it.
+    fn rebase(&mut self, ids: &[u32], dc: u32, step: u32, pool: u32) {
+        let id = |local: u32| ids[local as usize];
+        for rec in self.recs.chunks_exact_mut(REC_SIZE) {
+            for off in [36, 40, 44, 52] {
+                patch_u32(rec, off, id);
+            }
+            patch_u32(
+                rec,
+                48,
+                |local| if local == NONE_ID { NONE_ID } else { id(local) },
+            );
+            patch_u32(rec, 56, |first| first + step);
+            patch_u32(rec, 64, |off| off + dc);
+            patch_u32(rec, 72, |off| off + pool);
+            patch_u32(rec, 80, |off| off + pool);
+        }
+        for dc_step in self.dcsteps.chunks_exact_mut(DC_SIZE) {
+            patch_u32(dc_step, PFX_SIZE, id);
+        }
+        for ids_at in self.steps.chunks_exact_mut(4) {
+            patch_u32(ids_at, 0, id);
+        }
+    }
+}
+
+/// [`freeze`] with the digest of the dataset's canonical export already
+/// known, so the export is not rendered again to take it, in ordered
+/// shards of contiguous records.
+///
+/// Each shard lays out its records against its own string table
+/// ([`freeze_shard`]); the shards then merge in shard order. The first
+/// shard's table becomes the global one, and each later shard's table is
+/// absorbed into it in id order ([`StringBlobBuilder::absorb`]) and
+/// dropped, so every string keeps the id of its first occurrence in record
+/// order and the payload is byte-identical at any shard count. The merge
+/// patches the shard's string ids and offsets in place and hands its
+/// section buffers to the arena writer as parts, without a copy.
+fn freeze_with_digest(
+    inputs: &PipelineInputs<'_>,
+    dataset: &Prefix2OrgDataset,
+    merge_edges: &[MergeEdge],
+    inputs_digest: u64,
+    jsonl_digest: u64,
+    threads: usize,
+    obs: Option<&Obs>,
+) -> Vec<u8> {
+    let merge_index = MergeIndex::new(merge_edges);
+    let mut first = 0;
+    let shards: Vec<(usize, &[PrefixRecord])> = split_shards(dataset.records(), threads)
+        .into_iter()
+        .map(|records| {
+            first += records.len();
+            (first - records.len(), records)
+        })
+        .collect();
+    let frozen = run_shards(obs, "frozen.freeze", shards, |(first, records), span| {
+        if let Some(s) = span {
+            s.arg("records", records.len());
+        }
+        freeze_shard(inputs, dataset, &merge_index, first, records)
+    });
+
+    let mut strings: Option<StringBlobBuilder> = None;
+    let (mut recs, mut dcsteps, mut steps, mut pool) = (vec![], vec![], vec![], vec![]);
+    let (mut dc_count, mut step_count, mut pool_count) = (0u32, 0u32, 0u32);
+    let mut v4_entries: Vec<(Prefix4, u32)> = Vec::with_capacity(dataset.len());
+    let mut v6_entries: Vec<(Prefix6, u32)> = Vec::new();
+    for (local, mut shard) in frozen {
+        match strings.as_mut() {
+            None => strings = Some(local),
+            Some(global) => {
+                let ids = global.absorb(local);
+                shard.rebase(&ids, dc_count, step_count, pool_count);
+            }
+        }
+        dc_count += shard.dc_count;
+        step_count += shard.step_count;
+        pool_count += shard.pool_count;
+        recs.push(shard.recs);
+        dcsteps.push(shard.dcsteps);
+        steps.push(shard.steps);
+        pool.push(shard.pool);
+        v4_entries.append(&mut shard.v4_entries);
+        v6_entries.append(&mut shard.v6_entries);
+    }
+    let strings = strings.expect("at least one shard");
 
     let mut meta = Vec::with_capacity(META_SIZE);
     meta.extend_from_slice(&FROZEN_FORMAT_VERSION.to_le_bytes());
@@ -265,10 +406,10 @@ fn freeze_with_digest(
     let mut w = ArenaWriter::new();
     w.section("meta", meta);
     w.section_parts("strings", strings.into_parts());
-    w.section("recs", recs);
-    w.section("dcsteps", dcsteps);
-    w.section("steps", steps);
-    w.section("u32pool", pool);
+    w.section_parts("recs", recs);
+    w.section_parts("dcsteps", dcsteps);
+    w.section_parts("steps", steps);
+    w.section_parts("u32pool", pool);
     w.section("lpm4", freeze_v4(&v4_entries));
     w.section("lpm6", freeze_v6(&v6_entries));
     w.finish()
@@ -281,30 +422,41 @@ fn freeze_with_digest(
 /// The one freeze sequence in the system: `build` frames and writes the
 /// verified [`payload`](FrozenDataset::payload) as `world.p2ob`, and
 /// `serve` serves the returned dataset directly when that file is missing
-/// or stale. The payload is moved, never copied; the export's digest is
-/// taken from `jsonl`, and each thawed line is compared with `jsonl` as it
-/// renders, so no second copy of the export is built. An observed build
-/// times the freeze as stage `core.freeze` and the audit plus thaw check
-/// as `core.thaw_verify`.
+/// or stale. The freeze runs in `threads` ordered shards (the payload is
+/// the same at any count). The payload is moved, never copied; the
+/// export's digest is taken from `jsonl`, and each thawed line is written
+/// by the export's own writer and compared with `jsonl` as it renders, so
+/// no second copy of the export is built. A mismatch names the first
+/// record whose line differs. An observed build times the freeze as stage
+/// `core.freeze` and the audit plus thaw check as `core.thaw_verify`.
 pub fn freeze_verified(
     inputs: &PipelineInputs<'_>,
     dataset: &Prefix2OrgDataset,
     merge_edges: &[MergeEdge],
     inputs_digest: u64,
     jsonl: &str,
+    threads: usize,
     obs: Option<&Obs>,
 ) -> Result<FrozenDataset, String> {
     let stage = |name: &str| obs.map(|o| o.stage(name));
     let timer = stage("core.freeze");
     let jsonl_digest = Digest::of_bytes(jsonl.as_bytes()).0;
-    let payload = freeze_with_digest(inputs, dataset, merge_edges, inputs_digest, jsonl_digest);
+    let payload = freeze_with_digest(
+        inputs,
+        dataset,
+        merge_edges,
+        inputs_digest,
+        jsonl_digest,
+        threads,
+        obs,
+    );
     drop(timer);
     let _timer = stage("core.thaw_verify");
     let frozen = FrozenDataset::from_payload(payload)
         .map_err(|e| format!("frozen artifact failed self-validation: {e}"))?;
-    if !frozen.thaws_to(jsonl) {
-        return Err("frozen artifact does not thaw back to the canonical export".to_string());
-    }
+    frozen
+        .check_thaws_to(jsonl)
+        .map_err(|e| format!("frozen artifact does not thaw back to the canonical export: {e}"))?;
     Ok(frozen)
 }
 
@@ -623,12 +775,6 @@ impl FrozenDataset {
         u32_at(recs, idx as usize * REC_SIZE + off).expect("validated")
     }
 
-    fn rec_str(&self, idx: u32, off: usize) -> &str {
-        self.strings()
-            .get(self.rec_u32(idx, off))
-            .expect("validated")
-    }
-
     fn pool_slice(&self, off: u32, len: u32) -> impl ExactSizeIterator<Item = u32> + '_ {
         let pool = &self.payload[self.sections.pool.clone()];
         (off..off + len).map(move |i| u32_at(pool, i as usize * 4).expect("validated"))
@@ -765,60 +911,6 @@ impl FrozenDataset {
             .count() as u64
     }
 
-    /// Thaws record `idx` into the full [`PrefixRecord`] shape (the cluster
-    /// id is not frozen — records get a placeholder id; every Listing-1
-    /// field is exact).
-    fn prefix_record(&self, idx: u32) -> PrefixRecord {
-        let recs = &self.payload[self.sections.recs.clone()];
-        let base = idx as usize * REC_SIZE;
-        let dc_off = self.rec_u32(idx, 64);
-        let dc_len = self.rec_u32(idx, 68);
-        let dcsteps = &self.payload[self.sections.dcsteps.clone()];
-        let delegated_customers = (dc_off..dc_off + dc_len)
-            .map(|i| {
-                let sbase = i as usize * DC_SIZE;
-                CustomerStep {
-                    org_name: self
-                        .strings()
-                        .get(u32_at(dcsteps, sbase + PFX_SIZE).expect("validated"))
-                        .expect("validated")
-                        .to_string(),
-                    prefix: read_prefix(dcsteps, sbase).expect("validated"),
-                    alloc: AllocationType::ALL[dcsteps[sbase + 22] as usize],
-                }
-            })
-            .collect();
-        PrefixRecord {
-            prefix: self.record_prefix(idx),
-            registry: self
-                .rec_str(idx, 36)
-                .parse()
-                .expect("registry validated at load"),
-            direct_owner: self.rec_str(idx, 40).to_string(),
-            do_prefix: read_prefix(recs, base + PFX_SIZE).expect("validated"),
-            do_alloc: AllocationType::ALL[recs[base + 60] as usize],
-            delegated_customers,
-            base_name: self.rec_str(idx, 44).to_string(),
-            rpki_certificate: match self.rec_u32(idx, 48) {
-                NONE_ID => None,
-                id => Some(self.strings().get(id).expect("validated").to_string()),
-            },
-            origin_asn_clusters: self
-                .pool_slice(self.rec_u32(idx, 72), self.rec_u32(idx, 76))
-                .collect(),
-            final_cluster_label: self.rec_str(idx, 52).to_string(),
-            cluster: ClusterId(0),
-            rov: RovStatus::from_u8(recs[base + 61]).expect("validated"),
-            // An asserted override replaces the final label with the
-            // asserted org, so the flag byte plus the label reconstruct it.
-            local_exception: if recs[base + 62] == 1 {
-                Some(self.rec_str(idx, 52).to_string())
-            } else {
-                None
-            },
-        }
-    }
-
     /// Writes record `idx`'s Listing-1 object into `out`, byte-identical
     /// to [`PrefixRecord::listing1_json`] on the live dataset. It reads the
     /// fixed-width record, the string blob, the chain-step table and the
@@ -878,15 +970,46 @@ impl FrozenDataset {
         out.write_char('}')
     }
 
-    /// Thaws record `idx` into its canonical [`ExportRecord`].
-    pub fn export_record(&self, idx: u32) -> ExportRecord {
-        ExportRecord::from(&self.prefix_record(idx))
-    }
-
-    /// Appends record `idx`'s canonical JSONL line, newline included.
-    fn push_jsonl_line(&self, idx: u32, out: &mut String) {
-        write!(out, "{}", self.export_record(idx).to_json()).expect("String writes succeed");
-        out.push('\n');
+    /// Writes record `idx`'s canonical export object — its JSONL line
+    /// without the newline — straight from the arena through the export's
+    /// one writer: nothing is thawed.
+    pub fn write_export_json<W: fmt::Write + ?Sized>(&self, idx: u32, out: &mut W) -> fmt::Result {
+        let recs = &self.payload[self.sections.recs.clone()];
+        let base = idx as usize * REC_SIZE;
+        let at = |off: usize| u32_at(recs, base + off).expect("validated");
+        let strings = self.strings();
+        let text = |id: u32| strings.get(id).expect("validated");
+        let dcsteps = &self.payload[self.sections.dcsteps.clone()];
+        write_export_json(
+            out,
+            ExportFields {
+                prefix: self.record_prefix(idx),
+                registry: text(at(36)),
+                direct_owner: text(at(40)),
+                do_prefix: read_prefix(recs, base + PFX_SIZE).expect("validated"),
+                do_alloc: AllocationType::ALL[recs[base + 60] as usize],
+                delegated_customers: (at(64)..at(64) + at(68)).map(|step| {
+                    let sbase = step as usize * DC_SIZE;
+                    (
+                        text(u32_at(dcsteps, sbase + PFX_SIZE).expect("validated")),
+                        read_prefix(dcsteps, sbase).expect("validated"),
+                        AllocationType::ALL[dcsteps[sbase + 22] as usize],
+                    )
+                }),
+                base_name: text(at(44)),
+                rpki_certificate: match at(48) {
+                    NONE_ID => None,
+                    id => Some(text(id)),
+                },
+                origin_asn_clusters: self.pool_slice(at(72), at(76)),
+                rov: RovStatus::from_u8(recs[base + 61]).expect("validated"),
+                final_cluster: text(at(52)),
+                // An asserted override replaces the final label with the
+                // asserted org, so the flag byte plus the label reconstruct
+                // it.
+                local_exception: (recs[base + 62] == 1).then(|| text(at(52))),
+            },
+        )
     }
 
     /// Re-derives the canonical JSONL export. Must reproduce the original
@@ -894,25 +1017,40 @@ impl FrozenDataset {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for idx in 0..self.sections.record_count {
-            self.push_jsonl_line(idx, &mut out);
+            self.write_export_json(idx, &mut out)
+                .expect("String writes succeed");
+            out.push('\n');
         }
         out
     }
 
-    /// Whether [`to_jsonl`](Self::to_jsonl) would equal `jsonl`, checked
-    /// one thawed line at a time without building the whole export.
-    fn thaws_to(&self, jsonl: &str) -> bool {
-        let mut rest = jsonl;
+    /// Checks that [`to_jsonl`](Self::to_jsonl) would equal `jsonl`, one
+    /// line at a time without building the whole export. A mismatch names
+    /// the first record whose line differs, by index and prefix, with the
+    /// byte offset where its line starts in `jsonl`; or the count of bytes
+    /// `jsonl` holds past the last record.
+    fn check_thaws_to(&self, jsonl: &str) -> Result<(), String> {
+        let mut at = 0;
         let mut line = String::new();
         for idx in 0..self.sections.record_count {
             line.clear();
-            self.push_jsonl_line(idx, &mut line);
-            match rest.strip_prefix(line.as_str()) {
-                Some(tail) => rest = tail,
-                None => return false,
+            self.write_export_json(idx, &mut line)
+                .expect("String writes succeed");
+            line.push('\n');
+            if !jsonl.as_bytes()[at..].starts_with(line.as_bytes()) {
+                return Err(format!(
+                    "record {idx} ({}) differs from the export line at byte {at}",
+                    self.record_prefix(idx)
+                ));
             }
+            at += line.len();
         }
-        rest.is_empty()
+        match jsonl.len() - at {
+            0 => Ok(()),
+            extra => Err(format!(
+                "the export has {extra} more byte(s) after the last record"
+            )),
+        }
     }
 }
 
@@ -959,23 +1097,74 @@ mod tests {
         };
         let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
         let jsonl = to_jsonl(&dataset);
-        let frozen = freeze_verified(&inputs, &dataset, &edges, 7, &jsonl, None).unwrap();
+        let frozen = freeze_verified(&inputs, &dataset, &edges, 7, &jsonl, 1, None).unwrap();
         assert_eq!(frozen.payload(), &freeze(&inputs, &dataset, &edges, 7)[..]);
         // A trailing extra line, a missing last line, and an altered first
-        // line all fail the line-by-line thaw check.
+        // line all fail the line-by-line thaw check, which names the first
+        // record whose line differs and where that line starts, or the
+        // bytes past the last record.
         let first_line_end = jsonl.find('\n').unwrap();
         let last_line_start = jsonl[..jsonl.len() - 1].rfind('\n').unwrap() + 1;
-        for other in [
-            format!("{jsonl}\n"),
-            jsonl[..last_line_start].to_string(),
-            format!(
-                "{} \n{}",
-                &jsonl[..first_line_end],
-                &jsonl[first_line_end + 1..]
+        let last = dataset.len() - 1;
+        for (other, names) in [
+            (
+                format!("{jsonl}\n"),
+                "the export has 1 more byte(s) after the last record".to_string(),
+            ),
+            (
+                jsonl[..last_line_start].to_string(),
+                format!(
+                    "record {last} ({}) differs from the export line at byte {last_line_start}",
+                    dataset.records()[last].prefix
+                ),
+            ),
+            (
+                format!(
+                    "{} \n{}",
+                    &jsonl[..first_line_end],
+                    &jsonl[first_line_end + 1..]
+                ),
+                format!(
+                    "record 0 ({}) differs from the export line at byte 0",
+                    dataset.records()[0].prefix
+                ),
             ),
         ] {
-            let err = freeze_verified(&inputs, &dataset, &edges, 7, &other, None).unwrap_err();
-            assert!(err.contains("does not thaw back"), "{err}");
+            let err = freeze_verified(&inputs, &dataset, &edges, 7, &other, 1, None).unwrap_err();
+            assert_eq!(
+                err,
+                format!("frozen artifact does not thaw back to the canonical export: {names}")
+            );
+        }
+    }
+
+    /// The sharded freeze is the one-shard freeze at any shard count: each
+    /// shard's string table merges in shard order, so every string keeps
+    /// the id of its first occurrence in record order.
+    #[test]
+    fn freeze_payload_is_identical_at_every_shard_count() {
+        for config in [WorldConfig::tiny(42), WorldConfig::default_scale(7)] {
+            let world = World::generate(config);
+            let built = world.build_inputs();
+            let inputs = PipelineInputs {
+                delegations: &built.tree,
+                routes: &built.routes,
+                asn_clusters: &built.clusters,
+                rpki: &built.rpki,
+            };
+            let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
+            let jsonl = to_jsonl(&dataset);
+            let one = freeze(&inputs, &dataset, &edges, 3);
+            for shards in 1..=8 {
+                assert_eq!(p2o_obs::shard_count(shards, dataset.len()), shards);
+                let frozen =
+                    freeze_verified(&inputs, &dataset, &edges, 3, &jsonl, shards, None).unwrap();
+                assert!(
+                    frozen.payload() == &one[..],
+                    "{} records: the payload differs at {shards} shards",
+                    dataset.len()
+                );
+            }
         }
     }
 

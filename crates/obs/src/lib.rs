@@ -58,7 +58,7 @@ pub use trace::{Span, ThreadLog, ThreadTrace, Trace, TraceEvent, TracePhase, Tra
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use p2o_util::ingest::{IngestErrorKind, IngestLayer, Quarantine, QuarantineSummary};
 use p2o_util::json::Json;
@@ -255,13 +255,12 @@ impl StageTimer {
             return;
         }
         self.done = true;
-        let wall_ns = self.started.elapsed().as_nanos() as u64;
-        let mut stages = self.obs.inner.stages.lock().expect("obs stages lock");
-        stages.push(StageReport {
+        let stage = StageReport {
             name: std::mem::take(&mut self.name),
-            wall_ns,
+            wall_ns: self.started.elapsed().as_nanos() as u64,
             items: self.items,
-        });
+        };
+        self.obs.push_stage(stage);
     }
 }
 
@@ -343,6 +342,21 @@ impl Obs {
             items: None,
             done: false,
         }
+    }
+
+    /// Records stage `name` with a wall time the caller measured: a phase
+    /// timed in pieces and summed.
+    pub fn record_stage(&self, name: &str, wall: Duration) {
+        self.push_stage(StageReport {
+            name: name.to_string(),
+            wall_ns: wall.as_nanos() as u64,
+            items: None,
+        });
+    }
+
+    fn push_stage(&self, stage: StageReport) {
+        let mut stages = self.inner.stages.lock().expect("obs stages lock");
+        stages.push(stage);
     }
 
     /// Turns on span tracing: subsequent [`thread_log`] calls hand out

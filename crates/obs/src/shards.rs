@@ -1,9 +1,9 @@
 //! The one fork-join path of the build.
 //!
-//! The four data-parallel passes — bulk WHOIS parsing, MRT body decoding,
-//! DO/DC resolution and the 𝓡/𝓐 group build — cut their input into
-//! contiguous shards, hand them to [`run_shards`], and fold the results in
-//! shard order. Because each shard covers a contiguous run of the input
+//! The six data-parallel passes — bulk WHOIS parsing, MRT body decoding,
+//! DO/DC resolution, owner-name cleaning, the 𝓡/𝓐 group build and the
+//! freeze — cut their input into contiguous shards, hand them to
+//! [`run_shards`], and fold the results in shard order. Because each shard covers a contiguous run of the input
 //! and results come back in shard order, the folded output is the same at
 //! any thread count, including the single shard that runs inline on the
 //! caller's thread.

@@ -1310,31 +1310,41 @@ fn reload(
 
 /// Renders one reload's delta as `/dump` op lines, compared record by
 /// record between the two frozen datasets: `add` for a prefix only the new
-/// one maps and `change` for one whose export record (and so its export
-/// line) differs, each carrying the full new record, then `remove`, with
-/// just the prefix, for one only the old one maps. Applied to the old
-/// snapshot's `/dump` reset, the ops yield the new one's.
+/// one maps and `change` for one whose export line differs, each carrying
+/// the full new record, then `remove`, with just the prefix, for one only
+/// the old one maps. Applied to the old snapshot's `/dump` reset, the ops
+/// yield the new one's. Records are written by the export's one writer.
 fn render_delta_ops(old: &FrozenDataset, new: &FrozenDataset) -> String {
     let mut out = String::new();
-    let mut push = |op: &str, key: &str, value: Json| {
-        let mut o = Json::object();
-        o.set("op", op);
-        o.set(key, value);
-        out.push_str(&format!("{o}\n"));
-    };
+    let (mut record, mut was) = (String::new(), String::new());
     for idx in 0..new.len() as u32 {
-        let record = new.export_record(idx);
-        match old.exact(&record.prefix) {
-            None => push("add", "record", record.to_json()),
-            Some(was) if old.export_record(was) != record => {
-                push("change", "record", record.to_json())
+        record.clear();
+        new.write_export_json(idx, &mut record)
+            .expect("String writes succeed");
+        let op = match old.exact(&new.record_prefix(idx)) {
+            None => "add",
+            Some(old_idx) => {
+                was.clear();
+                old.write_export_json(old_idx, &mut was)
+                    .expect("String writes succeed");
+                if was == record {
+                    continue;
+                }
+                "change"
             }
-            Some(_) => {}
-        }
+        };
+        out.push_str("{\"op\":\"");
+        out.push_str(op);
+        out.push_str("\",\"record\":");
+        out.push_str(&record);
+        out.push_str("}\n");
     }
     for prefix in (0..old.len() as u32).map(|idx| old.record_prefix(idx)) {
         if new.exact(&prefix).is_none() {
-            push("remove", "prefix", Json::from(prefix.to_string()));
+            let mut o = Json::object();
+            o.set("op", "remove");
+            o.set("prefix", prefix.to_string());
+            out.push_str(&format!("{o}\n"));
         }
     }
     out

@@ -78,7 +78,7 @@ impl Snapshot {
             Pipeline::with_threads(threads.max(1)).dataset_with_evidence(inputs, None, None);
         exceptions.apply(&mut dataset);
         let jsonl = to_jsonl(&dataset);
-        let frozen = freeze_verified(inputs, &dataset, &merge_edges, 0, &jsonl, None)?;
+        let frozen = freeze_verified(inputs, &dataset, &merge_edges, 0, &jsonl, threads, None)?;
         Ok(Self::attach(dir, serial, frozen, false))
     }
 

@@ -5,8 +5,6 @@
 //! geographic words drop → refill names shorter than three characters with
 //! the post-corporate-drop form.
 
-use std::collections::HashSet;
-
 use crate::lexicon;
 
 /// The intermediate forms of one name as it moves through the pipeline —
@@ -95,7 +93,7 @@ pub fn regex_clean(basic: &str) -> String {
     // Tokenize; drop street-address fragments (a digit-bearing token next to
     // a street keyword) and pure numbers.
     let tokens: Vec<&str> = cleaned.split_whitespace().collect();
-    let street: HashSet<&str> = lexicon::STREET_TOKENS.iter().copied().collect();
+    let street = lexicon::street_tokens();
     let mut keep: Vec<String> = Vec::with_capacity(tokens.len());
     for (i, tok) in tokens.iter().enumerate() {
         let is_number = tok.bytes().all(|b| b.is_ascii_digit());

@@ -359,6 +359,12 @@ pub fn spelling_map() -> &'static HashMap<&'static str, &'static str> {
     MAP.get_or_init(|| SPELLING_STANDARDIZATION.iter().copied().collect())
 }
 
+/// The street-address keywords as a set.
+pub fn street_tokens() -> &'static HashSet<&'static str> {
+    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
+    SET.get_or_init(|| STREET_TOKENS.iter().copied().collect())
+}
+
 /// Countries and cities as one geographic set.
 pub fn geo_terms() -> &'static HashSet<&'static str> {
     static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
@@ -398,6 +404,7 @@ mod tests {
         assert!(geo_terms().contains("japan"));
         assert!(geo_terms().contains("tokyo"));
         assert_eq!(spelling_map().get("centre"), Some(&"center"));
+        assert!(street_tokens().contains("street"));
     }
 
     #[test]

@@ -1,4 +1,12 @@
 //! The corpus-aware base-name extractor and its funnel statistics.
+//!
+//! Cleaning splits at the corpus: the basic, regex and corporate stages are
+//! a pure function of one name ([`stage`]), and the frequent-word drop needs
+//! token counts over the whole corpus. So a corpus in which names repeat —
+//! WHOIS owners hold many prefixes — stages each distinct name once and
+//! counts its tokens weighted by how often it occurs
+//! ([`BaseNameExtractor::from_weighted`]); [`BaseNameExtractor::base_of`]
+//! then finishes a staged name without cleaning it again.
 
 use std::collections::{HashMap, HashSet};
 
@@ -11,6 +19,31 @@ use crate::clean::{
 /// times across the corpus are dropped (footnote 5: 50–200 gave similar
 /// results; 100 chosen by inspection).
 pub const DEFAULT_FREQUENCY_THRESHOLD: usize = 100;
+
+/// The corpus-independent forms of one name: the first three cleaning
+/// stages.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StagedName {
+    /// After basic cleaning (the 𝒲 key).
+    pub basic: String,
+    /// After the regex drop.
+    pub regex: String,
+    /// After the corporate-word drop: the form whose tokens the corpus
+    /// counts.
+    pub corporate: String,
+}
+
+/// Runs the basic, regex and corporate stages on one name.
+pub fn stage(name: &str) -> StagedName {
+    let basic = basic_clean(name);
+    let regex = regex_clean(&basic);
+    let corporate = drop_corporate_words(&regex);
+    StagedName {
+        basic,
+        regex,
+        corporate,
+    }
+}
 
 /// Unique-name counts after each cleaning stage — the rows of paper Table 2.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,17 +97,39 @@ pub struct BaseNameExtractor {
 
 impl BaseNameExtractor {
     /// Builds an extractor from the name corpus with the given frequent-word
-    /// threshold.
+    /// threshold: every name is staged and counts once.
     pub fn build<I, S>(corpus: I, threshold: usize) -> Self
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
+        Self::from_weighted(
+            corpus
+                .into_iter()
+                .map(|name| (stage(name.as_ref()).corporate, 1)),
+            threshold,
+        )
+    }
+
+    /// Builds an extractor from corporate-stage forms
+    /// ([`StagedName::corporate`]) paired with how many corpus entries
+    /// carry each: a token counts once per entry, so a form of weight `w`
+    /// adds `w` to each of its tokens. Tokens counted more than
+    /// `threshold` times are frequent.
+    pub fn from_weighted<I, S>(corporate: I, threshold: usize) -> Self
+    where
+        I: IntoIterator<Item = (S, usize)>,
+        S: AsRef<str>,
+    {
         let mut counts: HashMap<String, usize> = HashMap::new();
-        for name in corpus {
-            let staged = drop_corporate_words(&regex_clean(&basic_clean(name.as_ref())));
-            for tok in staged.split_whitespace() {
-                *counts.entry(tok.to_string()).or_insert(0) += 1;
+        for (form, weight) in corporate {
+            for tok in form.as_ref().split_whitespace() {
+                match counts.get_mut(tok) {
+                    Some(n) => *n += weight,
+                    None => {
+                        counts.insert(tok.to_string(), weight);
+                    }
+                }
             }
         }
         let frequent = counts
@@ -116,21 +171,31 @@ impl BaseNameExtractor {
 
     /// Runs the full pipeline on one name, keeping every intermediate form.
     pub fn trace(&self, name: &str) -> CleanTrace {
-        let basic = basic_clean(name);
-        let regex = regex_clean(&basic);
-        let corporate = drop_corporate_words(&regex);
-        let frequent = drop_frequent_words(&corporate, |t| self.is_frequent(t));
-        let geographic = drop_geo_words(&frequent);
-        let base = refill_short(&geographic, &corporate);
+        let staged = stage(name);
+        let (frequent, geographic, base) = self.finish(&staged);
         CleanTrace {
             original: name.to_string(),
-            basic,
-            regex,
-            corporate,
+            basic: staged.basic,
+            regex: staged.regex,
+            corporate: staged.corporate,
             frequent,
             geographic,
             base,
         }
+    }
+
+    /// The frequent-word, geographic and base forms of a staged name.
+    fn finish(&self, staged: &StagedName) -> (String, String, String) {
+        let frequent = drop_frequent_words(&staged.corporate, |t| self.is_frequent(t));
+        let geographic = drop_geo_words(&frequent);
+        let base = refill_short(&geographic, &staged.corporate);
+        (frequent, geographic, base)
+    }
+
+    /// The base name of a name already [`stage`]d: equal to
+    /// [`extract`](Self::extract) on the original name.
+    pub fn base_of(&self, staged: &StagedName) -> String {
+        self.finish(staged).2
     }
 
     /// The base name of one WHOIS organization name.
