@@ -281,7 +281,7 @@ fn bench_json(budget_ms: u64) {
     // by construction, so the ratio is valid on any recorder. Beside it,
     // the artifact's size per record and what rendering one record's
     // answer body costs: its Listing-1 object plus its provenance as a
-    // JSON string, for every record in order.
+    // JSON string, for every record in order, and the provenance alone.
     group("json_lookup");
     let lookup = {
         let world = World::generate(WorldConfig::default_scale(0xF1F0));
@@ -333,6 +333,16 @@ fn bench_json(budget_ms: u64) {
                 black_box(&out);
             }
         });
+        let provenance_mean = bench("render/default/provenance", || {
+            let mut out = String::new();
+            for idx in 0..frozen.len() as u32 {
+                out.clear();
+                frozen
+                    .write_provenance_json(idx, &mut out)
+                    .expect("String writes succeed");
+                black_box(&out);
+            }
+        });
         let mut l = Json::object();
         l.set("scale", "default");
         l.set("queries", n);
@@ -341,6 +351,7 @@ fn bench_json(budget_ms: u64) {
             frozen.payload().len() as f64 / n as f64,
         );
         l.set("record_render_ns", render_mean / n as f64);
+        l.set("provenance_render_ns", provenance_mean / n as f64);
         l.set("radix_heap_ns_per_lookup", radix_mean / n as f64);
         l.set("frozen_lpm_ns_per_lookup", frozen_mean / n as f64);
         l.set(

@@ -29,6 +29,7 @@ fn rec(names: &mut Interner, prefix: &str, owner: &str) -> OwnershipRecord {
         do_alloc: AllocationType::Allocation,
         do_registry: Registry::Rir(Rir::Arin),
         delegated_customers: Vec::new(),
+        lpm: Default::default(),
     }
 }
 

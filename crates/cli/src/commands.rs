@@ -512,7 +512,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     let timer = stage("core.export");
     let jsonl = prefix2org::to_jsonl(&dataset);
     drop(timer);
-    let timer = stage("util.write");
+    let timer = stage("util.write_export");
     atomic::write_atomic(&vfs, out, "export", jsonl.as_bytes())
         .map_err(|e| format!("writing {}: {e}", out.display()))?;
     drop(timer);
@@ -552,7 +552,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
 
     // The frame header goes in front of the payload without copying it;
     // the frame is the artifact's one integrity record (no manifest row).
-    let timer = stage("util.write");
+    let timer = stage("util.write_frozen");
     let payload = frozen.payload();
     let parts: [&[u8]; 2] = [&atomic::frame_header(payload), payload];
     atomic::write_atomic_parts(&vfs, &frozen_path, prefix2org::FROZEN_LABEL, &parts)
@@ -740,11 +740,11 @@ pub fn explain(args: &Parsed) -> Result<(), CliError> {
                  traces already reflect the rules it was built with"
             );
         }
-        // Serve the stored traces out of the frozen artifact instead of
+        // Print each record's trace from the frozen artifact instead of
         // replaying the pipeline. For prefixes that are themselves records
         // the output is byte-identical to a live explain; for covered
-        // queries the stored trace of the covering record is printed with
-        // a note naming it.
+        // queries the trace of the covering record is printed with a note
+        // naming it.
         let vfs = Vfs::from_env().map_err(CliError::General)?;
         let frozen_path = dir.join(prefix2org::FROZEN_FILE);
         let frozen =

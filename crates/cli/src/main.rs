@@ -156,8 +156,9 @@ USAGE:
       Alongside the export, a frozen zero-copy artifact DIR/world.p2ob is
       written (flattened LPM tables, interned strings, fixed-width
       records); `serve` boots from it in milliseconds and `explain
-      --frozen` reads its stored traces. The freeze is verified to thaw
-      back to the export byte-for-byte before it is written.
+      --frozen` prints each record's trace from it. The freeze is
+      verified to thaw back to the export byte-for-byte before it is
+      written.
       Corrupt input records are skipped and quarantined by default (counts
       go to stderr and the report's data_quality section); exit code 2 is
       reserved for ingest failures. --strict aborts on the first corrupt
@@ -249,8 +250,8 @@ USAGE:
       Replay the mapping decision for each prefix and print the rule
       chain behind it: routing-table lookup, radix LPM walk, WHOIS
       delegation matches, base name, RPKI certificate, origin-ASN
-      clusters, cluster merges, final cluster label. --frozen reads the
-      stored trace out of DIR/world.p2ob instead of replaying the
+      clusters, cluster merges, final cluster label. --frozen prints the
+      matched record's trace from DIR/world.p2ob instead of replaying the
       pipeline (byte-identical for record prefixes). --exceptions
       applies a local rule file first, so the trace shows operator
       overrides (local_exception) and filtered prefixes exactly as a

@@ -173,13 +173,22 @@ fn build_report_emits_run_report() {
         "core.export",
         "core.freeze",
         "core.thaw_verify",
-        "util.write",
+        "util.write_export",
+        "util.write_frozen",
         "build.unattributed",
     ] {
         let s = parsed
             .stage(stage)
             .unwrap_or_else(|| panic!("missing stage {stage}"));
         assert!(s.wall_ns > 0, "stage {stage} has no wall time");
+    }
+    // Each row names one layer: no two stage rows share a name.
+    for (i, s) in parsed.stages.iter().enumerate() {
+        assert!(
+            parsed.stages[..i].iter().all(|t| t.name != s.name),
+            "stage {} is reported twice",
+            s.name
+        );
     }
     assert!(
         parsed.counters.len() >= 10,

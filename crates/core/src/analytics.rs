@@ -296,6 +296,7 @@ mod tests {
             do_alloc: AllocationType::Allocation,
             do_registry: Registry::Rir(Rir::Arin),
             delegated_customers: Vec::new(),
+            lpm: Default::default(),
         }
     }
 

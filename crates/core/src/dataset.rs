@@ -11,7 +11,7 @@ use p2o_whois::alloc::AllocationType;
 use p2o_whois::Registry;
 
 use crate::cluster::{ClusterId, ClusteringOutput};
-use crate::resolve::OwnershipRecord;
+use crate::resolve::{LpmWalk, OwnershipRecord};
 
 /// One materialized step in a prefix's delegation chain — the dataset-side
 /// counterpart of [`crate::resolve::DelegationStep`], with the organization
@@ -70,6 +70,9 @@ pub struct PrefixRecord {
     /// this record's attribution (RFC 8416-style); equals
     /// `final_cluster_label` by construction.
     pub local_exception: Option<String>,
+    /// The radix walk that resolved the prefix (its `radix.lpm` trace
+    /// step); not part of the export.
+    pub lpm: LpmWalk,
 }
 
 impl PrefixRecord {
@@ -272,6 +275,7 @@ impl Prefix2OrgDataset {
                 cluster: info.cluster,
                 rov: RovStatus::NotFound,
                 local_exception: None,
+                lpm: rec.lpm,
             });
         }
         for rec in &ownership {

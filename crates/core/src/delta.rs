@@ -198,6 +198,7 @@ mod tests {
                     }]
                 })
                 .unwrap_or_default(),
+            lpm: Default::default(),
         }
     }
 

@@ -253,10 +253,7 @@ fn fields_of(
 > {
     ExportFields {
         prefix: rec.prefix,
-        registry: match rec.registry {
-            Registry::Rir(r) => r.name(),
-            Registry::Nir(n) => n.name(),
-        },
+        registry: rec.registry.name(),
         direct_owner: &rec.direct_owner,
         do_prefix: rec.do_prefix,
         do_alloc: rec.do_alloc,

@@ -5,10 +5,10 @@
 //! tree. The frozen artifact trades that for a **single-read, zero-copy**
 //! form: one arena buffer ([`p2o_util::arena`]) holding fixed-width
 //! records, one interned-string table ([`p2o_util::interner::StringBlob`]),
-//! flattened per-family LPM span tables ([`p2o_radix::freeze`]), and each
-//! record's decision trace as its `(rule, detail)` steps — so `prefix2org
-//! serve` answers its first lookup milliseconds after exec, with no
-//! per-record allocation.
+//! flattened per-family LPM span tables ([`p2o_radix::freeze`]), and the
+//! few facts a record's decision trace needs beyond its own fields — so
+//! `prefix2org serve` answers its first lookup milliseconds after exec,
+//! with no per-record allocation.
 //!
 //! **Byte-identical derivation.** Freezing is defined against the canonical
 //! JSONL export: [`FrozenDataset::to_jsonl`] must reproduce
@@ -25,32 +25,39 @@
 //! against its own string table, merged in shard order: later tables are
 //! absorbed into the first in id order and their ids and offsets patched,
 //! so every string keeps its first-seen id and the payload is the same at
-//! any shard count.
+//! any shard count. The cluster and merge rows are interned after every
+//! record.
 //!
 //! Layout (arena sections, byte offsets in DESIGN.md §4h):
 //!
 //! ```text
-//! meta     32 B    format_version, record/DC-step/pool counts, digests
-//! strings  var     StringBlob: count | offsets | UTF-8 blob
-//! recs     n×88 B  fixed-width records (string ids, first trace step,
-//!                  pool slices)
-//! dcsteps  k×24 B  delegated-customer chain steps
-//! steps    t×8 B   decision-trace steps: rule and detail string ids
-//! u32pool  m×4 B   shared u32 arrays (ASN clusters, BGP origins)
-//! lpm4     var     frozen IPv4 span table, values = record indices
-//! lpm6     var     frozen IPv6 span table, values = record indices
+//! meta      32 B    format_version, record/DC-step/pool counts, digests
+//! strings   var     StringBlob: count | offsets | UTF-8 blob
+//! recs      n×96 B  fixed-width records (string ids, cluster index, radix
+//!                   walk counts, chain, pool and merge slices)
+//! dcsteps   k×24 B  delegated-customer chain steps
+//! clusters  c×8 B   final clusters: inferred label string id, WHOIS-name
+//!                   count
+//! merges    e×8 B   merge rows: other-name and evidence string ids, one
+//!                   slice per basic-cleaned Direct Owner name
+//! u32pool   m×4 B   shared u32 arrays (ASN clusters, BGP origins)
+//! lpm4      var     frozen IPv4 span table, values = record indices
+//! lpm6      var     frozen IPv6 span table, values = record indices
 //! ```
 //!
-//! A record's trace steps run from its first-step index to the next
-//! record's (the last record's to the end of `steps`). The trace's subject
-//! line is the record's prefix, so it is not stored, and no rendered text
-//! is: [`p2o_obs::provenance::write_trace`] lays the steps out on demand.
+//! No trace text is stored: [`FrozenDataset::provenance`] builds each
+//! record's typed [`Step`]s from the record, its chain steps, its pool
+//! slices, its cluster row and its owner's merge rows, and
+//! [`p2o_obs::provenance::write_trace`] lays them out. The trace's subject
+//! line is the record's prefix.
 //!
 //! Everything is little-endian. The artifact on disk is this payload
 //! wrapped in the standard checksummed frame ([`p2o_util::atomic`]), so
 //! torn writes and bit rot are caught before any of the above is trusted;
 //! [`FrozenDataset::validate_payload`] then audits the interior for `fsck`.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
@@ -68,11 +75,12 @@ use p2o_util::Digest;
 use p2o_whois::alloc::AllocationType;
 use p2o_whois::Registry;
 
-use crate::cluster::MergeEdge;
+use crate::cluster::{ClusterId, MergeEdge};
 use crate::dataset::{Prefix2OrgDataset, PrefixRecord};
-use crate::explain::{indexed_trace, MergeIndex};
+use crate::explain::{MergeIndex, Numbers, Step};
 use crate::export::{to_jsonl, write_export_json, ExportFields};
 use crate::pipeline::PipelineInputs;
+use crate::resolve::LpmWalk;
 
 /// The frozen artifact's file name inside a build directory.
 pub const FROZEN_FILE: &str = "world.p2ob";
@@ -80,9 +88,11 @@ pub const FROZEN_FILE: &str = "world.p2ob";
 /// Interior format version; readers require an exact match. v2 repurposed
 /// two record pad bytes for the ROV state and the local-exception flag (a
 /// v1 artifact's zeroed pads would silently read as `rov: valid`); v3
-/// stores each trace as `(rule, detail)` steps, and the record field that
-/// held a rendered trace's string id holds its first-step index.
-pub const FROZEN_FORMAT_VERSION: u32 = 3;
+/// stored each trace as `(rule, detail)` string-id steps; v4 stores no
+/// trace at all, only the facts its steps are built from (a registry
+/// index, the radix walk counts, a cluster index and a merge slice per
+/// record, plus the cluster and merge tables).
+pub const FROZEN_FORMAT_VERSION: u32 = 4;
 
 /// The kill-point / frame label the artifact is written under.
 pub const FROZEN_LABEL: &str = "frozen";
@@ -91,11 +101,13 @@ pub const FROZEN_LABEL: &str = "frozen";
 const NONE_ID: u32 = u32::MAX;
 
 /// Fixed-width record size.
-const REC_SIZE: usize = 88;
+const REC_SIZE: usize = 96;
 /// Fixed-width delegated-customer step size.
 const DC_SIZE: usize = 24;
-/// Decision-trace step size: rule string id u32 | detail string id u32.
-const STEP_SIZE: usize = 8;
+/// Cluster row size: label string id u32 | WHOIS-name count u32.
+const CLUSTER_SIZE: usize = 8;
+/// Merge row size: other-name string id u32 | evidence string id u32.
+const MERGE_SIZE: usize = 8;
 /// Serialized prefix size: family u8 | len u8 | bits u128 LE.
 const PFX_SIZE: usize = 18;
 /// Meta section size.
@@ -144,6 +156,13 @@ fn alloc_index(t: AllocationType) -> u8 {
         .expect("every allocation type is in ALL") as u8
 }
 
+fn registry_index(r: Registry) -> u8 {
+    Registry::ALL
+        .iter()
+        .position(|a| *a == r)
+        .expect("every registry is in ALL") as u8
+}
+
 /// Writes the allocation type at `index` as Listing 1 prints it: the
 /// registry keyword upper-cased, as a JSON string. Every keyword is short
 /// ASCII, so it is upper-cased in a stack buffer.
@@ -160,10 +179,10 @@ fn write_alloc<W: fmt::Write>(out: &mut W, index: u8) -> fmt::Result {
 /// provenance) into the frozen arena payload. The caller wraps the payload
 /// in a checksummed frame and writes it atomically.
 ///
-/// `inputs` must be the same inputs the dataset was built from — each
-/// record's trace steps are the ones
-/// [`attribution_trace`](crate::attribution_trace) builds against them,
-/// and the per-record BGP origins are taken from `inputs.routes`.
+/// `inputs` must be the same inputs the dataset was built from — the
+/// per-record BGP origins are taken from `inputs.routes` — and
+/// `merge_edges` the clustering's merge evidence: each Direct Owner's
+/// `cluster.merge` steps are the edges its name touches.
 /// `inputs_digest` is the canonical digest of the build directory's input
 /// files, stored for staleness detection at serve time. This is the
 /// one-shard freeze; [`freeze_verified`] takes a shard count.
@@ -185,17 +204,42 @@ pub fn freeze(
     )
 }
 
+/// The merge rows of every Direct Owner: the edges the owner's name
+/// touches (as `explain` matches them), the name each edge names at its
+/// other end and its evidence, in edge-list order. Each distinct owner's
+/// rows are stored once, in the order records first name it, and every
+/// record of the owner points at them.
+struct OwnerMerges<'d> {
+    /// `(first row, row count)` by Direct Owner name.
+    slices: HashMap<&'d str, (u32, u32)>,
+    rows: Vec<(&'d str, &'d str)>,
+}
+
+impl<'d> OwnerMerges<'d> {
+    fn new(records: &'d [PrefixRecord], edges: &'d [MergeEdge]) -> Self {
+        let index = MergeIndex::new(edges);
+        let mut slices: HashMap<&str, (u32, u32)> = HashMap::new();
+        let mut rows: Vec<(&str, &str)> = Vec::new();
+        for rec in records {
+            slices.entry(&rec.direct_owner).or_insert_with(|| {
+                let first = rows.len() as u32;
+                rows.extend(index.merges(&rec.direct_owner));
+                (first, rows.len() as u32 - first)
+            });
+        }
+        OwnerMerges { slices, rows }
+    }
+}
+
 /// The sections of one contiguous record range, laid out as the sequential
 /// freeze lays them out but against the shard's own string table: string
-/// ids are the shard's, and chain-step, trace-step and pool offsets count
-/// from the shard's first. LPM entries carry global record indices.
+/// ids are the shard's, and chain-step and pool offsets count from the
+/// shard's first. Cluster indices, merge slices and LPM entries are global.
 struct ShardSections {
     recs: Vec<u8>,
     dcsteps: Vec<u8>,
-    steps: Vec<u8>,
     pool: Vec<u8>,
     dc_count: u32,
-    step_count: u32,
     pool_count: u32,
     v4_entries: Vec<(Prefix4, u32)>,
     v6_entries: Vec<(Prefix6, u32)>,
@@ -204,18 +248,15 @@ struct ShardSections {
 /// Freezes `records`, the dataset's records from index `first` on.
 fn freeze_shard(
     inputs: &PipelineInputs<'_>,
-    dataset: &Prefix2OrgDataset,
-    merge_index: &MergeIndex<'_>,
+    merges: &OwnerMerges<'_>,
     first: usize,
     records: &[PrefixRecord],
 ) -> (StringBlobBuilder, ShardSections) {
     let mut strings = StringBlobBuilder::new();
     let mut recs: Vec<u8> = Vec::with_capacity(records.len() * REC_SIZE);
     let mut dcsteps: Vec<u8> = Vec::new();
-    let mut steps: Vec<u8> = Vec::new();
     let mut pool: Vec<u8> = Vec::new();
     let mut dc_count = 0u32;
-    let mut step_count = 0u32;
     let mut pool_count = 0u32;
     let mut v4_entries: Vec<(Prefix4, u32)> = Vec::new();
     let mut v6_entries: Vec<(Prefix6, u32)> = Vec::new();
@@ -235,8 +276,6 @@ fn freeze_shard(
             Prefix::V6(p) => v6_entries.push((p, idx)),
         }
 
-        let trace = indexed_trace(inputs, dataset, merge_index, None, &rec.prefix);
-        debug_assert_eq!(trace.subject, rec.prefix.to_string());
         let origins: Vec<u32> = inputs
             .routes
             .origins(&rec.prefix)
@@ -254,10 +293,16 @@ fn freeze_shard(
 
         let (asnc_off, asnc_len) = push_pool(&mut pool, &mut pool_count, &rec.origin_asn_clusters);
         let (org_off, org_len) = push_pool(&mut pool, &mut pool_count, &origins);
+        let (merge_off, merge_len) = merges.slices[rec.direct_owner.as_str()];
 
         push_prefix(&mut recs, &rec.prefix);
         push_prefix(&mut recs, &rec.do_prefix);
-        recs.extend_from_slice(&strings.intern(&rec.registry.to_string()).to_le_bytes());
+        recs.extend_from_slice(&[
+            registry_index(rec.registry),
+            rec.lpm.blocks,
+            rec.lpm.nodes,
+            0,
+        ]);
         recs.extend_from_slice(&strings.intern(&rec.direct_owner).to_le_bytes());
         recs.extend_from_slice(&strings.intern(&rec.base_name).to_le_bytes());
         let rpki_id = match &rec.rpki_certificate {
@@ -266,30 +311,31 @@ fn freeze_shard(
         };
         recs.extend_from_slice(&rpki_id.to_le_bytes());
         recs.extend_from_slice(&strings.intern(&rec.final_cluster_label).to_le_bytes());
-        recs.extend_from_slice(&step_count.to_le_bytes());
-        for step in &trace.steps {
-            steps.extend_from_slice(&strings.intern(&step.rule).to_le_bytes());
-            steps.extend_from_slice(&strings.intern(&step.detail).to_le_bytes());
+        recs.extend_from_slice(&rec.cluster.0.to_le_bytes());
+        recs.extend_from_slice(&[
+            alloc_index(rec.do_alloc),
+            rec.rov.as_u8(),
+            rec.local_exception.is_some() as u8,
+            0, // pad to 8-byte field alignment
+        ]);
+        for value in [
+            dc_off,
+            rec.delegated_customers.len() as u32,
+            asnc_off,
+            asnc_len,
+            org_off,
+            org_len,
+            merge_off,
+            merge_len,
+        ] {
+            recs.extend_from_slice(&value.to_le_bytes());
         }
-        step_count += trace.steps.len() as u32;
-        recs.push(alloc_index(rec.do_alloc));
-        recs.push(rec.rov.as_u8());
-        recs.push(rec.local_exception.is_some() as u8);
-        recs.push(0); // pad to 8-byte field alignment
-        recs.extend_from_slice(&dc_off.to_le_bytes());
-        recs.extend_from_slice(&(rec.delegated_customers.len() as u32).to_le_bytes());
-        recs.extend_from_slice(&asnc_off.to_le_bytes());
-        recs.extend_from_slice(&asnc_len.to_le_bytes());
-        recs.extend_from_slice(&org_off.to_le_bytes());
-        recs.extend_from_slice(&org_len.to_le_bytes());
     }
     let sections = ShardSections {
         recs,
         dcsteps,
-        steps,
         pool,
         dc_count,
-        step_count,
         pool_count,
         v4_entries,
         v6_entries,
@@ -306,12 +352,12 @@ fn patch_u32(bytes: &mut [u8], off: usize, f: impl FnOnce(u32) -> u32) {
 
 impl ShardSections {
     /// Moves the shard onto the global tables: `ids` maps its string ids
-    /// to global ones, and its chain steps, trace steps and pool values
-    /// follow the `dc`, `step` and `pool` entries of the shards before it.
-    fn rebase(&mut self, ids: &[u32], dc: u32, step: u32, pool: u32) {
+    /// to global ones, and its chain steps and pool values follow the `dc`
+    /// and `pool` entries of the shards before it.
+    fn rebase(&mut self, ids: &[u32], dc: u32, pool: u32) {
         let id = |local: u32| ids[local as usize];
         for rec in self.recs.chunks_exact_mut(REC_SIZE) {
-            for off in [36, 40, 44, 52] {
+            for off in [40, 44, 52] {
                 patch_u32(rec, off, id);
             }
             patch_u32(
@@ -319,16 +365,12 @@ impl ShardSections {
                 48,
                 |local| if local == NONE_ID { NONE_ID } else { id(local) },
             );
-            patch_u32(rec, 56, |first| first + step);
             patch_u32(rec, 64, |off| off + dc);
             patch_u32(rec, 72, |off| off + pool);
             patch_u32(rec, 80, |off| off + pool);
         }
         for dc_step in self.dcsteps.chunks_exact_mut(DC_SIZE) {
             patch_u32(dc_step, PFX_SIZE, id);
-        }
-        for ids_at in self.steps.chunks_exact_mut(4) {
-            patch_u32(ids_at, 0, id);
         }
     }
 }
@@ -344,7 +386,8 @@ impl ShardSections {
 /// dropped, so every string keeps the id of its first occurrence in record
 /// order and the payload is byte-identical at any shard count. The merge
 /// patches the shard's string ids and offsets in place and hands its
-/// section buffers to the arena writer as parts, without a copy.
+/// section buffers to the arena writer as parts, without a copy. The
+/// cluster and merge rows are interned last, in cluster-id and row order.
 fn freeze_with_digest(
     inputs: &PipelineInputs<'_>,
     dataset: &Prefix2OrgDataset,
@@ -354,7 +397,7 @@ fn freeze_with_digest(
     threads: usize,
     obs: Option<&Obs>,
 ) -> Vec<u8> {
-    let merge_index = MergeIndex::new(merge_edges);
+    let merges = OwnerMerges::new(dataset.records(), merge_edges);
     let mut first = 0;
     let shards: Vec<(usize, &[PrefixRecord])> = split_shards(dataset.records(), threads)
         .into_iter()
@@ -367,12 +410,12 @@ fn freeze_with_digest(
         if let Some(s) = span {
             s.arg("records", records.len());
         }
-        freeze_shard(inputs, dataset, &merge_index, first, records)
+        freeze_shard(inputs, &merges, first, records)
     });
 
     let mut strings: Option<StringBlobBuilder> = None;
-    let (mut recs, mut dcsteps, mut steps, mut pool) = (vec![], vec![], vec![], vec![]);
-    let (mut dc_count, mut step_count, mut pool_count) = (0u32, 0u32, 0u32);
+    let (mut recs, mut dcsteps, mut pool) = (vec![], vec![], vec![]);
+    let (mut dc_count, mut pool_count) = (0u32, 0u32);
     let mut v4_entries: Vec<(Prefix4, u32)> = Vec::with_capacity(dataset.len());
     let mut v6_entries: Vec<(Prefix6, u32)> = Vec::new();
     for (local, mut shard) in frozen {
@@ -380,20 +423,29 @@ fn freeze_with_digest(
             None => strings = Some(local),
             Some(global) => {
                 let ids = global.absorb(local);
-                shard.rebase(&ids, dc_count, step_count, pool_count);
+                shard.rebase(&ids, dc_count, pool_count);
             }
         }
         dc_count += shard.dc_count;
-        step_count += shard.step_count;
         pool_count += shard.pool_count;
         recs.push(shard.recs);
         dcsteps.push(shard.dcsteps);
-        steps.push(shard.steps);
         pool.push(shard.pool);
         v4_entries.append(&mut shard.v4_entries);
         v6_entries.append(&mut shard.v6_entries);
     }
-    let strings = strings.expect("at least one shard");
+    let mut strings = strings.expect("at least one shard");
+
+    let mut clusters = Vec::with_capacity(dataset.cluster_count() * CLUSTER_SIZE);
+    for id in (0..dataset.cluster_count() as u32).map(ClusterId) {
+        clusters.extend_from_slice(&strings.intern(dataset.cluster_label(id)).to_le_bytes());
+        clusters.extend_from_slice(&(dataset.cluster_names(id).len() as u32).to_le_bytes());
+    }
+    let mut merge_rows = Vec::with_capacity(merges.rows.len() * MERGE_SIZE);
+    for (other, evidence) in &merges.rows {
+        merge_rows.extend_from_slice(&strings.intern(other).to_le_bytes());
+        merge_rows.extend_from_slice(&strings.intern(evidence).to_le_bytes());
+    }
 
     let mut meta = Vec::with_capacity(META_SIZE);
     meta.extend_from_slice(&FROZEN_FORMAT_VERSION.to_le_bytes());
@@ -408,7 +460,8 @@ fn freeze_with_digest(
     w.section_parts("strings", strings.into_parts());
     w.section_parts("recs", recs);
     w.section_parts("dcsteps", dcsteps);
-    w.section_parts("steps", steps);
+    w.section("clusters", clusters);
+    w.section("merges", merge_rows);
     w.section_parts("u32pool", pool);
     w.section("lpm4", freeze_v4(&v4_entries));
     w.section("lpm6", freeze_v6(&v6_entries));
@@ -465,7 +518,8 @@ struct Sections {
     strings: core::ops::Range<usize>,
     recs: core::ops::Range<usize>,
     dcsteps: core::ops::Range<usize>,
-    steps: core::ops::Range<usize>,
+    clusters: core::ops::Range<usize>,
+    merges: core::ops::Range<usize>,
     pool: core::ops::Range<usize>,
     lpm4: core::ops::Range<usize>,
     lpm6: core::ops::Range<usize>,
@@ -476,7 +530,8 @@ struct Sections {
     lpm6_parts: (usize, usize),
     record_count: u32,
     dc_count: u32,
-    step_count: u32,
+    cluster_count: u32,
+    merge_count: u32,
     pool_count: u32,
     jsonl_digest: u64,
     inputs_digest: u64,
@@ -543,14 +598,8 @@ fn index_sections(payload: &[u8]) -> Result<Sections, String> {
             dc_count as usize * DC_SIZE
         ));
     }
-    let steps = arena.require("steps")?;
-    if steps.len() % STEP_SIZE != 0 || steps.len() / STEP_SIZE > u32::MAX as usize {
-        return Err(format!(
-            "steps section is {} bytes, not a whole number of {STEP_SIZE}-byte steps",
-            steps.len()
-        ));
-    }
-    let step_count = (steps.len() / STEP_SIZE) as u32;
+    let (clusters, cluster_count) = rows(&arena, "clusters", CLUSTER_SIZE)?;
+    let (merges, merge_count) = rows(&arena, "merges", MERGE_SIZE)?;
     let pool = arena.require("u32pool")?;
     if pool.len() != pool_count as usize * 4 {
         return Err(format!(
@@ -571,7 +620,8 @@ fn index_sections(payload: &[u8]) -> Result<Sections, String> {
         strings: arena.require("strings")?,
         recs,
         dcsteps,
-        steps,
+        clusters,
+        merges,
         pool,
         lpm4,
         lpm6,
@@ -579,11 +629,30 @@ fn index_sections(payload: &[u8]) -> Result<Sections, String> {
         lpm6_parts,
         record_count,
         dc_count,
-        step_count,
+        cluster_count,
+        merge_count,
         pool_count,
         jsonl_digest,
         inputs_digest,
     })
+}
+
+/// The range of section `name`, a table of `size`-byte rows, and its row
+/// count.
+fn rows(
+    arena: &ArenaIndex,
+    name: &str,
+    size: usize,
+) -> Result<(core::ops::Range<usize>, u32), String> {
+    let range = arena.require(name)?;
+    if range.len() % size != 0 || range.len() / size > u32::MAX as usize {
+        return Err(format!(
+            "{name} section is {} bytes, not a whole number of {size}-byte rows",
+            range.len()
+        ));
+    }
+    let count = (range.len() / size) as u32;
+    Ok((range, count))
 }
 
 /// A loaded frozen dataset: one owned arena buffer, all answers served by
@@ -638,9 +707,9 @@ impl FrozenDataset {
     /// arithmetic), the string table (monotone offsets, UTF-8), both LPM
     /// blobs (sorted canonical keys, ancestor links, span invariants), every
     /// record and chain step (string ids, allocation-type and pool ranges,
-    /// prefix canonicality, LPM keys ↔ record prefixes bijection), and
-    /// every trace step (rule and detail string ids; first-step indices
-    /// non-decreasing and inside the step table).
+    /// prefix canonicality, LPM keys ↔ record prefixes bijection; registry,
+    /// cluster and merge-slice ranges), and every cluster and merge row
+    /// (string ids).
     pub fn validate_payload(payload: &[u8]) -> Result<(), String> {
         Self::audit(payload).map(drop)
     }
@@ -658,7 +727,6 @@ impl FrozenDataset {
         let recs = &payload[s.recs.clone()];
         let mut v4_seen = 0usize;
         let mut v6_seen = 0usize;
-        let mut prev_first_step = 0u32;
         for i in 0..s.record_count as usize {
             let base = i * REC_SIZE;
             let err = |what: &str| format!("record {i}: {what}");
@@ -666,7 +734,6 @@ impl FrozenDataset {
             read_prefix(recs, base + PFX_SIZE).map_err(|e| err(&format!("do_prefix: {e}")))?;
             let at = |off: usize| u32_at(recs, base + off).expect("recs sized above");
             for (name, off) in [
-                ("registry", 36),
                 ("direct_owner", 40),
                 ("base_name", 44),
                 ("final_cluster", 52),
@@ -678,16 +745,14 @@ impl FrozenDataset {
             if at(48) != NONE_ID && !str_ok(at(48)) {
                 return Err(err("rpki_certificate string id out of range"));
             }
-            if at(56) < prev_first_step {
-                return Err(err("first trace step precedes the previous record's"));
+            if recs[base + 36] as usize >= Registry::ALL.len() {
+                return Err(err("registry index out of range"));
             }
-            if at(56) > s.step_count {
-                return Err(err("first trace step past the step table"));
+            if at(56) >= s.cluster_count {
+                return Err(err("cluster index past the cluster table"));
             }
-            prev_first_step = at(56);
-            let registry = strings.get(at(36)).expect("checked above");
-            if registry.parse::<Registry>().is_err() {
-                return Err(err(&format!("unknown registry {registry:?}")));
+            if at(88) as u64 + at(92) as u64 > s.merge_count as u64 {
+                return Err(err("merge slice past the merge table"));
             }
             if recs[base + 60] as usize >= AllocationType::ALL.len() {
                 return Err(err("allocation type index out of range"));
@@ -742,11 +807,17 @@ impl FrozenDataset {
             }
         }
 
-        let steps = &payload[s.steps.clone()];
-        for i in 0..s.step_count as usize {
-            for (name, off) in [("rule", 0), ("detail", 4)] {
-                if !str_ok(u32_at(steps, i * STEP_SIZE + off).expect("steps sized above")) {
-                    return Err(format!("trace step {i}: {name} string id out of range"));
+        let clusters = &payload[s.clusters.clone()];
+        for i in 0..s.cluster_count as usize {
+            if !str_ok(u32_at(clusters, i * CLUSTER_SIZE).expect("clusters sized above")) {
+                return Err(format!("cluster {i}: label string id out of range"));
+            }
+        }
+        let merges = &payload[s.merges.clone()];
+        for i in 0..s.merge_count as usize {
+            for (name, off) in [("other-name", 0), ("evidence", 4)] {
+                if !str_ok(u32_at(merges, i * MERGE_SIZE + off).expect("merges sized above")) {
+                    return Err(format!("merge row {i}: {name} string id out of range"));
                 }
             }
         }
@@ -778,6 +849,11 @@ impl FrozenDataset {
     fn pool_slice(&self, off: u32, len: u32) -> impl ExactSizeIterator<Item = u32> + '_ {
         let pool = &self.payload[self.sections.pool.clone()];
         (off..off + len).map(move |i| u32_at(pool, i as usize * 4).expect("validated"))
+    }
+
+    fn pool_numbers(&self, off: u32, len: u32) -> Numbers<'_> {
+        let pool = &self.payload[self.sections.pool.clone()];
+        Numbers::le(&pool[off as usize * 4..(off + len) as usize * 4])
     }
 
     /// Number of records.
@@ -835,23 +911,63 @@ impl FrozenDataset {
         read_prefix(recs, idx as usize * REC_SIZE).expect("validated")
     }
 
-    /// Record `idx`'s stored decision-trace steps, `(rule, detail)` in
-    /// order. The trace's subject is the record's prefix.
-    fn trace_steps(&self, idx: u32) -> impl Iterator<Item = (&str, &str)> + Clone + '_ {
-        let end = if idx + 1 < self.sections.record_count {
-            self.rec_u32(idx + 1, 56)
-        } else {
-            self.sections.step_count
-        };
-        let steps = &self.payload[self.sections.steps.clone()];
+    /// Passes record `idx`'s decision-trace steps to `push` in order, each
+    /// built once from the record's fields, its chain steps (most specific
+    /// first, as the resolution walk meets them), its pool slices, its
+    /// cluster row and its owner's merge rows. The trace's subject is the
+    /// record's prefix.
+    fn each_step<'s>(&'s self, idx: u32, mut push: impl FnMut(Step<'s>)) {
+        let recs = &self.payload[self.sections.recs.clone()];
+        let rec = &recs[idx as usize * REC_SIZE..(idx as usize + 1) * REC_SIZE];
+        let at = |off: usize| u32_at(rec, off).expect("validated");
         let strings = self.strings();
-        (self.rec_u32(idx, 56)..end).map(move |i| {
-            let text = |off: usize| {
-                let id = u32_at(steps, i as usize * STEP_SIZE + off).expect("validated");
-                strings.get(id).expect("validated")
-            };
-            (text(0), text(4))
-        })
+        let text = |id: u32| Cow::Borrowed(strings.get(id).expect("validated"));
+        push(Step::Origins(self.pool_numbers(at(80), at(84))));
+        push(Step::Lpm(LpmWalk {
+            blocks: rec[37],
+            nodes: rec[38],
+        }));
+        let dcsteps = &self.payload[self.sections.dcsteps.clone()];
+        for step in (at(64)..at(64) + at(68)).rev() {
+            let row = &dcsteps[step as usize * DC_SIZE..(step as usize + 1) * DC_SIZE];
+            push(Step::Customer {
+                org: text(u32_at(row, PFX_SIZE).expect("validated")),
+                alloc: AllocationType::ALL[row[22] as usize],
+                block: read_prefix(row, 0).expect("validated"),
+            });
+        }
+        let owner = text(at(40));
+        push(Step::Owner {
+            org: owner.clone(),
+            alloc: AllocationType::ALL[rec[60] as usize],
+            block: read_prefix(rec, PFX_SIZE).expect("validated"),
+            registry: Registry::ALL[rec[36] as usize],
+        });
+        push(Step::BaseName {
+            owner,
+            base: text(at(44)),
+        });
+        push(Step::Certificate((at(48) != NONE_ID).then(|| text(at(48)))));
+        push(Step::Rov(RovStatus::from_u8(rec[61]).expect("validated")));
+        push(Step::AsnClusters(self.pool_numbers(at(72), at(76))));
+        let merges = &self.payload[self.sections.merges.clone()];
+        for row in (at(88)..at(88) + at(92)).map(|i| i as usize * MERGE_SIZE) {
+            push(Step::Merge {
+                other: text(u32_at(merges, row).expect("validated")),
+                evidence: text(u32_at(merges, row + 4).expect("validated")),
+            });
+        }
+        let clusters = &self.payload[self.sections.clusters.clone()];
+        let cluster = at(56) as usize * CLUSTER_SIZE;
+        push(Step::Final {
+            label: text(u32_at(clusters, cluster).expect("validated")),
+            names: u32_at(clusters, cluster + 4).expect("validated"),
+        });
+        // An asserted override replaces the final label with the asserted
+        // org, so the flag byte plus the label name it.
+        if rec[62] == 1 {
+            push(Step::Asserted(text(at(52))));
+        }
     }
 
     /// Record `idx`'s decision trace as text, laid out by [`write_trace`]:
@@ -860,19 +976,54 @@ impl FrozenDataset {
     /// from.
     pub fn provenance(&self, idx: u32) -> String {
         let mut out = String::new();
-        write_trace(&mut out, self.record_prefix(idx), self.trace_steps(idx))
-            .expect("String writes succeed");
+        self.with_record_steps(idx, |steps| {
+            write_trace(&mut out, self.record_prefix(idx), steps.iter())
+        })
+        .expect("String writes succeed");
         out
     }
 
     /// Writes record `idx`'s [`provenance`](Self::provenance) as a JSON
-    /// string literal, with nothing allocated.
+    /// string literal.
     pub fn write_provenance_json<W: fmt::Write + ?Sized>(
         &self,
         idx: u32,
         out: &mut W,
     ) -> fmt::Result {
-        write_trace_json(out, self.record_prefix(idx), self.trace_steps(idx))
+        self.with_record_steps(idx, |steps| {
+            write_trace_json(out, self.record_prefix(idx), steps.iter())
+        })
+    }
+
+    /// Calls `f` with record `idx`'s steps, each built once: the layout
+    /// writer walks them twice (widths, then lines). They are held on the
+    /// stack when they fit, as nearly every record's do, and on the heap
+    /// otherwise.
+    fn with_record_steps<R>(&self, idx: u32, f: impl FnOnce(&[Step<'_>]) -> R) -> R {
+        const INLINE: usize = 32;
+        let mut inline: [Step<'_>; INLINE] = std::array::from_fn(|_| Step::Unresolved);
+        let mut heap: Vec<Step<'_>> = Vec::new();
+        let mut n = 0;
+        self.each_step(idx, |step| {
+            if n < INLINE {
+                inline[n] = step;
+            } else {
+                if heap.is_empty() {
+                    heap.extend(
+                        inline
+                            .iter_mut()
+                            .map(|s| std::mem::replace(s, Step::Unresolved)),
+                    );
+                }
+                heap.push(step);
+            }
+            n += 1;
+        });
+        if n <= INLINE {
+            f(&inline[..n])
+        } else {
+            f(&heap)
+        }
     }
 
     /// The BGP origin ASNs observed for record `idx` at freeze time,
@@ -922,7 +1073,7 @@ impl FrozenDataset {
         let strings = self.strings();
         let text = |id: u32| strings.get(id).expect("validated");
         out.write_str("{\"RIR\":")?;
-        write_escaped(out, text(at(36)))?;
+        write_escaped(out, Registry::ALL[recs[base + 36] as usize].name())?;
         out.write_str(",\"Direct Owner (DO)\":")?;
         write_escaped(out, text(at(40)))?;
         let do_prefix = read_prefix(recs, base + PFX_SIZE).expect("validated");
@@ -984,7 +1135,7 @@ impl FrozenDataset {
             out,
             ExportFields {
                 prefix: self.record_prefix(idx),
-                registry: text(at(36)),
+                registry: Registry::ALL[recs[base + 36] as usize].name(),
                 direct_owner: text(at(40)),
                 do_prefix: read_prefix(recs, base + PFX_SIZE).expect("validated"),
                 do_alloc: AllocationType::ALL[recs[base + 60] as usize],
@@ -1057,7 +1208,8 @@ impl FrozenDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explain::attribution_trace;
+    use crate::exceptions::ExceptionSet;
+    use crate::explain::{attribution_trace, attribution_trace_with};
     use crate::pipeline::Pipeline;
     use p2o_synth::{World, WorldConfig};
 
@@ -1203,6 +1355,115 @@ mod tests {
         }
     }
 
+    /// Property: for every record of tiny seeds 7 and 42 and default seed
+    /// 7, frozen in 1 and 3 shards, with no rule file and with one that
+    /// asserts one record (to an org name holding quotes) and filters
+    /// another, the frozen trace is the live trace's text, and its JSON
+    /// form is that text escaped.
+    #[test]
+    fn frozen_provenance_is_the_live_trace_for_every_record() {
+        for config in [
+            WorldConfig::tiny(7),
+            WorldConfig::tiny(42),
+            WorldConfig::default_scale(7),
+        ] {
+            let world = World::generate(config);
+            let built = world.build_inputs();
+            let inputs = PipelineInputs {
+                delegations: &built.tree,
+                routes: &built.routes,
+                asn_clusters: &built.clusters,
+                rpki: &built.rpki,
+            };
+            let pipeline = Pipeline::default();
+            let records = pipeline.run(&inputs).records().to_vec();
+            let rules = format!(
+                "{{\"prefix\":\"{}\",\"action\":\"assert\",\"org\":\"Operator \\\"Quoted\\\" Org\"}}\n\
+                 {{\"prefix\":\"{}\",\"action\":\"filter\"}}\n",
+                records[1].prefix, records[2].prefix
+            );
+            let (rules, rejects) = ExceptionSet::parse_lenient(&rules);
+            assert!(rejects.is_empty(), "{rejects:?}");
+            for exceptions in [None, Some(&rules)] {
+                let (mut dataset, edges) = pipeline.dataset_with_evidence(&inputs, None, None);
+                if let Some(set) = exceptions {
+                    let summary = set.apply(&mut dataset);
+                    assert_eq!((summary.asserted, summary.filtered), (1, 1));
+                }
+                let jsonl = to_jsonl(&dataset);
+                for shards in [1, 3] {
+                    let frozen =
+                        freeze_verified(&inputs, &dataset, &edges, 0, &jsonl, shards, None)
+                            .unwrap();
+                    for (idx, rec) in (0u32..).zip(dataset.records()) {
+                        let trace = attribution_trace_with(
+                            &inputs,
+                            &dataset,
+                            &edges,
+                            exceptions,
+                            &rec.prefix,
+                        );
+                        let text = trace.render();
+                        assert_eq!(frozen.provenance(idx), text, "{}", rec.prefix);
+                        let mut json = String::new();
+                        frozen.write_provenance_json(idx, &mut json).unwrap();
+                        let mut escaped = String::new();
+                        write_escaped(&mut escaped, &text).unwrap();
+                        assert_eq!(json, escaped, "{}", rec.prefix);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A record whose trace has more steps than the stack array holds (a
+    /// Direct Owner /8 with a reassignment on every longer block down to
+    /// the routed /32, two on the /16) renders as the live trace does.
+    #[test]
+    fn a_trace_longer_than_the_step_array_renders_as_live() {
+        use p2o_net::{IpRange, Range4};
+        use p2o_whois::record::{OrgRef, RawWhoisRecord};
+        use p2o_whois::{Rir, WhoisDb};
+
+        let mut db = WhoisDb::new();
+        let mut add = |len: u8, org: String, alloc: AllocationType| {
+            let block = Prefix4::new_truncated(0x0A00_0000, len);
+            db.add_record(RawWhoisRecord {
+                net: IpRange::V4(Range4::from_prefix(&block)),
+                org: OrgRef::Name(org),
+                alloc: Some(alloc),
+                source: Registry::Rir(Rir::Arin),
+                last_modified: 20240101,
+            });
+        };
+        add(8, "Carrier".into(), AllocationType::Allocation);
+        for len in 9..=32 {
+            add(len, format!("Customer {len}"), AllocationType::Reassignment);
+        }
+        add(16, "Regional ISP".into(), AllocationType::Reallocation);
+        let (tree, _) = db.build();
+        let mut routes = p2o_bgp::RouteTable::new();
+        routes.add_route("10.0.0.0/32".parse().unwrap(), 64512);
+        let clusters = p2o_as2org::As2OrgDb::new().cluster();
+        let (rpki, _) = p2o_rpki::RpkiRepository::new().validate(20240901);
+        let inputs = PipelineInputs {
+            delegations: &tree,
+            routes: &routes,
+            asn_clusters: &clusters,
+            rpki: &rpki,
+        };
+        let (dataset, edges) = Pipeline::with_threads(1).dataset_with_evidence(&inputs, None, None);
+        let frozen = FrozenDataset::from_payload(freeze(&inputs, &dataset, &edges, 0)).unwrap();
+        let trace = attribution_trace(&inputs, &dataset, &edges, &dataset.records()[0].prefix);
+        assert!(trace.steps.len() > 32, "{} steps", trace.steps.len());
+        assert_eq!(frozen.provenance(0), trace.render());
+        let mut json = String::new();
+        frozen.write_provenance_json(0, &mut json).unwrap();
+        let mut escaped = String::new();
+        write_escaped(&mut escaped, &trace.render()).unwrap();
+        assert_eq!(json, escaped);
+    }
+
     #[test]
     fn every_allocation_type_prints_as_listing1_does() {
         for (index, t) in AllocationType::ALL.iter().enumerate() {
@@ -1247,21 +1508,42 @@ mod tests {
         );
     }
 
-    const GOLDEN_FROZEN_DIGEST: u64 = 0x346b_cb58_3ec7_c8db;
+    const GOLDEN_FROZEN_DIGEST: u64 = 0x4a21_41fa_72fc_c4e4;
 
-    /// Size guard: traces are stored as `(rule, detail)` string-id steps,
-    /// not rendered text, so the tiny seed-42 payload stays near its v3
-    /// size. Format v2 stored rendered traces: 260,681 B for 312 records,
-    /// 835.5 B per record. v3 measures 315.5 B per record; the bound is
-    /// that plus 5%.
+    /// Size guard: no trace text is stored, only the facts its steps are
+    /// built from, so the tiny seed-42 payload stays near its v4 size.
+    /// Format v2 stored rendered traces (835.5 B per record), v3 their
+    /// `(rule, detail)` string ids (315.5 B); v4 measures 164.7 B per
+    /// record. The bound is that plus 5%.
     #[test]
-    fn frozen_payload_stays_under_its_v3_size_per_record() {
+    fn frozen_payload_stays_under_its_v4_size_per_record() {
         let (frozen, _) = frozen_from_seed(42);
         let per_record = frozen.payload.len() as f64 / frozen.len() as f64;
         assert!(
-            per_record <= 315.5 * 1.05,
-            "{per_record:.1} B per record: the frozen traces grew"
+            per_record <= 164.7 * 1.05,
+            "{per_record:.1} B per record: the frozen artifact grew"
         );
+    }
+
+    /// The frozen payload of the explain tests' merge fixture.
+    fn merge_fixture_payload() -> Vec<u8> {
+        let (tree, routes, rpki) = crate::explain::tests::merge_fixture();
+        let clusters = p2o_as2org::As2OrgDb::new().cluster();
+        let inputs = PipelineInputs {
+            delegations: &tree,
+            routes: &routes,
+            asn_clusters: &clusters,
+            rpki: &rpki,
+        };
+        let pipeline = Pipeline {
+            cluster_options: crate::cluster::ClusterOptions {
+                frequency_threshold: 0,
+                ..Default::default()
+            },
+            ..Pipeline::with_threads(1)
+        };
+        let (dataset, edges) = pipeline.dataset_with_evidence(&inputs, None, None);
+        freeze(&inputs, &dataset, &edges, 0)
     }
 
     #[test]
@@ -1303,46 +1585,75 @@ mod tests {
         let err = FrozenDataset::validate_payload(&bad).unwrap_err();
         assert!(err.contains("recs section"), "{err}");
 
-        // Corrupt a string id in record 0 (registry).
+        // Corrupt a string id in record 0 (direct owner).
         let recs_range = arena.require("recs").unwrap();
         let mut bad = payload.clone();
-        bad[recs_range.start + 36..recs_range.start + 40]
+        bad[recs_range.start + 40..recs_range.start + 44]
             .copy_from_slice(&0xFFFF_FF00u32.to_le_bytes());
         let err = FrozenDataset::validate_payload(&bad).unwrap_err();
         assert!(err.contains("string id out of range"), "{err}");
 
-        // A trace step whose detail id is past the string table.
-        let steps_range = arena.require("steps").unwrap();
+        // A registry index past the registry list.
         let mut bad = payload.clone();
-        bad[steps_range.start + 4..steps_range.start + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        bad[recs_range.start + 36] = Registry::ALL.len() as u8;
         let err = FrozenDataset::validate_payload(&bad).unwrap_err();
         assert!(
-            err.contains("trace step 0: detail string id out of range"),
+            err.contains("record 0: registry index out of range"),
             "{err}"
         );
 
-        // Record 1's first trace step before record 0's.
-        let first_step = |rec: usize| recs_range.start + rec * REC_SIZE + 56;
-        assert!(u32_at(&payload, first_step(1)).unwrap() > 0);
+        // A cluster index past the cluster table.
+        let clusters_range = arena.require("clusters").unwrap();
+        let cluster_count = (clusters_range.len() / CLUSTER_SIZE) as u32;
         let mut bad = payload.clone();
-        bad[first_step(0)..first_step(0) + 4].copy_from_slice(&1u32.to_le_bytes());
-        bad[first_step(1)..first_step(1) + 4].copy_from_slice(&0u32.to_le_bytes());
+        bad[recs_range.start + 56..recs_range.start + 60]
+            .copy_from_slice(&cluster_count.to_le_bytes());
         let err = FrozenDataset::validate_payload(&bad).unwrap_err();
         assert!(
-            err.contains("record 1: first trace step precedes the previous record's"),
+            err.contains("record 0: cluster index past the cluster table"),
             "{err}"
         );
 
-        // The last record's first step past the end of the step table.
-        let last = frozen.len() - 1;
-        let steps = (steps_range.len() / STEP_SIZE) as u32;
+        // A merge slice running past the merge table.
+        let merge_count = (arena.require("merges").unwrap().len() / MERGE_SIZE) as u32;
         let mut bad = payload.clone();
-        bad[first_step(last)..first_step(last) + 4].copy_from_slice(&(steps + 1).to_le_bytes());
+        bad[recs_range.start + 88..recs_range.start + 92].copy_from_slice(&0u32.to_le_bytes());
+        bad[recs_range.start + 92..recs_range.start + 96]
+            .copy_from_slice(&(merge_count + 1).to_le_bytes());
         let err = FrozenDataset::validate_payload(&bad).unwrap_err();
         assert!(
-            err.contains("first trace step past the step table"),
+            err.contains("record 0: merge slice past the merge table"),
             "{err}"
         );
+
+        // An out-of-range label string id in a cluster row.
+        let mut bad = payload.clone();
+        bad[clusters_range.start..clusters_range.start + 4]
+            .copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = FrozenDataset::validate_payload(&bad).unwrap_err();
+        assert!(
+            err.contains("cluster 0: label string id out of range"),
+            "{err}"
+        );
+
+        // Out-of-range string ids in a merge row, in a world whose owners
+        // carry merge steps.
+        let fixture = merge_fixture_payload();
+        let merges = ArenaIndex::parse(&fixture)
+            .unwrap()
+            .require("merges")
+            .unwrap();
+        assert!(!merges.is_empty(), "the fixture has merge rows");
+        for (off, what) in [
+            (0, "merge row 0: other-name string id out of range"),
+            (4, "merge row 0: evidence string id out of range"),
+        ] {
+            let mut bad = fixture.clone();
+            bad[merges.start + off..merges.start + off + 4]
+                .copy_from_slice(&u32::MAX.to_le_bytes());
+            let err = FrozenDataset::validate_payload(&bad).unwrap_err();
+            assert!(err.contains(what), "{err}");
+        }
 
         // Flip a bit inside the LPM section.
         let lpm_range = arena.require("lpm4").unwrap();

@@ -69,11 +69,11 @@ pub use cluster::{ClusterId, Clusterer, ClusteringOutput, MergeEdge};
 pub use dataset::{CustomerStep, DatasetMetrics, Prefix2OrgDataset, PrefixRecord};
 pub use delta::{diff, DatasetDelta, OwnerChange};
 pub use exceptions::{ExceptionAction, ExceptionSet, ExceptionSummary};
-pub use explain::{attribution_trace, attribution_trace_with};
+pub use explain::{attribution_trace, attribution_trace_with, Step, Trace};
 pub use export::{from_jsonl, to_jsonl, ExportRecord};
 pub use frozen::{
     freeze, freeze_verified, FrozenDataset, FROZEN_FILE, FROZEN_FORMAT_VERSION, FROZEN_LABEL,
 };
 pub use leasing::{infer_leasing, LeasingCandidate, LeasingOptions};
 pub use pipeline::{default_threads, Pipeline, PipelineInputs};
-pub use resolve::{DelegationStep, OwnershipRecord, Resolver};
+pub use resolve::{DelegationStep, LpmWalk, OwnershipRecord, Resolver};

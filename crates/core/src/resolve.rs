@@ -1,9 +1,35 @@
 //! §5.2 — Finding Direct Owners and Delegated Customers of routed prefixes.
 
+use std::borrow::Cow;
+
 use p2o_net::Prefix;
 use p2o_util::Symbol;
 use p2o_whois::alloc::{AllocationType, OwnershipLevel};
 use p2o_whois::{DelegationEntry, DelegationTree, Registry};
+
+use crate::explain::{Step, Trace};
+
+/// The radix walk behind one resolution: how many registered blocks cover
+/// the prefix, and how many tree nodes the longest-prefix walk visited.
+/// The walk descends one prefix length at a time at most, so a 128-bit key
+/// visits at most 129 nodes and both counts fit a byte.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LpmWalk {
+    /// Registered blocks on the covering chain.
+    pub blocks: u8,
+    /// Radix nodes visited.
+    pub nodes: u8,
+}
+
+impl LpmWalk {
+    fn new(blocks: usize, nodes: usize) -> LpmWalk {
+        let byte = |n: usize| u8::try_from(n).expect("a radix walk visits at most 129 nodes");
+        LpmWalk {
+            blocks: byte(blocks),
+            nodes: byte(nodes),
+        }
+    }
+}
 
 /// One step in a prefix's delegation chain below the Direct Owner.
 ///
@@ -43,6 +69,8 @@ pub struct OwnershipRecord {
     pub do_registry: Registry,
     /// Sub-delegations below the Direct Owner, in hierarchical order.
     pub delegated_customers: Vec<DelegationStep>,
+    /// The radix walk that found the covering chain.
+    pub lpm: LpmWalk,
 }
 
 impl OwnershipRecord {
@@ -89,31 +117,25 @@ impl Resolver {
     /// applies — the radix LPM, each Delegated Customer record consulted,
     /// and the Direct Owner match — into `trace`. The recorded chain is
     /// deterministic: it depends only on the tree and the prefix.
-    pub fn resolve_traced(
+    pub fn resolve_traced<'t>(
         &self,
-        tree: &DelegationTree,
+        tree: &'t DelegationTree,
         prefix: &Prefix,
-        trace: &mut p2o_obs::DecisionTrace,
+        trace: &mut Trace<'t>,
     ) -> Option<OwnershipRecord> {
         self.resolve_inner(tree, prefix, Some(trace))
     }
 
-    fn resolve_inner(
+    fn resolve_inner<'t>(
         &self,
-        tree: &DelegationTree,
+        tree: &'t DelegationTree,
         prefix: &Prefix,
-        mut trace: Option<&mut p2o_obs::DecisionTrace>,
+        mut trace: Option<&mut Trace<'t>>,
     ) -> Option<OwnershipRecord> {
         let (chain, visited) = tree.covering_chain_with_depth(prefix);
+        let lpm = LpmWalk::new(chain.len(), visited);
         if let Some(t) = trace.as_deref_mut() {
-            t.push(
-                "radix.lpm",
-                format!(
-                    "covering chain has {} registered block(s) ({} radix nodes walked)",
-                    chain.len(),
-                    visited
-                ),
-            );
+            t.push(Step::Lpm(lpm));
         }
         // Collected most-specific-first, then reversed into hierarchical
         // order at the end.
@@ -127,15 +149,11 @@ impl Resolver {
                 match entry.ownership_level() {
                     OwnershipLevel::DelegatedCustomer => {
                         if let Some(t) = trace.as_deref_mut() {
-                            t.push(
-                                "whois.delegated_customer",
-                                format!(
-                                    "{} via {} on {}",
-                                    tree.name(entry.org_name),
-                                    entry.alloc,
-                                    block
-                                ),
-                            );
+                            t.push(Step::Customer {
+                                org: Cow::Borrowed(tree.name(entry.org_name)),
+                                alloc: entry.alloc,
+                                block,
+                            });
                         }
                         customers_rev.push(DelegationStep {
                             org_name: entry.org_name,
@@ -145,16 +163,12 @@ impl Resolver {
                     }
                     OwnershipLevel::DirectOwner => {
                         if let Some(t) = trace.as_deref_mut() {
-                            t.push(
-                                "whois.direct_owner",
-                                format!(
-                                    "{} via {} on {} [{}]",
-                                    tree.name(entry.org_name),
-                                    entry.alloc,
-                                    block,
-                                    entry.registry
-                                ),
-                            );
+                            t.push(Step::Owner {
+                                org: Cow::Borrowed(tree.name(entry.org_name)),
+                                alloc: entry.alloc,
+                                block,
+                                registry: entry.registry,
+                            });
                         }
                         customers_rev.reverse();
                         return Some(OwnershipRecord {
@@ -164,16 +178,14 @@ impl Resolver {
                             do_alloc: entry.alloc,
                             do_registry: entry.registry,
                             delegated_customers: customers_rev,
+                            lpm,
                         });
                     }
                 }
             }
         }
         if let Some(t) = trace {
-            t.push(
-                "whois.unresolved",
-                "no covering Direct Owner delegation — prefix stays unmapped",
-            );
+            t.push(Step::Unresolved);
         }
         None
     }
@@ -301,7 +313,7 @@ mod tests {
             ),
             rec("63.80.52.0/24", "Ceva Inc", AllocationType::Reassignment),
         ]);
-        let mut trace = p2o_obs::DecisionTrace::new("63.80.52.0/24");
+        let mut trace = Trace::new("63.80.52.0/24");
         let traced = Resolver
             .resolve_traced(&t, &p("63.80.52.0/24"), &mut trace)
             .unwrap();
@@ -310,28 +322,25 @@ mod tests {
             Some(&traced),
             Resolver.resolve(&t, &p("63.80.52.0/24")).as_ref()
         );
+        assert_eq!(
+            traced.lpm,
+            LpmWalk {
+                blocks: 2,
+                nodes: 3
+            }
+        );
         // The chain is deterministic, so the full trace pins exactly.
-        let mut expected = p2o_obs::DecisionTrace::new("63.80.52.0/24");
-        expected.push(
-            "radix.lpm",
-            "covering chain has 2 registered block(s) (3 radix nodes walked)",
+        assert_eq!(
+            trace.render(),
+            "63.80.52.0/24\n\
+             \x20 1. radix.lpm                 covering chain has 2 registered block(s) (3 radix nodes walked)\n\
+             \x20 2. whois.delegated_customer  Ceva Inc via Reassignment on 63.80.52.0/24\n\
+             \x20 3. whois.delegated_customer  Bandwidth.com Inc. via Reallocation on 63.80.52.0/24\n\
+             \x20 4. whois.direct_owner        Verizon Business via Allocation on 63.64.0.0/10 [ARIN]\n"
         );
-        expected.push(
-            "whois.delegated_customer",
-            "Ceva Inc via Reassignment on 63.80.52.0/24",
-        );
-        expected.push(
-            "whois.delegated_customer",
-            "Bandwidth.com Inc. via Reallocation on 63.80.52.0/24",
-        );
-        expected.push(
-            "whois.direct_owner",
-            "Verizon Business via Allocation on 63.64.0.0/10 [ARIN]",
-        );
-        assert_eq!(trace, expected);
 
         // An unresolved prefix records the miss.
-        let mut miss = p2o_obs::DecisionTrace::new("200.0.0.0/16");
+        let mut miss = Trace::new("200.0.0.0/16");
         assert!(Resolver
             .resolve_traced(&t, &p("200.0.0.0/16"), &mut miss)
             .is_none());

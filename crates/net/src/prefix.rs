@@ -117,12 +117,20 @@ impl From<Prefix6> for Prefix {
     }
 }
 
+impl Prefix {
+    /// Writes the prefix as `Display` prints it, in one `write_str` and
+    /// without the formatting machinery.
+    pub fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            Prefix::V4(p) => p.write_to(out),
+            Prefix::V6(p) => p.write_to(out),
+        }
+    }
+}
+
 impl fmt::Display for Prefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Prefix::V4(p) => p.fmt(f),
-            Prefix::V6(p) => p.fmt(f),
-        }
+        self.write_to(f)
     }
 }
 

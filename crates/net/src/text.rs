@@ -55,7 +55,7 @@ impl<const N: usize> AsciiBuf<N> {
     }
 
     /// Hands the assembled text to `out`.
-    pub(crate) fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
+    pub(crate) fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         out.write_str(core::str::from_utf8(&self.bytes[..self.len]).expect("ASCII only"))
     }
 

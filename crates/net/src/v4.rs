@@ -221,12 +221,20 @@ impl Prefix4 {
     }
 }
 
-impl fmt::Display for Prefix4 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Prefix4 {
+    /// Writes the prefix as `Display` prints it, in one `write_str` and
+    /// without the formatting machinery.
+    pub fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         let mut buf = AsciiBuf::<18>::new();
         push_addr(&mut buf, self.bits);
         buf.push_len(self.len);
-        buf.write_to(f)
+        buf.write_to(out)
+    }
+}
+
+impl fmt::Display for Prefix4 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 

@@ -291,12 +291,20 @@ impl Prefix6 {
     }
 }
 
-impl fmt::Display for Prefix6 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Prefix6 {
+    /// Writes the prefix as `Display` prints it, in one `write_str` and
+    /// without the formatting machinery.
+    pub fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         let mut buf = AsciiBuf::<43>::new();
         push_addr(&mut buf, self.bits);
         buf.push_len(self.len);
-        buf.write_to(f)
+        buf.write_to(out)
+    }
+}
+
+impl fmt::Display for Prefix6 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 

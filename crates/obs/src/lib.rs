@@ -48,7 +48,7 @@ pub mod runtime;
 pub mod shards;
 pub mod trace;
 
-pub use provenance::{DecisionStep, DecisionTrace};
+pub use provenance::{DecisionTrace, TraceStep};
 pub use runtime::{
     FlightRecord, FlightRecorder, FlightSample, WindowSnapshot, WindowedHistogram, WINDOWS,
 };
@@ -657,7 +657,7 @@ impl HistogramReport {
 
     /// Approximate quantile `q` in `[0, 1]` from bucket midpoints.
     pub fn quantile(&self, q: f64) -> u64 {
-        midpoint_quantile(&self.buckets, self.count, self.max, q)
+        midpoint_quantile(&self.buckets, self.count, self.min, self.max, q)
     }
 }
 
@@ -666,8 +666,11 @@ impl HistogramReport {
 /// [`runtime::WindowSnapshot::quantile`]: returns the midpoint of the
 /// first bucket whose cumulative count reaches `ceil(q * count)`
 /// (clamped to at least one sample), `0` for an empty histogram, and
-/// `max` if the bucket counts race behind `count`.
-pub(crate) fn midpoint_quantile(buckets: &[u64], count: u64, max: u64, q: f64) -> u64 {
+/// `max` if the bucket counts race behind `count`. A midpoint can lie
+/// outside the samples seen (one sample of 300 sits in the bucket whose
+/// midpoint is 384), so the result is clamped to the observed
+/// `[min, max]`; `max` wins should a racing reader see `min > max`.
+pub(crate) fn midpoint_quantile(buckets: &[u64], count: u64, min: u64, max: u64, q: f64) -> u64 {
     if count == 0 {
         return 0;
     }
@@ -676,7 +679,7 @@ pub(crate) fn midpoint_quantile(buckets: &[u64], count: u64, max: u64, q: f64) -
     for (i, &n) in buckets.iter().enumerate() {
         seen += n;
         if seen >= target {
-            return bucket_midpoint(i);
+            return bucket_midpoint(i).max(min).min(max);
         }
     }
     max
@@ -1175,12 +1178,13 @@ mod tests {
         assert_eq!(empty.quantile(0.5), 0);
         assert_eq!(empty.quantile(1.0), 0);
         // Single sample: every quantile lands in its bucket. 300 has bit
-        // length 9, so the midpoint is 256 + 128.
+        // length 9, so the bucket midpoint is 256 + 128, clamped to the one
+        // sample seen.
         h.record(300);
         let one = obs.report().histogram("edge").unwrap().clone();
         assert_eq!(one.count, 1);
         for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(one.quantile(q), 384, "q={q}");
+            assert_eq!(one.quantile(q), 300, "q={q}");
         }
         // q outside [0, 1] clamps instead of panicking or overshooting.
         assert_eq!(one.quantile(-3.0), one.quantile(0.0));
@@ -1189,7 +1193,11 @@ mod tests {
         h.record(0);
         let two = obs.report().histogram("edge").unwrap().clone();
         assert_eq!(two.quantile(0.0), 0, "q=0 is the smallest sample's bucket");
-        assert_eq!(two.quantile(1.0), 384, "q=1 is the largest sample's bucket");
+        assert_eq!(
+            two.quantile(1.0),
+            300,
+            "q=1 is the largest sample's bucket, clamped to the largest sample"
+        );
     }
 
     #[test]

@@ -7,41 +7,64 @@
 //! A [`DecisionTrace`] captures that chain as ordered, human-readable
 //! steps; `p2o explain <prefix>` renders it.
 //!
-//! Steps are plain `{rule, detail}` strings: this crate sits below
-//! `p2o-whois`/`p2o-core` in the dependency graph, so the domain layers
-//! format their own details and the trace stays type-agnostic. Unlike
-//! span timestamps, a decision trace is fully deterministic for a
-//! deterministic input — tests pin rendered traces verbatim.
+//! A step is anything that implements [`TraceStep`]: a rule name plus a
+//! writer for its detail. This crate sits below `p2o-whois`/`p2o-core` in
+//! the dependency graph, so the domain layers define their own typed steps
+//! (`p2o_core::Step`) and write each detail from the facts the step holds;
+//! a `(rule, detail)` pair of strings is a step too. Unlike span
+//! timestamps, a decision trace is fully deterministic for a deterministic
+//! input — tests pin rendered traces verbatim.
 //!
 //! [`write_trace`] is the one place that knows how a trace is laid out as
 //! text. [`DecisionTrace::render`] uses it, and so does every surface that
-//! prints a trace the frozen dataset stored as `(rule, detail)` pairs.
+//! prints a trace the frozen dataset renders from its records.
 
 use std::fmt::{self, Write as _};
 
 use p2o_util::json::Escaper;
 
-/// One applied rule in a decision chain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecisionStep {
+/// One applied rule in a decision chain: its identifier and a writer for
+/// the human-readable detail of what it matched and produced.
+pub trait TraceStep {
     /// Short rule identifier (e.g. `radix.lpm`, `whois.direct_owner`).
-    pub rule: String,
-    /// Human-readable detail: what the rule matched and produced.
-    pub detail: String,
+    fn rule(&self) -> &str;
+    /// Writes the step's detail into `out`.
+    fn write_detail<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result;
+}
+
+impl<T: TraceStep + ?Sized> TraceStep for &T {
+    fn rule(&self) -> &str {
+        (**self).rule()
+    }
+
+    fn write_detail<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        (**self).write_detail(out)
+    }
+}
+
+/// A step given as text: `(rule, detail)`.
+impl<R: AsRef<str>, D: AsRef<str>> TraceStep for (R, D) {
+    fn rule(&self) -> &str {
+        self.0.as_ref()
+    }
+
+    fn write_detail<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        out.write_str(self.1.as_ref())
+    }
 }
 
 /// The ordered rule chain that produced one answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecisionTrace {
+pub struct DecisionTrace<S> {
     /// What is being explained (e.g. the prefix under resolution).
     pub subject: String,
     /// Applied rules, in application order.
-    pub steps: Vec<DecisionStep>,
+    pub steps: Vec<S>,
 }
 
-impl DecisionTrace {
+impl<S> DecisionTrace<S> {
     /// An empty trace for `subject`.
-    pub fn new(subject: impl Into<String>) -> DecisionTrace {
+    pub fn new(subject: impl Into<String>) -> DecisionTrace<S> {
         DecisionTrace {
             subject: subject.into(),
             steps: Vec::new(),
@@ -49,26 +72,21 @@ impl DecisionTrace {
     }
 
     /// Appends a step.
-    pub fn push(&mut self, rule: impl Into<String>, detail: impl Into<String>) {
-        self.steps.push(DecisionStep {
-            rule: rule.into(),
-            detail: detail.into(),
-        });
+    pub fn push(&mut self, step: S) {
+        self.steps.push(step);
     }
+}
 
+impl<S: TraceStep> DecisionTrace<S> {
     /// Whether any step used rule `rule`.
     pub fn used(&self, rule: &str) -> bool {
-        self.steps.iter().any(|s| s.rule == rule)
+        self.steps.iter().any(|s| s.rule() == rule)
     }
 
     /// Renders the chain as [`write_trace`] lays it out.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let steps = self
-            .steps
-            .iter()
-            .map(|s| (s.rule.as_str(), s.detail.as_str()));
-        write_trace(&mut out, &self.subject, steps).expect("String writes succeed");
+        write_trace(&mut out, &self.subject, self.steps.iter()).expect("String writes succeed");
         out
     }
 }
@@ -85,20 +103,22 @@ impl DecisionTrace {
 /// Numbers are right-aligned to the widest one, and each rule is padded
 /// to the longest rule's byte length counted in chars, as `{:width$}`
 /// pads. A trace with no steps reads `  (no rules applied)`.
-pub fn write_trace<'s, W, I>(out: &mut W, subject: impl fmt::Display, steps: I) -> fmt::Result
+pub fn write_trace<W, I>(out: &mut W, subject: impl fmt::Display, steps: I) -> fmt::Result
 where
     W: fmt::Write + ?Sized,
-    I: Iterator<Item = (&'s str, &'s str)> + Clone,
+    I: Iterator + Clone,
+    I::Item: TraceStep,
 {
     write_lines(out, subject, steps, false)
 }
 
 /// [`write_trace`]'s text as one JSON string literal, escaped as
 /// [`write_escaped`](p2o_util::json::write_escaped) escapes a string.
-pub fn write_trace_json<'s, W, I>(out: &mut W, subject: impl fmt::Display, steps: I) -> fmt::Result
+pub fn write_trace_json<W, I>(out: &mut W, subject: impl fmt::Display, steps: I) -> fmt::Result
 where
     W: fmt::Write + ?Sized,
-    I: Iterator<Item = (&'s str, &'s str)> + Clone,
+    I: Iterator + Clone,
+    I::Item: TraceStep,
 {
     out.write_char('"')?;
     write_lines(out, subject, steps, true)?;
@@ -107,18 +127,14 @@ where
 
 /// The layout behind [`write_trace`] and [`write_trace_json`]: one pass
 /// over `steps` for the widths, one to write. It runs once per served
-/// answer, so each line is appended from its pieces with no formatting
-/// machinery, and only the subject, rules and details pass through the
-/// JSON escaper (the numbers and padding never need it).
-fn write_lines<'s, W, I>(
-    out: &mut W,
-    subject: impl fmt::Display,
-    steps: I,
-    json: bool,
-) -> fmt::Result
+/// answer, so each line is assembled from its pieces in one buffer with
+/// no formatting machinery and handed on in one piece: for JSON, one run
+/// through the escaper per line instead of one per piece.
+fn write_lines<W, I>(out: &mut W, subject: impl fmt::Display, steps: I, json: bool) -> fmt::Result
 where
     W: fmt::Write + ?Sized,
-    I: Iterator<Item = (&'s str, &'s str)> + Clone,
+    I: Iterator + Clone,
+    I::Item: TraceStep,
 {
     let text = |out: &mut W, s: &str| {
         if json {
@@ -128,8 +144,8 @@ where
         }
     };
     let newline = if json { "\\n" } else { "\n" };
-    let (count, width) = steps.clone().fold((0usize, 0usize), |(n, w), (rule, _)| {
-        (n + 1, w.max(rule.len()))
+    let (count, width) = steps.clone().fold((0usize, 0usize), |(n, w), step| {
+        (n + 1, w.max(step.rule().len()))
     });
     if json {
         write!(Escaper::new(&mut *out), "{subject}")?;
@@ -145,7 +161,8 @@ where
     // "  ", the number right-aligned in `digits` columns, ". ".
     let mut head = [b' '; 24];
     head[2 + digits..4 + digits].copy_from_slice(b". ");
-    for (n, (rule, detail)) in (1usize..).zip(steps) {
+    let mut line = String::with_capacity(160);
+    for (n, step) in (1usize..).zip(steps) {
         let mut rest = n;
         for slot in head[2..2 + digits].iter_mut().rev() {
             *slot = if rest == 0 {
@@ -155,10 +172,13 @@ where
             };
             rest /= 10;
         }
-        out.write_str(std::str::from_utf8(&head[..4 + digits]).expect("ASCII"))?;
-        text(out, rule)?;
-        write_spaces(out, width - rule.chars().count() + 2)?;
-        text(out, detail)?;
+        line.clear();
+        line.push_str(std::str::from_utf8(&head[..4 + digits]).expect("ASCII"));
+        let rule = step.rule();
+        line.push_str(rule);
+        write_spaces(&mut line, width - rule.chars().count() + 2)?;
+        step.write_detail(&mut line)?;
+        text(out, &line)?;
         out.write_str(newline)?;
     }
     Ok(())
@@ -181,9 +201,9 @@ mod tests {
     #[test]
     fn render_is_numbered_and_aligned() {
         let mut trace = DecisionTrace::new("203.0.113.0/24");
-        trace.push("bgp.origins", "announced by AS65001");
-        trace.push("radix.lpm", "covering chain has 2 blocks");
-        trace.push("whois.direct_owner", "Example Networks (allocation)");
+        trace.push(("bgp.origins", "announced by AS65001"));
+        trace.push(("radix.lpm", "covering chain has 2 blocks"));
+        trace.push(("whois.direct_owner", "Example Networks (allocation)"));
         let text = trace.render();
         assert_eq!(
             text,
@@ -198,24 +218,24 @@ mod tests {
 
     #[test]
     fn empty_trace_renders_placeholder() {
-        let trace = DecisionTrace::new("198.51.100.0/24");
+        let trace = DecisionTrace::<(&str, &str)>::new("198.51.100.0/24");
         assert_eq!(trace.render(), "198.51.100.0/24\n  (no rules applied)\n");
     }
 
     /// `render` before the shared writer: one `format!` per line. Kept as
     /// the layout's reference.
-    fn reference_render(trace: &DecisionTrace) -> String {
+    fn reference_render(trace: &DecisionTrace<(String, String)>) -> String {
         let mut out = String::new();
         out.push_str(&trace.subject);
         out.push('\n');
-        let width = trace.steps.iter().map(|s| s.rule.len()).max().unwrap_or(0);
+        let width = trace.steps.iter().map(|s| s.0.len()).max().unwrap_or(0);
         let digits = trace.steps.len().to_string().len();
         for (i, step) in trace.steps.iter().enumerate() {
             out.push_str(&format!(
                 "  {:>digits$}. {:width$}  {}\n",
                 i + 1,
-                step.rule,
-                step.detail,
+                step.0,
+                step.1,
             ));
         }
         if trace.steps.is_empty() {
@@ -259,17 +279,13 @@ mod tests {
                         _ => detail.push_str(&g.unicode_string(8)),
                     }
                 }
-                trace.push(rule, detail);
+                trace.push((rule, detail));
             }
             let want = reference_render(&trace);
             assert_eq!(trace.render(), want);
 
             let mut json = String::new();
-            let steps = trace
-                .steps
-                .iter()
-                .map(|s| (s.rule.as_str(), s.detail.as_str()));
-            write_trace_json(&mut json, &trace.subject, steps).unwrap();
+            write_trace_json(&mut json, &trace.subject, trace.steps.iter()).unwrap();
             let mut escaped = String::new();
             p2o_util::json::write_escaped(&mut escaped, &want).unwrap();
             assert_eq!(json, escaped);
@@ -280,11 +296,11 @@ mod tests {
     #[test]
     fn traces_are_comparable_for_pinning() {
         let mut a = DecisionTrace::new("s");
-        a.push("r", "d");
+        a.push(("r", "d"));
         let mut b = DecisionTrace::new("s");
-        b.push("r", "d");
+        b.push(("r", "d"));
         assert_eq!(a, b);
-        b.push("r2", "d2");
+        b.push(("r2", "d2"));
         assert_ne!(a, b);
     }
 }

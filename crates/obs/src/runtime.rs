@@ -193,6 +193,7 @@ impl WindowedHistogram {
         let mut buckets = vec![0u64; BUCKETS];
         let mut count = 0u64;
         let mut sum = 0u64;
+        let mut min = u64::MAX;
         let mut max = 0u64;
         for slot in &self.inner.slots {
             let epoch = slot.epoch.load(Ordering::Acquire);
@@ -205,6 +206,7 @@ impl WindowedHistogram {
             let cells = &slot.cells;
             count += cells.count.load(Ordering::Relaxed);
             sum += cells.sum.load(Ordering::Relaxed);
+            min = min.min(cells.min.load(Ordering::Relaxed));
             max = max.max(cells.max.load(Ordering::Relaxed));
             for (acc, b) in buckets.iter_mut().zip(&cells.buckets) {
                 *acc += b.load(Ordering::Relaxed);
@@ -219,6 +221,7 @@ impl WindowedHistogram {
             window_secs,
             count,
             sum,
+            min: if count == 0 { 0 } else { min },
             max,
             rate_per_sec: count as f64 / covered_s,
             buckets,
@@ -235,6 +238,8 @@ pub struct WindowSnapshot {
     pub count: u64,
     /// Sum of the samples inside the window.
     pub sum: u64,
+    /// Smallest sample inside the window (0 when empty).
+    pub min: u64,
     /// Largest sample inside the window (0 when empty).
     pub max: u64,
     /// Samples per second over the window (denominator clipped to the
@@ -248,7 +253,7 @@ impl WindowSnapshot {
     /// Approximate quantile `q` in `[0, 1]` from bucket midpoints (same
     /// estimator as [`HistogramReport::quantile`](crate::HistogramReport::quantile)).
     pub fn quantile(&self, q: f64) -> u64 {
-        midpoint_quantile(&self.buckets, self.count, self.max, q)
+        midpoint_quantile(&self.buckets, self.count, self.min, self.max, q)
     }
 
     /// Mean sample value (0 when empty).
@@ -634,9 +639,11 @@ mod tests {
         let snap = w.window_at(60, NS);
         assert_eq!(snap.count, 1);
         assert_eq!(snap.max, 1000);
+        assert_eq!(snap.min, 1000);
         assert_eq!(snap.quantile(0.0), snap.quantile(1.0));
-        // 1000 has bit length 10; the bucket midpoint is 512 + 256.
-        assert_eq!(snap.quantile(0.5), 768);
+        // 1000 has bit length 10; the bucket midpoint, 512 + 256, is
+        // clamped to the one sample seen.
+        assert_eq!(snap.quantile(0.5), 1000);
         // Rate denominator clips to the histogram's 1 s age.
         assert!(
             (snap.rate_per_sec - 1.0).abs() < 1e-9,

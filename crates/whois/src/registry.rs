@@ -172,6 +172,33 @@ pub enum Registry {
 }
 
 impl Registry {
+    /// All fourteen registries: the five RIRs, then the nine NIRs, each in
+    /// its own `ALL` order.
+    pub const ALL: [Registry; 14] = [
+        Registry::Rir(Rir::Afrinic),
+        Registry::Rir(Rir::Apnic),
+        Registry::Rir(Rir::Arin),
+        Registry::Rir(Rir::Lacnic),
+        Registry::Rir(Rir::Ripe),
+        Registry::Nir(Nir::Jpnic),
+        Registry::Nir(Nir::Twnic),
+        Registry::Nir(Nir::Krnic),
+        Registry::Nir(Nir::Cnnic),
+        Registry::Nir(Nir::Irinn),
+        Registry::Nir(Nir::Idnic),
+        Registry::Nir(Nir::Vnnic),
+        Registry::Nir(Nir::NicBr),
+        Registry::Nir(Nir::NicMx),
+    ];
+
+    /// The registry's display name (`ARIN`, `NIC.BR`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Registry::Rir(r) => r.name(),
+            Registry::Nir(n) => n.name(),
+        }
+    }
+
     /// The RIR whose policy framework applies (the NIR's parent for NIRs).
     pub fn policy_rir(&self) -> Rir {
         match self {
@@ -190,10 +217,7 @@ impl Registry {
 
 impl fmt::Display for Registry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Registry::Rir(r) => r.fmt(f),
-            Registry::Nir(n) => n.fmt(f),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -257,5 +281,10 @@ mod tests {
         let r: Registry = "ARIN".parse().unwrap();
         assert_eq!(r.policy_rir(), Rir::Arin);
         assert!("nope".parse::<Registry>().is_err());
+        // `ALL` lists every registry once, and each name parses back.
+        for (i, r) in Registry::ALL.iter().enumerate() {
+            assert_eq!(r.name().parse::<Registry>().unwrap(), *r);
+            assert!(!Registry::ALL[..i].contains(r));
+        }
     }
 }
