@@ -197,7 +197,7 @@ fn bench_json(budget_ms: u64) {
         stage_means.push(("assemble", 1, mean));
 
         let (dataset, edges) =
-            Pipeline::with_threads(max_threads).dataset_with_evidence(&inputs, None, None);
+            Pipeline::with_threads(max_threads).dataset_with_evidence(&inputs, None);
         let mean = bench(&format!("export/{scale}/threads_1"), || {
             black_box(prefix2org::to_jsonl(&dataset))
         });
@@ -293,7 +293,7 @@ fn bench_json(budget_ms: u64) {
             rpki: &built.rpki,
         };
         let (dataset, edges) =
-            Pipeline::with_threads(max_threads).dataset_with_evidence(&inputs, None, None);
+            Pipeline::with_threads(max_threads).dataset_with_evidence(&inputs, None);
         let payload = prefix2org::freeze(&inputs, &dataset, &edges, 0);
         let frozen = prefix2org::FrozenDataset::from_payload(payload).expect("fresh freeze");
         let queries: Vec<Prefix> = dataset.records().iter().map(|r| r.prefix).collect();

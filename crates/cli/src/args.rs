@@ -3,7 +3,8 @@
 
 use std::collections::HashMap;
 
-/// Parsed command arguments: `--key value` options plus positional args.
+/// Parsed command arguments: `--key value` options, value-less `--key`
+/// switches, plus positional args.
 #[derive(Debug, Default)]
 pub struct Parsed {
     options: HashMap<String, String>,
@@ -11,31 +12,35 @@ pub struct Parsed {
 }
 
 impl Parsed {
-    /// Parses an argument list. Every `--key` must be followed by a value.
-    pub fn parse(argv: &[String]) -> Result<Parsed, String> {
-        Self::parse_with_switches(argv, &[])
-    }
-
-    /// [`parse`](Self::parse), except the listed `switches` are boolean
-    /// flags that take no value (stored as `"true"`, queried via
-    /// [`has`](Self::has)).
-    pub fn parse_with_switches(argv: &[String], switches: &[&str]) -> Result<Parsed, String> {
+    /// Parses `command`'s argument list. Each of its `options` must be
+    /// followed by a value; its `switches` take none (stored as `"true"`,
+    /// queried via [`has`](Self::has)). Any other `--key` is an error
+    /// naming it, so a misspelt or retired option never takes the next
+    /// argument as its value.
+    pub fn new(
+        argv: &[String],
+        command: &str,
+        options: &[&str],
+        switches: &[&str],
+    ) -> Result<Parsed, String> {
         let mut parsed = Parsed::default();
         let mut iter = argv.iter();
         while let Some(arg) = iter.next() {
-            if let Some(key) = arg.strip_prefix("--") {
-                let value = if switches.contains(&key) {
-                    "true".to_string()
-                } else {
-                    iter.next()
-                        .ok_or_else(|| format!("--{key} requires a value"))?
-                        .clone()
-                };
-                if parsed.options.insert(key.to_string(), value).is_some() {
-                    return Err(format!("--{key} given twice"));
-                }
-            } else {
+            let Some(key) = arg.strip_prefix("--") else {
                 parsed.positional.push(arg.clone());
+                continue;
+            };
+            let value = if switches.contains(&key) {
+                "true".to_string()
+            } else if options.contains(&key) {
+                iter.next()
+                    .ok_or_else(|| format!("--{key} requires a value"))?
+                    .clone()
+            } else {
+                return Err(format!("unknown option --{key} for {command}"));
+            };
+            if parsed.options.insert(key.to_string(), value).is_some() {
+                return Err(format!("--{key} given twice"));
             }
         }
         Ok(parsed)
@@ -84,9 +89,13 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse(args: &[&str]) -> Result<Parsed, String> {
+        Parsed::new(&v(args), "test", &["out", "seed"], &["strict"])
+    }
+
     #[test]
     fn options_and_positionals() {
-        let p = Parsed::parse(&v(&["--out", "dir", "10.0.0.0/8", "--seed", "7", "extra"])).unwrap();
+        let p = parse(&["--out", "dir", "10.0.0.0/8", "--seed", "7", "extra"]).unwrap();
         assert_eq!(p.require("out").unwrap(), "dir");
         assert_eq!(p.get_num::<u64>("seed").unwrap(), Some(7));
         assert_eq!(p.positional(), &["10.0.0.0/8", "extra"]);
@@ -96,26 +105,42 @@ mod tests {
 
     #[test]
     fn rejects_dangling_and_duplicate_flags() {
-        assert!(Parsed::parse(&v(&["--out"])).is_err());
-        assert!(Parsed::parse(&v(&["--out", "a", "--out", "b"])).is_err());
+        assert!(parse(&["--out"]).is_err());
+        assert!(parse(&["--out", "a", "--out", "b"]).is_err());
     }
 
     #[test]
     fn switches_take_no_value() {
-        let p = Parsed::parse_with_switches(&v(&["--strict", "--out", "dir", "pos"]), &["strict"])
-            .unwrap();
+        let p = parse(&["--strict", "--out", "dir", "pos"]).unwrap();
         assert!(p.has("strict"));
         assert!(!p.has("lenient"));
         assert_eq!(p.require("out").unwrap(), "dir");
         assert_eq!(p.positional(), &["pos"]);
-        // A trailing switch needs no value; an unknown trailing flag does.
-        assert!(Parsed::parse_with_switches(&v(&["--strict"]), &["strict"]).is_ok());
-        assert!(Parsed::parse_with_switches(&v(&["--out"]), &["strict"]).is_err());
+        // A trailing switch needs no value; a trailing option does.
+        assert!(parse(&["--strict"]).is_ok());
+        assert!(parse(&["--out"]).is_err());
+    }
+
+    /// A key the command does not accept is refused by name, before it can
+    /// swallow the argument after it, whether it looks like an option or a
+    /// switch.
+    #[test]
+    fn unknown_options_are_refused_by_name() {
+        for (args, key) in [
+            (&["--frozn", "41.0.0.0/22", "10.1.0.0/16"][..], "--frozn"),
+            (&["10.1.0.0/16", "--thread", "4"], "--thread"),
+            (&["--out", "dir", "--frozen"], "--frozen"),
+        ] {
+            assert_eq!(
+                parse(args).unwrap_err(),
+                format!("unknown option {key} for test")
+            );
+        }
     }
 
     #[test]
     fn bad_number_is_an_error() {
-        let p = Parsed::parse(&v(&["--seed", "xyz"])).unwrap();
+        let p = parse(&["--seed", "xyz"]).unwrap();
         assert!(p.get_num::<u64>("seed").is_err());
     }
 }

@@ -485,8 +485,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     };
     // One pipeline run yields the dataset and the merge evidence the frozen
     // artifact needs; an observed build records its counters and stages.
-    let (mut dataset, merge_edges) =
-        pipeline.dataset_with_evidence(&pipeline_inputs, None, obs.as_ref());
+    let (mut dataset, merge_edges) = pipeline.dataset_with_evidence(&pipeline_inputs, obs.as_ref());
     // Operator exceptions apply after resolution and clustering, so an
     // assert overrides the inferred attribution (keeping its evidence) and
     // a filter drops the record entirely — from the export, the frozen
@@ -709,90 +708,42 @@ pub fn fsck(args: &Parsed) -> Result<(), CliError> {
     }
 }
 
-/// `explain`: render the provenance rule chain behind prefix mappings.
+/// `explain`: print the provenance rule chain behind each query's answer.
+///
+/// The directory is loaded exactly as `serve` boots it
+/// ([`load_snapshot`]), and each query is answered by the record `/prefix`
+/// would match: its stored trace, after a `covered by` note when the query
+/// is more specific than the record.
 pub fn explain(args: &Parsed) -> Result<(), CliError> {
     let dir = Path::new(args.require("in")?);
     let threads = args
         .get_num::<usize>("threads")?
         .unwrap_or_else(prefix2org::default_threads)
         .max(1);
-    if args.positional().is_empty() {
+    let queries = args
+        .positional()
+        .iter()
+        .map(|q| q.parse::<Prefix>().map_err(|e| format!("{q:?}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    if queries.is_empty() {
         return Err("explain needs at least one prefix argument".into());
     }
-    let exceptions = args
-        .get("exceptions")
-        .map(|p| -> Result<prefix2org::ExceptionSet, CliError> {
-            let text = fs::read_to_string(p).map_err(|e| format!("reading exceptions {p}: {e}"))?;
-            let (set, rejected) = prefix2org::ExceptionSet::parse_lenient(&text);
-            if !rejected.is_empty() {
-                eprintln!(
-                    "warning: exceptions {p}: {} rejected line(s) ignored",
-                    rejected.len()
-                );
-            }
-            Ok(set)
-        })
-        .transpose()?;
-    if args.has("frozen") {
-        if exceptions.is_some() {
-            eprintln!(
-                "warning: --exceptions is ignored with --frozen; the artifact's stored \
-                 traces already reflect the rules it was built with"
-            );
-        }
-        // Print each record's trace from the frozen artifact instead of
-        // replaying the pipeline. For prefixes that are themselves records
-        // the output is byte-identical to a live explain; for covered
-        // queries the trace of the covering record is printed with a note
-        // naming it.
-        let vfs = Vfs::from_env().map_err(CliError::General)?;
-        let frozen_path = dir.join(prefix2org::FROZEN_FILE);
-        let frozen =
-            prefix2org::FrozenDataset::load(&vfs, &frozen_path).map_err(CliError::Integrity)?;
-        for (i, q) in args.positional().iter().enumerate() {
-            let prefix: Prefix = q.parse().map_err(|e| format!("{q:?}: {e}"))?;
-            if i > 0 {
-                println!();
-            }
-            match frozen.lookup(&prefix) {
-                None => println!("{prefix}: no covering record in the frozen dataset"),
-                Some((matched, idx)) => {
-                    if matched != prefix {
-                        println!("{prefix}: covered by {matched}; its stored trace follows");
-                    }
-                    print!("{}", frozen.provenance(idx));
-                }
-            }
-        }
-        return Ok(());
-    }
-    let inputs = store::load_inputs(
-        &Vfs::real(),
-        dir,
-        None,
-        threads,
-        store::IngestMode::Lenient,
-        store::MemOptions::default(),
-    )?
-    .inputs;
-    let pipeline = Pipeline::with_threads(threads);
-    let pipeline_inputs = PipelineInputs {
-        delegations: &inputs.tree,
-        routes: &inputs.routes,
-        asn_clusters: &inputs.clusters,
-        rpki: &inputs.rpki,
-    };
-    for (i, q) in args.positional().iter().enumerate() {
-        let prefix: Prefix = q.parse().map_err(|e| format!("{q:?}: {e}"))?;
+    let snapshot = load_snapshot(dir, args.get("exceptions").map(Path::new), threads)
+        .map_err(CliError::Integrity)?;
+    let frozen = snapshot.frozen();
+    for (i, prefix) in queries.iter().enumerate() {
         if i > 0 {
             println!();
         }
-        print!(
-            "{}",
-            pipeline
-                .explain_with(&pipeline_inputs, exceptions.as_ref(), &prefix)
-                .render()
-        );
+        match frozen.lookup(prefix) {
+            None => println!("{prefix}: no covering record in the frozen dataset"),
+            Some((matched, idx)) => {
+                if matched != *prefix {
+                    println!("{prefix}: covered by {matched}; its stored trace follows");
+                }
+                print!("{}", frozen.provenance(idx));
+            }
+        }
     }
     Ok(())
 }
@@ -1077,6 +1028,105 @@ pub fn validate(args: &Parsed) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Loads `dir` the one way `serve` and `explain` answer from it: the fsck
+/// audit, the rule file at `exceptions_path` parsed strictly, then the
+/// directory's `world.p2ob` attached when its stamped inputs digest is
+/// current, and otherwise a full load on `threads` threads frozen in
+/// memory. An error refuses the directory: `serve` exits 2 at boot and
+/// answers 503 on `/reload`, `explain` exits 2.
+fn load_snapshot(
+    dir: &Path,
+    exceptions_path: Option<&Path>,
+    threads: usize,
+) -> Result<p2o_serve::Snapshot, String> {
+    let vfs = Vfs::from_env()?;
+    let report = fsck::audit(&vfs, dir)?;
+    if !report.findings.is_empty() {
+        return Err(format!(
+            "{} integrity finding(s) in {} (run `prefix2org fsck` for details)",
+            report.findings.len(),
+            dir.display()
+        ));
+    }
+    // The exceptions file is re-read on every load — boot and each
+    // /reload — so edited rules land with a reload, no restart. Answering
+    // is strict where build is lenient: any rejected line refuses the
+    // load (exit 2 at boot, 503 on reload) and, on reload, the old
+    // snapshot keeps serving — a torn rule file can delay an update but
+    // never changes an answer.
+    let exceptions_text = match exceptions_path {
+        None => None,
+        Some(p) => Some(
+            vfs.read_to_string(p)
+                .map_err(|e| format!("reading exceptions {}: {e}", p.display()))?,
+        ),
+    };
+    let exceptions = match &exceptions_text {
+        None => prefix2org::ExceptionSet::new(),
+        Some(text) => {
+            let (set, rejected) = prefix2org::ExceptionSet::parse_lenient(text);
+            if let Some(first) = rejected.first() {
+                return Err(format!(
+                    "exceptions file {}: {} rejected line(s); first: line {}: {} ({})",
+                    exceptions_path.expect("text implies path").display(),
+                    rejected.len(),
+                    first.offset,
+                    first.message,
+                    first.kind.counter_suffix(),
+                ));
+            }
+            set
+        }
+    };
+    // Every snapshot serves a frozen dataset. Attach the artifact the
+    // audit just validated when its stamped inputs digest matches the
+    // directory's current one, which the audit's read of the inputs
+    // yields. The current digest includes this load's exception rules, so
+    // an artifact built with different (or no) rules reads as stale. A missing or stale artifact costs a full
+    // load, frozen in memory by the same verified freeze `build` runs —
+    // the answers are identical either way, only the boot time differs.
+    if let (Some(frozen), Some(files_digest)) = (report.frozen, report.files_digest) {
+        let current = checkpoint::canonical_inputs_digest(
+            files_digest,
+            exceptions_text.as_deref().map(str::as_bytes),
+        );
+        if frozen.inputs_digest() == current {
+            return Ok(p2o_serve::Snapshot::from_frozen(
+                dir.to_path_buf(),
+                0,
+                frozen,
+            ));
+        }
+        eprintln!(
+            "warning: {}: frozen artifact is stale (inputs changed since it was \
+             built); freezing a full load in memory",
+            dir.join(prefix2org::FROZEN_FILE).display()
+        );
+    }
+    let inputs = store::load_inputs(
+        &vfs,
+        dir,
+        None,
+        threads,
+        store::IngestMode::Lenient,
+        store::MemOptions::default(),
+    )
+    .map_err(|e| e.to_string())?
+    .inputs;
+    p2o_serve::Snapshot::freeze_in_memory(
+        dir.to_path_buf(),
+        0,
+        &PipelineInputs {
+            delegations: &inputs.tree,
+            routes: &inputs.routes,
+            asn_clusters: &inputs.clusters,
+            rpki: &inputs.rpki,
+        },
+        &exceptions,
+        threads,
+    )
+}
+
 /// `serve`: the long-running lookup service over a built artifact
 /// directory.
 ///
@@ -1110,96 +1160,7 @@ pub fn serve(args: &Parsed) -> Result<(), CliError> {
         .transpose()?;
 
     let loader: p2o_serve::SnapshotLoader = std::sync::Arc::new(move |dir: &Path| {
-        let vfs = Vfs::from_env()?;
-        let report = fsck::audit(&vfs, dir)?;
-        if !report.findings.is_empty() {
-            return Err(format!(
-                "{} integrity finding(s) in {} (run `prefix2org fsck` for details)",
-                report.findings.len(),
-                dir.display()
-            ));
-        }
-        // The exceptions file is re-read on every load — boot and each
-        // /reload — so edited rules land with a reload, no restart. Serving
-        // is strict where build is lenient: any rejected line refuses the
-        // load (exit 2 at boot, 503 on reload) and, on reload, the old
-        // snapshot keeps serving — a torn rule file can delay an update but
-        // never changes an answer.
-        let exceptions_text = match &exceptions_path {
-            None => None,
-            Some(p) => Some(
-                vfs.read_to_string(p)
-                    .map_err(|e| format!("reading exceptions {}: {e}", p.display()))?,
-            ),
-        };
-        let exceptions = match &exceptions_text {
-            None => prefix2org::ExceptionSet::new(),
-            Some(text) => {
-                let (set, rejected) = prefix2org::ExceptionSet::parse_lenient(text);
-                if let Some(first) = rejected.first() {
-                    return Err(format!(
-                        "exceptions file {}: {} rejected line(s); first: line {}: {} ({})",
-                        exceptions_path
-                            .as_ref()
-                            .expect("text implies path")
-                            .display(),
-                        rejected.len(),
-                        first.offset,
-                        first.message,
-                        first.kind.counter_suffix(),
-                    ));
-                }
-                set
-            }
-        };
-        // Every snapshot serves a frozen dataset. Attach the artifact the
-        // audit just validated when its stamped inputs digest matches the
-        // directory's current one, which the audit's read of the inputs
-        // yields. The current digest includes this serve's
-        // exception rules, so an artifact built with different (or no)
-        // rules reads as stale. A missing or stale artifact costs a full
-        // load, frozen in memory by the same verified freeze `build` runs —
-        // the answers are identical either way, only the boot time differs.
-        if let (Some(frozen), Some(files_digest)) = (report.frozen, report.files_digest) {
-            let current = checkpoint::canonical_inputs_digest(
-                files_digest,
-                exceptions_text.as_deref().map(str::as_bytes),
-            );
-            if frozen.inputs_digest() == current {
-                return Ok(p2o_serve::Snapshot::from_frozen(
-                    dir.to_path_buf(),
-                    0,
-                    frozen,
-                ));
-            }
-            eprintln!(
-                "warning: {}: frozen artifact is stale (inputs changed since it was \
-                 built); freezing a full load in memory",
-                dir.join(prefix2org::FROZEN_FILE).display()
-            );
-        }
-        let inputs = store::load_inputs(
-            &vfs,
-            dir,
-            None,
-            threads,
-            store::IngestMode::Lenient,
-            store::MemOptions::default(),
-        )
-        .map_err(|e| e.to_string())?
-        .inputs;
-        p2o_serve::Snapshot::freeze_in_memory(
-            dir.to_path_buf(),
-            0,
-            &PipelineInputs {
-                delegations: &inputs.tree,
-                routes: &inputs.routes,
-                asn_clusters: &inputs.clusters,
-                rpki: &inputs.rpki,
-            },
-            &exceptions,
-            threads,
-        )
+        load_snapshot(dir, exceptions_path.as_deref(), threads)
     });
 
     // Boot load through the same gate; an unhealthy directory is an

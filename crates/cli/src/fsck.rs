@@ -306,7 +306,7 @@ mod tests {
             asn_clusters: &built.clusters,
             rpki: &built.rpki,
         };
-        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
+        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
         let payload = prefix2org::freeze(&inputs, &dataset, &edges, 7);
         let framed = atomic::frame(&payload);
         let p2ob = dir.join("world.p2ob");

@@ -11,7 +11,7 @@
 //! prefix2org fsck     DIR [--gc]
 //! prefix2org serve    DIR [--addr HOST:PORT] [--threads N] [--access-log FILE] [--allow-quit]
 //!                     [--exceptions FILE.jsonl]
-//! prefix2org explain  --in DIR PREFIX... [--threads N] [--exceptions FILE.jsonl]
+//! prefix2org explain  --in DIR PREFIX... [--exceptions FILE.jsonl] [--threads N]
 //! prefix2org lookup   --dataset FILE.jsonl PREFIX...
 //! prefix2org stats    --dataset FILE.jsonl
 //! prefix2org org      --dataset FILE.jsonl NAME
@@ -22,9 +22,12 @@
 //! `generate` materializes a synthetic Internet as *files in each source's
 //! native format* (WHOIS bulk dumps, an MRT RIB, AS2Org TSVs, ground-truth
 //! lists); `build` runs the full Prefix2Org pipeline over such a directory
-//! and writes the dataset as JSON Lines; the query commands operate on the
-//! JSONL snapshot alone — the adoption workflow a downstream user of the
-//! published dataset would follow.
+//! and writes the dataset as JSON Lines; `serve` and `explain` answer from
+//! the directory's frozen dataset, and the other query commands operate on
+//! the JSONL snapshot alone — the adoption workflow a downstream user of
+//! the published dataset would follow. `fsck` and `serve` also take their
+//! directory as `--in DIR`; `explain`'s `--threads` is used only when the
+//! dataset is frozen in memory.
 
 mod args;
 mod checkpoint;
@@ -88,37 +91,118 @@ fn main() -> ExitCode {
     }
 }
 
+/// One command: its name, the `--key value` options and value-less
+/// `--key` switches it accepts, and the function that runs it.
+struct Command {
+    name: &'static str,
+    options: &'static [&'static str],
+    switches: &'static [&'static str],
+    run: fn(&args::Parsed) -> Result<(), CliError>,
+}
+
+/// Every command, as dispatched and as its [`USAGE`] entry must list it.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        options: &[
+            "out",
+            "seed",
+            "scale",
+            "transfers",
+            "corrupt-rate",
+            "corrupt-seed",
+            "adversarial",
+            "adversarial-seed",
+        ],
+        switches: &[],
+        run: commands::generate,
+    },
+    Command {
+        name: "build",
+        options: &[
+            "in",
+            "out",
+            "threads",
+            "mem-budget",
+            "quarantine-samples",
+            "exceptions",
+            "report",
+            "trace",
+            "metrics",
+        ],
+        switches: &["strict", "resume", "spill", "strict-mem"],
+        run: commands::build,
+    },
+    Command {
+        name: "fsck",
+        options: &["in"],
+        switches: &["gc"],
+        run: commands::fsck,
+    },
+    Command {
+        name: "serve",
+        options: &["in", "addr", "threads", "access-log", "exceptions"],
+        switches: &["allow-quit"],
+        run: commands::serve,
+    },
+    Command {
+        name: "explain",
+        options: &["in", "threads", "exceptions"],
+        switches: &[],
+        run: commands::explain,
+    },
+    Command {
+        name: "lookup",
+        options: &["dataset"],
+        switches: &[],
+        run: commands::lookup,
+    },
+    Command {
+        name: "org",
+        options: &["dataset"],
+        switches: &[],
+        run: commands::org,
+    },
+    Command {
+        name: "diff",
+        options: &["old", "new"],
+        switches: &[],
+        run: commands::diff,
+    },
+    Command {
+        name: "stats",
+        options: &["dataset"],
+        switches: &[],
+        run: commands::stats,
+    },
+    Command {
+        name: "validate",
+        options: &["in", "dataset"],
+        switches: &[],
+        run: commands::validate,
+    },
+];
+
 fn run(argv: &[String]) -> Result<(), CliError> {
-    let Some(command) = argv.first() else {
+    let Some(name) = argv.first() else {
         print_usage();
         return Err("no command given".into());
     };
-    let rest = &argv[1..];
-    match command.as_str() {
-        "generate" => commands::generate(&args::Parsed::parse(rest)?),
-        "build" => commands::build(&args::Parsed::parse_with_switches(
-            rest,
-            &["strict", "resume", "spill", "strict-mem"],
-        )?),
-        "fsck" => commands::fsck(&args::Parsed::parse_with_switches(rest, &["gc"])?),
-        "serve" => commands::serve(&args::Parsed::parse_with_switches(rest, &["allow-quit"])?),
-        "explain" => commands::explain(&args::Parsed::parse_with_switches(rest, &["frozen"])?),
-        "lookup" => commands::lookup(&args::Parsed::parse(rest)?),
-        "org" => commands::org(&args::Parsed::parse(rest)?),
-        "diff" => commands::diff(&args::Parsed::parse(rest)?),
-        "stats" => commands::stats(&args::Parsed::parse(rest)?),
-        "validate" => commands::validate(&args::Parsed::parse(rest)?),
-        "help" | "--help" | "-h" => {
-            print_usage();
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}; try `prefix2org help`").into()),
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print_usage();
+        return Ok(());
     }
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command {name:?}; try `prefix2org help`"))?;
+    let args = args::Parsed::new(&argv[1..], command.name, command.options, command.switches)?;
+    (command.run)(&args)
 }
 
-fn print_usage() {
-    println!(
-        "\
+/// The `prefix2org help` text: one entry per command, headed by its
+/// usage line.
+const USAGE: &str = "\
 prefix2org — map BGP prefixes to organizations (IMC'25 reproduction)
 
 USAGE:
@@ -155,10 +239,9 @@ USAGE:
       checksummed checkpoint stamp FILE.jsonl.ckpt is written last.
       Alongside the export, a frozen zero-copy artifact DIR/world.p2ob is
       written (flattened LPM tables, interned strings, fixed-width
-      records); `serve` boots from it in milliseconds and `explain
-      --frozen` prints each record's trace from it. The freeze is
-      verified to thaw back to the export byte-for-byte before it is
-      written.
+      records); `serve` boots from it in milliseconds and `explain`
+      prints each record's trace from it. The freeze is verified to thaw
+      back to the export byte-for-byte before it is written.
       Corrupt input records are skipped and quarantined by default (counts
       go to stderr and the report's data_quality section); exit code 2 is
       reserved for ingest failures. --strict aborts on the first corrupt
@@ -181,8 +264,8 @@ USAGE:
       exposition format.
       --exceptions applies SLURM-style local operator rules (RFC 8416
       spirit) after resolution: one JSON object per line, either
-      {{\"prefix\":P,\"action\":\"assert\",\"org\":NAME}} to override a
-      prefix's attribution or {{\"prefix\":P,\"action\":\"filter\"}} to drop a bogus
+      {\"prefix\":P,\"action\":\"assert\",\"org\":NAME} to override a
+      prefix's attribution or {\"prefix\":P,\"action\":\"filter\"} to drop a bogus
       record entirely. The last rule per prefix wins. Overrides keep the
       inferred evidence and are marked in the export (local_exception),
       the frozen artifact, and every provenance trace. Rule-file content
@@ -191,22 +274,27 @@ USAGE:
       damaged line warns and is quarantined (--strict aborts instead).
       --spill streams the ingest through sorted on-disk spill runs
       (written atomically under DIR/spill/) and merges them with a
-      bounded working set, so a directory larger than RAM still builds;
-      the export is byte-identical to the in-memory path. --mem-budget
-      BYTES bounds the transient working set: the spill chunk sizes are
-      derived from it, and an in-memory build whose largest input would
-      exceed it degrades to the spill path with a warning (--strict-mem
-      aborts with exit 2 instead; it requires --mem-budget). Peak usage,
-      budget, and spill traffic land in the run report's memory section
-      and the mem.* counters of --metrics.
+      bounded set of transient buffers; the export is byte-identical to
+      the in-memory path. --mem-budget BYTES bounds those transient
+      buffers: the spill chunk sizes are derived from it, and an
+      in-memory build whose largest input would exceed it degrades to
+      the spill path with a warning (--strict-mem aborts with exit 2
+      instead; it requires --mem-budget). The budget does not bound the
+      process: the parsed inputs, the dataset, the export and the frozen
+      artifact are held in memory either way, so the inputs must fit in
+      RAM (on the xl world the spill build peaks at about the RSS of the
+      in-memory one). Peak buffer usage, budget, and spill traffic land
+      in the run report's memory section and the mem.* counters of
+      --metrics.
 
   prefix2org fsck DIR [--gc]
-      Audit a data directory: verify every file `generate` recorded in
-      MANIFEST.tsv, flag leftover .p2o-tmp files from interrupted writes
-      and orphaned .spill runs from interrupted streaming builds, check
-      that checkpoint stamps unframe cleanly, audit frozen .p2ob datasets
-      (frame length, trailing bytes and digest, arena layout,
-      format_version, string/LPM table invariants), and reject unsupported
+      Audit a data directory (DIR may also be given as --in DIR): verify
+      every file `generate` recorded in MANIFEST.tsv, flag leftover
+      .p2o-tmp files from interrupted writes and orphaned .spill runs
+      from interrupted streaming builds, check that checkpoint stamps
+      unframe cleanly, audit frozen .p2ob datasets (frame length,
+      trailing bytes and digest, arena layout, format_version,
+      string/LPM table invariants), and reject unsupported
       format_versions. Exits 2 when anything is damaged. --gc deletes the
       removable debris (tmp files and orphaned spill runs) after the audit,
       then re-audits; the exit code reflects the state after collection.
@@ -214,15 +302,17 @@ USAGE:
   prefix2org serve DIR [--addr HOST:PORT] [--threads N]
                    [--access-log FILE] [--allow-quit] [--exceptions FILE.jsonl]
       Serve the directory as a long-running lookup service (default
-      address 127.0.0.1:8642). The directory is fsck-audited before
-      loading; damage refuses to start with exit 2. Every snapshot
-      serves a frozen dataset: when DIR/world.p2ob matches the
-      directory's current inputs it is attached in milliseconds;
-      when it is missing or stale, the full load is frozen in memory
-      at boot (with a warning if stale), answering identically.
+      address 127.0.0.1:8642; DIR may also be given as --in DIR). The
+      directory is fsck-audited before loading; damage refuses to start
+      with exit 2. Every snapshot serves a frozen dataset: when
+      DIR/world.p2ob matches the directory's current inputs it is
+      attached in milliseconds; when it is missing or stale, the full
+      load is frozen in memory at boot (with a warning if stale),
+      answering identically; --threads is used only for that in-memory
+      freeze.
       Endpoints: GET /prefix/<cidr> (longest-match lookup with DO, DC
       chain, cluster, MOAS origin set, and the matched record's stored
-      provenance chain, as `explain --frozen` prints it), POST /batch
+      provenance chain, as `explain` prints it), POST /batch
       (one CIDR per line, JSONL out), GET /dump
       [?serial=N] (full table as a reset, or the delta since serial N),
       GET /metrics (Prometheus text exposition incl. serve.* cumulative
@@ -245,17 +335,21 @@ USAGE:
       with 503 while the old snapshot keeps serving. /health, /status
       and /metrics report the override count and ROV state tallies.
 
-  prefix2org explain --in DIR PREFIX... [--threads N] [--frozen]
-                     [--exceptions FILE.jsonl]
-      Replay the mapping decision for each prefix and print the rule
-      chain behind it: routing-table lookup, radix LPM walk, WHOIS
-      delegation matches, base name, RPKI certificate, origin-ASN
-      clusters, cluster merges, final cluster label. --frozen prints the
-      matched record's trace from DIR/world.p2ob instead of replaying the
-      pipeline (byte-identical for record prefixes). --exceptions
-      applies a local rule file first, so the trace shows operator
-      overrides (local_exception) and filtered prefixes exactly as a
-      build with the same rules would.
+  prefix2org explain --in DIR PREFIX... [--exceptions FILE.jsonl] [--threads N]
+      Print the rule chain behind each prefix's answer: routing-table
+      lookup, radix LPM walk, WHOIS delegation matches, base name, RPKI
+      certificate, ROV state, origin-ASN clusters, cluster merges, final
+      cluster label. DIR is loaded exactly as `serve` boots it: audited,
+      then DIR/world.p2ob when it is fresh, else a full load frozen in
+      memory. Each prefix is answered by the record /prefix would
+      match: that record's stored trace, after a `covered by` note when
+      the prefix is more specific than the record, or `no covering
+      record`. An unrouted or unresolved prefix answers like any other
+      prefix that is not a record. Damage or a rejected rule line exits
+      2, as it refuses a `serve` boot. --exceptions applies a local rule
+      file as `serve --exceptions` does, so the trace shows operator
+      overrides (local_exception) and a filtered prefix answers by its
+      covering record. --threads is used only for an in-memory freeze.
 
   prefix2org lookup --dataset FILE.jsonl PREFIX...
       Longest-match lookup of prefixes in a built snapshot.
@@ -273,6 +367,98 @@ USAGE:
 
   prefix2org validate --in DIR --dataset FILE.jsonl
       Evaluate the snapshot against the directory's ground-truth lists
-      (per-organization precision/recall, paper Tables 5-6)."
-    );
+      (per-organization precision/recall, paper Tables 5-6).";
+
+fn print_usage() {
+    println!("{USAGE}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// Each command's [`USAGE`] entry: from its `  prefix2org NAME` usage
+    /// line up to the next command's.
+    fn entries() -> Vec<(&'static str, &'static str)> {
+        let starts: Vec<(usize, &'static str)> = USAGE
+            .match_indices("\n  prefix2org ")
+            .map(|(at, heading)| {
+                let name = USAGE[at + heading.len()..].split(' ').next().unwrap();
+                (at, name)
+            })
+            .collect();
+        starts
+            .iter()
+            .enumerate()
+            .map(|(i, &(at, name))| {
+                let end = starts.get(i + 1).map_or(USAGE.len(), |&(next, _)| next);
+                (name, &USAGE[at..end])
+            })
+            .collect()
+    }
+
+    /// The `--flags` an entry names, each with the command it belongs to:
+    /// the entry's own, except inside a backtick span that opens with
+    /// another command's name (`build --spill`), whose flags are that
+    /// command's.
+    fn named_flags(own: &'static str, entry: &'static str) -> Vec<(&'static str, &'static str)> {
+        let mut named = Vec::new();
+        for (i, span) in entry.split('`').enumerate() {
+            let mut words = span.split_whitespace().skip_while(|w| *w == "prefix2org");
+            let quoted = words
+                .next()
+                .filter(|_| i % 2 == 1)
+                .and_then(|first| COMMANDS.iter().find(|c| c.name == first));
+            let owner = quoted.map_or(own, |c| c.name);
+            for word in span.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                match word.strip_prefix("--") {
+                    Some(flag) if !flag.is_empty() => named.push((owner, flag)),
+                    _ => {}
+                }
+            }
+        }
+        named
+    }
+
+    /// Whether `command`'s parser takes `--flag` (with a value, if it is
+    /// an option).
+    fn accepts(command: &Command, flag: &str) -> bool {
+        let argv = [format!("--{flag}"), "value".to_string()];
+        args::Parsed::new(&argv, command.name, command.options, command.switches).is_ok()
+    }
+
+    /// The help text and the parser stay in step: each command's entry
+    /// names every option and switch the command accepts, and every flag
+    /// an entry names is accepted by the command it belongs to.
+    #[test]
+    fn help_names_exactly_the_options_each_command_accepts() {
+        let entries = entries();
+        let names: Vec<&str> = entries.iter().map(|&(name, _)| name).collect();
+        let commands: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        assert_eq!(names, commands, "one help entry per command, in order");
+        for (command, (name, entry)) in COMMANDS.iter().zip(entries) {
+            let mut own = BTreeSet::new();
+            for (owner, flag) in named_flags(name, entry) {
+                let owner = COMMANDS.iter().find(|c| c.name == owner).unwrap();
+                assert!(
+                    accepts(owner, flag),
+                    "the {name} entry names --{flag}, which {} does not accept",
+                    owner.name
+                );
+                if owner.name == name {
+                    own.insert(flag);
+                }
+            }
+            for flag in command.options.iter().chain(command.switches) {
+                assert!(
+                    own.contains(flag),
+                    "{name} accepts --{flag}, but its help entry never names it"
+                );
+            }
+        }
+        // The parser really refuses what no entry names.
+        let explain = COMMANDS.iter().find(|c| c.name == "explain").unwrap();
+        assert!(!accepts(explain, "frozen"));
+    }
 }

@@ -493,11 +493,20 @@ fn build_report_dash_writes_json_to_stdout() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `explain` prints a record's stored trace, naming every rule, and the
+/// bytes do not depend on how the dataset was obtained: an unbuilt copy of
+/// the world, frozen in memory on one thread or on four, prints what the
+/// built copy's artifact prints. A prefix no record covers says so.
 #[test]
 fn explain_prints_deterministic_rule_chain() {
     let dir = temp_dir("explain");
+    let unbuilt = temp_dir("explain-unbuilt");
     let dataset = generate_and_build(&dir, None);
     let dir_s = dir.to_str().unwrap();
+    let unbuilt_s = unbuilt.to_str().unwrap();
+    run_ok(&[
+        "generate", "--out", unbuilt_s, "--scale", "tiny", "--seed", "99",
+    ]);
 
     // Explain a prefix straight out of the built dataset.
     let text = std::fs::read_to_string(&dataset).unwrap();
@@ -516,16 +525,66 @@ fn explain_prints_deterministic_rule_chain() {
     ] {
         assert!(out.contains(rule), "missing {rule}:\n{out}");
     }
-    // The chain is deterministic across thread counts.
-    let seq = run_ok(&["explain", "--in", dir_s, prefix, "--threads", "1"]);
-    let par = run_ok(&["explain", "--in", dir_s, prefix, "--threads", "4"]);
-    assert_eq!(seq, par);
+    for threads in ["1", "4"] {
+        assert_eq!(
+            run_ok(&["explain", "--in", unbuilt_s, prefix, "--threads", threads]),
+            out,
+            "unbuilt copy at --threads {threads}"
+        );
+    }
 
-    // A prefix with no covering delegation ends at the miss.
     let out = run_ok(&["explain", "--in", dir_s, "198.51.100.0/24"]);
-    assert!(out.contains("whois.unresolved"), "{out}");
+    assert_eq!(
+        out,
+        "198.51.100.0/24: no covering record in the frozen dataset\n"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&unbuilt);
+}
+
+/// A misspelt or retired option is refused by name, with exit 1, before
+/// it can take the next argument as its value: `explain --frozen P1 P2`
+/// fails instead of answering only `P2`.
+#[test]
+fn unknown_options_are_refused_by_name() {
+    for (args, key) in [
+        (
+            &["explain", "--in", "/nonexistent", "--frozen", "41.0.0.0/22"][..],
+            "--frozen",
+        ),
+        (
+            &[
+                "explain",
+                "--in",
+                "/nonexistent",
+                "--frozn",
+                "41.0.0.0/22",
+                "10.1.0.0/16",
+            ],
+            "--frozn",
+        ),
+        (
+            &[
+                "build",
+                "--in",
+                "/nonexistent",
+                "--out",
+                "/nonexistent/x.jsonl",
+                "--thread",
+                "4",
+            ],
+            "--thread",
+        ),
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("prefix2org: error: unknown option {key} for {}\n", args[0])
+        );
+    }
 }
 
 #[test]

@@ -191,7 +191,8 @@ pub struct Clusterer {
     /// byte-identical at any thread count.
     pub threads: usize,
     /// Record [`ClusteringOutput::merge_edges`]; off by default (the edge
-    /// list allocates per union and is only needed by `p2o explain`).
+    /// list allocates per union and is only needed for the `cluster.merge`
+    /// trace steps).
     pub record_merge_evidence: bool,
     obs: Option<p2o_obs::Obs>,
 }

@@ -1,24 +1,18 @@
 //! `p2o explain <prefix>` — the provenance rule chain behind one mapping.
 //!
-//! [`Pipeline::explain`] replays the decision a full run would make for a
-//! single prefix and records every rule consulted along the way in a
-//! [`Trace`]: the routing-table lookup, the radix LPM walk over the
+//! A [`Trace`] records every rule consulted on the way to a record's
+//! attribution: the routing-table lookup, the radix LPM walk over the
 //! delegation tree, each WHOIS delegation matched (Direct Owner and
 //! Delegated Customers), and the clustering evidence (base name, RPKI
 //! certificate, origin-ASN clusters, merge edges) behind its final cluster.
 //!
 //! Each step is a typed [`Step`]: the facts a rule matched, not a rendered
 //! sentence. Its [`TraceStep::write_detail`] is the one writer of each
-//! rule's detail, so the live paths here and the frozen artifact, which
-//! builds the same steps from a record's stored fields, print the same
-//! text.
-//!
-//! The trace construction is split in two layers so a long-running service
-//! can reuse it without re-running the pipeline per query:
-//! [`attribution_trace`] builds the chain against an *already computed*
-//! dataset and merge-edge list, while [`Pipeline::explain`] computes them
-//! on the fly and then delegates — guaranteeing the two paths render
-//! byte-identical attributions for any prefix the dataset covers.
+//! rule's detail. Every surface answers from the frozen artifact, which
+//! builds a record's steps from its stored fields
+//! ([`FrozenDataset::provenance`](crate::FrozenDataset::provenance)).
+//! [`attribution_trace`] builds the same steps from the pipeline's own
+//! structures; it is the reference the frozen traces are tested against.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -31,9 +25,8 @@ use p2o_whois::alloc::AllocationType;
 use p2o_whois::Registry;
 
 use crate::cluster::MergeEdge;
-use crate::dataset::Prefix2OrgDataset;
-use crate::exceptions::{ExceptionAction, ExceptionSet};
-use crate::pipeline::{Pipeline, PipelineInputs};
+use crate::dataset::{Prefix2OrgDataset, PrefixRecord};
+use crate::pipeline::PipelineInputs;
 use crate::resolve::{LpmWalk, Resolver};
 
 /// A decision trace of typed [`Step`]s.
@@ -66,10 +59,6 @@ impl<'a> Numbers<'a> {
             .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
-    fn into_owned(self) -> Numbers<'static> {
-        Numbers(Cow::Owned(self.0.into_owned()))
-    }
-
     /// Writes the values joined by `", "`, each after `tag`.
     fn write_list<W: fmt::Write + ?Sized>(&self, out: &mut W, tag: &str) -> fmt::Result {
         for (i, value) in self.iter().enumerate() {
@@ -87,13 +76,13 @@ impl fmt::Debug for Numbers<'_> {
 }
 
 /// One rule applied on the way to an attribution, holding the facts it
-/// matched. The live paths build steps from the pipeline's own structures;
-/// the frozen artifact builds them from a record's fields, its chain steps,
-/// its pool slices, its cluster row and its owner's merge rows.
+/// matched. The frozen artifact builds steps from a record's fields, its
+/// chain steps, its pool slices, its cluster row and its owner's merge
+/// rows; [`attribution_trace`] builds them from the pipeline's own
+/// structures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Step<'a> {
-    /// `bgp.origins`: the prefix's origin ASNs, ascending; none when the
-    /// prefix is not in the routing table.
+    /// `bgp.origins`: the routed prefix's origin ASNs, ascending.
     Origins(Numbers<'a>),
     /// `radix.lpm`: the walk over the delegation tree.
     Lpm(LpmWalk),
@@ -117,8 +106,6 @@ pub enum Step<'a> {
         /// The registry holding the delegation.
         registry: Registry,
     },
-    /// `whois.unresolved`: no covering Direct Owner delegation.
-    Unresolved,
     /// `cluster.base_name`: the owner's name and the base name it reduces to.
     BaseName {
         /// The Direct Owner's WHOIS name.
@@ -150,53 +137,6 @@ pub enum Step<'a> {
     },
     /// `local_exception`: an operator `assert` rule's organization.
     Asserted(Cow<'a, str>),
-    /// `local_exception`: an operator `filter` rule removed the record.
-    Filtered,
-}
-
-impl Step<'_> {
-    /// The step with every borrowed field copied.
-    fn into_owned(self) -> Step<'static> {
-        let own = |s: Cow<'_, str>| Cow::Owned(s.into_owned());
-        match self {
-            Step::Origins(asns) => Step::Origins(asns.into_owned()),
-            Step::Lpm(walk) => Step::Lpm(walk),
-            Step::Customer { org, alloc, block } => Step::Customer {
-                org: own(org),
-                alloc,
-                block,
-            },
-            Step::Owner {
-                org,
-                alloc,
-                block,
-                registry,
-            } => Step::Owner {
-                org: own(org),
-                alloc,
-                block,
-                registry,
-            },
-            Step::Unresolved => Step::Unresolved,
-            Step::BaseName { owner, base } => Step::BaseName {
-                owner: own(owner),
-                base: own(base),
-            },
-            Step::Certificate(cert) => Step::Certificate(cert.map(own)),
-            Step::Rov(rov) => Step::Rov(rov),
-            Step::AsnClusters(ids) => Step::AsnClusters(ids.into_owned()),
-            Step::Merge { other, evidence } => Step::Merge {
-                other: own(other),
-                evidence: own(evidence),
-            },
-            Step::Final { label, names } => Step::Final {
-                label: own(label),
-                names,
-            },
-            Step::Asserted(org) => Step::Asserted(own(org)),
-            Step::Filtered => Step::Filtered,
-        }
-    }
 }
 
 impl TraceStep for Step<'_> {
@@ -206,14 +146,13 @@ impl TraceStep for Step<'_> {
             Step::Lpm(_) => "radix.lpm",
             Step::Customer { .. } => "whois.delegated_customer",
             Step::Owner { .. } => "whois.direct_owner",
-            Step::Unresolved => "whois.unresolved",
             Step::BaseName { .. } => "cluster.base_name",
             Step::Certificate(_) => "rpki.certificate",
             Step::Rov(_) => "rpki.rov",
             Step::AsnClusters(_) => "as2org.clusters",
             Step::Merge { .. } => "cluster.merge",
             Step::Final { .. } => "cluster.final",
-            Step::Asserted(_) | Step::Filtered => "local_exception",
+            Step::Asserted(_) => "local_exception",
         }
     }
 
@@ -222,9 +161,6 @@ impl TraceStep for Step<'_> {
     /// formatting machinery.
     fn write_detail<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Step::Origins(asns) if asns.0.is_empty() => {
-                out.write_str("not in the routing table (hypothetical mapping)")
-            }
             Step::Origins(asns) => {
                 out.write_str("routed, announced by ")?;
                 asns.write_list(out, "AS")
@@ -249,9 +185,6 @@ impl TraceStep for Step<'_> {
                 write_all(out, &[org, " via ", alloc.keyword(), " on "])?;
                 block.write_to(out)?;
                 write_all(out, &[" [", registry.name(), "]"])
-            }
-            Step::Unresolved => {
-                out.write_str("no covering Direct Owner delegation — prefix stays unmapped")
             }
             Step::BaseName { owner, base } => write_all(
                 out,
@@ -279,7 +212,6 @@ impl TraceStep for Step<'_> {
                 out,
                 &["operator rule overrides attribution to \"", org, "\""],
             ),
-            Step::Filtered => out.write_str("filtered as bogus by operator rule: no attribution"),
         }
     }
 }
@@ -304,24 +236,21 @@ fn write_u32<W: fmt::Write + ?Sized>(out: &mut W, mut value: u32) -> fmt::Result
     out.write_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"))
 }
 
-/// The shared trace prelude: routing-table consultation plus the traced
-/// resolution walk. Returns the trace and whether resolution found a
-/// covering Direct Owner (when it did not, the chain already ends at the
-/// `whois.unresolved` step and no cluster steps apply).
-fn trace_prelude<'a>(inputs: &PipelineInputs<'a>, prefix: &Prefix) -> (Trace<'a>, bool) {
+/// The routing and resolution steps of a record prefix's trace: its origin
+/// ASNs, then the traced resolution walk down to the Direct Owner.
+fn trace_prelude<'a>(inputs: &PipelineInputs<'a>, prefix: &Prefix) -> Trace<'a> {
     let mut trace = Trace::new(prefix.to_string());
     let origins = inputs.routes.origins(prefix).into_iter().flatten();
     trace.push(Step::Origins(Numbers::of(origins.copied())));
-    let resolved = Resolver
+    Resolver
         .resolve_traced(inputs.delegations, prefix, &mut trace)
-        .is_some();
-    (trace, resolved)
+        .expect("a record prefix has a covering Direct Owner");
+    trace
 }
 
 /// Merge edges indexed by endpoint name: for each name, the edges naming
-/// it as `a` or `b`, in list order. Built once per freeze or `explain`, so
-/// an owner's merge steps cost one hash lookup instead of a scan of every
-/// edge.
+/// it as `a` or `b`, in list order. Built once per freeze, so an owner's
+/// merge steps cost one hash lookup instead of a scan of every edge.
 pub(crate) struct MergeIndex<'e> {
     by_name: HashMap<&'e str, Vec<&'e MergeEdge>>,
 }
@@ -357,9 +286,10 @@ impl<'e> MergeIndex<'e> {
     }
 }
 
-/// Appends the clustering evidence steps for `prefix`'s record in
-/// `dataset`: base name, RPKI certificate, origin-ASN clusters, every merge
-/// edge touching the Direct Owner, and the final cluster label.
+/// Appends the clustering evidence steps for `record` of `dataset`: base
+/// name, RPKI certificate, ROV state, origin-ASN clusters, every merge edge
+/// touching the Direct Owner, the final cluster label, and the operator
+/// override if any.
 ///
 /// Merge edges name basic-cleaned 𝒲 clusters while the match is on the raw
 /// Direct Owner, so an owner whose WHOIS name is not already lowercase and
@@ -372,11 +302,8 @@ fn push_cluster_steps<'a>(
     trace: &mut Trace<'a>,
     dataset: &'a Prefix2OrgDataset,
     merge_edges: &MergeIndex<'a>,
-    prefix: &Prefix,
+    record: &'a PrefixRecord,
 ) {
-    let Some(record) = dataset.record(prefix) else {
-        return;
-    };
     trace.push(Step::BaseName {
         owner: Cow::Borrowed(&record.direct_owner),
         base: Cow::Borrowed(&record.base_name),
@@ -406,101 +333,29 @@ fn push_cluster_steps<'a>(
     }
 }
 
-/// Builds the full decision trace for `prefix` against an already-computed
-/// `dataset` and `merge_edges`, as [`Pipeline::dataset_with_evidence`]
-/// returns them.
+/// The decision trace of `prefix`'s record, built from the pipeline's own
+/// structures: `dataset` and `merge_edges` as
+/// [`Pipeline::dataset_with_evidence`](crate::Pipeline::dataset_with_evidence)
+/// returns them, with any operator exceptions already applied. It is the
+/// reference the frozen artifact is held to:
+/// [`FrozenDataset::provenance`](crate::FrozenDataset::provenance) renders
+/// the record's trace as this one renders.
 ///
-/// For any prefix with a record in `dataset`, the result is byte-identical
-/// to [`Pipeline::explain`] on the same inputs, and to what the frozen
-/// artifact renders for the record. Prefixes the dataset does not cover
-/// still get the routing and resolution steps; the chain simply ends
-/// there.
+/// # Panics
+///
+/// When `prefix` is not a record prefix of `dataset`.
 pub fn attribution_trace<'a>(
     inputs: &PipelineInputs<'a>,
     dataset: &'a Prefix2OrgDataset,
     merge_edges: &'a [MergeEdge],
     prefix: &Prefix,
 ) -> Trace<'a> {
-    attribution_trace_with(inputs, dataset, merge_edges, None, prefix)
-}
-
-/// [`attribution_trace`] with local operator exceptions in view.
-///
-/// `dataset` must already have the exceptions applied (asserted overrides
-/// render from the record itself); the set is only consulted to explain
-/// prefixes a `filter` rule removed — without it a filtered prefix is
-/// indistinguishable from one the pipeline never attributed.
-pub fn attribution_trace_with<'a>(
-    inputs: &PipelineInputs<'a>,
-    dataset: &'a Prefix2OrgDataset,
-    merge_edges: &'a [MergeEdge],
-    exceptions: Option<&ExceptionSet>,
-    prefix: &Prefix,
-) -> Trace<'a> {
-    let (mut trace, resolved) = trace_prelude(inputs, prefix);
-    if !resolved {
-        return trace;
-    }
-    if let Some(set) = exceptions {
-        if matches!(set.rule(prefix), Some(ExceptionAction::Filter)) {
-            trace.push(Step::Filtered);
-            return trace;
-        }
-    }
-    push_cluster_steps(&mut trace, dataset, &MergeIndex::new(merge_edges), prefix);
+    let record = dataset
+        .record(prefix)
+        .unwrap_or_else(|| panic!("{prefix} is not a record prefix"));
+    let mut trace = trace_prelude(inputs, prefix);
+    push_cluster_steps(&mut trace, dataset, &MergeIndex::new(merge_edges), record);
     trace
-}
-
-/// `trace` with every step's borrowed fields copied.
-fn owned(trace: Trace<'_>) -> Trace<'static> {
-    DecisionTrace {
-        subject: trace.subject,
-        steps: trace.steps.into_iter().map(Step::into_owned).collect(),
-    }
-}
-
-impl Pipeline {
-    /// Explains how `prefix` would be mapped by this pipeline: every rule
-    /// consulted, in application order.
-    ///
-    /// The chain is deterministic — it carries no timestamps, thread ids or
-    /// iteration-order artifacts, so identical inputs render the identical
-    /// explanation at any thread count. Prefixes absent from the routing
-    /// table are still explained (as a hypothetical mapping); prefixes with
-    /// no covering Direct Owner delegation end at a `whois.unresolved` step.
-    pub fn explain(&self, inputs: &PipelineInputs<'_>, prefix: &Prefix) -> Trace<'static> {
-        self.explain_with(inputs, None, prefix)
-    }
-
-    /// [`Pipeline::explain`] with local operator exceptions applied, so the
-    /// trace reports overridden attributions (`local_exception` step) and
-    /// filtered prefixes exactly as a build with `--exceptions` would.
-    pub fn explain_with(
-        &self,
-        inputs: &PipelineInputs<'_>,
-        exceptions: Option<&ExceptionSet>,
-        prefix: &Prefix,
-    ) -> Trace<'static> {
-        let (trace, resolved) = trace_prelude(inputs, prefix);
-        if !resolved {
-            return owned(trace);
-        }
-
-        // Re-run resolution over the routed table (plus this prefix, when it
-        // is not routed) and cluster with merge evidence, so the final label
-        // and every merge touching this owner can be reported.
-        let (mut dataset, merge_edges) = self.dataset_with_evidence(inputs, Some(prefix), None);
-        if let Some(set) = exceptions {
-            set.apply(&mut dataset);
-        }
-        owned(attribution_trace_with(
-            inputs,
-            &dataset,
-            &merge_edges,
-            exceptions,
-            prefix,
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -508,6 +363,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::cluster::ClusterOptions;
     use crate::frozen::{freeze, FrozenDataset};
+    use crate::Pipeline;
     use p2o_rpki::{IpResourceSet, RpkiRepository, ValidatedRepo};
     use p2o_whois::WhoisDb;
 
@@ -528,6 +384,8 @@ pub(crate) mod tests {
         (tree, routes)
     }
 
+    /// The trace names every rule it consults and is the same whatever
+    /// thread count built the dataset.
     #[test]
     fn explain_is_deterministic_and_names_every_rule() {
         let (tree, routes) = fixture();
@@ -540,70 +398,26 @@ pub(crate) mod tests {
             rpki: &rpki,
         };
         let prefix: Prefix = "63.80.52.0/24".parse().unwrap();
-        let seq = Pipeline::with_threads(1).explain(&inputs, &prefix);
-        for rule in [
-            "bgp.origins",
-            "radix.lpm",
-            "whois.delegated_customer",
-            "whois.direct_owner",
-            "cluster.base_name",
-            "rpki.certificate",
-            "cluster.final",
-        ] {
-            assert!(seq.used(rule), "missing rule {rule}:\n{}", seq.render());
-        }
-        assert_eq!(seq, Pipeline::with_threads(4).explain(&inputs, &prefix));
-    }
-
-    #[test]
-    fn explain_covers_unrouted_and_unresolved_prefixes() {
-        let (tree, routes) = fixture();
-        let clusters = p2o_as2org::As2OrgDb::new().cluster();
-        let (rpki, _) = RpkiRepository::new().validate(20240901);
-        let inputs = PipelineInputs {
-            delegations: &tree,
-            routes: &routes,
-            asn_clusters: &clusters,
-            rpki: &rpki,
-        };
-
-        // Covered by WHOIS but not routed: hypothetical, still resolved.
-        let unrouted =
-            Pipeline::with_threads(1).explain(&inputs, &"63.100.0.0/16".parse().unwrap());
-        assert!(unrouted.used("bgp.origins"));
-        assert!(unrouted.used("whois.direct_owner"));
-        assert!(unrouted.used("cluster.final"));
-
-        // No covering delegation at all: the chain ends at the miss.
-        let miss = Pipeline::with_threads(1).explain(&inputs, &"198.51.100.0/24".parse().unwrap());
-        assert!(miss.used("whois.unresolved"));
-        assert!(!miss.used("cluster.final"));
-    }
-
-    #[test]
-    fn precomputed_attribution_is_byte_identical_to_explain() {
-        let (tree, routes) = fixture();
-        let clusters = p2o_as2org::As2OrgDb::new().cluster();
-        let (rpki, _) = RpkiRepository::new().validate(20240901);
-        let inputs = PipelineInputs {
-            delegations: &tree,
-            routes: &routes,
-            asn_clusters: &clusters,
-            rpki: &rpki,
-        };
-        let pipeline = Pipeline::with_threads(2);
-        // The snapshot precomputation: one dataset + merge-edge list.
-        let (dataset, edges) = pipeline.dataset_with_evidence(&inputs, None, None);
-        for q in ["63.80.52.0/24", "63.64.0.0/16", "198.51.100.0/24"] {
-            let prefix: Prefix = q.parse().unwrap();
-            let live = pipeline.explain(&inputs, &prefix);
-            let precomputed = attribution_trace(&inputs, &dataset, &edges, &prefix);
-            assert_eq!(
-                live.render(),
-                precomputed.render(),
-                "trace divergence for {q}"
-            );
-        }
+        let [seq, par] = [1, 4].map(|threads| {
+            let (dataset, edges) =
+                Pipeline::with_threads(threads).dataset_with_evidence(&inputs, None);
+            let trace = attribution_trace(&inputs, &dataset, &edges, &prefix);
+            for rule in [
+                "bgp.origins",
+                "radix.lpm",
+                "whois.delegated_customer",
+                "whois.direct_owner",
+                "cluster.base_name",
+                "rpki.certificate",
+                "rpki.rov",
+                "as2org.clusters",
+                "cluster.final",
+            ] {
+                assert!(trace.used(rule), "missing rule {rule}:\n{}", trace.render());
+            }
+            trace.render()
+        });
+        assert_eq!(seq, par);
     }
 
     /// The trace as it was built before typed steps: each cluster detail a
@@ -616,14 +430,12 @@ pub(crate) mod tests {
         merge_edges: &[MergeEdge],
         prefix: &Prefix,
     ) -> DecisionTrace<(String, String)> {
-        let (prelude, resolved) = trace_prelude(inputs, prefix);
+        let prelude = trace_prelude(inputs, prefix);
         let mut trace = DecisionTrace::new(prelude.subject.clone());
         for step in &prelude.steps {
             trace.push((step.rule().to_string(), detail(step)));
         }
-        let Some(record) = dataset.record(prefix).filter(|_| resolved) else {
-            return trace;
-        };
+        let record = dataset.record(prefix).expect("a record prefix");
         let mut push = |rule: &str, detail: String| trace.push((rule.to_string(), detail));
         push(
             "cluster.base_name",
@@ -758,7 +570,7 @@ pub(crate) mod tests {
                 },
                 ..Pipeline::with_threads(threads)
             };
-            let (dataset, edges) = pipeline.dataset_with_evidence(&inputs, None, None);
+            let (dataset, edges) = pipeline.dataset_with_evidence(&inputs, None);
             assert_eq!(dataset.len(), 3);
             let frozen = FrozenDataset::from_payload(freeze(&inputs, &dataset, &edges, 0)).unwrap();
             for (idx, rec) in dataset.records().iter().enumerate() {
@@ -771,7 +583,7 @@ pub(crate) mod tests {
                 assert_eq!(frozen.provenance(idx as u32), trace.render());
             }
 
-            let trace = pipeline.explain(&inputs, &hong_kong);
+            let trace = attribution_trace(&inputs, &dataset, &edges, &hong_kong);
             let merges: Vec<String> = trace
                 .steps
                 .iter()

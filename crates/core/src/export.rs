@@ -456,8 +456,7 @@ NetRange: 63.80.52.0 - 63.80.52.255\nNetType: Reassignment\nOrgName: Ceva Inc\nU
                 asn_clusters: &built.clusters,
                 rpki: &built.rpki,
             };
-            let (mut dataset, edges) =
-                Pipeline::default().dataset_with_evidence(&inputs, None, None);
+            let (mut dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
             assert_lines_match_the_oracle(&inputs, &dataset, &edges);
             if seed != 7 {
                 continue;

@@ -205,10 +205,11 @@ pub fn freeze(
 }
 
 /// The merge rows of every Direct Owner: the edges the owner's name
-/// touches (as `explain` matches them), the name each edge names at its
-/// other end and its evidence, in edge-list order. Each distinct owner's
-/// rows are stored once, in the order records first name it, and every
-/// record of the owner points at them.
+/// touches (as [`attribution_trace`](crate::attribution_trace) matches
+/// them), the name each edge names at its other end and its evidence, in
+/// edge-list order. Each distinct owner's rows are stored once, in the
+/// order records first name it, and every record of the owner points at
+/// them.
 struct OwnerMerges<'d> {
     /// `(first row, row count)` by Direct Owner name.
     slices: HashMap<&'d str, (u32, u32)>,
@@ -1001,7 +1002,9 @@ impl FrozenDataset {
     /// otherwise.
     fn with_record_steps<R>(&self, idx: u32, f: impl FnOnce(&[Step<'_>]) -> R) -> R {
         const INLINE: usize = 32;
-        let mut inline: [Step<'_>; INLINE] = std::array::from_fn(|_| Step::Unresolved);
+        // Any step with nothing to drop fills the unused slots.
+        let filler = || Step::Rov(RovStatus::NotFound);
+        let mut inline: [Step<'_>; INLINE] = std::array::from_fn(|_| filler());
         let mut heap: Vec<Step<'_>> = Vec::new();
         let mut n = 0;
         self.each_step(idx, |step| {
@@ -1009,11 +1012,7 @@ impl FrozenDataset {
                 inline[n] = step;
             } else {
                 if heap.is_empty() {
-                    heap.extend(
-                        inline
-                            .iter_mut()
-                            .map(|s| std::mem::replace(s, Step::Unresolved)),
-                    );
+                    heap.extend(inline.iter_mut().map(|s| std::mem::replace(s, filler())));
                 }
                 heap.push(step);
             }
@@ -1209,7 +1208,7 @@ impl FrozenDataset {
 mod tests {
     use super::*;
     use crate::exceptions::ExceptionSet;
-    use crate::explain::{attribution_trace, attribution_trace_with};
+    use crate::explain::attribution_trace;
     use crate::pipeline::Pipeline;
     use p2o_synth::{World, WorldConfig};
 
@@ -1222,7 +1221,7 @@ mod tests {
             asn_clusters: &built.clusters,
             rpki: &built.rpki,
         };
-        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
+        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
         let jsonl = to_jsonl(&dataset);
         let payload = freeze(&inputs, &dataset, &edges, 0xDEAD_BEEF);
         (FrozenDataset::from_payload(payload).unwrap(), jsonl)
@@ -1247,7 +1246,7 @@ mod tests {
             asn_clusters: &built.clusters,
             rpki: &built.rpki,
         };
-        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
+        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
         let jsonl = to_jsonl(&dataset);
         let frozen = freeze_verified(&inputs, &dataset, &edges, 7, &jsonl, 1, None).unwrap();
         assert_eq!(frozen.payload(), &freeze(&inputs, &dataset, &edges, 7)[..]);
@@ -1304,7 +1303,7 @@ mod tests {
                 asn_clusters: &built.clusters,
                 rpki: &built.rpki,
             };
-            let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
+            let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
             let jsonl = to_jsonl(&dataset);
             let one = freeze(&inputs, &dataset, &edges, 3);
             for shards in 1..=8 {
@@ -1330,7 +1329,7 @@ mod tests {
             asn_clusters: &built.clusters,
             rpki: &built.rpki,
         };
-        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
+        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
         let payload = freeze(&inputs, &dataset, &edges, 1);
         let frozen = FrozenDataset::from_payload(payload).unwrap();
         assert_eq!(frozen.len(), dataset.len());
@@ -1385,7 +1384,7 @@ mod tests {
             let (rules, rejects) = ExceptionSet::parse_lenient(&rules);
             assert!(rejects.is_empty(), "{rejects:?}");
             for exceptions in [None, Some(&rules)] {
-                let (mut dataset, edges) = pipeline.dataset_with_evidence(&inputs, None, None);
+                let (mut dataset, edges) = pipeline.dataset_with_evidence(&inputs, None);
                 if let Some(set) = exceptions {
                     let summary = set.apply(&mut dataset);
                     assert_eq!((summary.asserted, summary.filtered), (1, 1));
@@ -1396,13 +1395,7 @@ mod tests {
                         freeze_verified(&inputs, &dataset, &edges, 0, &jsonl, shards, None)
                             .unwrap();
                     for (idx, rec) in (0u32..).zip(dataset.records()) {
-                        let trace = attribution_trace_with(
-                            &inputs,
-                            &dataset,
-                            &edges,
-                            exceptions,
-                            &rec.prefix,
-                        );
+                        let trace = attribution_trace(&inputs, &dataset, &edges, &rec.prefix);
                         let text = trace.render();
                         assert_eq!(frozen.provenance(idx), text, "{}", rec.prefix);
                         let mut json = String::new();
@@ -1452,7 +1445,7 @@ mod tests {
             asn_clusters: &clusters,
             rpki: &rpki,
         };
-        let (dataset, edges) = Pipeline::with_threads(1).dataset_with_evidence(&inputs, None, None);
+        let (dataset, edges) = Pipeline::with_threads(1).dataset_with_evidence(&inputs, None);
         let frozen = FrozenDataset::from_payload(freeze(&inputs, &dataset, &edges, 0)).unwrap();
         let trace = attribution_trace(&inputs, &dataset, &edges, &dataset.records()[0].prefix);
         assert!(trace.steps.len() > 32, "{} steps", trace.steps.len());
@@ -1486,7 +1479,7 @@ mod tests {
             asn_clusters: &built.clusters,
             rpki: &built.rpki,
         };
-        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None, None);
+        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
         let a = freeze(&inputs, &dataset, &edges, 5);
         let b = freeze(&inputs, &dataset, &edges, 5);
         assert_eq!(a, b, "same inputs must freeze to identical bytes");
@@ -1542,7 +1535,7 @@ mod tests {
             },
             ..Pipeline::with_threads(1)
         };
-        let (dataset, edges) = pipeline.dataset_with_evidence(&inputs, None, None);
+        let (dataset, edges) = pipeline.dataset_with_evidence(&inputs, None);
         freeze(&inputs, &dataset, &edges, 0)
     }
 

@@ -69,7 +69,7 @@ pub use cluster::{ClusterId, Clusterer, ClusteringOutput, MergeEdge};
 pub use dataset::{CustomerStep, DatasetMetrics, Prefix2OrgDataset, PrefixRecord};
 pub use delta::{diff, DatasetDelta, OwnerChange};
 pub use exceptions::{ExceptionAction, ExceptionSet, ExceptionSummary};
-pub use explain::{attribution_trace, attribution_trace_with, Step, Trace};
+pub use explain::{attribution_trace, Step, Trace};
 pub use export::{from_jsonl, to_jsonl, ExportRecord};
 pub use frozen::{
     freeze, freeze_verified, FrozenDataset, FROZEN_FILE, FROZEN_FORMAT_VERSION, FROZEN_LABEL,

@@ -67,28 +67,25 @@ impl Pipeline {
 
     /// Runs the full pipeline and assembles the dataset.
     pub fn run(&self, inputs: &PipelineInputs<'_>) -> Prefix2OrgDataset {
-        self.dataset_with_evidence(inputs, None, None).0
+        self.dataset_with_evidence(inputs, None).0
     }
 
     /// The one pipeline run behind every entry point: resolution,
-    /// clustering with merge-evidence recording, assembly and ROV,
-    /// returning the dataset and the merge edges the frozen artifact and
-    /// `explain` need. When `extra` names a
-    /// prefix missing from the routing table it is resolved alongside the
-    /// routed set, so even hypothetical mappings get a record. With `obs`,
-    /// the run records its `pipeline.*`, `cluster.*` and `rov.*` counters,
-    /// the `pipeline.resolve` / `pipeline.cluster` / `pipeline.assemble`
-    /// stages, and the resolve and group-build spans.
+    /// clustering with merge-evidence recording, assembly and ROV over the
+    /// routed prefixes, returning the dataset and the merge edges the
+    /// frozen artifact's `cluster.merge` trace steps are built from. With
+    /// `obs`, the run records its `pipeline.*`, `cluster.*` and `rov.*`
+    /// counters, the `pipeline.resolve` / `pipeline.cluster` /
+    /// `pipeline.assemble` stages, and the resolve and group-build spans.
     pub fn dataset_with_evidence(
         &self,
         inputs: &PipelineInputs<'_>,
-        extra: Option<&Prefix>,
         obs: Option<&p2o_obs::Obs>,
     ) -> (Prefix2OrgDataset, Vec<MergeEdge>) {
         // One pass over the table collects the prefix list and counts MOAS
         // prefixes together.
         let mut moas = 0usize;
-        let mut prefixes: Vec<Prefix> = Vec::with_capacity(inputs.routes.len() + 1);
+        let mut prefixes: Vec<Prefix> = Vec::with_capacity(inputs.routes.len());
         for (p, origins) in inputs.routes.iter() {
             if origins.len() > 1 {
                 moas += 1;
@@ -99,11 +96,6 @@ impl Pipeline {
             o.counter("pipeline.routed_prefixes")
                 .add(prefixes.len() as u64);
             o.counter("pipeline.moas_prefixes").add(moas as u64);
-        }
-        if let Some(prefix) = extra {
-            if inputs.routes.origins(prefix).is_none() {
-                prefixes.push(*prefix);
-            }
         }
 
         let resolve_timer = obs.map(|o| o.stage("pipeline.resolve"));

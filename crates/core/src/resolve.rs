@@ -184,9 +184,6 @@ impl Resolver {
                 }
             }
         }
-        if let Some(t) = trace {
-            t.push(Step::Unresolved);
-        }
         None
     }
 
@@ -339,12 +336,13 @@ mod tests {
              \x20 4. whois.direct_owner        Verizon Business via Allocation on 63.64.0.0/10 [ARIN]\n"
         );
 
-        // An unresolved prefix records the miss.
+        // An unresolved prefix records only the walk that found no owner.
         let mut miss = Trace::new("200.0.0.0/16");
         assert!(Resolver
             .resolve_traced(&t, &p("200.0.0.0/16"), &mut miss)
             .is_none());
-        assert!(miss.used("whois.unresolved"));
+        assert_eq!(miss.steps.len(), 1);
+        assert!(miss.used("radix.lpm"));
     }
 
     #[test]

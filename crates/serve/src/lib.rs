@@ -31,8 +31,8 @@
 //! validated [`prefix2org::FrozenDataset`] — attached from `world.p2ob`
 //! when it is fresh, frozen in memory at load when it is missing or
 //! stale. A served lookup's `provenance` is the matched record's stored
-//! trace: what `prefix2org explain --frozen` prints for the query, and
-//! byte-identical to `prefix2org explain` for a record prefix.
+//! trace: what `prefix2org explain`, which loads its dataset the way
+//! `serve` boots, prints for the query.
 
 pub mod access;
 pub mod client;

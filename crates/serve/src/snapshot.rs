@@ -75,7 +75,7 @@ impl Snapshot {
         threads: usize,
     ) -> Result<Snapshot, String> {
         let (mut dataset, merge_edges) =
-            Pipeline::with_threads(threads.max(1)).dataset_with_evidence(inputs, None, None);
+            Pipeline::with_threads(threads.max(1)).dataset_with_evidence(inputs, None);
         exceptions.apply(&mut dataset);
         let jsonl = to_jsonl(&dataset);
         let frozen = freeze_verified(inputs, &dataset, &merge_edges, 0, &jsonl, threads, None)?;
@@ -140,12 +140,10 @@ impl Snapshot {
     ///
     /// One provenance rule holds for every query: `provenance` is the
     /// *matched record's* trace, stored at freeze time. That is what
-    /// `prefix2org explain --frozen` prints for the query (after its
-    /// `covered by` note when the query is strictly more specific), and
-    /// for a record prefix it is byte-for-byte what `prefix2org explain`
-    /// prints. A prefix a `filter` rule removed is no record, so a query
-    /// for it is answered like any other: by the record covering it, if
-    /// one does.
+    /// `prefix2org explain` prints for the query (after its `covered by`
+    /// note when the query is strictly more specific). A prefix a `filter`
+    /// rule removed is no record, so a query for it is answered like any
+    /// other: by the record covering it, if one does.
     pub fn lookup(&self, query: &Prefix) -> Option<Answer<'_>> {
         let (matched, idx) = self.frozen.lookup(query)?;
         Some(Answer {
@@ -392,8 +390,7 @@ mod tests {
             asn_clusters: &built.clusters,
             rpki: &built.rpki,
         };
-        let (mut dataset, edges) =
-            Pipeline::with_threads(1).dataset_with_evidence(&inputs, None, None);
+        let (mut dataset, edges) = Pipeline::with_threads(1).dataset_with_evidence(&inputs, None);
         let target = dataset.records()[dataset.len() / 2].prefix;
         let mut rule = Json::object();
         rule.set("prefix", target.to_string());

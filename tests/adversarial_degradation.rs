@@ -12,7 +12,8 @@
 //! rules asserting each degraded prefix back to its clean attribution must
 //! restore the (prefix → final cluster) projection *byte-identically* to
 //! the clean world, and the override must be reported identically by the
-//! explain trace, the in-memory dataset, and the frozen zero-copy artifact.
+//! reference trace, the in-memory dataset, and the frozen zero-copy
+//! artifact.
 //!
 //! Regenerate pins after an intentional behaviour change with:
 //!
@@ -29,7 +30,8 @@ use p2o_synth::adversary::{self, AdversaryOutcome, FaultClass};
 use p2o_synth::{BuiltInputs, World, WorldConfig};
 use p2o_util::Json;
 use prefix2org::{
-    freeze, ExceptionSet, FrozenDataset, MergeEdge, Pipeline, PipelineInputs, Prefix2OrgDataset,
+    attribution_trace, freeze, ExceptionSet, FrozenDataset, MergeEdge, Pipeline, PipelineInputs,
+    Prefix2OrgDataset,
 };
 
 const WORLD_SEED: u64 = 41;
@@ -55,7 +57,7 @@ fn build(built: &BuiltInputs) -> (Prefix2OrgDataset, Vec<MergeEdge>) {
         asn_clusters: &built.clusters,
         rpki: &built.rpki,
     };
-    Pipeline::with_threads(2).dataset_with_evidence(&inputs, None, None)
+    Pipeline::with_threads(2).dataset_with_evidence(&inputs, None)
 }
 
 /// `(prefix → (rov, final cluster))`, keyed canonically for order-free diffs.
@@ -273,8 +275,9 @@ fn every_fault_class_degrades_as_pinned_and_exceptions_restore() {
 }
 
 /// The override provenance for a corrected victim must agree across all
-/// three read paths: the explain trace, the in-memory dataset record, and
-/// the frozen zero-copy artifact.
+/// three read paths: the reference trace, the in-memory dataset record,
+/// and the frozen zero-copy artifact, whose stored trace `explain` and
+/// `/prefix` print.
 #[test]
 fn override_provenance_agrees_across_explain_dataset_and_frozen() {
     let mut world = World::generate(WorldConfig::tiny(WORLD_SEED));
@@ -287,7 +290,7 @@ fn override_provenance_agrees_across_explain_dataset_and_frozen() {
         rpki: &built.rpki,
     };
     let pipeline = Pipeline::with_threads(2);
-    let (mut dataset, merge_edges) = pipeline.dataset_with_evidence(&inputs, None, None);
+    let (mut dataset, merge_edges) = pipeline.dataset_with_evidence(&inputs, None);
 
     // Override the first prefix the hijacker ROA flipped to Invalid; fall
     // back to the first record if none of the affected prefixes is an
@@ -322,15 +325,15 @@ fn override_provenance_agrees_across_explain_dataset_and_frozen() {
         "the exception asserts attribution; the hijacked ROV verdict stays"
     );
 
-    // Path 2: the explain trace with the same rules applied.
-    let rendered = pipeline.explain_with(&inputs, Some(&set), &target).render();
+    // Path 2: the reference trace of the record with the rules applied.
+    let rendered = attribution_trace(&inputs, &dataset, &merge_edges, &target).render();
     assert!(
         rendered.contains("local_exception"),
-        "explain must surface the override step:\n{rendered}"
+        "the trace must surface the override step:\n{rendered}"
     );
     assert!(
         rendered.contains("Operator Override LLC"),
-        "explain must land on the overridden label:\n{rendered}"
+        "the trace must land on the overridden label:\n{rendered}"
     );
 
     // Path 3: the frozen zero-copy artifact built from the same dataset.
@@ -341,5 +344,5 @@ fn override_provenance_agrees_across_explain_dataset_and_frozen() {
     assert_eq!(frozen.rov(idx), RovStatus::Invalid);
     assert_eq!(frozen.exception_count(), 1);
     assert_eq!(frozen.rov_tallies(), dataset.rov_tallies());
-    assert!(frozen.provenance(idx).contains("local_exception"));
+    assert_eq!(frozen.provenance(idx), rendered);
 }

@@ -125,7 +125,6 @@ fn run() -> (prefix2org::Prefix2OrgDataset, p2o_obs::RunReport) {
             asn_clusters: &built.clusters,
             rpki: &built.rpki,
         },
-        None,
         Some(&obs),
     );
     (dataset, obs.report())

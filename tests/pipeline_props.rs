@@ -222,7 +222,7 @@ fn parallel_pipeline_is_byte_identical_to_sequential() {
         let run = |threads: usize| {
             let obs = p2o_obs::Obs::new();
             let (dataset, _) =
-                Pipeline::with_threads(threads).dataset_with_evidence(&inputs, None, Some(&obs));
+                Pipeline::with_threads(threads).dataset_with_evidence(&inputs, Some(&obs));
             let digest =
                 p2o_util::Digest::of_bytes(prefix2org::to_jsonl(&dataset).as_bytes()).to_string();
             (digest, obs.report())
