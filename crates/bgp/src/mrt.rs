@@ -8,8 +8,6 @@
 //! produced by `p2o-synth` flow through the identical binary path a real
 //! collector dump would.
 
-use std::convert::Infallible;
-
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use p2o_net::Prefix;
@@ -285,12 +283,8 @@ fn parse_header(h: &[u8; HEADER_LEN]) -> (u16, u16, usize) {
     )
 }
 
-/// Frames the dump at `pos`: the one framing step behind every MRT reader,
-/// whole-buffer or streamed. It needs only the dump's `total` length and
-/// `header(at)`, the 12 header bytes at `at` (asked for only when they lie
-/// inside the dump), so a caller may serve headers from memory or through
-/// a read window over a file and still find the same frames. `Ok(None)` at
-/// the end of the dump.
+/// Frames the dump `buf` at `pos`: the one framing step behind every MRT
+/// reader and the corruption injector. `None` at the end of the dump.
 ///
 /// A header that fails the checks (too short, not TABLE_DUMP_V2, or a body
 /// longer than the rest of the dump) starts a damaged range. Its length
@@ -298,55 +292,45 @@ fn parse_header(h: &[u8; HEADER_LEN]) -> (u16, u16, usize) {
 /// the end or on a plausible header, only this record is damaged.
 /// Otherwise the length itself is corrupt and the scan walks forward byte
 /// by byte to the next plausible header.
-pub fn frame_at<E>(
-    total: usize,
-    pos: usize,
-    mut header: impl FnMut(usize) -> Result<[u8; HEADER_LEN], E>,
-) -> Result<Option<Frame>, E> {
+pub fn frame_in(buf: &[u8], pos: usize) -> Option<Frame> {
+    let total = buf.len();
     if pos >= total {
-        return Ok(None);
+        return None;
     }
-    let head = if total - pos >= HEADER_LEN {
-        Some(parse_header(&header(pos)?))
-    } else {
-        None
+    let header = |at: usize| {
+        parse_header(
+            buf[at..at + HEADER_LEN]
+                .try_into()
+                .expect("header-sized slice"),
+        )
     };
+    let head = (total - pos >= HEADER_LEN).then(|| header(pos));
     let message = match head {
         None => "truncated MRT header",
         Some((mrt_type, _, _)) if mrt_type != MRT_TYPE_TABLE_DUMP_V2 => "unsupported MRT type",
         Some((_, _, len)) if len > total - pos - HEADER_LEN => "record body exceeds input",
         Some((_, subtype, len)) => {
-            return Ok(Some(Frame::Record {
+            return Some(Frame::Record {
                 start: pos,
                 end: pos + HEADER_LEN + len,
                 subtype,
-            }))
+            })
         }
     };
     // Whether `at` looks like the start of a record whose body fits.
-    let mut plausible = |at: usize| -> Result<bool, E> {
+    let plausible = |at: usize| -> bool {
         if total.saturating_sub(at) < HEADER_LEN {
-            return Ok(false);
+            return false;
         }
-        let (mrt_type, subtype, len) = parse_header(&header(at)?);
-        Ok(mrt_type == MRT_TYPE_TABLE_DUMP_V2
+        let (mrt_type, subtype, len) = header(at);
+        mrt_type == MRT_TYPE_TABLE_DUMP_V2
             && (1..=MAX_PLAUSIBLE_SUBTYPE).contains(&subtype)
-            && len <= total - at - HEADER_LEN)
+            && len <= total - at - HEADER_LEN
     };
-    let mut resync = None;
-    if let Some(cand) = head.and_then(|(_, _, len)| (pos + HEADER_LEN).checked_add(len)) {
-        if cand == total || plausible(cand)? {
-            resync = Some(cand);
-        }
-    }
-    if resync.is_none() {
-        for at in pos + 1..total {
-            if plausible(at)? {
-                resync = Some(at);
-                break;
-            }
-        }
-    }
+    let resync = head
+        .and_then(|(_, _, len)| (pos + HEADER_LEN).checked_add(len))
+        .filter(|&cand| cand == total || plausible(cand))
+        .or_else(|| (pos + 1..total).find(|&at| plausible(at)));
     let kind = match head {
         None => IngestErrorKind::MrtTruncated,
         Some((mrt_type, _, _)) if mrt_type != MRT_TYPE_TABLE_DUMP_V2 => IngestErrorKind::MrtBadType,
@@ -355,24 +339,12 @@ pub fn frame_at<E>(
         // dump was cut mid-record.
         Some(_) => IngestErrorKind::MrtTruncated,
     };
-    Ok(Some(Frame::Damaged {
+    Some(Frame::Damaged {
         start: pos,
         end: resync.unwrap_or(total),
         kind,
         message,
-    }))
-}
-
-/// [`frame_at`] over a dump held whole in memory.
-pub fn frame_in(buf: &[u8], pos: usize) -> Option<Frame> {
-    let header = |at: usize| {
-        Ok::<_, Infallible>(
-            buf[at..at + HEADER_LEN]
-                .try_into()
-                .expect("frame_at asks only for headers inside the dump"),
-        )
-    };
-    frame_at(buf.len(), pos, header).unwrap_or_else(|never| match never {})
+    })
 }
 
 impl MrtReader {
@@ -1057,16 +1029,16 @@ mod tests {
     }
 
     #[test]
-    fn framing_through_small_windows_matches_the_whole_buffer() {
+    fn framing_finds_the_damaged_ranges_the_lenient_reader_quarantines() {
         let data = damaged_dump();
-        let mut whole = Vec::new();
+        let mut frames = Vec::new();
         let mut pos = 0;
         while let Some(frame) = frame_in(&data, pos) {
             pos = frame.end();
-            whole.push(frame);
+            frames.push(frame);
         }
         assert_eq!(pos, data.len());
-        let damaged: Vec<(u64, IngestErrorKind)> = whole
+        let damaged: Vec<(u64, IngestErrorKind)> = frames
             .iter()
             .filter_map(|f| match *f {
                 Frame::Damaged { start, kind, .. } => Some((start as u64, kind)),
@@ -1085,7 +1057,7 @@ mod tests {
         );
         // The lenient reader quarantines exactly those ranges, plus the one
         // body that frames cleanly but does not decode.
-        let lenient = MrtReader::new(Bytes::from(data.clone()))
+        let lenient = MrtReader::new(Bytes::from(data))
             .unwrap()
             .read_all_lenient(1);
         let framing: Vec<(u64, IngestErrorKind)> = lenient
@@ -1096,27 +1068,6 @@ mod tests {
             .collect();
         assert_eq!(framing, damaged);
         assert_eq!(lenient.quarantined.len(), damaged.len() + 1);
-
-        // Serving headers through a window that holds only a few bytes of
-        // the dump at a time finds the same frames and damaged ranges.
-        for window in [HEADER_LEN, 13, 40, 256] {
-            let mut win_start = 0usize;
-            let mut win: Vec<u8> = Vec::new();
-            let mut header = |at: usize| -> Result<[u8; HEADER_LEN], ()> {
-                if at < win_start || at + HEADER_LEN > win_start + win.len() {
-                    win = data[at..(at + window).min(data.len())].to_vec();
-                    win_start = at;
-                }
-                Ok(win[at - win_start..][..HEADER_LEN].try_into().unwrap())
-            };
-            let mut frames = Vec::new();
-            let mut pos = 0;
-            while let Some(frame) = frame_at(data.len(), pos, &mut header).unwrap() {
-                pos = frame.end();
-                frames.push(frame);
-            }
-            assert_eq!(frames, whole, "window {window}");
-        }
     }
 
     #[test]

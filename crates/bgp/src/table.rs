@@ -143,19 +143,6 @@ impl RouteTable {
         }
     }
 
-    /// Merges another table into this one (multi-collector union). Into
-    /// an empty table, `other` is moved, not copied.
-    pub fn merge(&mut self, other: RouteTable) {
-        if self.routes.is_empty() {
-            self.routes = other.routes;
-        } else {
-            for (prefix, origins) in other.routes {
-                self.routes.entry(prefix).or_default().extend(origins);
-            }
-        }
-        self.filtered += other.filtered;
-    }
-
     /// Number of routed prefixes.
     pub fn len(&self) -> usize {
         self.routes.len()
@@ -367,17 +354,5 @@ mod tests {
             vec![64513]
         );
         assert!(t.contains(&p("192.0.2.0/24")));
-    }
-
-    #[test]
-    fn merge_unions_collectors() {
-        let mut a = RouteTable::new();
-        a.add_route(p("10.0.0.0/8"), 1);
-        let mut b = RouteTable::new();
-        b.add_route(p("10.0.0.0/8"), 2);
-        b.add_route(p("11.0.0.0/8"), 3);
-        a.merge(b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.origins(&p("10.0.0.0/8")).unwrap().len(), 2);
     }
 }

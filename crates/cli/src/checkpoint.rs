@@ -220,7 +220,6 @@ pub fn inputs_digest(
     strict: bool,
     quarantine_samples: usize,
     exceptions: Option<&[u8]>,
-    mem: crate::store::MemOptions,
 ) -> u64 {
     let mut d = files.chain(Digest::of_parts([
         &[strict as u8][..],
@@ -229,19 +228,6 @@ pub fn inputs_digest(
     // Only whitespace means no line `ExceptionSet::parse_lenient` reads.
     if let Some(content) = exceptions.filter(|c| !String::from_utf8_lossy(c).trim().is_empty()) {
         d = d.chain(Digest::of_parts([b"exceptions".as_slice(), content]));
-    }
-    // The memory options change how the inputs are ingested (spill runs vs
-    // whole-file reads) but not the output bytes; they still participate so
-    // a --resume across a mode change honestly re-proves the equivalence.
-    // Chained only when non-default, so digests of plain builds are
-    // unchanged across this addition.
-    let budget = mem.budget.unwrap_or(0);
-    if mem.spill || budget != 0 {
-        d = d.chain(Digest::of_parts([
-            b"mem".as_slice(),
-            &[mem.spill as u8][..],
-            &budget.to_le_bytes(),
-        ]));
     }
     d.0
 }
@@ -259,7 +245,6 @@ pub fn canonical_inputs_digest(files: Digest, exceptions: Option<&[u8]>) -> u64 
         false,
         p2o_util::ingest::DEFAULT_QUARANTINE_SAMPLES,
         exceptions,
-        crate::store::MemOptions::default(),
     )
 }
 
@@ -321,11 +306,8 @@ mod tests {
 
     #[test]
     fn inputs_digest_tracks_files_and_options() {
-        use crate::store::MemOptions;
-
         let dir = tmp_dir("digest");
         let vfs = Vfs::real();
-        let inmem = MemOptions::default();
         fs::create_dir_all(dir.join("whois")).unwrap();
         fs::write(dir.join("meta.tsv"), b"seed\t1\n").unwrap();
         fs::write(dir.join("whois/ARIN.txt"), b"NetRange: x\n").unwrap();
@@ -338,9 +320,16 @@ mod tests {
                 strict,
                 samples,
                 exceptions,
-                inmem,
             )
         };
+        // The chain itself is pinned: every `.ckpt` stamp and every
+        // `world.p2ob` META digest already on disk was computed with it,
+        // so a change here would mark them all stale.
+        let files = crate::store::scan_integrity(&vfs, &dir)
+            .unwrap()
+            .files_digest;
+        assert_eq!(inputs_digest(files, false, 8, None), 0x3AB0_B0D6_F859_8603);
+        assert_eq!(canonical_inputs_digest(files, None), 0x3AB0_B0D6_F859_8603);
         let base = digest(false, 8, None);
         assert_eq!(base, digest(false, 8, None));
         // Content change, new file, and option changes all move the digest.
@@ -368,63 +357,11 @@ mod tests {
     #[test]
     fn a_rule_file_without_rules_digests_like_none() {
         let files = Digest::of_bytes(b"files");
-        let digest = |exceptions| inputs_digest(files, false, 8, exceptions, Default::default());
+        let digest = |exceptions| inputs_digest(files, false, 8, exceptions);
         for blank in ["", "\n", " \t\n\n", "\r\n"] {
             assert_eq!(digest(None), digest(Some(blank.as_bytes())), "{blank:?}");
         }
         assert_ne!(digest(None), digest(Some(b"\nnot a rule\n")));
-    }
-
-    #[test]
-    fn inputs_digest_tracks_memory_options() {
-        use crate::store::MemOptions;
-
-        let dir = tmp_dir("memdigest");
-        let vfs = Vfs::real();
-        fs::write(dir.join("meta.tsv"), b"seed\t1\n").unwrap();
-        let files = crate::store::scan_integrity(&vfs, &dir)
-            .unwrap()
-            .files_digest;
-        let digest = |mem: MemOptions| inputs_digest(files, false, 8, None, mem);
-
-        let inmem = digest(MemOptions::default());
-        let spill = digest(MemOptions {
-            spill: true,
-            ..MemOptions::default()
-        });
-        let budgeted = digest(MemOptions {
-            budget: Some(1 << 20),
-            ..MemOptions::default()
-        });
-        let both = digest(MemOptions {
-            spill: true,
-            budget: Some(1 << 20),
-            strict: false,
-        });
-        // Switching spill on, setting a budget, or changing the budget all
-        // invalidate a checkpoint; --strict-mem alone does not (it only
-        // changes whether an overrun aborts, never the ingest behavior).
-        assert_ne!(inmem, spill);
-        assert_ne!(inmem, budgeted);
-        assert_ne!(spill, both);
-        assert_ne!(budgeted, both);
-        assert_ne!(
-            both,
-            digest(MemOptions {
-                spill: true,
-                budget: Some(2 << 20),
-                strict: false,
-            })
-        );
-        assert_eq!(
-            budgeted,
-            digest(MemOptions {
-                budget: Some(1 << 20),
-                strict: true,
-                spill: false,
-            })
-        );
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The `prefix2org` subcommand implementations.
 
 use std::fs;
+use std::io::{self, Write};
 use std::path::Path;
 
 use p2o_net::{AddressFamily, Prefix};
@@ -286,14 +287,6 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     let quarantine_samples = args
         .get_num::<usize>("quarantine-samples")?
         .unwrap_or(DEFAULT_QUARANTINE_SAMPLES);
-    let mem = store::MemOptions {
-        spill: args.has("spill"),
-        budget: args.get_num::<u64>("mem-budget")?,
-        strict: args.has("strict-mem"),
-    };
-    if mem.strict && mem.budget.is_none() {
-        return Err("--strict-mem needs --mem-budget BYTES to enforce".into());
-    }
     let report_path = args.get("report");
     let trace_path = args.get("trace");
     let metrics_path = args.get("metrics");
@@ -368,7 +361,6 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         strict,
         quarantine_samples,
         exceptions_bytes,
-        mem,
     );
     let (ckpt_decision, stamp_torn) = if args.has("resume") {
         match evaluate_resume(&vfs, out, inputs_digest, &requested, report_to_stdout) {
@@ -389,27 +381,10 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         ("created", false)
     };
 
-    let outcome = store::load_inputs(&vfs, dir, obs.as_ref(), threads, mode, mem)?;
     let store::LoadOutcome {
         inputs,
         mut quarantine,
-        memory,
-    } = outcome;
-    if memory.mode != "in-memory" {
-        eprintln!(
-            "mem: {} build: peak working set {} bytes (budget {}), {} spill run(s), \
-             {} bytes spilled",
-            memory.mode,
-            memory.peak_bytes,
-            if memory.budget_bytes == 0 {
-                "unlimited".to_string()
-            } else {
-                memory.budget_bytes.to_string()
-            },
-            memory.spill_runs_created,
-            memory.spill_bytes_written,
-        );
-    }
+    } = store::load_inputs(&vfs, dir, obs.as_ref(), threads, mode)?;
     if !exception_rejects.is_empty() {
         let file = exceptions_path.unwrap_or("exceptions");
         eprintln!(
@@ -590,7 +565,9 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
             checkpoint: ckpt_decision.to_string(),
             faults_injected: io.faults_injected(),
         });
-        report.memory = Some(memory.clone());
+        report.memory = Some(p2o_obs::MemorySummary {
+            peak_rss_bytes: p2o_obs::process_peak_rss_bytes(),
+        });
         if let Some(path) = report_path {
             let text = report.to_json_string();
             if report_to_stdout {
@@ -720,32 +697,54 @@ pub fn explain(args: &Parsed) -> Result<(), CliError> {
         .get_num::<usize>("threads")?
         .unwrap_or_else(prefix2org::default_threads)
         .max(1);
+    let queries = prefix_args(args, "explain")?;
+    let snapshot = load_snapshot(dir, args.get("exceptions").map(Path::new), threads)
+        .map_err(CliError::Integrity)?;
+    let frozen = snapshot.frozen();
+    print_answers(|out| {
+        for (i, prefix) in queries.iter().enumerate() {
+            if i > 0 {
+                writeln!(out)?;
+            }
+            match frozen.lookup(prefix) {
+                None => writeln!(out, "{prefix}: no covering record in the frozen dataset")?,
+                Some((matched, idx)) => {
+                    if matched != *prefix {
+                        writeln!(
+                            out,
+                            "{prefix}: covered by {matched}; its stored trace follows"
+                        )?;
+                    }
+                    write!(out, "{}", frozen.provenance(idx))?;
+                }
+            }
+        }
+        Ok(())
+    })
+}
+
+/// A query command's prefix arguments, parsed; at least one is required.
+fn prefix_args(args: &Parsed, command: &str) -> Result<Vec<Prefix>, CliError> {
     let queries = args
         .positional()
         .iter()
         .map(|q| q.parse::<Prefix>().map_err(|e| format!("{q:?}: {e}")))
         .collect::<Result<Vec<_>, _>>()?;
     if queries.is_empty() {
-        return Err("explain needs at least one prefix argument".into());
+        return Err(format!("{command} needs at least one prefix argument").into());
     }
-    let snapshot = load_snapshot(dir, args.get("exceptions").map(Path::new), threads)
-        .map_err(CliError::Integrity)?;
-    let frozen = snapshot.frozen();
-    for (i, prefix) in queries.iter().enumerate() {
-        if i > 0 {
-            println!();
-        }
-        match frozen.lookup(prefix) {
-            None => println!("{prefix}: no covering record in the frozen dataset"),
-            Some((matched, idx)) => {
-                if matched != *prefix {
-                    println!("{prefix}: covered by {matched}; its stored trace follows");
-                }
-                print!("{}", frozen.provenance(idx));
-            }
-        }
+    Ok(queries)
+}
+
+/// Writes a query command's answers through one locked, buffered stdout.
+/// A closed stdout (`| head`) ends the command quietly, with success; any
+/// other write failure is an error.
+fn print_answers(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> Result<(), CliError> {
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    match write(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        written => written.map_err(|e| format!("writing to stdout: {e}").into()),
     }
-    Ok(())
 }
 
 fn load_dataset(path: &str) -> Result<Vec<ExportRecord>, String> {
@@ -756,35 +755,46 @@ fn load_dataset(path: &str) -> Result<Vec<ExportRecord>, String> {
 /// `lookup`: longest-match queries against a JSONL snapshot.
 pub fn lookup(args: &Parsed) -> Result<(), CliError> {
     let records = load_dataset(args.require("dataset")?)?;
-    if args.positional().is_empty() {
-        return Err("lookup needs at least one prefix argument".into());
-    }
+    let queries = prefix_args(args, "lookup")?;
     let by_prefix: std::collections::HashMap<Prefix, &ExportRecord> =
         records.iter().map(|rec| (rec.prefix, rec)).collect();
-    for q in args.positional() {
-        let prefix: Prefix = q.parse().map_err(|e| format!("{q:?}: {e}"))?;
-        // Longest match: probe the query, then each shorter supernet, and
-        // stop at the first that is a record.
-        let supernet = |p: &Prefix| match p {
-            Prefix::V4(p) => p.supernet().map(Prefix::V4),
-            Prefix::V6(p) => p.supernet().map(Prefix::V6),
-        };
-        let covering =
-            std::iter::successors(Some(prefix), supernet).find_map(|p| by_prefix.get(&p).copied());
-        match covering {
-            None => println!("{prefix}: no covering routed prefix in the snapshot"),
-            Some(rec) => {
-                println!("{prefix} -> routed as {}", rec.prefix);
-                println!("  Direct Owner : {} ({})", rec.direct_owner, rec.do_alloc);
-                println!("  DO block     : {} via {}", rec.do_prefix, rec.registry);
-                for (name, block, alloc) in &rec.delegated_customers {
-                    println!("  Customer     : {name} ({} on {block})", alloc.keyword());
+    // Longest match: probe the query, then each shorter supernet, and stop
+    // at the first that is a record.
+    let supernet = |p: &Prefix| match p {
+        Prefix::V4(p) => p.supernet().map(Prefix::V4),
+        Prefix::V6(p) => p.supernet().map(Prefix::V6),
+    };
+    print_answers(|out| {
+        for prefix in queries {
+            let covering = std::iter::successors(Some(prefix), supernet)
+                .find_map(|p| by_prefix.get(&p).copied());
+            match covering {
+                None => writeln!(out, "{prefix}: no covering routed prefix in the snapshot")?,
+                Some(rec) => {
+                    writeln!(out, "{prefix} -> routed as {}", rec.prefix)?;
+                    writeln!(
+                        out,
+                        "  Direct Owner : {} ({})",
+                        rec.direct_owner, rec.do_alloc
+                    )?;
+                    writeln!(
+                        out,
+                        "  DO block     : {} via {}",
+                        rec.do_prefix, rec.registry
+                    )?;
+                    for (name, block, alloc) in &rec.delegated_customers {
+                        writeln!(
+                            out,
+                            "  Customer     : {name} ({} on {block})",
+                            alloc.keyword()
+                        )?;
+                    }
+                    writeln!(out, "  Cluster      : {}", rec.final_cluster)?;
                 }
-                println!("  Cluster      : {}", rec.final_cluster);
             }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// `org`: list the prefixes attributed to an organization name fragment.
@@ -805,22 +815,24 @@ pub fn org(args: &Parsed) -> Result<(), CliError> {
             clusters.insert(&rec.final_cluster);
         }
     }
-    if clusters.is_empty() {
-        println!("no organization matching {needle:?}");
-        return Ok(());
-    }
-    for cluster in clusters {
-        println!("{cluster}:");
-        for rec in records.iter().filter(|r| r.final_cluster == cluster) {
-            println!(
-                "  {}  {} [{}]",
-                rec.prefix,
-                rec.direct_owner,
-                rec.do_alloc.keyword()
-            );
+    print_answers(|out| {
+        if clusters.is_empty() {
+            return writeln!(out, "no organization matching {needle:?}");
         }
-    }
-    Ok(())
+        for cluster in clusters {
+            writeln!(out, "{cluster}:")?;
+            for rec in records.iter().filter(|r| r.final_cluster == cluster) {
+                writeln!(
+                    out,
+                    "  {}  {} [{}]",
+                    rec.prefix,
+                    rec.direct_owner,
+                    rec.do_alloc.keyword()
+                )?;
+            }
+        }
+        Ok(())
+    })
 }
 
 /// `stats`: summarize a JSONL snapshot.
@@ -857,22 +869,31 @@ pub fn stats(args: &Parsed) -> Result<(), CliError> {
             with_customers += 1;
         }
     }
-    println!("prefixes        : {} ({v4} IPv4, {v6} IPv6)", records.len());
-    println!("direct owners   : {}", owners.len());
-    println!("final clusters  : {}", clusters.len());
-    println!("legacy-typed    : {legacy}");
-    println!("with customers  : {with_customers}");
-    println!("per registry    :");
-    for (registry, count) in &per_registry {
-        println!("  {registry:<8} {count}");
-    }
     let mut ranked: Vec<(&&str, &(usize, u64))> = clusters.iter().collect();
     ranked.sort_by_key(|e| std::cmp::Reverse(e.1 .1));
-    println!("largest clusters by IPv4 addresses:");
-    for (label, (prefixes, addrs)) in ranked.into_iter().take(10) {
-        println!("  {label:<24} {prefixes:>5} prefixes  {addrs:>12} addresses");
-    }
-    Ok(())
+    print_answers(|out| {
+        writeln!(
+            out,
+            "prefixes        : {} ({v4} IPv4, {v6} IPv6)",
+            records.len()
+        )?;
+        writeln!(out, "direct owners   : {}", owners.len())?;
+        writeln!(out, "final clusters  : {}", clusters.len())?;
+        writeln!(out, "legacy-typed    : {legacy}")?;
+        writeln!(out, "with customers  : {with_customers}")?;
+        writeln!(out, "per registry    :")?;
+        for (registry, count) in &per_registry {
+            writeln!(out, "  {registry:<8} {count}")?;
+        }
+        writeln!(out, "largest clusters by IPv4 addresses:")?;
+        for (label, (prefixes, addrs)) in ranked.into_iter().take(10) {
+            writeln!(
+                out,
+                "  {label:<24} {prefixes:>5} prefixes  {addrs:>12} addresses"
+            )?;
+        }
+        Ok(())
+    })
 }
 
 /// `diff`: compare two JSONL snapshots.
@@ -909,15 +930,7 @@ pub fn diff(args: &Parsed) -> Result<(), CliError> {
 pub fn validate(args: &Parsed) -> Result<(), CliError> {
     let dir = Path::new(args.require("in")?);
     let records = load_dataset(args.require("dataset")?)?;
-    let inputs = store::load_inputs(
-        &Vfs::real(),
-        dir,
-        None,
-        1,
-        store::IngestMode::Lenient,
-        store::MemOptions::default(),
-    )?
-    .inputs;
+    let inputs = store::load_inputs(&Vfs::real(), dir, None, 1, store::IngestMode::Lenient)?.inputs;
     if inputs.truth.is_empty() {
         return Err(format!("{} has no truth/lists.tsv", dir.display()).into());
     }
@@ -1103,16 +1116,9 @@ fn load_snapshot(
             dir.join(prefix2org::FROZEN_FILE).display()
         );
     }
-    let inputs = store::load_inputs(
-        &vfs,
-        dir,
-        None,
-        threads,
-        store::IngestMode::Lenient,
-        store::MemOptions::default(),
-    )
-    .map_err(|e| e.to_string())?
-    .inputs;
+    let inputs = store::load_inputs(&vfs, dir, None, threads, store::IngestMode::Lenient)
+        .map_err(|e| e.to_string())?
+        .inputs;
     p2o_serve::Snapshot::freeze_in_memory(
         dir.to_path_buf(),
         0,

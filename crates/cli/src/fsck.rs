@@ -3,8 +3,8 @@
 //! Six checks, all read-only:
 //!
 //! 1. **Leftover tmp files** — any `*.p2o-tmp` anywhere under the
-//!    directory is the debris of an interrupted atomic write (orphaned
-//!    `*.spill` runs likewise);
+//!    directory is the debris of an interrupted atomic write (a `*.spill`
+//!    run is the debris of an older binary's interrupted `build --spill`);
 //! 2. **Manifest verification** — every file `MANIFEST.tsv` records must
 //!    exist with its recorded length and digest (a short file is a torn
 //!    write, a same-length mismatch is bit-rot or tampering). This is
@@ -31,7 +31,6 @@ use std::path::{Path, PathBuf};
 
 use p2o_util::atomic;
 use p2o_util::manifest::MANIFEST_FILE;
-use p2o_util::spill;
 use p2o_util::vfs::Vfs;
 use p2o_util::Digest;
 
@@ -52,6 +51,13 @@ pub struct FsckReport {
     /// The files digest of the inputs as the audit read them (`None` on a
     /// read failure, which is a finding).
     pub files_digest: Option<Digest>,
+}
+
+/// Whether `path` is a run file an older binary's `build --spill` wrote
+/// under `DIR/spill/`. This binary writes none, but an interrupted spill
+/// build stranded them, so they stay nameable, removable debris.
+fn is_spill_path(path: &Path) -> bool {
+    path.to_string_lossy().ends_with(".spill")
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -86,9 +92,9 @@ pub fn audit(vfs: &Vfs, dir: &Path) -> Result<FsckReport, String> {
                 "{}: leftover tmp file from an interrupted atomic write",
                 rel(path)
             ));
-        } else if spill::is_spill_path(path) {
+        } else if is_spill_path(path) {
             report.findings.push(format!(
-                "{}: orphaned spill run from an interrupted streaming build",
+                "{}: orphaned spill run from an older binary's interrupted --spill build",
                 rel(path)
             ));
         } else if path.extension().is_some_and(|x| x == "ckpt") {
@@ -178,7 +184,7 @@ pub fn audit(vfs: &Vfs, dir: &Path) -> Result<FsckReport, String> {
 /// `*.p2o-tmp` files and orphaned `*.spill` runs — and return the
 /// relative paths removed, sorted. Both classes are by construction
 /// never the only copy of anything (a tmp never replaced its target, a
-/// spill run is re-derivable from the inputs), so deleting them is safe.
+/// spill run was re-derivable from the inputs), so deleting them is safe.
 /// Damage that needs judgement (torn artifacts, bad stamps, manifest
 /// mismatches) is left alone for the audit to keep reporting.
 pub fn gc(vfs: &Vfs, dir: &Path) -> Result<Vec<String>, String> {
@@ -189,14 +195,14 @@ pub fn gc(vfs: &Vfs, dir: &Path) -> Result<Vec<String>, String> {
     walk(dir, &mut files);
     let mut removed = Vec::new();
     for path in &files {
-        if atomic::is_tmp_path(path) || spill::is_spill_path(path) {
+        if atomic::is_tmp_path(path) || is_spill_path(path) {
             vfs.remove_file(path)
                 .map_err(|e| format!("removing {}: {e}", path.display()))?;
             removed.push(store::relpath(dir, path));
         }
     }
     // Drop the spill directory itself once nothing is left inside.
-    let sdir = spill::spill_dir(dir);
+    let sdir = dir.join("spill");
     if sdir.is_dir()
         && std::fs::read_dir(&sdir)
             .map(|mut d| d.next().is_none())

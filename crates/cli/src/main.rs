@@ -5,7 +5,6 @@
 //!                     [--corrupt-rate R] [--corrupt-seed N]
 //!                     [--adversarial CLASS] [--adversarial-seed N]
 //! prefix2org build    --in DIR --out FILE.jsonl [--strict] [--resume] [--threads N]
-//!                     [--spill] [--mem-budget BYTES] [--strict-mem]
 //!                     [--quarantine-samples N] [--exceptions FILE.jsonl]
 //!                     [--report RUN.json|-] [--trace TRACE.json] [--metrics METRICS.prom]
 //! prefix2org fsck     DIR [--gc]
@@ -60,7 +59,6 @@ impl From<store::LoadError> for CliError {
     fn from(e: store::LoadError) -> Self {
         match e {
             store::LoadError::Ingest(err) => CliError::Ingest(err.to_string()),
-            store::LoadError::Budget(msg) => CliError::Ingest(msg),
             store::LoadError::Other(msg) => CliError::General(msg),
         }
     }
@@ -123,14 +121,13 @@ const COMMANDS: &[Command] = &[
             "in",
             "out",
             "threads",
-            "mem-budget",
             "quarantine-samples",
             "exceptions",
             "report",
             "trace",
             "metrics",
         ],
-        switches: &["strict", "resume", "spill", "strict-mem"],
+        switches: &["strict", "resume"],
         run: commands::build,
     },
     Command {
@@ -211,8 +208,7 @@ USAGE:
                       [--adversarial CLASS] [--adversarial-seed N]
       Materialize a synthetic Internet: WHOIS bulk dumps (native formats),
       an MRT RIB snapshot, AS2Org + sibling TSVs, RPKI objects, ground truth.
-      --scale xl is the out-of-core stress world (>=10x bench), sized so
-      `build --spill --mem-budget` exercises the spill path for real.
+      --scale xl is the stress world (>=10x bench, ~64 MB of inputs).
       --corrupt-rate injects seeded record-level corruption (truncation,
       bit-flips, length-field lies, junk records) into the written WHOIS,
       MRT and RPKI artifacts at the given per-record rate (0..=1);
@@ -230,7 +226,6 @@ USAGE:
       --adversarial-seed decouples victim selection from the world seed.
 
   prefix2org build --in DIR --out FILE.jsonl [--strict] [--resume] [--threads N]
-                   [--spill] [--mem-budget BYTES] [--strict-mem]
                    [--quarantine-samples N] [--exceptions FILE.jsonl]
                    [--report RUN.json|-] [--trace TRACE.json] [--metrics METRICS.prom]
       Parse a generated (or compatible) directory and run the full pipeline;
@@ -255,8 +250,9 @@ USAGE:
       stage on one thread (the output and the report's stage rows are
       identical either way; per-shard timing is in the --trace file).
       --report writes a JSON run report (per-stage wall times, counters,
-      histograms) and prints its summary table to stderr; `--report -`
-      writes the JSON to stdout (the human summary moves to stderr).
+      histograms, the process's peak RSS) and prints its summary table
+      to stderr; `--report -` writes the JSON to stdout (the human
+      summary moves to stderr).
       --trace writes a Chrome trace-event file (load it in Perfetto or
       chrome://tracing) with per-thread span timelines for the WHOIS
       parse, MRT decode, resolution and cluster group-build shards.
@@ -272,32 +268,22 @@ USAGE:
       participates in the checkpoint and frozen-staleness digests (a
       file with no non-blank line holds no rule and digests like none). A
       damaged line warns and is quarantined (--strict aborts instead).
-      --spill streams the ingest through sorted on-disk spill runs
-      (written atomically under DIR/spill/) and merges them with a
-      bounded set of transient buffers; the export is byte-identical to
-      the in-memory path. --mem-budget BYTES bounds those transient
-      buffers: the spill chunk sizes are derived from it, and an
-      in-memory build whose largest input would exceed it degrades to
-      the spill path with a warning (--strict-mem aborts with exit 2
-      instead; it requires --mem-budget). The budget does not bound the
-      process: the parsed inputs, the dataset, the export and the frozen
-      artifact are held in memory either way, so the inputs must fit in
-      RAM (on the xl world the spill build peaks at about the RSS of the
-      in-memory one). Peak buffer usage, budget, and spill traffic land
-      in the run report's memory section and the mem.* counters of
-      --metrics.
+      Each input is read whole and the parsed inputs, the dataset, the
+      export and the frozen artifact are held in memory, so the inputs
+      must fit in RAM.
 
   prefix2org fsck DIR [--gc]
       Audit a data directory (DIR may also be given as --in DIR): verify
       every file `generate` recorded in MANIFEST.tsv, flag leftover
-      .p2o-tmp files from interrupted writes and orphaned .spill runs
-      from interrupted streaming builds, check that checkpoint stamps
-      unframe cleanly, audit frozen .p2ob datasets (frame length,
-      trailing bytes and digest, arena layout, format_version,
-      string/LPM table invariants), and reject unsupported
-      format_versions. Exits 2 when anything is damaged. --gc deletes the
-      removable debris (tmp files and orphaned spill runs) after the audit,
-      then re-audits; the exit code reflects the state after collection.
+      .p2o-tmp files from interrupted writes and the .spill runs an
+      older binary's interrupted spill build left behind, check that
+      checkpoint stamps unframe cleanly, audit frozen .p2ob datasets
+      (frame length, trailing bytes and digest, arena layout,
+      format_version, string/LPM table invariants), and reject
+      unsupported format_versions. Exits 2 when anything is damaged.
+      --gc deletes the removable debris (tmp files and orphaned spill
+      runs) after the audit, then re-audits; the exit code reflects the
+      state after collection.
 
   prefix2org serve DIR [--addr HOST:PORT] [--threads N]
                    [--access-log FILE] [--allow-quit] [--exceptions FILE.jsonl]
@@ -400,7 +386,7 @@ mod tests {
 
     /// The `--flags` an entry names, each with the command it belongs to:
     /// the entry's own, except inside a backtick span that opens with
-    /// another command's name (`build --spill`), whose flags are that
+    /// another command's name (`build --resume`), whose flags are that
     /// command's.
     fn named_flags(own: &'static str, entry: &'static str) -> Vec<(&'static str, &'static str)> {
         let mut named = Vec::new();

@@ -19,12 +19,11 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use p2o_bgp::{mrt, RouteTable};
+use p2o_bgp::RouteTable;
 use p2o_net::Prefix;
 use p2o_synth::World;
-use p2o_util::ingest::{IngestError, Quarantine, QuarantinedRecord, EXCERPT_BYTES};
+use p2o_util::ingest::{IngestError, Quarantine, QuarantinedRecord};
 use p2o_util::manifest::{Manifest, ManifestEntry, VerifyIssue};
-use p2o_util::spill::{self, MemBudget, RunMerger, RunWriter, SpillRecord, SpillTuning};
 use p2o_util::vfs::Vfs;
 use p2o_util::{atomic, tsv, Digest};
 use p2o_whois::alloc::AllocationType;
@@ -295,14 +294,11 @@ pub enum IngestMode {
 }
 
 /// A load failure: a typed ingest abort (strict mode hitting a corrupt
-/// record), a memory-budget abort (`--strict-mem`), or any other I/O /
-/// format error.
+/// record) or any other I/O / format error.
 #[derive(Debug)]
 pub enum LoadError {
     /// Strict mode rejected a record; carries the full diagnostic.
     Ingest(IngestError),
-    /// `--strict-mem`: the inputs cannot be loaded within the budget.
-    Budget(String),
     /// Everything else (missing files, unreadable TSVs, ...).
     Other(String),
 }
@@ -317,25 +313,9 @@ impl std::fmt::Display for LoadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LoadError::Ingest(e) => write!(f, "{e}"),
-            LoadError::Budget(e) => write!(f, "{e}"),
             LoadError::Other(e) => write!(f, "{e}"),
         }
     }
-}
-
-/// Memory policy for a load: whether to stream inputs through spill runs,
-/// the optional working-set budget in bytes, and whether exceeding the
-/// budget aborts (`--strict-mem`) instead of degrading into spilling.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemOptions {
-    /// Shard the inputs into sorted spill runs and merge-resolve with a
-    /// bounded working set (`build --spill`).
-    pub spill: bool,
-    /// Working-set budget in bytes (`--mem-budget`); `None` = unlimited.
-    pub budget: Option<u64>,
-    /// Abort (exit 2 in the CLI) instead of degrading into the spill path
-    /// when the in-memory load would exceed the budget.
-    pub strict: bool,
 }
 
 /// What [`load_inputs`] returns: the parsed inputs plus every record the
@@ -346,21 +326,6 @@ pub struct LoadOutcome {
     pub inputs: LoadedInputs,
     /// Every rejected record, with file names stamped.
     pub quarantine: Quarantine,
-    /// How the load used memory: mode, peak working set, budget pressure,
-    /// and spill-run traffic. Always populated (all-zero spill fields on
-    /// the in-memory path).
-    pub memory: p2o_obs::MemorySummary,
-}
-
-/// Picks the first bad record (lowest offset) from a per-file batch and
-/// turns it into the strict-mode abort.
-fn strict_abort(file: &str, records: Vec<QuarantinedRecord>) -> LoadError {
-    let mut first = records
-        .into_iter()
-        .min_by_key(|r| r.offset)
-        .expect("strict_abort called with a nonempty batch");
-    first.file = file.to_string();
-    LoadError::Ingest(first.to_error())
 }
 
 /// Which parser an input file goes through.
@@ -374,353 +339,18 @@ enum InputKind {
     Rpki,
 }
 
-/// One large input file, in processing order. Its index is also its spill
-/// source symbol, so the run merge replays the files in this order.
+/// One large input file, in processing order.
 struct Input {
     path: PathBuf,
     /// The file name quarantine records carry (`whois/ARIN.txt`, ...).
     label: String,
     kind: InputKind,
-    /// Damaged MRT byte ranges the spill sharder quarantined, with
-    /// whole-file offsets; they never reach a chunk.
-    damage: Vec<QuarantinedRecord>,
 }
 
-/// The parse state a load accumulates chunk by chunk. The in-memory load
-/// hands it each input file whole as one chunk; the spill load hands it
-/// the chunks the run merge replays. Either way every byte of every input
-/// goes through [`Ingest::chunk`].
-struct Ingest<'a> {
-    inputs: Vec<Input>,
-    /// Inputs before this index are finished.
-    finished: usize,
-    /// Rejected records of the input being ingested.
-    pending: Vec<QuarantinedRecord>,
-    db: WhoisDb,
-    routes: RouteTable,
-    repo: p2o_rpki::RpkiRepository,
-    quarantine: Quarantine,
-    mode: IngestMode,
-    obs: Option<&'a p2o_obs::Obs>,
-    threads: usize,
-    budget: &'a MemBudget,
-    /// Time spent in the WHOIS parsers, summed over dumps and chunks.
-    whois_parse: Duration,
-    /// Time spent in the RPKI JSONL loader, summed over chunks.
-    rpki_load: Duration,
-}
-
-impl Ingest<'_> {
-    /// Parses one chunk of input `idx` into the state. `base` rebases the
-    /// parser's chunk-relative offsets onto the whole file: the lines
-    /// before the chunk for the text inputs, the shift from chunk to file
-    /// byte offsets for the MRT RIB. A whole file is one chunk at base 0.
-    fn chunk(&mut self, idx: usize, base: u64, payload: Vec<u8>) -> Result<(), LoadError> {
-        self.finish_before(idx)?;
-        let len = payload.len() as u64;
-        self.budget.charge(len);
-        let input = &self.inputs[idx];
-        match input.kind {
-            InputKind::Whois(registry) => {
-                let text = chunk_text(&payload, &input.path)?;
-                let before = self.db.problems().len();
-                let started = Instant::now();
-                self.db.add_dump(text, registry, self.threads);
-                self.whois_parse += started.elapsed();
-                self.pending
-                    .extend(self.db.problems()[before..].iter().map(|p| {
-                        let mut q = p.to_quarantined();
-                        q.offset += base;
-                        q
-                    }));
-            }
-            InputKind::Mrt => {
-                let lenient = RouteTable::from_mrt_lenient(
-                    bytes::Bytes::from(payload),
-                    self.obs,
-                    self.threads,
-                );
-                self.routes.merge(lenient.table);
-                self.pending
-                    .extend(lenient.quarantined.into_iter().map(|mut q| {
-                        q.offset += base;
-                        q
-                    }));
-            }
-            InputKind::Rpki => {
-                let text = chunk_text(&payload, &input.path)?;
-                let started = Instant::now();
-                let rejected = p2o_rpki::persist::extend_jsonl_lenient(&mut self.repo, text, base);
-                self.rpki_load += started.elapsed();
-                self.pending.extend(rejected);
-            }
-        }
-        self.budget.release(len);
-        Ok(())
-    }
-
-    /// Finishes every input before `idx`: its rejected records, in offset
-    /// order, abort a strict load or join the quarantine.
-    fn finish_before(&mut self, idx: usize) -> Result<(), LoadError> {
-        while self.finished < idx {
-            let input = &mut self.inputs[self.finished];
-            self.finished += 1;
-            let mut records = std::mem::take(&mut self.pending);
-            records.append(&mut input.damage);
-            if records.is_empty() {
-                continue;
-            }
-            records.sort_by_key(|r| r.offset);
-            if self.mode == IngestMode::Strict {
-                return Err(strict_abort(&input.label, records));
-            }
-            self.quarantine.extend_from_file(&input.label, records);
-        }
-        Ok(())
-    }
-}
-
-/// A chunk of a text input as text; invalid UTF-8 fails the load.
-fn chunk_text<'a>(payload: &'a [u8], path: &Path) -> Result<&'a str, LoadError> {
-    std::str::from_utf8(payload)
+/// A text input's bytes as text; invalid UTF-8 fails the load.
+fn input_text<'a>(bytes: &'a [u8], path: &Path) -> Result<&'a str, LoadError> {
+    std::str::from_utf8(bytes)
         .map_err(|e| LoadError::Other(format!("reading {}: {e}", path.display())))
-}
-
-/// The longest UTF-8-valid prefix of `buf`. Bytes cut mid-character at a
-/// slab boundary are simply not part of the prefix (they are carried into
-/// the next slab); invalid bytes anywhere else are a hard error, matching
-/// what the in-memory load does with the whole file.
-fn utf8_prefix<'a>(buf: &'a [u8], path: &Path) -> Result<&'a str, String> {
-    match std::str::from_utf8(buf) {
-        Ok(text) => Ok(text),
-        Err(e) if e.error_len().is_none() => Ok(std::str::from_utf8(&buf[..e.valid_up_to()])
-            .expect("prefix below valid_up_to is valid")),
-        Err(e) => Err(format!(
-            "{}: invalid UTF-8 at byte {}",
-            path.display(),
-            e.valid_up_to()
-        )),
-    }
-}
-
-/// Spills one chunk of input `idx`. Its base (see [`Ingest::chunk`]) rides
-/// as an 8-byte trailer, which the merge side strips without a copy.
-fn push_chunk(
-    writer: &mut RunWriter,
-    seq: &mut u64,
-    idx: usize,
-    chunk_idx: &mut u32,
-    mut payload: Vec<u8>,
-    base: u64,
-) -> std::io::Result<()> {
-    payload.extend_from_slice(&base.to_le_bytes());
-    writer.push(SpillRecord {
-        key: SpillRecord::key_for(idx as u32, *chunk_idx),
-        seq: *seq,
-        payload,
-    })?;
-    *seq += 1;
-    *chunk_idx += 1;
-    Ok(())
-}
-
-/// Shards a text input into spill chunks by reading fixed-size slabs and
-/// cutting at the last safe boundary `cut` finds (object boundary for
-/// WHOIS, line boundary for JSONL). The carry — everything after the last
-/// boundary — rides into the next slab, so no chunk ever splits an object
-/// or line. The working set is the carry plus one slab.
-#[allow(clippy::too_many_arguments)]
-fn shard_text_input(
-    vfs: &Vfs,
-    path: &Path,
-    idx: usize,
-    tuning: SpillTuning,
-    budget: &MemBudget,
-    writer: &mut RunWriter,
-    seq: &mut u64,
-    cut: impl Fn(&str) -> Option<usize>,
-) -> Result<(), LoadError> {
-    let mut carry: Vec<u8> = Vec::new();
-    let mut off = 0u64;
-    let mut chunk_idx = 0u32;
-    let mut lines = 0u64;
-    let mut push = |writer: &mut RunWriter, payload: Vec<u8>| -> Result<(), LoadError> {
-        let n = payload.len() as u64;
-        let base = lines;
-        lines += payload.iter().filter(|&&b| b == b'\n').count() as u64;
-        push_chunk(writer, seq, idx, &mut chunk_idx, payload, base)
-            .map_err(|e| io_err("spilling", path, e))?;
-        budget.release(n);
-        Ok(())
-    };
-    loop {
-        let slab = vfs
-            .read_range(path, off, tuning.chunk_bytes)
-            .map_err(|e| io_err("reading", path, e))?;
-        let eof = slab.is_empty();
-        off += slab.len() as u64;
-        budget.charge(slab.len() as u64);
-        carry.extend_from_slice(&slab);
-        drop(slab);
-        if eof {
-            if !carry.is_empty() {
-                push(writer, std::mem::take(&mut carry))?;
-            }
-            return Ok(());
-        }
-        let text = utf8_prefix(&carry, path)?;
-        if let Some(cut_at) = cut(text).filter(|&at| at > 0) {
-            let rest = carry.split_off(cut_at);
-            push(writer, std::mem::replace(&mut carry, rest))?;
-        }
-        // No boundary yet (an object larger than a slab): keep growing the
-        // carry until one appears or the file ends.
-    }
-}
-
-/// A read window over one file: byte ranges are served from one buffered
-/// slab and refilled from disk on a miss. The framing step reads headers
-/// forward, so misses are rare.
-struct Window<'a> {
-    vfs: &'a Vfs,
-    path: &'a Path,
-    slab: usize,
-    budget: &'a MemBudget,
-    start: usize,
-    buf: Vec<u8>,
-}
-
-impl Window<'_> {
-    fn bytes(&mut self, at: usize, len: usize) -> Result<&[u8], LoadError> {
-        if at < self.start || at + len > self.start + self.buf.len() {
-            self.budget.release(self.buf.len() as u64);
-            self.buf = self
-                .vfs
-                .read_range(self.path, at as u64, len.max(self.slab))
-                .map_err(|e| io_err("reading", self.path, e))?;
-            self.budget.charge(self.buf.len() as u64);
-            self.start = at;
-            if self.buf.len() < len {
-                return Err(LoadError::Other(format!(
-                    "{} shrank while it was read",
-                    self.path.display()
-                )));
-            }
-        }
-        Ok(&self.buf[at - self.start..][..len])
-    }
-
-    /// The MRT header at `at`, for [`p2o_bgp::mrt::frame_at`].
-    fn header(&mut self, at: usize) -> Result<[u8; mrt::HEADER_LEN], LoadError> {
-        Ok(self
-            .bytes(at, mrt::HEADER_LEN)?
-            .try_into()
-            .expect("header-sized slice"))
-    }
-}
-
-/// Shards the MRT RIB into record-aligned chunks through the framing step
-/// the whole-file decoder runs ([`p2o_bgp::mrt::frame_at`]), read here
-/// through a [`Window`]. So every chunk boundary is a record boundary the
-/// whole-file decoder also finds, and every damaged range is quarantined
-/// once, with its whole-file offset, into `damage` and never reaches a
-/// chunk. Each chunk is the PEER_INDEX_TABLE followed by a run of
-/// contiguous records, a self-contained MRT stream; a damaged range or
-/// the chunk size ends the run.
-#[allow(clippy::too_many_arguments)]
-fn shard_mrt_input(
-    vfs: &Vfs,
-    path: &Path,
-    idx: usize,
-    tuning: SpillTuning,
-    budget: &MemBudget,
-    writer: &mut RunWriter,
-    seq: &mut u64,
-    damage: &mut Vec<QuarantinedRecord>,
-) -> Result<(), LoadError> {
-    let total = vfs.file_len(path).map_err(|e| io_err("reading", path, e))? as usize;
-    let mut window = Window {
-        vfs,
-        path,
-        slab: tuning.chunk_bytes,
-        budget,
-        start: 0,
-        buf: Vec::new(),
-    };
-    let frame_at =
-        |window: &mut Window, pos: usize| mrt::frame_at(total, pos, |at| window.header(at));
-
-    // The peer table decides whether anything in the file is readable.
-    // The lenient open sees the same leading record, and at least one byte
-    // past the excerpt, as it would in the whole file, so an unreadable
-    // table yields the same single whole-file quarantine record.
-    let first = frame_at(&mut window, 0)?;
-    let head_len = first
-        .map_or(0, |f| f.end())
-        .max(total.min(EXCERPT_BYTES + 1));
-    let head = bytes::Bytes::copy_from_slice(window.bytes(0, head_len)?);
-    let (reader, unreadable) = mrt::MrtReader::new_lenient(head);
-    let (Some(_), Some(mrt::Frame::Record { end: peer_len, .. })) = (reader, first) else {
-        damage.extend(unreadable);
-        budget.release(window.buf.len() as u64);
-        return Ok(());
-    };
-    let peer = window.bytes(0, peer_len)?.to_vec();
-
-    // Every chunk starts as a copy of the peer table; `base` is the file
-    // offset of the chunk's first record, so chunk offsets map to file
-    // offsets by adding `base - peer_len`.
-    let mut chunk = peer.clone();
-    budget.charge(2 * peer_len as u64);
-    let mut base = peer_len;
-    let mut chunk_idx = 0u32;
-    let mut flush = |chunk: &mut Vec<u8>, base: usize| -> Result<(), LoadError> {
-        if chunk.len() > peer_len {
-            let payload = std::mem::replace(chunk, peer.clone());
-            let n = payload.len() as u64;
-            push_chunk(
-                writer,
-                seq,
-                idx,
-                &mut chunk_idx,
-                payload,
-                (base - peer_len) as u64,
-            )
-            .map_err(|e| io_err("spilling", path, e))?;
-            budget.release(n);
-            budget.charge(peer_len as u64);
-        }
-        Ok(())
-    };
-    let mut pos = peer_len;
-    while let Some(frame) = frame_at(&mut window, pos)? {
-        match frame {
-            mrt::Frame::Record { start, end, .. } => {
-                if chunk.len() == peer_len {
-                    base = start;
-                }
-                chunk.extend_from_slice(window.bytes(start, end - start)?);
-                budget.charge((end - start) as u64);
-                if chunk.len() - peer_len >= tuning.chunk_bytes {
-                    flush(&mut chunk, base)?;
-                }
-            }
-            mrt::Frame::Damaged {
-                start,
-                end,
-                kind,
-                message,
-            } => {
-                flush(&mut chunk, base)?;
-                let excerpt = window.bytes(start, (end - start).min(EXCERPT_BYTES + 1))?;
-                damage.push(QuarantinedRecord::new(kind, start as u64, excerpt, message));
-            }
-        }
-        pos = frame.end();
-    }
-    flush(&mut chunk, base)?;
-    budget.release(2 * peer_len as u64 + window.buf.len() as u64);
-    Ok(())
 }
 
 /// Loads and parses a snapshot directory: every input through the lenient
@@ -735,22 +365,12 @@ fn shard_mrt_input(
 /// `as2org.cluster` and `rpki.validate`; with `threads > 1`, WHOIS text
 /// is parsed in object-boundary shards and MRT bodies are decoded on that
 /// many threads (identical outputs either way).
-///
-/// `mem.spill` streams the large inputs (WHOIS dumps, the MRT RIB, the
-/// RPKI JSONL) through sorted, framed spill runs under `DIR/spill/` and
-/// ingests the chunks the run merge replays, with a bounded working set.
-/// The chunks are cut only where the whole-file parsers find a boundary,
-/// so the result — routes, quarantine, strict diagnostic — is the
-/// in-memory load's. With a budget and no `--spill`, a projected overrun
-/// degrades gracefully into spilling (warning + `mem.budget_exceeded`),
-/// or aborts with [`LoadError::Budget`] under `mem.strict`.
 pub fn load_inputs(
     vfs: &Vfs,
     dir: &Path,
     obs: Option<&p2o_obs::Obs>,
     threads: usize,
     mode: IngestMode,
-    mem: MemOptions,
 ) -> Result<LoadOutcome, LoadError> {
     let read = |path: PathBuf| -> Result<String, String> {
         vfs.read_to_string(&path)
@@ -790,7 +410,6 @@ pub fn load_inputs(
             path,
             label,
             kind: InputKind::Whois(registry),
-            damage: Vec::new(),
         });
     }
     for (name, kind) in [("rib.mrt", InputKind::Mrt), ("rpki.jsonl", InputKind::Rpki)] {
@@ -798,136 +417,60 @@ pub fn load_inputs(
             path: dir.join(name),
             label: name.to_string(),
             kind,
-            damage: Vec::new(),
         });
     }
 
-    // The memory decision. The in-memory load holds each large input whole
-    // while parsing it, so its working set is at least the largest input
-    // file; when a budget says that cannot fit, degrade into the spill
-    // path (or abort under --strict-mem). The projection is per-file, not
-    // total, because each file is released before the next is read.
-    let budget_bytes = mem.budget.unwrap_or(0);
-    let projected: u64 = inputs
-        .iter()
-        .filter_map(|input| vfs.file_len(&input.path).ok())
-        .max()
-        .unwrap_or(0);
-    let mut spilling = mem.spill;
-    let mut degraded = false;
-    if !spilling && budget_bytes > 0 && projected > budget_bytes {
-        if mem.strict {
-            return Err(LoadError::Budget(format!(
-                "inputs need a working set of at least {projected} bytes (largest input \
-                 file) but --mem-budget is {budget_bytes}; rerun with --spill or raise \
-                 the budget"
-            )));
-        }
-        eprintln!(
-            "warning: mem: inputs need ~{projected} bytes but the budget is \
-             {budget_bytes}; degrading to the spill path"
-        );
-        spilling = true;
-        degraded = true;
-    }
-    let budget = MemBudget::new(mem.budget);
+    // Each input is read whole, parsed, and released before the next. Its
+    // rejected records, in offset order, abort a strict load with the
+    // first one or join the quarantine.
     let mut db = WhoisDb::new();
     if let Some(o) = obs {
         db.instrument(o);
     }
-    let mut ingest = Ingest {
-        inputs,
-        finished: 0,
-        pending: Vec::new(),
-        db,
-        routes: RouteTable::new(),
-        repo: p2o_rpki::RpkiRepository::new(),
-        quarantine: Quarantine::new(),
-        mode,
-        obs,
-        threads,
-        budget: &budget,
-        whois_parse: Duration::ZERO,
-        rpki_load: Duration::ZERO,
-    };
-    let mut spill_stats = p2o_util::spill::SpillStats::default();
-    if spilling {
-        // Shard every large input into one global spill store keyed by
-        // (input index, chunk index), then ingest the chunks the merge
-        // replays in exactly the in-memory processing order.
-        let tuning = SpillTuning::for_budget(budget_bytes);
-        // Debris from an earlier interrupted spill build must not mix with
-        // this run's files (fsck --gc also cleans it offline).
-        spill::clean_spill_dir(vfs, dir).map_err(|e| io_err("cleaning spill dir under", dir, e))?;
-        let mut writer = RunWriter::new(vfs, dir, tuning, &budget)
-            .map_err(|e| io_err("creating spill dir under", dir, e))?;
-        let mut seq = 0u64;
-        for (idx, input) in ingest.inputs.iter_mut().enumerate() {
-            let (path, w, s) = (&input.path, &mut writer, &mut seq);
-            match input.kind {
-                InputKind::Whois(_) => {
-                    shard_text_input(vfs, path, idx, tuning, &budget, w, s, |t| {
-                        p2o_whois::shard::last_object_boundary(t).map(|(byte, _)| byte)
-                    })?
-                }
-                InputKind::Mrt => {
-                    shard_mrt_input(vfs, path, idx, tuning, &budget, w, s, &mut input.damage)?
-                }
-                InputKind::Rpki => shard_text_input(vfs, path, idx, tuning, &budget, w, s, |t| {
-                    t.rfind('\n').map(|i| i + 1)
-                })?,
+    let mut routes = RouteTable::new();
+    let mut repo = p2o_rpki::RpkiRepository::new();
+    let mut quarantine = Quarantine::new();
+    let mut whois_parse = Duration::ZERO;
+    let mut rpki_load = Duration::ZERO;
+    for Input { path, label, kind } in inputs {
+        let bytes = vfs.read(&path).map_err(|e| io_err("reading", &path, e))?;
+        let mut rejected: Vec<QuarantinedRecord> = match kind {
+            InputKind::Whois(registry) => {
+                let text = input_text(&bytes, &path)?;
+                let before = db.problems().len();
+                let started = Instant::now();
+                db.add_dump(text, registry, threads);
+                whois_parse += started.elapsed();
+                db.problems()[before..]
+                    .iter()
+                    .map(|p| p.to_quarantined())
+                    .collect()
             }
+            InputKind::Mrt => {
+                let lenient = RouteTable::from_mrt_lenient(bytes::Bytes::from(bytes), obs, threads);
+                routes = lenient.table;
+                lenient.quarantined
+            }
+            InputKind::Rpki => {
+                let text = input_text(&bytes, &path)?;
+                let started = Instant::now();
+                let (loaded, rejected) = p2o_rpki::persist::from_jsonl_lenient(text);
+                rpki_load += started.elapsed();
+                repo = loaded;
+                rejected
+            }
+        };
+        if rejected.is_empty() {
+            continue;
         }
-        let (runs, bytes_written) = writer
-            .finish()
-            .map_err(|e| io_err("writing spill runs under", dir, e))?;
-        spill_stats.runs_created = runs.len() as u64;
-        spill_stats.bytes_written = bytes_written;
-
-        // The working set stays bounded to one read block per run plus the
-        // single chunk being ingested.
-        let mut merger = RunMerger::new(vfs, &runs, tuning).map_err(LoadError::Other)?;
-        while let Some(record) = merger.next_record().map_err(LoadError::Other)? {
-            let idx = (record.key >> 32) as usize;
-            let mut payload = record.payload;
-            let at = payload
-                .len()
-                .checked_sub(8)
-                .filter(|_| idx < ingest.inputs.len());
-            let at = at.ok_or_else(|| {
-                LoadError::Other(format!("spill run holds a malformed chunk of source {idx}"))
-            })?;
-            let base = u64::from_le_bytes(payload[at..].try_into().expect("8-byte trailer"));
-            payload.truncate(at);
-            ingest.chunk(idx, base, payload)?;
+        rejected.sort_by_key(|r| r.offset);
+        if mode == IngestMode::Strict {
+            let mut first = rejected.swap_remove(0);
+            first.file = label;
+            return Err(LoadError::Ingest(first.to_error()));
         }
-        let read_stats = merger.stats();
-        spill_stats.runs_merged = read_stats.runs_merged;
-        spill_stats.bytes_read = read_stats.bytes_read;
-        drop(merger);
-        // The merge consumed every run; anything still on disk after this
-        // point would be debris, so a clean finish removes the directory.
-        spill::clean_spill_dir(vfs, dir).map_err(|e| io_err("cleaning spill dir under", dir, e))?;
-    } else {
-        // In-memory ingest: each large input is read whole, parsed as one
-        // chunk, and released before the next.
-        for idx in 0..ingest.inputs.len() {
-            let path = &ingest.inputs[idx].path;
-            let bytes = vfs.read(path).map_err(|e| io_err("reading", path, e))?;
-            ingest.chunk(idx, 0, bytes)?;
-            ingest.finish_before(idx + 1)?;
-        }
+        quarantine.extend_from_file(&label, rejected);
     }
-    ingest.finish_before(ingest.inputs.len())?;
-    let Ingest {
-        mut db,
-        routes,
-        repo,
-        quarantine,
-        whois_parse,
-        rpki_load,
-        ..
-    } = ingest;
     if let Some(o) = obs {
         o.record_stage("whois.parse", whois_parse);
         o.record_stage("rpki.load", rpki_load);
@@ -962,37 +505,6 @@ pub fn load_inputs(
     let timer = stage("rpki.validate");
     let (rpki, rpki_problems) = repo.validate(snapshot_date);
     drop(timer);
-
-    let memory = p2o_obs::MemorySummary {
-        mode: if degraded {
-            "degraded"
-        } else if spilling {
-            "spill"
-        } else {
-            "in-memory"
-        }
-        .to_string(),
-        budget_bytes,
-        peak_bytes: budget.peak(),
-        budget_exceeded: budget.exceeded_count() + u64::from(degraded),
-        spill_runs_created: spill_stats.runs_created,
-        spill_runs_merged: spill_stats.runs_merged,
-        spill_bytes_written: spill_stats.bytes_written,
-        spill_bytes_read: spill_stats.bytes_read,
-    };
-    if let Some(o) = obs {
-        o.counter("mem.peak_bytes").add(memory.peak_bytes);
-        o.counter("mem.budget_bytes").add(memory.budget_bytes);
-        o.counter("mem.budget_exceeded").add(memory.budget_exceeded);
-        o.counter("mem.spill_runs_created")
-            .add(memory.spill_runs_created);
-        o.counter("mem.spill_runs_merged")
-            .add(memory.spill_runs_merged);
-        o.counter("mem.spill_bytes_written")
-            .add(memory.spill_bytes_written);
-        o.counter("mem.spill_bytes_read")
-            .add(memory.spill_bytes_read);
-    }
 
     // Ground truth (optional).
     let mut truth: Vec<TruthList> = Vec::new();
@@ -1034,7 +546,6 @@ pub fn load_inputs(
             snapshot_date,
         },
         quarantine,
-        memory,
     })
 }
 

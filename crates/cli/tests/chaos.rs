@@ -573,203 +573,3 @@ fn serve_refuses_damage_and_reload_keeps_the_old_snapshot() {
     let _ = std::fs::remove_dir_all(&good);
     let _ = std::fs::remove_dir_all(&torn);
 }
-
-/// Spill-path chaos, part 1: kill the streaming build at every phase of a
-/// spill-run write. Each kill must (a) exit with the kill code, (b) leave
-/// only debris `fsck` names in full — orphaned `*.spill` runs and/or
-/// `*.p2o-tmp` files, nothing anonymous, (c) be fully collectable by
-/// `fsck --gc`, after which the audit is clean, and (d) a plain rerun —
-/// even WITHOUT gc — must converge to the golden export bytes (the spill
-/// path self-heals stale debris on start).
-#[test]
-fn killed_spill_build_leaves_only_nameable_debris_and_recovers() {
-    let dir = temp_dir("spill-kill");
-    run_ok(&[
-        "generate",
-        "--out",
-        dir.to_str().unwrap(),
-        "--scale",
-        "tiny",
-        "--seed",
-        "93",
-    ]);
-    let dir_s = dir.to_str().unwrap().to_string();
-    let dataset = dir.join("dataset.jsonl");
-    let build = [
-        "build",
-        "--in",
-        &dir_s,
-        "--out",
-        dataset.to_str().unwrap(),
-        "--spill",
-        "--mem-budget",
-        "65536",
-    ];
-
-    // Uninterrupted golden run (then drop its outputs so each kill round
-    // starts from a build that has real work to do).
-    run_ok(&build);
-    let golden = std::fs::read(&dataset).expect("golden export");
-    assert!(!golden.is_empty());
-
-    for phase in ["partial", "tmp", "final"] {
-        let _ = std::fs::remove_file(dir.join("dataset.jsonl.ckpt"));
-
-        let out = run_faulted(&build, &format!("kill:spill@{phase}"));
-        assert_eq!(
-            out.status.code(),
-            Some(KILL_EXIT_CODE),
-            "kill-point spill@{phase} did not fire:\nstderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-
-        // Everything under spill/ must be debris fsck can name: each file
-        // is either a spill run or an interrupted atomic tmp, and each
-        // shows up verbatim in the findings.
-        let spill_dir = p2o_util::spill::spill_dir(&dir);
-        let mut leftovers = Vec::new();
-        if spill_dir.is_dir() {
-            for entry in std::fs::read_dir(&spill_dir).expect("spill dir") {
-                let path = entry.expect("entry").path();
-                assert!(
-                    p2o_util::spill::is_spill_path(&path) || p2o_util::atomic::is_tmp_path(&path),
-                    "anonymous debris after kill at {phase}: {}",
-                    path.display()
-                );
-                leftovers.push(path);
-            }
-        }
-        let fsck = run(&["fsck", &dir_s]);
-        let findings = String::from_utf8_lossy(&fsck.stdout);
-        if leftovers.is_empty() {
-            assert!(
-                fsck.status.success(),
-                "no debris yet fsck found damage:\n{findings}"
-            );
-        } else {
-            assert_eq!(
-                fsck.status.code(),
-                Some(2),
-                "debris must fail the audit:\n{findings}"
-            );
-            for path in &leftovers {
-                let rel = path
-                    .strip_prefix(&dir)
-                    .unwrap()
-                    .to_string_lossy()
-                    .to_string();
-                assert!(findings.contains(&rel), "fsck must name {rel}:\n{findings}");
-            }
-            // --gc sweeps 100% of it and the audit comes back clean.
-            let gc = run(&["fsck", &dir_s, "--gc"]);
-            assert!(
-                gc.status.success(),
-                "gc after {phase}:\n{}",
-                String::from_utf8_lossy(&gc.stdout)
-            );
-            assert!(!spill_dir.exists(), "gc must remove the emptied spill dir");
-        }
-
-        // Rerun converges to golden bytes.
-        run_ok(&build);
-        assert_eq!(
-            std::fs::read(&dataset).expect("export"),
-            golden,
-            "rerun after kill at {phase} diverged"
-        );
-    }
-
-    // A kill also recovers WITHOUT gc: the next spill build clears stale
-    // debris itself before writing fresh runs.
-    let _ = std::fs::remove_file(dir.join("dataset.jsonl.ckpt"));
-    let out = run_faulted(&build, "kill:spill@final");
-    assert_eq!(out.status.code(), Some(KILL_EXIT_CODE));
-    run_ok(&build);
-    assert_eq!(std::fs::read(&dataset).expect("export"), golden);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Spill-path chaos, part 2: I/O fault storms. Short writes and ENOSPC
-/// against the spill files fail the build gracefully (exit 1 with a
-/// diagnostic naming the spill file, never a panic or a torn export),
-/// `fsck` flags every leftover run, `--gc` collects them, and the retry
-/// without faults is byte-identical to the golden export.
-#[test]
-fn spill_write_storms_fail_gracefully_and_retry_converges() {
-    let dir = temp_dir("spill-storm");
-    run_ok(&[
-        "generate",
-        "--out",
-        dir.to_str().unwrap(),
-        "--scale",
-        "tiny",
-        "--seed",
-        "94",
-    ]);
-    let dir_s = dir.to_str().unwrap().to_string();
-    let dataset = dir.join("dataset.jsonl");
-    let build = [
-        "build",
-        "--in",
-        &dir_s,
-        "--out",
-        dataset.to_str().unwrap(),
-        "--spill",
-        "--mem-budget",
-        "65536",
-    ];
-    run_ok(&build);
-    let golden = std::fs::read(&dataset).expect("golden export");
-
-    for fault in ["short:1202:2", "short:7:4", "enospc:40000", "enospc:90000"] {
-        let _ = std::fs::remove_file(dir.join("dataset.jsonl.ckpt"));
-        let _ = std::fs::remove_file(&dataset);
-
-        let out = run_faulted(&build, fault);
-        assert_eq!(
-            out.status.code(),
-            Some(1),
-            "storm {fault} must fail the build cleanly:\nstderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("spill") || stderr.contains("injected"),
-            "diagnostic names the fault: {stderr}"
-        );
-        assert!(!dataset.exists(), "a failed build must not leave an export");
-
-        // Whatever survived the storm is flagged, collected, and gone.
-        let fsck = run(&["fsck", &dir_s]);
-        let findings = String::from_utf8_lossy(&fsck.stdout);
-        let spill_dir = p2o_util::spill::spill_dir(&dir);
-        let debris: usize = if spill_dir.is_dir() {
-            std::fs::read_dir(&spill_dir).unwrap().count()
-        } else {
-            0
-        };
-        if debris > 0 {
-            assert_eq!(fsck.status.code(), Some(2), "{findings}");
-            assert_eq!(
-                findings
-                    .lines()
-                    .filter(|l| l.contains(".spill") || l.contains(".p2o-tmp"))
-                    .count(),
-                debris,
-                "fsck must flag all {debris} debris file(s):\n{findings}"
-            );
-        }
-        let gc = run(&["fsck", &dir_s, "--gc"]);
-        assert!(gc.status.success(), "gc after {fault}");
-        assert!(!spill_dir.exists());
-
-        // Faults off: the retry converges to the exact golden bytes.
-        run_ok(&build);
-        assert_eq!(
-            std::fs::read(&dataset).expect("export"),
-            golden,
-            "retry after storm {fault} diverged"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}

@@ -1,8 +1,9 @@
 //! End-to-end tests of the `prefix2org` binary: generate → build → query →
 //! diff → validate, via real process invocations on a temp directory.
 
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_prefix2org")
@@ -203,11 +204,18 @@ fn build_report_emits_run_report() {
         parsed.counter("pipeline.routed_prefixes").unwrap()
     );
 
-    // The stderr summary table lists the stages and counters.
+    // The memory section gives the process's peak RSS (0 off Linux).
+    let peak_rss = parsed.memory.expect("memory section").peak_rss_bytes;
+    if cfg!(target_os = "linux") {
+        assert!(peak_rss > 0, "peak_rss_bytes is 0 on Linux");
+    }
+
+    // The stderr summary table lists the stages, counters and peak RSS.
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("stages"), "{stderr}");
     assert!(stderr.contains("pipeline.resolve"), "{stderr}");
     assert!(stderr.contains("whois.records"), "{stderr}");
+    assert!(stderr.contains("peak_rss_bytes"), "{stderr}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -496,7 +504,8 @@ fn build_report_dash_writes_json_to_stdout() {
 /// `explain` prints a record's stored trace, naming every rule, and the
 /// bytes do not depend on how the dataset was obtained: an unbuilt copy of
 /// the world, frozen in memory on one thread or on four, prints what the
-/// built copy's artifact prints. A prefix no record covers says so.
+/// built copy's artifact prints. A prefix no record covers says so, and a
+/// reader that closes the pipe early (`| head -1`) ends it quietly.
 #[test]
 fn explain_prints_deterministic_rule_chain() {
     let dir = temp_dir("explain");
@@ -539,13 +548,42 @@ fn explain_prints_deterministic_rule_chain() {
         "198.51.100.0/24: no covering record in the frozen dataset\n"
     );
 
+    // Every record prefix in one call, with the reader gone after one
+    // line: far more output than a pipe buffers, so the writes after the
+    // close fail, and `explain` must still exit 0 without a panic.
+    let prefixes: Vec<String> = text
+        .lines()
+        .map(|line| {
+            let record = p2o_util::Json::parse(line).unwrap();
+            let prefix = record.get("prefix").and_then(p2o_util::Json::as_str);
+            prefix.unwrap().to_string()
+        })
+        .collect();
+    let mut child = Command::new(bin())
+        .args(["explain", "--in", dir_s])
+        .args(&prefixes)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("stdout"))
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with(prefix), "{first}");
+    let closed = child.wait_with_output().expect("explain exits");
+    let stderr = String::from_utf8_lossy(&closed.stderr);
+    assert_eq!(closed.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&unbuilt);
 }
 
 /// A misspelt or retired option is refused by name, with exit 1, before
 /// it can take the next argument as its value: `explain --frozen P1 P2`
-/// fails instead of answering only `P2`.
+/// fails instead of answering only `P2`, and a script still passing the
+/// retired `build --spill`, `--mem-budget` or `--strict-mem` fails loudly.
 #[test]
 fn unknown_options_are_refused_by_name() {
     for (args, key) in [
@@ -575,6 +613,40 @@ fn unknown_options_are_refused_by_name() {
                 "4",
             ],
             "--thread",
+        ),
+        (
+            &[
+                "build",
+                "--in",
+                "/nonexistent",
+                "--out",
+                "/nonexistent/x.jsonl",
+                "--spill",
+            ],
+            "--spill",
+        ),
+        (
+            &[
+                "build",
+                "--in",
+                "/nonexistent",
+                "--out",
+                "/nonexistent/x.jsonl",
+                "--mem-budget",
+                "8388608",
+            ],
+            "--mem-budget",
+        ),
+        (
+            &[
+                "build",
+                "--in",
+                "/nonexistent",
+                "--out",
+                "/nonexistent/x.jsonl",
+                "--strict-mem",
+            ],
+            "--strict-mem",
         ),
     ] {
         let out = run(args);

@@ -112,11 +112,6 @@ impl ExceptionSet {
         self.rules.is_empty()
     }
 
-    /// The winning rule for a prefix, if any.
-    pub fn rule(&self, prefix: &Prefix) -> Option<&ExceptionAction> {
-        self.rules.get(prefix)
-    }
-
     /// Iterates `(prefix, action)` in prefix order.
     pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &ExceptionAction)> {
         self.rules.iter()
@@ -208,6 +203,13 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// The winning rules, in prefix order.
+    fn rules(set: &ExceptionSet) -> Vec<(Prefix, &ExceptionAction)> {
+        set.iter()
+            .map(|(prefix, action)| (*prefix, action))
+            .collect()
+    }
+
     #[test]
     fn parses_assert_and_filter_rules() {
         let text = "\
@@ -218,11 +220,15 @@ mod tests {
         assert!(quarantined.is_empty());
         assert_eq!(set.len(), 2);
         assert_eq!(
-            set.rule(&p("10.0.0.0/24")),
-            Some(&ExceptionAction::Assert("Acme Corp".to_string()))
+            rules(&set),
+            [
+                (
+                    p("10.0.0.0/24"),
+                    &ExceptionAction::Assert("Acme Corp".to_string())
+                ),
+                (p("192.0.2.0/24"), &ExceptionAction::Filter),
+            ]
         );
-        assert_eq!(set.rule(&p("192.0.2.0/24")), Some(&ExceptionAction::Filter));
-        assert_eq!(set.rule(&p("10.0.0.0/25")), None);
     }
 
     #[test]
@@ -232,10 +238,12 @@ mod tests {
 {\"prefix\": \"10.0.0.0/24\", \"action\": \"assert\", \"org\": \"Acme Corp\"}\n";
         let (set, quarantined) = ExceptionSet::parse_lenient(text);
         assert!(quarantined.is_empty());
-        assert_eq!(set.len(), 1);
         assert_eq!(
-            set.rule(&p("10.0.0.0/24")),
-            Some(&ExceptionAction::Assert("Acme Corp".to_string()))
+            rules(&set),
+            [(
+                p("10.0.0.0/24"),
+                &ExceptionAction::Assert("Acme Corp".to_string())
+            )]
         );
     }
 
@@ -253,10 +261,12 @@ this is not json\n\
 {\"prefix\": \"10.9.0.0/16\", \"action\": \"assert\", \"org\": \"Survivor LLC\"}\n";
         let (set, quarantined) = ExceptionSet::parse_lenient(text);
         // Only the last line is a valid rule; every bad line is captured.
-        assert_eq!(set.len(), 1);
         assert_eq!(
-            set.rule(&p("10.9.0.0/16")),
-            Some(&ExceptionAction::Assert("Survivor LLC".to_string()))
+            rules(&set),
+            [(
+                p("10.9.0.0/16"),
+                &ExceptionAction::Assert("Survivor LLC".to_string())
+            )]
         );
         let kinds: Vec<IngestErrorKind> = quarantined.iter().map(|q| q.kind).collect();
         assert_eq!(

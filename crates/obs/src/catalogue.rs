@@ -138,13 +138,6 @@ pub const METRICS: &[Metric] = &[
     row("exceptions.asserted", Counter, "records", "Records whose attribution an operator assert rule overrode.", BuildSetup),
     row("exceptions.filtered", Counter, "records", "Records removed from the dataset by operator filter rules.", BuildSetup),
     row("exceptions.unmatched", Counter, "rules", "Exception rules that matched no attributed prefix.", BuildSetup),
-    row("mem.peak_bytes", Counter, "bytes", "Peak accounted ingest working set.", BuildSetup),
-    row("mem.budget_bytes", Counter, "bytes", "Configured memory budget (0 = unlimited).", BuildSetup),
-    row("mem.budget_exceeded", Counter, "charges", "Charges that pushed the working set past the budget.", BuildSetup),
-    row("mem.spill_runs_created", Counter, "runs", "Spill runs written by the streaming loader.", BuildSetup),
-    row("mem.spill_runs_merged", Counter, "runs", "Spill runs consumed to exhaustion by the k-way merge.", BuildSetup),
-    row("mem.spill_bytes_written", Counter, "bytes", "Bytes written to spill-run files (framed).", BuildSetup),
-    row("mem.spill_bytes_read", Counter, "bytes", "Bytes read back from spill-run files, digest pass included.", BuildSetup),
     row("whois.records", Counter, "records", "WHOIS records parsed.", Build),
     row("whois.malformed", Counter, "records", "WHOIS records rejected as malformed.", Build),
     row("mrt.records", Counter, "records", "MRT records decoded.", Build),

@@ -478,75 +478,57 @@ pub fn record_quarantine(obs: &Obs, quarantine: &Quarantine) {
     }
 }
 
-/// The `memory` section of a run report: how the build's working set was
-/// bounded — the ingest mode actually used, the budget, the accounted
-/// peak, and what the spill layer wrote and merged (all zeros for a plain
-/// in-memory build).
+/// The `memory` section of a run report: the process's peak resident set
+/// size when the report was assembled.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MemorySummary {
-    /// `in-memory`, `spill`, or `degraded` (budget exceeded, spilled
-    /// without being asked to).
-    pub mode: String,
-    /// Configured budget in bytes (0 = unlimited).
-    pub budget_bytes: u64,
-    /// Peak accounted working set in bytes.
-    pub peak_bytes: u64,
-    /// Charges that pushed the working set past the budget.
-    pub budget_exceeded: u64,
-    /// Spill runs written.
-    pub spill_runs_created: u64,
-    /// Spill runs merged to exhaustion.
-    pub spill_runs_merged: u64,
-    /// Bytes written to spill files.
-    pub spill_bytes_written: u64,
-    /// Bytes read back from spill files.
-    pub spill_bytes_read: u64,
+    /// Peak RSS in bytes ([`process_peak_rss_bytes`]; 0 off Linux).
+    pub peak_rss_bytes: u64,
 }
 
 impl MemorySummary {
     /// Serializes to the `memory` JSON object.
     pub fn to_json(&self) -> Json {
         let mut root = Json::object();
-        root.set(
-            "mode",
-            if self.mode.is_empty() {
-                "in-memory"
-            } else {
-                self.mode.as_str()
-            },
-        );
-        root.set("budget_bytes", self.budget_bytes);
-        root.set("peak_bytes", self.peak_bytes);
-        root.set("budget_exceeded", self.budget_exceeded);
-        root.set("spill_runs_created", self.spill_runs_created);
-        root.set("spill_runs_merged", self.spill_runs_merged);
-        root.set("spill_bytes_written", self.spill_bytes_written);
-        root.set("spill_bytes_read", self.spill_bytes_read);
+        root.set("peak_rss_bytes", self.peak_rss_bytes);
         root
     }
 
     /// Parses a `memory` JSON object back into a summary.
     pub fn from_json(json: &Json) -> Result<MemorySummary, String> {
-        let num = |key: &str| -> Result<u64, String> {
-            json.get(key)
-                .and_then(Json::as_u64)
-                .ok_or(format!("memory: missing {key}"))
-        };
         Ok(MemorySummary {
-            mode: json
-                .get("mode")
-                .and_then(Json::as_str)
-                .unwrap_or("in-memory")
-                .to_string(),
-            budget_bytes: num("budget_bytes")?,
-            peak_bytes: num("peak_bytes")?,
-            budget_exceeded: num("budget_exceeded")?,
-            spill_runs_created: num("spill_runs_created")?,
-            spill_runs_merged: num("spill_runs_merged")?,
-            spill_bytes_written: num("spill_bytes_written")?,
-            spill_bytes_read: num("spill_bytes_read")?,
+            peak_rss_bytes: json
+                .get("peak_rss_bytes")
+                .and_then(Json::as_u64)
+                .ok_or("memory: missing peak_rss_bytes")?,
         })
     }
+}
+
+/// A `kB` field of `/proc/self/status` in bytes: the one procfs read
+/// behind the process memory figures. 0 where procfs is unavailable (off
+/// Linux), so a series is present-but-zero rather than missing.
+fn proc_status_bytes(field: &str) -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find_map(|line| line.strip_prefix(field)?.strip_prefix(':'))
+                .and_then(|value| value.trim().strip_suffix("kB"))
+                .and_then(|kb| kb.trim().parse::<u64>().ok())
+        })
+        .map_or(0, |kb| kb * 1024)
+}
+
+/// Resident set size of this process in bytes (`VmRSS`).
+pub fn process_rss_bytes() -> u64 {
+    proc_status_bytes("VmRSS")
+}
+
+/// Peak resident set size of this process in bytes (`VmHWM`, the high
+/// water mark a wrapper's `ru_maxrss` also reports).
+pub fn process_peak_rss_bytes() -> u64 {
+    proc_status_bytes("VmHWM")
 }
 
 /// The `durability` section of a run report: what the crash-safety layer
@@ -700,8 +682,7 @@ pub struct RunReport {
     /// Crash-safety summary, when the run wrote artifacts through the
     /// durability layer (`None` for in-memory runs).
     pub durability: Option<DurabilitySummary>,
-    /// Memory-posture summary, when the run went through the budgeted
-    /// loader (`None` for runs without one).
+    /// The process's peak RSS, when the run reports it (`build` does).
     pub memory: Option<MemorySummary>,
 }
 
@@ -943,39 +924,10 @@ impl RunReport {
         }
         if let Some(m) = &self.memory {
             out.push_str("memory\n");
-            out.push_str(&format!("  {:width$}  {:>10}\n", "mode", m.mode));
             out.push_str(&format!(
                 "  {:width$}  {:>10}\n",
-                "budget_bytes", m.budget_bytes
+                "peak_rss_bytes", m.peak_rss_bytes
             ));
-            out.push_str(&format!(
-                "  {:width$}  {:>10}\n",
-                "peak_bytes", m.peak_bytes
-            ));
-            if m.budget_exceeded > 0 {
-                out.push_str(&format!(
-                    "  {:width$}  {:>10}\n",
-                    "budget_exceeded", m.budget_exceeded
-                ));
-            }
-            if m.spill_runs_created > 0 {
-                out.push_str(&format!(
-                    "  {:width$}  {:>10}\n",
-                    "spill_runs_created", m.spill_runs_created
-                ));
-                out.push_str(&format!(
-                    "  {:width$}  {:>10}\n",
-                    "spill_runs_merged", m.spill_runs_merged
-                ));
-                out.push_str(&format!(
-                    "  {:width$}  {:>10}\n",
-                    "spill_bytes_written", m.spill_bytes_written
-                ));
-                out.push_str(&format!(
-                    "  {:width$}  {:>10}\n",
-                    "spill_bytes_read", m.spill_bytes_read
-                ));
-            }
         }
         out
     }

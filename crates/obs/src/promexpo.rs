@@ -9,10 +9,9 @@
 //!   and `_count`, with `le` boundaries at the power-of-two bucket upper
 //!   bounds (`2^i - 1` for bucket `i`, then `+Inf`);
 //! - stage timers become `p2o_stage_wall_seconds` / `p2o_stage_items` /
-//!   `p2o_stage_runs` gauges labelled by stage name, with the repeats of
-//!   one stage (a spill build records one `bgp.parse` per MRT chunk)
-//!   aggregated into a single series — Prometheus forbids duplicate
-//!   series, so repeats sum.
+//!   `p2o_stage_runs` gauges labelled by stage name, with any repeats of
+//!   one stage aggregated into a single series — Prometheus forbids
+//!   duplicate series, so repeats sum.
 //!
 //! Dotted registry names (`whois.records`) are sanitized to the metric
 //! grammar (`[a-zA-Z_:][a-zA-Z0-9_:]*`) and prefixed `p2o_`, e.g.
@@ -110,8 +109,8 @@ fn render_stages(out: &mut String, stages: &[StageReport]) {
     if stages.is_empty() {
         return;
     }
-    // Aggregate by stage name in first-seen order: a stage timed once per
-    // input chunk repeats, but each Prometheus series must be unique.
+    // Aggregate by stage name in first-seen order: a stage timed more than
+    // once repeats, but each Prometheus series must be unique.
     let mut agg: Vec<(String, u64, u64, u64)> = Vec::new(); // name, wall, items, runs
     for s in stages {
         match agg.iter_mut().find(|(n, ..)| *n == s.name) {

@@ -161,37 +161,21 @@ pub fn from_jsonl(text: &str) -> Result<RpkiRepository, String> {
 /// from the surviving lines, restored in file order.
 pub fn from_jsonl_lenient(text: &str) -> (RpkiRepository, Vec<QuarantinedRecord>) {
     let mut repo = RpkiRepository::new();
-    let quarantined = extend_jsonl_lenient(&mut repo, text, 0);
-    (repo, quarantined)
-}
-
-/// Incremental form of [`from_jsonl_lenient`]: restores `text` (a run of
-/// whole lines) into an existing repository, reporting quarantined lines
-/// rebased by `line_offset` (lines of the file consumed before this
-/// chunk). Feeding a file chunk by chunk — any split at line boundaries —
-/// produces exactly the repository and quarantine of the whole-file parse;
-/// the bounded-memory (`--spill`) loader streams `rpki.jsonl` through this.
-pub fn extend_jsonl_lenient(
-    repo: &mut RpkiRepository,
-    text: &str,
-    line_offset: u64,
-) -> Vec<QuarantinedRecord> {
     let mut quarantined = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         if raw.trim().is_empty() {
             continue;
         }
-        let file_idx = line_offset as usize + idx;
-        if let Err(message) = restore_line(file_idx, raw, repo) {
+        if let Err(message) = restore_line(idx, raw, &mut repo) {
             quarantined.push(QuarantinedRecord::new(
                 classify_rpki_error(&message),
-                (file_idx + 1) as u64,
+                (idx + 1) as u64,
                 raw.as_bytes(),
                 message,
             ));
         }
     }
-    quarantined
+    (repo, quarantined)
 }
 
 /// Maps a [`restore_line`] error message onto the ingest taxonomy.
@@ -359,31 +343,6 @@ mod tests {
         text.push_str("{\"type\":\"alien\"}\n");
         let err = from_jsonl(&text).unwrap_err();
         assert!(err.contains("line 4"), "{err}");
-    }
-
-    #[test]
-    fn chunked_restore_matches_whole_file_parse() {
-        // Any line-boundary split must reproduce the whole-file parse:
-        // same objects, same order, same quarantine line numbers.
-        let mut text = to_jsonl(&sample_repo());
-        text.push_str("{\"type\":\"alien\"}\n");
-        let (whole, whole_q) = from_jsonl_lenient(&text);
-        let lines: Vec<&str> = text.lines().collect();
-        for split in 1..lines.len() {
-            let head = lines[..split].join("\n") + "\n";
-            let tail = lines[split..].join("\n") + "\n";
-            let mut repo = RpkiRepository::new();
-            let mut q = extend_jsonl_lenient(&mut repo, &head, 0);
-            q.extend(extend_jsonl_lenient(&mut repo, &tail, split as u64));
-            assert_eq!(repo.cert_count(), whole.cert_count(), "split {split}");
-            assert_eq!(repo.roa_count(), whole.roa_count(), "split {split}");
-            assert_eq!(to_jsonl(&repo), to_jsonl(&whole), "split {split}");
-            assert_eq!(
-                q.iter().map(|r| r.offset).collect::<Vec<_>>(),
-                whole_q.iter().map(|r| r.offset).collect::<Vec<_>>(),
-                "split {split}"
-            );
-        }
     }
 
     #[test]

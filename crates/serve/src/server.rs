@@ -48,7 +48,10 @@ use std::time::{Duration, Instant};
 use p2o_net::Prefix;
 use p2o_obs::catalogue::{self, Source};
 use p2o_obs::promexpo::{self, Family};
-use p2o_obs::{Counter, FlightRecorder, FlightSample, Histogram, Obs, WindowedHistogram, WINDOWS};
+use p2o_obs::{
+    process_rss_bytes, Counter, FlightRecorder, FlightSample, Histogram, Obs, WindowedHistogram,
+    WINDOWS,
+};
 use p2o_util::json::{write_escaped, Json};
 use prefix2org::FrozenDataset;
 
@@ -1022,28 +1025,6 @@ fn windowed_exposition(state: &Arc<ServerState>) -> String {
     }
     out.push_str(&rates);
     out
-}
-
-/// Resident set size of this process in bytes, from `/proc/self/statm`
-/// (field 2 is resident pages; the page size on every platform this
-/// builds for is 4096). Returns 0 where procfs is unavailable, so the
-/// gauge is present-but-zero rather than a missing series.
-fn process_rss_bytes() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        std::fs::read_to_string("/proc/self/statm")
-            .ok()
-            .and_then(|text| {
-                text.split_whitespace()
-                    .nth(1)
-                    .and_then(|pages| pages.parse::<u64>().ok())
-            })
-            .map_or(0, |pages| pages * 4096)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        0
-    }
 }
 
 /// Gauges describing the currently served snapshot: ROV state tallies and

@@ -90,13 +90,13 @@ impl WorldConfig {
     }
 
     /// The stress scale: ten times the [`bench_scale`](Self::bench_scale)
-    /// organization count, for exercising the bounded-memory (`--spill`)
-    /// build path on inputs whose in-memory working set genuinely exceeds
-    /// a modest budget. The growth is deliberately weighted toward the
-    /// low-footprint archetypes (enterprises, /24 holders, ASN-less
-    /// orgs): address *records* scale 10x while carriers, clouds and
-    /// ISPs — whose /12–/19 blocks dominate raw address consumption —
-    /// grow far less, keeping the per-RIR carver pools solvent.
+    /// organization count, for measuring the build and the server on
+    /// ~64 MB of inputs (perfbench's `batch-xl`). The growth is
+    /// deliberately weighted toward the low-footprint archetypes
+    /// (enterprises, /24 holders, ASN-less orgs): address *records* scale
+    /// 10x while carriers, clouds and ISPs — whose /12–/19 blocks dominate
+    /// raw address consumption — grow far less, keeping the per-RIR
+    /// carver pools solvent.
     pub fn xl_scale(seed: u64) -> Self {
         WorldConfig {
             seed,
@@ -149,8 +149,8 @@ mod tests {
         assert_eq!(c.total_orgs(), 2 + 2 + 3 + 1 + 6 + 8 + 4 + 4);
         assert!(WorldConfig::default_scale(1).total_orgs() > 500);
         assert!(WorldConfig::bench_scale(1).total_orgs() > 5000);
-        // The xl preset must stay at least 10x bench, the floor the
-        // bounded-memory acceptance tests assume.
+        // The xl preset must stay at least 10x bench, as `prefix2org help`
+        // and the README describe it.
         assert!(
             WorldConfig::xl_scale(1).total_orgs() >= 10 * WorldConfig::bench_scale(1).total_orgs()
         );

@@ -80,8 +80,8 @@ pub const FNV1A_INIT: u64 = FNV_OFFSET;
 
 /// Streaming FNV-1a: folds `data` into running state `h`. Feeding a byte
 /// string in any block split, starting from [`FNV1A_INIT`], produces the
-/// same value as [`fnv1a_64`] of the whole — the spill-run readers verify
-/// frame digests block by block without buffering the file.
+/// same value as [`fnv1a_64`] of the whole — `ManifestEntry::of_parts`
+/// digests a frame header and its payload without joining them.
 pub fn fnv1a_64_update(h: u64, data: &[u8]) -> u64 {
     let mut h = h;
     for &b in data {

@@ -30,8 +30,6 @@
 //! - [`arena`] — the section-table binary container behind the frozen
 //!   `world.p2ob` dataset artifact: named byte sections sliced zero-copy
 //!   out of one arena buffer.
-//! - [`spill`] — sorted, framed spill runs plus the k-way merge and memory
-//!   accounting behind the bounded-memory streaming build (`build --spill`).
 
 pub mod arena;
 pub mod atomic;
@@ -41,7 +39,6 @@ pub mod ingest;
 pub mod interner;
 pub mod json;
 pub mod manifest;
-pub mod spill;
 pub mod tsv;
 pub mod union_find;
 pub mod vfs;

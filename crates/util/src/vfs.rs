@@ -313,33 +313,7 @@ impl Vfs {
         fs::read(path)
     }
 
-    /// A file's length in bytes without reading it — the streaming (spill)
-    /// loader sizes its working-set projection from this.
-    pub fn file_len(&self, path: &Path) -> io::Result<u64> {
-        Ok(fs::metadata(path)?.len())
-    }
-
-    /// Reads up to `len` bytes starting at `offset`. Returns fewer bytes at
-    /// end of file and an empty vec at or past it — the bounded-memory run
-    /// readers stream spill files through this instead of [`read`](Self::read).
-    pub fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut f = fs::File::open(path)?;
-        f.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; len];
-        let mut filled = 0;
-        while filled < len {
-            let n = f.read(&mut buf[filled..])?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
-        }
-        buf.truncate(filled);
-        Ok(buf)
-    }
-
-    /// Removes a file (spill-run cleanup and `fsck --gc`).
+    /// Removes a file (`fsck --gc`).
     pub fn remove_file(&self, path: &Path) -> io::Result<()> {
         fs::remove_file(path)
     }

@@ -83,29 +83,6 @@ pub fn split_at_object_boundaries(text: &str, shards: usize) -> Vec<Shard<'_>> {
     out
 }
 
-/// The last safe cut point in `text`: the byte offset of the line start
-/// directly after the final blank line, together with the number of lines
-/// before it. Returns `None` when the text has no internal boundary (one
-/// object, or no blank separators at all).
-///
-/// The streaming (`--spill`) loader reads a dump in fixed-size slabs and
-/// uses this to decide how much of the current slab forms whole objects —
-/// everything after the cut is carried into the next slab, so no chunk
-/// ever splits an object.
-pub fn last_object_boundary(text: &str) -> Option<(usize, usize)> {
-    let mut offset = 0usize;
-    let mut prev_blank = false;
-    let mut best: Option<(usize, usize)> = None;
-    for (idx, line) in text.split_inclusive('\n').enumerate() {
-        if prev_blank && offset > 0 {
-            best = Some((offset, idx));
-        }
-        prev_blank = line.trim_end().is_empty();
-        offset += line.len();
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,62 +348,6 @@ mod tests {
         let last = shards.last().unwrap();
         assert!(last.text.contains("Tail Org"));
         assert!(last.text.contains("inetnum:        10.200.0.0"));
-    }
-
-    #[test]
-    fn last_object_boundary_matches_split_candidates() {
-        let text = rpsl_corpus(5);
-        let (cut, lines) = last_object_boundary(&text).unwrap();
-        // The cut is the start of the last object: 5 lines per object
-        // (4 attributes + blank), so 4 objects precede it.
-        assert_eq!(lines, 20);
-        assert!(text[cut..].starts_with("inetnum:"));
-        assert!(text[..cut].ends_with("\n\n"));
-        // No boundary in a single object or in empty text.
-        assert_eq!(last_object_boundary("inetnum: x\ndescr: y\n"), None);
-        assert_eq!(last_object_boundary(""), None);
-        // CRLF-only separators count.
-        let crlf = "a: 1\r\n\r\nb: 2\r\n";
-        let (cut, lines) = last_object_boundary(crlf).unwrap();
-        assert_eq!(&crlf[cut..], "b: 2\r\n");
-        assert_eq!(lines, 2);
-    }
-
-    #[test]
-    fn slab_streaming_with_last_boundary_is_parse_equivalent() {
-        // Simulates the spill loader's slab walk: read fixed-size slabs,
-        // cut each at its last object boundary, carry the tail. The
-        // concatenated chunk parses must equal the sequential parse.
-        let text = rpsl_corpus(300);
-        let whole = crate::rpsl::parse_dump(&text, Registry::Rir(Rir::Ripe));
-        for slab_size in [64usize, 257, 1024, 8192] {
-            let bytes = text.as_bytes();
-            let mut carry = String::new();
-            let mut pos = 0usize;
-            let mut records = Vec::new();
-            let mut chunks = 0usize;
-            while pos < bytes.len() || !carry.is_empty() {
-                let take = slab_size.min(bytes.len() - pos);
-                carry.push_str(std::str::from_utf8(&bytes[pos..pos + take]).unwrap());
-                pos += take;
-                let at_eof = pos >= bytes.len();
-                let chunk = if at_eof {
-                    std::mem::take(&mut carry)
-                } else {
-                    match last_object_boundary(&carry) {
-                        Some((cut, _)) => {
-                            let rest = carry.split_off(cut);
-                            std::mem::replace(&mut carry, rest)
-                        }
-                        None => continue,
-                    }
-                };
-                records.extend(crate::rpsl::parse_dump(&chunk, Registry::Rir(Rir::Ripe)).records);
-                chunks += 1;
-            }
-            assert!(chunks > 1 || slab_size >= text.len());
-            assert_eq!(records, whole.records, "slab {slab_size} changed records");
-        }
     }
 
     #[test]

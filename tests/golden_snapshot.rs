@@ -57,16 +57,6 @@ const GOLDEN_COUNTERS: &[(&str, u64)] = &[
     ("rov.valid", 101),
     ("rov.invalid", 23),
     ("rov.not_found", 214),
-    // The memory family is pinned at zero: an in-process golden build has
-    // no budget and spills nothing, but the series must be registered so
-    // in-memory and spill runs stay structurally identical.
-    ("mem.peak_bytes", 0),
-    ("mem.budget_bytes", 0),
-    ("mem.budget_exceeded", 0),
-    ("mem.spill_runs_created", 0),
-    ("mem.spill_runs_merged", 0),
-    ("mem.spill_bytes_written", 0),
-    ("mem.spill_bytes_read", 0),
     ("exceptions.asserted", 0),
     ("exceptions.filtered", 0),
     ("exceptions.unmatched", 0),
