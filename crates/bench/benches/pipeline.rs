@@ -205,8 +205,17 @@ fn bench_json(budget_ms: u64) {
         let jsonl = prefix2org::to_jsonl(&dataset);
         for &threads in &thread_counts {
             let mean = bench(&format!("freeze/{scale}/threads_{threads}"), || {
-                prefix2org::freeze_verified(&inputs, &dataset, &edges, 0, &jsonl, threads, None)
-                    .expect("fresh freeze verifies")
+                let export = prefix2org::ExportBytes::in_memory(&jsonl);
+                prefix2org::freeze_verified(
+                    &built.routes,
+                    &dataset,
+                    &edges,
+                    0,
+                    export,
+                    threads,
+                    None,
+                )
+                .expect("fresh freeze verifies")
             });
             stage_means.push(("freeze", threads, mean));
         }

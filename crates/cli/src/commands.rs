@@ -1,5 +1,6 @@
 //! The `prefix2org` subcommand implementations.
 
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
@@ -9,9 +10,8 @@ use p2o_synth::corrupt::{corrupt_world, CorruptionConfig};
 use p2o_synth::{World, WorldConfig};
 use p2o_util::atomic;
 use p2o_util::ingest::{IngestLayer, DEFAULT_QUARANTINE_SAMPLES};
-use p2o_util::manifest::ManifestEntry;
 use p2o_util::vfs::Vfs;
-use prefix2org::{ExportRecord, Pipeline, PipelineInputs};
+use prefix2org::{ExportBytes, ExportRecord, Pipeline, PipelineInputs};
 
 use crate::args::Parsed;
 use crate::checkpoint;
@@ -70,9 +70,9 @@ pub fn generate(args: &Parsed) -> Result<(), CliError> {
         // it to know which prefixes to probe.
         let text = outcome.to_json().to_string_pretty();
         let path = out.join("adversary.json");
-        atomic::write_atomic(&vfs, &path, "adversary", text.as_bytes())
+        let written = atomic::write_atomic_parts(&vfs, &path, "adversary", &[text.as_bytes()])
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        manifest.record("adversary.json", text.as_bytes());
+        manifest.record_entry("adversary.json", written);
         eprintln!(
             "applied adversarial mutation {} (seed {:#x}): {} victim cert(s), {} affected prefix(es)",
             outcome.class,
@@ -92,9 +92,9 @@ pub fn generate(args: &Parsed) -> Result<(), CliError> {
         );
         let mut rewrite = |relpath: String, data: &[u8]| -> Result<(), CliError> {
             let path = out.join(&relpath);
-            atomic::write_atomic(&vfs, &path, "corrupt", data)
+            let written = atomic::write_atomic_parts(&vfs, &path, "corrupt", &[data])
                 .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            manifest.record(&relpath, data);
+            manifest.record_entry(&relpath, written);
             Ok(())
         };
         for (registry, dump) in &corrupted.whois {
@@ -118,15 +118,17 @@ pub fn generate(args: &Parsed) -> Result<(), CliError> {
     manifest
         .save(&vfs, out)
         .map_err(|e| format!("writing manifest: {e}"))?;
-    println!(
-        "wrote {} WHOIS dumps, {} RPKI objects, {} byte RIB, {} truth lists to {}",
-        world.whois_dumps.len(),
-        world.rpki.cert_count() + world.rpki.roa_count(),
-        world.mrt.len(),
-        world.truth.published_lists.len(),
-        out.display()
-    );
-    Ok(())
+    print_answers(|stdout| {
+        writeln!(
+            stdout,
+            "wrote {} WHOIS dumps, {} RPKI objects, {} byte RIB, {} truth lists to {}",
+            world.whois_dumps.len(),
+            world.rpki.cert_count() + world.rpki.roa_count(),
+            world.mrt.len(),
+            world.truth.published_lists.len(),
+            out.display()
+        )
+    })
 }
 
 /// Outcome of the `--resume` checkpoint evaluation.
@@ -369,8 +371,13 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
                     "resume: inputs unchanged, all {verified} requested artifacts verify; \
                      skipping build"
                 );
-                println!("dataset already current at {} (resumed)", out.display());
-                return Ok(());
+                return print_answers(|stdout| {
+                    writeln!(
+                        stdout,
+                        "dataset already current at {} (resumed)",
+                        out.display()
+                    )
+                });
             }
             ResumeDecision::Run {
                 checkpoint,
@@ -451,16 +458,22 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         inputs.routes.len(),
         inputs.snapshot_date,
     );
-    let pipeline = Pipeline::with_threads(threads);
-    let pipeline_inputs = PipelineInputs {
-        delegations: &inputs.tree,
-        routes: &inputs.routes,
-        asn_clusters: &inputs.clusters,
-        rpki: &inputs.rpki,
-    };
     // One pipeline run yields the dataset and the merge evidence the frozen
     // artifact needs; an observed build records its counters and stages.
-    let (mut dataset, merge_edges) = pipeline.dataset_with_evidence(&pipeline_inputs, obs.as_ref());
+    let (mut dataset, merge_edges) = Pipeline::with_threads(threads).dataset_with_evidence(
+        &PipelineInputs {
+            delegations: &inputs.tree,
+            routes: &inputs.routes,
+            asn_clusters: &inputs.clusters,
+            rpki: &inputs.rpki,
+        },
+        obs.as_ref(),
+    );
+    // The freeze reads only the route table: the other parsed inputs are
+    // released before the export and the freeze.
+    let timer = stage("build.release_inputs");
+    let routes = inputs.into_routes();
+    drop(timer);
     // Operator exceptions apply after resolution and clustering, so an
     // assert overrides the inferred attribution (keeping its evidence) and
     // a filter drops the record entirely — from the export, the frozen
@@ -483,41 +496,38 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
             exception_summary.unmatched,
         );
     }
+    // The export streams line by line into its tmp file and is hashed on
+    // the way, so it is never held whole.
     let timer = stage("core.export");
-    let jsonl = prefix2org::to_jsonl(&dataset);
-    drop(timer);
-    let timer = stage("util.write_export");
-    atomic::write_atomic(&vfs, out, "export", jsonl.as_bytes())
-        .map_err(|e| format!("writing {}: {e}", out.display()))?;
+    let export = atomic::write_atomic_with(&vfs, out, "export", |lines| {
+        prefix2org::write_jsonl(&dataset, lines)
+    })
+    .map_err(|e| format!("writing {}: {e}", out.display()))?;
     drop(timer);
 
     // Freeze the same dataset into the zero-copy serve artifact. The META
     // section stamps the option-independent inputs digest so a later
     // `serve` can detect staleness no matter which flags this build ran
     // with, and the thaw check proves the artifact reproduces the export
-    // byte-for-byte before anything touches disk.
+    // just written, read back, byte for byte before anything touches disk.
     let canonical_digest = checkpoint::canonical_inputs_digest(scan.files_digest, exceptions_bytes);
+    let written = vfs
+        .open(out)
+        .map_err(|e| format!("reading {} back: {e}", out.display()))?;
     let frozen = prefix2org::freeze_verified(
-        &pipeline_inputs,
+        &routes,
         &dataset,
         &merge_edges,
         canonical_digest,
-        &jsonl,
+        ExportBytes {
+            digest: export.digest,
+            reader: io::BufReader::new(written),
+        },
         threads,
         obs.as_ref(),
     )?;
     let mut stamp = checkpoint::Stamp::new(inputs_digest);
-    // The artifact's JSONL digest is the export's FNV-1a digest, so the
-    // stamp reuses it instead of hashing the export again.
-    stamp.record_entry(
-        "export",
-        out_str,
-        ManifestEntry {
-            bytes: jsonl.len() as u64,
-            digest: frozen.jsonl_digest(),
-        },
-    );
-    drop(jsonl);
+    stamp.record_entry("export", out_str, export);
     if let (Some(p), Some(text)) = (exceptions_path, &exceptions_text) {
         // Recorded for the audit trail (which rules shaped this build);
         // the content already participates in the inputs digest.
@@ -528,10 +538,13 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     // the frame is the artifact's one integrity record (no manifest row).
     let timer = stage("util.write_frozen");
     let payload = frozen.payload();
-    let parts: [&[u8]; 2] = [&atomic::frame_header(payload), payload];
-    atomic::write_atomic_parts(&vfs, &frozen_path, prefix2org::FROZEN_LABEL, &parts)
-        .map_err(|e| format!("writing {}: {e}", frozen_path.display()))?;
-    let framed = ManifestEntry::of_parts(&parts);
+    let framed = atomic::write_atomic_parts(
+        &vfs,
+        &frozen_path,
+        prefix2org::FROZEN_LABEL,
+        &[&atomic::frame_header(payload), payload],
+    )
+    .map_err(|e| format!("writing {}: {e}", frozen_path.display()))?;
     drop(frozen);
     stamp.record_entry("frozen", &frozen_path_str, framed);
     drop(timer);
@@ -554,6 +567,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
             name: "build.unattributed".to_string(),
             wall_ns: (started.elapsed().as_nanos() as u64).saturating_sub(attributed),
             items: None,
+            rss_bytes: p2o_obs::process_rss_bytes(),
         });
         // Always present, all-zero on clean input: consumers can rely on
         // the sections existing.
@@ -571,11 +585,12 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         if let Some(path) = report_path {
             let text = report.to_json_string();
             if report_to_stdout {
-                println!("{text}");
+                print_answers(|stdout| writeln!(stdout, "{text}"))?;
             } else {
-                atomic::write_atomic(&vfs, Path::new(path), "report", text.as_bytes())
-                    .map_err(|e| format!("writing report {path}: {e}"))?;
-                stamp.record("report", path, text.as_bytes());
+                let written =
+                    atomic::write_atomic_parts(&vfs, Path::new(path), "report", &[text.as_bytes()])
+                        .map_err(|e| format!("writing report {path}: {e}"))?;
+                stamp.record_entry("report", path, written);
             }
             eprint!("{}", report.summary_table());
             if !report_to_stdout {
@@ -584,17 +599,19 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         }
         if let Some(path) = metrics_path {
             let text = p2o_obs::promexpo::to_prometheus(&report);
-            atomic::write_atomic(&vfs, Path::new(path), "metrics", text.as_bytes())
-                .map_err(|e| format!("writing metrics {path}: {e}"))?;
-            stamp.record("metrics", path, text.as_bytes());
+            let written =
+                atomic::write_atomic_parts(&vfs, Path::new(path), "metrics", &[text.as_bytes()])
+                    .map_err(|e| format!("writing metrics {path}: {e}"))?;
+            stamp.record_entry("metrics", path, written);
             eprintln!("Prometheus metrics written to {path}");
         }
         if let Some(path) = trace_path {
             let trace = o.take_trace();
             let text = trace.to_chrome_json_string();
-            atomic::write_atomic(&vfs, Path::new(path), "trace", text.as_bytes())
-                .map_err(|e| format!("writing trace {path}: {e}"))?;
-            stamp.record("trace", path, text.as_bytes());
+            let written =
+                atomic::write_atomic_parts(&vfs, Path::new(path), "trace", &[text.as_bytes()])
+                    .map_err(|e| format!("writing trace {path}: {e}"))?;
+            stamp.record_entry("trace", path, written);
             eprintln!(
                 "Chrome trace ({} events across {} threads) written to {path}",
                 trace.event_count(),
@@ -612,39 +629,38 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         )
     })?;
 
+    let m = dataset.metrics();
+    let summary = [
+        format!("dataset: {} prefixes -> {}", dataset.len(), out.display()),
+        format!(
+            "  frozen dataset: {frozen_bytes} bytes -> {}",
+            frozen_path.display()
+        ),
+        format!(
+            "  IPv4 {} / IPv6 {}; {} Direct Owners, {} base names, {} final clusters",
+            m.ipv4_prefixes, m.ipv6_prefixes, m.direct_owners, m.base_names, m.final_clusters
+        ),
+        format!(
+            "  multi-name clusters: {} holding {:.1}% of routed IPv4 space",
+            m.multi_name_clusters, m.pct_v4_space_multi_name
+        ),
+        format!(
+            "  unresolved prefixes: {} ({:.3}%)",
+            m.unresolved_prefixes,
+            100.0 * m.unresolved_prefixes as f64 / routes.len().max(1) as f64
+        ),
+    ];
     // When the JSON report goes to stdout, the human summary must not
     // corrupt it — divert the summary to stderr.
-    let say = |line: String| {
-        if report_to_stdout {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
-    let m = dataset.metrics();
-    say(format!(
-        "dataset: {} prefixes -> {}",
-        dataset.len(),
-        out.display()
-    ));
-    say(format!(
-        "  frozen dataset: {frozen_bytes} bytes -> {}",
-        frozen_path.display()
-    ));
-    say(format!(
-        "  IPv4 {} / IPv6 {}; {} Direct Owners, {} base names, {} final clusters",
-        m.ipv4_prefixes, m.ipv6_prefixes, m.direct_owners, m.base_names, m.final_clusters
-    ));
-    say(format!(
-        "  multi-name clusters: {} holding {:.1}% of routed IPv4 space",
-        m.multi_name_clusters, m.pct_v4_space_multi_name
-    ));
-    say(format!(
-        "  unresolved prefixes: {} ({:.3}%)",
-        m.unresolved_prefixes,
-        100.0 * m.unresolved_prefixes as f64 / inputs.routes.len().max(1) as f64
-    ));
-    Ok(())
+    if report_to_stdout {
+        summary.iter().for_each(|line| eprintln!("{line}"));
+        return Ok(());
+    }
+    print_answers(|stdout| {
+        summary
+            .iter()
+            .try_for_each(|line| writeln!(stdout, "{line}"))
+    })
 }
 
 /// `fsck`: audit a data directory for torn writes, leftover tmp files,
@@ -661,22 +677,26 @@ pub fn fsck(args: &Parsed) -> Result<(), CliError> {
     for note in &report.notes {
         eprintln!("note: {note}");
     }
-    for finding in &report.findings {
-        println!("{finding}");
-    }
+    print_answers(|out| {
+        report
+            .findings
+            .iter()
+            .try_for_each(|finding| writeln!(out, "{finding}"))
+    })?;
     if args.has("gc") {
         let removed = fsck::gc(&vfs, Path::new(dir))?;
-        for path in &removed {
-            println!("gc: removed {path}");
-        }
+        print_answers(|out| {
+            removed
+                .iter()
+                .try_for_each(|path| writeln!(out, "gc: removed {path}"))
+        })?;
         eprintln!("gc: removed {} debris file(s)", removed.len());
         // The exit code reflects the directory *after* collection: debris
         // that --gc swept is no longer damage, anything else still is.
         report = fsck::audit(&vfs, Path::new(dir))?;
     }
     if report.findings.is_empty() {
-        println!("{dir}: ok ({} artifacts verified)", report.verified);
-        Ok(())
+        print_answers(|out| writeln!(out, "{dir}: ok ({} artifacts verified)", report.verified))
     } else {
         Err(CliError::Integrity(format!(
             "{} integrity finding(s) in {dir}",
@@ -736,10 +756,12 @@ fn prefix_args(args: &Parsed, command: &str) -> Result<Vec<Prefix>, CliError> {
     Ok(queries)
 }
 
-/// Writes a query command's answers through one locked, buffered stdout.
-/// A closed stdout (`| head`) ends the command quietly, with success; any
-/// other write failure is an error.
-fn print_answers(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> Result<(), CliError> {
+/// Writes a command's output through one locked, buffered stdout: every
+/// line the CLI prints goes through here. A closed stdout (`| head`) ends
+/// the output quietly, with success; any other write failure is an error.
+pub(crate) fn print_answers(
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> Result<(), CliError> {
     let mut out = io::BufWriter::new(io::stdout().lock());
     match write(&mut out).and_then(|()| out.flush()) {
         Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
@@ -901,144 +923,168 @@ pub fn diff(args: &Parsed) -> Result<(), CliError> {
     let old = load_dataset(args.require("old")?)?;
     let new = load_dataset(args.require("new")?)?;
     let delta = prefix2org::delta::diff_exports(&old, &new);
-    println!(
-        "snapshots: {} -> {} prefixes; {} unchanged",
-        old.len(),
-        new.len(),
-        delta.unchanged
-    );
-    println!(
-        "added {} / removed {} / owner changes {} / customer churn {}",
-        delta.added.len(),
-        delta.removed.len(),
-        delta.owner_changes.len(),
-        delta.customer_changes.len()
-    );
-    for change in delta.owner_changes.iter().take(20) {
-        println!(
-            "  transfer {}: {} -> {}",
-            change.prefix, change.from, change.to
-        );
-    }
-    if delta.owner_changes.len() > 20 {
-        println!("  ... {} more", delta.owner_changes.len() - 20);
-    }
-    Ok(())
+    print_answers(|out| {
+        writeln!(
+            out,
+            "snapshots: {} -> {} prefixes; {} unchanged",
+            old.len(),
+            new.len(),
+            delta.unchanged
+        )?;
+        writeln!(
+            out,
+            "added {} / removed {} / owner changes {} / customer churn {}",
+            delta.added.len(),
+            delta.removed.len(),
+            delta.owner_changes.len(),
+            delta.customer_changes.len()
+        )?;
+        for change in delta.owner_changes.iter().take(20) {
+            writeln!(
+                out,
+                "  transfer {}: {} -> {}",
+                change.prefix, change.from, change.to
+            )?;
+        }
+        if delta.owner_changes.len() > 20 {
+            writeln!(out, "  ... {} more", delta.owner_changes.len() - 20)?;
+        }
+        Ok(())
+    })
 }
 
 /// `validate`: evaluate a snapshot against a directory's ground truth.
+///
+/// An organization's predicted prefixes are those of every final cluster
+/// holding a record whose cleaned Direct Owner contains the list's cleaned
+/// name. Each distinct owner name is cleaned once, and each list's
+/// prediction is taken once and split by family.
 pub fn validate(args: &Parsed) -> Result<(), CliError> {
     let dir = Path::new(args.require("in")?);
     let records = load_dataset(args.require("dataset")?)?;
-    let inputs = store::load_inputs(&Vfs::real(), dir, None, 1, store::IngestMode::Lenient)?.inputs;
-    if inputs.truth.is_empty() {
+    let truth = store::load_truth(&Vfs::real(), dir)?;
+    if truth.is_empty() {
         return Err(format!("{} has no truth/lists.tsv", dir.display()).into());
     }
 
     // Rebuild a queryable dataset view from the export: org -> prefixes via
-    // cluster labels.
-    let mut by_cluster: std::collections::HashMap<&str, Vec<Prefix>> =
-        std::collections::HashMap::new();
-    let mut owners: std::collections::HashMap<Prefix, &ExportRecord> =
-        std::collections::HashMap::new();
+    // cluster labels, and each distinct cleaned owner name -> the clusters
+    // of its records.
+    let mut by_cluster: HashMap<&str, Vec<Prefix>> = HashMap::new();
+    let mut routed: HashSet<Prefix> = HashSet::new();
+    let mut by_owner: HashMap<&str, HashSet<&str>> = HashMap::new();
     for rec in &records {
         by_cluster
             .entry(&rec.final_cluster)
             .or_default()
             .push(rec.prefix);
-        owners.insert(rec.prefix, rec);
+        routed.insert(rec.prefix);
+        by_owner
+            .entry(&rec.direct_owner)
+            .or_default()
+            .insert(&rec.final_cluster);
     }
+    let owners: Vec<(String, HashSet<&str>)> = by_owner
+        .into_iter()
+        .map(|(owner, clusters)| (p2o_strings::clean::basic_clean(owner), clusters))
+        .collect();
     let predicted_for = |org_name: &str| -> Vec<Prefix> {
         let needle = p2o_strings::clean::basic_clean(org_name);
-        let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for rec in &records {
-            if p2o_strings::clean::basic_clean(&rec.direct_owner).contains(&needle)
-                && seen.insert(rec.final_cluster.as_str())
-            {
-                out.extend(by_cluster[rec.final_cluster.as_str()].iter().copied());
-            }
-        }
+        let clusters: HashSet<&str> = owners
+            .iter()
+            .filter(|(name, _)| name.contains(&needle))
+            .flat_map(|(_, clusters)| clusters.iter().copied())
+            .collect();
+        let mut out: Vec<Prefix> = clusters
+            .into_iter()
+            .flat_map(|cluster| by_cluster[cluster].iter().copied())
+            .collect();
         out.sort();
         out.dedup();
         out
     };
 
-    println!(
-        "{:<40} {:>5} {:>5} {:>5} {:>5} {:>5} {:>9} {:>7}",
-        "Organization", "True", "Pred", "TP", "FP", "FN", "Precision", "Recall"
-    );
-    let mut tot = (0usize, 0usize, 0usize, 0usize, 0usize);
-    for list in &inputs.truth {
-        for family in [AddressFamily::V4, AddressFamily::V6] {
-            let truth: Vec<Prefix> = list
-                .prefixes
-                .iter()
-                .filter(|p| p.family() == family && owners.contains_key(p))
-                .copied()
-                .collect();
-            if truth.is_empty() {
-                continue;
+    print_answers(|out| {
+        writeln!(
+            out,
+            "{:<40} {:>5} {:>5} {:>5} {:>5} {:>5} {:>9} {:>7}",
+            "Organization", "True", "Pred", "TP", "FP", "FN", "Precision", "Recall"
+        )?;
+        let mut tot = (0usize, 0usize, 0usize, 0usize, 0usize);
+        for list in &truth {
+            let predicted_all = predicted_for(&list.org_name);
+            for family in [AddressFamily::V4, AddressFamily::V6] {
+                let truth: Vec<Prefix> = list
+                    .prefixes
+                    .iter()
+                    .filter(|p| p.family() == family && routed.contains(p))
+                    .copied()
+                    .collect();
+                if truth.is_empty() {
+                    continue;
+                }
+                let predicted: Vec<Prefix> = predicted_all
+                    .iter()
+                    .filter(|p| p.family() == family)
+                    .copied()
+                    .collect();
+                let tp = predicted
+                    .iter()
+                    .filter(|p| truth.iter().any(|t| t.contains(p)))
+                    .count();
+                let fp = predicted.len() - tp;
+                let fnn = truth
+                    .iter()
+                    .filter(|t| !predicted.iter().any(|p| t.contains(p) || p.contains(t)))
+                    .count();
+                let precision = if tp + fp == 0 {
+                    100.0
+                } else {
+                    100.0 * tp as f64 / (tp + fp) as f64
+                };
+                let recall = 100.0 * (truth.len() - fnn) as f64 / truth.len() as f64;
+                let kind = if list.exhaustive {
+                    "exhaustive"
+                } else {
+                    "public"
+                };
+                writeln!(
+                    out,
+                    "{:<40} {:>5} {:>5} {:>5} {:>5} {:>5} {:>9.2} {:>7.2}",
+                    format!("{} ({family}, {kind})", list.org_name),
+                    truth.len(),
+                    predicted.len(),
+                    tp,
+                    fp,
+                    fnn,
+                    precision,
+                    recall
+                )?;
+                tot = (
+                    tot.0 + truth.len(),
+                    tot.1 + predicted.len(),
+                    tot.2 + tp,
+                    tot.3 + fp,
+                    tot.4 + fnn,
+                );
             }
-            let predicted: Vec<Prefix> = predicted_for(&list.org_name)
-                .into_iter()
-                .filter(|p| p.family() == family)
-                .collect();
-            let tp = predicted
-                .iter()
-                .filter(|p| truth.iter().any(|t| t.contains(p)))
-                .count();
-            let fp = predicted.len() - tp;
-            let fnn = truth
-                .iter()
-                .filter(|t| !predicted.iter().any(|p| t.contains(p) || p.contains(t)))
-                .count();
-            let precision = if tp + fp == 0 {
-                100.0
-            } else {
-                100.0 * tp as f64 / (tp + fp) as f64
-            };
-            let recall = 100.0 * (truth.len() - fnn) as f64 / truth.len() as f64;
-            let kind = if list.exhaustive {
-                "exhaustive"
-            } else {
-                "public"
-            };
-            println!(
-                "{:<40} {:>5} {:>5} {:>5} {:>5} {:>5} {:>9.2} {:>7.2}",
-                format!("{} ({family}, {kind})", list.org_name),
-                truth.len(),
-                predicted.len(),
-                tp,
-                fp,
-                fnn,
-                precision,
-                recall
-            );
-            tot = (
-                tot.0 + truth.len(),
-                tot.1 + predicted.len(),
-                tot.2 + tp,
-                tot.3 + fp,
-                tot.4 + fnn,
-            );
         }
-    }
-    let precision = if tot.2 + tot.3 == 0 {
-        100.0
-    } else {
-        100.0 * tot.2 as f64 / (tot.2 + tot.3) as f64
-    };
-    let recall = if tot.0 == 0 {
-        100.0
-    } else {
-        100.0 * (tot.0 - tot.4) as f64 / tot.0 as f64
-    };
-    println!(
-        "{:<40} {:>5} {:>5} {:>5} {:>5} {:>5} {:>9.2} {:>7.2}",
-        "Total", tot.0, tot.1, tot.2, tot.3, tot.4, precision, recall
-    );
-    Ok(())
+        let precision = if tot.2 + tot.3 == 0 {
+            100.0
+        } else {
+            100.0 * tot.2 as f64 / (tot.2 + tot.3) as f64
+        };
+        let recall = if tot.0 == 0 {
+            100.0
+        } else {
+            100.0 * (tot.0 - tot.4) as f64 / tot.0 as f64
+        };
+        writeln!(
+            out,
+            "{:<40} {:>5} {:>5} {:>5} {:>5} {:>5} {:>9.2} {:>7.2}",
+            "Total", tot.0, tot.1, tot.2, tot.3, tot.4, precision, recall
+        )
+    })
 }
 
 /// Loads `dir` the one way `serve` and `explain` answer from it: the fsck
@@ -1196,9 +1242,7 @@ pub fn serve(args: &Parsed) -> Result<(), CliError> {
     let server = p2o_serve::spawn(config, initial, loader).map_err(CliError::General)?;
     // The parseable readiness line tools (bench harness, chaos tests)
     // wait for; keep the format stable.
-    println!("listening on {}", server.addr);
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    print_answers(|out| writeln!(out, "listening on {}", server.addr))?;
     server.join();
     Ok(())
 }

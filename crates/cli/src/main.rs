@@ -182,12 +182,11 @@ const COMMANDS: &[Command] = &[
 
 fn run(argv: &[String]) -> Result<(), CliError> {
     let Some(name) = argv.first() else {
-        print_usage();
+        print_usage()?;
         return Err("no command given".into());
     };
     if matches!(name.as_str(), "help" | "--help" | "-h") {
-        print_usage();
-        return Ok(());
+        return print_usage();
     }
     let command = COMMANDS
         .iter()
@@ -355,8 +354,8 @@ USAGE:
       Evaluate the snapshot against the directory's ground-truth lists
       (per-organization precision/recall, paper Tables 5-6).";
 
-fn print_usage() {
-    println!("{USAGE}");
+fn print_usage() -> Result<(), CliError> {
+    commands::print_answers(|out| writeln!(out, "{USAGE}"))
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 //!   rpki.jsonl             certificates and ROAs (p2o-rpki persist format)
 //!   delegated/<RIR>.txt    NRO delegated-extended statistics per RIR
 //!   pfx2as.txt             CAIDA routeviews-prefix2as view of the RIB
-//!   truth/lists.tsv        org_name, exhaustive, prefix (ground truth)
+//!   truth/lists.tsv        org_name, exhaustive, prefix (ground truth;
+//!                          parsed only by `validate`)
 //!   meta.tsv               key, value (snapshot date, seed)
 //! ```
 
@@ -57,9 +58,9 @@ pub fn write_world(vfs: &Vfs, world: &World, dir: &Path) -> Result<Manifest, Str
     let mut manifest = Manifest::new();
     let put = |manifest: &mut Manifest, relpath: String, bytes: &[u8]| -> Result<(), String> {
         let path = dir.join(&relpath);
-        atomic::write_atomic(vfs, &path, "store", bytes)
+        let written = atomic::write_atomic_parts(vfs, &path, "store", &[bytes])
             .map_err(|e| io_err("writing", &path, e))?;
-        manifest.record(&relpath, bytes);
+        manifest.record_entry(&relpath, written);
         Ok(())
     };
 
@@ -263,7 +264,34 @@ pub struct TruthList {
     pub prefixes: Vec<Prefix>,
 }
 
-/// Everything `build`/`validate` load from a snapshot directory.
+/// The ground-truth lists in `DIR/truth/lists.tsv`, one per organization
+/// name and exhaustiveness, in that order; empty when the directory has
+/// none. `validate` reads nothing else of the inputs.
+pub fn load_truth(vfs: &Vfs, dir: &Path) -> Result<Vec<TruthList>, String> {
+    let Ok(text) = vfs.read_to_string(&dir.join("truth").join("lists.tsv")) else {
+        return Ok(Vec::new());
+    };
+    let mut by_org: BTreeMap<(String, bool), Vec<Prefix>> = BTreeMap::new();
+    for mut row in tsv::parse_rows(&text, 3).map_err(|e| e.to_string())? {
+        let exhaustive = row[1] == "true";
+        let prefix: Prefix = row[2].parse().map_err(|e| format!("lists.tsv: {e}"))?;
+        by_org
+            .entry((std::mem::take(&mut row[0]), exhaustive))
+            .or_default()
+            .push(prefix);
+    }
+    Ok(by_org
+        .into_iter()
+        .map(|((org_name, exhaustive), prefixes)| TruthList {
+            org_name,
+            exhaustive,
+            prefixes,
+        })
+        .collect())
+}
+
+/// Everything `build` and serve's full load parse from a snapshot
+/// directory.
 pub struct LoadedInputs {
     /// WHOIS delegation tree.
     pub tree: DelegationTree,
@@ -277,10 +305,16 @@ pub struct LoadedInputs {
     pub rpki: p2o_rpki::ValidatedRepo,
     /// RPKI validation problems.
     pub rpki_problems: Vec<p2o_rpki::RepoProblem>,
-    /// Ground-truth lists (empty when the directory has none).
-    pub truth: Vec<TruthList>,
     /// Snapshot date from `meta.tsv` (defaults to 20240901).
     pub snapshot_date: u32,
+}
+
+impl LoadedInputs {
+    /// The route table, the one input the freeze reads; every other
+    /// parsed input is dropped here.
+    pub fn into_routes(self) -> RouteTable {
+        self.routes
+    }
 }
 
 /// How record-level corruption in the inputs is treated.
@@ -506,30 +540,6 @@ pub fn load_inputs(
     let (rpki, rpki_problems) = repo.validate(snapshot_date);
     drop(timer);
 
-    // Ground truth (optional).
-    let mut truth: Vec<TruthList> = Vec::new();
-    if let Ok(text) = read(dir.join("truth").join("lists.tsv")) {
-        let mut by_org: HashMap<(String, bool), Vec<Prefix>> = HashMap::new();
-        for row in tsv::parse_rows(&text, 3).map_err(|e| e.to_string())? {
-            let exhaustive = row[1] == "true";
-            let prefix: Prefix = row[2].parse().map_err(|e| format!("lists.tsv: {e}"))?;
-            by_org
-                .entry((row[0].clone(), exhaustive))
-                .or_default()
-                .push(prefix);
-        }
-        let mut keys: Vec<(String, bool)> = by_org.keys().cloned().collect();
-        keys.sort();
-        for key in keys {
-            let prefixes = by_org.remove(&key).expect("key listed");
-            truth.push(TruthList {
-                org_name: key.0,
-                exhaustive: key.1,
-                prefixes,
-            });
-        }
-    }
-
     if let Some(o) = obs {
         p2o_obs::record_quarantine(o, &quarantine);
     }
@@ -542,7 +552,6 @@ pub fn load_inputs(
             clusters,
             rpki,
             rpki_problems,
-            truth,
             snapshot_date,
         },
         quarantine,

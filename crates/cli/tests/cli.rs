@@ -171,10 +171,10 @@ fn build_report_emits_run_report() {
         "whois.delegated",
         "pipeline.resolve",
         "pipeline.cluster",
+        "build.release_inputs",
         "core.export",
         "core.freeze",
         "core.thaw_verify",
-        "util.write_export",
         "util.write_frozen",
         "build.unattributed",
     ] {
@@ -204,10 +204,19 @@ fn build_report_emits_run_report() {
         parsed.counter("pipeline.routed_prefixes").unwrap()
     );
 
-    // The memory section gives the process's peak RSS (0 off Linux).
+    // The memory section gives the process's peak RSS, and each stage row
+    // the RSS when it ended, which the peak bounds (all 0 off Linux).
     let peak_rss = parsed.memory.expect("memory section").peak_rss_bytes;
     if cfg!(target_os = "linux") {
         assert!(peak_rss > 0, "peak_rss_bytes is 0 on Linux");
+        for s in &parsed.stages {
+            assert!(
+                s.rss_bytes > 0 && s.rss_bytes <= peak_rss,
+                "stage {} ended at {} B RSS, peak {peak_rss} B",
+                s.name,
+                s.rss_bytes
+            );
+        }
     }
 
     // The stderr summary table lists the stages, counters and peak RSS.
@@ -216,6 +225,7 @@ fn build_report_emits_run_report() {
     assert!(stderr.contains("pipeline.resolve"), "{stderr}");
     assert!(stderr.contains("whois.records"), "{stderr}");
     assert!(stderr.contains("peak_rss_bytes"), "{stderr}");
+    assert!(stderr.contains(" MB rss"), "{stderr}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -505,7 +515,8 @@ fn build_report_dash_writes_json_to_stdout() {
 /// bytes do not depend on how the dataset was obtained: an unbuilt copy of
 /// the world, frozen in memory on one thread or on four, prints what the
 /// built copy's artifact prints. A prefix no record covers says so, and a
-/// reader that closes the pipe early (`| head -1`) ends it quietly.
+/// reader that closes the pipe early (`| head -1`) ends it quietly, as it
+/// ends `validate`, `diff`, `fsck` and `help`.
 #[test]
 fn explain_prints_deterministic_rule_chain() {
     let dir = temp_dir("explain");
@@ -575,6 +586,28 @@ fn explain_prints_deterministic_rule_chain() {
     let stderr = String::from_utf8_lossy(&closed.stderr);
     assert_eq!(closed.status.code(), Some(0), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // Every other command prints through the same writer: with stdout
+    // closed before its first line, each also exits 0 without a panic.
+    let dataset_s = dataset.to_str().unwrap();
+    for args in [
+        &["validate", "--in", dir_s, "--dataset", dataset_s][..],
+        &["diff", "--old", dataset_s, "--new", dataset_s],
+        &["fsck", dir_s],
+        &["help"],
+    ] {
+        let mut child = Command::new(bin())
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let closed = child.wait_with_output().expect("command exits");
+        let stderr = String::from_utf8_lossy(&closed.stderr);
+        assert_eq!(closed.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&unbuilt);

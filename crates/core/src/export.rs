@@ -9,14 +9,16 @@
 //! needed to query a snapshot without re-running the pipeline.
 //!
 //! One writer lays out every export line: `write_export_json`, from
-//! borrowed field values through the one JSON escaper. [`to_jsonl`] feeds
-//! it each [`PrefixRecord`]; the frozen artifact feeds it straight from its
+//! borrowed field values through the one JSON escaper. [`write_jsonl`]
+//! feeds it each [`PrefixRecord`] and streams the lines into a writer
+//! ([`to_jsonl`] collects them); the frozen artifact feeds it straight from its
 //! arena ([`crate::FrozenDataset::write_export_json`]), both for its own
 //! export and for the thaw check that proves the two agree.
 //! [`ExportRecord::to_json`] builds the same object as a [`Json`] tree and
 //! is the writer's test oracle.
 
 use std::fmt;
+use std::io;
 
 use p2o_net::Prefix;
 use p2o_rpki::RovStatus;
@@ -317,14 +319,24 @@ where
     out.write_char('}')
 }
 
-/// Serializes the whole dataset as JSON Lines.
-pub fn to_jsonl(dataset: &Prefix2OrgDataset) -> String {
-    let mut out = String::new();
+/// Streams the whole dataset as JSON Lines into `out`, one line at a time:
+/// no more than one line is held.
+pub fn write_jsonl(dataset: &Prefix2OrgDataset, out: &mut dyn io::Write) -> io::Result<()> {
+    let mut line = String::new();
     for rec in dataset.records() {
-        write_export_json(&mut out, fields_of(rec)).expect("String writes succeed");
-        out.push('\n');
+        line.clear();
+        write_export_json(&mut line, fields_of(rec)).expect("String writes succeed");
+        line.push('\n');
+        out.write_all(line.as_bytes())?;
     }
-    out
+    Ok(())
+}
+
+/// Serializes the whole dataset as JSON Lines: [`write_jsonl`], collected.
+pub fn to_jsonl(dataset: &Prefix2OrgDataset) -> String {
+    let mut out = Vec::new();
+    write_jsonl(dataset, &mut out).expect("Vec writes succeed");
+    String::from_utf8(out).expect("export lines are UTF-8")
 }
 
 /// Parses a JSON Lines export back into records.

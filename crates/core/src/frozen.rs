@@ -13,7 +13,8 @@
 //! **Byte-identical derivation.** Freezing is defined against the canonical
 //! JSONL export: [`FrozenDataset::to_jsonl`] must reproduce
 //! [`crate::export::to_jsonl`] exactly, and [`freeze_verified`] checks it
-//! on every freeze — before `build` writes the artifact and before `serve`
+//! on every freeze — against the export `build` wrote, read back, before
+//! it writes the artifact, and against the export `serve` renders before it
 //! answers from one frozen in memory. Both sides write their lines with
 //! the export's one writer: the frozen side feeds it straight from the
 //! arena ([`FrozenDataset::write_export_json`]). The meta section carries
@@ -59,8 +60,10 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::io::{self, BufRead};
 use std::path::Path;
 
+use p2o_bgp::RouteTable;
 use p2o_net::{Prefix, Prefix4, Prefix6};
 use p2o_obs::provenance::{write_trace, write_trace_json};
 use p2o_obs::{run_shards, split_shards, Obs};
@@ -180,9 +183,10 @@ fn write_alloc<W: fmt::Write>(out: &mut W, index: u8) -> fmt::Result {
 /// in a checksummed frame and writes it atomically.
 ///
 /// `inputs` must be the same inputs the dataset was built from — the
-/// per-record BGP origins are taken from `inputs.routes` — and
-/// `merge_edges` the clustering's merge evidence: each Direct Owner's
-/// `cluster.merge` steps are the edges its name touches.
+/// per-record BGP origins are taken from `inputs.routes`, the one input
+/// the freeze reads — and `merge_edges` the clustering's merge evidence:
+/// each Direct Owner's `cluster.merge` steps are the edges its name
+/// touches.
 /// `inputs_digest` is the canonical digest of the build directory's input
 /// files, stored for staleness detection at serve time. This is the
 /// one-shard freeze; [`freeze_verified`] takes a shard count.
@@ -194,7 +198,7 @@ pub fn freeze(
 ) -> Vec<u8> {
     let jsonl_digest = Digest::of_bytes(to_jsonl(dataset).as_bytes()).0;
     freeze_with_digest(
-        inputs,
+        inputs.routes,
         dataset,
         merge_edges,
         inputs_digest,
@@ -248,7 +252,7 @@ struct ShardSections {
 
 /// Freezes `records`, the dataset's records from index `first` on.
 fn freeze_shard(
-    inputs: &PipelineInputs<'_>,
+    routes: &RouteTable,
     merges: &OwnerMerges<'_>,
     first: usize,
     records: &[PrefixRecord],
@@ -277,8 +281,7 @@ fn freeze_shard(
             Prefix::V6(p) => v6_entries.push((p, idx)),
         }
 
-        let origins: Vec<u32> = inputs
-            .routes
+        let origins: Vec<u32> = routes
             .origins(&rec.prefix)
             .map(|set| set.iter().copied().collect())
             .unwrap_or_default();
@@ -390,7 +393,7 @@ impl ShardSections {
 /// section buffers to the arena writer as parts, without a copy. The
 /// cluster and merge rows are interned last, in cluster-id and row order.
 fn freeze_with_digest(
-    inputs: &PipelineInputs<'_>,
+    routes: &RouteTable,
     dataset: &Prefix2OrgDataset,
     merge_edges: &[MergeEdge],
     inputs_digest: u64,
@@ -411,7 +414,7 @@ fn freeze_with_digest(
         if let Some(s) = span {
             s.arg("records", records.len());
         }
-        freeze_shard(inputs, &merges, first, records)
+        freeze_shard(routes, &merges, first, records)
     });
 
     let mut strings: Option<StringBlobBuilder> = None;
@@ -469,38 +472,59 @@ fn freeze_with_digest(
     w.finish()
 }
 
+/// The canonical export a freeze is checked against: the FNV-1a digest of
+/// its bytes, stored as the artifact's JSONL digest, and the bytes
+/// themselves, read through `reader`.
+pub struct ExportBytes<R> {
+    /// [`Digest::of_bytes`] of the export, taken as it was written.
+    pub digest: u64,
+    /// The export's bytes.
+    pub reader: R,
+}
+
+impl<'a> ExportBytes<&'a [u8]> {
+    /// An export held in memory.
+    pub fn in_memory(jsonl: &'a str) -> Self {
+        ExportBytes {
+            digest: Digest::of_bytes(jsonl.as_bytes()).0,
+            reader: jsonl.as_bytes(),
+        }
+    }
+}
+
 /// [`freeze`], then prove the result before anyone uses it: the payload
 /// must pass the full [`FrozenDataset::from_payload`] audit and thaw back
-/// to `jsonl` — the canonical export of `dataset` — byte for byte.
+/// to `export` — the canonical export of `dataset` — byte for byte.
 ///
-/// The one freeze sequence in the system: `build` frames and writes the
-/// verified [`payload`](FrozenDataset::payload) as `world.p2ob`, and
-/// `serve` serves the returned dataset directly when that file is missing
-/// or stale. The freeze runs in `threads` ordered shards (the payload is
-/// the same at any count). The payload is moved, never copied; the
-/// export's digest is taken from `jsonl`, and each thawed line is written
-/// by the export's own writer and compared with `jsonl` as it renders, so
-/// no second copy of the export is built. A mismatch names the first
-/// record whose line differs. An observed build times the freeze as stage
-/// `core.freeze` and the audit plus thaw check as `core.thaw_verify`.
-pub fn freeze_verified(
-    inputs: &PipelineInputs<'_>,
+/// The one freeze sequence in the system: `build` checks it against the
+/// export it wrote, read back, then frames and writes the verified
+/// [`payload`](FrozenDataset::payload) as `world.p2ob`; `serve` checks it
+/// against the export it renders and serves the returned dataset directly
+/// when that file is missing or stale. The freeze reads only `routes` of
+/// the dataset's inputs and runs in `threads` ordered shards (the payload
+/// is the same at any count). The payload is moved, never copied; each
+/// thawed line is written by the export's own writer and compared with the
+/// next bytes of `export.reader`, so neither side of the check is held
+/// whole. A mismatch names the first record whose line differs. An
+/// observed build times the freeze as stage `core.freeze` and the audit
+/// plus thaw check as `core.thaw_verify`.
+pub fn freeze_verified<R: BufRead>(
+    routes: &RouteTable,
     dataset: &Prefix2OrgDataset,
     merge_edges: &[MergeEdge],
     inputs_digest: u64,
-    jsonl: &str,
+    export: ExportBytes<R>,
     threads: usize,
     obs: Option<&Obs>,
 ) -> Result<FrozenDataset, String> {
     let stage = |name: &str| obs.map(|o| o.stage(name));
     let timer = stage("core.freeze");
-    let jsonl_digest = Digest::of_bytes(jsonl.as_bytes()).0;
     let payload = freeze_with_digest(
-        inputs,
+        routes,
         dataset,
         merge_edges,
         inputs_digest,
-        jsonl_digest,
+        export.digest,
         threads,
         obs,
     );
@@ -509,9 +533,27 @@ pub fn freeze_verified(
     let frozen = FrozenDataset::from_payload(payload)
         .map_err(|e| format!("frozen artifact failed self-validation: {e}"))?;
     frozen
-        .check_thaws_to(jsonl)
+        .check_thaws_to(export.reader)
         .map_err(|e| format!("frozen artifact does not thaw back to the canonical export: {e}"))?;
     Ok(frozen)
+}
+
+/// Whether the next bytes of `export` are `line`, consuming them while
+/// they match.
+fn next_bytes_are(export: &mut impl BufRead, mut line: &[u8]) -> io::Result<bool> {
+    while !line.is_empty() {
+        let buf = export.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(false);
+        }
+        let n = buf.len().min(line.len());
+        if buf[..n] != line[..n] {
+            return Ok(false);
+        }
+        export.consume(n);
+        line = &line[n..];
+    }
+    Ok(true)
 }
 
 /// The parsed section geometry of a frozen payload.
@@ -1174,12 +1216,13 @@ impl FrozenDataset {
         out
     }
 
-    /// Checks that [`to_jsonl`](Self::to_jsonl) would equal `jsonl`, one
-    /// line at a time without building the whole export. A mismatch names
-    /// the first record whose line differs, by index and prefix, with the
-    /// byte offset where its line starts in `jsonl`; or the count of bytes
-    /// `jsonl` holds past the last record.
-    fn check_thaws_to(&self, jsonl: &str) -> Result<(), String> {
+    /// Checks that [`to_jsonl`](Self::to_jsonl) would equal the bytes
+    /// `export` reads, one line at a time without holding either whole. A
+    /// mismatch names the first record whose line differs, by index and
+    /// prefix, with the byte offset where its line starts in the export;
+    /// or the count of bytes the export holds past the last record.
+    fn check_thaws_to(&self, mut export: impl BufRead) -> Result<(), String> {
+        let read_err = |e: io::Error| format!("reading the export: {e}");
         let mut at = 0;
         let mut line = String::new();
         for idx in 0..self.sections.record_count {
@@ -1187,7 +1230,7 @@ impl FrozenDataset {
             self.write_export_json(idx, &mut line)
                 .expect("String writes succeed");
             line.push('\n');
-            if !jsonl.as_bytes()[at..].starts_with(line.as_bytes()) {
+            if !next_bytes_are(&mut export, line.as_bytes()).map_err(read_err)? {
                 return Err(format!(
                     "record {idx} ({}) differs from the export line at byte {at}",
                     self.record_prefix(idx)
@@ -1195,7 +1238,7 @@ impl FrozenDataset {
             }
             at += line.len();
         }
-        match jsonl.len() - at {
+        match io::copy(&mut export, &mut io::sink()).map_err(read_err)? {
             0 => Ok(()),
             extra => Err(format!(
                 "the export has {extra} more byte(s) after the last record"
@@ -1236,6 +1279,11 @@ mod tests {
         assert_eq!(frozen.inputs_digest(), 0xDEAD_BEEF);
     }
 
+    /// The check reads the export back from disk: the export as written
+    /// passes, and a copy with an altered first line, without its last
+    /// line, or with a trailing byte fails, naming the first record whose
+    /// line differs and where that line starts, or the bytes past the last
+    /// record.
     #[test]
     fn freeze_verified_returns_the_plain_freeze_and_rejects_a_thaw_mismatch() {
         let world = World::generate(WorldConfig::tiny(42));
@@ -1247,13 +1295,36 @@ mod tests {
             rpki: &built.rpki,
         };
         let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
-        let jsonl = to_jsonl(&dataset);
-        let frozen = freeze_verified(&inputs, &dataset, &edges, 7, &jsonl, 1, None).unwrap();
+        let dir = std::env::temp_dir().join(format!("p2o-frozen-thaw-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let vfs = Vfs::real();
+        let path = dir.join("dataset.jsonl");
+        let written = |bytes: &[u8]| {
+            let entry =
+                p2o_util::atomic::write_atomic_parts(&vfs, &path, "export", &[bytes]).unwrap();
+            ExportBytes {
+                digest: entry.digest,
+                reader: io::BufReader::new(vfs.open(&path).unwrap()),
+            }
+        };
+        let entry = p2o_util::atomic::write_atomic_with(&vfs, &path, "export", |out| {
+            crate::export::write_jsonl(&dataset, out)
+        })
+        .unwrap();
+        let jsonl = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(jsonl, to_jsonl(&dataset));
+        assert_eq!(entry.digest, Digest::of_bytes(jsonl.as_bytes()).0);
+        let frozen = freeze_verified(
+            &built.routes,
+            &dataset,
+            &edges,
+            7,
+            written(jsonl.as_bytes()),
+            1,
+            None,
+        )
+        .unwrap();
         assert_eq!(frozen.payload(), &freeze(&inputs, &dataset, &edges, 7)[..]);
-        // A trailing extra line, a missing last line, and an altered first
-        // line all fail the line-by-line thaw check, which names the first
-        // record whose line differs and where that line starts, or the
-        // bytes past the last record.
         let first_line_end = jsonl.find('\n').unwrap();
         let last_line_start = jsonl[..jsonl.len() - 1].rfind('\n').unwrap() + 1;
         let last = dataset.len() - 1;
@@ -1281,12 +1352,22 @@ mod tests {
                 ),
             ),
         ] {
-            let err = freeze_verified(&inputs, &dataset, &edges, 7, &other, 1, None).unwrap_err();
+            let err = freeze_verified(
+                &built.routes,
+                &dataset,
+                &edges,
+                7,
+                written(other.as_bytes()),
+                1,
+                None,
+            )
+            .unwrap_err();
             assert_eq!(
                 err,
                 format!("frozen artifact does not thaw back to the canonical export: {names}")
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The sharded freeze is the one-shard freeze at any shard count: each
@@ -1308,8 +1389,10 @@ mod tests {
             let one = freeze(&inputs, &dataset, &edges, 3);
             for shards in 1..=8 {
                 assert_eq!(p2o_obs::shard_count(shards, dataset.len()), shards);
+                let export = ExportBytes::in_memory(&jsonl);
                 let frozen =
-                    freeze_verified(&inputs, &dataset, &edges, 3, &jsonl, shards, None).unwrap();
+                    freeze_verified(&built.routes, &dataset, &edges, 3, export, shards, None)
+                        .unwrap();
                 assert!(
                     frozen.payload() == &one[..],
                     "{} records: the payload differs at {shards} shards",
@@ -1391,8 +1474,9 @@ mod tests {
                 }
                 let jsonl = to_jsonl(&dataset);
                 for shards in [1, 3] {
+                    let export = ExportBytes::in_memory(&jsonl);
                     let frozen =
-                        freeze_verified(&inputs, &dataset, &edges, 0, &jsonl, shards, None)
+                        freeze_verified(&built.routes, &dataset, &edges, 0, export, shards, None)
                             .unwrap();
                     for (idx, rec) in (0u32..).zip(dataset.records()) {
                         let trace = attribution_trace(&inputs, &dataset, &edges, &rec.prefix);

@@ -70,9 +70,10 @@ pub use dataset::{CustomerStep, DatasetMetrics, Prefix2OrgDataset, PrefixRecord}
 pub use delta::{diff, DatasetDelta, OwnerChange};
 pub use exceptions::{ExceptionAction, ExceptionSet, ExceptionSummary};
 pub use explain::{attribution_trace, Step, Trace};
-pub use export::{from_jsonl, to_jsonl, ExportRecord};
+pub use export::{from_jsonl, to_jsonl, write_jsonl, ExportRecord};
 pub use frozen::{
-    freeze, freeze_verified, FrozenDataset, FROZEN_FILE, FROZEN_FORMAT_VERSION, FROZEN_LABEL,
+    freeze, freeze_verified, ExportBytes, FrozenDataset, FROZEN_FILE, FROZEN_FORMAT_VERSION,
+    FROZEN_LABEL,
 };
 pub use leasing::{infer_leasing, LeasingCandidate, LeasingOptions};
 pub use pipeline::{default_threads, Pipeline, PipelineInputs};

@@ -259,6 +259,7 @@ impl StageTimer {
             name: std::mem::take(&mut self.name),
             wall_ns: self.started.elapsed().as_nanos() as u64,
             items: self.items,
+            rss_bytes: process_rss_bytes(),
         };
         self.obs.push_stage(stage);
     }
@@ -345,12 +346,13 @@ impl Obs {
     }
 
     /// Records stage `name` with a wall time the caller measured: a phase
-    /// timed in pieces and summed.
+    /// timed in pieces and summed, ending now.
     pub fn record_stage(&self, name: &str, wall: Duration) {
         self.push_stage(StageReport {
             name: name.to_string(),
             wall_ns: wall.as_nanos() as u64,
             items: None,
+            rss_bytes: process_rss_bytes(),
         });
     }
 
@@ -597,6 +599,9 @@ pub struct StageReport {
     pub wall_ns: u64,
     /// Items processed, when the stage attached a count.
     pub items: Option<u64>,
+    /// The process's resident set size when the stage ended
+    /// ([`process_rss_bytes`]; 0 off Linux).
+    pub rss_bytes: u64,
 }
 
 impl StageReport {
@@ -713,6 +718,7 @@ impl RunReport {
             let mut obj = Json::object();
             obj.set("name", s.name.as_str());
             obj.set("wall_ns", s.wall_ns);
+            obj.set("rss_bytes", s.rss_bytes);
             if let Some(items) = s.items {
                 obj.set("items", items);
                 if let Some(rate) = s.rate() {
@@ -783,6 +789,10 @@ impl RunReport {
                         .and_then(Json::as_u64)
                         .ok_or("stage missing wall_ns")?,
                     items: s.get("items").and_then(Json::as_u64),
+                    rss_bytes: s
+                        .get("rss_bytes")
+                        .and_then(Json::as_u64)
+                        .ok_or("stage missing rss_bytes")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -855,16 +865,19 @@ impl RunReport {
         out.push_str("stages\n");
         for s in &self.stages {
             let ms = s.wall_ns as f64 / 1e6;
-            match s.rate() {
-                Some(rate) => out.push_str(&format!(
-                    "  {:width$}  {:>10.2} ms  {:>12} items  {:>14}/s\n",
-                    s.name,
-                    ms,
+            let rss_mb = s.rss_bytes as f64 / (1024.0 * 1024.0);
+            out.push_str(&format!(
+                "  {:width$}  {ms:>10.2} ms  {rss_mb:>8.1} MB rss",
+                s.name
+            ));
+            if let Some(rate) = s.rate() {
+                out.push_str(&format!(
+                    "  {:>12} items  {:>14}/s",
                     s.items.unwrap_or(0),
-                    format_rate(rate),
-                )),
-                None => out.push_str(&format!("  {:width$}  {:>10.2} ms\n", s.name, ms)),
+                    format_rate(rate)
+                ));
             }
+            out.push('\n');
         }
         out.push_str("counters\n");
         for (name, value) in &self.counters {

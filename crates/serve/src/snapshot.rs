@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use p2o_net::Prefix;
 use p2o_util::json::{write_escaped, write_u32_array};
 use prefix2org::{
-    freeze_verified, to_jsonl, ExceptionSet, FrozenDataset, Pipeline, PipelineInputs,
+    freeze_verified, to_jsonl, ExceptionSet, ExportBytes, FrozenDataset, Pipeline, PipelineInputs,
 };
 
 /// One immutable, query-ready view of a built artifact directory: a
@@ -64,9 +64,10 @@ impl Snapshot {
     /// Runs the pipeline over `inputs`, applies the local operator
     /// `exceptions`, and freezes the dataset in memory with
     /// [`freeze_verified`] — the freeze, audit and thaw check `build` runs
-    /// before it writes `world.p2ob`. Nothing checks an in-memory freeze
-    /// for staleness, so its inputs digest is stamped 0. The parsed inputs
-    /// are not kept: the snapshot holds only the payload.
+    /// before it writes `world.p2ob`, here against the export rendered in
+    /// memory. Nothing checks an in-memory freeze for staleness, so its
+    /// inputs digest is stamped 0. The parsed inputs are not kept: the
+    /// snapshot holds only the payload.
     pub fn freeze_in_memory(
         dir: PathBuf,
         serial: u64,
@@ -78,7 +79,16 @@ impl Snapshot {
             Pipeline::with_threads(threads.max(1)).dataset_with_evidence(inputs, None);
         exceptions.apply(&mut dataset);
         let jsonl = to_jsonl(&dataset);
-        let frozen = freeze_verified(inputs, &dataset, &merge_edges, 0, &jsonl, threads, None)?;
+        let export = ExportBytes::in_memory(&jsonl);
+        let frozen = freeze_verified(
+            inputs.routes,
+            &dataset,
+            &merge_edges,
+            0,
+            export,
+            threads,
+            None,
+        )?;
         Ok(Self::attach(dir, serial, frozen, false))
     }
 

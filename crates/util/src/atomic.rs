@@ -6,8 +6,9 @@
 //! 1. (kill-point `label@partial`) — simulates dying *before* any bytes of
 //!    the new artifact land; the destination keeps its old content (or stays
 //!    absent);
-//! 2. write the full payload to `<path>.p2o-tmp` via [`Vfs::write`] (where
-//!    short writes / ENOSPC / EIO tear the tmp file, never the destination);
+//! 2. stream the payload into `<path>.p2o-tmp` through a [`VfsFile`],
+//!    hashing it on the way (short writes / ENOSPC / EIO, applied to the
+//!    finished length, tear the tmp file, never the destination);
 //! 3. (kill-point `label@tmp`) — simulates dying after the tmp write but
 //!    before the rename; the destination is untouched, a stray tmp file is
 //!    left for `fsck` to find;
@@ -28,11 +29,12 @@
 //! damaged ([`FrameError`]).
 
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::digest::fnv1a_64;
-use crate::vfs::Vfs;
+use crate::digest::{fnv1a_64, fnv1a_64_update, FNV1A_INIT};
+use crate::manifest::ManifestEntry;
+use crate::vfs::{Vfs, VfsFile};
 
 /// Suffix appended to a destination path to form its tmp sibling. Chosen so
 /// the tmp file changes *extension* — directory scans that filter on `.txt`
@@ -66,15 +68,44 @@ pub fn is_tmp_path(path: &Path) -> bool {
 /// or real) the destination is untouched and at worst a tmp sibling is
 /// left behind for `fsck` to report.
 pub fn write_atomic(vfs: &Vfs, path: &Path, label: &str, bytes: &[u8]) -> io::Result<()> {
-    write_atomic_parts(vfs, path, label, &[bytes])
+    write_atomic_parts(vfs, path, label, &[bytes]).map(drop)
 }
 
 /// [`write_atomic`] of the concatenated `parts`, written one after another
-/// without joining them ([`Vfs::write_parts`]).
-pub fn write_atomic_parts(vfs: &Vfs, path: &Path, label: &str, parts: &[&[u8]]) -> io::Result<()> {
+/// without joining them; returns their identity.
+pub fn write_atomic_parts(
+    vfs: &Vfs,
+    path: &Path,
+    label: &str,
+    parts: &[&[u8]],
+) -> io::Result<ManifestEntry> {
+    write_atomic_with(vfs, path, label, |out| {
+        parts.iter().try_for_each(|part| out.write_all(part))
+    })
+}
+
+/// The one atomic writer: [`write_atomic`] of the bytes `write` streams
+/// into the tmp sibling, so the caller need not hold them whole. They are
+/// hashed as they pass, and the identity of what was written (length and
+/// FNV-1a digest) is returned. The [`Vfs`] fault plan applies to the finished
+/// length, so every kill-point, fault op and torn length is where a
+/// [`write_atomic`] of the same bytes puts it. When `write` fails, its
+/// error is returned and the partial tmp sibling is left for `fsck`.
+pub fn write_atomic_with(
+    vfs: &Vfs,
+    path: &Path,
+    label: &str,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<ManifestEntry> {
     vfs.kill_check(label, "partial");
     let tmp = tmp_path(path);
-    vfs.write_parts(&tmp, parts)?;
+    let mut out = Hashed {
+        file: vfs.create(&tmp)?,
+        digest: FNV1A_INIT,
+    };
+    write(&mut out)?;
+    let digest = out.digest;
+    let bytes = out.file.finish()?;
     vfs.kill_check(label, "tmp");
     vfs.fsync(&tmp)?;
     vfs.rename(&tmp, path)?;
@@ -82,7 +113,25 @@ pub fn write_atomic_parts(vfs: &Vfs, path: &Path, label: &str, parts: &[&[u8]]) 
         vfs.fsync_dir(dir);
     }
     vfs.kill_check(label, "final");
-    Ok(())
+    Ok(ManifestEntry { bytes, digest })
+}
+
+/// A tmp file that hashes the bytes written into it.
+struct Hashed {
+    file: VfsFile,
+    digest: u64,
+}
+
+impl Write for Hashed {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.file.write(buf)?;
+        self.digest = fnv1a_64_update(self.digest, &buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
 }
 
 /// How a framed read failed — each variant names a distinct damage mode so
@@ -228,7 +277,7 @@ fn strip_frame(mut bytes: Vec<u8>) -> Result<Vec<u8>, FrameError> {
 /// Atomically writes `payload` wrapped in a checksummed frame. The header
 /// is written in front of the payload without copying it.
 pub fn write_framed(vfs: &Vfs, path: &Path, label: &str, payload: &[u8]) -> io::Result<()> {
-    write_atomic_parts(vfs, path, label, &[&frame_header(payload), payload])
+    write_atomic_parts(vfs, path, label, &[&frame_header(payload), payload]).map(drop)
 }
 
 /// Reads a framed artifact, verifying magic, version, length, and digest;
@@ -285,6 +334,61 @@ mod tests {
         // The destination still holds the old bytes; only the tmp is torn.
         assert_eq!(fs::read(&path).unwrap(), b"old content");
         assert!(tmp_path(&path).exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Under each fault plan, a streamed write leaves the tmp sibling at
+    /// the length, and fails with the error, that a `write_atomic` of the
+    /// same bytes gets; a clean one returns the bytes' identity.
+    #[test]
+    fn a_streamed_write_fails_like_write_atomic_of_its_bytes() {
+        let dir = tmp_dir("streamed");
+        let lines: Vec<String> = (0..500).map(|i| format!("{{\"line\":{i}}}\n")).collect();
+        let whole = lines.concat();
+        for plan in [
+            FaultPlan::default(),
+            FaultPlan {
+                seed: 5,
+                short_write_one_in: Some(1),
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                enospc_after: Some(1000),
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                eio_substring: Some("export".to_string()),
+                ..FaultPlan::default()
+            },
+        ] {
+            let (streamed, whole_path) = (dir.join("export-a.jsonl"), dir.join("export-b.jsonl"));
+            let a = Vfs::with_faults(plan.clone());
+            let b = Vfs::with_faults(plan.clone());
+            let got = write_atomic_with(&a, &streamed, "export", |out| {
+                lines
+                    .iter()
+                    .try_for_each(|line| out.write_all(line.as_bytes()))
+            });
+            let want = write_atomic(&b, &whole_path, "export", whole.as_bytes());
+            match (&got, &want) {
+                (Ok(entry), Ok(())) => {
+                    assert_eq!(*entry, ManifestEntry::of_parts(&[whole.as_bytes()]));
+                    assert_eq!(fs::read(&streamed).unwrap(), whole.as_bytes());
+                }
+                (Err(got), Err(want)) => {
+                    assert_eq!(
+                        got.to_string().replace("export-a", "export-b"),
+                        want.to_string(),
+                        "{plan:?}"
+                    );
+                    let torn = |path: &Path| fs::read(tmp_path(path)).unwrap();
+                    assert_eq!(torn(&streamed), torn(&whole_path), "{plan:?}");
+                    assert!(torn(&streamed).len() < whole.len(), "{plan:?}");
+                }
+                _ => panic!("{plan:?}: streamed {got:?}, whole {want:?}"),
+            }
+            assert_eq!(a.stats(), b.stats(), "{plan:?}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

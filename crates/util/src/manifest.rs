@@ -44,8 +44,8 @@ pub struct ManifestEntry {
 
 impl ManifestEntry {
     /// The identity of the concatenated `parts`, hashed in one pass
-    /// without joining them — what a [`Vfs::write_parts`] of the same
-    /// parts leaves on disk.
+    /// without joining them — what an atomic write of the same parts
+    /// leaves on disk.
     pub fn of_parts(parts: &[&[u8]]) -> ManifestEntry {
         ManifestEntry {
             bytes: parts.iter().map(|p| p.len() as u64).sum(),

@@ -184,19 +184,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Creates (or truncates) `path` and writes the first `len` bytes of the
-/// concatenated `parts` to it.
-fn write_prefix(path: &Path, parts: &[&[u8]], len: usize) -> io::Result<()> {
-    let mut file = fs::File::create(path)?;
-    let mut left = len;
-    for part in parts {
-        let n = part.len().min(left);
-        file.write_all(&part[..n])?;
-        left -= n;
-    }
-    Ok(())
-}
-
 impl Vfs {
     /// The production backend: plain `std::fs`, no faults.
     pub fn real() -> Vfs {
@@ -247,70 +234,76 @@ impl Vfs {
     /// leaves a prefix of the bytes on disk and returns an error, exactly
     /// like an interrupted write or a filling disk would.
     pub fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.write_parts(path, &[bytes])
+        let mut file = self.create(path)?;
+        file.write_all(bytes)?;
+        file.finish().map(drop)
     }
 
-    /// [`write`](Self::write) of the concatenated `parts`, without
-    /// concatenating them: a frame header lands in front of its payload
-    /// with no copy of the payload. Faults see the whole concatenation, so
-    /// a torn write keeps the same prefix a single buffer would.
-    pub fn write_parts(&self, path: &Path, parts: &[&[u8]]) -> io::Result<()> {
+    /// Creates (or truncates) `path` for a write in pieces: see
+    /// [`VfsFile`]. The write takes its fault-plan op now, as
+    /// [`write`](Self::write) does.
+    pub fn create(&self, path: &Path) -> io::Result<VfsFile> {
+        let op = match &self.inner.fault {
+            Some(_) => self.inner.cells.op.fetch_add(1, Ordering::Relaxed),
+            None => 0,
+        };
+        Ok(VfsFile {
+            file: io::BufWriter::with_capacity(WRITE_BUFFER, fs::File::create(path)?),
+            vfs: self.clone(),
+            path: path.to_path_buf(),
+            op,
+            len: 0,
+        })
+    }
+
+    /// The torn length and error the fault plan gives write `op` of `total`
+    /// bytes to `path`, counting the fault; `None` lets the write stand.
+    fn tear(&self, path: &Path, op: u64, total: u64) -> Option<(u64, io::Error)> {
+        let plan = self.inner.fault.as_ref()?;
         let c = &self.inner.cells;
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        if let Some(plan) = &self.inner.fault {
-            let op = c.op.fetch_add(1, Ordering::Relaxed);
-            if let Some(sub) = &plan.eio_substring {
-                if path.to_string_lossy().contains(sub.as_str()) {
-                    let half = total / 2;
-                    let _ = write_prefix(path, parts, half);
-                    c.bytes_written.fetch_add(half as u64, Ordering::Relaxed);
-                    c.faults_eio.fetch_add(1, Ordering::Relaxed);
-                    return Err(io::Error::other(format!(
-                        "injected EIO writing {} (op {op})",
-                        path.display()
-                    )));
-                }
-            }
-            if let Some(budget) = plan.enospc_after {
-                let before = c.budget_used.fetch_add(total as u64, Ordering::Relaxed);
-                if before.saturating_add(total as u64) > budget {
-                    let room = budget.saturating_sub(before).min(total as u64) as usize;
-                    let _ = write_prefix(path, parts, room);
-                    c.bytes_written.fetch_add(room as u64, Ordering::Relaxed);
-                    c.faults_enospc.fetch_add(1, Ordering::Relaxed);
-                    return Err(io::Error::other(format!(
-                        "injected ENOSPC writing {} ({} of {} bytes fit, op {op})",
-                        path.display(),
-                        room,
-                        total
-                    )));
-                }
-            }
-            if let Some(k) = plan.short_write_one_in {
-                let h = splitmix64(plan.seed ^ op);
-                if h.is_multiple_of(k) && total > 0 {
-                    // Deterministic torn length: at least 1 byte short.
-                    let keep = (h >> 8) as usize % total;
-                    let _ = write_prefix(path, parts, keep);
-                    c.bytes_written.fetch_add(keep as u64, Ordering::Relaxed);
-                    c.faults_short_write.fetch_add(1, Ordering::Relaxed);
-                    return Err(io::Error::other(format!(
-                        "injected short write to {} ({keep} of {} bytes, op {op})",
-                        path.display(),
-                        total
-                    )));
-                }
+        if let Some(sub) = &plan.eio_substring {
+            if path.to_string_lossy().contains(sub.as_str()) {
+                c.faults_eio.fetch_add(1, Ordering::Relaxed);
+                let error = format!("injected EIO writing {} (op {op})", path.display());
+                return Some((total / 2, io::Error::other(error)));
             }
         }
-        write_prefix(path, parts, total)?;
-        c.writes.fetch_add(1, Ordering::Relaxed);
-        c.bytes_written.fetch_add(total as u64, Ordering::Relaxed);
-        Ok(())
+        if let Some(budget) = plan.enospc_after {
+            let before = c.budget_used.fetch_add(total, Ordering::Relaxed);
+            if before.saturating_add(total) > budget {
+                let room = budget.saturating_sub(before).min(total);
+                c.faults_enospc.fetch_add(1, Ordering::Relaxed);
+                let error = format!(
+                    "injected ENOSPC writing {} ({room} of {total} bytes fit, op {op})",
+                    path.display()
+                );
+                return Some((room, io::Error::other(error)));
+            }
+        }
+        if let Some(k) = plan.short_write_one_in {
+            let h = splitmix64(plan.seed ^ op);
+            if h.is_multiple_of(k) && total > 0 {
+                // Deterministic torn length: at least 1 byte short.
+                let keep = (h >> 8) % total;
+                c.faults_short_write.fetch_add(1, Ordering::Relaxed);
+                let error = format!(
+                    "injected short write to {} ({keep} of {total} bytes, op {op})",
+                    path.display()
+                );
+                return Some((keep, io::Error::other(error)));
+            }
+        }
+        None
     }
 
     /// Reads a file's bytes.
     pub fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         fs::read(path)
+    }
+
+    /// Opens a file to read it in pieces.
+    pub fn open(&self, path: &Path) -> io::Result<fs::File> {
+        fs::File::open(path)
     }
 
     /// Removes a file (`fsck --gc`).
@@ -379,6 +372,61 @@ impl Vfs {
         if self.kill_armed(label, phase) {
             eprintln!("vfs: kill-point {label}@{phase} fired; exiting {KILL_EXIT_CODE}");
             std::process::exit(KILL_EXIT_CODE);
+        }
+    }
+}
+
+/// Buffer size of a [`VfsFile`]; larger writes go straight to the file.
+const WRITE_BUFFER: usize = 64 * 1024;
+
+/// A file written through a [`Vfs`] in pieces, so no caller has to hold
+/// its bytes whole. They reach the disk as they come, and
+/// [`finish`](Self::finish) applies the handle's fault plan to the finished
+/// length: a streamed write tears at the length, with the error, that one
+/// [`Vfs::write`] of the same bytes gets.
+pub struct VfsFile {
+    file: io::BufWriter<fs::File>,
+    vfs: Vfs,
+    path: std::path::PathBuf,
+    op: u64,
+    len: u64,
+}
+
+impl Write for VfsFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.file.write(buf)?;
+        self.len += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
+impl VfsFile {
+    /// Ends the write and returns its length. A write the fault plan tears
+    /// is cut back to the prefix the plan keeps, and its error returned.
+    pub fn finish(self) -> io::Result<u64> {
+        let file = self
+            .file
+            .into_inner()
+            .map_err(io::IntoInnerError::into_error)?;
+        let c = &self.vfs.inner.cells;
+        let (written, torn) = match self.vfs.tear(&self.path, self.op, self.len) {
+            Some((keep, error)) => {
+                let _ = file.set_len(keep);
+                (keep, Some(error))
+            }
+            None => (self.len, None),
+        };
+        c.bytes_written.fetch_add(written, Ordering::Relaxed);
+        match torn {
+            Some(error) => Err(error),
+            None => {
+                c.writes.fetch_add(1, Ordering::Relaxed);
+                Ok(written)
+            }
         }
     }
 }
@@ -459,10 +507,10 @@ mod tests {
     }
 
     #[test]
-    fn parts_write_and_tear_like_their_concatenation() {
-        let dir = tmp("parts");
-        let parts: [&[u8]; 3] = [b"head", b"", b"payload-bytes"];
-        let whole = parts.concat();
+    fn a_streamed_write_tears_like_one_write_of_its_bytes() {
+        let dir = tmp("stream");
+        let pieces: [&[u8]; 3] = [b"head", b"", b"payload-bytes"];
+        let whole = pieces.concat();
         for plan in [
             FaultPlan::default(),
             FaultPlan {
@@ -479,21 +527,29 @@ mod tests {
                 ..FaultPlan::default()
             },
         ] {
-            let (split, joined) = (dir.join("out-split"), dir.join("out-joined"));
+            let (streamed, joined) = (dir.join("out-streamed"), dir.join("out-joined"));
             let a = Vfs::with_faults(plan.clone());
             let b = Vfs::with_faults(plan.clone());
-            let res_a = a.write_parts(&split, &parts).map_err(|e| e.to_string());
+            let res_a = a
+                .create(&streamed)
+                .and_then(|mut file| {
+                    for piece in pieces {
+                        file.write_all(piece)?;
+                    }
+                    file.finish()
+                })
+                .map_err(|e| e.to_string().replace("out-streamed", "out-joined"));
             let res_b = b.write(&joined, &whole).map_err(|e| e.to_string());
-            assert_eq!(res_a.is_ok(), res_b.is_ok(), "{plan:?}");
+            assert_eq!(res_a.as_ref().err(), res_b.as_ref().err(), "{plan:?}");
             assert_eq!(
-                fs::read(&split).unwrap(),
+                fs::read(&streamed).unwrap(),
                 fs::read(&joined).unwrap(),
                 "{plan:?}"
             );
             assert_eq!(a.stats(), b.stats(), "{plan:?}");
         }
         assert_eq!(
-            fs::read(dir.join("out-split")).unwrap().len(),
+            fs::read(dir.join("out-streamed")).unwrap().len(),
             whole.len() / 2
         );
         let _ = fs::remove_dir_all(&dir);
