@@ -1,9 +1,9 @@
 //! Benches for the end-to-end pipeline: resolution + clustering at two
-//! world scales, resolution-stage scaling across threads, and — with
-//! `--json` — a sequential-vs-parallel comparison of the four sharded
-//! stages (parse, resolve, cluster, and the verified freeze) plus
-//! single-thread timings of the dataset assembly and the export, persisted
-//! to `BENCH_pipeline.json` at the repository root.
+//! world scales, and — with `--json` — a sequential-vs-parallel
+//! comparison of the two sharded stages (parse and cluster) plus
+//! single-thread timings of resolution, the dataset assembly, the export
+//! and the verified freeze, persisted to `BENCH_pipeline.json` at the
+//! repository root.
 //!
 //! ```text
 //! cargo bench -p p2o-bench --bench pipeline            # human-readable
@@ -37,19 +37,6 @@ fn bench_full_pipeline() {
             rpki: &built.rpki,
         };
         bench(label, || black_box(Pipeline::default().run(&inputs)));
-    }
-}
-
-fn bench_resolution_threads() {
-    let world = World::generate(WorldConfig::bench_scale(0xF1F0));
-    let built = world.build_inputs();
-    let prefixes: Vec<Prefix> = built.routes.iter().map(|(p, _)| *p).collect();
-    group("resolution_threads");
-    for threads in [1usize, 2, 4, 8] {
-        let pipeline = Pipeline::with_threads(threads);
-        bench(&format!("threads_{threads}"), || {
-            black_box(pipeline.resolve_stage(&built.tree, &prefixes))
-        });
     }
 }
 
@@ -91,8 +78,8 @@ fn baseline_speedup(baseline: Option<&Json>, stage: &str, scale: &str) -> Option
 }
 
 /// The sequential-vs-parallel stage comparison behind `--json`: for each
-/// scale and thread count, the mean wall time of the parse, resolve,
-/// cluster and freeze stages, plus the single-threaded assemble and export
+/// scale and thread count, the mean wall time of the parse and cluster
+/// stages, plus the single-threaded resolve, assemble, export and freeze
 /// stages at one thread. Written as `BENCH_pipeline.json` at the repo root so the
 /// baseline rides along with the code that produced it.
 ///
@@ -133,8 +120,8 @@ fn bench_json(budget_ms: u64) {
         let world = World::generate(config);
         let built = world.build_inputs();
         let prefixes: Vec<Prefix> = built.routes.iter().map(|(p, _)| *p).collect();
-        let (records, unresolved) =
-            Pipeline::with_threads(max_threads).resolve_stage(&built.tree, &prefixes);
+        let pipeline = Pipeline::with_threads(max_threads);
+        let (records, unresolved) = pipeline.resolve_stage(&built.tree, &prefixes);
 
         group(&format!("json_{scale}"));
         let mut stage_means: Vec<(&str, usize, f64)> = Vec::new();
@@ -143,12 +130,6 @@ fn bench_json(budget_ms: u64) {
                 run_parse(&world, threads)
             });
             stage_means.push(("parse", threads, mean));
-
-            let pipeline = Pipeline::with_threads(threads);
-            let mean = bench(&format!("resolve/{scale}/threads_{threads}"), || {
-                black_box(pipeline.resolve_stage(&built.tree, &prefixes))
-            });
-            stage_means.push(("resolve", threads, mean));
 
             let clusterer = Clusterer::new(ClusterOptions::default()).with_threads(threads);
             let mean = bench(&format!("cluster/{scale}/threads_{threads}"), || {
@@ -163,7 +144,11 @@ fn bench_json(budget_ms: u64) {
             stage_means.push(("cluster", threads, mean));
         }
 
-        // Assembly and the export run on one thread.
+        // Resolution, assembly, the export and the freeze run on one thread.
+        let mean = bench(&format!("resolve/{scale}/threads_1"), || {
+            black_box(pipeline.resolve_stage(&built.tree, &prefixes))
+        });
+        stage_means.push(("resolve", 1, mean));
         let inputs = PipelineInputs {
             delegations: &built.tree,
             routes: &built.routes,
@@ -196,29 +181,18 @@ fn bench_json(budget_ms: u64) {
         );
         stage_means.push(("assemble", 1, mean));
 
-        let (dataset, edges) =
-            Pipeline::with_threads(max_threads).dataset_with_evidence(&inputs, None);
+        let (dataset, edges) = pipeline.dataset_with_evidence(&inputs, None);
         let mean = bench(&format!("export/{scale}/threads_1"), || {
             black_box(prefix2org::to_jsonl(&dataset))
         });
         stage_means.push(("export", 1, mean));
         let jsonl = prefix2org::to_jsonl(&dataset);
-        for &threads in &thread_counts {
-            let mean = bench(&format!("freeze/{scale}/threads_{threads}"), || {
-                let export = prefix2org::ExportBytes::in_memory(&jsonl);
-                prefix2org::freeze_verified(
-                    &built.routes,
-                    &dataset,
-                    &edges,
-                    0,
-                    export,
-                    threads,
-                    None,
-                )
+        let mean = bench(&format!("freeze/{scale}/threads_1"), || {
+            let export = prefix2org::ExportBytes::in_memory(&jsonl);
+            prefix2org::freeze_verified(&built.routes, &dataset, &edges, 0, export, None)
                 .expect("fresh freeze verifies")
-            });
-            stage_means.push(("freeze", threads, mean));
-        }
+        });
+        stage_means.push(("freeze", 1, mean));
 
         for &(stage, threads, mean_ns) in &stage_means {
             let mut case = Json::object();
@@ -234,7 +208,7 @@ fn bench_json(budget_ms: u64) {
                 _ => freeze_cases.push(case),
             }
         }
-        for stage in ["parse", "resolve", "cluster", "freeze"] {
+        for stage in ["parse", "cluster"] {
             let at = |threads: usize| {
                 stage_means
                     .iter()
@@ -422,5 +396,4 @@ fn main() {
         return;
     }
     bench_full_pipeline();
-    bench_resolution_threads();
 }

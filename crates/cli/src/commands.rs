@@ -450,7 +450,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     }
     eprintln!(
         "loaded: {} WHOIS records -> {} blocks ({} superseded, {} unresolved handles), \
-         {} routed prefixes, snapshot {}; resolving with {threads} threads...",
+         {} routed prefixes, snapshot {}; clustering with {threads} threads...",
         inputs.whois_stats.raw_records,
         inputs.tree.len(),
         inputs.whois_stats.superseded,
@@ -478,7 +478,9 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     // assert overrides the inferred attribution (keeping its evidence) and
     // a filter drops the record entirely — from the export, the frozen
     // artifact, and every index built from them.
+    let timer = stage("core.exceptions");
     let exception_summary = exception_set.apply(&mut dataset);
+    drop(timer);
     if let Some(o) = &obs {
         o.counter("exceptions.asserted")
             .add(exception_summary.asserted);
@@ -523,7 +525,6 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
             digest: export.digest,
             reader: io::BufReader::new(written),
         },
-        threads,
         obs.as_ref(),
     )?;
     let mut stamp = checkpoint::Stamp::new(inputs_digest);

@@ -172,6 +172,7 @@ fn build_report_emits_run_report() {
         "pipeline.resolve",
         "pipeline.cluster",
         "build.release_inputs",
+        "core.exceptions",
         "core.export",
         "core.freeze",
         "core.thaw_verify",
@@ -402,7 +403,8 @@ fn build_trace_and_metrics_emit_valid_artifacts() {
 /// `--threads` changes timing and nothing else: the export, the frozen
 /// artifact, the run report's stage rows and the set of span names are
 /// the same at one thread and at four. Per-shard timing lives only in the
-/// trace, as extra spans of the same names.
+/// trace, as extra spans of the same names; resolution and the freeze are
+/// one pass, one span each, at any thread count.
 #[test]
 fn thread_count_changes_only_timing() {
     let dir = temp_dir("threads");
@@ -469,15 +471,17 @@ fn thread_count_changes_only_timing() {
     };
     assert_eq!(set(&spans1), set(&spans4), "span names differ");
     let count = |spans: &[String], name: &str| spans.iter().filter(|s| *s == name).count();
-    for name in [
-        "whois.parse",
-        "mrt.decode",
-        "resolve",
-        "cluster.group_build",
-    ] {
+    for name in ["whois.parse", "mrt.decode", "cluster.group_build"] {
         assert!(
             count(&spans4, name) > count(&spans1, name),
             "{name}: four threads trace no extra shard spans"
+        );
+    }
+    for name in ["resolve", "frozen.freeze"] {
+        assert_eq!(
+            (count(&spans1, name), count(&spans4, name)),
+            (1, 1),
+            "{name}: not one span at 1 and 4 threads"
         );
     }
 

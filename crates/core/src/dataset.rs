@@ -405,22 +405,21 @@ impl Prefix2OrgDataset {
         }
     }
 
-    /// Removes one record (operator `filter` rule) and rebuilds the prefix
-    /// and cluster indexes; exact-match lookups then miss and LPM queries
-    /// fall back to any covering record. Returns `false` when the prefix is
-    /// not in the dataset.
-    pub(crate) fn remove_record(&mut self, prefix: &Prefix) -> bool {
-        let Some(idx) = self.by_prefix.remove(prefix) else {
-            return false;
-        };
-        self.records.remove(idx);
+    /// Removes the records of `prefixes` (operator `filter` rules) in one
+    /// pass and rebuilds the prefix and cluster indexes once; exact-match
+    /// lookups then miss and LPM queries fall back to any covering record.
+    /// The other records keep their order.
+    pub(crate) fn remove_records(&mut self, prefixes: &HashSet<Prefix>) {
+        if prefixes.is_empty() {
+            return;
+        }
+        self.records.retain(|rec| !prefixes.contains(&rec.prefix));
         self.by_prefix.clear();
         self.by_cluster.clear();
         for (i, rec) in self.records.iter().enumerate() {
             self.by_prefix.insert(rec.prefix, i);
             self.by_cluster.entry(rec.cluster).or_default().push(i);
         }
-        true
     }
 
     /// The record for a routed prefix.

@@ -24,7 +24,7 @@
 //! deterministic post-resolution pass over the dataset, so the same world
 //! plus the same exception file always yields the same records.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use p2o_net::Prefix;
 use p2o_util::ingest::{IngestErrorKind, QuarantinedRecord};
@@ -117,33 +117,27 @@ impl ExceptionSet {
         self.rules.iter()
     }
 
-    /// Applies every rule to the dataset (prefix order, so deterministic):
-    /// `assert` overrides the record's final attribution, `filter` removes
-    /// the record. Rules whose prefix is not in the dataset are counted as
-    /// unmatched and ignored.
+    /// Applies every rule to the dataset: `assert` overrides the record's
+    /// final attribution, `filter` removes the record. Rules whose prefix is
+    /// not in the dataset are counted as unmatched and ignored. A prefix has
+    /// one rule, so the order rules apply in cannot matter: the filtered
+    /// records are removed together, after the asserts.
     pub fn apply(&self, dataset: &mut Prefix2OrgDataset) -> ExceptionSummary {
         let mut summary = ExceptionSummary::default();
+        let mut filtered = HashSet::new();
         for (prefix, action) in &self.rules {
-            let hit = match action {
-                ExceptionAction::Assert(org) => {
-                    let hit = dataset.assert_exception(prefix, org);
-                    if hit {
-                        summary.asserted += 1;
-                    }
-                    hit
+            match action {
+                ExceptionAction::Assert(org) if dataset.assert_exception(prefix, org) => {
+                    summary.asserted += 1
                 }
-                ExceptionAction::Filter => {
-                    let hit = dataset.remove_record(prefix);
-                    if hit {
-                        summary.filtered += 1;
-                    }
-                    hit
+                ExceptionAction::Filter if dataset.record(prefix).is_some() => {
+                    filtered.insert(*prefix);
                 }
-            };
-            if !hit {
-                summary.unmatched += 1;
+                _ => summary.unmatched += 1,
             }
         }
+        summary.filtered = filtered.len() as u64;
+        dataset.remove_records(&filtered);
         summary
     }
 }
@@ -198,6 +192,9 @@ fn parse_rule(line: &str) -> Result<(Prefix, ExceptionAction), (IngestErrorKind,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterId;
+    use crate::pipeline::{Pipeline, PipelineInputs};
+    use p2o_synth::{World, WorldConfig};
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -286,6 +283,67 @@ this is not json\n\
         assert_eq!(quarantined[0].offset, 1);
         assert_eq!(quarantined[4].offset, 5);
         assert!(quarantined[4].message.contains("not-a-prefix"));
+    }
+
+    /// A mixed rule set removes its filtered records together: the records
+    /// left, the `record` and `cluster_records` answers and the summary are
+    /// those of applying each rule as a set of its own, one after another.
+    #[test]
+    fn a_rule_set_applies_as_its_rules_one_at_a_time() {
+        let world = World::generate(WorldConfig::tiny(7));
+        let built = world.build_inputs();
+        let inputs = PipelineInputs {
+            delegations: &built.tree,
+            routes: &built.routes,
+            asn_clusters: &built.clusters,
+            rpki: &built.rpki,
+        };
+        let pipeline = Pipeline::with_threads(1);
+        let original = pipeline.run(&inputs);
+        let mut text = String::new();
+        for (i, rec) in original.records().iter().enumerate() {
+            if i % 3 == 0 {
+                text += &format!("{{\"prefix\":\"{}\",\"action\":\"filter\"}}\n", rec.prefix);
+            } else if i % 5 == 0 {
+                text += &format!(
+                    "{{\"prefix\":\"{}\",\"action\":\"assert\",\"org\":\"Org {i}\"}}\n",
+                    rec.prefix
+                );
+            }
+        }
+        text += "{\"prefix\":\"192.0.2.0/24\",\"action\":\"filter\"}\n\
+                 {\"prefix\":\"198.51.100.0/24\",\"action\":\"assert\",\"org\":\"None\"}\n";
+        let (set, rejects) = ExceptionSet::parse_lenient(&text);
+        assert!(rejects.is_empty(), "{rejects:?}");
+
+        let mut batch = pipeline.run(&inputs);
+        let summary = set.apply(&mut batch);
+        let mut single = pipeline.run(&inputs);
+        let mut want = ExceptionSummary::default();
+        for (prefix, action) in set.iter() {
+            let one = ExceptionSet {
+                rules: BTreeMap::from([(*prefix, action.clone())]),
+            };
+            let s = one.apply(&mut single);
+            want.asserted += s.asserted;
+            want.filtered += s.filtered;
+            want.unmatched += s.unmatched;
+        }
+        assert_eq!(summary, want);
+        assert_eq!(summary.unmatched, 2);
+        assert!(summary.asserted > 0 && summary.filtered > 0, "{summary:?}");
+        assert_eq!(batch.len(), original.len() - summary.filtered as usize);
+        assert_eq!(batch.records(), single.records());
+        for rec in original.records() {
+            assert_eq!(batch.record(&rec.prefix), single.record(&rec.prefix));
+        }
+        for id in (0..original.cluster_count() as u32).map(ClusterId) {
+            assert!(
+                batch.cluster_records(id).eq(single.cluster_records(id)),
+                "cluster {id:?}"
+            );
+        }
+        assert!(batch.clusters().eq(single.clusters()));
     }
 
     #[test]

@@ -22,12 +22,10 @@
 //! serve recomputes the input digest and, when they disagree, freezes a
 //! full load in memory instead).
 //!
-//! **Ordered shards.** The freeze runs in contiguous record shards, each
-//! against its own string table, merged in shard order: later tables are
-//! absorbed into the first in id order and their ids and offsets patched,
-//! so every string keeps its first-seen id and the payload is the same at
-//! any shard count. The cluster and merge rows are interned after every
-//! record.
+//! **One pass.** The freeze lays out every record in order against one
+//! string table, so every string keeps the id of its first occurrence and
+//! the payload does not depend on the build's thread count. The cluster
+//! and merge rows are interned after every record.
 //!
 //! Layout (arena sections, byte offsets in DESIGN.md §4h):
 //!
@@ -66,7 +64,7 @@ use std::path::Path;
 use p2o_bgp::RouteTable;
 use p2o_net::{Prefix, Prefix4, Prefix6};
 use p2o_obs::provenance::{write_trace, write_trace_json};
-use p2o_obs::{run_shards, split_shards, Obs};
+use p2o_obs::{traced, Obs};
 use p2o_radix::{freeze_v4, freeze_v6, LpmView4, LpmView6};
 use p2o_rpki::RovStatus;
 use p2o_util::arena::{u128_at, u32_at, u64_at, ArenaIndex, ArenaWriter};
@@ -188,8 +186,7 @@ fn write_alloc<W: fmt::Write>(out: &mut W, index: u8) -> fmt::Result {
 /// each Direct Owner's `cluster.merge` steps are the edges its name
 /// touches.
 /// `inputs_digest` is the canonical digest of the build directory's input
-/// files, stored for staleness detection at serve time. This is the
-/// one-shard freeze; [`freeze_verified`] takes a shard count.
+/// files, stored for staleness detection at serve time.
 pub fn freeze(
     inputs: &PipelineInputs<'_>,
     dataset: &Prefix2OrgDataset,
@@ -203,8 +200,6 @@ pub fn freeze(
         merge_edges,
         inputs_digest,
         jsonl_digest,
-        1,
-        None,
     )
 }
 
@@ -236,34 +231,28 @@ impl<'d> OwnerMerges<'d> {
     }
 }
 
-/// The sections of one contiguous record range, laid out as the sequential
-/// freeze lays them out but against the shard's own string table: string
-/// ids are the shard's, and chain-step and pool offsets count from the
-/// shard's first. Cluster indices, merge slices and LPM entries are global.
-struct ShardSections {
-    recs: Vec<u8>,
-    dcsteps: Vec<u8>,
-    pool: Vec<u8>,
-    dc_count: u32,
-    pool_count: u32,
-    v4_entries: Vec<(Prefix4, u32)>,
-    v6_entries: Vec<(Prefix6, u32)>,
-}
-
-/// Freezes `records`, the dataset's records from index `first` on.
-fn freeze_shard(
+/// [`freeze`] with the digest of the dataset's canonical export already
+/// known, so the export is not rendered again to take it.
+///
+/// One pass over the records, in order, lays out the record, chain-step
+/// and pool sections against one string table, so every string keeps the
+/// id of its first occurrence in record order. The cluster and merge rows
+/// are interned last, in cluster-id and row order.
+fn freeze_with_digest(
     routes: &RouteTable,
-    merges: &OwnerMerges<'_>,
-    first: usize,
-    records: &[PrefixRecord],
-) -> (StringBlobBuilder, ShardSections) {
+    dataset: &Prefix2OrgDataset,
+    merge_edges: &[MergeEdge],
+    inputs_digest: u64,
+    jsonl_digest: u64,
+) -> Vec<u8> {
+    let merges = OwnerMerges::new(dataset.records(), merge_edges);
     let mut strings = StringBlobBuilder::new();
-    let mut recs: Vec<u8> = Vec::with_capacity(records.len() * REC_SIZE);
+    let mut recs: Vec<u8> = Vec::with_capacity(dataset.len() * REC_SIZE);
     let mut dcsteps: Vec<u8> = Vec::new();
     let mut pool: Vec<u8> = Vec::new();
     let mut dc_count = 0u32;
     let mut pool_count = 0u32;
-    let mut v4_entries: Vec<(Prefix4, u32)> = Vec::new();
+    let mut v4_entries: Vec<(Prefix4, u32)> = Vec::with_capacity(dataset.len());
     let mut v6_entries: Vec<(Prefix6, u32)> = Vec::new();
 
     let push_pool = |pool: &mut Vec<u8>, pool_count: &mut u32, vals: &[u32]| -> (u32, u32) {
@@ -275,7 +264,7 @@ fn freeze_shard(
         (off, vals.len() as u32)
     };
 
-    for (idx, rec) in (first as u32..).zip(records) {
+    for (idx, rec) in (0u32..).zip(dataset.records()) {
         match rec.prefix {
             Prefix::V4(p) => v4_entries.push((p, idx)),
             Prefix::V6(p) => v6_entries.push((p, idx)),
@@ -335,110 +324,6 @@ fn freeze_shard(
             recs.extend_from_slice(&value.to_le_bytes());
         }
     }
-    let sections = ShardSections {
-        recs,
-        dcsteps,
-        pool,
-        dc_count,
-        pool_count,
-        v4_entries,
-        v6_entries,
-    };
-    (strings, sections)
-}
-
-/// Rewrites the little-endian u32 at `off` in place.
-fn patch_u32(bytes: &mut [u8], off: usize, f: impl FnOnce(u32) -> u32) {
-    let field = &mut bytes[off..off + 4];
-    let value = f(u32::from_le_bytes(field.try_into().expect("4 bytes")));
-    field.copy_from_slice(&value.to_le_bytes());
-}
-
-impl ShardSections {
-    /// Moves the shard onto the global tables: `ids` maps its string ids
-    /// to global ones, and its chain steps and pool values follow the `dc`
-    /// and `pool` entries of the shards before it.
-    fn rebase(&mut self, ids: &[u32], dc: u32, pool: u32) {
-        let id = |local: u32| ids[local as usize];
-        for rec in self.recs.chunks_exact_mut(REC_SIZE) {
-            for off in [40, 44, 52] {
-                patch_u32(rec, off, id);
-            }
-            patch_u32(
-                rec,
-                48,
-                |local| if local == NONE_ID { NONE_ID } else { id(local) },
-            );
-            patch_u32(rec, 64, |off| off + dc);
-            patch_u32(rec, 72, |off| off + pool);
-            patch_u32(rec, 80, |off| off + pool);
-        }
-        for dc_step in self.dcsteps.chunks_exact_mut(DC_SIZE) {
-            patch_u32(dc_step, PFX_SIZE, id);
-        }
-    }
-}
-
-/// [`freeze`] with the digest of the dataset's canonical export already
-/// known, so the export is not rendered again to take it, in ordered
-/// shards of contiguous records.
-///
-/// Each shard lays out its records against its own string table
-/// ([`freeze_shard`]); the shards then merge in shard order. The first
-/// shard's table becomes the global one, and each later shard's table is
-/// absorbed into it in id order ([`StringBlobBuilder::absorb`]) and
-/// dropped, so every string keeps the id of its first occurrence in record
-/// order and the payload is byte-identical at any shard count. The merge
-/// patches the shard's string ids and offsets in place and hands its
-/// section buffers to the arena writer as parts, without a copy. The
-/// cluster and merge rows are interned last, in cluster-id and row order.
-fn freeze_with_digest(
-    routes: &RouteTable,
-    dataset: &Prefix2OrgDataset,
-    merge_edges: &[MergeEdge],
-    inputs_digest: u64,
-    jsonl_digest: u64,
-    threads: usize,
-    obs: Option<&Obs>,
-) -> Vec<u8> {
-    let merges = OwnerMerges::new(dataset.records(), merge_edges);
-    let mut first = 0;
-    let shards: Vec<(usize, &[PrefixRecord])> = split_shards(dataset.records(), threads)
-        .into_iter()
-        .map(|records| {
-            first += records.len();
-            (first - records.len(), records)
-        })
-        .collect();
-    let frozen = run_shards(obs, "frozen.freeze", shards, |(first, records), span| {
-        if let Some(s) = span {
-            s.arg("records", records.len());
-        }
-        freeze_shard(routes, &merges, first, records)
-    });
-
-    let mut strings: Option<StringBlobBuilder> = None;
-    let (mut recs, mut dcsteps, mut pool) = (vec![], vec![], vec![]);
-    let (mut dc_count, mut pool_count) = (0u32, 0u32);
-    let mut v4_entries: Vec<(Prefix4, u32)> = Vec::with_capacity(dataset.len());
-    let mut v6_entries: Vec<(Prefix6, u32)> = Vec::new();
-    for (local, mut shard) in frozen {
-        match strings.as_mut() {
-            None => strings = Some(local),
-            Some(global) => {
-                let ids = global.absorb(local);
-                shard.rebase(&ids, dc_count, pool_count);
-            }
-        }
-        dc_count += shard.dc_count;
-        pool_count += shard.pool_count;
-        recs.push(shard.recs);
-        dcsteps.push(shard.dcsteps);
-        pool.push(shard.pool);
-        v4_entries.append(&mut shard.v4_entries);
-        v6_entries.append(&mut shard.v6_entries);
-    }
-    let mut strings = strings.expect("at least one shard");
 
     let mut clusters = Vec::with_capacity(dataset.cluster_count() * CLUSTER_SIZE);
     for id in (0..dataset.cluster_count() as u32).map(ClusterId) {
@@ -462,11 +347,11 @@ fn freeze_with_digest(
     let mut w = ArenaWriter::new();
     w.section("meta", meta);
     w.section_parts("strings", strings.into_parts());
-    w.section_parts("recs", recs);
-    w.section_parts("dcsteps", dcsteps);
+    w.section("recs", recs);
+    w.section("dcsteps", dcsteps);
     w.section("clusters", clusters);
     w.section("merges", merge_rows);
-    w.section_parts("u32pool", pool);
+    w.section("u32pool", pool);
     w.section("lpm4", freeze_v4(&v4_entries));
     w.section("lpm6", freeze_v6(&v6_entries));
     w.finish()
@@ -501,8 +386,7 @@ impl<'a> ExportBytes<&'a [u8]> {
 /// [`payload`](FrozenDataset::payload) as `world.p2ob`; `serve` checks it
 /// against the export it renders and serves the returned dataset directly
 /// when that file is missing or stale. The freeze reads only `routes` of
-/// the dataset's inputs and runs in `threads` ordered shards (the payload
-/// is the same at any count). The payload is moved, never copied; each
+/// the dataset's inputs. The payload is moved, never copied; each
 /// thawed line is written by the export's own writer and compared with the
 /// next bytes of `export.reader`, so neither side of the check is held
 /// whole. A mismatch names the first record whose line differs. An
@@ -514,20 +398,16 @@ pub fn freeze_verified<R: BufRead>(
     merge_edges: &[MergeEdge],
     inputs_digest: u64,
     export: ExportBytes<R>,
-    threads: usize,
     obs: Option<&Obs>,
 ) -> Result<FrozenDataset, String> {
     let stage = |name: &str| obs.map(|o| o.stage(name));
     let timer = stage("core.freeze");
-    let payload = freeze_with_digest(
-        routes,
-        dataset,
-        merge_edges,
-        inputs_digest,
-        export.digest,
-        threads,
-        obs,
-    );
+    let payload = traced(obs, "frozen.freeze", |span| {
+        if let Some(s) = span {
+            s.arg("records", dataset.len());
+        }
+        freeze_with_digest(routes, dataset, merge_edges, inputs_digest, export.digest)
+    });
     drop(timer);
     let _timer = stage("core.thaw_verify");
     let frozen = FrozenDataset::from_payload(payload)
@@ -1320,7 +1200,6 @@ mod tests {
             &edges,
             7,
             written(jsonl.as_bytes()),
-            1,
             None,
         )
         .unwrap();
@@ -1358,7 +1237,6 @@ mod tests {
                 &edges,
                 7,
                 written(other.as_bytes()),
-                1,
                 None,
             )
             .unwrap_err();
@@ -1368,38 +1246,6 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The sharded freeze is the one-shard freeze at any shard count: each
-    /// shard's string table merges in shard order, so every string keeps
-    /// the id of its first occurrence in record order.
-    #[test]
-    fn freeze_payload_is_identical_at_every_shard_count() {
-        for config in [WorldConfig::tiny(42), WorldConfig::default_scale(7)] {
-            let world = World::generate(config);
-            let built = world.build_inputs();
-            let inputs = PipelineInputs {
-                delegations: &built.tree,
-                routes: &built.routes,
-                asn_clusters: &built.clusters,
-                rpki: &built.rpki,
-            };
-            let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
-            let jsonl = to_jsonl(&dataset);
-            let one = freeze(&inputs, &dataset, &edges, 3);
-            for shards in 1..=8 {
-                assert_eq!(p2o_obs::shard_count(shards, dataset.len()), shards);
-                let export = ExportBytes::in_memory(&jsonl);
-                let frozen =
-                    freeze_verified(&built.routes, &dataset, &edges, 3, export, shards, None)
-                        .unwrap();
-                assert!(
-                    frozen.payload() == &one[..],
-                    "{} records: the payload differs at {shards} shards",
-                    dataset.len()
-                );
-            }
-        }
     }
 
     #[test]
@@ -1438,7 +1284,7 @@ mod tests {
     }
 
     /// Property: for every record of tiny seeds 7 and 42 and default seed
-    /// 7, frozen in 1 and 3 shards, with no rule file and with one that
+    /// 7, with no rule file and with one that
     /// asserts one record (to an org name holding quotes) and filters
     /// another, the frozen trace is the live trace's text, and its JSON
     /// form is that text escaped.
@@ -1473,21 +1319,18 @@ mod tests {
                     assert_eq!((summary.asserted, summary.filtered), (1, 1));
                 }
                 let jsonl = to_jsonl(&dataset);
-                for shards in [1, 3] {
-                    let export = ExportBytes::in_memory(&jsonl);
-                    let frozen =
-                        freeze_verified(&built.routes, &dataset, &edges, 0, export, shards, None)
-                            .unwrap();
-                    for (idx, rec) in (0u32..).zip(dataset.records()) {
-                        let trace = attribution_trace(&inputs, &dataset, &edges, &rec.prefix);
-                        let text = trace.render();
-                        assert_eq!(frozen.provenance(idx), text, "{}", rec.prefix);
-                        let mut json = String::new();
-                        frozen.write_provenance_json(idx, &mut json).unwrap();
-                        let mut escaped = String::new();
-                        write_escaped(&mut escaped, &text).unwrap();
-                        assert_eq!(json, escaped, "{}", rec.prefix);
-                    }
+                let export = ExportBytes::in_memory(&jsonl);
+                let frozen =
+                    freeze_verified(&built.routes, &dataset, &edges, 0, export, None).unwrap();
+                for (idx, rec) in (0u32..).zip(dataset.records()) {
+                    let trace = attribution_trace(&inputs, &dataset, &edges, &rec.prefix);
+                    let text = trace.render();
+                    assert_eq!(frozen.provenance(idx), text, "{}", rec.prefix);
+                    let mut json = String::new();
+                    frozen.write_provenance_json(idx, &mut json).unwrap();
+                    let mut escaped = String::new();
+                    write_escaped(&mut escaped, &text).unwrap();
+                    assert_eq!(json, escaped, "{}", rec.prefix);
                 }
             }
         }

@@ -25,17 +25,18 @@ pub struct PipelineInputs<'a> {
 
 /// The pipeline: resolution (§5.2) then clustering (§5.3).
 ///
-/// Resolution is embarrassingly parallel per prefix; `threads > 1` shards
-/// the routed-prefix list through [`p2o_obs::run_shards`] (CPU-bound
-/// fan-out — no async runtime involved). The clustering group-build pass
-/// shards the same way. The default is [`default_threads`] (all cores);
-/// `threads = 1` runs each pass as one inline shard. Output is
+/// Resolution is one pass over the routed prefixes in table order.
+/// `threads` drives only the clustering's two fan-outs, owner-name
+/// cleaning and the 𝓡/𝓐 group build, which shard through
+/// [`p2o_obs::run_shards`] (CPU-bound fan-out — no async runtime
+/// involved). The default is [`default_threads`] (all cores);
+/// `threads = 1` runs each of them as one inline shard. Output is
 /// byte-identical at any thread count.
 #[derive(Debug, Clone, Copy)]
 pub struct Pipeline {
     /// Clustering options (ablations flip these).
     pub cluster_options: ClusterOptions,
-    /// Worker threads for the resolution and group-build stages.
+    /// Worker threads for the name-cleaning and group-build passes.
     pub threads: usize,
 }
 
@@ -57,7 +58,7 @@ impl Default for Pipeline {
 }
 
 impl Pipeline {
-    /// A pipeline with `threads` resolution workers.
+    /// A pipeline with `threads` clustering workers.
     pub fn with_threads(threads: usize) -> Self {
         Pipeline {
             threads: threads.max(1),
@@ -99,7 +100,7 @@ impl Pipeline {
         }
 
         let resolve_timer = obs.map(|o| o.stage("pipeline.resolve"));
-        let (ownership, unresolved) = self.resolve_shards(inputs.delegations, &prefixes, obs);
+        let (ownership, unresolved) = resolve(inputs.delegations, &prefixes, obs);
         if let Some(mut t) = resolve_timer {
             t.items(prefixes.len() as u64);
             t.finish();
@@ -171,34 +172,25 @@ impl Pipeline {
         tree: &DelegationTree,
         prefixes: &[Prefix],
     ) -> (Vec<OwnershipRecord>, usize) {
-        self.resolve_shards(tree, prefixes, None)
+        resolve(tree, prefixes, None)
     }
+}
 
-    /// [`Pipeline::resolve_stage`] with optional tracing: the prefixes
-    /// resolve in contiguous shards through the shard runner, one
-    /// `resolve` span each, concatenated in shard order.
-    fn resolve_shards(
-        &self,
-        tree: &DelegationTree,
-        prefixes: &[Prefix],
-        obs: Option<&p2o_obs::Obs>,
-    ) -> (Vec<OwnershipRecord>, usize) {
-        let shards = p2o_obs::split_shards(prefixes, self.threads);
-        p2o_obs::run_shards(obs, "resolve", shards, |shard, span| {
-            let out = Resolver.resolve_all(tree, shard.iter());
-            if let Some(s) = span {
-                s.arg("prefixes", shard.len());
-                s.arg("resolved", out.0.len());
-            }
-            out
-        })
-        .into_iter()
-        .reduce(|(mut records, unresolved), (mut more, misses)| {
-            records.append(&mut more);
-            (records, unresolved + misses)
-        })
-        .unwrap_or_default()
-    }
+/// [`Pipeline::resolve_stage`] with optional tracing: one pass over the
+/// prefixes in order under one `resolve` span.
+fn resolve(
+    tree: &DelegationTree,
+    prefixes: &[Prefix],
+    obs: Option<&p2o_obs::Obs>,
+) -> (Vec<OwnershipRecord>, usize) {
+    p2o_obs::traced(obs, "resolve", |span| {
+        let out = Resolver.resolve_all(tree, prefixes);
+        if let Some(s) = span {
+            s.arg("prefixes", prefixes.len());
+            s.arg("resolved", out.0.len());
+        }
+        out
+    })
 }
 
 #[cfg(test)]

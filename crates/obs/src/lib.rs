@@ -52,7 +52,7 @@ pub use provenance::{DecisionTrace, TraceStep};
 pub use runtime::{
     FlightRecord, FlightRecorder, FlightSample, WindowSnapshot, WindowedHistogram, WINDOWS,
 };
-pub use shards::{run_shards, shard_count, split_shards};
+pub use shards::{run_shards, shard_count, split_shards, traced};
 pub use trace::{Span, ThreadLog, ThreadTrace, Trace, TraceEvent, TracePhase, Tracer};
 
 use std::fmt;

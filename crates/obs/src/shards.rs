@@ -1,12 +1,13 @@
 //! The one fork-join path of the build.
 //!
-//! The six data-parallel passes — bulk WHOIS parsing, MRT body decoding,
-//! DO/DC resolution, owner-name cleaning, the 𝓡/𝓐 group build and the
-//! freeze — cut their input into contiguous shards, hand them to
-//! [`run_shards`], and fold the results in shard order. Because each shard covers a contiguous run of the input
+//! The four data-parallel passes — bulk WHOIS parsing, MRT body decoding,
+//! owner-name cleaning and the 𝓡/𝓐 group build — cut their input into
+//! contiguous shards, hand them to [`run_shards`], and fold the results in
+//! shard order. Because each shard covers a contiguous run of the input
 //! and results come back in shard order, the folded output is the same at
 //! any thread count, including the single shard that runs inline on the
-//! caller's thread.
+//! caller's thread. DO/DC resolution and the freeze are one pass each,
+//! traced through [`traced`] as the single shard is.
 //!
 //! The runner records trace spans, never stage timers: the run report
 //! lists the same per-layer stages at every thread count, and per-shard
@@ -50,12 +51,12 @@ where
     F: Fn(S, Option<&Span<'_>>) -> T + Sync,
 {
     let run = |idx: usize, shard: S| {
-        let log = obs.and_then(|o| o.thread_log(name));
-        let span = log.as_ref().map(|l| l.span(name));
-        if let Some(s) = &span {
-            s.arg("shard", idx);
-        }
-        work(shard, span.as_ref())
+        traced(obs, name, |span| {
+            if let Some(s) = span {
+                s.arg("shard", idx);
+            }
+            work(shard, span)
+        })
     };
     if shards.len() == 1 {
         return shards.into_iter().map(|shard| run(0, shard)).collect();
@@ -75,6 +76,15 @@ where
             })
             .collect()
     })
+}
+
+/// Runs `work` inline on the calling thread. With tracing on in `obs`, it
+/// records one `name` span, on a thread log of that name, and `work`
+/// receives the span to attach arguments.
+pub fn traced<T>(obs: Option<&Obs>, name: &str, work: impl FnOnce(Option<&Span<'_>>) -> T) -> T {
+    let log = obs.and_then(|o| o.thread_log(name));
+    let span = log.as_ref().map(|l| l.span(name));
+    work(span.as_ref())
 }
 
 #[cfg(test)]
@@ -145,6 +155,22 @@ mod tests {
             // The runner adds spans only, never stage rows.
             assert!(obs.report().stages.is_empty());
         }
+    }
+
+    #[test]
+    fn traced_runs_inline_under_one_span() {
+        let obs = Obs::new();
+        obs.enable_tracing();
+        let caller = std::thread::current().id();
+        let ran_on = traced(Some(&obs), "pass", |span| {
+            span.expect("tracing is on").arg("items", 3);
+            std::thread::current().id()
+        });
+        assert_eq!(ran_on, caller);
+        assert!(traced(None, "pass", |span| span.is_none()));
+        let trace = obs.take_trace();
+        assert_eq!(trace.span_count("pass"), 1);
+        assert_eq!(trace.threads[0].name, "pass");
     }
 
     #[test]

@@ -80,15 +80,7 @@ impl Snapshot {
         exceptions.apply(&mut dataset);
         let jsonl = to_jsonl(&dataset);
         let export = ExportBytes::in_memory(&jsonl);
-        let frozen = freeze_verified(
-            inputs.routes,
-            &dataset,
-            &merge_edges,
-            0,
-            export,
-            threads,
-            None,
-        )?;
+        let frozen = freeze_verified(inputs.routes, &dataset, &merge_edges, 0, export, None)?;
         Ok(Self::attach(dir, serial, frozen, false))
     }
 

@@ -165,18 +165,6 @@ impl StringBlobBuilder {
         id
     }
 
-    /// Interns every string of `other` in `other`'s id order, then drops
-    /// `other`. Returns the id each string has here, indexed by its id in
-    /// `other`. Absorbing the builders of consecutive runs of an intern
-    /// sequence, in order, yields the table the whole sequence interned
-    /// into one builder would: a string keeps the id of its first
-    /// occurrence.
-    pub fn absorb(&mut self, other: StringBlobBuilder) -> Vec<u32> {
-        (0..other.len() as u32)
-            .map(|id| self.intern(other.text(id)))
-            .collect()
-    }
-
     /// The string interned as `id`.
     fn text(&self, id: u32) -> &str {
         let i = id as usize;
@@ -482,42 +470,6 @@ mod tests {
         let bytes = b.into_bytes();
         let view = StringBlob::parse(&bytes).unwrap();
         assert_eq!((view.get(0), view.get(1)), (Some("hello"), Some("world")));
-    }
-
-    #[test]
-    fn absorbing_builders_in_order_equals_interning_in_sequence() {
-        crate::check::run_cases(256, |g| {
-            let words = ["a", "bc", "", "déf", "网络", "a b", "x", "yy"];
-            let sequence: Vec<&str> = (0..g.below(40)).map(|_| *g.pick(&words)).collect();
-            let mut whole = StringBlobBuilder::new();
-            let want: Vec<u32> = sequence.iter().map(|s| whole.intern(s)).collect();
-
-            // Cut the sequence into runs, intern each run into its own
-            // builder, and absorb the run builders in order.
-            let mut cuts: Vec<usize> = (0..g.below(5))
-                .map(|_| g.below(sequence.len() + 1))
-                .collect();
-            cuts.extend([0, sequence.len()]);
-            cuts.sort_unstable();
-            let mut merged: Option<StringBlobBuilder> = None;
-            let mut got: Vec<u32> = Vec::new();
-            for run in cuts.windows(2).map(|w| &sequence[w[0]..w[1]]) {
-                let mut local = StringBlobBuilder::new();
-                let local_ids: Vec<u32> = run.iter().map(|s| local.intern(s)).collect();
-                let ids = match merged.as_mut() {
-                    Some(table) => table.absorb(local),
-                    None => {
-                        let identity = (0..local.len() as u32).collect();
-                        merged = Some(local);
-                        identity
-                    }
-                };
-                got.extend(local_ids.iter().map(|&id| ids[id as usize]));
-            }
-            assert_eq!(got, want, "{sequence:?} cut at {cuts:?}");
-            let merged = merged.expect("at least one run");
-            assert_eq!(merged.into_bytes(), whole.into_bytes());
-        });
     }
 
     #[test]
