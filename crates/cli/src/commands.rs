@@ -958,8 +958,9 @@ pub fn diff(args: &Parsed) -> Result<(), CliError> {
 ///
 /// An organization's predicted prefixes are those of every final cluster
 /// holding a record whose cleaned Direct Owner contains the list's cleaned
-/// name. Each distinct owner name is cleaned once, and each list's
-/// prediction is taken once and split by family.
+/// name. Each distinct owner name is cleaned once and indexed by trigram,
+/// so a list checks only the names that can contain its own, and each
+/// list's prediction is taken once and split by family.
 pub fn validate(args: &Parsed) -> Result<(), CliError> {
     let dir = Path::new(args.require("in")?);
     let records = load_dataset(args.require("dataset")?)?;
@@ -989,10 +990,12 @@ pub fn validate(args: &Parsed) -> Result<(), CliError> {
         .into_iter()
         .map(|(owner, clusters)| (p2o_strings::clean::basic_clean(owner), clusters))
         .collect();
+    let index = TrigramIndex::new(owners.iter().map(|(name, _)| name.as_str()));
     let predicted_for = |org_name: &str| -> Vec<Prefix> {
         let needle = p2o_strings::clean::basic_clean(org_name);
-        let clusters: HashSet<&str> = owners
-            .iter()
+        let clusters: HashSet<&str> = index
+            .candidates(&needle)
+            .map(|i| &owners[i])
             .filter(|(name, _)| name.contains(&needle))
             .flat_map(|(_, clusters)| clusters.iter().copied())
             .collect();
@@ -1086,6 +1089,52 @@ pub fn validate(args: &Parsed) -> Result<(), CliError> {
             "Total", tot.0, tot.1, tot.2, tot.3, tot.4, precision, recall
         )
     })
+}
+
+/// Names indexed by the byte trigrams they hold. A name that contains a
+/// needle holds every trigram of the needle, so a substring search need
+/// only check the names holding the needle's rarest trigram.
+struct TrigramIndex {
+    names: usize,
+    /// For each trigram, the indices of the names holding it, ascending.
+    postings: HashMap<[u8; 3], Vec<u32>>,
+}
+
+impl TrigramIndex {
+    fn new<'a>(names: impl ExactSizeIterator<Item = &'a str>) -> TrigramIndex {
+        let count = names.len();
+        let mut postings: HashMap<[u8; 3], Vec<u32>> = HashMap::new();
+        for (i, name) in names.enumerate() {
+            for trigram in name.as_bytes().windows(3) {
+                let posting = postings
+                    .entry(trigram.try_into().expect("3 bytes"))
+                    .or_default();
+                if posting.last() != Some(&(i as u32)) {
+                    posting.push(i as u32);
+                }
+            }
+        }
+        TrigramIndex {
+            names: count,
+            postings,
+        }
+    }
+
+    /// The indices of the names that may contain `needle`, ascending: those
+    /// holding its rarest trigram, or every name when the needle is shorter
+    /// than a trigram.
+    fn candidates<'s>(&'s self, needle: &str) -> Box<dyn Iterator<Item = usize> + 's> {
+        if needle.len() < 3 {
+            return Box::new(0..self.names);
+        }
+        let rarest = needle
+            .as_bytes()
+            .windows(3)
+            .map(|trigram| self.postings.get(trigram).map_or(&[][..], Vec::as_slice))
+            .min_by_key(|posting| posting.len())
+            .unwrap_or_default();
+        Box::new(rarest.iter().map(|&i| i as usize))
+    }
 }
 
 /// Loads `dir` the one way `serve` and `explain` answer from it: the fsck
@@ -1246,4 +1295,45 @@ pub fn serve(args: &Parsed) -> Result<(), CliError> {
     print_answers(|out| writeln!(out, "listening on {}", server.addr))?;
     server.join();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The index finds exactly the names a full `contains` scan finds, for
+    /// needles of every length (the empty one included) drawn from the
+    /// names themselves and at random, over ASCII and multi-byte names.
+    #[test]
+    fn trigram_candidates_find_what_a_full_scan_finds() {
+        p2o_util::check::run_cases(200, |g| {
+            let names: Vec<String> = (0..g.below(40))
+                .map(|_| match g.below(3) {
+                    0 => g.unicode_string(12),
+                    _ => g.string_from("abc d", 12),
+                })
+                .collect();
+            let index = TrigramIndex::new(names.iter().map(String::as_str));
+            for _ in 0..20 {
+                let needle = match (g.below(3), names.is_empty()) {
+                    (0, false) => {
+                        let name = g.pick(&names).as_bytes();
+                        let start = g.below(name.len() + 1);
+                        let end = start + g.below(name.len() - start + 1);
+                        String::from_utf8_lossy(&name[start..end]).into_owned()
+                    }
+                    (1, _) => g.unicode_string(4),
+                    _ => g.string_from("abc d", 5),
+                };
+                let found: Vec<usize> = index
+                    .candidates(&needle)
+                    .filter(|&i| names[i].contains(&needle))
+                    .collect();
+                let want: Vec<usize> = (0..names.len())
+                    .filter(|&i| names[i].contains(&needle))
+                    .collect();
+                assert_eq!(found, want, "needle {needle:?} in {names:?}");
+            }
+        });
+    }
 }

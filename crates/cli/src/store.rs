@@ -216,8 +216,9 @@ pub fn relpath(dir: &Path, path: &Path) -> String {
 }
 
 /// The one integrity read of a data directory. Each input file is read
-/// once, in [`checkpoint::input_files`] order, and feeds both the files
-/// digest and the check against its `MANIFEST.tsv` row; the rows left over
+/// once, in [`checkpoint::input_files`] order, and hashed once: one loop
+/// over its bytes advances both the files digest and the digest checked
+/// against its `MANIFEST.tsv` row; the rows left over
 /// (`pfx2as.txt`, `adversary.json`) are checked after. Rows for framed
 /// files (`world.p2ob`, `.ckpt` stamps) are left to the frame check.
 /// Fails on an unreadable manifest or input file.
@@ -234,9 +235,14 @@ pub fn scan_integrity(vfs: &Vfs, dir: &Path) -> Result<IntegrityScan, String> {
     for path in checkpoint::input_files(dir) {
         let rel = relpath(dir, &path);
         let content = vfs.read(&path).map_err(|e| io_err("reading", &path, e))?;
-        files_digest = files_digest.chain(Digest::of_parts([rel.as_bytes(), &content]));
+        let (part, digest) = Digest::of_named_content(rel.as_bytes(), &content);
+        files_digest = files_digest.chain(part);
         if let Some(entry) = rows.remove(rel.as_str()) {
-            checked.insert(rel, entry.check(&content));
+            let found = ManifestEntry {
+                bytes: content.len() as u64,
+                digest,
+            };
+            checked.insert(rel, entry.compare(found));
         }
     }
     for rel in rows.into_keys() {

@@ -16,11 +16,12 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use p2o_net::Prefix;
-use p2o_obs::{DecisionTrace, TraceStep};
+use p2o_obs::{DecisionTrace, DetailSink, TraceStep};
 use p2o_rpki::RovStatus;
+use p2o_util::json::write_u64;
 use p2o_whois::alloc::AllocationType;
 use p2o_whois::Registry;
 
@@ -63,7 +64,7 @@ impl<'a> Numbers<'a> {
     fn write_list<W: fmt::Write + ?Sized>(&self, out: &mut W, tag: &str) -> fmt::Result {
         for (i, value) in self.iter().enumerate() {
             write_all(out, &[if i > 0 { ", " } else { "" }, tag])?;
-            write_u32(out, value)?;
+            write_u64(out, value.into())?;
         }
         Ok(())
     }
@@ -158,8 +159,9 @@ impl TraceStep for Step<'_> {
 
     /// The one writer of each rule's detail. A trace is written once per
     /// served answer, so each detail is appended from its pieces with no
-    /// formatting machinery.
-    fn write_detail<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+    /// formatting machinery: the rule's own text, and each name between
+    /// quote marks or after its lead-in, through the sink.
+    fn write_detail<W: fmt::Write + ?Sized>(&self, out: &mut DetailSink<'_, W>) -> fmt::Result {
         match self {
             Step::Origins(asns) => {
                 out.write_str("routed, announced by ")?;
@@ -167,13 +169,14 @@ impl TraceStep for Step<'_> {
             }
             Step::Lpm(walk) => {
                 out.write_str("covering chain has ")?;
-                write_u32(out, walk.blocks.into())?;
+                write_u64(out, walk.blocks.into())?;
                 out.write_str(" registered block(s) (")?;
-                write_u32(out, walk.nodes.into())?;
+                write_u64(out, walk.nodes.into())?;
                 out.write_str(" radix nodes walked)")
             }
             Step::Customer { org, alloc, block } => {
-                write_all(out, &[org, " via ", alloc.keyword(), " on "])?;
+                out.name(org)?;
+                write_all(out, &[" via ", alloc.keyword(), " on "])?;
                 block.write_to(out)
             }
             Step::Owner {
@@ -182,15 +185,20 @@ impl TraceStep for Step<'_> {
                 block,
                 registry,
             } => {
-                write_all(out, &[org, " via ", alloc.keyword(), " on "])?;
+                out.name(org)?;
+                write_all(out, &[" via ", alloc.keyword(), " on "])?;
                 block.write_to(out)?;
                 write_all(out, &[" [", registry.name(), "]"])
             }
-            Step::BaseName { owner, base } => write_all(
-                out,
-                &["\"", owner, "\" reduces to base name \"", base, "\""],
-            ),
-            Step::Certificate(Some(cert)) => write_all(out, &["covered by ", cert]),
+            Step::BaseName { owner, base } => {
+                out.quoted(owner)?;
+                out.write_str(" reduces to base name ")?;
+                out.quoted(base)
+            }
+            Step::Certificate(Some(cert)) => {
+                out.write_str("covered by ")?;
+                out.name(cert)
+            }
             Step::Certificate(None) => out.write_str("no covering validated Resource Certificate"),
             Step::Rov(rov) => write_all(out, &["route origin validation: ", rov.as_str()]),
             Step::AsnClusters(ids) if ids.0.is_empty() => {
@@ -201,17 +209,22 @@ impl TraceStep for Step<'_> {
                 ids.write_list(out, "")
             }
             Step::Merge { other, evidence } => {
-                write_all(out, &["merged with \"", other, "\": ", evidence])
+                out.write_str("merged with ")?;
+                out.quoted(other)?;
+                out.write_str(": ")?;
+                out.name(evidence)
             }
             Step::Final { label, names } => {
-                write_all(out, &["final cluster \"", label, "\" ("])?;
-                write_u32(out, *names)?;
+                out.write_str("final cluster ")?;
+                out.quoted(label)?;
+                out.write_str(" (")?;
+                write_u64(out, (*names).into())?;
                 out.write_str(" WHOIS name(s))")
             }
-            Step::Asserted(org) => write_all(
-                out,
-                &["operator rule overrides attribution to \"", org, "\""],
-            ),
+            Step::Asserted(org) => {
+                out.write_str("operator rule overrides attribution to ")?;
+                out.quoted(org)
+            }
         }
     }
 }
@@ -219,21 +232,6 @@ impl TraceStep for Step<'_> {
 /// Writes `parts` in order.
 fn write_all<W: fmt::Write + ?Sized>(out: &mut W, parts: &[&str]) -> fmt::Result {
     parts.iter().try_for_each(|part| out.write_str(part))
-}
-
-/// Writes `value` in decimal.
-fn write_u32<W: fmt::Write + ?Sized>(out: &mut W, mut value: u32) -> fmt::Result {
-    let mut digits = [0u8; 10];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (value % 10) as u8;
-        value /= 10;
-        if value == 0 {
-            break;
-        }
-    }
-    out.write_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"))
 }
 
 /// The routing and resolution steps of a record prefix's trace: its origin
@@ -296,8 +294,9 @@ impl<'e> MergeIndex<'e> {
 /// single-spaced gets no merge steps. Kept as is: matching on the cleaned
 /// name gives 7,392 merge steps to 1,649 of the 3,154 default seed-7
 /// records, which makes the mean `/batch` answer 28% longer (990 → 1,268
-/// B) and perfbench's `lookup-default` `batch_p50_ms` 33–36% slower, past
-/// its 25% bound.
+/// B) and perfbench's `lookup-default` `batch_p90_ms` 24% slower, just
+/// inside its 25% bound; it changes what every surface answers, so it is
+/// a change of its own.
 fn push_cluster_steps<'a>(
     trace: &mut Trace<'a>,
     dataset: &'a Prefix2OrgDataset,
@@ -365,6 +364,7 @@ pub(crate) mod tests {
     use crate::frozen::{freeze, FrozenDataset};
     use crate::Pipeline;
     use p2o_rpki::{IpResourceSet, RpkiRepository, ValidatedRepo};
+    use p2o_util::check::Gen;
     use p2o_whois::WhoisDb;
 
     fn fixture() -> (p2o_whois::DelegationTree, p2o_bgp::RouteTable) {
@@ -499,8 +499,112 @@ pub(crate) mod tests {
 
     fn detail(step: &Step<'_>) -> String {
         let mut out = String::new();
-        step.write_detail(&mut out).unwrap();
+        step.write_detail(&mut DetailSink::text(&mut out)).unwrap();
         out
+    }
+
+    /// A name that needs every kind of care: quotes, backslashes, C0
+    /// controls, non-ASCII text, or nothing at all.
+    fn awkward_name(g: &mut Gen) -> Cow<'static, str> {
+        let mut name = String::new();
+        for _ in 0..g.below(6) {
+            match g.below(4) {
+                0 => name.push(char::from(g.below(0x20) as u8)),
+                1 => name.push(*g.pick(&['"', '\\', '\u{7f}'])),
+                _ => name.push_str(&g.unicode_string(6)),
+            }
+        }
+        Cow::Owned(name)
+    }
+
+    fn any_prefix(g: &mut Gen) -> Prefix {
+        if g.bool() {
+            Prefix::V4(p2o_net::Prefix4::new_truncated(g.u32(), g.below(33) as u8))
+        } else {
+            Prefix::V6(p2o_net::Prefix6::new_truncated(
+                g.u128(),
+                g.below(129) as u8,
+            ))
+        }
+    }
+
+    /// A random step of kind `kind`: one of the eleven variants, with an
+    /// absent certificate and an empty cluster list as kinds of their own.
+    fn any_step(g: &mut Gen, kind: usize) -> Step<'static> {
+        let numbers = |g: &mut Gen| Numbers::of((0..g.range(1, 4)).map(|_| g.u32() >> g.below(32)));
+        match kind {
+            0 => Step::Origins(numbers(g)),
+            1 => Step::Lpm(LpmWalk {
+                blocks: g.u32() as u8,
+                nodes: g.u32() as u8,
+            }),
+            2 => Step::Customer {
+                org: awkward_name(g),
+                alloc: *g.pick(&AllocationType::ALL),
+                block: any_prefix(g),
+            },
+            3 => Step::Owner {
+                org: awkward_name(g),
+                alloc: *g.pick(&AllocationType::ALL),
+                block: any_prefix(g),
+                registry: *g.pick(&Registry::ALL),
+            },
+            4 => Step::BaseName {
+                owner: awkward_name(g),
+                base: awkward_name(g),
+            },
+            5 => Step::Certificate(Some(awkward_name(g))),
+            6 => Step::Certificate(None),
+            7 => Step::Rov(*g.pick(&RovStatus::ALL)),
+            8 => Step::AsnClusters(numbers(g)),
+            9 => Step::AsnClusters(Numbers::of([])),
+            10 => Step::Merge {
+                other: awkward_name(g),
+                evidence: awkward_name(g),
+            },
+            11 => Step::Final {
+                label: awkward_name(g),
+                names: g.u32() >> g.below(32),
+            },
+            _ => Step::Asserted(awkward_name(g)),
+        }
+    }
+
+    /// Property: over every step variant, with names that need escaping,
+    /// the JSON sink writes exactly the escaped text of the text sink, one
+    /// detail at a time and as a whole trace. So the step's own text (every
+    /// allocation type, registry and ROV word included) needs no escaping,
+    /// and every name is marked as one.
+    #[test]
+    fn json_sink_is_the_escaped_text_sink_for_every_step_variant() {
+        const KINDS: usize = 13;
+        let mut seen = [0usize; KINDS];
+        p2o_util::check::run_cases(2000, |g| {
+            let steps: Vec<Step<'static>> = (0..g.range(1, 6))
+                .map(|_| {
+                    let kind = g.below(KINDS);
+                    seen[kind] += 1;
+                    any_step(g, kind)
+                })
+                .collect();
+            for step in &steps {
+                let mut json = String::from("\"");
+                step.write_detail(&mut DetailSink::json(&mut json)).unwrap();
+                json.push('"');
+                let mut escaped = String::new();
+                p2o_util::json::write_escaped(&mut escaped, &detail(step)).unwrap();
+                assert_eq!(json, escaped, "{step:?}");
+            }
+            let subject = any_prefix(g).text();
+            let mut text = String::new();
+            p2o_obs::provenance::write_trace(&mut text, &subject, steps.iter()).unwrap();
+            let mut json = String::new();
+            p2o_obs::provenance::write_trace_json(&mut json, &subject, steps.iter()).unwrap();
+            let mut escaped = String::new();
+            p2o_util::json::write_escaped(&mut escaped, &text).unwrap();
+            assert_eq!(json, escaped);
+        });
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
     }
 
     /// Direct Owner names that are already lowercase and single-spaced,

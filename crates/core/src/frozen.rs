@@ -900,7 +900,7 @@ impl FrozenDataset {
     pub fn provenance(&self, idx: u32) -> String {
         let mut out = String::new();
         self.with_record_steps(idx, |steps| {
-            write_trace(&mut out, self.record_prefix(idx), steps.iter())
+            write_trace(&mut out, &self.record_prefix(idx).text(), steps.iter())
         })
         .expect("String writes succeed");
         out
@@ -914,7 +914,7 @@ impl FrozenDataset {
         out: &mut W,
     ) -> fmt::Result {
         self.with_record_steps(idx, |steps| {
-            write_trace_json(out, self.record_prefix(idx), steps.iter())
+            write_trace_json(out, &self.record_prefix(idx).text(), steps.iter())
         })
     }
 
@@ -997,11 +997,11 @@ impl FrozenDataset {
         write_escaped(out, Registry::ALL[recs[base + 36] as usize].name())?;
         out.write_str(",\"Direct Owner (DO)\":")?;
         write_escaped(out, text(at(40)))?;
-        let do_prefix = read_prefix(recs, base + PFX_SIZE).expect("validated");
-        write!(
-            out,
-            ",\"DO Prefix\":\"{do_prefix}\",\"DO Allocation Type\":"
-        )?;
+        out.write_str(",\"DO Prefix\":\"")?;
+        read_prefix(recs, base + PFX_SIZE)
+            .expect("validated")
+            .write_to(out)?;
+        out.write_str("\",\"DO Allocation Type\":")?;
         write_alloc(out, recs[base + 60])?;
         out.write_str(",\"Delegated Customer(s) (DC)\":[")?;
         let dcsteps = &self.payload[self.sections.dcsteps.clone()];
@@ -1016,8 +1016,11 @@ impl FrozenDataset {
                 out,
                 text(u32_at(dcsteps, sbase + PFX_SIZE).expect("validated")),
             )?;
-            let prefix = read_prefix(dcsteps, sbase).expect("validated");
-            write!(out, ",\"prefix\":\"{prefix}\",\"alloc\":")?;
+            out.write_str(",\"prefix\":\"")?;
+            read_prefix(dcsteps, sbase)
+                .expect("validated")
+                .write_to(out)?;
+            out.write_str("\",\"alloc\":")?;
             write_alloc(out, dcsteps[sbase + 22])?;
             out.write_char('}')?;
         }
@@ -1031,7 +1034,9 @@ impl FrozenDataset {
         out.write_str(",\"Origin ASN Cluster\":")?;
         write_u32_array(out, self.pool_slice(at(72), at(76)))?;
         let rov = RovStatus::from_u8(recs[base + 61]).expect("validated");
-        write!(out, ",\"RPKI ROV\":\"{}\",\"Final Cluster\":", rov.as_str())?;
+        out.write_str(",\"RPKI ROV\":\"")?;
+        out.write_str(rov.as_str())?;
+        out.write_str("\",\"Final Cluster\":")?;
         write_escaped(out, text(at(52)))?;
         // An asserted override replaces the final label with the asserted
         // org, so the flag byte plus the label reconstruct it.

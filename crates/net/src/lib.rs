@@ -29,7 +29,7 @@ pub mod v4;
 pub mod v6;
 
 pub use error::ParseError;
-pub use prefix::{AddressFamily, Prefix};
+pub use prefix::{AddressFamily, Prefix, PrefixText};
 pub use range::{IpRange, Range4, Range6};
 pub use span::AddressSpan;
 pub use v4::Prefix4;

@@ -2,9 +2,11 @@
 
 use core::cmp::Ordering;
 use core::fmt;
+use core::ops::Deref;
 use core::str::FromStr;
 
 use crate::error::ParseError;
+use crate::text::AsciiBuf;
 use crate::v4::Prefix4;
 use crate::v6::Prefix6;
 
@@ -121,10 +123,30 @@ impl Prefix {
     /// Writes the prefix as `Display` prints it, in one `write_str` and
     /// without the formatting machinery.
     pub fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        out.write_str(&self.text())
+    }
+
+    /// The prefix as `Display` prints it, assembled on the stack: for a
+    /// writer that takes a `&str`.
+    pub fn text(&self) -> PrefixText {
+        let mut buf = AsciiBuf::new();
         match self {
-            Prefix::V4(p) => p.write_to(out),
-            Prefix::V6(p) => p.write_to(out),
+            Prefix::V4(p) => p.push_text(&mut buf),
+            Prefix::V6(p) => p.push_text(&mut buf),
         }
+        PrefixText(buf)
+    }
+}
+
+/// A prefix's text held on the stack ([`Prefix::text`]); it derefs to
+/// `str`. 43 bytes hold the longest IPv6 prefix.
+pub struct PrefixText(AsciiBuf<43>);
+
+impl Deref for PrefixText {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.0.as_str()
     }
 }
 

@@ -54,9 +54,14 @@ impl<const N: usize> AsciiBuf<N> {
         self.push_dec(len);
     }
 
+    /// The assembled text.
+    pub(crate) fn as_str(&self) -> &str {
+        core::str::from_utf8(&self.bytes[..self.len]).expect("ASCII only")
+    }
+
     /// Hands the assembled text to `out`.
     pub(crate) fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
-        out.write_str(core::str::from_utf8(&self.bytes[..self.len]).expect("ASCII only"))
+        out.write_str(self.as_str())
     }
 
     /// The assembled text as an owned `String`.

@@ -226,9 +226,14 @@ impl Prefix4 {
     /// without the formatting machinery.
     pub fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         let mut buf = AsciiBuf::<18>::new();
-        push_addr(&mut buf, self.bits);
-        buf.push_len(self.len);
+        self.push_text(&mut buf);
         buf.write_to(out)
+    }
+
+    /// Appends the prefix as `Display` prints it.
+    pub(crate) fn push_text<const N: usize>(&self, buf: &mut AsciiBuf<N>) {
+        push_addr(buf, self.bits);
+        buf.push_len(self.len);
     }
 }
 

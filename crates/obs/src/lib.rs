@@ -48,7 +48,7 @@ pub mod runtime;
 pub mod shards;
 pub mod trace;
 
-pub use provenance::{DecisionTrace, TraceStep};
+pub use provenance::{DecisionTrace, DetailSink, TraceStep};
 pub use runtime::{
     FlightRecord, FlightRecorder, FlightSample, WindowSnapshot, WindowedHistogram, WINDOWS,
 };

@@ -18,6 +18,10 @@
 //! [`write_trace`] is the one place that knows how a trace is laid out as
 //! text. [`DecisionTrace::render`] uses it, and so does every surface that
 //! prints a trace the frozen dataset renders from its records.
+//! [`write_trace_json`] writes the same text as one JSON string literal in
+//! the same single pass: a step writes its detail into a [`DetailSink`],
+//! which keeps the step's own text apart from the names it carries, so
+//! only the names go through the escaper.
 
 use std::fmt::{self, Write as _};
 
@@ -29,7 +33,7 @@ pub trait TraceStep {
     /// Short rule identifier (e.g. `radix.lpm`, `whois.direct_owner`).
     fn rule(&self) -> &str;
     /// Writes the step's detail into `out`.
-    fn write_detail<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result;
+    fn write_detail<W: fmt::Write + ?Sized>(&self, out: &mut DetailSink<'_, W>) -> fmt::Result;
 }
 
 impl<T: TraceStep + ?Sized> TraceStep for &T {
@@ -37,19 +41,75 @@ impl<T: TraceStep + ?Sized> TraceStep for &T {
         (**self).rule()
     }
 
-    fn write_detail<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+    fn write_detail<W: fmt::Write + ?Sized>(&self, out: &mut DetailSink<'_, W>) -> fmt::Result {
         (**self).write_detail(out)
     }
 }
 
-/// A step given as text: `(rule, detail)`.
+/// A step given as text: `(rule, detail)`. The detail is a name: nothing
+/// is known about its bytes.
 impl<R: AsRef<str>, D: AsRef<str>> TraceStep for (R, D) {
     fn rule(&self) -> &str {
         self.0.as_ref()
     }
 
-    fn write_detail<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
-        out.write_str(self.1.as_ref())
+    fn write_detail<W: fmt::Write + ?Sized>(&self, out: &mut DetailSink<'_, W>) -> fmt::Result {
+        out.name(self.1.as_ref())
+    }
+}
+
+/// Where a step writes its detail, as plain text or as the body of a JSON
+/// string literal. A detail has three kinds of piece, kept apart so that
+/// JSON escapes only what can need it:
+///
+/// - the step's own text, written through [`fmt::Write`] (so
+///   `Prefix::write_to` and `p2o_util::json::write_u64` write into the
+///   sink directly). It comes from the code, never from the data, and holds
+///   no quote mark, backslash or control byte, so it is written as it is
+///   either way;
+/// - a name the step carries ([`name`](Self::name)): an organization, a
+///   label, a certificate, merge evidence — anything read from the data.
+///   JSON sends it through the [`Escaper`];
+/// - the quote marks around a name ([`quoted`](Self::quoted)): `\"` in
+///   JSON.
+pub struct DetailSink<'a, W: ?Sized> {
+    out: &'a mut W,
+    json: bool,
+}
+
+impl<'a, W: fmt::Write + ?Sized> DetailSink<'a, W> {
+    /// Writes every piece into `out` as it is: the text `explain` prints.
+    pub fn text(out: &'a mut W) -> Self {
+        DetailSink { out, json: false }
+    }
+
+    /// Writes the pieces into `out` as the body of a JSON string literal.
+    pub fn json(out: &'a mut W) -> Self {
+        DetailSink { out, json: true }
+    }
+
+    /// Writes a name: as it is in text, escaped in JSON.
+    pub fn name(&mut self, name: &str) -> fmt::Result {
+        if self.json {
+            Escaper::new(&mut *self.out).write_str(name)
+        } else {
+            self.out.write_str(name)
+        }
+    }
+
+    /// Writes a name between quote marks.
+    pub fn quoted(&mut self, name: &str) -> fmt::Result {
+        let quote = if self.json { "\\\"" } else { "\"" };
+        self.out.write_str(quote)?;
+        self.name(name)?;
+        self.out.write_str(quote)
+    }
+}
+
+/// The step's own text, written as it is.
+impl<W: fmt::Write + ?Sized> fmt::Write for DetailSink<'_, W> {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.out.write_str(text)
     }
 }
 
@@ -103,55 +163,45 @@ impl<S: TraceStep> DecisionTrace<S> {
 /// Numbers are right-aligned to the widest one, and each rule is padded
 /// to the longest rule's byte length counted in chars, as `{:width$}`
 /// pads. A trace with no steps reads `  (no rules applied)`.
-pub fn write_trace<W, I>(out: &mut W, subject: impl fmt::Display, steps: I) -> fmt::Result
+pub fn write_trace<W, I>(out: &mut W, subject: &str, steps: I) -> fmt::Result
 where
     W: fmt::Write + ?Sized,
     I: Iterator + Clone,
     I::Item: TraceStep,
 {
-    write_lines(out, subject, steps, false)
+    write_lines(&mut DetailSink::text(out), subject, steps)
 }
 
 /// [`write_trace`]'s text as one JSON string literal, escaped as
 /// [`write_escaped`](p2o_util::json::write_escaped) escapes a string.
-pub fn write_trace_json<W, I>(out: &mut W, subject: impl fmt::Display, steps: I) -> fmt::Result
+pub fn write_trace_json<W, I>(out: &mut W, subject: &str, steps: I) -> fmt::Result
 where
     W: fmt::Write + ?Sized,
     I: Iterator + Clone,
     I::Item: TraceStep,
 {
     out.write_char('"')?;
-    write_lines(out, subject, steps, true)?;
+    write_lines(&mut DetailSink::json(out), subject, steps)?;
     out.write_char('"')
 }
 
 /// The layout behind [`write_trace`] and [`write_trace_json`]: one pass
 /// over `steps` for the widths, one to write. It runs once per served
-/// answer, so each line is assembled from its pieces in one buffer with
-/// no formatting machinery and handed on in one piece: for JSON, one run
-/// through the escaper per line instead of one per piece.
-fn write_lines<W, I>(out: &mut W, subject: impl fmt::Display, steps: I, json: bool) -> fmt::Result
+/// answer, so every piece goes straight to `out` with no formatting
+/// machinery and no line buffer. The subject and the rules are names, as
+/// anything a caller passes may be; numbers, padding and newlines are the
+/// layout's own text.
+fn write_lines<W, I>(out: &mut DetailSink<'_, W>, subject: &str, steps: I) -> fmt::Result
 where
     W: fmt::Write + ?Sized,
     I: Iterator + Clone,
     I::Item: TraceStep,
 {
-    let text = |out: &mut W, s: &str| {
-        if json {
-            Escaper::new(out).write_str(s)
-        } else {
-            out.write_str(s)
-        }
-    };
-    let newline = if json { "\\n" } else { "\n" };
+    let newline = if out.json { "\\n" } else { "\n" };
     let (count, width) = steps.clone().fold((0usize, 0usize), |(n, w), step| {
         (n + 1, w.max(step.rule().len()))
     });
-    if json {
-        write!(Escaper::new(&mut *out), "{subject}")?;
-    } else {
-        write!(out, "{subject}")?;
-    }
+    out.name(subject)?;
     out.write_str(newline)?;
     if count == 0 {
         out.write_str("  (no rules applied)")?;
@@ -161,7 +211,6 @@ where
     // "  ", the number right-aligned in `digits` columns, ". ".
     let mut head = [b' '; 24];
     head[2 + digits..4 + digits].copy_from_slice(b". ");
-    let mut line = String::with_capacity(160);
     for (n, step) in (1usize..).zip(steps) {
         let mut rest = n;
         for slot in head[2..2 + digits].iter_mut().rev() {
@@ -172,13 +221,11 @@ where
             };
             rest /= 10;
         }
-        line.clear();
-        line.push_str(std::str::from_utf8(&head[..4 + digits]).expect("ASCII"));
+        out.write_str(std::str::from_utf8(&head[..4 + digits]).expect("ASCII"))?;
         let rule = step.rule();
-        line.push_str(rule);
-        write_spaces(&mut line, width - rule.chars().count() + 2)?;
-        step.write_detail(&mut line)?;
-        text(out, &line)?;
+        out.name(rule)?;
+        write_spaces(out, width - rule.chars().count() + 2)?;
+        step.write_detail(out)?;
         out.write_str(newline)?;
     }
     Ok(())

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use p2o_net::Prefix;
-use p2o_util::json::{write_escaped, write_u32_array};
+use p2o_util::json::{write_escaped, write_u32_array, write_u64};
 use prefix2org::{
     freeze_verified, to_jsonl, ExceptionSet, ExportBytes, FrozenDataset, Pipeline, PipelineInputs,
 };
@@ -174,15 +174,19 @@ impl Answer<'_> {
     pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         let snap = self.snapshot;
         let (frozen, idx) = (&snap.frozen, self.idx);
-        write!(
-            out,
-            "{{\"query\":\"{}\",\"matched\":\"{}\",\"serial\":{},\"snapshot\":",
-            self.query, self.matched, snap.serial
-        )?;
+        out.write_str("{\"query\":\"")?;
+        self.query.write_to(out)?;
+        out.write_str("\",\"matched\":\"")?;
+        self.matched.write_to(out)?;
+        out.write_str("\",\"serial\":")?;
+        write_u64(out, snap.serial)?;
+        out.write_str(",\"snapshot\":")?;
         write_escaped(out, &snap.digest)?;
         out.write_str(",\"record\":")?;
         frozen.write_listing1(idx, out)?;
-        write!(out, ",\"rov\":\"{}\"", frozen.rov(idx).as_str())?;
+        out.write_str(",\"rov\":\"")?;
+        out.write_str(frozen.rov(idx).as_str())?;
+        out.write_char('"')?;
         if frozen.has_local_exception(idx) {
             out.write_str(",\"rule\":\"local_exception\"")?;
         }
@@ -190,7 +194,11 @@ impl Answer<'_> {
         let origins = frozen.origins(idx);
         let moas = origins.len() > 1;
         write_u32_array(out, origins)?;
-        write!(out, ",\"moas\":{moas},\"provenance\":")?;
+        out.write_str(if moas {
+            ",\"moas\":true,\"provenance\":"
+        } else {
+            ",\"moas\":false,\"provenance\":"
+        })?;
         frozen.write_provenance_json(idx, out)?;
         out.write_char('}')
     }

@@ -23,16 +23,21 @@ impl Digest {
     /// Digest of several byte strings, with length framing so that
     /// `("ab","c")` and `("a","bc")` differ.
     pub fn of_parts<'a, I: IntoIterator<Item = &'a [u8]>>(parts: I) -> Self {
-        let mut h = FNV_OFFSET;
-        for part in parts {
-            for b in (part.len() as u64).to_be_bytes() {
-                h = fnv1a_step(h, b);
-            }
-            for &b in part {
-                h = fnv1a_step(h, b);
-            }
-        }
-        Digest(h)
+        Digest(
+            parts
+                .into_iter()
+                .fold(FNV_OFFSET, |h, part| fnv1a_64_update(frame(h, part), part)),
+        )
+    }
+
+    /// [`Digest::of_parts`] of `[name, content]` and [`fnv1a_64`] of
+    /// `content`, from one pass over `content` that advances both states
+    /// (a two-state update): the integrity scan's files-digest part and
+    /// manifest digest of one input.
+    pub fn of_named_content(name: &[u8], content: &[u8]) -> (Digest, u64) {
+        let named = frame(fnv1a_64_update(frame(FNV_OFFSET, name), name), content);
+        let [named, plain] = fnv1a_64_update2([named, FNV_OFFSET], content);
+        (Digest(named), plain)
     }
 
     /// Combines this digest with another (order-sensitive).
@@ -70,6 +75,12 @@ fn fnv1a_step(h: u64, b: u8) -> u64 {
     (h ^ b as u64).wrapping_mul(FNV_PRIME)
 }
 
+/// Folds `part`'s length framing into `h`, as [`Digest::of_parts`] frames
+/// each part before its bytes.
+fn frame(h: u64, part: &[u8]) -> u64 {
+    fnv1a_64_update(h, &(part.len() as u64).to_be_bytes())
+}
+
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a_64(data: &[u8]) -> u64 {
     fnv1a_64_update(FNV1A_INIT, data)
@@ -88,6 +99,19 @@ pub fn fnv1a_64_update(h: u64, data: &[u8]) -> u64 {
         h = fnv1a_step(h, b);
     }
     h
+}
+
+/// Two streaming FNV-1a states folded over the same `data` in one loop:
+/// `[fnv1a_64_update(h[0], data), fnv1a_64_update(h[1], data)]`. Each
+/// state's step waits on its own multiply, so the two chains overlap and
+/// cost about as much as one.
+fn fnv1a_64_update2(h: [u64; 2], data: &[u8]) -> [u64; 2] {
+    let [mut a, mut b] = h;
+    for &byte in data {
+        a = fnv1a_step(a, byte);
+        b = fnv1a_step(b, byte);
+    }
+    [a, b]
 }
 
 #[cfg(test)]
@@ -120,6 +144,33 @@ mod tests {
         let a = Digest::of_bytes(b"a");
         let b = Digest::of_bytes(b"b");
         assert_ne!(a.chain(b), b.chain(a));
+    }
+
+    /// The two-state update is two one-state updates, over any split of
+    /// the input into blocks; the named-content pair is `of_parts` plus the
+    /// plain digest.
+    #[test]
+    fn two_state_update_is_two_one_state_updates_over_random_splits() {
+        crate::check::run_cases(512, |g| {
+            let data: Vec<u8> = (0..g.below(300)).map(|_| g.u32() as u8).collect();
+            let start = [g.u64(), g.u64()];
+            let (mut pair, mut one, mut two) = (start, start[0], start[1]);
+            let mut rest = data.as_slice();
+            while !rest.is_empty() {
+                let (block, tail) = rest.split_at(g.below(rest.len() + 1));
+                pair = fnv1a_64_update2(pair, block);
+                one = fnv1a_64_update(one, block);
+                two = fnv1a_64_update(two, block);
+                rest = tail;
+            }
+            assert_eq!(pair, [one, two]);
+
+            let name = g.unicode_string(10);
+            assert_eq!(
+                Digest::of_named_content(name.as_bytes(), &data),
+                (Digest::of_parts([name.as_bytes(), &data]), fnv1a_64(&data))
+            );
+        });
     }
 
     #[test]

@@ -294,39 +294,35 @@ impl<'a, W: fmt::Write + ?Sized> Escaper<'a, W> {
 impl<W: fmt::Write + ?Sized> fmt::Write for Escaper<'_, W> {
     /// Every byte that needs escaping is ASCII, so the scan is bytewise
     /// and each clean run is copied in one `write_str`; a run never splits
-    /// a multi-byte char. Clean text is skipped eight bytes at a time.
+    /// a multi-byte char. The scan reads eight bytes at a time and jumps
+    /// straight to the first one that needs escaping; only a tail shorter
+    /// than a word is tested byte by byte.
     fn write_str(&mut self, s: &str) -> fmt::Result {
         let out = &mut *self.0;
         let bytes = s.as_bytes();
         let mut run = 0;
         let mut i = 0;
-        while i < bytes.len() {
-            if let Some(word) = bytes.get(i..i + 8) {
-                if is_clean(u64::from_le_bytes(word.try_into().expect("8 bytes"))) {
-                    i += 8;
-                    continue;
+        loop {
+            let at = match bytes.get(i..i + 8) {
+                Some(word) => {
+                    let mask = special_bytes(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+                    if mask == 0 {
+                        i += 8;
+                        continue;
+                    }
+                    i + (mask.trailing_zeros() / 8) as usize
                 }
+                None => match bytes[i..].iter().position(|&b| needs_escape(b)) {
+                    Some(k) => i + k,
+                    None => break,
+                },
+            };
+            if run < at {
+                out.write_str(&s[run..at])?;
             }
-            for (at, &b) in bytes.iter().enumerate().take(i + 8).skip(i) {
-                if b >= 0x20 && b != b'"' && b != b'\\' {
-                    continue;
-                }
-                if run < at {
-                    out.write_str(&s[run..at])?;
-                }
-                match b {
-                    b'"' => out.write_str("\\\"")?,
-                    b'\\' => out.write_str("\\\\")?,
-                    b'\n' => out.write_str("\\n")?,
-                    b'\r' => out.write_str("\\r")?,
-                    b'\t' => out.write_str("\\t")?,
-                    0x08 => out.write_str("\\b")?,
-                    0x0C => out.write_str("\\f")?,
-                    _ => write!(out, "\\u{b:04x}")?,
-                }
-                run = at + 1;
-            }
-            i += 8;
+            write_escape(out, bytes[at])?;
+            run = at + 1;
+            i = at + 1;
         }
         if run < bytes.len() {
             out.write_str(&s[run..])?;
@@ -335,18 +331,66 @@ impl<W: fmt::Write + ?Sized> fmt::Write for Escaper<'_, W> {
     }
 }
 
-/// Whether none of the eight bytes in `word` needs escaping: no byte is
-/// below 0x20, `"` or `\\`. Each test is the exact "some byte is zero" /
-/// "some byte is below n" bit trick, so bytes of 0x80 and above (UTF-8)
-/// count as clean.
-fn is_clean(word: u64) -> bool {
+/// Whether byte `b` needs escaping in a JSON string: a C0 control, `"` or
+/// `\\`.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+/// Writes the escape of `b`, one of the bytes [`needs_escape`] names.
+fn write_escape<W: fmt::Write + ?Sized>(out: &mut W, b: u8) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    match b {
+        b'"' => out.write_str("\\\""),
+        b'\\' => out.write_str("\\\\"),
+        b'\n' => out.write_str("\\n"),
+        b'\r' => out.write_str("\\r"),
+        b'\t' => out.write_str("\\t"),
+        0x08 => out.write_str("\\b"),
+        0x0C => out.write_str("\\f"),
+        _ => {
+            let code = [
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[(b >> 4) as usize],
+                HEX[(b & 0xF) as usize],
+            ];
+            out.write_str(std::str::from_utf8(&code).expect("ASCII"))
+        }
+    }
+}
+
+/// The high bit of each byte of `word` (little-endian) that may need
+/// escaping: a byte below 0x20, `"` or `\\`. Each test is the "some byte
+/// is zero" / "some byte is below n" bit trick. A borrow can mark a byte
+/// above a true one, but never below it, so the lowest set bit is exactly
+/// the first byte that needs escaping and 0 means none does. Bytes of
+/// 0x80 and above (UTF-8) are never the lowest mark.
+fn special_bytes(word: u64) -> u64 {
     const ONES: u64 = 0x0101_0101_0101_0101;
     const HIGHS: u64 = 0x8080_8080_8080_8080;
     let below = |w: u64, n: u64| w.wrapping_sub(ONES * n) & !w & HIGHS;
-    (below(word, 0x20)
+    below(word, 0x20)
         | below(word ^ (ONES * b'"' as u64), 1)
-        | below(word ^ (ONES * b'\\' as u64), 1))
-        == 0
+        | below(word ^ (ONES * b'\\' as u64), 1)
+}
+
+/// Writes `value` in decimal: the one integer writer of the answer and
+/// export paths, with no formatting machinery.
+pub fn write_u64<W: fmt::Write + ?Sized>(out: &mut W, mut value: u64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"))
 }
 
 /// Writes `values` as a JSON array of integers — the bytes [`Json`] gives
@@ -360,7 +404,7 @@ pub fn write_u32_array<W: fmt::Write + ?Sized>(
         if n > 0 {
             out.write_char(',')?;
         }
-        write!(out, "{v}")?;
+        write_u64(out, v.into())?;
     }
     out.write_char(']')
 }
@@ -699,13 +743,73 @@ mod tests {
                     _ => s.push_str(&g.unicode_string(4)),
                 }
             }
-            let mut want = String::new();
-            reference_escaped(&mut want, &s);
-            let mut got = String::new();
-            write_escaped(&mut got, &s).unwrap();
-            assert_eq!(got, want, "{s:?}");
-            assert_eq!(Json::parse(&got).unwrap().as_str(), Some(s.as_str()));
+            assert_escapes_as_reference(&s);
         });
+    }
+
+    fn assert_escapes_as_reference(s: &str) {
+        let mut want = String::new();
+        reference_escaped(&mut want, s);
+        let mut got = String::new();
+        write_escaped(&mut got, s).unwrap();
+        assert_eq!(got, want, "{s:?}");
+        assert_eq!(Json::parse(&got).unwrap().as_str(), Some(s));
+    }
+
+    /// The word scan against the reference where it can go wrong: one
+    /// special byte at every offset of strings up to three words long, two
+    /// at every pair of offsets (so several share one word), and whole runs
+    /// of them, over ASCII filler and over filler whose bytes are all 0x80
+    /// or above. The bytes beside the special set (space, U+007F) must pass
+    /// through.
+    #[test]
+    fn escaper_matches_the_reference_at_every_offset_in_and_across_words() {
+        let specials = [
+            '"', '\\', '\n', '\t', '\u{0}', '\u{1}', '\u{8}', '\u{c}', '\u{1f}',
+        ];
+        let neighbours = [' ', '\u{7f}', '!', '#', '[', ']'];
+        for filler in ["a", "é"] {
+            for len in 0..=24 {
+                let at = |chars: &[(usize, char)]| -> String {
+                    (0..len)
+                        .map(|i| {
+                            chars
+                                .iter()
+                                .find(|(pos, _)| *pos == i)
+                                .map_or(filler.to_string(), |(_, c)| c.to_string())
+                        })
+                        .collect()
+                };
+                assert_escapes_as_reference(&at(&[]));
+                for i in 0..len {
+                    for &c in specials.iter().chain(&neighbours) {
+                        assert_escapes_as_reference(&at(&[(i, c)]));
+                    }
+                    for j in i + 1..len {
+                        for (a, b) in [('"', '\\'), ('\u{1}', '"'), ('\n', '\n')] {
+                            assert_escapes_as_reference(&at(&[(i, a), (j, b)]));
+                        }
+                    }
+                }
+                for &c in &specials {
+                    assert_escapes_as_reference(&c.to_string().repeat(len));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decimal_writer_matches_display() {
+        let mut values = vec![0, 1, 9, 10, 99, 100, u32::MAX as u64, u64::MAX];
+        values.extend((1..20).map(|e| 10u64.pow(e) - 1));
+        values.extend((1..20).map(|e| 10u64.pow(e)));
+        let mut g = crate::check::Gen::new(7);
+        values.extend((0..1000).map(|_| g.u64() >> g.below(64)));
+        for v in values {
+            let mut out = String::new();
+            write_u64(&mut out, v).unwrap();
+            assert_eq!(out, v.to_string());
+        }
     }
 
     #[test]

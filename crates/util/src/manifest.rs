@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-use crate::digest::{fnv1a_64, fnv1a_64_update, FNV1A_INIT};
+use crate::digest::{fnv1a_64_update, FNV1A_INIT};
 use crate::vfs::Vfs;
 use crate::{atomic, tsv};
 
@@ -54,19 +54,23 @@ impl ManifestEntry {
     }
 
     /// Checks `content` against this identity; `None` means it matches.
-    /// The content is hashed only when its length does.
     pub fn check(&self, content: &[u8]) -> Option<VerifyIssue> {
-        let got = content.len() as u64;
-        if got != self.bytes {
+        self.compare(ManifestEntry::of_parts(&[content]))
+    }
+
+    /// Checks the identity `found` of a file already hashed against this
+    /// one, as [`check`](Self::check) checks its content: a length
+    /// mismatch first, then a digest mismatch.
+    pub fn compare(&self, found: ManifestEntry) -> Option<VerifyIssue> {
+        if found.bytes != self.bytes {
             return Some(VerifyIssue::LengthMismatch {
                 expected: self.bytes,
-                got,
+                got: found.bytes,
             });
         }
-        let got = fnv1a_64(content);
-        (got != self.digest).then_some(VerifyIssue::DigestMismatch {
+        (found.digest != self.digest).then_some(VerifyIssue::DigestMismatch {
             expected: self.digest,
-            got,
+            got: found.digest,
         })
     }
 }
