@@ -11,7 +11,9 @@
 //! Architecture, bottom-up:
 //!
 //! - [`http`]: an incremental request parser (arbitrary read splits,
-//!   pipelining, strict limits, deterministic 400s) and response writer;
+//!   pipelining, strict limits, deterministic 400s) whose requests borrow
+//!   its buffer, the one response head writer, and the vectored write
+//!   that sends a head and its body without joining them;
 //! - [`snapshot`]: the immutable, fully precomputed [`Snapshot`] a query
 //!   is answered from, and the [`SnapshotCell`] generation-counter swap
 //!   cell giving readers a lock-free steady-state path;
@@ -20,7 +22,9 @@
 //! - [`server`]: the thread-per-connection runtime, endpoint routing,
 //!   `serve.*` metrics (cumulative + rolling-window), request ids, the
 //!   flight recorder, `/status` + `/debug/*` introspection, the
-//!   `/reload` swap discipline, and graceful drain;
+//!   `/reload` swap discipline, and graceful drain. Each connection keeps
+//!   one body buffer that every endpoint writes its answer into, so a
+//!   steady stream of `/prefix` and `/batch` requests allocates nothing;
 //! - [`client`]: a minimal blocking client used by the tests and the
 //!   chaos harness.
 //!

@@ -38,7 +38,9 @@
 //! get a grace window to finish (bounded by `drain_deadline`), the access
 //! log flushes, and a final `RunReport` lands on stderr.
 
-use std::io::{Read, Write};
+use std::borrow::Cow;
+use std::fmt::{self, Write};
+use std::io::{self, IoSlice, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -52,7 +54,7 @@ use p2o_obs::{
     process_rss_bytes, Counter, FlightRecorder, FlightSample, Histogram, Obs, WindowedHistogram,
     WINDOWS,
 };
-use p2o_util::json::{write_escaped, Json};
+use p2o_util::json::{write_escaped, Escaper, Json};
 use prefix2org::FrozenDataset;
 
 use crate::access::AccessLog;
@@ -84,6 +86,13 @@ const DRAIN_GRACE: Duration = Duration::from_millis(100);
 /// its next request. Keeps drain latency bounded by the tick instead of
 /// the full idle timeout, without any cross-thread socket plumbing.
 const STOP_POLL: Duration = Duration::from_millis(50);
+/// The body capacity a connection keeps between responses: above a
+/// 1,000-line `/batch` answer (~1.1 MB). A larger response gives the
+/// excess back once it is written, so at the default cap of 64
+/// connections the kept body buffers total at most 256 MiB.
+const KEPT_CAPACITY: usize = 4 << 20;
+/// Body of the connection-limit 503.
+const OVERFLOW_BODY: &[u8] = b"{\"error\":\"connection limit reached\"}\n";
 
 pub use p2o_obs::catalogue::ENDPOINTS;
 
@@ -265,12 +274,43 @@ struct ServerState {
 }
 
 impl ServerState {
+    /// The state of a server bound to `addr`, serving `initial`.
+    fn new(
+        config: ServerConfig,
+        initial: Snapshot,
+        loader: SnapshotLoader,
+        addr: SocketAddr,
+    ) -> ServerState {
+        let obs = Arc::new(Obs::new());
+        let metrics = ServeMetrics::new(&obs);
+        ServerState {
+            cell: Arc::new(SnapshotCell::new(Arc::new(initial))),
+            obs,
+            loader,
+            deltas: Mutex::new(Vec::new()),
+            reload_gate: Mutex::new(()),
+            stop: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            max_connections: config.max_connections,
+            read_timeout: config.read_timeout,
+            addr,
+            started: Instant::now(),
+            request_ids: AtomicU64::new(0),
+            metrics,
+            flight: FlightRecorder::new(FLIGHT_CAPACITY, FLIGHT_SLOW),
+            access: config.access_log,
+            allow_quit: config.allow_quit,
+            drain_deadline: config.drain_deadline,
+            trace_gate: AtomicBool::new(false),
+        }
+    }
+
     fn next_request_id(&self) -> u64 {
         self.request_ids.fetch_add(1, Ordering::Relaxed) + 1
     }
 }
 
-/// Everything one finished request reports into the observability layer.
+/// Everything one written response reports into the observability layer.
 struct RequestOutcome<'a> {
     id: u64,
     endpoint_idx: usize,
@@ -283,17 +323,27 @@ struct RequestOutcome<'a> {
     family: char,
 }
 
-/// The single recording sink for *every* response — routed requests,
-/// parse-error 400s, and overflow 503s alike — so no latency is invisible
-/// to the windowed series, the flight recorder, or the access log.
-fn finish_request(state: &ServerState, out: &RequestOutcome<'_>) {
-    if (400..500).contains(&out.status) {
+/// Counts one response before it is written: its endpoint's request count
+/// and its status class. (`serve.requests` counts the request when it is
+/// taken.) Every response — routed requests, parse-error 400s, and
+/// overflow 503s alike — is counted here, so a client that has read a
+/// response always finds it counted.
+fn count_response(state: &ServerState, endpoint_idx: usize, status: u16) {
+    if (400..500).contains(&status) {
         state.metrics.http_4xx.incr();
-    } else if out.status >= 500 {
+    } else if status >= 500 {
         state.metrics.http_5xx.incr();
     }
+    state.metrics.endpoints[endpoint_idx].requests.incr();
+}
+
+/// The single recording sink for *every* written response — routed
+/// requests, parse-error 400s, and overflow 503s alike — so no latency is
+/// invisible to the windowed series, the flight recorder, or the access
+/// log. The latency runs from the read that delivered the request's first
+/// byte (the accept, for a 503) to the last byte written.
+fn record_response(state: &ServerState, out: &RequestOutcome<'_>) {
     let stat = &state.metrics.endpoints[out.endpoint_idx];
-    stat.requests.incr();
     stat.windowed.record(out.latency_ns);
     stat.cumulative.record(out.latency_ns);
     state.flight.record(FlightSample {
@@ -428,28 +478,7 @@ pub fn spawn(
     let addr = listener
         .local_addr()
         .map_err(|e| format!("resolving bound address: {e}"))?;
-    let obs = Arc::new(Obs::new());
-    let metrics = ServeMetrics::new(&obs);
-    let state = Arc::new(ServerState {
-        cell: Arc::new(SnapshotCell::new(Arc::new(initial))),
-        obs,
-        loader,
-        deltas: Mutex::new(Vec::new()),
-        reload_gate: Mutex::new(()),
-        stop: AtomicBool::new(false),
-        active: AtomicUsize::new(0),
-        max_connections: config.max_connections,
-        read_timeout: config.read_timeout,
-        addr,
-        started: Instant::now(),
-        request_ids: AtomicU64::new(0),
-        metrics,
-        flight: FlightRecorder::new(FLIGHT_CAPACITY, FLIGHT_SLOW),
-        access: config.access_log,
-        allow_quit: config.allow_quit,
-        drain_deadline: config.drain_deadline,
-        trace_gate: AtomicBool::new(false),
-    });
+    let state = Arc::new(ServerState::new(config, initial, loader, addr));
     let accept_state = Arc::clone(&state);
     let accept_thread = std::thread::Builder::new()
         .name("p2o-serve-accept".into())
@@ -464,38 +493,28 @@ pub fn spawn(
 }
 
 fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
+    // The loop's own reader stamps each 503 with the served snapshot, so a
+    // swap costs it at most one lock, as it costs each connection.
+    let mut reader = state.cell.reader();
+    let mut head = String::new();
     loop {
         let conn = listener.accept();
         if state.stop.load(Ordering::Acquire) {
             return;
         }
-        let Ok((stream, _)) = conn else { continue };
+        let Ok((mut stream, _)) = conn else { continue };
         if state.active.load(Ordering::Relaxed) >= state.max_connections {
             // Overflow reject: no connection thread, but still a response
-            // — record it like any other so 503 latencies are visible.
-            let started = Instant::now();
-            state.metrics.requests.incr();
-            let id = state.next_request_id();
-            let mut stream = stream;
-            let _ = stream.write_all(&http::response(
-                503,
-                "application/json",
-                &[("X-P2O-Request-Id".to_string(), id.to_string())],
-                b"{\"error\":\"connection limit reached\"}\n",
-            ));
-            finish_request(
+            // — recorded like any other so 503 latencies are visible.
+            let accepted = Instant::now();
+            let _ = reject(
                 &state,
-                &RequestOutcome {
-                    id,
-                    endpoint_idx: classify("overflow"),
-                    method: "-",
-                    target: "-",
-                    status: 503,
-                    latency_ns: started.elapsed().as_nanos() as u64,
-                    serial: 0,
-                    snapshot: "-",
-                    family: '-',
-                },
+                &mut stream,
+                &mut reader,
+                &mut head,
+                503,
+                OVERFLOW_BODY,
+                accepted,
             );
             continue;
         }
@@ -511,21 +530,60 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> std::io::Result<()> {
+/// The buffers one connection keeps across its requests. Each response's
+/// head and body are written into them, so a steady stream of requests
+/// allocates nothing.
+#[derive(Default)]
+struct Buffers {
+    head: String,
+    body: String,
+    /// The percent-decoded query of a `/prefix/` target.
+    query: Vec<u8>,
+}
+
+impl Buffers {
+    /// Gives back the body capacity above [`KEPT_CAPACITY`]; called once
+    /// each response is written.
+    fn release(&mut self) {
+        if self.body.capacity() > KEPT_CAPACITY {
+            self.body.clear();
+            self.body.shrink_to(KEPT_CAPACITY);
+        }
+    }
+}
+
+fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut parser = RequestParser::new();
     let mut reader = state.cell.reader();
+    let mut buffers = Buffers::default();
     let mut chunk = [0u8; 16 * 1024];
     let mut draining = false;
-    let mut idle_deadline = Instant::now() + state.read_timeout;
+    // The read timeout last set on the socket: it is set again only when
+    // the wanted one differs.
+    let mut timeout = None;
+    let mut last_read = Instant::now();
+    let mut idle_deadline = last_read + state.read_timeout;
+    // When the read that delivered the first byte of the buffered request
+    // returned; `None` while nothing is buffered.
+    let mut first_byte: Option<Instant> = None;
     loop {
         // Drain any already-buffered pipelined requests before reading.
         loop {
             match parser.poll() {
                 Ok(Some(request)) => {
+                    let started = first_byte.unwrap_or(last_read);
+                    // Whatever is buffered behind it came with the last read.
+                    first_byte = Some(last_read);
                     let keep_alive = request.keep_alive;
-                    let (bytes, quit) = respond(state, &mut reader, &request);
-                    stream.write_all(&bytes)?;
+                    let quit = respond(
+                        state,
+                        &mut stream,
+                        &mut reader,
+                        &mut buffers,
+                        &request,
+                        started,
+                    )?;
                     if quit {
                         initiate_drain(state);
                     }
@@ -533,35 +591,23 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> std::io
                         return Ok(());
                     }
                 }
-                Ok(None) => break,
+                Ok(None) => {
+                    if parser.buffered() == 0 {
+                        first_byte = None;
+                    }
+                    break;
+                }
                 Err(bad) => {
-                    let started = Instant::now();
-                    state.metrics.requests.incr();
-                    let id = state.next_request_id();
-                    let snap = reader.get();
-                    let (serial, digest) = (snap.serial, snap.digest.clone());
-                    let body = error_body(&bad.0);
-                    let headers = [("X-P2O-Request-Id".to_string(), id.to_string())];
-                    stream.write_all(&http::response(400, "application/json", &headers, &body))?;
-                    finish_request(
-                        state,
-                        &RequestOutcome {
-                            id,
-                            endpoint_idx: classify("unparseable"),
-                            method: "-",
-                            target: "-",
-                            status: 400,
-                            latency_ns: started.elapsed().as_nanos() as u64,
-                            serial,
-                            snapshot: &digest,
-                            family: '-',
-                        },
-                    );
-                    return Ok(());
+                    let Buffers { head, body, .. } = &mut buffers;
+                    body.clear();
+                    write_error(body, format_args!("{bad}"));
+                    let started = first_byte.unwrap_or(last_read);
+                    let body = body.as_bytes();
+                    return reject(state, &mut stream, &mut reader, head, 400, body, started);
                 }
             }
         }
-        if state.stop.load(Ordering::Acquire) {
+        let wanted = if state.stop.load(Ordering::Acquire) {
             if draining {
                 // The one grace read has been consumed and everything it
                 // completed was answered above; whatever was not fully
@@ -574,33 +620,38 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> std::io
             // read so requests already on the wire still get answered,
             // then close.
             draining = true;
-            stream.set_read_timeout(Some(DRAIN_GRACE))?;
-            match stream.read(&mut chunk) {
-                Ok(n) if n > 0 => parser.feed(&chunk[..n]),
-                _ => return Ok(()), // idle, timed out, or reset: close
+            DRAIN_GRACE
+        } else {
+            // Park for the next request in short ticks so a drain started
+            // while this connection is idle is noticed within STOP_POLL,
+            // not after the full idle timeout (which would stall the
+            // drain).
+            let now = Instant::now();
+            if now >= idle_deadline {
+                return Ok(()); // idle timeout: close the keep-alive connection
             }
-            continue;
+            STOP_POLL.min(idle_deadline - now)
+        };
+        if timeout != Some(wanted) {
+            stream.set_read_timeout(Some(wanted))?;
+            timeout = Some(wanted);
         }
-        // Park for the next request in short ticks so a drain started
-        // while this connection is idle is noticed within STOP_POLL, not
-        // after the full idle timeout (which would stall the drain).
-        let now = Instant::now();
-        if now >= idle_deadline {
-            return Ok(()); // idle timeout: close the keep-alive connection
-        }
-        stream.set_read_timeout(Some(STOP_POLL.min(idle_deadline - now)))?;
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(()),
             Ok(n) => {
+                last_read = Instant::now();
+                first_byte.get_or_insert(last_read);
                 parser.feed(&chunk[..n]);
-                idle_deadline = Instant::now() + state.read_timeout;
+                idle_deadline = last_read + state.read_timeout;
             }
             Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {} // tick expired: loop to re-check the stop flag
-            Err(_) => return Ok(()), // reset: drop the connection
+                if !draining
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {} // tick expired: loop to re-check the stop flag
+            // A drain's grace read timed out, or a reset: close.
+            Err(_) => return Ok(()),
         }
     }
 }
@@ -613,40 +664,129 @@ fn initiate_drain(state: &Arc<ServerState>) {
     let _ = TcpStream::connect(state.addr);
 }
 
-fn error_body(message: &str) -> Vec<u8> {
-    let mut o = Json::object();
-    o.set("error", message);
-    format!("{o}\n").into_bytes()
+/// Appends the `{"error":…}` body line, its message escaped as it is
+/// written.
+fn write_error(out: &mut String, message: fmt::Arguments<'_>) {
+    out.push_str("{\"error\":\"");
+    let _ = Escaper::new(out).write_fmt(message);
+    out.push_str("\"}\n");
 }
 
-/// What `route` hands back to `respond`, beyond the response triple.
-struct Routed {
+/// Nanoseconds since `started`.
+fn elapsed_ns(started: Instant) -> u64 {
+    started.elapsed().as_nanos() as u64
+}
+
+/// Writes one response: its head, stamped with `stamp`, into `head`, then
+/// the head and `parts` in one vectored write.
+fn send(
+    stream: &mut impl io::Write,
+    head: &mut String,
+    status: u16,
+    content_type: &str,
+    stamp: [(&str, http::HeaderValue<'_>); 3],
+    parts: [&[u8]; 2],
+) -> io::Result<()> {
+    head.clear();
+    let content_length = parts.iter().map(|p| p.len()).sum();
+    http::write_head(head, status, content_type, content_length, stamp);
+    let [body, tail] = parts;
+    let mut slices = [
+        IoSlice::new(head.as_bytes()),
+        IoSlice::new(body),
+        IoSlice::new(tail),
+    ];
+    http::write_parts(stream, &mut slices)
+}
+
+/// Answers an early reject — a parse-error 400 or a connection-limit 503
+/// — stamped with the served snapshot like any response, counted and
+/// recorded under the `other` endpoint. The connection closes after it.
+fn reject(
+    state: &ServerState,
+    stream: &mut impl io::Write,
+    reader: &mut SnapshotReader,
+    head: &mut String,
+    status: u16,
+    body: &[u8],
+    started: Instant,
+) -> io::Result<()> {
+    state.metrics.requests.incr();
+    let id = state.next_request_id();
+    let snap = reader.get();
+    let endpoint_idx = classify("other");
+    count_response(state, endpoint_idx, status);
+    let stamp = http::stamp(snap.serial, &snap.digest, id);
+    let written = send(stream, head, status, "application/json", stamp, [body, &[]]);
+    record_response(
+        state,
+        &RequestOutcome {
+            id,
+            endpoint_idx,
+            method: "-",
+            target: "-",
+            status,
+            latency_ns: elapsed_ns(started),
+            serial: snap.serial,
+            snapshot: &snap.digest,
+            family: '-',
+        },
+    );
+    written
+}
+
+/// What `route` hands back to `respond`, beyond the body it wrote.
+struct Routed<'s> {
     status: u16,
     content_type: &'static str,
-    body: Vec<u8>,
+    /// Sent after the body: `/dump`'s cached JSONL, borrowed from the
+    /// pinned snapshot.
+    tail: &'s str,
     /// `POST /quit` was accepted: initiate the drain after writing.
     quit: bool,
 }
 
-/// Dispatches one request and serializes the response.
+impl Routed<'_> {
+    fn new(status: u16, content_type: &'static str) -> Routed<'static> {
+        Routed {
+            status,
+            content_type,
+            tail: "",
+            quit: false,
+        }
+    }
+}
+
+/// Answers one request: routes it into the connection's body buffer,
+/// then sends the stamped head, the body and any tail in one write.
 ///
 /// The snapshot `Arc` is cloned exactly once per request and every byte of
-/// the response — body and the `X-P2O-Serial` / `X-P2O-Snapshot` stamp —
-/// is derived from it, so a concurrent swap can never produce a response
-/// mixing two snapshots. All status-class and per-endpoint recording
-/// funnels through [`finish_request`] so every route is covered.
+/// the response — body, tail and the `X-P2O-Serial` / `X-P2O-Snapshot`
+/// stamp — is derived from it and held until the last byte is written, so
+/// a concurrent swap can never produce a response mixing two snapshots.
+/// Every route is counted through [`count_response`] before the write and
+/// recorded through [`record_response`] after it.
 ///
-/// Returns the serialized response and whether a drain must start.
+/// Returns whether a drain must start.
 fn respond(
     state: &Arc<ServerState>,
+    stream: &mut impl io::Write,
     reader: &mut SnapshotReader,
-    request: &Request,
-) -> (Vec<u8>, bool) {
-    let started = Instant::now();
+    buffers: &mut Buffers,
+    request: &Request<'_>,
+    started: Instant,
+) -> io::Result<bool> {
     state.metrics.requests.incr();
     let id = state.next_request_id();
     let snap = Arc::clone(reader.get());
-    let endpoint_idx = classify(request.path());
+    let path = request.path();
+    let endpoint_idx = classify(path);
+    let Buffers { head, body, query } = buffers;
+    body.clear();
+    // Decoded once, for the lookup and for the address family.
+    let cidr = path
+        .strip_prefix("/prefix/")
+        .map(|rest| percent_decode(rest, query));
     // Span capture is two relaxed loads when no tracer is attached; the
     // per-request thread log only exists during a live capture window.
     let tlog = if state.obs.tracing_attached() {
@@ -659,106 +799,103 @@ fn respond(
             let span = log.span("serve.request");
             span.arg("id", id);
             span.arg("endpoint", ENDPOINTS[endpoint_idx]);
-            span.arg("target", &request.target);
+            span.arg("target", request.target);
             span
         });
-        let routed = route(state, &snap, request);
+        let routed = route(state, &snap, request, cidr.as_deref(), body);
         if let Some(span) = &span {
             span.arg("status", routed.status);
         }
         routed
     };
-    finish_request(
+    count_response(state, endpoint_idx, routed.status);
+    let stamp = http::stamp(snap.serial, &snap.digest, id);
+    let parts = [body.as_bytes(), routed.tail.as_bytes()];
+    let written = send(
+        stream,
+        head,
+        routed.status,
+        routed.content_type,
+        stamp,
+        parts,
+    );
+    record_response(
         state,
         &RequestOutcome {
             id,
             endpoint_idx,
-            method: &request.method,
-            target: &request.target,
+            method: request.method,
+            target: request.target,
             status: routed.status,
-            latency_ns: started.elapsed().as_nanos() as u64,
+            latency_ns: elapsed_ns(started),
             serial: snap.serial,
             snapshot: &snap.digest,
-            family: prefix_family(request.path()),
+            family: cidr.as_deref().map_or('-', address_family),
         },
     );
-    let stamp = [
-        ("X-P2O-Serial".to_string(), snap.serial.to_string()),
-        ("X-P2O-Snapshot".to_string(), snap.digest.clone()),
-        ("X-P2O-Request-Id".to_string(), id.to_string()),
-    ];
-    (
-        http::response(routed.status, routed.content_type, &stamp, &routed.body),
-        routed.quit,
-    )
+    buffers.release();
+    written.map(|()| routed.quit)
 }
 
-/// Address family of a `/prefix/<cidr>` target: `'4'`, `'6'`, or `'-'`
-/// for non-lookup endpoints and unparseable targets.
-fn prefix_family(path: &str) -> char {
-    match path.strip_prefix("/prefix/") {
-        Some(rest) => {
-            let cidr = percent_decode(rest);
-            if cidr.contains(':') {
-                '6'
-            } else if cidr.contains('.') {
-                '4'
-            } else {
-                '-'
-            }
-        }
-        None => '-',
+/// Address family of a `/prefix/<cidr>` query: `'4'`, `'6'`, or `'-'` for
+/// an unparseable one.
+fn address_family(cidr: &str) -> char {
+    if cidr.contains(':') {
+        '6'
+    } else if cidr.contains('.') {
+        '4'
+    } else {
+        '-'
     }
 }
 
-fn route(state: &Arc<ServerState>, snap: &Arc<Snapshot>, request: &Request) -> Routed {
+/// Dispatches one request, writing its body into `out`. `cidr` is the
+/// decoded query of a `/prefix/` target.
+fn route<'s>(
+    state: &Arc<ServerState>,
+    snap: &'s Arc<Snapshot>,
+    request: &Request<'_>,
+    cidr: Option<&str>,
+    out: &mut String,
+) -> Routed<'s> {
     let path = request.path();
-    let (status, content_type, body) = match (request.method.as_str(), path) {
-        ("GET", "/health") => health(state, snap),
-        ("GET", "/status") => status_page(state, snap),
-        ("GET", "/debug/requests") => debug_requests(state, request.query_param("n")),
-        ("GET", "/debug/trace") => debug_trace(state, request.query_param("ms")),
+    let (status, content_type) = match (request.method, path) {
+        ("GET", "/health") => health(state, snap, out),
+        ("GET", "/status") => status_page(state, snap, out),
+        ("GET", "/debug/requests") => debug_requests(state, request.query_param("n"), out),
+        ("GET", "/debug/trace") => debug_trace(state, request.query_param("ms"), out),
         ("POST", "/quit") => {
-            return quit(state);
+            return quit(state, out);
         }
         ("GET", p) if p.starts_with("/prefix/") => {
-            let cidr = percent_decode(&p["/prefix/".len()..]);
-            lookup_one(state, snap, &cidr)
+            lookup_one(state, snap, cidr.unwrap_or_default(), out)
         }
-        ("POST", "/batch") => batch(state, snap, &request.body),
-        ("GET", "/dump") => dump(state, snap, request.query_param("serial")),
+        ("POST", "/batch") => batch(state, snap, request.body, out),
+        ("GET", "/dump") => {
+            return dump(state, snap, request.query_param("serial"), out);
+        }
         ("GET", "/metrics") => {
-            let mut text = promexpo::to_prometheus(&state.obs.report());
-            text.push_str(&windowed_exposition(state));
-            text.push_str(&snapshot_exposition(&state.metrics.gauges, snap));
-            (200, "text/plain; version=0.0.4", text.into_bytes())
+            out.push_str(&promexpo::to_prometheus(&state.obs.report()));
+            windowed_exposition(state, out);
+            snapshot_exposition(&state.metrics.gauges, snap, out);
+            (200, "text/plain; version=0.0.4")
         }
-        ("POST", "/reload") => reload(state, snap, &request.body),
-        ("GET", "/prefix") | ("GET", "/prefix/") => (
-            400,
-            "application/json",
-            error_body("usage: GET /prefix/<cidr>"),
-        ),
-        _ if known_path(path) && !method_matches(&request.method, path) => (
-            405,
-            "application/json",
-            error_body(&format!(
-                "method {} not allowed on {}",
-                request.method, path
-            )),
-        ),
-        _ => (
-            404,
-            "application/json",
-            error_body(&format!("no such route {path}")),
-        ),
+        ("POST", "/reload") => reload(state, request.body, out),
+        ("GET", "/prefix") | ("GET", "/prefix/") => {
+            write_error(out, format_args!("usage: GET /prefix/<cidr>"));
+            (400, "application/json")
+        }
+        _ if known_path(path) && !method_matches(request.method, path) => {
+            let method = request.method;
+            write_error(out, format_args!("method {method} not allowed on {path}"));
+            (405, "application/json")
+        }
+        _ => {
+            write_error(out, format_args!("no such route {path}"));
+            (404, "application/json")
+        }
     };
-    Routed {
-        status,
-        content_type,
-        body,
-        quit: false,
-    }
+    Routed::new(status, content_type)
 }
 
 fn known_path(path: &str) -> bool {
@@ -789,7 +926,7 @@ fn method_matches(method: &str, path: &str) -> bool {
 /// `GET /health`: liveness plus enough to tell whether the server is
 /// actually doing work — uptime and the 60 s request rate across all
 /// endpoints.
-fn health(state: &Arc<ServerState>, snap: &Arc<Snapshot>) -> (u16, &'static str, Vec<u8>) {
+fn health(state: &Arc<ServerState>, snap: &Arc<Snapshot>, out: &mut String) -> (u16, &'static str) {
     let (count_60s, rate_60s) = state
         .metrics
         .endpoints
@@ -807,7 +944,8 @@ fn health(state: &Arc<ServerState>, snap: &Arc<Snapshot>) -> (u16, &'static str,
     o.set("uptime_seconds", state.started.elapsed().as_secs());
     o.set("requests_60s", count_60s);
     o.set("rate_60s", round3(rate_60s));
-    (200, "application/json", format!("{o}\n").into_bytes())
+    let _ = writeln!(out, "{o}");
+    (200, "application/json")
 }
 
 /// The `{valid, invalid, not_found}` ROV tally object `/health` and
@@ -828,7 +966,11 @@ fn round3(v: f64) -> f64 {
 /// `GET /status`: the human/ops twin of `/metrics` — uptime, snapshot
 /// identity, per-endpoint windowed percentiles and rates, the connection
 /// gauge, and flight-recorder occupancy.
-fn status_page(state: &Arc<ServerState>, snap: &Arc<Snapshot>) -> (u16, &'static str, Vec<u8>) {
+fn status_page(
+    state: &Arc<ServerState>,
+    snap: &Arc<Snapshot>,
+    out: &mut String,
+) -> (u16, &'static str) {
     let mut o = Json::object();
     o.set("status", "ok");
     o.set("uptime_seconds", state.started.elapsed().as_secs());
@@ -882,59 +1024,58 @@ fn status_page(state: &Arc<ServerState>, snap: &Arc<Snapshot>) -> (u16, &'static
     flight.set("recorded", state.flight.recorded());
     flight.set("slowest_tracked", state.flight.slowest().len() as u64);
     o.set("flight_recorder", flight);
-    (
-        200,
-        "application/json",
-        format!("{}\n", o.to_string_pretty()).into_bytes(),
-    )
+    out.push_str(&o.to_string_pretty());
+    out.push('\n');
+    (200, "application/json")
 }
 
 /// `GET /debug/requests?n=K`: the flight-recorder rings as JSONL — the
 /// `n` most recent records (default 50), then the slowest leaderboard.
 /// Draining does not stop recording.
-fn debug_requests(state: &Arc<ServerState>, n: Option<&str>) -> (u16, &'static str, Vec<u8>) {
+fn debug_requests(
+    state: &Arc<ServerState>,
+    n: Option<&str>,
+    out: &mut String,
+) -> (u16, &'static str) {
     let n = match n {
         None => DEBUG_REQUESTS_DEFAULT,
         Some(raw) => match raw.parse::<usize>() {
             Ok(v) => v.min(state.flight.capacity()),
             Err(_) => {
-                return (
-                    400,
-                    "application/json",
-                    error_body(&format!("bad n {raw:?}")),
-                );
+                write_error(out, format_args!("bad n {raw:?}"));
+                return (400, "application/json");
             }
         },
     };
-    let mut out = String::new();
     for rec in state.flight.recent(n) {
         let mut o = rec.to_json();
         o.set("kind", "recent");
-        out.push_str(&format!("{o}\n"));
+        let _ = writeln!(out, "{o}");
     }
     for rec in state.flight.slowest() {
         let mut o = rec.to_json();
         o.set("kind", "slowest");
-        out.push_str(&format!("{o}\n"));
+        let _ = writeln!(out, "{o}");
     }
-    (200, "application/jsonl", out.into_bytes())
+    (200, "application/jsonl")
 }
 
 /// `GET /debug/trace?ms=N`: attach a fresh tracer, let the serve path
 /// record spans for `N` milliseconds (default 100, capped), then detach
 /// and return the capture as a loadable Chrome trace. One capture at a
 /// time; a concurrent request gets 409.
-fn debug_trace(state: &Arc<ServerState>, ms: Option<&str>) -> (u16, &'static str, Vec<u8>) {
+fn debug_trace(
+    state: &Arc<ServerState>,
+    ms: Option<&str>,
+    out: &mut String,
+) -> (u16, &'static str) {
     let ms = match ms {
         None => 100,
         Some(raw) => match raw.parse::<u64>() {
             Ok(v) => v.min(TRACE_MS_CAP),
             Err(_) => {
-                return (
-                    400,
-                    "application/json",
-                    error_body(&format!("bad ms {raw:?}")),
-                );
+                write_error(out, format_args!("bad ms {raw:?}"));
+                return (400, "application/json");
             }
         },
     };
@@ -943,53 +1084,44 @@ fn debug_trace(state: &Arc<ServerState>, ms: Option<&str>) -> (u16, &'static str
         .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
         .is_err()
     {
-        return (
-            409,
-            "application/json",
-            error_body("a trace capture is already running"),
-        );
+        write_error(out, format_args!("a trace capture is already running"));
+        return (409, "application/json");
     }
     state.obs.attach_tracer();
     std::thread::sleep(Duration::from_millis(ms));
     let tracer = state.obs.detach_tracer();
     state.trace_gate.store(false, Ordering::Release);
     let trace = tracer.map(|t| t.drain()).unwrap_or_default();
-    (
-        200,
-        "application/json",
-        trace.to_chrome_json_string().into_bytes(),
-    )
+    out.push_str(&trace.to_chrome_json_string());
+    (200, "application/json")
 }
 
 /// `POST /quit`: graceful drain, gated behind `allow_quit`.
-fn quit(state: &Arc<ServerState>) -> Routed {
+fn quit(state: &Arc<ServerState>, out: &mut String) -> Routed<'static> {
     if !state.allow_quit {
-        return Routed {
-            status: 403,
-            content_type: "application/json",
-            body: error_body("quit is disabled (start the server with --allow-quit)"),
-            quit: false,
-        };
+        write_error(
+            out,
+            format_args!("quit is disabled (start the server with --allow-quit)"),
+        );
+        return Routed::new(403, "application/json");
     }
     let mut o = Json::object();
     o.set("status", "draining");
     o.set("requests_served", state.request_ids.load(Ordering::Relaxed));
+    let _ = writeln!(out, "{o}");
     Routed {
-        status: 200,
-        content_type: "application/json",
-        body: format!("{o}\n").into_bytes(),
         quit: true,
+        ..Routed::new(200, "application/json")
     }
 }
 
-/// The windowed gauges appended to `/metrics` after the registry
+/// Appends the windowed gauges to `/metrics` after the registry
 /// exposition: per-endpoint latency quantiles and request rates for each
 /// window, plus uptime and the connection gauge. Rendered fresh per
 /// scrape (gauges over rolling windows cannot live in the cumulative
 /// registry).
-fn windowed_exposition(state: &Arc<ServerState>) -> String {
+fn windowed_exposition(state: &Arc<ServerState>, out: &mut String) {
     let gauges = &state.metrics.gauges;
-    let mut out = String::new();
     for (family, value) in [
         (&gauges.uptime, state.started.elapsed().as_secs()),
         (
@@ -999,7 +1131,7 @@ fn windowed_exposition(state: &Arc<ServerState>) -> String {
         (&gauges.rss, process_rss_bytes()),
     ] {
         out.push_str(&family.header);
-        out.push_str(&format!("{} {value}\n", family.name));
+        let _ = writeln!(out, "{} {value}", family.name);
     }
     out.push_str(&gauges.window_latency.header);
     let mut rates = gauges.window_rate.header.clone();
@@ -1012,51 +1144,51 @@ fn windowed_exposition(state: &Arc<ServerState>) -> String {
                 ("p99", w.quantile(0.99)),
                 ("max", w.max),
             ] {
-                out.push_str(&format!(
-                    "{}{{endpoint=\"{}\",window=\"{label}\",quantile=\"{q}\"}} {v}\n",
+                let _ = writeln!(
+                    out,
+                    "{}{{endpoint=\"{}\",window=\"{label}\",quantile=\"{q}\"}} {v}",
                     gauges.window_latency.name, stat.name
-                ));
+                );
             }
-            rates.push_str(&format!(
-                "{}{{endpoint=\"{}\",window=\"{label}\"}} {:.3}\n",
+            let _ = writeln!(
+                rates,
+                "{}{{endpoint=\"{}\",window=\"{label}\"}} {:.3}",
                 gauges.window_rate.name, stat.name, w.rate_per_sec
-            ));
+            );
         }
     }
     out.push_str(&rates);
-    out
 }
 
-/// Gauges describing the currently served snapshot: ROV state tallies and
-/// the local-exception override count. Rendered per scrape from the
-/// snapshot `Arc` the request pinned, so the series always describe one
-/// consistent snapshot (never a mid-reload mix).
-fn snapshot_exposition(gauges: &Gauges, snap: &Arc<Snapshot>) -> String {
+/// Appends the gauges describing the currently served snapshot: ROV
+/// state tallies and the local-exception override count. Rendered per
+/// scrape from the snapshot `Arc` the request pinned, so the series always
+/// describe one consistent snapshot (never a mid-reload mix).
+fn snapshot_exposition(gauges: &Gauges, snap: &Arc<Snapshot>, out: &mut String) {
     let [valid, invalid, not_found] = snap.rov_tallies();
-    let mut out = gauges.snapshot_rov.header.clone();
+    out.push_str(&gauges.snapshot_rov.header);
     for (label, v) in [
         ("valid", valid),
         ("invalid", invalid),
         ("not_found", not_found),
     ] {
-        out.push_str(&format!(
-            "{}{{state=\"{label}\"}} {v}\n",
-            gauges.snapshot_rov.name
-        ));
+        let _ = writeln!(out, "{}{{state=\"{label}\"}} {v}", gauges.snapshot_rov.name);
     }
     out.push_str(&gauges.snapshot_exceptions.header);
-    out.push_str(&format!(
-        "{} {}\n",
+    let _ = writeln!(
+        out,
+        "{} {}",
         gauges.snapshot_exceptions.name,
         snap.exception_count()
-    ));
-    out
+    );
 }
 
-/// Undoes the `%XX` escapes a URL-safe client may apply to `/` in CIDRs.
-fn percent_decode(s: &str) -> String {
+/// Undoes the `%XX` escapes a URL-safe client may apply to `/` in CIDRs,
+/// decoding into `out`; the text borrows it unless the decoded bytes are
+/// not UTF-8.
+fn percent_decode<'o>(s: &str, out: &'o mut Vec<u8>) -> Cow<'o, str> {
     let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
+    out.clear();
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] == b'%' && i + 2 < bytes.len() {
@@ -1073,41 +1205,35 @@ fn percent_decode(s: &str) -> String {
         out.push(bytes[i]);
         i += 1;
     }
-    String::from_utf8_lossy(&out).into_owned()
+    String::from_utf8_lossy(out)
 }
 
 fn lookup_one(
     state: &Arc<ServerState>,
     snap: &Arc<Snapshot>,
     cidr: &str,
-) -> (u16, &'static str, Vec<u8>) {
+    out: &mut String,
+) -> (u16, &'static str) {
     let started = Instant::now();
-    let result = match cidr.parse::<Prefix>() {
-        Err(e) => (
-            400,
-            "application/json",
-            error_body(&format!("{cidr:?}: {e}")),
-        ),
+    let status = match cidr.parse::<Prefix>() {
+        Err(e) => {
+            write_error(out, format_args!("{cidr:?}: {e}"));
+            400
+        }
         Ok(prefix) => match snap.lookup(&prefix) {
-            None => (
-                404,
-                "application/json",
-                error_body(&format!(
-                    "{prefix}: no covering routed prefix in the snapshot"
-                )),
-            ),
+            None => {
+                let message = "no covering routed prefix in the snapshot";
+                write_error(out, format_args!("{prefix}: {message}"));
+                404
+            }
             Some(answer) => {
-                let mut body = String::new();
-                write_line(&mut body, &answer);
-                (200, "application/json", body.into_bytes())
+                write_line(out, &answer);
+                200
             }
         },
     };
-    state
-        .metrics
-        .lookup_ns
-        .record(started.elapsed().as_nanos() as u64);
-    result
+    state.metrics.lookup_ns.record(elapsed_ns(started));
+    (status, "application/json")
 }
 
 /// Appends `answer` and its newline to `out`. (Writes into a `String`
@@ -1124,15 +1250,12 @@ fn batch(
     state: &Arc<ServerState>,
     snap: &Arc<Snapshot>,
     body: &[u8],
-) -> (u16, &'static str, Vec<u8>) {
+    out: &mut String,
+) -> (u16, &'static str) {
     let Ok(text) = std::str::from_utf8(body) else {
-        return (
-            400,
-            "application/json",
-            error_body("batch body is not UTF-8"),
-        );
+        write_error(out, format_args!("batch body is not UTF-8"));
+        return (400, "application/json");
     };
-    let mut out = String::new();
     let mut count = 0u64;
     for line in text.lines() {
         let query = line.trim();
@@ -1142,58 +1265,55 @@ fn batch(
         count += 1;
         let started = Instant::now();
         match query.parse::<Prefix>() {
-            Err(e) => write_line_error(&mut out, query, &e.to_string()),
+            Err(e) => write_line_error(out, query, format_args!("{e}")),
             Ok(prefix) => match snap.lookup(&prefix) {
-                None => {
-                    write_line_error(&mut out, query, "no covering routed prefix in the snapshot")
-                }
-                Some(answer) => write_line(&mut out, &answer),
+                None => write_line_error(
+                    out,
+                    query,
+                    format_args!("no covering routed prefix in the snapshot"),
+                ),
+                Some(answer) => write_line(out, &answer),
             },
         }
-        state
-            .metrics
-            .lookup_ns
-            .record(started.elapsed().as_nanos() as u64);
+        state.metrics.lookup_ns.record(elapsed_ns(started));
     }
     state.metrics.batch_prefixes.add(count);
-    (200, "application/jsonl", out.into_bytes())
+    (200, "application/jsonl")
 }
 
 /// Appends a `/batch` line's `{"query":…,"error":…}` object and newline.
-fn write_line_error(out: &mut String, query: &str, error: &str) {
+fn write_line_error(out: &mut String, query: &str, error: fmt::Arguments<'_>) {
     out.push_str("{\"query\":");
     let _ = write_escaped(out, query);
-    out.push_str(",\"error\":");
-    let _ = write_escaped(out, error);
-    out.push_str("}\n");
+    out.push_str(",\"error\":\"");
+    let _ = Escaper::new(out).write_fmt(error);
+    out.push_str("\"}\n");
 }
 
 /// `GET /dump[?serial=N]`: RTR-style reset/delta semantics. Without a
 /// serial (or with one outside the retained window) the full table is
 /// returned under a `reset` header line; a serial inside the window gets
 /// the concatenated per-reload deltas under a `delta` header line.
-fn dump(
+fn dump<'s>(
     state: &Arc<ServerState>,
-    snap: &Arc<Snapshot>,
+    snap: &'s Arc<Snapshot>,
     serial: Option<&str>,
-) -> (u16, &'static str, Vec<u8>) {
+    out: &mut String,
+) -> Routed<'s> {
     let requested = match serial {
         None => None,
         Some(raw) => match raw.parse::<u64>() {
             Ok(n) => Some(n),
             Err(_) => {
-                return (
-                    400,
-                    "application/json",
-                    error_body(&format!("bad serial {raw:?}")),
-                )
+                write_error(out, format_args!("bad serial {raw:?}"));
+                return Routed::new(400, "application/json");
             }
         },
     };
     if let Some(from) = requested {
         if from == snap.serial {
-            let header = dump_header("delta", snap, Some(from));
-            return (200, "application/jsonl", format!("{header}\n").into_bytes());
+            let _ = writeln!(out, "{}", dump_header("delta", snap, Some(from)));
+            return Routed::new(200, "application/jsonl");
         }
         if from < snap.serial {
             let deltas = state.deltas.lock().expect("delta log poisoned");
@@ -1205,20 +1325,20 @@ fn dump(
                 && chain.last().is_some_and(|d| d.to == snap.serial)
                 && chain.windows(2).all(|w| w[0].to == w[1].from);
             if contiguous {
-                let header = dump_header("delta", snap, Some(from));
-                let mut body = format!("{header}\n");
+                let _ = writeln!(out, "{}", dump_header("delta", snap, Some(from)));
                 for d in &chain {
-                    body.push_str(&d.ops);
+                    out.push_str(&d.ops);
                 }
-                return (200, "application/jsonl", body.into_bytes());
+                return Routed::new(200, "application/jsonl");
             }
         }
         // Unknown/future serial or a gap in the retained window: reset.
     }
-    let header = dump_header("reset", snap, None);
-    let mut body = format!("{header}\n");
-    body.push_str(snap.jsonl());
-    (200, "application/jsonl", body.into_bytes())
+    let _ = writeln!(out, "{}", dump_header("reset", snap, None));
+    Routed {
+        tail: snap.jsonl(),
+        ..Routed::new(200, "application/jsonl")
+    }
 }
 
 fn dump_header(kind: &str, snap: &Arc<Snapshot>, from: Option<u64>) -> Json {
@@ -1236,11 +1356,7 @@ fn dump_header(kind: &str, snap: &Arc<Snapshot>, from: Option<u64>) -> Json {
 /// `POST /reload`: re-verify and load (body = directory path, or the
 /// current snapshot's directory when empty), then atomically swap. On any
 /// failure the old snapshot keeps serving and the response says why.
-fn reload(
-    state: &Arc<ServerState>,
-    _snap: &Arc<Snapshot>,
-    body: &[u8],
-) -> (u16, &'static str, Vec<u8>) {
+fn reload(state: &Arc<ServerState>, body: &[u8], out: &mut String) -> (u16, &'static str) {
     let _gate = state.reload_gate.lock().expect("reload gate poisoned");
     // Serial chaining must start from the snapshot actually being served
     // *now* (another reload may have landed since this request's Arc was
@@ -1257,7 +1373,8 @@ fn reload(
             o.set("error", format!("reload rejected: {e}"));
             o.set("serial", old.serial);
             o.set("snapshot", old.digest.clone());
-            (503, "application/json", format!("{o}\n").into_bytes())
+            let _ = writeln!(out, "{o}");
+            (503, "application/json")
         }
         Ok(mut snapshot) => {
             snapshot.serial = old.serial + 1;
@@ -1284,7 +1401,8 @@ fn reload(
             o.set("serial", new.serial);
             o.set("snapshot", new.digest.clone());
             o.set("records", new.len() as u64);
-            (200, "application/json", format!("{o}\n").into_bytes())
+            let _ = writeln!(out, "{o}");
+            (200, "application/json")
         }
     }
 }
@@ -1325,8 +1443,103 @@ fn render_delta_ops(old: &FrozenDataset, new: &FrozenDataset) -> String {
             let mut o = Json::object();
             o.set("op", "remove");
             o.set("prefix", prefix.to_string());
-            out.push_str(&format!("{o}\n"));
+            let _ = writeln!(out, "{o}");
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use p2o_synth::{World, WorldConfig};
+
+    fn tiny_state() -> Arc<ServerState> {
+        let world = World::generate(WorldConfig::tiny(7));
+        let built = world.build_inputs();
+        let inputs = prefix2org::PipelineInputs {
+            delegations: &built.tree,
+            routes: &built.routes,
+            asn_clusters: &built.clusters,
+            rpki: &built.rpki,
+        };
+        let dir = PathBuf::from("seed-7");
+        let exceptions = prefix2org::ExceptionSet::new();
+        let snapshot = Snapshot::freeze_in_memory(dir, 0, &inputs, &exceptions, 1)
+            .expect("fresh freeze verifies");
+        let loader: SnapshotLoader = Arc::new(|_: &Path| Err("no reload".to_string()));
+        let addr = "127.0.0.1:0".parse().expect("address");
+        Arc::new(ServerState::new(
+            ServerConfig::default(),
+            snapshot,
+            loader,
+            addr,
+        ))
+    }
+
+    /// Answers `raw`, one whole request, through `buffers` and returns
+    /// the bytes sent.
+    fn answer(state: &Arc<ServerState>, buffers: &mut Buffers, raw: &[u8]) -> Vec<u8> {
+        let mut parser = RequestParser::new();
+        parser.feed(raw);
+        let request = parser.poll().expect("parses").expect("whole");
+        let mut reader = state.cell.reader();
+        let mut sent = Vec::new();
+        let quit = respond(
+            state,
+            &mut sent,
+            &mut reader,
+            buffers,
+            &request,
+            Instant::now(),
+        )
+        .expect("writes to a Vec succeed");
+        assert!(!quit);
+        sent
+    }
+
+    #[test]
+    fn a_response_above_the_kept_capacity_gives_the_excess_back() {
+        let state = tiny_state();
+        let prefix = state.cell.load().frozen().record_prefix(0).to_string();
+        let mut buffers = Buffers::default();
+        let target = format!("/prefix/{}", prefix.replace('/', "%2f"));
+        let one = answer(
+            &state,
+            &mut buffers,
+            format!("GET {target} HTTP/1.1\r\n\r\n").as_bytes(),
+        );
+        let kept = buffers.body.capacity();
+        assert!(kept > 0 && kept <= KEPT_CAPACITY);
+        // A /batch whose answer outgrows the kept capacity.
+        let lines = KEPT_CAPACITY / (one.len() / 2) + 1;
+        let body = format!("{prefix}\n").repeat(lines);
+        let raw = format!(
+            "POST /batch HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let sent = answer(&state, &mut buffers, raw.as_bytes());
+        assert!(sent.len() > KEPT_CAPACITY, "{} bytes sent", sent.len());
+        assert!(sent.starts_with(b"HTTP/1.1 200 OK\r\n"));
+        assert!(
+            buffers.body.capacity() <= KEPT_CAPACITY,
+            "kept {} bytes",
+            buffers.body.capacity()
+        );
+        // Below the constant, the buffer keeps its capacity for the next
+        // response, and the next response is written whole.
+        let again = answer(
+            &state,
+            &mut buffers,
+            format!("GET {target} HTTP/1.1\r\n\r\n").as_bytes(),
+        );
+        let capacity = buffers.body.capacity();
+        let next = answer(
+            &state,
+            &mut buffers,
+            format!("GET {target} HTTP/1.1\r\n\r\n").as_bytes(),
+        );
+        assert_eq!(buffers.body.capacity(), capacity);
+        assert_eq!(again.len(), next.len());
+    }
 }

@@ -7,10 +7,12 @@
 //! untouched endpoints); `/debug/requests` dumps the flight recorder as
 //! parseable JSONL; `/debug/trace` captures live `serve.request` spans
 //! into a loadable Chrome trace; early rejects (parse-error 400s,
-//! overflow 503s) land in the same windowed series as routed requests;
-//! a graceful drain answers every request the server accepted (counter
-//! equality: client-received responses == server-counted requests); and
-//! the access log survives a drain as ordered, parseable JSONL.
+//! overflow 503s) land in the same windowed series as routed requests
+//! and carry the snapshot stamps; a request's recorded latency runs from
+//! its first byte read to its last byte written; a graceful drain
+//! answers every request the server accepted (counter equality:
+//! client-received responses == server-counted requests); and the access
+//! log survives a drain as ordered, parseable JSONL.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -467,9 +469,19 @@ fn drain_answers_a_pipelined_burst_already_on_the_wire() {
     server.join();
 }
 
+/// The exact bytes of an early reject: the stamped head, then the body.
+fn early_reject(status: &str, snapshot: &str, id: u64, body: &str) -> String {
+    format!(
+        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+         X-P2O-Serial: 0\r\nX-P2O-Snapshot: {snapshot}\r\nX-P2O-Request-Id: {id}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
 #[test]
 fn early_rejects_land_in_windowed_series_and_flight_recorder() {
     let initial = snapshot_from_seed(48, 0);
+    let digest = initial.digest.clone();
     let server = spawn(ServerConfig::default(), initial, seed_loader()).expect("server spawns");
     let addr = server.addr;
 
@@ -479,11 +491,10 @@ fn early_rejects_land_in_windowed_series_and_flight_recorder() {
     let mut raw = Vec::new();
     bad.read_to_end(&mut raw).expect("read 400 + close");
     let text = String::from_utf8_lossy(&raw);
-    assert!(text.starts_with("HTTP/1.1 400"), "{text}");
-    assert!(
-        text.to_ascii_lowercase().contains("x-p2o-request-id:"),
-        "even a parse-error response carries a request id: {text}"
-    );
+    // Every response carries the request id and the snapshot stamps, the
+    // parse-error 400 included.
+    let body = "{\"error\":\"bad method in request line \\\"garbage / HTTP/1.1\\\"\"}\n";
+    assert_eq!(text, early_reject("400 Bad Request", &digest, 1, body));
 
     let mut client = HttpClient::connect(addr).expect("connect");
     let status = Json::parse(&client.get("/status").expect("status").text()).expect("json");
@@ -519,8 +530,11 @@ fn early_rejects_land_in_windowed_series_and_flight_recorder() {
     let mut raw = Vec::new();
     second.read_to_end(&mut raw).expect("read 503 + close");
     let text = String::from_utf8_lossy(&raw);
-    assert!(text.starts_with("HTTP/1.1 503"), "{text}");
-    assert!(text.to_ascii_lowercase().contains("x-p2o-request-id:"));
+    let body = "{\"error\":\"connection limit reached\"}\n";
+    assert_eq!(
+        text,
+        early_reject("503 Service Unavailable", &digest, 2, body)
+    );
     let status = Json::parse(&first.get("/status").expect("status").text()).expect("json");
     assert!(
         walk_u64(&status, &["endpoints", "other", "windows", "10s", "count"]) >= 1,
@@ -528,6 +542,61 @@ fn early_rejects_land_in_windowed_series_and_flight_recorder() {
     );
     let metrics = first.get("/metrics").expect("metrics").text();
     assert!(metrics.contains("p2o_serve_http_5xx_total 1\n"));
+    server.shutdown();
+}
+
+/// A request's latency runs from the read that delivered its first byte to
+/// the last byte written: a `/batch` whose body is written 60 ms after its
+/// head is recorded at 50 ms or more, in the flight recorder and the
+/// windowed series alike. (The 10 ms margin covers the server's wake-up
+/// for the head; a clock started once the request is whole reads
+/// microseconds.)
+#[test]
+fn latency_runs_from_the_first_byte_read_to_the_last_byte_written() {
+    const GAP: Duration = Duration::from_millis(50);
+
+    let initial = snapshot_from_seed(50, 0);
+    let query = format!("{}\n", initial.frozen().record_prefix(0));
+    let server = spawn(ServerConfig::default(), initial, seed_loader()).expect("server spawns");
+
+    // A first request parks the connection's thread in its next read.
+    let mut slow = TcpStream::connect(server.addr).expect("connect");
+    slow.write_all(b"GET /health HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+        .expect("health written");
+    let mut seen = Vec::new();
+    let mut byte = [0u8; 1];
+    while !seen.ends_with(b"}\n") {
+        slow.read_exact(&mut byte).expect("health answered");
+        seen.push(byte[0]);
+    }
+    let head = format!(
+        "POST /batch HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+        query.len()
+    );
+    slow.write_all(head.as_bytes()).expect("head written");
+    std::thread::sleep(GAP + Duration::from_millis(10));
+    slow.write_all(query.as_bytes()).expect("body written");
+    // The server closes once the response is written and recorded.
+    let mut raw = Vec::new();
+    slow.read_to_end(&mut raw).expect("read 200 + close");
+    assert!(raw.starts_with(b"HTTP/1.1 200 OK\r\n"));
+
+    let mut client = HttpClient::connect(server.addr).expect("connect");
+    let debug = client.get("/debug/requests").expect("debug").text();
+    let batch = debug
+        .lines()
+        .map(|l| Json::parse(l).expect("flight record parses"))
+        .find(|rec| walk(rec, &["endpoint"]).as_str() == Some("batch"))
+        .expect("the batch is in the flight recorder");
+    let latency = walk_u64(&batch, &["latency_ns"]);
+    assert!(
+        latency >= GAP.as_nanos() as u64,
+        "latency {latency} ns starts before the body's 50 ms wait"
+    );
+    let status = Json::parse(&client.get("/status").expect("status").text()).expect("json");
+    let window = walk(&status, &["endpoints", "batch", "windows", "10s"]);
+    assert_eq!(walk_u64(window, &["count"]), 1);
+    assert!(walk_u64(window, &["max_ns"]) >= GAP.as_nanos() as u64);
     server.shutdown();
 }
 

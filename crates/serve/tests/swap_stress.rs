@@ -336,9 +336,23 @@ fn http_responses_stay_snapshot_consistent_across_reloads() {
         .text()
         .contains(&format!("p2o_serve_reloads_total {RELOADS}")));
     // /status agrees: the cell generation counted every swap, and the
-    // hammered endpoint's rolling windows saw the load.
-    let status = admin.get("/status").expect("status");
-    let json = p2o_util::Json::parse(&status.text()).expect("status json");
+    // hammered endpoint's rolling windows saw the load. A response's
+    // latency is recorded once its last byte is written, so wait until the
+    // clients' connections have closed (each records before it closes).
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let json = loop {
+        let status = admin.get("/status").expect("status");
+        let json = p2o_util::Json::parse(&status.text()).expect("status json");
+        let active = json
+            .get("connections")
+            .and_then(|c| c.get("active"))
+            .and_then(p2o_util::Json::as_u64)
+            .expect("connections.active");
+        if active == 1 || std::time::Instant::now() > deadline {
+            break json;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
     let generation = json
         .get("snapshot")
         .and_then(|s| s.get("generation"))
