@@ -108,7 +108,7 @@ pub mod timing {
         bench_with_input(label, || (), |()| f())
     }
 
-    /// [`bench`] for a routine that consumes its input: `setup` builds a
+    /// [`bench()`] for a routine that consumes its input: `setup` builds a
     /// fresh input before every iteration, outside the timed region.
     pub fn bench_with_input<I, T>(
         label: &str,
@@ -132,7 +132,7 @@ pub mod timing {
         per
     }
 
-    /// [`bench`] plus a MB/s throughput column derived from `bytes` of input
+    /// [`bench()`] plus a MB/s throughput column derived from `bytes` of input
     /// processed per iteration.
     pub fn bench_throughput<T>(label: &str, bytes: u64, f: impl FnMut() -> T) {
         let per_ns = bench(label, f);

@@ -324,10 +324,9 @@ impl Clusterer {
         let mut w_with_r = vec![false; w_names.len()];
         let mut w_with_a = vec![false; w_names.len()];
         let mut merge_edges: Vec<MergeEdge> = Vec::new();
+        // An edge joins two distinct 𝒲 clusters; the callers check that
+        // before they format its evidence.
         let record_edge = |edges: &mut Vec<MergeEdge>, a: Symbol, b: Symbol, evidence: String| {
-            if a == b {
-                return;
-            }
             let (a, b) = (w_names.resolve(a), w_names.resolve(b));
             let (a, b) = if a <= b { (a, b) } else { (b, a) };
             edges.push(MergeEdge {
@@ -343,7 +342,7 @@ impl Clusterer {
                 }
                 for pair in members.windows(2) {
                     uf.union(pair[0].index(), pair[1].index());
-                    if self.record_merge_evidence {
+                    if self.record_merge_evidence && pair[0] != pair[1] {
                         record_edge(
                             &mut merge_edges,
                             pair[0],
@@ -364,7 +363,7 @@ impl Clusterer {
                 }
                 for pair in members.windows(2) {
                     uf.union(pair[0].index(), pair[1].index());
-                    if self.record_merge_evidence {
+                    if self.record_merge_evidence && pair[0] != pair[1] {
                         record_edge(
                             &mut merge_edges,
                             pair[0],

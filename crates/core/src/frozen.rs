@@ -65,7 +65,7 @@ use p2o_bgp::RouteTable;
 use p2o_net::{Prefix, Prefix4, Prefix6};
 use p2o_obs::provenance::{write_trace, write_trace_json};
 use p2o_obs::{traced, Obs};
-use p2o_radix::{freeze_v4, freeze_v6, LpmView4, LpmView6};
+use p2o_radix::{freeze_v4, freeze_v6, LpmView4, LpmView6, LPM_LANES};
 use p2o_rpki::RovStatus;
 use p2o_util::arena::{u128_at, u32_at, u64_at, ArenaIndex, ArenaWriter};
 use p2o_util::atomic::read_framed;
@@ -765,8 +765,26 @@ impl FrozenDataset {
     }
 
     fn rec_u32(&self, idx: u32, off: usize) -> u32 {
-        let recs = &self.payload[self.sections.recs.clone()];
-        u32_at(recs, idx as usize * REC_SIZE + off).expect("validated")
+        u32_at(self.rec_row(idx), off).expect("validated")
+    }
+
+    /// Record `idx`'s fixed-width row.
+    #[inline]
+    fn rec_row(&self, idx: u32) -> &[u8] {
+        self.rows(&self.sections.recs, idx, 1, REC_SIZE)
+    }
+
+    /// Rows `first..first + count` of the `size`-byte rows of `section`.
+    #[inline]
+    fn rows(
+        &self,
+        section: &core::ops::Range<usize>,
+        first: u32,
+        count: u32,
+        size: usize,
+    ) -> &[u8] {
+        let rows = &self.payload[section.clone()];
+        &rows[first as usize * size..(first as usize + count as usize) * size]
     }
 
     fn pool_slice(&self, off: u32, len: u32) -> impl ExactSizeIterator<Item = u32> + '_ {
@@ -818,6 +836,132 @@ impl FrozenDataset {
             Prefix::V4(p) => self.lpm4().lookup(p).map(|(k, v)| (Prefix::V4(k), v)),
             Prefix::V6(p) => self.lpm6().lookup(p).map(|(k, v)| (Prefix::V6(k), v)),
         }
+    }
+
+    /// [`lookup`](Self::lookup) for every query of `queries`, into the
+    /// same position of `out`: each pass of up to [`LPM_LANES`] queries
+    /// is one lockstep search per address family
+    /// ([`LpmView4::lookup_many`]).
+    ///
+    /// # Panics
+    ///
+    /// If `out` is not as long as `queries`.
+    pub fn lookup_many(&self, queries: &[Prefix], out: &mut [Option<(Prefix, u32)>]) {
+        assert_eq!(queries.len(), out.len(), "one answer slot per query");
+        let (lpm4, lpm6) = (self.lpm4(), self.lpm6());
+        for (queries, out) in queries.chunks(LPM_LANES).zip(out.chunks_mut(LPM_LANES)) {
+            // Each family's queries, with the positions they answer.
+            let (mut v4, mut at4, mut n4) = ([Prefix4::DEFAULT; LPM_LANES], [0; LPM_LANES], 0);
+            let (mut v6, mut at6, mut n6) = ([Prefix6::DEFAULT; LPM_LANES], [0; LPM_LANES], 0);
+            for (at, q) in queries.iter().enumerate() {
+                match q {
+                    Prefix::V4(p) => {
+                        (v4[n4], at4[n4]) = (*p, at);
+                        n4 += 1;
+                    }
+                    Prefix::V6(p) => {
+                        (v6[n6], at6[n6]) = (*p, at);
+                        n6 += 1;
+                    }
+                }
+            }
+            let mut hits4 = [None; LPM_LANES];
+            lpm4.lookup_many(&v4[..n4], &mut hits4[..n4]);
+            for (&at, hit) in at4[..n4].iter().zip(&hits4) {
+                out[at] = hit.map(|(k, v)| (Prefix::V4(k), v));
+            }
+            let mut hits6 = [None; LPM_LANES];
+            lpm6.lookup_many(&v6[..n6], &mut hits6[..n6]);
+            for (&at, hit) in at6[..n6].iter().zip(&hits6) {
+                out[at] = hit.map(|(k, v)| (Prefix::V6(k), v));
+            }
+        }
+    }
+
+    /// Reads every cache line that writing the answers of records `idxs`
+    /// will read ([`write_listing1`](Self::write_listing1), the pool
+    /// slices, [`write_provenance_json`](Self::write_provenance_json)), so
+    /// that the answers' cache misses overlap instead of queuing one
+    /// behind another, and the writes that follow find their lines cached.
+    /// It reads in three stages, each over every record before the next:
+    /// the record rows; then the offsets of the strings those rows name
+    /// and their chain-step, pool, merge and cluster rows; then the bytes
+    /// of every string the answers write. No load in a stage depends on
+    /// another in the same stage. The loads are plain reads whose bytes
+    /// are folded into a [`black_box`](std::hint::black_box); nothing is
+    /// written.
+    pub fn touch_answers(&self, idxs: &[u32]) {
+        let mut folded = 0u8;
+        self.visit_answers(idxs, |bytes| {
+            // One byte of every 64-byte cache line the run spans.
+            folded ^= bytes.last().copied().unwrap_or(0);
+            for b in bytes.iter().step_by(64) {
+                folded ^= b;
+            }
+        });
+        std::hint::black_box(folded);
+    }
+
+    /// The byte runs [`touch_answers`](Self::touch_answers) reads, passed
+    /// to `visit` stage by stage.
+    fn visit_answers<'s>(&'s self, idxs: &[u32], mut visit: impl FnMut(&'s [u8])) {
+        for &idx in idxs {
+            visit(self.rec_row(idx));
+        }
+        let strings = self.strings();
+        for &idx in idxs {
+            let rec = self.rec_row(idx);
+            let at = |off: usize| u32_at(rec, off).expect("validated");
+            for off in [40, 44, 48, 52] {
+                visit(strings.offset_bytes(at(off)));
+            }
+            let s = &self.sections;
+            visit(self.rows(&s.dcsteps, at(64), at(68), DC_SIZE));
+            visit(self.rows(&s.pool, at(72), at(76), 4));
+            visit(self.rows(&s.pool, at(80), at(84), 4));
+            visit(self.rows(&s.merges, at(88), at(92), MERGE_SIZE));
+            visit(self.rows(&s.clusters, at(56), 1, CLUSTER_SIZE));
+        }
+        for &idx in idxs {
+            self.each_answer_string(&strings, idx, |text| visit(text.as_bytes()));
+        }
+    }
+
+    /// Passes `visit` every string of the string table `strings` that
+    /// record `idx`'s answer writes: the
+    /// record's own (Direct Owner, base name, certificate, final label),
+    /// its chain steps' organizations, its owner's merge rows' names and
+    /// evidence, and its cluster's label.
+    fn each_answer_string<'s>(
+        &'s self,
+        strings: &StringBlob<'s>,
+        idx: u32,
+        mut visit: impl FnMut(&'s str),
+    ) {
+        let rec = self.rec_row(idx);
+        let at = |off: usize| u32_at(rec, off).expect("validated");
+        let mut id = |id: u32| visit(strings.get(id).expect("validated"));
+        for off in [40, 44, 52] {
+            id(at(off));
+        }
+        if at(48) != NONE_ID {
+            id(at(48));
+        }
+        let s = &self.sections;
+        for row in self
+            .rows(&s.dcsteps, at(64), at(68), DC_SIZE)
+            .chunks(DC_SIZE)
+        {
+            id(u32_at(row, PFX_SIZE).expect("validated"));
+        }
+        for row in self
+            .rows(&s.merges, at(88), at(92), MERGE_SIZE)
+            .chunks(MERGE_SIZE)
+        {
+            id(u32_at(row, 0).expect("validated"));
+            id(u32_at(row, 4).expect("validated"));
+        }
+        id(u32_at(self.rows(&s.clusters, at(56), 1, CLUSTER_SIZE), 0).expect("validated"));
     }
 
     /// The record index holding exactly `prefix`, if any.
@@ -1285,6 +1429,116 @@ mod tests {
                 .map(|s| s.iter().copied().collect())
                 .unwrap_or_default();
             assert_eq!(frozen.origins(idx).collect::<Vec<_>>(), want);
+        }
+    }
+
+    /// `lookup_many` answers every query as `lookup` does, over a run of
+    /// v4 and v6 record prefixes, more-specifics and uncovered queries
+    /// that spans several passes, interleaved so that each pass splits
+    /// unevenly between the families.
+    #[test]
+    fn lookup_many_answers_each_query_as_lookup_does() {
+        let (frozen, _) = frozen_from_seed(7);
+        let mut queries: Vec<Prefix> = Vec::new();
+        for idx in 0..frozen.len() as u32 {
+            let prefix = frozen.record_prefix(idx);
+            queries.push(prefix);
+            queries.push(match prefix {
+                Prefix::V4(p) => Prefix::V4(Prefix4::new_truncated(p.bits() | 1, 32)),
+                Prefix::V6(p) => Prefix::V6(Prefix6::new_truncated(p.bits() | 1, 128)),
+            });
+            if idx % 3 == 0 {
+                queries.push("10.1.0.0/16".parse().unwrap());
+                queries.push("3fff::/20".parse().unwrap());
+            }
+        }
+        assert!(queries.iter().any(|q| matches!(q, Prefix::V6(_))));
+        let mut out = vec![None; queries.len()];
+        frozen.lookup_many(&queries, &mut out);
+        for (q, got) in queries.iter().zip(&out) {
+            assert_eq!(*got, frozen.lookup(q), "{q}");
+        }
+    }
+
+    /// The read-ahead reaches every string an answer writes: for every
+    /// record of tiny seed 42 and default seed 7, each under a rule file
+    /// that asserts one record, and of the merge fixture, each string of
+    /// the record's trace steps and of its Listing-1 object lies inside a
+    /// byte run that `touch_answers` reads for that record.
+    #[test]
+    fn touch_answers_reads_every_string_an_answer_writes() {
+        let mut merges = 0;
+        for config in [WorldConfig::tiny(42), WorldConfig::default_scale(7)] {
+            let world = World::generate(config);
+            let built = world.build_inputs();
+            let inputs = PipelineInputs {
+                delegations: &built.tree,
+                routes: &built.routes,
+                asn_clusters: &built.clusters,
+                rpki: &built.rpki,
+            };
+            let (mut dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
+            let rule = format!(
+                "{{\"prefix\":\"{}\",\"action\":\"assert\",\"org\":\"Operator Org\"}}\n",
+                dataset.records()[1].prefix
+            );
+            let (rules, rejects) = ExceptionSet::parse_lenient(&rule);
+            assert!(rejects.is_empty(), "{rejects:?}");
+            rules.apply(&mut dataset);
+            let frozen = FrozenDataset::from_payload(freeze(&inputs, &dataset, &edges, 0)).unwrap();
+            assert_eq!(frozen.exception_count(), 1);
+            merges += assert_touch_reads_every_written_string(&frozen);
+        }
+        let fixture = FrozenDataset::from_payload(merge_fixture_payload()).unwrap();
+        merges += assert_touch_reads_every_written_string(&fixture);
+        assert!(merges > 0, "some answer writes merge steps");
+    }
+
+    /// Checks, for every record of `frozen`, that every string its answer
+    /// writes is read ahead; returns how many merge steps the answers
+    /// write.
+    fn assert_touch_reads_every_written_string(frozen: &FrozenDataset) -> usize {
+        let mut merges = 0;
+        for idx in 0..frozen.len() as u32 {
+            let mut read: Vec<std::ops::Range<usize>> = Vec::new();
+            frozen.visit_answers(&[idx], |bytes| {
+                let span = bytes.as_ptr_range();
+                read.push(span.start as usize..span.end as usize);
+            });
+            let mut written: Vec<&str> = Vec::new();
+            frozen.each_step(idx, |step| match step {
+                Step::Customer { org, .. } | Step::Owner { org, .. } => written.push(text_of(org)),
+                Step::BaseName { owner, base } => written.extend([text_of(owner), text_of(base)]),
+                Step::Certificate(Some(cert)) => written.push(text_of(cert)),
+                Step::Merge { other, evidence } => {
+                    merges += 1;
+                    written.extend([text_of(other), text_of(evidence)]);
+                }
+                Step::Final { label, .. } | Step::Asserted(label) => written.push(text_of(label)),
+                _ => {}
+            });
+            // The Listing-1 object's final cluster: the one string of the
+            // record's own that no step writes unless it is asserted.
+            written.push(frozen.strings().get(frozen.rec_u32(idx, 52)).unwrap());
+            for text in written.into_iter().filter(|t| !t.is_empty()) {
+                let span = text.as_bytes().as_ptr_range();
+                let (start, end) = (span.start as usize, span.end as usize);
+                assert!(
+                    read.iter().any(|r| r.start <= start && end <= r.end),
+                    "record {idx}: {text:?} is not read ahead"
+                );
+            }
+        }
+        frozen.touch_answers(&(0..frozen.len() as u32).collect::<Vec<_>>());
+        merges
+    }
+
+    /// A step's borrowed string: the frozen steps borrow every name from
+    /// the string table.
+    fn text_of<'a>(text: Cow<'a, str>) -> &'a str {
+        match text {
+            Cow::Borrowed(text) => text,
+            Cow::Owned(text) => panic!("{text:?} is not borrowed from the string table"),
         }
     }
 

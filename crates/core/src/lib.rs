@@ -76,5 +76,6 @@ pub use frozen::{
     FROZEN_LABEL,
 };
 pub use leasing::{infer_leasing, LeasingCandidate, LeasingOptions};
+pub use p2o_radix::LPM_LANES;
 pub use pipeline::{default_threads, Pipeline, PipelineInputs};
 pub use resolve::{DelegationStep, LpmWalk, OwnershipRecord, Resolver};

@@ -175,7 +175,7 @@ pub const METRICS: &[Metric] = &[
     row("serve.batch_prefixes", Counter, "prefixes", "Non-blank /batch lines answered.", ServeSpawn),
     row("serve.access_log_failures", Counter, "lines", "Access-log lines that could not be written.", ServeSpawn),
     row("serve.requests.{endpoint}", Counter, "requests", "Responses from the {endpoint} endpoint.", ServeSpawn),
-    row("serve.lookup_ns", Histogram, "nanoseconds", "Lookup and render time per /prefix query and /batch line.", ServeSpawn),
+    row("serve.lookup_ns", Histogram, "nanoseconds", "Lookup and render time per /prefix query and /batch line; a /batch line takes an even share of its group's parse, match and read-ahead time plus its own write.", ServeSpawn),
     row("serve.latency.{endpoint}", Histogram, "nanoseconds", "Service time of requests to the {endpoint} endpoint since boot.", ServeSpawn),
     row("serve.uptime_seconds", Gauge, "seconds", "Seconds since the server started.", ServeScrape),
     row("serve.connections_active", Gauge, "connections", "Currently open connections.", ServeScrape),

@@ -13,6 +13,12 @@
 //! sorted span starts, plus a short climb up stored `parents` links when
 //! the query is *shorter* than the innermost covering entry.
 //!
+//! There is one search, [`LpmView4::lookup_many`]: it searches up to
+//! [`LPM_LANES`] queries in lockstep, probing every lane's span start at
+//! each level before the next, so on a table larger than the cache their
+//! misses overlap instead of queuing. [`LpmView4::lookup`] is its
+//! one-query case.
+//!
 //! Why this beats a frozen level-compressed trie here: the span table is a
 //! single contiguous array scanned with `log2(spans)` well-predicted
 //! probes, while a trie — even level-compressed — still chases child
@@ -41,6 +47,10 @@ pub const LPM_NONE: u32 = u32::MAX;
 
 /// Blob header length: entry count + span count.
 const HEADER: usize = 8;
+
+/// The most queries one lockstep pass of [`LpmView4::lookup_many`]
+/// searches together; longer inputs run in passes of this many.
+pub const LPM_LANES: usize = 16;
 
 #[inline]
 fn u32_at(bytes: &[u8], off: usize) -> Option<u32> {
@@ -367,31 +377,103 @@ macro_rules! lpm_family {
 
             /// The most specific stored prefix equal to or covering `q`,
             /// with its value — the frozen counterpart of
-            /// [`RadixTree::longest_match`](crate::RadixTree::longest_match).
+            /// [`RadixTree::longest_match`](crate::RadixTree::longest_match):
+            /// the one-query case of [`lookup_many`](Self::lookup_many).
             pub fn lookup(&self, q: &$prefix) -> Option<($prefix, u32)> {
-                if self.spans == 0 {
-                    return None;
+                let [hit] = self.search([q]);
+                hit
+            }
+
+            /// [`lookup`](Self::lookup) for every query of `queries`, into
+            /// the same position of `out`.
+            ///
+            /// The queries are searched [`LPM_LANES`] at a time, in
+            /// lockstep: each level of the binary search over the span
+            /// starts probes every lane before the next level, so the
+            /// lanes' loads do not wait on one another. Then each lane
+            /// climbs its entry chain.
+            ///
+            /// # Panics
+            ///
+            /// If `out` is not as long as `queries`.
+            pub fn lookup_many(&self, queries: &[$prefix], out: &mut [Option<($prefix, u32)>]) {
+                assert_eq!(queries.len(), out.len(), "one answer slot per query");
+                for (queries, out) in queries.chunks(LPM_LANES).zip(out.chunks_mut(LPM_LANES)) {
+                    match queries.len() {
+                        1 => self.search_into::<1>(queries, out),
+                        2 => self.search_into::<2>(queries, out),
+                        3..=4 => self.search_into::<4>(queries, out),
+                        5..=8 => self.search_into::<8>(queries, out),
+                        _ => self.search_into::<LPM_LANES>(queries, out),
+                    }
                 }
-                let addr = q.first_addr();
-                // Rightmost span with start <= addr. The starts array is
-                // re-sliced as fixed-width chunks **once** (the offset
-                // chain is a handful of multiplies we don't want per
-                // probe, and const-size chunks give the searcher a single
-                // cheap bounds check per access), then searched with the
-                // stdlib's branch-lean `partition_point`.
+            }
+
+            /// Searches up to `N` queries in `N` lanes: a short pass repeats
+            /// its last query in the spare lanes, whose probes then hit the
+            /// lines it loads.
+            fn search_into<const N: usize>(
+                &self,
+                queries: &[$prefix],
+                out: &mut [Option<($prefix, u32)>],
+            ) {
+                let last = queries.len() - 1;
+                let hits = self.search::<N>(std::array::from_fn(|lane| &queries[lane.min(last)]));
+                out.copy_from_slice(&hits[..out.len()]);
+            }
+
+            /// The one search behind [`lookup`](Self::lookup) (one lane)
+            /// and [`lookup_many`](Self::lookup_many) (up to `LPM_LANES`): per
+            /// lane, a branch-free binary search for the rightmost span
+            /// whose start is at most the query's first address, every
+            /// level probing all lanes, then the climb up its entry chain.
+            #[inline(always)]
+            fn search<const N: usize>(
+                &self,
+                queries: [&$prefix; N],
+            ) -> [Option<($prefix, u32)>; N] {
+                // The starts array is re-sliced as fixed-width chunks once:
+                // const-size chunks give each probe one cheap bounds check.
                 let so = self.span_starts_off();
                 let starts = &self.bytes[so..so + self.spans * $addr_bytes];
-                let (chunks, rest) = starts.as_chunks::<$addr_bytes>();
+                let (starts, rest) = starts.as_chunks::<$addr_bytes>();
                 debug_assert!(rest.is_empty(), "starts slice is chunk-aligned");
-                let cut = chunks.partition_point(|c| <$addr>::from_le_bytes(*c) <= addr);
-                // The first span starts at 0 <= addr, so cut >= 1 on any
-                // parsed blob; checked_sub keeps attach-only blobs panic-free.
-                let lo = cut.checked_sub(1)?;
-                // Climb from the innermost covering entry to the first one
-                // at least as short as the query; every link on the chain
-                // covers `addr`, so covering + len<=q.len ⇒ contains q.
-                let mut e = self.span_entry(lo);
-                while e != LPM_NONE && self.key_len(e) > q.len() {
+                if starts.is_empty() {
+                    return [None; N];
+                }
+                let start = |s: usize| <$addr>::from_le_bytes(starts[s]);
+                let addrs = queries.map(|q| q.first_addr());
+                // Each lane's span lies in [base, base + size); each level
+                // halves every lane's window.
+                let mut base = [0usize; N];
+                let mut size = starts.len();
+                while size > 1 {
+                    let half = size / 2;
+                    for (b, &addr) in base.iter_mut().zip(&addrs) {
+                        let mid = *b + half;
+                        *b = std::hint::select_unpredictable(start(mid) <= addr, mid, *b);
+                    }
+                    size -= half;
+                }
+                std::array::from_fn(|lane| {
+                    let (b, addr) = (base[lane], addrs[lane]);
+                    // The first span starts at 0 <= addr on any parsed
+                    // blob; the check keeps attach-only blobs panic-free.
+                    if start(b) <= addr {
+                        self.climb(self.span_entry(b), queries[lane].len())
+                    } else {
+                        None
+                    }
+                })
+            }
+
+            /// Climbs from entry `e`, the innermost one covering a query's
+            /// first address, to the first one at least as short as the
+            /// query: every link on the chain covers that address, so
+            /// covering + len <= the query's ⇒ contains the query.
+            #[inline]
+            fn climb(&self, mut e: u32, len: u8) -> Option<($prefix, u32)> {
+                while e != LPM_NONE && self.key_len(e) > len {
                     e = self.parent(e);
                 }
                 if e == LPM_NONE {

@@ -30,7 +30,7 @@ pub mod key;
 pub mod map;
 pub mod tree;
 
-pub use freeze::{freeze_v4, freeze_v6, LpmView4, LpmView6, LPM_NONE};
+pub use freeze::{freeze_v4, freeze_v6, LpmView4, LpmView6, LPM_LANES, LPM_NONE};
 pub use key::RadixKey;
 pub use map::PrefixMap;
 pub use tree::RadixTree;

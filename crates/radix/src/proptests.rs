@@ -209,6 +209,77 @@ fn frozen_lpm_agrees_with_tree_v4() {
     });
 }
 
+/// A frozen table for the `lookup_many` properties: empty (one uncovered
+/// span), the default route alone (one covered span), or random entries
+/// around a nested chain on `chain`'s address, whose shorter queries climb
+/// to a parent.
+fn lanes_table<P: Copy>(
+    g: &mut Gen,
+    chain: P,
+    nest: impl Fn(P, u8) -> P,
+    max_len: usize,
+    draw: impl Fn(&mut Gen) -> P,
+) -> Vec<(P, u32)> {
+    match g.below(4) {
+        0 => Vec::new(),
+        1 => vec![(nest(chain, 0), 0)],
+        _ => {
+            let mut prefixes: Vec<P> = Vec::new();
+            for _ in 0..g.range(2, 6) {
+                prefixes.push(nest(chain, g.range(1, max_len) as u8));
+            }
+            for _ in 0..g.range(0, 100) {
+                prefixes.push(draw(g));
+            }
+            prefixes.into_iter().zip(0..).collect()
+        }
+    }
+}
+
+/// `lookup_many` answers every lane as `lookup` answers that query alone,
+/// and as the live tree does, for every group size from 0 to
+/// [`LPM_LANES`](crate::LPM_LANES) and for a run of several passes: over
+/// empty and one-span tables, nested chains, and exact, shorter (climbing),
+/// host and uncovered queries.
+#[test]
+fn lookup_many_matches_lookup_lane_by_lane_v4() {
+    use crate::freeze::{freeze_v4, LpmView4, LPM_LANES};
+    run_cases(192, |g| {
+        let chain = Prefix4::new_truncated(g.u32(), 32);
+        let nest = |p: Prefix4, len: u8| Prefix4::new_truncated(p.bits(), len);
+        let entries = lanes_table(g, chain, nest, 32, gen_prefix);
+        let tree: RadixTree<Prefix4, u32> = entries.iter().copied().collect();
+        let blob = freeze_v4(&entries);
+        let view = LpmView4::parse(&blob).expect("freshly frozen blob validates");
+        let queries: Vec<Prefix4> = (0..3 * LPM_LANES)
+            .map(|_| match g.below(5) {
+                0 => nest(chain, g.range(0, 32) as u8),
+                1 if !entries.is_empty() => g.pick(&entries).0,
+                2 if !entries.is_empty() => {
+                    let e = g.pick(&entries).0;
+                    let low = g.u32().checked_shr(e.len() as u32).unwrap_or(0);
+                    Prefix4::new_truncated(e.bits() | low, 32)
+                }
+                2 => Prefix4::new_truncated(g.u32(), 32),
+                3 => gen_prefix(g),
+                _ => gen_dense_prefix(g),
+            })
+            .collect();
+        let mut out = vec![Some((chain, u32::MAX)); queries.len()];
+        for n in (0..=LPM_LANES).chain([queries.len()]) {
+            view.lookup_many(&queries[..n], &mut out[..n]);
+            for (q, got) in queries[..n].iter().zip(&out[..n]) {
+                assert_eq!(*got, view.lookup(q), "query {q} in a group of {n}");
+                assert_eq!(
+                    *got,
+                    tree.longest_match(q).map(|(k, v)| (k, *v)),
+                    "query {q}"
+                );
+            }
+        }
+    });
+}
+
 /// The same model-equivalence properties for IPv6 keys (128-bit paths
 /// exercise different glue-node geometry than 32-bit ones).
 mod v6 {
@@ -295,6 +366,47 @@ mod v6 {
                     tree.longest_match(&q).map(|(k, v)| (k, *v)),
                     "query {q}"
                 );
+            }
+        });
+    }
+
+    /// `lookup_many` equals `lookup` lane by lane, IPv6.
+    #[test]
+    fn lookup_many_matches_lookup_lane_by_lane_v6() {
+        use crate::freeze::{freeze_v6, LpmView6, LPM_LANES};
+        run_cases(128, |g| {
+            let chain =
+                Prefix6::new_truncated(gen_prefix6(g).bits() | g.below(1 << 20) as u128, 128);
+            let nest = |p: Prefix6, len: u8| Prefix6::new_truncated(p.bits(), len);
+            let entries = lanes_table(g, chain, nest, 128, gen_prefix6);
+            let tree: RadixTree<Prefix6, u32> = entries.iter().copied().collect();
+            let blob = freeze_v6(&entries);
+            let view = LpmView6::parse(&blob).expect("freshly frozen blob validates");
+            let queries: Vec<Prefix6> = (0..3 * LPM_LANES)
+                .map(|_| match g.below(5) {
+                    0 => nest(chain, g.range(0, 128) as u8),
+                    1 if !entries.is_empty() => g.pick(&entries).0,
+                    2 if !entries.is_empty() => {
+                        let e = g.pick(&entries).0;
+                        let low = g.u128().checked_shr(e.len() as u32).unwrap_or(0);
+                        Prefix6::new_truncated(e.bits() | low, 128)
+                    }
+                    2 => Prefix6::new_truncated(g.u128(), 128),
+                    3 => gen_prefix6(g),
+                    _ => gen_dense_prefix6(g),
+                })
+                .collect();
+            let mut out = vec![Some((chain, u32::MAX)); queries.len()];
+            for n in (0..=LPM_LANES).chain([queries.len()]) {
+                view.lookup_many(&queries[..n], &mut out[..n]);
+                for (q, got) in queries[..n].iter().zip(&out[..n]) {
+                    assert_eq!(*got, view.lookup(q), "query {q} in a group of {n}");
+                    assert_eq!(
+                        *got,
+                        tree.longest_match(q).map(|(k, v)| (k, *v)),
+                        "query {q}"
+                    );
+                }
             }
         });
     }

@@ -26,6 +26,12 @@ use p2o_util::json::write_u64;
 pub const MAX_HEAD: usize = 8 * 1024;
 /// Maximum `Content-Length` accepted, in bytes.
 pub const MAX_BODY: usize = 1024 * 1024;
+/// The request-buffer capacity a parser keeps between requests. A
+/// 1,000-line `/batch` body of xl-world queries is about 16 KB (32 KiB of
+/// capacity as 16 KiB reads arrive), and one of the longest CIDRs (44 B a
+/// line) 44 KB; both fit. [`RequestParser::release`] gives back the excess
+/// of a larger request.
+pub const KEPT_REQUEST_CAPACITY: usize = 64 << 10;
 
 /// A malformed request: the connection should answer 400 and close.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,6 +128,18 @@ impl RequestParser {
     /// Bytes buffered but not yet consumed by a complete request.
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.consumed
+    }
+
+    /// Gives back the buffer's capacity above [`KEPT_REQUEST_CAPACITY`]
+    /// when nothing past the requests polled so far is buffered; called
+    /// once each response is written, so an idle connection does not hold
+    /// the largest request it was sent.
+    pub fn release(&mut self) {
+        if self.buffered() == 0 && self.buf.capacity() > KEPT_REQUEST_CAPACITY {
+            self.buf.clear();
+            self.consumed = 0;
+            self.buf.shrink_to(KEPT_REQUEST_CAPACITY);
+        }
     }
 
     /// Yields the next complete request, `None` when more bytes are
@@ -427,6 +445,43 @@ mod tests {
 
     fn is_rejected(bytes: &[u8]) -> bool {
         parse_one(&mut RequestParser::new(), bytes).is_err()
+    }
+
+    /// After a 1 MiB body is answered, the buffer keeps at most the kept
+    /// capacity; a request buffered behind it keeps the buffer whole until
+    /// it is polled, and a small request's capacity is kept.
+    #[test]
+    fn release_gives_back_a_large_body_once_answered() {
+        let body = vec![b'\n'; MAX_BODY];
+        let head = format!("POST /batch HTTP/1.1\r\nContent-Length: {MAX_BODY}\r\n\r\n");
+        let next = b"GET /health HTTP/1.1\r\n\r\n";
+        let mut p = RequestParser::new();
+        p.feed(head.as_bytes());
+        p.feed(&body);
+        p.feed(next);
+        assert_eq!(p.poll().unwrap().unwrap().body.len(), MAX_BODY);
+        p.release();
+        assert!(p.buf.capacity() > MAX_BODY, "the pipelined request is kept");
+        assert_eq!(p.poll().unwrap().unwrap().target, "/health");
+        p.release();
+        assert!(
+            p.buf.capacity() <= KEPT_REQUEST_CAPACITY,
+            "kept {} bytes",
+            p.buf.capacity()
+        );
+        assert_eq!(p.buffered(), 0);
+        // A request below the kept capacity keeps the buffer as it is.
+        p.feed(next);
+        let capacity = p.buf.capacity();
+        assert_eq!(p.poll().unwrap().unwrap().target, "/health");
+        p.release();
+        assert_eq!(p.buf.capacity(), capacity);
+        // And the parser still parses what comes next.
+        p.feed(head.as_bytes());
+        p.feed(&body);
+        assert_eq!(p.poll().unwrap().unwrap().body.len(), MAX_BODY);
+        p.release();
+        assert!(p.buf.capacity() <= KEPT_REQUEST_CAPACITY);
     }
 
     #[test]

@@ -31,6 +31,7 @@ use p2o_net::Prefix;
 use p2o_util::json::{write_escaped, write_u32_array, write_u64};
 use prefix2org::{
     freeze_verified, to_jsonl, ExceptionSet, ExportBytes, FrozenDataset, Pipeline, PipelineInputs,
+    LPM_LANES,
 };
 
 /// One immutable, query-ready view of a built artifact directory: a
@@ -155,6 +156,40 @@ impl Snapshot {
             idx,
         })
     }
+
+    /// [`lookup`](Self::lookup) for every query of `queries`, into the
+    /// same position of `out`, for a group of answers that is written
+    /// next. Each pass of up to [`LPM_LANES`] queries is matched by one
+    /// lockstep search per address family
+    /// ([`FrozenDataset::lookup_many`]), and then every answer it found is
+    /// read ahead ([`FrozenDataset::touch_answers`]): the answers' cache
+    /// misses overlap, and their writes find the lines cached.
+    ///
+    /// # Panics
+    ///
+    /// If `out` is not as long as `queries`.
+    pub fn lookup_many<'s>(&'s self, queries: &[Prefix], out: &mut [Option<Answer<'s>>]) {
+        assert_eq!(queries.len(), out.len(), "one answer slot per query");
+        for (queries, out) in queries.chunks(LPM_LANES).zip(out.chunks_mut(LPM_LANES)) {
+            let mut hits = [None; LPM_LANES];
+            let hits = &mut hits[..queries.len()];
+            self.frozen.lookup_many(queries, hits);
+            let (mut found, mut n) = ([0; LPM_LANES], 0);
+            for ((slot, query), hit) in out.iter_mut().zip(queries).zip(hits.iter()) {
+                *slot = hit.map(|(matched, idx)| {
+                    found[n] = idx;
+                    n += 1;
+                    Answer {
+                        snapshot: self,
+                        query: *query,
+                        matched,
+                        idx,
+                    }
+                });
+            }
+            self.frozen.touch_answers(&found[..n]);
+        }
+    }
 }
 
 /// One `/prefix` answer: the query, the record that covers it, and the
@@ -162,6 +197,7 @@ impl Snapshot {
 /// then [`write_to`](Answer::write_to) (or `Display`) writes the object
 /// straight from the frozen arena: no record is thawed and no `Json` value
 /// is built.
+#[derive(Clone, Copy)]
 pub struct Answer<'a> {
     snapshot: &'a Snapshot,
     query: Prefix,

@@ -313,6 +313,16 @@ impl<'a> StringBlob<'a> {
             .get(self.offset(id as usize) as usize..self.offset(id as usize + 1) as usize)
     }
 
+    /// The bytes of the two offsets that bound string `id`, the ones
+    /// [`get`](Self::get) reads before the text; empty when `id` is out of
+    /// range. A read-ahead touches them to bring their cache line in.
+    pub fn offset_bytes(&self, id: u32) -> &'a [u8] {
+        if id as usize >= self.count {
+            return &[];
+        }
+        &self.offsets[id as usize * 4..id as usize * 4 + 8]
+    }
+
     /// Number of stored strings.
     pub fn len(&self) -> usize {
         self.count

@@ -5,7 +5,7 @@
 //! data directory, written last (and atomically) so it describes the final
 //! on-disk state. The manifest is `generate`'s alone: the files `build`
 //! writes into the directory (`world.p2ob`, checkpoint stamps) carry their
-//! own checksummed frame (see [`atomic`](crate::atomic)) and get no row.
+//! own checksummed frame (see [`atomic`]) and get no row.
 //!
 //! The CLI checks the rows in one integrity scan, which reads each listed
 //! file once and [`check`](ManifestEntry::check)s it against its row:
