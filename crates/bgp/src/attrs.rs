@@ -199,7 +199,7 @@ impl PathAttributes {
     }
 
     /// Encodes the attributes to wire form (without the 2-byte total-length
-    /// prefix used by UPDATE messages).
+    /// prefix that frames them in an MRT RIB entry).
     pub fn encode(&self) -> Bytes {
         let mut out = BytesMut::new();
         if let Some(origin) = self.origin {
@@ -344,9 +344,9 @@ mod tests {
     fn truncated_inputs_error_cleanly() {
         // Wire layout: ORIGIN = 4 bytes, AS_PATH = 3 + 2 + 4 = 9 bytes,
         // NEXT_HOP = 7 bytes. Cuts at attribute boundaries yield a valid
-        // shorter list (framing is the caller's job, per RFC 4271 the UPDATE
-        // length field bounds the attribute run); cuts *inside* an attribute
-        // must error.
+        // shorter list (framing is the caller's job: a RIB entry's attribute
+        // length bounds the attribute run); cuts *inside* an attribute must
+        // error.
         let attrs = PathAttributes::ebgp(AsPath::sequence(vec![65000]), 0);
         let wire = attrs.encode();
         assert_eq!(wire.len(), 20);

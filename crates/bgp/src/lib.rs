@@ -8,8 +8,6 @@
 //!
 //! - [`attrs`] — BGP path attributes (ORIGIN, AS_PATH with AS_SET/SEQUENCE
 //!   segments and 4-byte ASNs, NEXT_HOP), wire encode/decode over [`bytes`];
-//! - [`update`] — BGP UPDATE messages (RFC 4271 framing incl. the 16-byte
-//!   marker, withdrawn routes, NLRI; MP_REACH_NLRI for IPv6 per RFC 4760);
 //! - [`mrt`] — an MRT TABLE_DUMP_V2-style RIB snapshot format
 //!   (PEER_INDEX_TABLE + RIB_IPV4/IPV6_UNICAST records) with a writer and a
 //!   streaming parser, so synthetic RIBs travel through the same binary path
@@ -19,18 +17,13 @@
 //!   filter (drop IPv4 prefixes shorter than /8 and IPv6 shorter than /16)
 //!   and supporting MOAS (multi-origin) prefixes;
 //! - [`pfx2as`] — CAIDA's `routeviews-prefix2as` text format (the §3
-//!   interchange format), writer and reader;
-//! - [`collector`] — a BGPStream-style live session: feed raw UPDATE bytes
-//!   (split or batched arbitrarily) and keep a routing view current.
+//!   interchange format), writer and reader.
 
 pub mod attrs;
-pub mod collector;
 pub mod mrt;
 pub mod pfx2as;
 pub mod table;
-pub mod update;
 
 pub use attrs::{AsPath, AsPathSegment, Origin, PathAttributes};
 pub use mrt::{MrtParseError, MrtReader, MrtWriter, PeerEntry, RibEntry, RibRecord};
 pub use table::RouteTable;
-pub use update::UpdateMessage;

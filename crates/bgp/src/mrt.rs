@@ -10,11 +10,10 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use p2o_net::Prefix;
+use p2o_net::{Prefix, Prefix4, Prefix6};
 use p2o_util::ingest::{IngestErrorKind, QuarantinedRecord};
 
-use crate::attrs::PathAttributes;
-use crate::update::{decode_nlri4, decode_nlri6, encode_nlri4, encode_nlri6};
+use crate::attrs::{AttrError, PathAttributes};
 
 const MRT_TYPE_TABLE_DUMP_V2: u16 = 13;
 const SUBTYPE_PEER_INDEX_TABLE: u16 = 1;
@@ -233,6 +232,60 @@ fn decode_rib_body(
         prefix,
         entries,
     }))
+}
+
+/// Encodes an IPv4 prefix in NLRI form: length byte + minimal prefix octets.
+fn encode_nlri4(out: &mut BytesMut, p: &Prefix4) {
+    out.put_u8(p.len());
+    let octets = p.bits().to_be_bytes();
+    out.put_slice(&octets[..p.len().div_ceil(8) as usize]);
+}
+
+/// Decodes an IPv4 NLRI element.
+fn decode_nlri4(buf: &mut Bytes) -> Result<Prefix4, AttrError> {
+    if !buf.has_remaining() {
+        return Err(AttrError::Truncated("NLRI length"));
+    }
+    let len = buf.get_u8();
+    if len > 32 {
+        return Err(AttrError::Malformed("NLRI length"));
+    }
+    let nbytes = len.div_ceil(8) as usize;
+    if buf.remaining() < nbytes {
+        return Err(AttrError::Truncated("NLRI body"));
+    }
+    let mut octets = [0u8; 4];
+    for o in octets.iter_mut().take(nbytes) {
+        *o = buf.get_u8();
+    }
+    Ok(Prefix4::new_truncated(u32::from_be_bytes(octets), len))
+}
+
+/// Encodes an IPv6 prefix in NLRI form.
+fn encode_nlri6(out: &mut BytesMut, p: &Prefix6) {
+    out.put_u8(p.len());
+    let octets = p.bits().to_be_bytes();
+    out.put_slice(&octets[..p.len().div_ceil(8) as usize]);
+}
+
+/// Decodes an IPv6 NLRI element.
+fn decode_nlri6(buf: &mut Bytes) -> Result<Prefix6, AttrError> {
+    if !buf.has_remaining() {
+        return Err(AttrError::Truncated("NLRI length"));
+    }
+    let len = buf.get_u8();
+    if len > 128 {
+        return Err(AttrError::Malformed("NLRI length"));
+    }
+    let nbytes = len.div_ceil(8) as usize;
+    if buf.remaining() < nbytes {
+        return Err(AttrError::Truncated("NLRI body"));
+    }
+    let mut octets = [0u8; 16];
+    for o in octets.iter_mut().take(nbytes) {
+        *o = buf.get_u8();
+    }
+    Ok(Prefix6::new_truncated(u128::from_be_bytes(octets), len))
 }
 
 /// Bytes in an MRT record header: timestamp, type, subtype, body length.
@@ -746,15 +799,9 @@ mod tests {
             let mut w = MrtWriter::new(timestamp, collector, &peer_list);
             for _ in 0..g.below(30) {
                 let prefix = if g.bool() {
-                    Prefix::V4(p2o_net::Prefix4::new_truncated(
-                        g.u32(),
-                        g.range(8, 32) as u8,
-                    ))
+                    Prefix::V4(Prefix4::new_truncated(g.u32(), g.range(0, 32) as u8))
                 } else {
-                    Prefix::V6(p2o_net::Prefix6::new_truncated(
-                        g.u128(),
-                        g.range(16, 64) as u8,
-                    ))
+                    Prefix::V6(Prefix6::new_truncated(g.u128(), g.range(0, 128) as u8))
                 };
                 let entries: Vec<RibEntry> = (0..g.range(1, 4))
                     .map(|_| RibEntry {
@@ -791,6 +838,60 @@ mod tests {
             }
             assert_eq!(t1, t2);
         });
+    }
+
+    /// A dump of the peer table plus one raw record with `subtype` and
+    /// `body`, and the offset at which that record starts.
+    fn dump_with_raw_record(subtype: u16, body: &[u8]) -> (Bytes, usize) {
+        let mut data = BytesMut::from(&MrtWriter::new(0, 1, &peers()).finish()[..]);
+        let start = data.len();
+        data.put_u32(0);
+        data.put_u16(MRT_TYPE_TABLE_DUMP_V2);
+        data.put_u16(subtype);
+        data.put_u32(body.len() as u32);
+        data.put_slice(body);
+        (data.freeze(), start)
+    }
+
+    /// The strict reader rejects the record and the lenient one quarantines
+    /// it as `mrt_bad_record`; both name the bad prefix.
+    fn assert_bad_prefix(subtype: u16, body: &[u8], what: &str) {
+        let (data, start) = dump_with_raw_record(subtype, body);
+        let err = MrtReader::new(data.clone())
+            .unwrap()
+            .next_rib()
+            .expect_err(what);
+        assert!(err.message.contains("prefix"), "{what}: {}", err.message);
+        let out = MrtReader::new(data).unwrap().read_all_lenient(1);
+        assert!(out.records.is_empty(), "{what}");
+        assert_eq!(out.quarantined.len(), 1, "{what}");
+        assert_eq!(out.quarantined[0].kind, IngestErrorKind::MrtBadRecord);
+        assert_eq!(out.quarantined[0].offset, start as u64, "{what}");
+    }
+
+    #[test]
+    fn prefix_length_past_the_family_width_is_a_bad_record() {
+        // Sequence number, then a length byte one past the address width;
+        // an entry count follows so only the length is wrong.
+        let mut v4 = vec![0, 0, 0, 0, 33];
+        v4.extend_from_slice(&[10, 0, 0, 0, 0, 0, 0]);
+        assert_bad_prefix(SUBTYPE_RIB_IPV4_UNICAST, &v4, "v4 /33");
+        let mut v6 = vec![0, 0, 0, 0, 129];
+        v6.extend_from_slice(&[0x20; 17]);
+        v6.extend_from_slice(&[0, 0]);
+        assert_bad_prefix(SUBTYPE_RIB_IPV6_UNICAST, &v6, "v6 /129");
+    }
+
+    #[test]
+    fn body_ending_inside_the_prefix_is_a_bad_record() {
+        // A /24 needs three prefix octets and a /64 eight; each body stops
+        // one octet short, and a body may also stop before the length byte.
+        assert_bad_prefix(SUBTYPE_RIB_IPV4_UNICAST, &[0, 0, 0, 0, 24, 10, 1], "v4 /24");
+        let mut v6 = vec![0, 0, 0, 0, 64];
+        v6.extend_from_slice(&[0x20, 0x01, 0x0d, 0xb8, 0, 0, 0]);
+        assert_bad_prefix(SUBTYPE_RIB_IPV6_UNICAST, &v6, "v6 /64");
+        assert_bad_prefix(SUBTYPE_RIB_IPV4_UNICAST, &[0, 0, 0, 0], "v4 no length");
+        assert_bad_prefix(SUBTYPE_RIB_IPV6_UNICAST, &[0, 0, 0, 0], "v6 no length");
     }
 
     #[test]

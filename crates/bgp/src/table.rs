@@ -7,7 +7,6 @@ use p2o_net::Prefix;
 use p2o_util::ingest::QuarantinedRecord;
 
 use crate::mrt::{MrtParseError, MrtReader, RibRecord};
-use crate::update::UpdateMessage;
 
 /// Outcome of a lenient MRT parse: the route table built from every
 /// recoverable record, plus one quarantine entry per rejected record.
@@ -74,33 +73,13 @@ impl RouteTable {
         Ok(table)
     }
 
-    /// Builds a table from a binary MRT dump with observability: ticks the
-    /// reader's `mrt.*` counters and records a `bgp.parse` stage whose item
-    /// count is the number of RIB records.
-    pub fn from_mrt_instrumented(
-        data: bytes::Bytes,
-        obs: &p2o_obs::Obs,
-    ) -> Result<Self, MrtParseError> {
-        let mut timer = obs.stage("bgp.parse");
-        let mut reader = MrtReader::new(data)?;
-        reader.instrument(obs);
-        let mut table = RouteTable::new();
-        let mut records = 0u64;
-        while let Some(record) = reader.next_rib()? {
-            table.add_rib_record(&record);
-            records += 1;
-        }
-        timer.items(records);
-        timer.finish();
-        Ok(table)
-    }
-
-    /// Lenient variant of the `from_mrt*` constructors: corrupt records
+    /// Lenient variant of [`from_mrt`](Self::from_mrt): corrupt records
     /// are quarantined instead of failing the parse — one bad record
-    /// costs one record, not the run. With `obs` it records the `bgp.parse`
-    /// stage and `mrt.*` counters of the strict instrumented path, plus one
-    /// `mrt.decode` trace span per decode shard; record bodies decode on
-    /// up to `threads` threads with identical results at any count.
+    /// costs one record, not the run. With `obs` it records a `bgp.parse`
+    /// stage whose item count is the number of RIB records, ticks the
+    /// reader's `mrt.*` counters, and adds one `mrt.decode` trace span per
+    /// decode shard; record bodies decode on up to `threads` threads with
+    /// identical results at any count.
     pub fn from_mrt_lenient(
         data: bytes::Bytes,
         obs: Option<&p2o_obs::Obs>,
@@ -126,21 +105,6 @@ impl RouteTable {
             t.finish();
         }
         LenientTable { table, quarantined }
-    }
-
-    /// Applies a live UPDATE message: withdrawals remove the prefix
-    /// (entirely — per-peer state is out of scope for snapshots),
-    /// announcements add the message's origins.
-    pub fn apply_update(&mut self, update: &UpdateMessage) {
-        for p in &update.withdrawn {
-            self.routes.remove(p);
-        }
-        let origins = update.attrs.origin_asns();
-        for p in &update.announced {
-            for &o in &origins {
-                self.add_route(*p, o);
-            }
-        }
     }
 
     /// Number of routed prefixes.
@@ -257,102 +221,5 @@ mod tests {
         assert_eq!(t.v6_count(), 1);
         assert!(t.origins(&p("203.0.113.0/24")).unwrap().contains(&18692));
         assert_eq!(t.all_origins().len(), 2);
-    }
-
-    #[test]
-    fn apply_update_announce_and_withdraw() {
-        let mut t = RouteTable::new();
-        let attrs = PathAttributes::ebgp(AsPath::sequence(vec![1, 2, 64512]), 0);
-        t.apply_update(&UpdateMessage::announce(
-            vec![p("10.0.0.0/8")],
-            attrs.clone(),
-        ));
-        assert!(t.contains(&p("10.0.0.0/8")));
-        let withdraw = UpdateMessage {
-            withdrawn: vec![p("10.0.0.0/8")],
-            attrs: PathAttributes::default(),
-            announced: vec![],
-        };
-        t.apply_update(&withdraw);
-        assert!(!t.contains(&p("10.0.0.0/8")));
-    }
-
-    #[test]
-    fn apply_update_withdraw_of_never_announced_prefix_is_a_noop() {
-        let mut t = RouteTable::new();
-        t.add_route(p("10.0.0.0/8"), 1);
-        let withdraw = UpdateMessage {
-            withdrawn: vec![p("192.0.2.0/24")],
-            attrs: PathAttributes::default(),
-            announced: vec![],
-        };
-        t.apply_update(&withdraw);
-        assert_eq!(t.len(), 1);
-        assert!(t.contains(&p("10.0.0.0/8")));
-    }
-
-    #[test]
-    fn apply_update_withdraw_removes_whole_moas_origin_set() {
-        // Per-peer state is out of scope for snapshots: a withdrawal
-        // removes the prefix entirely, even when several origins
-        // (MOAS) announced it.
-        let mut t = RouteTable::new();
-        t.add_route(p("10.0.0.0/8"), 64512);
-        t.add_route(p("10.0.0.0/8"), 64513);
-        assert_eq!(t.origins(&p("10.0.0.0/8")).unwrap().len(), 2);
-        let withdraw = UpdateMessage {
-            withdrawn: vec![p("10.0.0.0/8")],
-            attrs: PathAttributes::default(),
-            announced: vec![],
-        };
-        t.apply_update(&withdraw);
-        assert!(!t.contains(&p("10.0.0.0/8")));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn apply_update_reannouncement_after_withdrawal_starts_fresh() {
-        let mut t = RouteTable::new();
-        t.apply_update(&UpdateMessage::announce(
-            vec![p("10.0.0.0/8")],
-            PathAttributes::ebgp(AsPath::sequence(vec![1, 64512]), 0),
-        ));
-        t.apply_update(&UpdateMessage {
-            withdrawn: vec![p("10.0.0.0/8")],
-            attrs: PathAttributes::default(),
-            announced: vec![],
-        });
-        // The re-announcement carries a different origin; the old origin
-        // must not survive the withdrawal.
-        t.apply_update(&UpdateMessage::announce(
-            vec![p("10.0.0.0/8")],
-            PathAttributes::ebgp(AsPath::sequence(vec![1, 64513]), 0),
-        ));
-        let origins = t.origins(&p("10.0.0.0/8")).unwrap();
-        assert_eq!(origins.iter().copied().collect::<Vec<_>>(), vec![64513]);
-    }
-
-    #[test]
-    fn apply_update_mixed_withdraw_and_announce_in_one_message() {
-        // A single UPDATE may withdraw one prefix and announce another;
-        // withdrawals are processed first, so a prefix both withdrawn and
-        // announced in the same message ends up routed.
-        let mut t = RouteTable::new();
-        t.add_route(p("10.0.0.0/8"), 64512);
-        t.apply_update(&UpdateMessage {
-            withdrawn: vec![p("10.0.0.0/8")],
-            attrs: PathAttributes::ebgp(AsPath::sequence(vec![2, 64513]), 0),
-            announced: vec![p("10.0.0.0/8"), p("192.0.2.0/24")],
-        });
-        assert_eq!(t.len(), 2);
-        assert_eq!(
-            t.origins(&p("10.0.0.0/8"))
-                .unwrap()
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
-            vec![64513]
-        );
-        assert!(t.contains(&p("192.0.2.0/24")));
     }
 }

@@ -3,11 +3,11 @@
 //! The workspace must build with no registry access at all, so this crate
 //! re-implements the (small) slice of the real `bytes` API the BGP wire
 //! codecs use: a cheaply-cloneable immutable [`Bytes`] view backed by an
-//! `Arc`, a growable [`BytesMut`], and the [`Buf`]/[`BufMut`] cursor traits.
+//! `Arc`, an append-only [`BytesMut`], and the [`Buf`]/[`BufMut`] cursor traits.
 //! Semantics match the upstream crate for every operation exercised here;
 //! anything outside that subset is intentionally absent.
 
-use std::ops::{Bound, Deref, Index, IndexMut, RangeBounds};
+use std::ops::{Bound, Deref, Index, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable view into shared byte storage.
@@ -163,13 +163,11 @@ impl std::iter::FromIterator<u8> for Bytes {
     }
 }
 
-/// A growable byte buffer with a read cursor.
-///
-/// Writes append at the back; [`Buf`] reads consume from the front.
+/// A growable, append-only byte buffer: [`BufMut`] writes append at the
+/// back, and [`freeze`](Self::freeze) hands the bytes over as [`Bytes`].
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct BytesMut {
     data: Vec<u8>,
-    head: usize,
 }
 
 impl BytesMut {
@@ -182,18 +180,17 @@ impl BytesMut {
     pub fn with_capacity(cap: usize) -> Self {
         Self {
             data: Vec::with_capacity(cap),
-            head: 0,
         }
     }
 
-    /// Number of readable bytes.
+    /// Number of bytes written.
     pub fn len(&self) -> usize {
-        self.data.len() - self.head
+        self.data.len()
     }
 
-    /// Whether no readable bytes remain.
+    /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.data.is_empty()
     }
 
     /// Reserves space for at least `additional` more bytes.
@@ -206,77 +203,33 @@ impl BytesMut {
         self.data.extend_from_slice(slice);
     }
 
-    /// Converts into an immutable [`Bytes`], dropping consumed bytes.
-    pub fn freeze(mut self) -> Bytes {
-        if self.head > 0 {
-            self.data.drain(..self.head);
-        }
+    /// Converts into an immutable [`Bytes`].
+    pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
-    }
-
-    /// Removes consumed bytes so indices start at the cursor.
-    fn compact(&mut self) {
-        if self.head > 0 {
-            self.data.drain(..self.head);
-            self.head = 0;
-        }
-    }
-
-    fn readable(&self) -> &[u8] {
-        &self.data[self.head..]
     }
 }
 
 impl From<&[u8]> for BytesMut {
     fn from(v: &[u8]) -> Self {
-        Self {
-            data: v.to_vec(),
-            head: 0,
-        }
+        Self { data: v.to_vec() }
     }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        self.readable()
+        &self.data
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
-        self.readable()
-    }
-}
-
-impl Index<usize> for BytesMut {
-    type Output = u8;
-    fn index(&self, i: usize) -> &u8 {
-        &self.readable()[i]
-    }
-}
-
-impl IndexMut<usize> for BytesMut {
-    fn index_mut(&mut self, i: usize) -> &mut u8 {
-        let head = self.head;
-        &mut self.data[head + i]
+        &self.data
     }
 }
 
 macro_rules! impl_range_index {
     ($($range:ty),*) => {$(
-        impl Index<$range> for BytesMut {
-            type Output = [u8];
-            fn index(&self, r: $range) -> &[u8] {
-                &self.readable()[r]
-            }
-        }
-        impl IndexMut<$range> for BytesMut {
-            fn index_mut(&mut self, r: $range) -> &mut [u8] {
-                let head = self.head;
-                &mut self.data[head..][r]
-            }
-        }
         impl Index<$range> for Bytes {
             type Output = [u8];
             fn index(&self, r: $range) -> &[u8] {
@@ -297,7 +250,7 @@ impl_range_index!(
 
 impl std::fmt::Debug for BytesMut {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        Bytes::copy_from_slice(self.readable()).fmt(f)
+        Bytes::copy_from_slice(&self.data).fmt(f)
     }
 }
 
@@ -391,22 +344,6 @@ impl Buf for Bytes {
     }
 }
 
-impl Buf for BytesMut {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        self.readable()
-    }
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance out of bounds");
-        self.head += cnt;
-        // Keep indices cursor-relative for the Index impls and bound memory
-        // growth in long-lived stream buffers.
-        self.compact();
-    }
-}
-
 /// Write cursor appending big-endian integers and slices.
 pub trait BufMut {
     /// Appends raw bytes.
@@ -475,18 +412,6 @@ mod tests {
         assert_eq!(b.get_u16(), 0x0102);
         assert_eq!(b.get_u32(), 0xDEAD_BEEF);
         assert_eq!(&b[..], b"xy");
-    }
-
-    #[test]
-    fn bytesmut_advance_keeps_indices_cursor_relative() {
-        let mut m = BytesMut::from(&b"abcdef"[..]);
-        m.advance(2);
-        assert_eq!(m[0], b'c');
-        m[0] = b'C';
-        assert_eq!(&m[..2], b"Cd");
-        let taken = m.copy_to_bytes(3);
-        assert_eq!(&taken[..], b"Cde");
-        assert_eq!(&m.freeze()[..], b"f");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::borrow::Cow;
 use p2o_net::Prefix;
 use p2o_util::Symbol;
 use p2o_whois::alloc::{AllocationType, OwnershipLevel};
-use p2o_whois::{DelegationEntry, DelegationTree, Registry};
+use p2o_whois::{DelegationTree, Registry};
 
 use crate::explain::{Step, Trace};
 
@@ -207,14 +207,6 @@ impl Resolver {
         }
         (records, unresolved)
     }
-}
-
-/// Convenience used by tests and examples: the Direct Owner entry of a
-/// block, if any.
-pub fn direct_owner_entry(entries: &[DelegationEntry]) -> Option<&DelegationEntry> {
-    entries
-        .iter()
-        .find(|e| e.ownership_level() == OwnershipLevel::DirectOwner)
 }
 
 #[cfg(test)]

@@ -89,12 +89,6 @@ impl<K: RadixKey, V> RadixTree<K, V> {
         self.len == 0
     }
 
-    /// Number of arena nodes, including glue nodes. Exposed for tests and
-    /// capacity diagnostics.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     fn alloc(&mut self, prefix: K, value: Option<V>) -> NodeId {
         let id = self.nodes.len() as NodeId;
         self.nodes.push(Node {

@@ -102,7 +102,7 @@ pub use p2o_obs::catalogue::ENDPOINTS;
 
 /// Index into [`ENDPOINTS`] for a request path.
 fn classify(path: &str) -> usize {
-    let name = if path.starts_with("/prefix") {
+    let name = if path == "/prefix" || path.starts_with("/prefix/") {
         "prefix"
     } else {
         match path {
@@ -1195,14 +1195,13 @@ fn percent_decode<'o>(s: &str, out: &'o mut Vec<u8>) -> Cow<'o, str> {
     let bytes = s.as_bytes();
     out.clear();
     let mut i = 0;
+    // Only two ASCII hex digits make an escape: `u8::from_str_radix`
+    // would also take a sign, decoding `%+F` to 0x0F.
+    let hex = |b: u8| (b as char).to_digit(16);
     while i < bytes.len() {
         if bytes[i] == b'%' && i + 2 < bytes.len() {
-            let hex = [bytes[i + 1], bytes[i + 2]];
-            if let Some(b) = std::str::from_utf8(&hex)
-                .ok()
-                .and_then(|h| u8::from_str_radix(h, 16).ok())
-            {
-                out.push(b);
+            if let (Some(hi), Some(lo)) = (hex(bytes[i + 1]), hex(bytes[i + 2])) {
+                out.push((hi << 4 | lo) as u8);
                 i += 3;
                 continue;
             }
@@ -1638,6 +1637,61 @@ mod tests {
             );
             assert_eq!(state.metrics.lookup_ns.count() - samples, lines as u64);
         }
+    }
+
+    /// Requests `respond` has counted under the endpoint `name`.
+    fn counted(state: &ServerState, name: &str) -> u64 {
+        let idx = ENDPOINTS.iter().position(|&e| e == name).expect("known");
+        state.metrics.endpoints[idx].requests.get()
+    }
+
+    #[test]
+    fn only_prefix_routes_count_under_the_prefix_endpoint() {
+        let state = tiny_state();
+        let mut buffers = Buffers::default();
+        for (target, status, endpoint) in [
+            ("/prefixes", "404", "other"),
+            ("/prefix/10.0.0.0%2f8", "404", "prefix"),
+            ("/prefix", "400", "prefix"),
+        ] {
+            let counts = || (counted(&state, "prefix"), counted(&state, "other"));
+            let before = counts();
+            let sent = answer(
+                &state,
+                &mut buffers,
+                format!("GET {target} HTTP/1.1\r\n\r\n").as_bytes(),
+            );
+            let status_line = format!("HTTP/1.1 {status} ");
+            assert!(sent.starts_with(status_line.as_bytes()), "{target}");
+            let after = counts();
+            let want = if endpoint == "prefix" { (1, 0) } else { (0, 1) };
+            assert_eq!((after.0 - before.0, after.1 - before.1), want, "{target}");
+        }
+    }
+
+    #[test]
+    fn percent_decode_takes_only_two_hex_digits() {
+        let mut out = Vec::new();
+        for (raw, want) in [
+            ("10.0.0.0%2f8", "10.0.0.0/8"),
+            ("10.0.0.0%2F8", "10.0.0.0/8"),
+            ("10.0.0.0%+F24", "10.0.0.0%+F24"),
+            ("10.0.0.0%zz8", "10.0.0.0%zz8"),
+            ("10.0.0.0%2", "10.0.0.0%2"),
+            ("10.0.0.0%", "10.0.0.0%"),
+        ] {
+            assert_eq!(percent_decode(raw, &mut out), want, "{raw}");
+        }
+        // The 400 quotes what the client sent, not a decoded control byte.
+        let state = tiny_state();
+        let sent = answer(
+            &state,
+            &mut Buffers::default(),
+            b"GET /prefix/10.0.0.0%+F24 HTTP/1.1\r\n\r\n",
+        );
+        assert!(sent.starts_with(b"HTTP/1.1 400 "));
+        let body = body_of(&sent);
+        assert!(body.contains("10.0.0.0%+F24"), "{body}");
     }
 
     #[test]

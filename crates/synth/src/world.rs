@@ -195,11 +195,13 @@ impl World {
         }
         db.fill_jpnic_alloc(|p| self.jpnic_alloc.get(p).copied());
         let (tree, whois_stats) = db.build();
-        let routes = match obs {
-            Some(o) => RouteTable::from_mrt_instrumented(self.mrt.clone(), o),
-            None => RouteTable::from_mrt(self.mrt.clone()),
-        }
-        .expect("generated MRT parses");
+        let lenient = RouteTable::from_mrt_lenient(self.mrt.clone(), obs, 1);
+        assert!(
+            lenient.quarantined.is_empty(),
+            "generated MRT parses: {:?}",
+            lenient.quarantined
+        );
+        let routes = lenient.table;
         let clusters = self.as2org.cluster();
         let (rpki, rpki_problems) = self.rpki.validate(self.config.snapshot_date);
         BuiltInputs {

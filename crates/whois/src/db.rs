@@ -7,7 +7,7 @@ use p2o_radix::PrefixMap;
 use p2o_util::{Interner, Symbol};
 
 use crate::alloc::{AllocationType, OwnershipLevel};
-use crate::record::{OrgObject, OrgRef, RawWhoisRecord};
+use crate::record::{OrgRef, RawWhoisRecord};
 use crate::registry::{Nir, Registry, Rir};
 
 /// One resolved delegation on a prefix: the holder organization, the
@@ -316,11 +316,6 @@ impl WhoisDb {
     /// Registers an `organisation` object for handle resolution.
     pub fn add_org(&mut self, handle: &str, name: &str) {
         self.orgs.insert(handle.to_string(), name.to_string());
-    }
-
-    /// Adds an organisation object.
-    pub fn add_org_object(&mut self, org: OrgObject) {
-        self.orgs.insert(org.handle, org.name);
     }
 
     /// Number of raw records ingested so far.

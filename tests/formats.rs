@@ -140,38 +140,3 @@ fn dataset_jsonl_is_one_valid_object_per_line() {
         }
     }
 }
-
-#[test]
-fn collector_replay_reconstructs_the_rib_view() {
-    // Replay the world's RIB as a live UPDATE stream through the collector:
-    // the resulting table must match the MRT-derived one.
-    use p2o_bgp::attrs::{AsPath, PathAttributes};
-    use p2o_bgp::collector::Collector;
-    use p2o_bgp::UpdateMessage;
-
-    let world = World::generate(WorldConfig::tiny(0xC0FE));
-    let from_mrt = p2o_bgp::RouteTable::from_mrt(world.mrt.clone()).unwrap();
-
-    let mut collector = Collector::new();
-    let mut stream = Vec::new();
-    for (prefix, origins) in from_mrt.iter() {
-        for &origin in origins {
-            let msg = UpdateMessage::announce(
-                vec![*prefix],
-                PathAttributes::ebgp(AsPath::sequence(vec![3356, origin]), 0x0A000001),
-            );
-            stream.extend_from_slice(&msg.encode());
-        }
-    }
-    // Feed in awkward chunk sizes to exercise reassembly.
-    for chunk in stream.chunks(97) {
-        collector.feed(chunk);
-    }
-    assert_eq!(collector.errors(), 0);
-    assert_eq!(collector.pending_bytes(), 0);
-    let live = collector.into_table();
-    assert_eq!(live.len(), from_mrt.len());
-    for (prefix, origins) in from_mrt.iter() {
-        assert_eq!(live.origins(prefix), Some(origins), "{prefix}");
-    }
-}
