@@ -314,7 +314,7 @@ mod tests {
 
         let digest = |strict, samples, exceptions| {
             inputs_digest(
-                crate::store::scan_integrity(&vfs, &dir)
+                crate::store::scan_integrity(&vfs, &dir, None)
                     .unwrap()
                     .files_digest,
                 strict,
@@ -325,7 +325,7 @@ mod tests {
         // The chain itself is pinned: every `.ckpt` stamp and every
         // `world.p2ob` META digest already on disk was computed with it,
         // so a change here would mark them all stale.
-        let files = crate::store::scan_integrity(&vfs, &dir)
+        let files = crate::store::scan_integrity(&vfs, &dir, None)
             .unwrap()
             .files_digest;
         assert_eq!(inputs_digest(files, false, 8, None), 0x3AB0_B0D6_F859_8603);

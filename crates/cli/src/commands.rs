@@ -355,7 +355,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     // the checkpoint digest chains this invocation's options onto the
     // files digest, the frozen artifact's digest the default options.
     let timer = stage("util.digest");
-    let scan = store::scan_integrity(&vfs, dir)?;
+    let scan = store::scan_integrity(&vfs, dir, None)?;
     drop(timer);
     let exceptions_bytes = exceptions_text.as_deref().map(str::as_bytes);
     let inputs_digest = checkpoint::inputs_digest(
@@ -1142,12 +1142,14 @@ impl TrigramIndex {
 /// directory's `world.p2ob` attached when its stamped inputs digest is
 /// current, and otherwise a full load on `threads` threads frozen in
 /// memory. An error refuses the directory: `serve` exits 2 at boot and
-/// answers 503 on `/reload`, `explain` exits 2.
+/// answers 503 on `/reload`, `explain` exits 2. The snapshot records how
+/// long the load took and how much of it was the integrity pass.
 fn load_snapshot(
     dir: &Path,
     exceptions_path: Option<&Path>,
     threads: usize,
 ) -> Result<p2o_serve::Snapshot, String> {
+    let started = std::time::Instant::now();
     let vfs = Vfs::from_env()?;
     let report = fsck::audit(&vfs, dir)?;
     if !report.findings.is_empty() {
@@ -1194,17 +1196,25 @@ fn load_snapshot(
     // an artifact built with different (or no) rules reads as stale. A missing or stale artifact costs a full
     // load, frozen in memory by the same verified freeze `build` runs —
     // the answers are identical either way, only the boot time differs.
+    let integrity = report.integrity;
+    let timed = |mut snapshot: p2o_serve::Snapshot| {
+        snapshot.timing = p2o_serve::LoadTiming {
+            load: started.elapsed(),
+            integrity,
+        };
+        snapshot
+    };
     if let (Some(frozen), Some(files_digest)) = (report.frozen, report.files_digest) {
         let current = checkpoint::canonical_inputs_digest(
             files_digest,
             exceptions_text.as_deref().map(str::as_bytes),
         );
         if frozen.inputs_digest() == current {
-            return Ok(p2o_serve::Snapshot::from_frozen(
+            return Ok(timed(p2o_serve::Snapshot::from_frozen(
                 dir.to_path_buf(),
                 0,
                 frozen,
-            ));
+            )));
         }
         eprintln!(
             "warning: {}: frozen artifact is stale (inputs changed since it was \
@@ -1227,6 +1237,7 @@ fn load_snapshot(
         &exceptions,
         threads,
     )
+    .map(timed)
 }
 
 /// `serve`: the long-running lookup service over a built artifact
@@ -1269,7 +1280,7 @@ pub fn serve(args: &Parsed) -> Result<(), CliError> {
     // integrity error (exit 2), matching `fsck`.
     let initial = loader(dir).map_err(CliError::Integrity)?;
     eprintln!(
-        "loaded {} ({} prefixes, snapshot {}{}{})",
+        "loaded {} ({} prefixes, snapshot {}{}{}) in {} ms",
         dir.display(),
         initial.len(),
         initial.digest,
@@ -1281,7 +1292,8 @@ pub fn serve(args: &Parsed) -> Result<(), CliError> {
         match initial.exception_count() {
             0 => String::new(),
             n => format!(", {n} exception override(s)"),
-        }
+        },
+        initial.timing.load.as_millis()
     );
     let config = p2o_serve::ServerConfig {
         addr,

@@ -16,7 +16,9 @@
 //!    the full [`prefix2org::FrozenDataset`] payload audit (arena layout,
 //!    format_version gate, string/LPM table invariants, per-record bounds).
 //!    The frame is the artifact's one integrity record: a `MANIFEST.tsv`
-//!    row an older build wrote for it is not checked;
+//!    row an older build wrote for it is not checked. The directory's own
+//!    `world.p2ob` is read and its header checked before the scan, and its
+//!    payload is hashed in the scan's pass, beside the inputs;
 //! 5. **Format version** — `meta.tsv` must pass the gate `build` applies
 //!    ([`store::parse_meta`]): a supported `format_version` and a
 //!    parseable `snapshot_date`;
@@ -28,6 +30,7 @@
 //! reported as a note, not damage.
 
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use p2o_util::atomic;
 use p2o_util::manifest::MANIFEST_FILE;
@@ -35,6 +38,9 @@ use p2o_util::vfs::Vfs;
 use p2o_util::Digest;
 
 use crate::store;
+
+#[cfg(test)]
+mod reference;
 
 /// What an audit found.
 #[derive(Default)]
@@ -51,6 +57,8 @@ pub struct FsckReport {
     /// The files digest of the inputs as the audit read them (`None` on a
     /// read failure, which is a finding).
     pub files_digest: Option<Digest>,
+    /// How long the integrity pass ([`store::scan_integrity`]) took.
+    pub integrity: Duration,
 }
 
 /// Whether `path` is a run file an older binary's `build --spill` wrote
@@ -86,6 +94,20 @@ pub fn audit(vfs: &Vfs, dir: &Path) -> Result<FsckReport, String> {
 
     let mut files = Vec::new();
     walk(dir, &mut files);
+    // The directory's own artifact is read, and its frame header checked,
+    // before the pass, which hashes its payload beside the inputs.
+    let artifact_path = dir.join(prefix2org::FROZEN_FILE);
+    let mut artifact = files
+        .contains(&artifact_path)
+        .then(|| atomic::read_frame(vfs, &artifact_path));
+    let payload = artifact
+        .as_ref()
+        .and_then(|read| read.as_ref().ok())
+        .map(atomic::UncheckedFrame::payload);
+    let started = Instant::now();
+    let scan = store::scan_integrity(vfs, dir, payload);
+    report.integrity = started.elapsed();
+
     for path in &files {
         if atomic::is_tmp_path(path) {
             report.findings.push(format!(
@@ -106,7 +128,17 @@ pub fn audit(vfs: &Vfs, dir: &Path) -> Result<FsckReport, String> {
                 report.verified += 1;
             }
         } else if path.extension().is_some_and(|x| x == "p2ob") {
-            match atomic::read_framed(vfs, path) {
+            let framed = match artifact.take_if(|_| *path == artifact_path) {
+                None => atomic::read_framed(vfs, path),
+                Some(read) => read.and_then(|frame| {
+                    let digest = match &scan {
+                        Ok(scan) => scan.artifact_digest.expect("the artifact was scanned"),
+                        Err(_) => p2o_util::fnv1a_64(frame.payload()),
+                    };
+                    frame.check(digest)
+                }),
+            };
+            match framed {
                 Err(e) => report
                     .findings
                     .push(format!("{}: frozen dataset frame damaged: {e}", rel(path))),
@@ -116,7 +148,7 @@ pub fn audit(vfs: &Vfs, dir: &Path) -> Result<FsckReport, String> {
                         .push(format!("{}: frozen dataset invalid: {e}", rel(path))),
                     Ok(frozen) => {
                         report.verified += 1;
-                        if *path == dir.join(prefix2org::FROZEN_FILE) {
+                        if *path == artifact_path {
                             report.frozen = Some(frozen);
                         }
                     }
@@ -160,7 +192,7 @@ pub fn audit(vfs: &Vfs, dir: &Path) -> Result<FsckReport, String> {
             .notes
             .push("no MANIFEST.tsv (pre-durability directory; nothing to verify)".to_string());
     }
-    match store::scan_integrity(vfs, dir) {
+    match scan {
         Err(e) => report.findings.push(e),
         Ok(scan) => {
             report.verified += scan.verified;
@@ -358,6 +390,155 @@ mod tests {
                 && all.contains("newer than this reader"),
             "{all}"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The tiny seed-9 world's frozen payload.
+    fn tiny_frozen_payload() -> Vec<u8> {
+        use p2o_synth::{World, WorldConfig};
+        use prefix2org::{Pipeline, PipelineInputs};
+
+        let world = World::generate(WorldConfig::tiny(9));
+        let built = world.build_inputs();
+        let inputs = PipelineInputs {
+            delegations: &built.tree,
+            routes: &built.routes,
+            asn_clusters: &built.clusters,
+            rpki: &built.rpki,
+        };
+        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
+        prefix2org::freeze(&inputs, &dataset, &edges, 7)
+    }
+
+    /// `len` bytes of a pattern `seed` picks.
+    fn pattern(len: usize, seed: u64) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| (i.wrapping_add(seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect()
+    }
+
+    /// On random directories, the lockstep pass yields the scan the
+    /// one-file-at-a-time reference yields, and the audit built on it the
+    /// reference audit's findings, in order, with the same notes, count,
+    /// files digest and kept artifact. The directories hold 0–40 inputs
+    /// of 0 B, 1 B, a lane buffer ± 1 B or a few bytes, sometimes one far
+    /// larger; manifest rows torn, rotted or missing, the leftover rows
+    /// among them; and an intact, digest-damaged, truncated or invalid
+    /// `world.p2ob`, sometimes beside a second artifact.
+    #[test]
+    fn the_lockstep_audit_finds_what_the_one_file_reference_finds() {
+        const FIXED: [&str; 7] = [
+            "meta.tsv",
+            "rib.mrt",
+            "as2org.tsv",
+            "siblings.tsv",
+            "jpnic_alloc.tsv",
+            "rpki.jsonl",
+            "truth/lists.tsv",
+        ];
+        let lane = store::LANE_BUFFER;
+        let frozen = tiny_frozen_payload();
+        let dir = tmp_dir("lockstep");
+        let vfs = Vfs::real();
+        p2o_util::check::run_cases(48, |g| {
+            let _ = fs::remove_dir_all(&dir);
+            for sub in ["whois", "delegated", "truth", "old"] {
+                fs::create_dir_all(dir.join(sub)).unwrap();
+            }
+            let mut written: Vec<(String, Vec<u8>)> = Vec::new();
+            let mut fixed = FIXED.iter();
+            let large = g.bool().then(|| g.below(41));
+            for k in 0..g.below(41) {
+                let rel = match (g.below(3), fixed.next()) {
+                    (0, Some(name)) => name.to_string(),
+                    (1, _) => format!("whois/R{k}.txt"),
+                    _ => format!("delegated/R{k}.txt"),
+                };
+                let len = match g.below(10) {
+                    _ if large == Some(k) => 4 * lane + g.below(lane),
+                    0 => 0,
+                    1 => 1,
+                    2 => lane - 1,
+                    3 => lane,
+                    4 => lane + 1,
+                    _ => g.range(2, 3000),
+                };
+                written.push((rel, pattern(len, g.u64())));
+            }
+            for rel in ["pfx2as.txt", "adversary.json"] {
+                if g.chance(0.7) {
+                    let len = *g.pick(&[0, 1, lane + 1, 700]);
+                    written.push((rel.to_string(), pattern(len, g.u64())));
+                }
+            }
+            let mut manifest = Manifest::new();
+            for (rel, bytes) in &written {
+                fs::write(dir.join(rel), bytes).unwrap();
+                if g.chance(0.8) {
+                    manifest.record(rel, bytes);
+                }
+            }
+            manifest.record("world.p2ob", b"a row an older build wrote");
+            if g.chance(0.9) {
+                manifest.save(&vfs, &dir).unwrap();
+            }
+            for (rel, bytes) in &written {
+                let path = dir.join(rel);
+                match g.below(12) {
+                    0 if !bytes.is_empty() => {
+                        fs::write(&path, &bytes[..g.below(bytes.len())]).unwrap()
+                    }
+                    1 if !bytes.is_empty() => {
+                        let mut rotted = bytes.clone();
+                        rotted[g.below(bytes.len())] ^= 0x20;
+                        fs::write(&path, rotted).unwrap();
+                    }
+                    2 => fs::remove_file(&path).unwrap(),
+                    _ => {}
+                }
+            }
+            let payload = match g.below(3) {
+                0 => frozen.clone(),
+                1 => pattern(lane + g.below(3) - 1, g.u64()),
+                _ => pattern(g.below(100), g.u64()),
+            };
+            let mut framed = atomic::frame(&payload);
+            match g.below(5) {
+                0 => {}
+                1 => {
+                    let at = atomic::FRAME_HEADER_LEN + g.below(payload.len().max(1));
+                    if at < framed.len() {
+                        framed[at] ^= 0x40;
+                    }
+                }
+                2 => framed.truncate(g.below(framed.len())),
+                3 => framed.extend_from_slice(b"tail"),
+                _ => framed.clear(),
+            }
+            if !framed.is_empty() {
+                fs::write(dir.join("world.p2ob"), &framed).unwrap();
+            }
+            if g.chance(0.2) {
+                fs::write(dir.join("old/copy.p2ob"), atomic::frame(&frozen)).unwrap();
+            }
+
+            let scan = store::scan_integrity(&vfs, &dir, None)
+                .map(|s| (s.files_digest, s.torn, s.verified, s.artifact_digest));
+            let want = reference::scan_integrity(&vfs, &dir)
+                .map(|s| (s.files_digest, s.torn, s.verified, None));
+            assert_eq!(scan, want);
+
+            let got = audit(&vfs, &dir).unwrap();
+            let want = reference::audit(&vfs, &dir).unwrap();
+            assert_eq!(got.findings, want.findings);
+            assert_eq!(got.notes, want.notes);
+            assert_eq!(got.verified, want.verified);
+            assert_eq!(got.files_digest, want.files_digest);
+            assert_eq!(
+                got.frozen.as_ref().map(|f| f.payload()),
+                want.frozen.as_ref().map(|f| f.payload())
+            );
+        });
         let _ = fs::remove_dir_all(&dir);
     }
 

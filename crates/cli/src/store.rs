@@ -16,19 +16,23 @@
 //!   meta.tsv               key, value (snapshot date, seed)
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io::Read;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use p2o_bgp::RouteTable;
 use p2o_net::Prefix;
 use p2o_synth::World;
+use p2o_util::digest::NamedContent;
 use p2o_util::ingest::{IngestError, Quarantine, QuarantinedRecord};
 use p2o_util::manifest::{Manifest, ManifestEntry, VerifyIssue};
 use p2o_util::vfs::Vfs;
 use p2o_util::{atomic, tsv, Digest};
 use p2o_whois::alloc::AllocationType;
 use p2o_whois::{DelegationTree, Registry, Rir, WhoisDb};
+use prefix2org::FROZEN_FILE;
 
 use crate::checkpoint;
 
@@ -197,6 +201,7 @@ pub fn parse_meta(text: &str) -> Result<u32, String> {
 }
 
 /// What the integrity scan of a data directory found.
+#[derive(Debug)]
 pub struct IntegrityScan {
     /// Digest over every input file, relative path plus content, in
     /// [`checkpoint::input_files`] order: the part of every inputs digest
@@ -206,6 +211,8 @@ pub struct IntegrityScan {
     pub torn: Vec<(String, VerifyIssue)>,
     /// `MANIFEST.tsv` rows whose file matched.
     pub verified: u64,
+    /// FNV-1a of the artifact payload the scan was handed, if any.
+    pub artifact_digest: Option<u64>,
 }
 
 /// `path` relative to `dir`, with `/` separators: how `MANIFEST.tsv`, the
@@ -215,49 +222,322 @@ pub fn relpath(dir: &Path, path: &Path) -> String {
     rel.to_string_lossy().replace('\\', "/")
 }
 
-/// The one integrity read of a data directory. Each input file is read
-/// once, in [`checkpoint::input_files`] order, and hashed once: one loop
-/// over its bytes advances both the files digest and the digest checked
-/// against its `MANIFEST.tsv` row; the rows left over
-/// (`pfx2as.txt`, `adversary.json`) are checked after. Rows for framed
-/// files (`world.p2ob`, `.ckpt` stamps) are left to the frame check.
-/// Fails on an unreadable manifest or input file.
-pub fn scan_integrity(vfs: &Vfs, dir: &Path) -> Result<IntegrityScan, String> {
-    let manifest = Manifest::load(vfs, dir)
-        .map_err(|e| format!("manifest unreadable: {e}"))?
-        .unwrap_or_default();
-    let mut rows: BTreeMap<&str, ManifestEntry> = manifest
-        .iter()
-        .filter(|(rel, _)| !rel.ends_with(".p2ob") && !rel.ends_with(".ckpt"))
-        .collect();
-    let mut files_digest = Digest::of_bytes(b"p2o-build-inputs-v1");
-    let mut checked = BTreeMap::new();
-    for path in checkpoint::input_files(dir) {
-        let rel = relpath(dir, &path);
-        let content = vfs.read(&path).map_err(|e| io_err("reading", &path, e))?;
-        let (part, digest) = Digest::of_named_content(rel.as_bytes(), &content);
-        files_digest = files_digest.chain(part);
-        if let Some(entry) = rows.remove(rel.as_str()) {
-            let found = ManifestEntry {
-                bytes: content.len() as u64,
-                digest,
-            };
-            checked.insert(rel, entry.compare(found));
+/// The one integrity read of a data directory: one streamed pass over
+/// every input file, in [`checkpoint::input_files`] order, each hashed
+/// for the files digest and for its `MANIFEST.tsv` row; the rows left over
+/// (`pfx2as.txt`, `adversary.json`), each hashed for its row; and
+/// `artifact`, a frame payload the caller read, hashed for its frame
+/// digest. Rows for framed files (`world.p2ob`, `.ckpt` stamps) are left
+/// to the frame check. Fails on an unreadable manifest or input file, and
+/// on a file whose length changes while it is read.
+pub fn scan_integrity(
+    vfs: &Vfs,
+    dir: &Path,
+    artifact: Option<&[u8]>,
+) -> Result<IntegrityScan, String> {
+    Scan::open(vfs, dir, artifact)?.finish()
+}
+
+/// Bytes each lane of the integrity pass reads from a file at a time.
+pub(crate) const LANE_BUFFER: usize = 256 * 1024;
+
+/// What a source of the integrity pass is hashed for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// An input file: the files digest and its manifest row.
+    Input,
+    /// A manifest row no input file checks.
+    Row,
+    /// The artifact payload: its frame digest.
+    Artifact,
+}
+
+/// An integrity scan whose sources are open, each with the length its
+/// digest frames fixed from the opened file; [`finish`](Self::finish)
+/// streams them. A source's outcome is folded in the order of `sources`:
+/// the inputs, the rows left over, then the artifact.
+struct Scan<'a> {
+    /// The `MANIFEST.tsv` rows to check, by relative path.
+    rows: BTreeMap<String, ManifestEntry>,
+    /// Every source's relative path, path on disk and role, in fold order.
+    sources: Vec<(String, PathBuf, Role)>,
+    /// The sources that opened.
+    streams: Vec<Stream<'a>>,
+    /// Each source's outcome by fold index; one that failed to open has
+    /// it already.
+    outcomes: Vec<Option<Outcome>>,
+}
+
+/// A source's named digest and its identity, or why it has none.
+type Outcome = Result<(Digest, ManifestEntry), Unread>;
+
+/// Why a source of the integrity pass yielded no digest.
+#[derive(Debug)]
+enum Unread {
+    /// Opening or reading it failed.
+    Io(std::io::Error),
+    /// It ended after `got` of the `len` bytes it held when opened.
+    Shrank { len: u64, got: u64 },
+    /// It ran past the `len` bytes it held when opened.
+    Grew { len: u64 },
+}
+
+impl Unread {
+    /// The scan's error for source `path`.
+    fn describe(self, path: &Path) -> String {
+        match self {
+            Unread::Io(e) => io_err("reading", path, e),
+            Unread::Shrank { len, got } => format!(
+                "reading {}: the file ended after {got} of the {len} bytes it held when opened",
+                path.display()
+            ),
+            Unread::Grew { len } => format!(
+                "reading {}: the file ran past the {len} bytes it held when opened",
+                path.display()
+            ),
         }
     }
-    for rel in rows.into_keys() {
-        checked.insert(rel.to_string(), manifest.verify_file(vfs, dir, rel));
+}
+
+/// Where a source's bytes come from.
+enum Body<'a> {
+    /// A file, read in pieces.
+    File(std::fs::File),
+    /// Bytes already in memory, hashed in place; `taken` once handed out.
+    Memory { data: &'a [u8], taken: bool },
+}
+
+/// One open source and its digests so far.
+struct Stream<'a> {
+    /// The source's fold index.
+    idx: usize,
+    body: Body<'a>,
+    hash: NamedContent,
+}
+
+impl Stream<'_> {
+    /// The source's next bytes: a range of `buf` for a file, of the data
+    /// for a memory body; `None` at its end.
+    fn refill(&mut self, buf: &mut [u8]) -> Result<Option<Range<usize>>, Unread> {
+        let n = match &mut self.body {
+            Body::Memory { data, taken } => {
+                let n = if *taken { 0 } else { data.len() };
+                *taken = true;
+                n
+            }
+            Body::File(file) => loop {
+                match file.read(buf) {
+                    Ok(n) => break n,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(Unread::Io(e)),
+                }
+            },
+        };
+        let len = self.hash.declared_len();
+        if self.hash.fed() + n as u64 > len {
+            return Err(Unread::Grew { len });
+        }
+        Ok((n > 0).then_some(0..n))
     }
-    let verified = checked.values().filter(|issue| issue.is_none()).count() as u64;
-    let torn = checked
-        .into_iter()
-        .filter_map(|(rel, issue)| Some((rel, issue?)))
-        .collect();
-    Ok(IntegrityScan {
-        files_digest,
-        torn,
-        verified,
-    })
+
+    /// The digests of a source read to its end.
+    fn finish(self) -> Outcome {
+        let (len, got) = (self.hash.declared_len(), self.hash.fed());
+        let (named, digest) = self.hash.finish().ok_or(Unread::Shrank { len, got })?;
+        Ok((named, ManifestEntry { bytes: len, digest }))
+    }
+}
+
+/// One lane of the integrity pass: the streams dealt to it, read in turn
+/// through its one buffer.
+struct Lane<'a> {
+    streams: VecDeque<Stream<'a>>,
+    buf: Vec<u8>,
+    /// The front stream's bytes read but not yet hashed.
+    window: Range<usize>,
+}
+
+impl Lane<'_> {
+    /// Reads until the front stream has bytes to hash, finishing into
+    /// `outcomes` each stream that ends first; `false` once the lane has
+    /// none left.
+    fn ready(&mut self, outcomes: &mut [Option<Outcome>]) -> bool {
+        while self.window.is_empty() {
+            let Some(stream) = self.streams.front_mut() else {
+                return false;
+            };
+            match stream.refill(&mut self.buf) {
+                Ok(Some(window)) => self.window = window,
+                end => {
+                    let stream = self.streams.pop_front().expect("the front stream");
+                    let idx = stream.idx;
+                    outcomes[idx] = Some(end.and_then(|_| stream.finish()));
+                }
+            }
+        }
+        true
+    }
+
+    /// The front stream's bytes to hash, and its digests.
+    fn pending(&mut self) -> (&[u8], &mut NamedContent) {
+        let stream = self.streams.front_mut().expect("a ready lane's stream");
+        let bytes = match stream.body {
+            Body::File(_) => &self.buf[self.window.clone()],
+            Body::Memory { data, .. } => &data[self.window.clone()],
+        };
+        (bytes, &mut stream.hash)
+    }
+
+    /// Hashes the whole window alone, once the other lane is done.
+    fn hash_alone(&mut self) {
+        let (bytes, hash) = self.pending();
+        hash.update(bytes);
+        self.window.start = self.window.end;
+    }
+}
+
+impl<'a> Scan<'a> {
+    /// Reads the manifest and opens every source, fixing each one's
+    /// length from the opened file.
+    fn open(vfs: &Vfs, dir: &Path, artifact: Option<&'a [u8]>) -> Result<Scan<'a>, String> {
+        let manifest = Manifest::load(vfs, dir)
+            .map_err(|e| format!("manifest unreadable: {e}"))?
+            .unwrap_or_default();
+        let rows: BTreeMap<String, ManifestEntry> = manifest
+            .iter()
+            .filter(|(rel, _)| !rel.ends_with(".p2ob") && !rel.ends_with(".ckpt"))
+            .map(|(rel, entry)| (rel.to_string(), entry))
+            .collect();
+        let mut sources: Vec<(String, PathBuf, Role)> = checkpoint::input_files(dir)
+            .into_iter()
+            .map(|path| (relpath(dir, &path), path, Role::Input))
+            .collect();
+        let left_over: Vec<String> = rows
+            .keys()
+            .filter(|rel| !sources.iter().any(|(input, ..)| input == *rel))
+            .cloned()
+            .collect();
+        sources.extend(
+            left_over
+                .into_iter()
+                .map(|rel| (rel.clone(), dir.join(&rel), Role::Row)),
+        );
+        let mut streams = Vec::with_capacity(sources.len() + 1);
+        let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(sources.len() + 1);
+        for (idx, (rel, path, _)) in sources.iter().enumerate() {
+            let opened = vfs
+                .open(path)
+                .and_then(|file| Ok((file.metadata()?.len(), file)));
+            outcomes.push(match opened {
+                Ok((len, file)) => {
+                    streams.push(Stream {
+                        idx,
+                        body: Body::File(file),
+                        hash: NamedContent::new(rel.as_bytes(), len),
+                    });
+                    None
+                }
+                Err(e) => Some(Err(Unread::Io(e))),
+            });
+        }
+        if let Some(data) = artifact {
+            streams.push(Stream {
+                idx: sources.len(),
+                body: Body::Memory { data, taken: false },
+                hash: NamedContent::new(b"", data.len() as u64),
+            });
+            outcomes.push(None);
+            sources.push((
+                FROZEN_FILE.to_string(),
+                dir.join(FROZEN_FILE),
+                Role::Artifact,
+            ));
+        }
+        Ok(Scan {
+            rows,
+            sources,
+            streams,
+            outcomes,
+        })
+    }
+
+    /// Streams every open source, two at each step, and folds the
+    /// outcomes in order. The sources are dealt largest first to the
+    /// lane with fewer bytes; while both lanes have bytes, one loop step
+    /// hashes a byte of each ([`NamedContent::update_lockstep`]).
+    fn finish(self) -> Result<IntegrityScan, String> {
+        let Scan {
+            mut rows,
+            sources,
+            mut streams,
+            mut outcomes,
+        } = self;
+        streams.sort_by_key(|stream| std::cmp::Reverse(stream.hash.declared_len()));
+        let mut lanes = [0, 1].map(|_| Lane {
+            streams: VecDeque::new(),
+            buf: vec![0; LANE_BUFFER],
+            window: 0..0,
+        });
+        let mut load = [0u64; 2];
+        for stream in streams {
+            let lighter = usize::from(load[1] < load[0]);
+            load[lighter] += stream.hash.declared_len();
+            lanes[lighter].streams.push_back(stream);
+        }
+        let [a, b] = &mut lanes;
+        loop {
+            match (a.ready(&mut outcomes), b.ready(&mut outcomes)) {
+                (true, true) => {
+                    let ((x, x_hash), (y, y_hash)) = (a.pending(), b.pending());
+                    let n = x.len().min(y.len());
+                    NamedContent::update_lockstep([x_hash, y_hash], [&x[..n], &y[..n]]);
+                    a.window.start += n;
+                    b.window.start += n;
+                }
+                (true, false) => a.hash_alone(),
+                (false, true) => b.hash_alone(),
+                (false, false) => break,
+            }
+        }
+
+        let mut files_digest = Digest::of_bytes(b"p2o-build-inputs-v1");
+        let mut checked = BTreeMap::new();
+        let mut artifact_digest = None;
+        for ((rel, path, role), outcome) in sources.into_iter().zip(outcomes) {
+            let outcome = outcome.expect("every source is read to its end");
+            match role {
+                Role::Input => {
+                    let (part, found) = outcome.map_err(|e| e.describe(&path))?;
+                    files_digest = files_digest.chain(part);
+                    if let Some(entry) = rows.remove(&rel) {
+                        checked.insert(rel, entry.compare(found));
+                    }
+                }
+                Role::Row => {
+                    let issue = match outcome {
+                        Ok((_, found)) => rows[&rel].compare(found),
+                        Err(Unread::Io(_)) => Some(VerifyIssue::Missing),
+                        Err(changed) => return Err(changed.describe(&path)),
+                    };
+                    checked.insert(rel, issue);
+                }
+                Role::Artifact => {
+                    artifact_digest = Some(outcome.map_err(|e| e.describe(&path))?.1.digest);
+                }
+            }
+        }
+        let verified = checked.values().filter(|issue| issue.is_none()).count() as u64;
+        let torn = checked
+            .into_iter()
+            .filter_map(|(rel, issue)| Some((rel, issue?)))
+            .collect();
+        Ok(IntegrityScan {
+            files_digest,
+            torn,
+            verified,
+            artifact_digest,
+        })
+    }
 }
 
 /// One ground-truth list loaded from disk.
@@ -568,6 +848,7 @@ pub fn load_inputs(
 mod tests {
     use super::*;
     use std::fs;
+    use std::io::Write;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("p2o-store-{}-{name}", std::process::id()));
@@ -586,6 +867,57 @@ mod tests {
             d = d.chain(Digest::of_parts([rel.as_bytes(), content.as_slice()]));
         }
         d
+    }
+
+    /// A file whose length changes between the open that fixed its length
+    /// frame and the end of its read fails the scan with an error naming
+    /// it: an input or a leftover row, cut short or grown, across a lane
+    /// buffer boundary or not.
+    #[test]
+    fn a_file_that_changes_length_while_scanned_fails_naming_it() {
+        let dir = tmp_dir("changed");
+        let vfs = Vfs::real();
+        fs::create_dir_all(dir.join("whois")).unwrap();
+        let big = vec![b'x'; LANE_BUFFER + 10];
+        for (rel, content) in [
+            ("whois/ARIN.txt", &big[..]),
+            ("rpki.jsonl", &b"{}\n"[..]),
+            ("pfx2as.txt", &big[..]),
+        ] {
+            for cut in [Some(0), Some(LANE_BUFFER + 1), None] {
+                let mut manifest = Manifest::new();
+                for (other, bytes) in [("meta.tsv", &b"seed\t1\n"[..]), (rel, content)] {
+                    fs::write(dir.join(other), bytes).unwrap();
+                    manifest.record(other, bytes);
+                }
+                manifest.save(&vfs, &dir).unwrap();
+                let scan = Scan::open(&vfs, &dir, None).unwrap();
+                let path = dir.join(rel);
+                let file = fs::OpenOptions::new().append(true).open(&path).unwrap();
+                let cut = cut.map(|at| at.min(content.len() - 1));
+                match cut {
+                    Some(at) => file.set_len(at as u64).unwrap(),
+                    None => (&file).write_all(b"+").unwrap(),
+                }
+                let held = content.len();
+                let want = match cut {
+                    Some(at) => format!(
+                        "reading {}: the file ended after {at} of the {held} bytes it held when opened",
+                        path.display()
+                    ),
+                    None => format!(
+                        "reading {}: the file ran past the {held} bytes it held when opened",
+                        path.display()
+                    ),
+                };
+                assert_eq!(scan.finish().unwrap_err(), want, "{rel} {cut:?}");
+                // The unchanged file scans clean.
+                fs::write(&path, content).unwrap();
+                assert!(scan_integrity(&vfs, &dir, None).unwrap().torn.is_empty());
+                fs::remove_file(&path).unwrap();
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// One scan agrees with the separate digest pass and with
@@ -619,7 +951,7 @@ mod tests {
         manifest.record("world.p2ob", b"an older artifact");
 
         let check = |case: &str| {
-            let scan = scan_integrity(&vfs, &dir).unwrap();
+            let scan = scan_integrity(&vfs, &dir, None).unwrap();
             assert_eq!(
                 scan.files_digest,
                 files_digest_oracle(&vfs, &dir),

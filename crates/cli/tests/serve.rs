@@ -282,10 +282,27 @@ fn endpoint_surface_dump_metrics_health_and_reload() {
         Some("reset")
     );
 
+    // /status times the load the served snapshot came from: the whole
+    // load and, within it, the integrity pass.
+    let load_timing = |client: &mut HttpClient| {
+        let status = client.get("/status").expect("status");
+        let status = Json::parse(&status.text()).expect("status parses");
+        let snapshot = status.get("snapshot").expect("snapshot object");
+        let field = |name| snapshot.get(name).and_then(Json::as_f64);
+        let timing = (field("serial"), field("load_ms"), field("integrity_ms"));
+        let (_, Some(load), Some(integrity)) = timing else {
+            panic!("/status lacks the load timing: {snapshot:?}");
+        };
+        assert!(0.0 < integrity && integrity <= load, "{snapshot:?}");
+        timing
+    };
+    assert_eq!(load_timing(&mut client).0, Some(0.0));
+
     // /reload (same dir) swaps to serial 1 with an identical digest, and
     // the delta from serial 0 is then empty.
     let reload = client.post("/reload", b"").expect("reload");
     assert_eq!(reload.status, 200, "{}", reload.text());
+    assert_eq!(load_timing(&mut client).0, Some(1.0));
     let reload_json = Json::parse(&reload.text()).expect("reload parses");
     assert_eq!(reload_json.get("serial").and_then(|s| s.as_u64()), Some(1));
     assert_eq!(
@@ -546,7 +563,8 @@ fn resume_rebuilds_an_artifact_of_an_older_format() {
 }
 
 /// A built directory passes `fsck`, boots from the frozen artifact
-/// (`/health` reports `frozen: true`, the boot line ends `, frozen)`, and
+/// (`/health` reports `frozen: true`, the boot line ends `, frozen) in N
+/// ms`, and
 /// the first `/health` answers within 2 s of spawn), and answers
 /// byte-identically to `explain`. A twin
 /// directory without the artifact freezes the same world in memory to the
@@ -603,9 +621,13 @@ fn frozen_boot_serves_identically_and_stale_artifact_falls_back() {
             .map(String::from)
             .expect("boot line on stderr");
         let _ = std::fs::remove_file(&log);
+        let load_ms = boot_line
+            .rsplit_once(", frozen) in ")
+            .and_then(|(_, rest)| rest.strip_suffix(" ms"))
+            .and_then(|ms| ms.parse::<u64>().ok());
         assert!(
-            boot_line.ends_with(", frozen)"),
-            "boot line must say frozen: {boot_line:?}"
+            load_ms.is_some(),
+            "boot line must say frozen and the load time: {boot_line:?}"
         );
         let health = Json::parse(&first.text()).expect("parses");
         assert_eq!(

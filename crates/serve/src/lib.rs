@@ -48,4 +48,4 @@ pub use access::AccessLog;
 pub use client::{HttpClient, HttpResponse};
 pub use http::{Request, RequestParser};
 pub use server::{spawn, ServerConfig, ServerHandle, SnapshotLoader, ENDPOINTS};
-pub use snapshot::{Answer, Snapshot, SnapshotCell, SnapshotReader};
+pub use snapshot::{Answer, LoadTiming, Snapshot, SnapshotCell, SnapshotReader};

@@ -872,6 +872,10 @@ fn route<'s>(
         ("POST", "/quit") => {
             return quit(state, out);
         }
+        ("GET", "/prefix") | ("GET", "/prefix/") => {
+            write_error(out, format_args!("usage: GET /prefix/<cidr>"));
+            (400, "application/json")
+        }
         ("GET", p) if p.starts_with("/prefix/") => {
             lookup_one(state, snap, cidr.unwrap_or_default(), out)
         }
@@ -886,10 +890,6 @@ fn route<'s>(
             (200, "text/plain; version=0.0.4")
         }
         ("POST", "/reload") => reload(state, request.body, out),
-        ("GET", "/prefix") | ("GET", "/prefix/") => {
-            write_error(out, format_args!("usage: GET /prefix/<cidr>"));
-            (400, "application/json")
-        }
         _ if known_path(path) && !method_matches(request.method, path) => {
             let method = request.method;
             write_error(out, format_args!("method {method} not allowed on {path}"));
@@ -915,14 +915,14 @@ fn known_path(path: &str) -> bool {
             | "/debug/requests"
             | "/debug/trace"
             | "/quit"
+            | "/prefix"
     ) || path.starts_with("/prefix/")
 }
 
 fn method_matches(method: &str, path: &str) -> bool {
     match path {
-        "/health" | "/dump" | "/metrics" | "/status" | "/debug/requests" | "/debug/trace" => {
-            method == "GET"
-        }
+        "/health" | "/dump" | "/metrics" | "/status" | "/debug/requests" | "/debug/trace"
+        | "/prefix" => method == "GET",
         "/batch" | "/reload" | "/quit" => method == "POST",
         p => p.starts_with("/prefix/") && method == "GET",
     }
@@ -968,6 +968,11 @@ fn round3(v: f64) -> f64 {
     (v * 1000.0).round() / 1000.0
 }
 
+/// `d` in milliseconds, to the microsecond.
+fn millis(d: Duration) -> f64 {
+    round3(d.as_secs_f64() * 1000.0)
+}
+
 /// `GET /status`: the human/ops twin of `/metrics` — uptime, snapshot
 /// identity, per-endpoint windowed percentiles and rates, the connection
 /// gauge, and flight-recorder occupancy.
@@ -996,6 +1001,8 @@ fn status_page(
     snapshot.set("exceptions", snap.exception_count());
     snapshot.set("rov", rov_json(snap));
     snapshot.set("dir", snap.dir.display().to_string());
+    snapshot.set("load_ms", millis(snap.timing.load));
+    snapshot.set("integrity_ms", millis(snap.timing.integrity));
     o.set("snapshot", snapshot);
     let mut conns = Json::object();
     conns.set("active", state.active.load(Ordering::Relaxed) as u64);
@@ -1487,10 +1494,12 @@ fn render_delta_ops(old: &FrozenDataset, new: &FrozenDataset) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::LoadTiming;
     use p2o_synth::{World, WorldConfig};
     use std::collections::HashMap;
 
-    fn tiny_state() -> Arc<ServerState> {
+    /// The tiny seed-7 world, frozen in memory.
+    fn tiny_snapshot() -> Snapshot {
         let world = World::generate(WorldConfig::tiny(7));
         let built = world.build_inputs();
         let inputs = prefix2org::PipelineInputs {
@@ -1501,9 +1510,10 @@ mod tests {
         };
         let dir = PathBuf::from("seed-7");
         let exceptions = prefix2org::ExceptionSet::new();
-        let snapshot = Snapshot::freeze_in_memory(dir, 0, &inputs, &exceptions, 1)
-            .expect("fresh freeze verifies");
-        let loader: SnapshotLoader = Arc::new(|_: &Path| Err("no reload".to_string()));
+        Snapshot::freeze_in_memory(dir, 0, &inputs, &exceptions, 1).expect("fresh freeze verifies")
+    }
+
+    fn state_with(snapshot: Snapshot, loader: SnapshotLoader) -> Arc<ServerState> {
         let addr = "127.0.0.1:0".parse().expect("address");
         Arc::new(ServerState::new(
             ServerConfig::default(),
@@ -1511,6 +1521,11 @@ mod tests {
             loader,
             addr,
         ))
+    }
+
+    fn tiny_state() -> Arc<ServerState> {
+        let loader: SnapshotLoader = Arc::new(|_: &Path| Err("no reload".to_string()));
+        state_with(tiny_snapshot(), loader)
     }
 
     /// Answers `raw`, one whole request, through `buffers` and returns
@@ -1667,6 +1682,72 @@ mod tests {
             let want = if endpoint == "prefix" { (1, 0) } else { (0, 1) };
             assert_eq!((after.0 - before.0, after.1 - before.1), want, "{target}");
         }
+    }
+
+    /// The bare `/prefix` routes: both `GET` forms answer the usage text,
+    /// and another method is a 405 like on any `/prefix/<cidr>`.
+    #[test]
+    fn bare_prefix_routes_answer_the_usage_text_or_a_405() {
+        let state = tiny_state();
+        let digest = state.cell.load().digest.clone();
+        let mut buffers = Buffers::default();
+        let usage = "{\"error\":\"usage: GET /prefix/<cidr>\"}\n";
+        let not_allowed = "{\"error\":\"method POST not allowed on /prefix\"}\n";
+        for (id, (request, status, body)) in [
+            ("GET /prefix", "400 Bad Request", usage),
+            ("GET /prefix/", "400 Bad Request", usage),
+            ("POST /prefix", "405 Method Not Allowed", not_allowed),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let sent = answer(
+                &state,
+                &mut buffers,
+                format!("{request} HTTP/1.1\r\n\r\n").as_bytes(),
+            );
+            let want = format!(
+                "HTTP/1.1 {status}\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nX-P2O-Serial: 0\r\nX-P2O-Snapshot: {digest}\r\n\
+                 X-P2O-Request-Id: {}\r\n\r\n{body}",
+                body.len(),
+                id + 1
+            );
+            assert_eq!(String::from_utf8_lossy(&sent), want, "{request}");
+        }
+    }
+
+    /// `/status` reports how long the served snapshot's load took and how
+    /// much of it was the integrity pass, and a `/reload` replaces both
+    /// with the new load's.
+    #[test]
+    fn status_reports_the_served_snapshots_load_timing() {
+        let timed = |load_us, integrity_us| {
+            let mut snapshot = tiny_snapshot();
+            snapshot.timing = LoadTiming {
+                load: Duration::from_micros(load_us),
+                integrity: Duration::from_micros(integrity_us),
+            };
+            snapshot
+        };
+        let loader: SnapshotLoader = Arc::new(move |_: &Path| Ok(timed(7_500, 2_250)));
+        let state = state_with(timed(3_000, 1_000), loader);
+        let mut buffers = Buffers::default();
+        let mut timing = || {
+            let sent = answer(&state, &mut buffers, b"GET /status HTTP/1.1\r\n\r\n");
+            let status = Json::parse(body_of(&sent)).expect("/status parses");
+            let snapshot = status.get("snapshot").expect("a snapshot object");
+            let field = |name| snapshot.get(name).and_then(Json::as_f64);
+            (field("serial"), field("load_ms"), field("integrity_ms"))
+        };
+        assert_eq!(timing(), (Some(0.0), Some(3.0), Some(1.0)));
+        let reloaded = answer(
+            &state,
+            &mut Buffers::default(),
+            b"POST /reload HTTP/1.1\r\n\r\n",
+        );
+        assert!(reloaded.starts_with(b"HTTP/1.1 200 "));
+        assert_eq!(timing(), (Some(1.0), Some(7.5), Some(2.25)));
     }
 
     #[test]

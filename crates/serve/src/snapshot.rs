@@ -26,6 +26,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Duration;
 
 use p2o_net::Prefix;
 use p2o_util::json::{write_escaped, write_u32_array, write_u64};
@@ -46,11 +47,25 @@ pub struct Snapshot {
     /// Content digest of the JSONL export — the identity readers see.
     /// Identical whether the dataset was attached or frozen in memory.
     pub digest: String,
+    /// How long the load that produced this snapshot took; zero until
+    /// the loader records it.
+    pub timing: LoadTiming,
     frozen: FrozenDataset,
     /// Whether `frozen` was attached from the on-disk `world.p2ob` rather
     /// than frozen in memory at load.
     from_artifact: bool,
     jsonl: OnceLock<String>,
+}
+
+/// How long a snapshot's load took, as its loader measured it; `/status`
+/// reports both for the snapshot being served.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoadTiming {
+    /// The whole load: the integrity audit, then the frozen dataset
+    /// attached or frozen in memory.
+    pub load: Duration,
+    /// The part of `load` the integrity pass took.
+    pub integrity: Duration,
 }
 
 impl Snapshot {
@@ -90,6 +105,7 @@ impl Snapshot {
             dir,
             serial,
             digest: frozen.digest_short(),
+            timing: LoadTiming::default(),
             frozen,
             from_artifact,
             jsonl: OnceLock::new(),

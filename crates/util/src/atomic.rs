@@ -29,7 +29,7 @@
 //! damaged ([`FrameError`]).
 
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::digest::{fnv1a_64, fnv1a_64_update, FNV1A_INIT};
@@ -234,44 +234,49 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// Parses a framed byte string back into its payload, detecting every
 /// damage mode as a distinct [`FrameError`].
 pub fn unframe(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
-    strip_frame(bytes.to_vec())
+    let Some((header, payload)) = bytes.split_first_chunk::<FRAME_HEADER_LEN>() else {
+        return Err(FrameError::TruncatedHeader { got: bytes.len() });
+    };
+    let (len, digest) = parse_header(header)?;
+    check_length(len, payload.len() as u64)?;
+    check_digest(digest, fnv1a_64(payload))?;
+    Ok(payload.to_vec())
 }
 
-/// Checks that `bytes` is exactly one intact frame (the header, then a
-/// payload of the declared length and digest, and nothing after it) and
-/// strips the header in place.
-fn strip_frame(mut bytes: Vec<u8>) -> Result<Vec<u8>, FrameError> {
-    if bytes.len() < FRAME_HEADER_LEN {
-        return Err(FrameError::TruncatedHeader { got: bytes.len() });
-    }
+/// The payload length and digest a frame header declares, once its magic
+/// and version are ones this binary reads.
+fn parse_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<(u64, u64), FrameError> {
     let mut magic = [0u8; 4];
-    magic.copy_from_slice(&bytes[0..4]);
+    magic.copy_from_slice(&header[0..4]);
     if magic != FRAME_MAGIC {
         return Err(FrameError::BadMagic { found: magic });
     }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    let version = u16::from_le_bytes([header[4], header[5]]);
     if version > FRAME_VERSION {
         return Err(FrameError::UnsupportedVersion { found: version });
     }
-    let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let expected_digest = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let payload = &bytes[FRAME_HEADER_LEN..];
-    let got = payload.len() as u64;
-    if got < len {
-        return Err(FrameError::TruncatedPayload { expected: len, got });
+    let len = u64::from_le_bytes(header[8..16].try_into().expect("8 header bytes"));
+    let digest = u64::from_le_bytes(header[16..24].try_into().expect("8 header bytes"));
+    Ok((len, digest))
+}
+
+/// Checks that `got` payload bytes follow a header that declared `expected`.
+fn check_length(expected: u64, got: u64) -> Result<(), FrameError> {
+    if got < expected {
+        return Err(FrameError::TruncatedPayload { expected, got });
     }
-    if got > len {
-        return Err(FrameError::TrailingBytes { expected: len, got });
+    if got > expected {
+        return Err(FrameError::TrailingBytes { expected, got });
     }
-    let got_digest = fnv1a_64(payload);
-    if got_digest != expected_digest {
-        return Err(FrameError::DigestMismatch {
-            expected: expected_digest,
-            got: got_digest,
-        });
+    Ok(())
+}
+
+/// Checks the payload's digest `got` against the declared `expected`.
+fn check_digest(expected: u64, got: u64) -> Result<(), FrameError> {
+    if got != expected {
+        return Err(FrameError::DigestMismatch { expected, got });
     }
-    bytes.drain(..FRAME_HEADER_LEN);
-    Ok(bytes)
+    Ok(())
 }
 
 /// Atomically writes `payload` wrapped in a checksummed frame. The header
@@ -280,10 +285,69 @@ pub fn write_framed(vfs: &Vfs, path: &Path, label: &str, payload: &[u8]) -> io::
     write_atomic_parts(vfs, path, label, &[&frame_header(payload), payload]).map(drop)
 }
 
-/// Reads a framed artifact, verifying magic, version, length, and digest;
-/// the header is stripped in place, so the payload is never copied.
+/// A framed artifact read by [`read_frame`]: every check of
+/// [`read_framed`] has passed but the digest's, which
+/// [`check`](Self::check) makes against the payload's FNV-1a as its reader
+/// hashed it.
+#[derive(Debug)]
+pub struct UncheckedFrame {
+    payload: Vec<u8>,
+    digest: u64,
+}
+
+impl UncheckedFrame {
+    /// The payload, not yet checked against the declared digest.
+    pub fn payload(&self) -> &[u8] {
+        &self.payload
+    }
+
+    /// The payload, when `digest` — [`fnv1a_64`] of
+    /// [`payload`](Self::payload) — is the digest the header declared.
+    pub fn check(self, digest: u64) -> Result<Vec<u8>, FrameError> {
+        check_digest(self.digest, digest)?;
+        Ok(self.payload)
+    }
+}
+
+/// Reads a framed artifact's 24-byte header, then its payload into a
+/// buffer sized from that header, and checks magic, version and length, in
+/// [`read_framed`]'s order, leaving the digest to
+/// [`UncheckedFrame::check`]. The declared length sizes the buffer only up
+/// to what the file holds, so a damaged header cannot claim more memory
+/// than the file's size.
+pub fn read_frame(vfs: &Vfs, path: &Path) -> Result<UncheckedFrame, FrameError> {
+    let io_error = |e: io::Error| FrameError::Io(e.to_string());
+    let mut file = vfs.open(path).map_err(io_error)?;
+    let mut header = Vec::with_capacity(FRAME_HEADER_LEN);
+    (&mut file)
+        .take(FRAME_HEADER_LEN as u64)
+        .read_to_end(&mut header)
+        .map_err(io_error)?;
+    let Ok(header) = <&[u8; FRAME_HEADER_LEN]>::try_from(header.as_slice()) else {
+        return Err(FrameError::TruncatedHeader { got: header.len() });
+    };
+    let (len, digest) = parse_header(header)?;
+    let held = file.metadata().map_err(io_error)?.len();
+    let capacity = len.min(held.saturating_sub(FRAME_HEADER_LEN as u64));
+    let mut payload = Vec::with_capacity(usize::try_from(capacity).unwrap_or(0));
+    (&mut file)
+        .take(len)
+        .read_to_end(&mut payload)
+        .map_err(io_error)?;
+    let mut got = payload.len() as u64;
+    if got == len {
+        got += io::copy(&mut file, &mut io::sink()).map_err(io_error)?;
+    }
+    check_length(len, got)?;
+    Ok(UncheckedFrame { payload, digest })
+}
+
+/// Reads a framed artifact, verifying magic, version, length, and digest.
+/// The payload is read straight into its own buffer, never copied.
 pub fn read_framed(vfs: &Vfs, path: &Path) -> Result<Vec<u8>, FrameError> {
-    strip_frame(vfs.read(path).map_err(|e| FrameError::Io(e.to_string()))?)
+    let frame = read_frame(vfs, path)?;
+    let digest = fnv1a_64(frame.payload());
+    frame.check(digest)
 }
 
 #[cfg(test)]
@@ -467,6 +531,47 @@ mod tests {
             err.to_string(),
             "trailing bytes: 17 payload bytes, 13 declared"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// On disk, a framed file reads as its bytes unframe: torn anywhere in
+    /// the header or the payload, grown past it, rotted, or with a header
+    /// that declares any length at all.
+    #[test]
+    fn read_framed_on_disk_agrees_with_unframe_under_random_damage() {
+        let dir = tmp_dir("damage-props");
+        let path = dir.join("world.p2ob");
+        let vfs = Vfs::real();
+        crate::check::run_cases(300, |g| {
+            let payload: Vec<u8> = (0..g.below(2000)).map(|_| g.u32() as u8).collect();
+            let mut bytes = frame(&payload);
+            match g.below(6) {
+                0 => bytes.truncate(g.below(bytes.len() + 1)),
+                1 => bytes.extend((0..g.range(1, 40)).map(|_| g.u32() as u8)),
+                2 => {
+                    let at = g.below(bytes.len());
+                    bytes[at] ^= 1 << g.below(8);
+                }
+                3 => {
+                    let declared = match g.below(3) {
+                        0 => u64::MAX - g.below(3) as u64,
+                        1 => payload.len() as u64 + g.range(1, 100) as u64,
+                        _ => g.below(payload.len() + 1) as u64,
+                    };
+                    bytes[8..16].copy_from_slice(&declared.to_le_bytes());
+                }
+                4 => bytes.truncate(g.below(FRAME_HEADER_LEN + 1)),
+                _ => {}
+            }
+            fs::write(&path, &bytes).unwrap();
+            let read = read_framed(&vfs, &path);
+            assert_eq!(read, unframe(&bytes), "{} bytes", bytes.len());
+            let checked = read_frame(&vfs, &path).and_then(|frame| {
+                let digest = fnv1a_64(frame.payload());
+                frame.check(digest)
+            });
+            assert_eq!(checked, read);
+        });
         let _ = fs::remove_dir_all(&dir);
     }
 

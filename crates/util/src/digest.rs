@@ -23,21 +23,20 @@ impl Digest {
     /// Digest of several byte strings, with length framing so that
     /// `("ab","c")` and `("a","bc")` differ.
     pub fn of_parts<'a, I: IntoIterator<Item = &'a [u8]>>(parts: I) -> Self {
-        Digest(
-            parts
-                .into_iter()
-                .fold(FNV_OFFSET, |h, part| fnv1a_64_update(frame(h, part), part)),
-        )
+        Digest(parts.into_iter().fold(FNV_OFFSET, |h, part| {
+            fnv1a_64_update(frame(h, part.len() as u64), part)
+        }))
     }
 
     /// [`Digest::of_parts`] of `[name, content]` and [`fnv1a_64`] of
     /// `content`, from one pass over `content` that advances both states
-    /// (a two-state update): the integrity scan's files-digest part and
-    /// manifest digest of one input.
+    /// (a two-state update): an input's files-digest part and manifest
+    /// digest. [`NamedContent`] computes the same over content streamed in
+    /// pieces.
     pub fn of_named_content(name: &[u8], content: &[u8]) -> (Digest, u64) {
-        let named = frame(fnv1a_64_update(frame(FNV_OFFSET, name), name), content);
-        let [named, plain] = fnv1a_64_update2([named, FNV_OFFSET], content);
-        (Digest(named), plain)
+        let mut streamed = NamedContent::new(name, content.len() as u64);
+        streamed.update(content);
+        streamed.finish().expect("fed the declared length")
     }
 
     /// Combines this digest with another (order-sensitive).
@@ -75,10 +74,10 @@ fn fnv1a_step(h: u64, b: u8) -> u64 {
     (h ^ b as u64).wrapping_mul(FNV_PRIME)
 }
 
-/// Folds `part`'s length framing into `h`, as [`Digest::of_parts`] frames
-/// each part before its bytes.
-fn frame(h: u64, part: &[u8]) -> u64 {
-    fnv1a_64_update(h, &(part.len() as u64).to_be_bytes())
+/// Folds the length framing of a `len`-byte part into `h`, as
+/// [`Digest::of_parts`] frames each part before its bytes.
+fn frame(h: u64, len: u64) -> u64 {
+    fnv1a_64_update(h, &len.to_be_bytes())
 }
 
 /// 64-bit FNV-1a over a byte string.
@@ -105,13 +104,98 @@ pub fn fnv1a_64_update(h: u64, data: &[u8]) -> u64 {
 /// `[fnv1a_64_update(h[0], data), fnv1a_64_update(h[1], data)]`. Each
 /// state's step waits on its own multiply, so the two chains overlap and
 /// cost about as much as one.
-fn fnv1a_64_update2(h: [u64; 2], data: &[u8]) -> [u64; 2] {
+pub fn fnv1a_64_update2(h: [u64; 2], data: &[u8]) -> [u64; 2] {
     let [mut a, mut b] = h;
     for &byte in data {
         a = fnv1a_step(a, byte);
         b = fnv1a_step(b, byte);
     }
     [a, b]
+}
+
+/// The lockstep kernel: [`fnv1a_64_update2`] of `h[0]` over `data[0]` and
+/// of `h[1]` over `data[1]`, in one loop that takes a byte of each slice
+/// per step. The four chains wait on four independent multiplies, so one
+/// step costs about what a step of one chain does: two files hash in the
+/// time of one.
+///
+/// # Panics
+///
+/// If the two slices differ in length.
+pub fn fnv1a_64_lockstep(h: [[u64; 2]; 2], data: [&[u8]; 2]) -> [[u64; 2]; 2] {
+    let [[mut a0, mut a1], [mut b0, mut b1]] = h;
+    let [x, y] = data;
+    assert_eq!(x.len(), y.len(), "lockstep slices of equal length");
+    for (&p, &q) in x.iter().zip(y) {
+        a0 = fnv1a_step(a0, p);
+        a1 = fnv1a_step(a1, p);
+        b0 = fnv1a_step(b0, q);
+        b1 = fnv1a_step(b1, q);
+    }
+    [[a0, a1], [b0, b1]]
+}
+
+/// [`Digest::of_named_content`] over content that arrives in pieces. The
+/// content's length frame is hashed before any of its bytes, so the length
+/// is declared up front (for a file, the length it had when it was
+/// opened), and [`finish`](Self::finish) yields the digests only when
+/// exactly that many bytes were fed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NamedContent {
+    /// The `[named, plain]` chain states.
+    state: [u64; 2],
+    len: u64,
+    fed: u64,
+}
+
+impl NamedContent {
+    /// Starts the digests of `len` bytes of content named `name`.
+    pub fn new(name: &[u8], len: u64) -> NamedContent {
+        let named = frame(
+            fnv1a_64_update(frame(FNV_OFFSET, name.len() as u64), name),
+            len,
+        );
+        NamedContent {
+            state: [named, FNV_OFFSET],
+            len,
+            fed: 0,
+        }
+    }
+
+    /// Feeds the next bytes of the content.
+    pub fn update(&mut self, data: &[u8]) {
+        self.state = fnv1a_64_update2(self.state, data);
+        self.fed += data.len() as u64;
+    }
+
+    /// Feeds `data[0]` to `h[0]` and `data[1]` to `h[1]` through
+    /// [`fnv1a_64_lockstep`].
+    ///
+    /// # Panics
+    ///
+    /// If the two slices differ in length.
+    pub fn update_lockstep(h: [&mut NamedContent; 2], data: [&[u8]; 2]) {
+        let [a, b] = h;
+        [a.state, b.state] = fnv1a_64_lockstep([a.state, b.state], data);
+        a.fed += data[0].len() as u64;
+        b.fed += data[1].len() as u64;
+    }
+
+    /// The declared content length.
+    pub fn declared_len(&self) -> u64 {
+        self.len
+    }
+
+    /// Bytes fed so far.
+    pub fn fed(&self) -> u64 {
+        self.fed
+    }
+
+    /// What [`Digest::of_named_content`] returns for the content fed, or
+    /// `None` when its length is not the declared one.
+    pub fn finish(self) -> Option<(Digest, u64)> {
+        (self.fed == self.len).then_some((Digest(self.state[0]), self.state[1]))
+    }
 }
 
 #[cfg(test)]
@@ -170,6 +254,73 @@ mod tests {
                 Digest::of_named_content(name.as_bytes(), &data),
                 (Digest::of_parts([name.as_bytes(), &data]), fnv1a_64(&data))
             );
+        });
+    }
+
+    /// The lockstep kernel is two two-state updates, over any split of the
+    /// two slices into blocks of equal length.
+    #[test]
+    fn lockstep_kernel_is_two_two_state_updates_over_random_splits() {
+        crate::check::run_cases(512, |g| {
+            let len = g.below(300);
+            let x: Vec<u8> = (0..len).map(|_| g.u32() as u8).collect();
+            let y: Vec<u8> = (0..len).map(|_| g.u32() as u8).collect();
+            let start = [[g.u64(), g.u64()], [g.u64(), g.u64()]];
+            let (mut four, mut a, mut b) = (start, start[0], start[1]);
+            let mut at = 0;
+            while at < len {
+                let end = at + g.below(len - at + 1);
+                four = fnv1a_64_lockstep(four, [&x[at..end], &y[at..end]]);
+                a = fnv1a_64_update2(a, &x[at..end]);
+                b = fnv1a_64_update2(b, &y[at..end]);
+                at = end;
+            }
+            assert_eq!(four, [a, b]);
+        });
+    }
+
+    /// The streamed named digest, fed in random blocks, some of them in
+    /// lockstep with a second stream, is `of_parts([name, content])` plus
+    /// the plain digest; a length other than the declared one yields none.
+    #[test]
+    fn streamed_named_digest_is_of_parts_over_random_splits() {
+        crate::check::run_cases(512, |g| {
+            let name = g.unicode_string(10);
+            let data: Vec<u8> = (0..g.below(600)).map(|_| g.u32() as u8).collect();
+            let other: Vec<u8> = (0..g.below(600)).map(|_| g.u32() as u8).collect();
+            let mut streamed = NamedContent::new(name.as_bytes(), data.len() as u64);
+            let mut partner = NamedContent::new(b"partner", other.len() as u64);
+            let (mut rest, mut partner_rest) = (data.as_slice(), other.as_slice());
+            while !rest.is_empty() {
+                let (block, tail) = rest.split_at(g.below(rest.len() + 1));
+                if g.bool() && partner_rest.len() >= block.len() {
+                    let (paired, partner_tail) = partner_rest.split_at(block.len());
+                    NamedContent::update_lockstep([&mut streamed, &mut partner], [block, paired]);
+                    partner_rest = partner_tail;
+                } else {
+                    streamed.update(block);
+                }
+                rest = tail;
+            }
+            partner.update(partner_rest);
+            assert_eq!(streamed.fed(), data.len() as u64);
+            assert_eq!(
+                streamed.finish(),
+                Some((Digest::of_parts([name.as_bytes(), &data]), fnv1a_64(&data)))
+            );
+            assert_eq!(
+                partner.finish(),
+                Some((Digest::of_parts([b"partner", &other[..]]), fnv1a_64(&other)))
+            );
+
+            let mut short = NamedContent::new(name.as_bytes(), data.len() as u64 + 1);
+            short.update(&data);
+            assert_eq!(short.finish(), None);
+            if let Some(declared) = (data.len() as u64).checked_sub(1) {
+                let mut long = NamedContent::new(name.as_bytes(), declared);
+                long.update(&data);
+                assert_eq!(long.finish(), None);
+            }
         });
     }
 
