@@ -4,6 +4,7 @@ use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
+use std::time::Duration;
 
 use p2o_net::{AddressFamily, Prefix};
 use p2o_synth::corrupt::{corrupt_world, CorruptionConfig};
@@ -234,42 +235,6 @@ fn unreadable_frozen(framed: &[u8]) -> Option<String> {
     }
 }
 
-/// The paper's §4.1 footnote check against the delegation files, when
-/// present: no delegation larger than /8 (IPv4) or /16 (IPv6). Each
-/// `delegated/*.txt` is read through `vfs`; one that cannot be read is
-/// named in a warning, and the check passes only when every file was read.
-fn check_delegation_files(vfs: &Vfs, dir: &Path) {
-    let delegated_dir = dir.join("delegated");
-    if !delegated_dir.is_dir() {
-        return;
-    }
-    let mut oversized = 0usize;
-    let mut unread = 0usize;
-    for path in checkpoint::txt_entries(&delegated_dir) {
-        match vfs.read_to_string(&path) {
-            Ok(text) => {
-                let (records, _) = p2o_whois::delegated::parse(&text);
-                oversized += p2o_whois::delegated::oversized_delegations(&records).len();
-            }
-            Err(e) => {
-                eprintln!(
-                    "warning: delegation-file check: cannot read {}: {e}",
-                    path.display()
-                );
-                unread += 1;
-            }
-        }
-    }
-    if oversized > 0 {
-        eprintln!("warning: {oversized} delegations exceed /8 (v4) or /16 (v6)");
-    }
-    if unread > 0 {
-        eprintln!("warning: delegation-file check incomplete: {unread} file(s) not checked");
-    } else if oversized == 0 {
-        eprintln!("delegation-file check: no delegation larger than /8 or /16 (paper §4.1)");
-    }
-}
-
 /// `build`: parse a snapshot directory, run the pipeline, write JSONL.
 pub fn build(args: &Parsed) -> Result<(), CliError> {
     let started = std::time::Instant::now();
@@ -391,7 +356,8 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     let store::LoadOutcome {
         inputs,
         mut quarantine,
-    } = store::load_inputs(&vfs, dir, obs.as_ref(), threads, mode)?;
+        delegation_notes,
+    } = store::load_inputs(&vfs, dir, obs.as_ref(), threads, mode, true)?;
     if !exception_rejects.is_empty() {
         let file = exceptions_path.unwrap_or("exceptions");
         eprintln!(
@@ -438,9 +404,9 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
             )));
         }
     }
-    let timer = stage("whois.delegated");
-    check_delegation_files(&vfs, dir);
-    drop(timer);
+    for note in &delegation_notes {
+        eprintln!("{note}");
+    }
     if !inputs.rpki_problems.is_empty() {
         eprintln!(
             "warning: {} invalid RPKI objects excluded (first: {:?})",
@@ -560,16 +526,16 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         o.counter("io.fault.enospc").add(io.faults_enospc);
         o.counter("io.fault.eio").add(io.faults_eio);
 
+        // What no top-level stage row saw, from the start of the build to
+        // here: the report, metrics, trace and stamp writes follow at once.
+        let attributed = o.report().top_level_wall_ns();
+        o.record_stage(
+            "build.unattributed",
+            started
+                .elapsed()
+                .saturating_sub(Duration::from_nanos(attributed)),
+        );
         let mut report = o.report();
-        // What no stage row saw, from the start of the build to here: the
-        // report, metrics, trace and stamp writes follow at once.
-        let attributed: u64 = report.stages.iter().map(|s| s.wall_ns).sum();
-        report.stages.push(p2o_obs::StageReport {
-            name: "build.unattributed".to_string(),
-            wall_ns: (started.elapsed().as_nanos() as u64).saturating_sub(attributed),
-            items: None,
-            rss_bytes: p2o_obs::process_rss_bytes(),
-        });
         // Always present, all-zero on clean input: consumers can rely on
         // the sections existing.
         report.data_quality = Some(quarantine.summary(quarantine_samples));
@@ -1222,7 +1188,7 @@ fn load_snapshot(
             dir.join(prefix2org::FROZEN_FILE).display()
         );
     }
-    let inputs = store::load_inputs(&vfs, dir, None, threads, store::IngestMode::Lenient)
+    let inputs = store::load_inputs(&vfs, dir, None, threads, store::IngestMode::Lenient, false)
         .map_err(|e| e.to_string())?
         .inputs;
     p2o_serve::Snapshot::freeze_in_memory(

@@ -646,20 +646,21 @@ pub struct LoadOutcome {
     pub inputs: LoadedInputs,
     /// Every rejected record, with file names stamped.
     pub quarantine: Quarantine,
+    /// The stderr lines of the delegation-file check, in order (empty
+    /// when the load was not asked to run it).
+    pub delegation_notes: Vec<String>,
 }
 
-/// Which parser an input file goes through.
+/// Which parser a WHOIS/MRT lane input goes through.
 #[derive(Clone, Copy)]
 enum InputKind {
     /// `whois/<REGISTRY>.txt`, parsed with the registry's parser.
     Whois(Registry),
     /// `rib.mrt`.
     Mrt,
-    /// `rpki.jsonl`.
-    Rpki,
 }
 
-/// One large input file, in processing order.
+/// One large input of the WHOIS/MRT lane, in processing order.
 struct Input {
     path: PathBuf,
     /// The file name quarantine records carry (`whois/ARIN.txt`, ...).
@@ -673,29 +674,101 @@ fn input_text<'a>(bytes: &'a [u8], path: &Path) -> Result<&'a str, LoadError> {
         .map_err(|e| LoadError::Other(format!("reading {}: {e}", path.display())))
 }
 
+/// A strict load's abort on the first of an input's rejected records,
+/// which arrive sorted by offset.
+fn strict_abort(label: &str, mut rejected: Vec<QuarantinedRecord>) -> LoadError {
+    let mut first = rejected.swap_remove(0);
+    first.file = label.to_string();
+    LoadError::Ingest(first.to_error())
+}
+
+/// The stage rows the two lanes record, as `build.load` lists them
+/// whichever lane ends first, so the report reads the same at any thread
+/// count: the order a serial load of the inputs in input order ends them.
+const LOAD_STAGES: &[&str] = &[
+    "bgp.parse",
+    "whois.parse",
+    "rpki.load",
+    "whois.build",
+    "as2org.cluster",
+    "rpki.validate",
+    "whois.delegated",
+];
+
+/// The two independent halves of the load; the inputs meet only in the
+/// pipeline.
+enum LoadLane {
+    /// `rpki.jsonl` read, parsed and validated, then the delegation-file
+    /// check.
+    Rpki,
+    /// The WHOIS dumps and `rib.mrt` in input order, the JPNIC back-fill,
+    /// the delegation tree and the AS2Org clusters.
+    WhoisMrt(Vec<Input>),
+}
+
+/// What a lane hands the join.
+enum LoadLaneOutput {
+    Rpki(Result<RpkiLane, LoadError>),
+    WhoisMrt(Result<WhoisMrtLane, WhoisMrtError>),
+}
+
+struct RpkiLane {
+    rpki: p2o_rpki::ValidatedRepo,
+    problems: Vec<p2o_rpki::RepoProblem>,
+    /// `rpki.jsonl`'s rejected lines, in offset order.
+    rejected: Vec<QuarantinedRecord>,
+    delegation_notes: Vec<String>,
+}
+
+struct WhoisMrtLane {
+    tree: DelegationTree,
+    whois_stats: p2o_whois::db::BuildStats,
+    routes: RouteTable,
+    clusters: p2o_as2org::AsnClusters,
+    /// The dumps' and the RIB's rejected records, in input order.
+    quarantine: Quarantine,
+}
+
+/// Where a WHOIS/MRT lane failure falls in the input order: the dumps
+/// and the RIB come before `rpki.jsonl`, the JPNIC and AS2Org tables
+/// after it.
+enum WhoisMrtError {
+    Inputs(LoadError),
+    Tables(LoadError),
+}
+
 /// Loads and parses a snapshot directory: every input through the lenient
 /// (resyncing) parsers, rejected records quarantined. In
 /// [`IngestMode::Strict`] the first rejected record of any file aborts the
 /// load with its typed diagnostic instead. The load checks no digest:
-/// [`scan_integrity`] is the integrity read.
+/// [`scan_integrity`] is the integrity read. With `check_delegations` it
+/// also runs the §4.1 delegation-file check and returns its lines.
+///
+/// The load runs in two lanes through [`p2o_obs::run_shards`], one
+/// `load.lane` trace span each: RPKI (shard 0, on the calling thread)
+/// beside WHOIS/MRT (on a thread of its own). Where each lane runs is a
+/// memory choice: glibc gives every thread its own malloc arena, and
+/// what the calling thread allocates is reused by the export and the
+/// freeze. At one thread the lanes run inline, WHOIS/MRT first. The join
+/// folds the lanes in input order — WHOIS dumps, `rib.mrt`, `rpki.jsonl`,
+/// then `jpnic_alloc.tsv` and the AS2Org tables: the first failure in
+/// that order is the load's, and the quarantine lists the rejects in it.
 ///
 /// With `obs`, the parsers tick their `whois.*` / `mrt.*` / `bgp.parse`
 /// counters and stages into it, and the load times its own phases as the
 /// stages `whois.parse` (summed over the dumps), `rpki.load`,
-/// `as2org.cluster` and `rpki.validate`; with `threads > 1`, WHOIS text
-/// is parsed in object-boundary shards and MRT bodies are decoded on that
-/// many threads (identical outputs either way).
+/// `as2org.cluster`, `rpki.validate` and `whois.delegated`, all within
+/// one `build.load` row from the fork to the join; with `threads > 1`,
+/// WHOIS text is parsed in object-boundary shards and MRT bodies are
+/// decoded on that many threads (identical outputs either way).
 pub fn load_inputs(
     vfs: &Vfs,
     dir: &Path,
     obs: Option<&p2o_obs::Obs>,
     threads: usize,
     mode: IngestMode,
+    check_delegations: bool,
 ) -> Result<LoadOutcome, LoadError> {
-    let read = |path: PathBuf| -> Result<String, String> {
-        vfs.read_to_string(&path)
-            .map_err(|e| io_err("reading", &path, e))
-    };
     if let Some(o) = obs {
         // Register the whole counter families up front so clean runs report
         // explicit zeros rather than missing series.
@@ -704,11 +777,14 @@ pub fn load_inputs(
 
     // Meta first: the format version gate, then the snapshot date (which
     // drives RPKI validation).
-    let meta = read(dir.join("meta.tsv")).unwrap_or_default();
+    let meta = vfs
+        .read_to_string(&dir.join("meta.tsv"))
+        .unwrap_or_default();
     let snapshot_date = parse_meta(&meta).map_err(|e| format!("{}: {e}", dir.display()))?;
 
-    // The large inputs in processing order: WHOIS dumps (the file stem
-    // names the registry, the registry picks the parser), the RIB, RPKI.
+    // The WHOIS/MRT lane's inputs in processing order: the WHOIS dumps
+    // (the file stem names the registry, the registry picks the parser),
+    // then the RIB.
     let whois_dir = dir.join("whois");
     let mut entries: Vec<PathBuf> = std::fs::read_dir(&whois_dir)
         .map_err(|e| io_err("listing", &whois_dir, e))?
@@ -716,7 +792,7 @@ pub fn load_inputs(
         .filter(|p| p.extension().is_some_and(|x| x == "txt"))
         .collect();
     entries.sort();
-    let mut inputs: Vec<Input> = Vec::with_capacity(entries.len() + 2);
+    let mut inputs: Vec<Input> = Vec::with_capacity(entries.len() + 1);
     for path in entries {
         let stem = path
             .file_stem()
@@ -732,31 +808,163 @@ pub fn load_inputs(
             kind: InputKind::Whois(registry),
         });
     }
-    for (name, kind) in [("rib.mrt", InputKind::Mrt), ("rpki.jsonl", InputKind::Rpki)] {
-        inputs.push(Input {
-            path: dir.join(name),
-            label: name.to_string(),
-            kind,
-        });
+    inputs.push(Input {
+        path: dir.join("rib.mrt"),
+        label: "rib.mrt".to_string(),
+        kind: InputKind::Mrt,
+    });
+
+    let load = obs.map(|o| o.enclosing_stage("build.load", LOAD_STAGES));
+    let run = |lane: LoadLane, span: Option<&p2o_obs::Span<'_>>| match lane {
+        LoadLane::Rpki => {
+            if let Some(s) = span {
+                s.arg("lane", "rpki");
+            }
+            LoadLaneOutput::Rpki(rpki_lane(
+                vfs,
+                dir,
+                obs,
+                snapshot_date,
+                mode,
+                check_delegations,
+            ))
+        }
+        LoadLane::WhoisMrt(inputs) => {
+            if let Some(s) = span {
+                s.arg("lane", "whois+mrt");
+            }
+            LoadLaneOutput::WhoisMrt(whois_mrt_lane(vfs, dir, inputs, obs, threads, mode))
+        }
+    };
+    // Two shards of one fork: RPKI on this thread, WHOIS/MRT spawned. At
+    // one thread, two single-shard forks, each inline, in input order.
+    let forks = if threads > 1 {
+        vec![vec![LoadLane::Rpki, LoadLane::WhoisMrt(inputs)]]
+    } else {
+        vec![vec![LoadLane::WhoisMrt(inputs)], vec![LoadLane::Rpki]]
+    };
+    let (mut rpki, mut whois_mrt) = (None, None);
+    for output in forks
+        .into_iter()
+        .flat_map(|lanes| p2o_obs::run_shards(obs, "load.lane", lanes, run))
+    {
+        match output {
+            LoadLaneOutput::Rpki(lane) => rpki = Some(lane),
+            LoadLaneOutput::WhoisMrt(lane) => whois_mrt = Some(lane),
+        }
+    }
+    drop(load);
+
+    // The first failure in input order is the load's, and the rejects
+    // join the quarantine in input order.
+    let whois_mrt = match whois_mrt.expect("the WHOIS/MRT lane ran") {
+        Err(WhoisMrtError::Inputs(e)) => return Err(e),
+        Err(WhoisMrtError::Tables(e)) => Err(e),
+        Ok(lane) => Ok(lane),
+    };
+    let RpkiLane {
+        rpki,
+        problems,
+        rejected,
+        delegation_notes,
+    } = rpki.expect("the RPKI lane ran")?;
+    let WhoisMrtLane {
+        tree,
+        whois_stats,
+        routes,
+        clusters,
+        mut quarantine,
+    } = whois_mrt?;
+    quarantine.extend_from_file("rpki.jsonl", rejected);
+    if let Some(o) = obs {
+        p2o_obs::record_quarantine(o, &quarantine);
     }
 
-    // Each input is read whole, parsed, and released before the next. Its
-    // rejected records, in offset order, abort a strict load with the
-    // first one or join the quarantine.
+    Ok(LoadOutcome {
+        inputs: LoadedInputs {
+            tree,
+            whois_stats,
+            routes,
+            clusters,
+            rpki,
+            rpki_problems: problems,
+            snapshot_date,
+        },
+        quarantine,
+        delegation_notes,
+    })
+}
+
+/// The RPKI lane: reads and parses `rpki.jsonl` (stage `rpki.load`),
+/// aborts a strict load on its first rejected line, validates the
+/// repository (`rpki.validate`) and, when asked, runs the delegation-file
+/// check (`whois.delegated`).
+fn rpki_lane(
+    vfs: &Vfs,
+    dir: &Path,
+    obs: Option<&p2o_obs::Obs>,
+    snapshot_date: u32,
+    mode: IngestMode,
+    check_delegations: bool,
+) -> Result<RpkiLane, LoadError> {
+    let path = dir.join("rpki.jsonl");
+    let (repo, mut rejected) = {
+        let bytes = vfs.read(&path).map_err(|e| io_err("reading", &path, e))?;
+        let text = input_text(&bytes, &path)?;
+        let started = Instant::now();
+        let parsed = p2o_rpki::persist::from_jsonl_lenient(text);
+        if let Some(o) = obs {
+            o.record_stage("rpki.load", started.elapsed());
+        }
+        parsed
+    };
+    rejected.sort_by_key(|r| r.offset);
+    if mode == IngestMode::Strict && !rejected.is_empty() {
+        return Err(strict_abort("rpki.jsonl", rejected));
+    }
+    let timer = obs.map(|o| o.stage("rpki.validate"));
+    let (rpki, problems) = repo.validate(snapshot_date);
+    drop(timer);
+    let delegation_notes = if check_delegations {
+        let _timer = obs.map(|o| o.stage("whois.delegated"));
+        check_delegation_files(vfs, dir)
+    } else {
+        Vec::new()
+    };
+    Ok(RpkiLane {
+        rpki,
+        problems,
+        rejected,
+        delegation_notes,
+    })
+}
+
+/// The WHOIS/MRT lane: each input read whole, parsed and released before
+/// the next, its rejected records (in offset order) aborting a strict
+/// load or joining the quarantine; then the JPNIC back-fill, the
+/// delegation tree and the AS2Org clusters (`as2org.cluster`).
+fn whois_mrt_lane(
+    vfs: &Vfs,
+    dir: &Path,
+    inputs: Vec<Input>,
+    obs: Option<&p2o_obs::Obs>,
+    threads: usize,
+    mode: IngestMode,
+) -> Result<WhoisMrtLane, WhoisMrtError> {
     let mut db = WhoisDb::new();
     if let Some(o) = obs {
         db.instrument(o);
     }
     let mut routes = RouteTable::new();
-    let mut repo = p2o_rpki::RpkiRepository::new();
     let mut quarantine = Quarantine::new();
     let mut whois_parse = Duration::ZERO;
-    let mut rpki_load = Duration::ZERO;
     for Input { path, label, kind } in inputs {
-        let bytes = vfs.read(&path).map_err(|e| io_err("reading", &path, e))?;
+        let bytes = vfs
+            .read(&path)
+            .map_err(|e| WhoisMrtError::Inputs(io_err("reading", &path, e).into()))?;
         let mut rejected: Vec<QuarantinedRecord> = match kind {
             InputKind::Whois(registry) => {
-                let text = input_text(&bytes, &path)?;
+                let text = input_text(&bytes, &path).map_err(WhoisMrtError::Inputs)?;
                 let before = db.problems().len();
                 let started = Instant::now();
                 db.add_dump(text, registry, threads);
@@ -771,33 +979,48 @@ pub fn load_inputs(
                 routes = lenient.table;
                 lenient.quarantined
             }
-            InputKind::Rpki => {
-                let text = input_text(&bytes, &path)?;
-                let started = Instant::now();
-                let (loaded, rejected) = p2o_rpki::persist::from_jsonl_lenient(text);
-                rpki_load += started.elapsed();
-                repo = loaded;
-                rejected
-            }
         };
         if rejected.is_empty() {
             continue;
         }
         rejected.sort_by_key(|r| r.offset);
         if mode == IngestMode::Strict {
-            let mut first = rejected.swap_remove(0);
-            first.file = label;
-            return Err(LoadError::Ingest(first.to_error()));
+            return Err(WhoisMrtError::Inputs(strict_abort(&label, rejected)));
         }
         quarantine.extend_from_file(&label, rejected);
     }
     if let Some(o) = obs {
         o.record_stage("whois.parse", whois_parse);
-        o.record_stage("rpki.load", rpki_load);
     }
-    let stage = |name: &str| obs.map(|o| o.stage(name));
+    let (tree, whois_stats, clusters) =
+        whois_tables(vfs, dir, db, obs).map_err(|e| WhoisMrtError::Tables(LoadError::Other(e)))?;
+    Ok(WhoisMrtLane {
+        tree,
+        whois_stats,
+        routes,
+        clusters,
+        quarantine,
+    })
+}
 
-    // JPNIC back-fill.
+/// The JPNIC back-fill, the delegation tree and the AS2Org clusters.
+fn whois_tables(
+    vfs: &Vfs,
+    dir: &Path,
+    mut db: WhoisDb,
+    obs: Option<&p2o_obs::Obs>,
+) -> Result<
+    (
+        DelegationTree,
+        p2o_whois::db::BuildStats,
+        p2o_as2org::AsnClusters,
+    ),
+    String,
+> {
+    let read = |path: PathBuf| -> Result<String, String> {
+        vfs.read_to_string(&path)
+            .map_err(|e| io_err("reading", &path, e))
+    };
     if let Ok(text) = read(dir.join("jpnic_alloc.tsv")) {
         let mut map: HashMap<Prefix, AllocationType> = HashMap::new();
         for row in tsv::parse_rows(&text, 2).map_err(|e| e.to_string())? {
@@ -813,7 +1036,7 @@ pub fn load_inputs(
     let (tree, whois_stats) = db.build();
 
     // AS2Org + siblings.
-    let timer = stage("as2org.cluster");
+    let timer = obs.map(|o| o.stage("as2org.cluster"));
     let mut as2org = p2o_as2org::As2OrgDb::new();
     as2org.load_records_tsv(&read(dir.join("as2org.tsv"))?)?;
     if let Ok(text) = read(dir.join("siblings.tsv")) {
@@ -821,27 +1044,52 @@ pub fn load_inputs(
     }
     let clusters = as2org.cluster();
     drop(timer);
+    Ok((tree, whois_stats, clusters))
+}
 
-    let timer = stage("rpki.validate");
-    let (rpki, rpki_problems) = repo.validate(snapshot_date);
-    drop(timer);
-
-    if let Some(o) = obs {
-        p2o_obs::record_quarantine(o, &quarantine);
+/// The paper's §4.1 footnote check against the delegation files, when
+/// present: no delegation larger than /8 (IPv4) or /16 (IPv6). Each
+/// `delegated/*.txt` is read through `vfs`; one that cannot be read is
+/// named in a warning, and the check passes only when every file was read.
+/// Returns the lines for stderr, in order.
+fn check_delegation_files(vfs: &Vfs, dir: &Path) -> Vec<String> {
+    let delegated_dir = dir.join("delegated");
+    let mut notes = Vec::new();
+    if !delegated_dir.is_dir() {
+        return notes;
     }
-
-    Ok(LoadOutcome {
-        inputs: LoadedInputs {
-            tree,
-            whois_stats,
-            routes,
-            clusters,
-            rpki,
-            rpki_problems,
-            snapshot_date,
-        },
-        quarantine,
-    })
+    let mut oversized = 0usize;
+    let mut unread = 0usize;
+    for path in checkpoint::txt_entries(&delegated_dir) {
+        match vfs.read_to_string(&path) {
+            Ok(text) => {
+                let (records, _) = p2o_whois::delegated::parse(&text);
+                oversized += p2o_whois::delegated::oversized_delegations(&records).len();
+            }
+            Err(e) => {
+                notes.push(format!(
+                    "warning: delegation-file check: cannot read {}: {e}",
+                    path.display()
+                ));
+                unread += 1;
+            }
+        }
+    }
+    if oversized > 0 {
+        notes.push(format!(
+            "warning: {oversized} delegations exceed /8 (v4) or /16 (v6)"
+        ));
+    }
+    if unread > 0 {
+        notes.push(format!(
+            "warning: delegation-file check incomplete: {unread} file(s) not checked"
+        ));
+    } else if oversized == 0 {
+        notes.push(
+            "delegation-file check: no delegation larger than /8 or /16 (paper §4.1)".to_string(),
+        );
+    }
+    notes
 }
 
 #[cfg(test)]

@@ -137,6 +137,18 @@ fn generate_build_lookup_org_validate() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The ingest rows, nested in `build.load` in the order the one-lane
+/// load recorded them.
+const LOAD_ROWS: [&str; 7] = [
+    "bgp.parse",
+    "whois.parse",
+    "rpki.load",
+    "whois.build",
+    "as2org.cluster",
+    "rpki.validate",
+    "whois.delegated",
+];
+
 #[test]
 fn build_report_emits_run_report() {
     let dir = temp_dir("report");
@@ -144,24 +156,67 @@ fn build_report_emits_run_report() {
     run_ok(&["generate", "--out", dir_s, "--scale", "tiny", "--seed", "7"]);
     let dataset = dir.join("dataset.jsonl");
     let report = dir.join("run.json");
-    let out = run(&[
-        "build",
-        "--in",
-        dir_s,
-        "--out",
-        dataset.to_str().unwrap(),
-        "--report",
-        report.to_str().unwrap(),
-    ]);
-    assert!(out.status.success());
+    let build = |threads: &str| {
+        let out = run(&[
+            "build",
+            "--in",
+            dir_s,
+            "--out",
+            dataset.to_str().unwrap(),
+            "--report",
+            report.to_str().unwrap(),
+            "--threads",
+            threads,
+        ]);
+        assert!(out.status.success());
+        let text = std::fs::read_to_string(&report).unwrap();
+        let doc = p2o_util::Json::parse(&text).unwrap();
+        (out, p2o_obs::RunReport::from_json(&doc).unwrap())
+    };
+
+    // The ingest rows sit inside `build.load`, right after it, in the
+    // one-lane order at any thread count. Only top-level rows add up to
+    // the wall time, so what none of them saw stays above 0; at one
+    // thread the lanes run one after the other, within `build.load`.
+    for threads in ["1", "4"] {
+        let (_, parsed) = build(threads);
+        let load = parsed
+            .stages
+            .iter()
+            .position(|s| s.name == "build.load")
+            .expect("build.load row");
+        let nested: Vec<&p2o_obs::StageReport> = parsed.stages[load + 1..]
+            .iter()
+            .take_while(|s| s.within.is_some())
+            .collect();
+        let names: Vec<&str> = nested.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, LOAD_ROWS, "threads {threads}");
+        assert!(nested
+            .iter()
+            .all(|s| s.within.as_deref() == Some("build.load")));
+        assert_eq!(
+            parsed.stages.iter().filter(|s| s.within.is_some()).count(),
+            LOAD_ROWS.len(),
+            "threads {threads}: only the ingest rows nest"
+        );
+        let unattributed = parsed.stage("build.unattributed").unwrap().wall_ns;
+        assert!(unattributed > 0, "threads {threads}");
+        if threads == "1" {
+            let inside: u64 = nested.iter().map(|s| s.wall_ns).sum();
+            let load_ns = parsed.stages[load].wall_ns;
+            assert!(
+                inside <= load_ns,
+                "nested rows {inside} ns > build.load {load_ns} ns"
+            );
+        }
+    }
 
     // The report file is a valid RunReport with stages and counters.
-    let text = std::fs::read_to_string(&report).unwrap();
-    let doc = p2o_util::Json::parse(&text).unwrap();
-    let parsed = p2o_obs::RunReport::from_json(&doc).unwrap();
+    let (out, parsed) = build("2");
     assert!(!parsed.stages.is_empty(), "report has no stages");
     for stage in [
         "util.digest",
+        "build.load",
         "whois.parse",
         "bgp.parse",
         "rpki.load",
@@ -220,9 +275,12 @@ fn build_report_emits_run_report() {
         }
     }
 
-    // The stderr summary table lists the stages, counters and peak RSS.
+    // The stderr summary table lists the stages, the ingest rows indented
+    // under `build.load`, the counters and peak RSS.
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("stages"), "{stderr}");
+    assert!(stderr.contains("\n  build.load  "), "{stderr}");
+    assert!(stderr.contains("\n    bgp.parse  "), "{stderr}");
     assert!(stderr.contains("pipeline.resolve"), "{stderr}");
     assert!(stderr.contains("whois.records"), "{stderr}");
     assert!(stderr.contains("peak_rss_bytes"), "{stderr}");
@@ -323,6 +381,7 @@ fn build_trace_and_metrics_emit_valid_artifacts() {
     let dataset = dir.join("dataset.jsonl");
     let trace = dir.join("trace.json");
     let metrics = dir.join("metrics.prom");
+    let report = dir.join("run.json");
     let out = run(&[
         "build",
         "--in",
@@ -335,6 +394,8 @@ fn build_trace_and_metrics_emit_valid_artifacts() {
         trace.to_str().unwrap(),
         "--metrics",
         metrics.to_str().unwrap(),
+        "--report",
+        report.to_str().unwrap(),
     ]);
     assert!(
         out.status.success(),
@@ -343,7 +404,8 @@ fn build_trace_and_metrics_emit_valid_artifacts() {
     );
 
     // The trace is a Chrome trace-event JSON array with B/E span events
-    // carrying tid/ts, and covers every instrumented parallel stage.
+    // carrying tid/ts and C counter events carrying ts, and covers every
+    // instrumented parallel stage.
     let text = std::fs::read_to_string(&trace).unwrap();
     let doc = p2o_util::Json::parse(&text).unwrap();
     let events = doc.as_array().expect("trace is a JSON array");
@@ -356,14 +418,37 @@ fn build_trace_and_metrics_emit_valid_artifacts() {
     };
     for e in events {
         let ph = phase_of(e);
-        assert!(["M", "B", "E"].contains(&ph.as_str()), "unknown phase {ph}");
-        assert!(e.get("tid").is_some(), "event without tid");
+        assert!(
+            ["M", "B", "E", "C"].contains(&ph.as_str()),
+            "unknown phase {ph}"
+        );
+        assert!(ph == "C" || e.get("tid").is_some(), "event without tid");
         if ph != "M" {
-            assert!(e.get("ts").is_some(), "span event without ts");
-            assert!(e.get("name").is_some(), "span event without name");
+            assert!(e.get("ts").is_some(), "{ph} event without ts");
+            assert!(e.get("name").is_some(), "{ph} event without name");
         }
     }
+    // One `rss` counter point per stage row of the run report, each with
+    // the row's RSS.
+    let doc = p2o_util::Json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let parsed = p2o_obs::RunReport::from_json(&doc).unwrap();
+    let mut samples: Vec<u64> = events
+        .iter()
+        .filter(|e| phase_of(e) == "C")
+        .map(|e| {
+            assert_eq!(e.get("name").and_then(p2o_util::Json::as_str), Some("rss"));
+            e.get("args")
+                .and_then(|a| a.get("value"))
+                .and_then(p2o_util::Json::as_u64)
+                .expect("counter value")
+        })
+        .collect();
+    let mut rows: Vec<u64> = parsed.stages.iter().map(|s| s.rss_bytes).collect();
+    samples.sort_unstable();
+    rows.sort_unstable();
+    assert_eq!(samples, rows, "one rss counter event per stage row");
     for stage in [
+        "load.lane",
         "whois.parse",
         "mrt.decode",
         "resolve",
@@ -401,10 +486,11 @@ fn build_trace_and_metrics_emit_valid_artifacts() {
 }
 
 /// `--threads` changes timing and nothing else: the export, the frozen
-/// artifact, the run report's stage rows and the set of span names are
-/// the same at one thread and at four. Per-shard timing lives only in the
-/// trace, as extra spans of the same names; resolution and the freeze are
-/// one pass, one span each, at any thread count.
+/// artifact, the run report's stage rows (in report order, nesting
+/// included) and the set of span names are the same at one thread and at
+/// four. Per-shard timing lives only in the trace, as extra spans of the
+/// same names; the two load lanes, resolution and the freeze keep their
+/// span count at any thread count.
 #[test]
 fn thread_count_changes_only_timing() {
     let dir = temp_dir("threads");
@@ -428,13 +514,12 @@ fn thread_count_changes_only_timing() {
             trace.to_str().unwrap(),
         ]);
         let report = p2o_util::Json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
-        let mut stages: Vec<String> = p2o_obs::RunReport::from_json(&report)
+        let stages: Vec<(String, Option<String>)> = p2o_obs::RunReport::from_json(&report)
             .unwrap()
             .stages
             .into_iter()
-            .map(|s| s.name)
+            .map(|s| (s.name, s.within))
             .collect();
-        stages.sort();
         let trace = p2o_util::Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
         let spans: Vec<String> = trace
             .as_array()
@@ -477,14 +562,181 @@ fn thread_count_changes_only_timing() {
             "{name}: four threads trace no extra shard spans"
         );
     }
-    for name in ["resolve", "frozen.freeze"] {
+    for (name, spans) in [("load.lane", 2), ("resolve", 1), ("frozen.freeze", 1)] {
         assert_eq!(
             (count(&spans1, name), count(&spans4, name)),
-            (1, 1),
-            "{name}: not one span at 1 and 4 threads"
+            (spans, spans),
+            "{name}: not {spans} span(s) at 1 and 4 threads"
         );
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Where an input falls in the load's input order: the WHOIS dumps, then
+/// `rib.mrt`, then `rpki.jsonl`.
+fn input_rank(file: &str) -> usize {
+    match file {
+        "rib.mrt" => 1,
+        "rpki.jsonl" => 2,
+        _ => {
+            assert!(file.starts_with("whois/"), "unexpected file {file}");
+            0
+        }
+    }
+}
+
+/// The two load lanes fold in input order, not in the order they end: on
+/// a world damaged in its WHOIS dumps, its RIB and its RPKI, a strict
+/// build names the same first damaged WHOIS dump at one thread and at
+/// four, and lenient builds report the same data quality section, with
+/// the rejects in input order, and the same counters.
+#[test]
+fn load_lanes_fold_in_input_order_on_a_corrupt_world() {
+    let dir = temp_dir("fold-corrupt");
+    let dir_s = dir.to_str().unwrap();
+    let out = run(&[
+        "generate",
+        "--out",
+        dir_s,
+        "--scale",
+        "tiny",
+        "--seed",
+        "7",
+        "--corrupt-rate",
+        "0.1",
+    ]);
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let faults = stderr
+        .lines()
+        .find(|l| l.starts_with("injected "))
+        .expect("fault summary line");
+    for layer in ["mrt", "whois", "rpki"] {
+        let count: u64 = faults
+            .split(&format!("{layer} "))
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or(0);
+        assert!(count > 0, "no {layer} damage: {faults}");
+    }
+    let dataset = dir.join("dataset.jsonl");
+    let report = dir.join("run.json");
+    let build = |threads: &str, strict: bool| {
+        let mut args = vec![
+            "build",
+            "--in",
+            dir_s,
+            "--out",
+            dataset.to_str().unwrap(),
+            "--threads",
+            threads,
+            "--quarantine-samples",
+            "100000",
+        ];
+        if strict {
+            args.push("--strict");
+        }
+        args.extend(["--report", report.to_str().unwrap()]);
+        run(&args)
+    };
+    let strict: Vec<String> = ["1", "4"]
+        .iter()
+        .map(|t| {
+            let out = build(t, true);
+            assert_eq!(out.status.code(), Some(2), "strict build at {t} threads");
+            String::from_utf8(out.stderr).unwrap()
+        })
+        .collect();
+    assert_eq!(strict[0], strict[1], "strict diagnostic differs");
+    let diagnostic = strict[0].lines().last().unwrap();
+    assert!(
+        diagnostic.starts_with("prefix2org: ingest error: whois/"),
+        "the first damaged input is a WHOIS dump: {diagnostic}"
+    );
+
+    let lenient: Vec<p2o_obs::RunReport> = ["1", "4"]
+        .iter()
+        .map(|t| {
+            let out = build(t, false);
+            assert!(out.status.success(), "lenient build at {t} threads");
+            let text = std::fs::read_to_string(&report).unwrap();
+            p2o_obs::RunReport::from_json(&p2o_util::Json::parse(&text).unwrap()).unwrap()
+        })
+        .collect();
+    let quality = lenient[0].data_quality.clone().expect("data_quality");
+    assert_eq!(lenient[1].data_quality.as_ref(), Some(&quality));
+    assert_eq!(lenient[0].counters, lenient[1].counters);
+    assert_eq!(quality.samples.len() as u64, quality.quarantined);
+    let ranks: Vec<usize> = quality
+        .samples
+        .iter()
+        .map(|r| input_rank(&r.file))
+        .collect();
+    assert!(ranks.windows(2).all(|w| w[0] <= w[1]), "{ranks:?}");
+    assert_eq!(
+        (ranks.first(), ranks.last()),
+        (Some(&0), Some(&2)),
+        "rejects from the dumps through rpki.jsonl"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failure in `rpki.jsonl` comes before one in `jpnic_alloc.tsv` in input
+/// order, though the lanes meet their inputs in the other order: with one
+/// bad RPKI line and one malformed JPNIC row, a strict build names
+/// `rpki.jsonl` and a lenient one (which quarantines the RPKI line) fails
+/// on `jpnic_alloc.tsv`, at one thread and at four.
+#[test]
+fn load_lanes_report_the_first_failure_in_input_order() {
+    let dir = temp_dir("fold-first-error");
+    let dir_s = dir.to_str().unwrap();
+    run_ok(&["generate", "--out", dir_s, "--scale", "tiny", "--seed", "7"]);
+    let append = |file: &str, line: &str| {
+        let path = dir.join(file);
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(line);
+        std::fs::write(&path, text).unwrap();
+    };
+    append("rpki.jsonl", "{\"type\":\"bogus\"}\n");
+    append("jpnic_alloc.tsv", "not-a-prefix\tallocated\n");
+    let dataset = dir.join("dataset.jsonl");
+    for threads in ["1", "4"] {
+        for (strict, code, want) in [
+            (
+                true,
+                2,
+                "prefix2org: ingest error: rpki.jsonl: RpkiBadObject at line ",
+            ),
+            (
+                false,
+                1,
+                "prefix2org: error: jpnic_alloc.tsv: malformed input",
+            ),
+        ] {
+            let mut args = vec![
+                "build",
+                "--in",
+                dir_s,
+                "--out",
+                dataset.to_str().unwrap(),
+                "--threads",
+                threads,
+            ];
+            if strict {
+                args.push("--strict");
+            }
+            let out = run(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(code), "{stderr}");
+            let last = stderr.lines().last().unwrap_or_default();
+            assert!(
+                last.starts_with(want),
+                "threads {threads}, strict {strict}: {last}"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

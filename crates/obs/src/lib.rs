@@ -53,7 +53,9 @@ pub use runtime::{
     FlightRecord, FlightRecorder, FlightSample, WindowSnapshot, WindowedHistogram, WINDOWS,
 };
 pub use shards::{run_shards, shard_count, split_shards, traced};
-pub use trace::{Span, ThreadLog, ThreadTrace, Trace, TraceEvent, TracePhase, Tracer};
+pub use trace::{
+    CounterSample, Span, ThreadLog, ThreadTrace, Trace, TraceEvent, TracePhase, Tracer,
+};
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -260,12 +262,76 @@ impl StageTimer {
             wall_ns: self.started.elapsed().as_nanos() as u64,
             items: self.items,
             rss_bytes: process_rss_bytes(),
+            within: None,
         };
         self.obs.push_stage(stage);
     }
 }
 
 impl Drop for StageTimer {
+    fn drop(&mut self) {
+        self.record();
+    }
+}
+
+/// RAII timer for a stage whose work runs as other stages, some of them
+/// side by side: the rows recorded while it runs are its parts.
+///
+/// When it drops (or on [`finish`]) it records its own row and marks
+/// every row recorded since it started as `within` it. Those rows follow
+/// its own in the order its `order` list names them, however their work
+/// interleaved; a name the list leaves out goes last. Its wall time
+/// spans its parts, so only rows outside any enclosing stage add up to
+/// the run's wall time.
+///
+/// [`finish`]: EnclosingStage::finish
+pub struct EnclosingStage {
+    obs: Obs,
+    name: String,
+    started: Instant,
+    order: &'static [&'static str],
+    first: usize,
+    done: bool,
+}
+
+impl EnclosingStage {
+    /// Stops the timer now and records the stage and its parts.
+    pub fn finish(mut self) {
+        self.record();
+    }
+
+    fn record(&mut self) {
+        if self.done {
+            return;
+        }
+        self.done = true;
+        let wall_ns = self.started.elapsed().as_nanos() as u64;
+        let rss_bytes = process_rss_bytes();
+        let rank = |s: &StageReport| {
+            let found = self.order.iter().position(|&name| name == s.name);
+            found.unwrap_or(self.order.len())
+        };
+        {
+            let mut stages = self.obs.inner.stages.lock().expect("obs stages lock");
+            let mut parts = stages.split_off(self.first);
+            parts.sort_by_key(rank);
+            for part in &mut parts {
+                part.within = Some(self.name.clone());
+            }
+            stages.push(StageReport {
+                name: std::mem::take(&mut self.name),
+                wall_ns,
+                items: None,
+                rss_bytes,
+                within: None,
+            });
+            stages.extend(parts);
+        }
+        self.obs.sample_rss(rss_bytes);
+    }
+}
+
+impl Drop for EnclosingStage {
     fn drop(&mut self) {
         self.record();
     }
@@ -345,6 +411,20 @@ impl Obs {
         }
     }
 
+    /// Starts stage `name` as the parent of the rows recorded until the
+    /// returned guard drops, listed after it in `order`'s order; see
+    /// [`EnclosingStage`].
+    pub fn enclosing_stage(&self, name: &str, order: &'static [&'static str]) -> EnclosingStage {
+        EnclosingStage {
+            obs: self.clone(),
+            name: name.to_string(),
+            started: Instant::now(),
+            order,
+            first: self.inner.stages.lock().expect("obs stages lock").len(),
+            done: false,
+        }
+    }
+
     /// Records stage `name` with a wall time the caller measured: a phase
     /// timed in pieces and summed, ending now.
     pub fn record_stage(&self, name: &str, wall: Duration) {
@@ -353,12 +433,29 @@ impl Obs {
             wall_ns: wall.as_nanos() as u64,
             items: None,
             rss_bytes: process_rss_bytes(),
+            within: None,
         });
     }
 
     fn push_stage(&self, stage: StageReport) {
-        let mut stages = self.inner.stages.lock().expect("obs stages lock");
-        stages.push(stage);
+        let rss_bytes = stage.rss_bytes;
+        self.inner
+            .stages
+            .lock()
+            .expect("obs stages lock")
+            .push(stage);
+        self.sample_rss(rss_bytes);
+    }
+
+    /// With tracing on, adds a stage row's RSS to the trace's `rss`
+    /// counter track.
+    fn sample_rss(&self, rss_bytes: u64) {
+        if !self.tracing_attached() {
+            return;
+        }
+        if let Some(tracer) = self.tracer() {
+            tracer.sample("rss", rss_bytes);
+        }
     }
 
     /// Turns on span tracing: subsequent [`thread_log`] calls hand out
@@ -602,6 +699,10 @@ pub struct StageReport {
     /// The process's resident set size when the stage ended
     /// ([`process_rss_bytes`]; 0 off Linux).
     pub rss_bytes: u64,
+    /// The [`EnclosingStage`] this row is part of (`build.load` for the
+    /// ingest rows), or `None` for a top-level row. Only top-level rows
+    /// add up to the run's wall time.
+    pub within: Option<String>,
 }
 
 impl StageReport {
@@ -675,7 +776,8 @@ pub(crate) fn midpoint_quantile(buckets: &[u64], count: u64, min: u64, max: u64,
 /// A full observability snapshot of one pipeline run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
-    /// Stages in completion order.
+    /// Stages in completion order, but for the parts of an
+    /// [`EnclosingStage`], which follow it in its order.
     pub stages: Vec<StageReport>,
     /// Counters in registration order.
     pub counters: Vec<(String, u64)>,
@@ -705,6 +807,16 @@ impl RunReport {
         self.stages.iter().find(|s| s.name == name)
     }
 
+    /// The wall time of the top-level stage rows: the share of the run
+    /// they account for, each nested row counted once inside its parent.
+    pub fn top_level_wall_ns(&self) -> u64 {
+        self.stages
+            .iter()
+            .filter(|s| s.within.is_none())
+            .map(|s| s.wall_ns)
+            .sum()
+    }
+
     /// The histogram named `name`, when registered.
     pub fn histogram(&self, name: &str) -> Option<&HistogramReport> {
         self.histograms.iter().find(|h| h.name == name)
@@ -719,6 +831,9 @@ impl RunReport {
             obj.set("name", s.name.as_str());
             obj.set("wall_ns", s.wall_ns);
             obj.set("rss_bytes", s.rss_bytes);
+            if let Some(within) = &s.within {
+                obj.set("within", within.as_str());
+            }
             if let Some(items) = s.items {
                 obj.set("items", items);
                 if let Some(rate) = s.rate() {
@@ -793,6 +908,7 @@ impl RunReport {
                         .get("rss_bytes")
                         .and_then(Json::as_u64)
                         .ok_or("stage missing rss_bytes")?,
+                    within: s.get("within").and_then(Json::as_str).map(str::to_string),
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -850,25 +966,31 @@ impl RunReport {
     }
 
     /// An aligned, human-readable summary (one stage/counter/histogram per
-    /// line) for stderr.
+    /// line) for stderr. A nested stage row is indented under its parent.
     pub fn summary_table(&self) -> String {
         let mut out = String::new();
-        let width = self
+        let labels: Vec<String> = self
             .stages
             .iter()
-            .map(|s| s.name.len())
+            .map(|s| match s.within {
+                Some(_) => format!("  {}", s.name),
+                None => s.name.clone(),
+            })
+            .collect();
+        let width = labels
+            .iter()
+            .map(String::len)
             .chain(self.counters.iter().map(|(n, _)| n.len()))
             .chain(self.histograms.iter().map(|h| h.name.len()))
             .max()
             .unwrap_or(0)
             .max(5);
         out.push_str("stages\n");
-        for s in &self.stages {
+        for (s, label) in self.stages.iter().zip(&labels) {
             let ms = s.wall_ns as f64 / 1e6;
             let rss_mb = s.rss_bytes as f64 / (1024.0 * 1024.0);
             out.push_str(&format!(
-                "  {:width$}  {ms:>10.2} ms  {rss_mb:>8.1} MB rss",
-                s.name
+                "  {label:width$}  {ms:>10.2} ms  {rss_mb:>8.1} MB rss"
             ));
             if let Some(rate) = s.rate() {
                 out.push_str(&format!(
@@ -1003,6 +1125,98 @@ mod tests {
         let value = obs.time("compute", || 7);
         assert_eq!(value, 7);
         assert!(obs.report().stage("compute").is_some());
+    }
+
+    /// An enclosing stage lists the rows recorded while it ran after its
+    /// own, in its order whatever order they ended in, marks them as
+    /// within it, and only top-level rows add up to the wall time.
+    #[test]
+    fn enclosing_stage_nests_its_rows_in_its_order() {
+        let obs = Obs::new();
+        obs.record_stage("before", Duration::from_millis(1));
+        let load = obs.enclosing_stage("load", &["a", "b", "c"]);
+        std::thread::scope(|s| {
+            s.spawn(|| obs.record_stage("c", Duration::from_millis(3)));
+        });
+        obs.record_stage("stray", Duration::from_millis(5));
+        obs.record_stage("a", Duration::from_millis(2));
+        obs.time("b", || ());
+        load.finish();
+        obs.record_stage("after", Duration::from_millis(4));
+        let report = obs.report();
+        let rows: Vec<(&str, Option<&str>)> = report
+            .stages
+            .iter()
+            .map(|s| (s.name.as_str(), s.within.as_deref()))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("before", None),
+                ("load", None),
+                ("a", Some("load")),
+                ("b", Some("load")),
+                ("c", Some("load")),
+                ("stray", Some("load")),
+                ("after", None),
+            ]
+        );
+        let wall = |name: &str| report.stage(name).unwrap().wall_ns;
+        assert_eq!(
+            report.top_level_wall_ns(),
+            wall("before") + wall("load") + wall("after")
+        );
+        let table = report.summary_table();
+        assert!(table.contains("\n  load  "), "{table}");
+        assert!(table.contains("\n    a   "), "{table}");
+        let doc = p2o_util::Json::parse(&report.to_json_string()).unwrap();
+        assert_eq!(RunReport::from_json(&doc).unwrap().stages, report.stages);
+    }
+
+    /// A report written before rows could nest has no `within` fields and
+    /// still parses, every row top-level.
+    #[test]
+    fn a_report_without_within_fields_parses() {
+        let text = r#"{"stages":[{"name":"whois.parse","wall_ns":5,"rss_bytes":7}],"counters":{}}"#;
+        let report = RunReport::from_json(&p2o_util::Json::parse(text).unwrap()).unwrap();
+        assert_eq!(report.stages[0].within, None);
+        assert_eq!(report.top_level_wall_ns(), 5);
+    }
+
+    /// With tracing on, every stage row ends with one point on the trace's
+    /// `rss` counter track carrying the row's RSS.
+    #[test]
+    fn each_stage_row_samples_rss_into_the_trace() {
+        let obs = Obs::new();
+        obs.time("untraced", || ());
+        obs.enable_tracing();
+        let load = obs.enclosing_stage("load", &["a"]);
+        obs.time("a", || ());
+        drop(load);
+        obs.record_stage("b", Duration::ZERO);
+        let report = obs.report();
+        let trace = obs.take_trace();
+        assert_eq!(trace.counters.len(), report.stages.len() - 1);
+        assert!(trace.counters.iter().all(|c| c.name == "rss"));
+        assert!(trace.counters.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+        let rows = ["a", "load", "b"].map(|name| report.stage(name).unwrap().rss_bytes);
+        let samples: Vec<u64> = trace.counters.iter().map(|c| c.value).collect();
+        assert_eq!(samples, rows);
+        let chrome = trace.to_chrome_json();
+        let counters: Vec<&p2o_util::Json> = chrome
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("ph").and_then(p2o_util::Json::as_str) == Some("C"))
+            .collect();
+        assert_eq!(counters.len(), 3);
+        assert_eq!(
+            counters[0]
+                .get("args")
+                .and_then(|a| a.get("value"))
+                .and_then(p2o_util::Json::as_u64),
+            Some(rows[0])
+        );
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! contiguous shards, hand them to [`run_shards`], and fold the results in
 //! shard order. Because each shard covers a contiguous run of the input
 //! and results come back in shard order, the folded output is the same at
-//! any thread count, including the single shard that runs inline on the
-//! caller's thread. DO/DC resolution and the freeze are one pass each,
-//! traced through [`traced`] as the single shard is.
+//! any thread count. Shard 0 always runs inline on the caller's thread, a
+//! single shard included. `store::load_inputs` runs its two ingest lanes
+//! through the same runner. DO/DC resolution and the freeze are one pass
+//! each, traced through [`traced`] as the single shard is.
 //!
 //! The runner records trace spans, never stage timers: the run report
 //! lists the same per-layer stages at every thread count, and per-shard
@@ -38,12 +39,14 @@ pub fn split_shards<T>(items: &[T], threads: usize) -> Vec<&[T]> {
 
 /// Runs `work` on every shard and returns the results in shard order.
 ///
-/// Several shards run on scoped threads, one each; a single shard runs
-/// inline on the calling thread. With tracing on in `obs`, every shard
-/// records one `name` span, on a thread log of that name, tagged with its
-/// `shard` index; `work` receives the span to attach more arguments. A
-/// panicking shard re-raises its panic on the caller once the other
-/// shards have finished.
+/// Shard 0 runs inline on the calling thread and every other shard on a
+/// scoped thread of its own, so a single shard spawns nothing and the
+/// first shard's allocations land in the caller's malloc arena, where
+/// the later passes of the build reuse them. With tracing on in `obs`,
+/// every shard records one `name` span, on a thread log of that name,
+/// tagged with its `shard` index; `work` receives the span to attach more
+/// arguments. A panicking shard re-raises its panic on the caller once
+/// the other shards have finished.
 pub fn run_shards<S, T, F>(obs: Option<&Obs>, name: &str, shards: Vec<S>, work: F) -> Vec<T>
 where
     S: Send,
@@ -58,23 +61,22 @@ where
             work(shard, span)
         })
     };
-    if shards.len() == 1 {
-        return shards.into_iter().map(|shard| run(0, shard)).collect();
-    }
+    let mut shards = shards.into_iter().enumerate();
+    let Some((_, first)) = shards.next() else {
+        return Vec::new();
+    };
     let run = &run;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .enumerate()
+        let rest: Vec<_> = shards
             .map(|(idx, shard)| scope.spawn(move || run(idx, shard)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
+        let mut results = Vec::with_capacity(rest.len() + 1);
+        results.push(run(0, first));
+        results.extend(rest.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        results
     })
 }
 
@@ -118,15 +120,24 @@ mod tests {
         }
     }
 
+    /// Shard 0 runs on the calling thread, a single shard included; every
+    /// other shard runs on a thread of its own.
     #[test]
     fn a_single_shard_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
         let ids = run_shards(None, "one", vec![()], |_, _| std::thread::current().id());
         assert_eq!(ids, vec![caller]);
-        let ids = run_shards(None, "two", vec![(), ()], |_, _| {
-            std::thread::current().id()
-        });
-        assert!(ids.iter().all(|&id| id != caller));
+        for shards in [2, 3] {
+            let ids = run_shards(None, "more", vec![(); shards], |_, _| {
+                std::thread::current().id()
+            });
+            assert_eq!(ids[0], caller, "{shards} shards");
+            for (i, id) in ids.iter().enumerate().skip(1) {
+                assert_ne!(*id, caller, "shard {i} of {shards}");
+                assert!(ids[..i].iter().all(|other| other != id), "shard {i}");
+            }
+        }
+        assert!(run_shards(None, "none", Vec::<()>::new(), |_, _| ()).is_empty());
     }
 
     #[test]

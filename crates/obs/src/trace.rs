@@ -15,6 +15,8 @@
 //!   atomics, no locks, nothing shared on the hot path.
 //! - Spans nest: a span opened while another is alive records the open
 //!   span as its parent, giving Perfetto a per-thread flame graph.
+//! - [`Tracer::sample`] adds a point to a counter track: the build samples
+//!   its RSS into the `rss` track as each stage row ends.
 //! - [`Trace::to_chrome_json`] renders the drained buffers as a Chrome
 //!   trace-event array (`ph`/`ts`/`tid`/`pid` fields, timestamps in
 //!   microseconds) loadable in Perfetto or `chrome://tracing`.
@@ -68,10 +70,22 @@ pub struct ThreadTrace {
     pub events: Vec<TraceEvent>,
 }
 
+/// One point of a counter track (Chrome `ph: "C"`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CounterSample {
+    /// Track name (e.g. `rss`).
+    pub name: String,
+    /// Nanoseconds since the tracer's epoch.
+    pub ts_ns: u64,
+    /// The counter's value from this point on.
+    pub value: u64,
+}
+
 struct TracerInner {
     epoch: Instant,
     next_tid: AtomicU64,
     finished: Mutex<Vec<ThreadTrace>>,
+    samples: Mutex<Vec<CounterSample>>,
 }
 
 /// The shared trace collector. Cloning is cheap (`Arc`); all clones feed
@@ -104,6 +118,7 @@ impl Tracer {
                 epoch: Instant::now(),
                 next_tid: AtomicU64::new(1),
                 finished: Mutex::new(Vec::new()),
+                samples: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -122,12 +137,29 @@ impl Tracer {
         }
     }
 
+    /// Adds a point to counter track `name`, timestamped now. Samples
+    /// are rare (one per build stage), so they share one lock.
+    pub fn sample(&self, name: &str, value: u64) {
+        let ts_ns = self.inner.epoch.elapsed().as_nanos() as u64;
+        self.inner
+            .samples
+            .lock()
+            .expect("tracer lock")
+            .push(CounterSample {
+                name: name.to_string(),
+                ts_ns,
+                value,
+            });
+    }
+
     /// Drains every flushed thread buffer into a [`Trace`], ordered by
-    /// thread id. Logs still alive are not included — drop them first.
+    /// thread id, and every counter sample in recording order. Logs still
+    /// alive are not included — drop them first.
     pub fn drain(&self) -> Trace {
         let mut threads = std::mem::take(&mut *self.inner.finished.lock().expect("tracer lock"));
         threads.sort_by_key(|t| t.tid);
-        Trace { threads }
+        let counters = std::mem::take(&mut *self.inner.samples.lock().expect("tracer lock"));
+        Trace { threads, counters }
     }
 }
 
@@ -238,11 +270,14 @@ impl Drop for Span<'_> {
     }
 }
 
-/// A drained trace: every finished thread's events, ordered by thread id.
+/// A drained trace: every finished thread's events, ordered by thread id,
+/// and the counter samples.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Per-thread event buffers.
     pub threads: Vec<ThreadTrace>,
+    /// Counter-track points, in recording order.
+    pub counters: Vec<CounterSample>,
 }
 
 impl Trace {
@@ -255,14 +290,15 @@ impl Trace {
             .count()
     }
 
-    /// Total number of begin/end events.
+    /// Total number of begin/end events and counter samples.
     pub fn event_count(&self) -> usize {
-        self.threads.iter().map(|t| t.events.len()).sum()
+        self.threads.iter().map(|t| t.events.len()).sum::<usize>() + self.counters.len()
     }
 
     /// The trace as a Chrome trace-event JSON array: one `ph: "M"` thread
     /// metadata event per thread, then the `ph: "B"`/`ph: "E"` span events
-    /// with microsecond timestamps — the format Perfetto and
+    /// with microsecond timestamps, then one `ph: "C"` event per counter
+    /// sample (its value under `args.value`) — the format Perfetto and
     /// `chrome://tracing` load directly.
     pub fn to_chrome_json(&self) -> Json {
         let mut events: Vec<Json> = Vec::new();
@@ -302,6 +338,17 @@ impl Trace {
                 }
                 events.push(obj);
             }
+        }
+        for sample in &self.counters {
+            let mut obj = Json::object();
+            obj.set("name", sample.name.as_str());
+            obj.set("ph", "C");
+            obj.set("pid", 1u64);
+            obj.set("ts", sample.ts_ns as f64 / 1000.0);
+            let mut args = Json::object();
+            args.set("value", sample.value);
+            obj.set("args", args);
+            events.push(obj);
         }
         Json::Arr(events)
     }

@@ -113,17 +113,7 @@ impl Json {
 
     /// Parses a JSON document; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters"));
-        }
-        Ok(v)
+        Parser::new(text).document()
     }
 
     /// Pretty rendering: two-space indent, `": "` separators — the
@@ -427,11 +417,37 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Parse strings with the one-scalar-per-step loop the run scan
+    /// replaced, kept as the tests' oracle.
+    #[cfg(test)]
+    by_scalar: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            #[cfg(test)]
+            by_scalar: false,
+        }
+    }
+
+    /// One value, with only whitespace around it.
+    fn document(mut self) -> Result<Json, JsonError> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -536,10 +552,25 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A string literal, a run at a time: everything up to the next quote,
+    /// backslash or control byte goes over in one copy. None of those
+    /// bytes occurs inside a multi-byte UTF-8 scalar, so every run ends on
+    /// a char boundary of the input text.
     fn string(&mut self) -> Result<String, JsonError> {
+        #[cfg(test)]
+        if self.by_scalar {
+            return tests::string_by_scalar(self);
+        }
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -548,52 +579,50 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let first = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&first) {
-                                // Surrogate pair.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("lone surrogate"));
-                                }
-                                self.pos += 2;
-                                let second = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&second) {
-                                    return Err(self.err("bad surrogate pair"));
-                                }
-                                let code = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
-                                char::from_u32(code).ok_or_else(|| self.err("bad code point"))?
-                            } else {
-                                char::from_u32(first).ok_or_else(|| self.err("bad code point"))?
-                            };
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
+                    self.escape(&mut out)?;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let len = utf8_len(rest[0]);
-                    let s =
-                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos += len;
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
+    }
+
+    /// The escape after a backslash, pushed onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0C}',
+            Some(b'u') => {
+                self.pos += 1;
+                let first = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&first) {
+                    // Surrogate pair.
+                    if !self.bytes[self.pos..].starts_with(b"\\u") {
+                        return Err(self.err("lone surrogate"));
+                    }
+                    self.pos += 2;
+                    let second = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&second) {
+                        return Err(self.err("bad surrogate pair"));
+                    }
+                    let code = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
+                    char::from_u32(code).ok_or_else(|| self.err("bad code point"))?
+                } else {
+                    char::from_u32(first).ok_or_else(|| self.err("bad code point"))?
+                };
+                out.push(c);
+                return Ok(());
+            }
+            _ => return Err(self.err("bad escape")),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -637,18 +666,185 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn utf8_len(first: u8) -> usize {
+        match first {
+            0x00..=0x7F => 1,
+            0xC0..=0xDF => 2,
+            0xE0..=0xEF => 3,
+            _ => 4,
+        }
+    }
+
+    /// The string loop the run scan replaced: one UTF-8 scalar per step,
+    /// each through `str::from_utf8`. The oracle the run scan must match
+    /// value for value and error for error.
+    pub(super) fn string_by_scalar(p: &mut Parser<'_>) -> Result<String, JsonError> {
+        p.eat(b'"')?;
+        let mut out = String::new();
+        loop {
+            match p.peek() {
+                None => return Err(p.err("unterminated string")),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    p.pos += 1;
+                    match p.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{08}'),
+                        Some(b'f') => out.push('\u{0C}'),
+                        Some(b'u') => {
+                            p.pos += 1;
+                            let first = p.hex4()?;
+                            let c = if (0xD800..0xDC00).contains(&first) {
+                                // Surrogate pair.
+                                if !p.bytes[p.pos..].starts_with(b"\\u") {
+                                    return Err(p.err("lone surrogate"));
+                                }
+                                p.pos += 2;
+                                let second = p.hex4()?;
+                                if !(0xDC00..0xE000).contains(&second) {
+                                    return Err(p.err("bad surrogate pair"));
+                                }
+                                let code = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
+                                char::from_u32(code).ok_or_else(|| p.err("bad code point"))?
+                            } else {
+                                char::from_u32(first).ok_or_else(|| p.err("bad code point"))?
+                            };
+                            out.push(c);
+                            continue;
+                        }
+                        _ => return Err(p.err("bad escape")),
+                    }
+                    p.pos += 1;
+                }
+                Some(b) if b < 0x20 => return Err(p.err("control character in string")),
+                Some(_) => {
+                    // Consume one UTF-8 scalar (input is a &str, so this is safe).
+                    let rest = &p.bytes[p.pos..];
+                    let len = utf8_len(rest[0]);
+                    let s =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| p.err("invalid UTF-8"))?;
+                    out.push_str(s);
+                    p.pos += len;
+                }
+            }
+        }
+    }
+
+    /// A string literal's body for the oracle test: plain and multi-byte
+    /// text, every escape (surrogate pairs, lone and bad ones included),
+    /// bad and cut-short escapes and raw control bytes.
+    fn string_body(g: &mut crate::check::Gen) -> String {
+        let mut body = String::new();
+        for _ in 0..g.below(8) {
+            match g.below(10) {
+                0 | 1 => body.push_str(&g.unicode_string(12)),
+                2 => body.push_str(&g.string_from("abc xyz019", 20)),
+                3 => {
+                    let escape =
+                        *g.pick(&["\\\"", "\\\\", "\\/", "\\n", "\\r", "\\t", "\\b", "\\f"]);
+                    body.push_str(escape);
+                }
+                4 => {
+                    let code = *g.pick(&[0x41u32, 0xe9, 0x7f, 0x1f, 0x4e2d, 0xffff, 0xd7ff]);
+                    body.push_str(&format!("\\u{code:04x}"));
+                }
+                5 => {
+                    let high = g.range(0xD800, 0xDBFF);
+                    let low = g.range(0xDC00, 0xDFFF);
+                    body.push_str(&format!("\\u{high:04X}\\u{low:04x}"));
+                }
+                6 => {
+                    let bad = *g.pick(&[
+                        "\\uD83D",
+                        "\\uD83Dx",
+                        "\\uD83D\\u0041",
+                        "\\uDC00",
+                        "\\u12",
+                        "\\u12G4",
+                        "\\x",
+                        "\\",
+                        "\\u00é1",
+                    ]);
+                    body.push_str(bad);
+                }
+                7 => body.push(char::from(g.below(0x20) as u8)),
+                8 => body.push(*g.pick(&['é', '直', '😀', '\u{7f}', '\u{80}', '\u{10ffff}'])),
+                _ => body.push(*g.pick(&['"', '\\'])),
+            }
+        }
+        body
+    }
+
+    /// A document of strings in objects and arrays, whole or cut short at
+    /// a char boundary (an unterminated string or value).
+    fn string_document(g: &mut crate::check::Gen) -> String {
+        let mut doc = String::from("{");
+        for i in 0..g.below(4) {
+            if i > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&format!("\"{}\": ", string_body(g)));
+            match g.below(3) {
+                0 => doc.push_str(&format!("\"{}\"", string_body(g))),
+                1 => {
+                    let items: Vec<String> = (0..g.below(3))
+                        .map(|_| format!("\"{}\"", string_body(g)))
+                        .collect();
+                    doc.push_str(&format!("[{}]", items.join(", ")));
+                }
+                _ => doc.push_str(&format!("{{\"k\":\"{}\",\"n\":1}}", string_body(g))),
+            }
+        }
+        doc.push('}');
+        if g.chance(0.3) {
+            let mut cut = g.below(doc.len() + 1);
+            while !doc.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            doc.truncate(cut);
+        }
+        doc
+    }
+
+    /// The run scan parses every document to the value, or fails with the
+    /// message and offset, that the one-scalar-per-step loop does.
+    #[test]
+    fn string_runs_match_the_scalar_loop() {
+        let by_scalar = |text: &str| {
+            Parser {
+                by_scalar: true,
+                ..Parser::new(text)
+            }
+            .document()
+        };
+        let mut errors = 0;
+        crate::check::run_cases(4096, |g| {
+            let doc = string_document(g);
+            let want = by_scalar(&doc);
+            errors += usize::from(want.is_err());
+            assert_eq!(Json::parse(&doc), want, "{doc:?}");
+            let body = string_body(g);
+            let literal = format!("\"{body}\"");
+            assert_eq!(Json::parse(&literal), by_scalar(&literal), "{literal:?}");
+        });
+        // Both outcomes are exercised.
+        assert!(
+            (100..4000).contains(&errors),
+            "{errors} of 4096 documents fail"
+        );
+    }
 
     #[test]
     fn round_trips_values() {
