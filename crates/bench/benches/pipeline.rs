@@ -48,7 +48,7 @@ fn run_parse(world: &World, threads: usize) {
         db.add_dump(&dump.text, dump.registry, threads);
     }
     black_box(db);
-    let routes = RouteTable::from_mrt_lenient(world.mrt.clone(), None, threads);
+    let routes = RouteTable::from_mrt_lenient(&world.mrt, None, threads);
     assert!(routes.quarantined.is_empty(), "synthetic MRT parses");
     black_box(routes.table);
 }

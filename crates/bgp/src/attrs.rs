@@ -5,7 +5,7 @@
 //! plus transparent carriage of unrecognized attributes, as any robust BGP
 //! speaker must.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::reader::Reader;
 
 /// Attribute-level parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,30 +117,31 @@ impl AsPath {
         self.len() == 0
     }
 
-    fn encode(&self, out: &mut BytesMut) {
+    fn encode(&self, out: &mut Vec<u8>) {
         for seg in &self.segments {
-            out.put_u8(seg.type_code());
             let asns = seg.asns();
             assert!(asns.len() <= 255, "AS_PATH segment too long");
-            out.put_u8(asns.len() as u8);
+            out.extend_from_slice(&[seg.type_code(), asns.len() as u8]);
             for &a in asns {
-                out.put_u32(a);
+                out.extend_from_slice(&a.to_be_bytes());
             }
         }
     }
 
-    fn decode(mut buf: Bytes) -> Result<Self, AttrError> {
+    fn decode(bytes: &[u8]) -> Result<Self, AttrError> {
+        let mut r = Reader::new(bytes);
         let mut segments = Vec::new();
-        while buf.has_remaining() {
-            if buf.remaining() < 2 {
-                return Err(AttrError::Truncated("AS_PATH segment header"));
-            }
-            let seg_type = buf.get_u8();
-            let count = buf.get_u8() as usize;
-            if buf.remaining() < count * 4 {
-                return Err(AttrError::Truncated("AS_PATH segment body"));
-            }
-            let asns: Vec<u32> = (0..count).map(|_| buf.get_u32()).collect();
+        while !r.is_empty() {
+            let [seg_type, count] = r
+                .array()
+                .ok_or(AttrError::Truncated("AS_PATH segment header"))?;
+            let body = r
+                .take(count as usize * 4)
+                .ok_or(AttrError::Truncated("AS_PATH segment body"))?;
+            let asns: Vec<u32> = body
+                .chunks_exact(4)
+                .map(|a| u32::from_be_bytes([a[0], a[1], a[2], a[3]]))
+                .collect();
             segments.push(match seg_type {
                 1 => AsPathSegment::Set(asns),
                 2 => AsPathSegment::Sequence(asns),
@@ -159,7 +160,7 @@ pub struct UnknownAttr {
     /// Attribute type code.
     pub type_code: u8,
     /// Raw value bytes.
-    pub value: Bytes,
+    pub value: Vec<u8>,
 }
 
 /// The parsed path attributes of a route.
@@ -200,13 +201,13 @@ impl PathAttributes {
 
     /// Encodes the attributes to wire form (without the 2-byte total-length
     /// prefix that frames them in an MRT RIB entry).
-    pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::new();
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
         if let Some(origin) = self.origin {
             put_attr(&mut out, FLAG_TRANSITIVE, 1, &[origin.code()]);
         }
         if let Some(as_path) = &self.as_path {
-            let mut body = BytesMut::new();
+            let mut body = Vec::new();
             as_path.encode(&mut body);
             put_attr(&mut out, FLAG_TRANSITIVE, 2, &body);
         }
@@ -216,49 +217,39 @@ impl PathAttributes {
         for u in &self.unknown {
             put_attr(&mut out, u.flags | FLAG_OPTIONAL, u.type_code, &u.value);
         }
-        out.freeze()
+        out
     }
 
     /// Decodes attributes from wire form.
-    pub fn decode(mut buf: Bytes) -> Result<Self, AttrError> {
+    pub fn decode(bytes: &[u8]) -> Result<Self, AttrError> {
+        let mut r = Reader::new(bytes);
         let mut attrs = PathAttributes::default();
-        while buf.has_remaining() {
-            if buf.remaining() < 3 {
-                return Err(AttrError::Truncated("attribute header"));
-            }
-            let flags = buf.get_u8();
-            let type_code = buf.get_u8();
+        while !r.is_empty() {
+            // The third byte is the length, or the first byte of an
+            // extended one.
+            let [flags, type_code, len] =
+                r.array().ok_or(AttrError::Truncated("attribute header"))?;
             let len = if flags & FLAG_EXT_LEN != 0 {
-                if buf.remaining() < 2 {
-                    return Err(AttrError::Truncated("extended length"));
-                }
-                buf.get_u16() as usize
+                let low = r.u8().ok_or(AttrError::Truncated("extended length"))?;
+                u16::from_be_bytes([len, low]) as usize
             } else {
-                buf.get_u8() as usize
+                len as usize
             };
-            if buf.remaining() < len {
-                return Err(AttrError::Truncated("attribute value"));
-            }
-            let value = buf.copy_to_bytes(len);
+            let value = r.take(len).ok_or(AttrError::Truncated("attribute value"))?;
             match type_code {
-                1 => {
-                    if value.len() != 1 {
-                        return Err(AttrError::Malformed("ORIGIN length"));
-                    }
-                    attrs.origin = Some(Origin::from_code(value[0])?);
-                }
+                1 => match *value {
+                    [code] => attrs.origin = Some(Origin::from_code(code)?),
+                    _ => return Err(AttrError::Malformed("ORIGIN length")),
+                },
                 2 => attrs.as_path = Some(AsPath::decode(value)?),
-                3 => {
-                    if value.len() != 4 {
-                        return Err(AttrError::Malformed("NEXT_HOP length"));
-                    }
-                    attrs.next_hop =
-                        Some(u32::from_be_bytes([value[0], value[1], value[2], value[3]]));
-                }
+                3 => match *value {
+                    [a, b, c, d] => attrs.next_hop = Some(u32::from_be_bytes([a, b, c, d])),
+                    _ => return Err(AttrError::Malformed("NEXT_HOP length")),
+                },
                 _ => attrs.unknown.push(UnknownAttr {
                     flags,
                     type_code,
-                    value,
+                    value: value.to_vec(),
                 }),
             }
         }
@@ -266,17 +257,14 @@ impl PathAttributes {
     }
 }
 
-fn put_attr(out: &mut BytesMut, flags: u8, type_code: u8, value: &[u8]) {
+fn put_attr(out: &mut Vec<u8>, flags: u8, type_code: u8, value: &[u8]) {
     if value.len() > 255 {
-        out.put_u8(flags | FLAG_EXT_LEN);
-        out.put_u8(type_code);
-        out.put_u16(value.len() as u16);
+        out.extend_from_slice(&[flags | FLAG_EXT_LEN, type_code]);
+        out.extend_from_slice(&(value.len() as u16).to_be_bytes());
     } else {
-        out.put_u8(flags);
-        out.put_u8(type_code);
-        out.put_u8(value.len() as u8);
+        out.extend_from_slice(&[flags, type_code, value.len() as u8]);
     }
-    out.put_slice(value);
+    out.extend_from_slice(value);
 }
 
 #[cfg(test)]
@@ -313,7 +301,7 @@ mod tests {
     fn encode_decode_round_trip() {
         let attrs = PathAttributes::ebgp(AsPath::sequence(vec![65000, 395753]), 0xC0000201);
         let wire = attrs.encode();
-        let decoded = PathAttributes::decode(wire).unwrap();
+        let decoded = PathAttributes::decode(&wire).unwrap();
         assert_eq!(decoded, attrs);
         assert_eq!(decoded.origin_asns(), vec![395753]);
     }
@@ -324,9 +312,9 @@ mod tests {
         attrs.unknown.push(UnknownAttr {
             flags: FLAG_OPTIONAL | FLAG_TRANSITIVE,
             type_code: 32, // LARGE_COMMUNITY
-            value: Bytes::from_static(&[0; 12]),
+            value: vec![0; 12],
         });
-        let decoded = PathAttributes::decode(attrs.encode()).unwrap();
+        let decoded = PathAttributes::decode(&attrs.encode()).unwrap();
         assert_eq!(decoded.unknown.len(), 1);
         assert_eq!(decoded.unknown[0].type_code, 32);
     }
@@ -336,48 +324,83 @@ mod tests {
         // An AS_PATH with 100 ASNs exceeds 255 bytes and needs extended length.
         let long: Vec<u32> = (1..=100).collect();
         let attrs = PathAttributes::ebgp(AsPath::sequence(long.clone()), 1);
-        let decoded = PathAttributes::decode(attrs.encode()).unwrap();
+        let decoded = PathAttributes::decode(&attrs.encode()).unwrap();
         assert_eq!(decoded.as_path.unwrap(), AsPath::sequence(long));
     }
 
     #[test]
     fn truncated_inputs_error_cleanly() {
-        // Wire layout: ORIGIN = 4 bytes, AS_PATH = 3 + 2 + 4 = 9 bytes,
-        // NEXT_HOP = 7 bytes. Cuts at attribute boundaries yield a valid
-        // shorter list (framing is the caller's job: a RIB entry's attribute
-        // length bounds the attribute run); cuts *inside* an attribute must
-        // error.
-        let attrs = PathAttributes::ebgp(AsPath::sequence(vec![65000]), 0);
-        let wire = attrs.encode();
-        assert_eq!(wire.len(), 20);
-        let boundaries = [4usize, 13];
-        for cut in 1..wire.len() {
-            let r = PathAttributes::decode(wire.slice(..cut));
-            if boundaries.contains(&cut) {
-                assert!(r.is_ok(), "cut at boundary {cut} parses a prefix");
-            } else {
-                assert!(r.is_err(), "cut at {cut} should fail");
+        // Cuts at attribute boundaries yield a valid shorter list (framing is
+        // the caller's job: a RIB entry's attribute length bounds the
+        // attribute run); cuts *inside* an attribute must error. Values over
+        // 255 bytes take the extended-length form, whose two-byte length is
+        // cut as well.
+        let mut extended = 0;
+        run_cases(128, |g| {
+            let full = PathAttributes {
+                origin: g
+                    .bool()
+                    .then(|| *g.pick(&[Origin::Igp, Origin::Egp, Origin::Incomplete])),
+                as_path: g.bool().then(|| AsPath {
+                    segments: (0..g.below(3))
+                        .map(|_| {
+                            AsPathSegment::Sequence((0..g.below(70)).map(|_| g.u32()).collect())
+                        })
+                        .collect(),
+                }),
+                next_hop: g.bool().then(|| g.u32()),
+                unknown: (0..g.below(4))
+                    .map(|_| UnknownAttr {
+                        flags: *g.pick(&[0, FLAG_TRANSITIVE]),
+                        type_code: g.range(4, 255) as u8,
+                        value: vec![0xA5; *g.pick(&[0, 1, 12, 255, 256, 300])],
+                    })
+                    .collect(),
+            };
+            // The wire length after each attribute, in encoding order.
+            let mut partial = PathAttributes::default();
+            let mut boundaries = vec![0];
+            for step in 0..3 + full.unknown.len() {
+                match step {
+                    0 => partial.origin = full.origin,
+                    1 => partial.as_path = full.as_path.clone(),
+                    2 => partial.next_hop = full.next_hop,
+                    k => partial.unknown.push(full.unknown[k - 3].clone()),
+                }
+                boundaries.push(partial.encode().len());
             }
-        }
+            let wire = full.encode();
+            extended += usize::from(full.unknown.iter().any(|u| u.value.len() > 255));
+            for cut in 0..=wire.len() {
+                let r = PathAttributes::decode(&wire[..cut]);
+                assert_eq!(
+                    r.is_ok(),
+                    boundaries.contains(&cut),
+                    "cut at {cut} of {}: {r:?}",
+                    wire.len()
+                );
+            }
+        });
+        assert!(extended > 0);
     }
 
     #[test]
     fn malformed_values_error() {
         // ORIGIN with bad code.
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         put_attr(&mut out, FLAG_TRANSITIVE, 1, &[9]);
         assert_eq!(
-            PathAttributes::decode(out.freeze()),
+            PathAttributes::decode(&out),
             Err(AttrError::Malformed("ORIGIN code"))
         );
         // NEXT_HOP with wrong length.
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         put_attr(&mut out, FLAG_TRANSITIVE, 3, &[1, 2]);
-        assert!(PathAttributes::decode(out.freeze()).is_err());
+        assert!(PathAttributes::decode(&out).is_err());
         // AS_PATH with bad segment type.
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         put_attr(&mut out, FLAG_TRANSITIVE, 2, &[7, 0]);
-        assert!(PathAttributes::decode(out.freeze()).is_err());
+        assert!(PathAttributes::decode(&out).is_err());
     }
 
     #[test]
@@ -396,7 +419,7 @@ mod tests {
                     .collect(),
             };
             let attrs = PathAttributes::ebgp(path, g.u32());
-            assert_eq!(PathAttributes::decode(attrs.encode()).unwrap(), attrs);
+            assert_eq!(PathAttributes::decode(&attrs.encode()).unwrap(), attrs);
         });
     }
 }

@@ -7,7 +7,8 @@
 //! machinery:
 //!
 //! - [`attrs`] — BGP path attributes (ORIGIN, AS_PATH with AS_SET/SEQUENCE
-//!   segments and 4-byte ASNs, NEXT_HOP), wire encode/decode over [`bytes`];
+//!   segments and 4-byte ASNs, NEXT_HOP), encoded into a `Vec<u8>` and
+//!   decoded from a borrowed `&[u8]` through one checked cursor;
 //! - [`mrt`] — an MRT TABLE_DUMP_V2-style RIB snapshot format
 //!   (PEER_INDEX_TABLE + RIB_IPV4/IPV6_UNICAST records) with a writer and a
 //!   streaming parser, so synthetic RIBs travel through the same binary path
@@ -22,6 +23,7 @@
 pub mod attrs;
 pub mod mrt;
 pub mod pfx2as;
+mod reader;
 pub mod table;
 
 pub use attrs::{AsPath, AsPathSegment, Origin, PathAttributes};

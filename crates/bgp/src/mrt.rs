@@ -8,17 +8,21 @@
 //! produced by `p2o-synth` flow through the identical binary path a real
 //! collector dump would.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use p2o_net::{Prefix, Prefix4, Prefix6};
 use p2o_util::ingest::{IngestErrorKind, QuarantinedRecord};
 
 use crate::attrs::{AttrError, PathAttributes};
+use crate::reader::Reader;
 
 const MRT_TYPE_TABLE_DUMP_V2: u16 = 13;
 const SUBTYPE_PEER_INDEX_TABLE: u16 = 1;
 const SUBTYPE_RIB_IPV4_UNICAST: u16 = 2;
 const SUBTYPE_RIB_IPV6_UNICAST: u16 = 4;
+
+/// PEER_INDEX_TABLE peer type bits (RFC 6396 §4.3.1): the peer address is
+/// IPv6 (16 bytes, else IPv4's 4), and its AS number is 4 bytes (else 2).
+const PEER_TYPE_IPV6: u8 = 0x01;
+const PEER_TYPE_AS4: u8 = 0x02;
 
 /// Largest TABLE_DUMP_V2 subtype the resync scanner treats as plausible.
 /// RFC 6396 defines subtypes 1..=6; the margin tolerates extensions
@@ -80,7 +84,7 @@ impl std::error::Error for MrtParseError {}
 /// Writes an MRT RIB snapshot: peer index table first, then RIB records.
 #[derive(Debug)]
 pub struct MrtWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
     timestamp: u32,
     sequence: u32,
 }
@@ -89,68 +93,67 @@ impl MrtWriter {
     /// Starts a dump with the given snapshot timestamp and peer table.
     pub fn new(timestamp: u32, collector_id: u32, peers: &[PeerEntry]) -> Self {
         let mut w = MrtWriter {
-            buf: BytesMut::new(),
+            buf: Vec::new(),
             timestamp,
             sequence: 0,
         };
-        let mut body = BytesMut::new();
-        body.put_u32(collector_id);
-        body.put_u16(0); // view name length (unnamed)
-        body.put_u16(peers.len() as u16);
+        let mut body = collector_id.to_be_bytes().to_vec();
+        body.extend_from_slice(&0u16.to_be_bytes()); // view name length (unnamed)
+        body.extend_from_slice(&(peers.len() as u16).to_be_bytes());
         for peer in peers {
-            body.put_u8(0x02); // peer type: AS number is 32 bits, IPv4 address
-            body.put_u32(peer.bgp_id);
-            body.put_u32(0); // peer IP (unused by the pipeline)
-            body.put_u32(peer.asn);
+            // A 4-byte AS number and an IPv4 address; the pipeline does not
+            // use the address.
+            body.push(PEER_TYPE_AS4);
+            body.extend_from_slice(&peer.bgp_id.to_be_bytes());
+            body.extend_from_slice(&[0; 4]);
+            body.extend_from_slice(&peer.asn.to_be_bytes());
         }
         w.put_record(SUBTYPE_PEER_INDEX_TABLE, &body);
         w
     }
 
     fn put_record(&mut self, subtype: u16, body: &[u8]) {
-        self.buf.put_u32(self.timestamp);
-        self.buf.put_u16(MRT_TYPE_TABLE_DUMP_V2);
-        self.buf.put_u16(subtype);
-        self.buf.put_u32(body.len() as u32);
-        self.buf.put_slice(body);
+        let out = &mut self.buf;
+        out.extend_from_slice(&self.timestamp.to_be_bytes());
+        out.extend_from_slice(&MRT_TYPE_TABLE_DUMP_V2.to_be_bytes());
+        out.extend_from_slice(&subtype.to_be_bytes());
+        out.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        out.extend_from_slice(body);
     }
 
     /// Appends one RIB record for `prefix`.
     pub fn push(&mut self, prefix: Prefix, entries: &[RibEntry]) {
-        let mut body = BytesMut::new();
-        body.put_u32(self.sequence);
+        let mut body = self.sequence.to_be_bytes().to_vec();
         self.sequence += 1;
-        let subtype = match prefix {
-            Prefix::V4(p) => {
-                encode_nlri4(&mut body, &p);
-                SUBTYPE_RIB_IPV4_UNICAST
-            }
-            Prefix::V6(p) => {
-                encode_nlri6(&mut body, &p);
-                SUBTYPE_RIB_IPV6_UNICAST
-            }
+        // NLRI form: the length byte, then the minimal leading octets of
+        // the address.
+        let (subtype, bits) = match prefix {
+            Prefix::V4(p) => (SUBTYPE_RIB_IPV4_UNICAST, u128::from(p.bits()) << 96),
+            Prefix::V6(p) => (SUBTYPE_RIB_IPV6_UNICAST, p.bits()),
         };
-        body.put_u16(entries.len() as u16);
+        body.push(prefix.len());
+        body.extend_from_slice(&bits.to_be_bytes()[..prefix.len().div_ceil(8) as usize]);
+        body.extend_from_slice(&(entries.len() as u16).to_be_bytes());
         for e in entries {
-            body.put_u16(e.peer_index);
-            body.put_u32(e.originated_time);
             let attrs = e.attrs.encode();
-            body.put_u16(attrs.len() as u16);
-            body.put_slice(&attrs);
+            body.extend_from_slice(&e.peer_index.to_be_bytes());
+            body.extend_from_slice(&e.originated_time.to_be_bytes());
+            body.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
+            body.extend_from_slice(&attrs);
         }
         self.put_record(subtype, &body);
     }
 
     /// Finishes the dump and returns the bytes.
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+    pub fn finish(self) -> Vec<u8> {
+        self.buf
     }
 }
 
-/// Streaming MRT RIB reader.
+/// Streaming MRT RIB reader over a borrowed dump.
 #[derive(Debug)]
-pub struct MrtReader {
-    buf: Bytes,
+pub struct MrtReader<'a> {
+    buf: &'a [u8],
     offset: usize,
     peers: Vec<PeerEntry>,
     obs: Option<MrtObs>,
@@ -179,7 +182,7 @@ impl MrtObs {
 /// pipeline does not interpret.
 fn decode_rib_body(
     subtype: u16,
-    mut body: Bytes,
+    body: &[u8],
     offset: usize,
     peers: &[PeerEntry],
 ) -> Result<Option<RibRecord>, MrtParseError> {
@@ -192,35 +195,27 @@ fn decode_rib_body(
         SUBTYPE_RIB_IPV6_UNICAST => false,
         _ => return Ok(None), // skip unknown subtypes, like real readers
     };
-    if body.remaining() < 4 {
-        return Err(err("truncated RIB record"));
-    }
-    let sequence = body.get_u32();
-    let prefix = if is_v4 {
-        Prefix::V4(decode_nlri4(&mut body).map_err(|e| err(&format!("bad v4 prefix: {e}")))?)
-    } else {
-        Prefix::V6(decode_nlri6(&mut body).map_err(|e| err(&format!("bad v6 prefix: {e}")))?)
-    };
-    if body.remaining() < 2 {
-        return Err(err("truncated entry count"));
-    }
-    let count = body.get_u16() as usize;
-    let mut entries = Vec::with_capacity(count);
+    let mut r = Reader::new(body);
+    let sequence = r.u32().ok_or_else(|| err("truncated RIB record"))?;
+    let family = if is_v4 { "v4" } else { "v6" };
+    let prefix =
+        decode_nlri(&mut r, is_v4).map_err(|e| err(&format!("bad {family} prefix: {e}")))?;
+    let count = r.u16().ok_or_else(|| err("truncated entry count"))?;
+    // An entry takes at least 8 bytes, which bounds what a bad count reserves.
+    let mut entries = Vec::with_capacity((count as usize).min(body.len() / 8));
     for _ in 0..count {
-        if body.remaining() < 8 {
+        let (Some(peer_index), Some(originated_time), Some(attr_len)) = (r.u16(), r.u32(), r.u16())
+        else {
             return Err(err("truncated RIB entry"));
-        }
-        let peer_index = body.get_u16();
+        };
         if peer_index as usize >= peers.len() {
             return Err(err("peer index out of range"));
         }
-        let originated_time = body.get_u32();
-        let attr_len = body.get_u16() as usize;
-        if body.remaining() < attr_len {
-            return Err(err("truncated attributes"));
-        }
-        let attrs = PathAttributes::decode(body.copy_to_bytes(attr_len))
-            .map_err(|e| err(&format!("bad attributes: {e}")))?;
+        let attrs = r
+            .take(attr_len as usize)
+            .ok_or_else(|| err("truncated attributes"))?;
+        let attrs =
+            PathAttributes::decode(attrs).map_err(|e| err(&format!("bad attributes: {e}")))?;
         entries.push(RibEntry {
             peer_index,
             originated_time,
@@ -234,58 +229,59 @@ fn decode_rib_body(
     }))
 }
 
-/// Encodes an IPv4 prefix in NLRI form: length byte + minimal prefix octets.
-fn encode_nlri4(out: &mut BytesMut, p: &Prefix4) {
-    out.put_u8(p.len());
-    let octets = p.bits().to_be_bytes();
-    out.put_slice(&octets[..p.len().div_ceil(8) as usize]);
-}
-
-/// Decodes an IPv4 NLRI element.
-fn decode_nlri4(buf: &mut Bytes) -> Result<Prefix4, AttrError> {
-    if !buf.has_remaining() {
-        return Err(AttrError::Truncated("NLRI length"));
-    }
-    let len = buf.get_u8();
-    if len > 32 {
+/// Decodes an IPv4 or IPv6 NLRI element: the length byte, then the
+/// minimal leading octets of the address.
+fn decode_nlri(r: &mut Reader<'_>, is_v4: bool) -> Result<Prefix, AttrError> {
+    let len = r.u8().ok_or(AttrError::Truncated("NLRI length"))?;
+    if len > if is_v4 { 32 } else { 128 } {
         return Err(AttrError::Malformed("NLRI length"));
     }
-    let nbytes = len.div_ceil(8) as usize;
-    if buf.remaining() < nbytes {
-        return Err(AttrError::Truncated("NLRI body"));
-    }
-    let mut octets = [0u8; 4];
-    for o in octets.iter_mut().take(nbytes) {
-        *o = buf.get_u8();
-    }
-    Ok(Prefix4::new_truncated(u32::from_be_bytes(octets), len))
+    let octets = r
+        .take(len.div_ceil(8) as usize)
+        .ok_or(AttrError::Truncated("NLRI body"))?;
+    let mut bits = [0u8; 16];
+    bits[..octets.len()].copy_from_slice(octets);
+    let bits = u128::from_be_bytes(bits);
+    Ok(if is_v4 {
+        Prefix::V4(Prefix4::new_truncated((bits >> 96) as u32, len))
+    } else {
+        Prefix::V6(Prefix6::new_truncated(bits, len))
+    })
 }
 
-/// Encodes an IPv6 prefix in NLRI form.
-fn encode_nlri6(out: &mut BytesMut, p: &Prefix6) {
-    out.put_u8(p.len());
-    let octets = p.bits().to_be_bytes();
-    out.put_slice(&octets[..p.len().div_ceil(8) as usize]);
-}
-
-/// Decodes an IPv6 NLRI element.
-fn decode_nlri6(buf: &mut Bytes) -> Result<Prefix6, AttrError> {
-    if !buf.has_remaining() {
-        return Err(AttrError::Truncated("NLRI length"));
-    }
-    let len = buf.get_u8();
-    if len > 128 {
-        return Err(AttrError::Malformed("NLRI length"));
-    }
-    let nbytes = len.div_ceil(8) as usize;
-    if buf.remaining() < nbytes {
-        return Err(AttrError::Truncated("NLRI body"));
-    }
-    let mut octets = [0u8; 16];
-    for o in octets.iter_mut().take(nbytes) {
-        *o = buf.get_u8();
-    }
-    Ok(Prefix6::new_truncated(u128::from_be_bytes(octets), len))
+/// Decodes a PEER_INDEX_TABLE body into its peers.
+fn decode_peer_table(body: &[u8]) -> Result<Vec<PeerEntry>, &'static str> {
+    let mut r = Reader::new(body);
+    // The collector id, the view name's length and, after the name, the
+    // peer count: eight bytes when the name is empty.
+    let name_len = match (r.u32(), r.u16()) {
+        (Some(_collector), Some(len)) if body.len() >= 8 => len,
+        _ => return Err("truncated PEER_INDEX_TABLE"),
+    };
+    let count = r
+        .take(name_len as usize)
+        .and_then(|_| r.u16())
+        .ok_or("truncated PEER_INDEX_TABLE name")?;
+    // Each entry is sized by its peer type.
+    let mut peer = || {
+        let peer_type = r.u8()?;
+        let bgp_id = r.u32()?;
+        let address_len = if peer_type & PEER_TYPE_IPV6 != 0 {
+            16
+        } else {
+            4
+        };
+        r.take(address_len)?;
+        let asn = if peer_type & PEER_TYPE_AS4 != 0 {
+            r.u32()?
+        } else {
+            u32::from(r.u16()?)
+        };
+        Some(PeerEntry { bgp_id, asn })
+    };
+    (0..count)
+        .map(|_| peer().ok_or("truncated peer entry"))
+        .collect()
 }
 
 /// Bytes in an MRT record header: timestamp, type, subtype, body length.
@@ -400,41 +396,22 @@ pub fn frame_in(buf: &[u8], pos: usize) -> Option<Frame> {
     })
 }
 
-impl MrtReader {
+impl<'a> MrtReader<'a> {
     /// Opens a dump and parses the leading PEER_INDEX_TABLE.
-    pub fn new(data: Bytes) -> Result<Self, MrtParseError> {
+    pub fn new(data: &'a [u8]) -> Result<Self, MrtParseError> {
         let mut r = MrtReader {
             buf: data,
             offset: 0,
             peers: Vec::new(),
             obs: None,
         };
-        let (subtype, mut body) = r
+        let (subtype, body) = r
             .next_record()?
             .ok_or_else(|| r.err("empty dump (missing PEER_INDEX_TABLE)"))?;
         if subtype != SUBTYPE_PEER_INDEX_TABLE {
             return Err(r.err("first record is not PEER_INDEX_TABLE"));
         }
-        if body.remaining() < 8 {
-            return Err(r.err("truncated PEER_INDEX_TABLE"));
-        }
-        let _collector = body.get_u32();
-        let name_len = body.get_u16() as usize;
-        if body.remaining() < name_len + 2 {
-            return Err(r.err("truncated PEER_INDEX_TABLE name"));
-        }
-        body.advance(name_len);
-        let count = body.get_u16() as usize;
-        for _ in 0..count {
-            if body.remaining() < 13 {
-                return Err(r.err("truncated peer entry"));
-            }
-            let _type = body.get_u8();
-            let bgp_id = body.get_u32();
-            let _ip = body.get_u32();
-            let asn = body.get_u32();
-            r.peers.push(PeerEntry { bgp_id, asn });
-        }
+        r.peers = decode_peer_table(body).map_err(|message| r.err(message))?;
         Ok(r)
     }
 
@@ -464,25 +441,27 @@ impl MrtReader {
     }
 
     /// Pulls the next raw record: `(subtype, body)`.
-    fn next_record(&mut self) -> Result<Option<(u16, Bytes)>, MrtParseError> {
-        match frame_in(&self.buf, self.offset) {
+    fn next_record(&mut self) -> Result<Option<(u16, &'a [u8])>, MrtParseError> {
+        match frame_in(self.buf, self.offset) {
             None => Ok(None),
             Some(Frame::Damaged { message, .. }) => Err(self.err(message)),
             Some(Frame::Record {
                 start,
                 end,
                 subtype,
-            }) => Ok(Some((subtype, self.take(start, end)))),
+            }) => {
+                self.take(start, end);
+                Ok(Some((subtype, &self.buf[start + HEADER_LEN..end])))
+            }
         }
     }
 
-    /// Consumes the well-framed record `start..end` and returns its body.
-    fn take(&mut self, start: usize, end: usize) -> Bytes {
+    /// Consumes the well-framed record `start..end`.
+    fn take(&mut self, start: usize, end: usize) {
         self.offset = end;
         if let Some(o) = &self.obs {
             o.bytes.add((end - start) as u64);
         }
-        self.buf.slice(start + HEADER_LEN..end)
     }
 
     /// Reads the next RIB record, or `None` at end of dump.
@@ -514,8 +493,8 @@ impl MrtReader {
     /// leading PEER_INDEX_TABLE, this yields no reader plus one quarantine
     /// entry covering the whole input. Without a peer table no RIB entry
     /// can be attributed, so nothing downstream is salvageable.
-    pub fn new_lenient(data: Bytes) -> (Option<MrtReader>, Vec<QuarantinedRecord>) {
-        match MrtReader::new(data.clone()) {
+    pub fn new_lenient(data: &'a [u8]) -> (Option<Self>, Vec<QuarantinedRecord>) {
+        match MrtReader::new(data) {
             Ok(r) => (Some(r), Vec::new()),
             Err(e) => {
                 let kind = if e.message.contains("MRT type")
@@ -528,7 +507,7 @@ impl MrtReader {
                 let q = QuarantinedRecord::new(
                     kind,
                     0,
-                    &data,
+                    data,
                     format!("unreadable peer index table: {}", e.message),
                 );
                 (None, vec![q])
@@ -536,22 +515,21 @@ impl MrtReader {
         }
     }
 
-    /// Lenient frame scan: collects every well-framed record and
-    /// quarantines unreadable byte ranges, resyncing after each failure.
-    /// Frames are `(subtype, body, offset_after_record, record_start)`.
-    #[allow(clippy::type_complexity)]
-    fn scan_frames_lenient(&mut self) -> (Vec<(u16, Bytes, usize, usize)>, Vec<QuarantinedRecord>) {
+    /// Lenient frame scan: collects every well-framed record as
+    /// `(subtype, start, end)` and quarantines unreadable byte ranges,
+    /// resyncing after each failure.
+    fn scan_frames_lenient(&mut self) -> (Vec<(u16, usize, usize)>, Vec<QuarantinedRecord>) {
         let mut frames = Vec::new();
         let mut quarantined = Vec::new();
-        while let Some(frame) = frame_in(&self.buf, self.offset) {
+        while let Some(frame) = frame_in(self.buf, self.offset) {
             match frame {
                 Frame::Record {
                     start,
                     end,
                     subtype,
                 } => {
-                    let body = self.take(start, end);
-                    frames.push((subtype, body, end, start));
+                    self.take(start, end);
+                    frames.push((subtype, start, end));
                 }
                 Frame::Damaged {
                     start,
@@ -574,16 +552,16 @@ impl MrtReader {
 
     /// Decodes a slice of frames, quarantining bodies that fail to decode.
     fn decode_frames_lenient(
-        frames: &[(u16, Bytes, usize, usize)],
-        peers: &[PeerEntry],
-        obs: &Option<MrtObs>,
+        &self,
+        frames: &[(u16, usize, usize)],
         quarantined: &mut Vec<QuarantinedRecord>,
     ) -> Vec<RibRecord> {
         let mut out = Vec::with_capacity(frames.len());
-        for (subtype, body, offset_after, start) in frames {
-            match decode_rib_body(*subtype, body.clone(), *offset_after, peers) {
+        for &(subtype, start, end) in frames {
+            let body = &self.buf[start + HEADER_LEN..end];
+            match decode_rib_body(subtype, body, end, &self.peers) {
                 Ok(Some(rec)) => {
-                    if let Some(o) = obs {
+                    if let Some(o) = &self.obs {
                         o.tick_record(rec.entries.len());
                     }
                     out.push(rec);
@@ -591,7 +569,7 @@ impl MrtReader {
                 Ok(None) => {} // unknown subtype, skipped like the strict path
                 Err(e) => quarantined.push(QuarantinedRecord::new(
                     IngestErrorKind::MrtBadRecord,
-                    *start as u64,
+                    start as u64,
                     body,
                     e.message,
                 )),
@@ -609,15 +587,14 @@ impl MrtReader {
     /// `mrt.decode` span.
     pub fn read_all_lenient(mut self, threads: usize) -> LenientMrt {
         let (frames, mut quarantined) = self.scan_frames_lenient();
-        let (peers, obs) = (&self.peers, &self.obs);
         let shards = p2o_obs::split_shards(&frames, threads);
         let decoded = p2o_obs::run_shards(
-            obs.as_ref().map(|o| &o.obs),
+            self.obs.as_ref().map(|o| &o.obs),
             "mrt.decode",
             shards,
             |shard, span| {
                 let mut q = Vec::new();
-                let out = Self::decode_frames_lenient(shard, peers, obs, &mut q);
+                let out = self.decode_frames_lenient(shard, &mut q);
                 if let Some(s) = span {
                     s.arg("frames", shard.len());
                     s.arg("records", out.len());
@@ -645,7 +622,7 @@ impl MrtReader {
 
 /// Outcome of a lenient MRT read: the decoded records plus a quarantine
 /// entry for every rejected record or unreadable byte range.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LenientMrt {
     /// Every RIB record that decoded, in dump order.
     pub records: Vec<RibRecord>,
@@ -657,7 +634,6 @@ pub struct LenientMrt {
 mod tests {
     use super::*;
     use crate::attrs::AsPath;
-    use bytes::BufMut;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -684,6 +660,21 @@ mod tests {
         ]
     }
 
+    /// A raw TABLE_DUMP_V2 record with `subtype` and `body`.
+    fn raw_record(subtype: u16, body: &[u8]) -> Vec<u8> {
+        let mut out = vec![0; 4];
+        out.extend_from_slice(&MRT_TYPE_TABLE_DUMP_V2.to_be_bytes());
+        out.extend_from_slice(&subtype.to_be_bytes());
+        out.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// The records of `dump` after its leading peer table.
+    fn without_peer_table(dump: &[u8]) -> &[u8] {
+        &dump[frame_in(dump, 0).expect("a peer table").end()..]
+    }
+
     #[test]
     fn write_read_round_trip() {
         let mut w = MrtWriter::new(1_725_148_800, 42, &peers());
@@ -694,7 +685,7 @@ mod tests {
         w.push(p("2001:db8::/32"), &[entry(0, &[3356, 701])]);
         let data = w.finish();
 
-        let mut r = MrtReader::new(data).unwrap();
+        let mut r = MrtReader::new(&data).unwrap();
         assert_eq!(r.peers().len(), 2);
         assert_eq!(r.peers()[1].asn, 174);
 
@@ -711,31 +702,27 @@ mod tests {
 
     #[test]
     fn empty_dump_has_peer_table_only() {
-        let w = MrtWriter::new(0, 1, &peers());
-        let mut r = MrtReader::new(w.finish()).unwrap();
+        let data = MrtWriter::new(0, 1, &peers()).finish();
+        let mut r = MrtReader::new(&data).unwrap();
         assert!(r.next_rib().unwrap().is_none());
     }
 
     #[test]
     fn missing_peer_table_rejected() {
-        assert!(MrtReader::new(Bytes::new()).is_err());
+        assert!(MrtReader::new(&[]).is_err());
         // A RIB record first: build a dump then strip the peer table record.
         let mut w = MrtWriter::new(0, 1, &peers());
         w.push(p("10.0.0.0/8"), &[entry(0, &[1])]);
         let data = w.finish();
-        // Peer table record: 12-byte header + body; find the second record.
-        let mut tmp = data.clone();
-        tmp.advance(8);
-        let len = tmp.get_u32() as usize;
-        let stripped = data.slice(12 + len..);
-        assert!(MrtReader::new(stripped).is_err());
+        assert!(MrtReader::new(without_peer_table(&data)).is_err());
     }
 
     #[test]
     fn out_of_range_peer_index_rejected() {
         let mut w = MrtWriter::new(0, 1, &peers());
         w.push(p("10.0.0.0/8"), &[entry(7, &[1])]);
-        let mut r = MrtReader::new(w.finish()).unwrap();
+        let data = w.finish();
+        let mut r = MrtReader::new(&data).unwrap();
         let err = r.next_rib().unwrap_err();
         assert!(err.message.contains("peer index"));
     }
@@ -746,7 +733,7 @@ mod tests {
         w.push(p("10.0.0.0/8"), &[entry(0, &[1, 2, 3])]);
         let data = w.finish();
         for cut in (data.len() - 10)..data.len() {
-            let mut r = MrtReader::new(data.slice(..cut)).unwrap();
+            let mut r = MrtReader::new(&data[..cut]).unwrap();
             assert!(r.next_rib().is_err(), "cut at {cut}");
         }
     }
@@ -757,23 +744,14 @@ mod tests {
         // reader does not interpret; they must be skipped, not fatal.
         let mut w = MrtWriter::new(0, 1, &peers());
         w.push(p("10.0.0.0/8"), &[entry(0, &[1])]);
-        let mut data = BytesMut::from(&w.finish()[..]);
-        // Append a record with subtype 99 and a 4-byte body.
-        data.put_u32(0);
-        data.put_u16(13);
-        data.put_u16(99);
-        data.put_u32(4);
-        data.put_u32(0xDEADBEEF);
+        let mut data = w.finish();
+        data.extend(raw_record(99, &0xDEADBEEFu32.to_be_bytes()));
         let mut w2 = MrtWriter::new(0, 1, &peers());
         w2.push(p("11.0.0.0/8"), &[entry(0, &[2])]);
         // Strip w2's peer table and append its RIB record after the junk.
-        let d2 = w2.finish();
-        let mut tmp = d2.clone();
-        tmp.advance(8);
-        let len = tmp.get_u32() as usize;
-        data.extend_from_slice(&d2[12 + len..]);
+        data.extend_from_slice(without_peer_table(&w2.finish()));
 
-        let mut r = MrtReader::new(data.freeze()).unwrap();
+        let mut r = MrtReader::new(&data).unwrap();
         let first = r.next_rib().unwrap().unwrap();
         assert_eq!(first.prefix, p("10.0.0.0/8"));
         let second = r.next_rib().unwrap().unwrap();
@@ -819,7 +797,7 @@ mod tests {
             }
             let wire = w.finish();
 
-            let reader = MrtReader::new(wire.clone()).unwrap();
+            let reader = MrtReader::new(&wire).unwrap();
             let peers_back = reader.peers().to_vec();
             assert_eq!(peers_back, peer_list);
             let records = reader.read_all().unwrap();
@@ -831,38 +809,133 @@ mod tests {
             assert_eq!(w2.finish(), wire, "re-encode must be byte-identical");
 
             // The route table built from either byte stream is equal.
-            let t1 = crate::table::RouteTable::from_mrt(wire.clone()).unwrap();
+            let t1 = crate::table::RouteTable::from_mrt(&wire).unwrap();
             let mut t2 = crate::table::RouteTable::new();
             for rec in &records {
                 t2.add_rib_record(rec);
             }
             assert_eq!(t1, t2);
+
+            // Every strict prefix of a record body is an error, and no
+            // single-byte flip of one panics.
+            let mut pos = 0;
+            while let Some(Frame::Record {
+                start,
+                end,
+                subtype,
+            }) = frame_in(&wire, pos)
+            {
+                pos = end;
+                let decode = |body: &[u8]| match subtype {
+                    SUBTYPE_PEER_INDEX_TABLE => decode_peer_table(body).map(drop),
+                    _ => decode_rib_body(subtype, body, end, &peer_list)
+                        .map(drop)
+                        .map_err(|_| "bad RIB record"),
+                };
+                let body = &wire[start + HEADER_LEN..end];
+                assert!(decode(body).is_ok());
+                for cut in 0..body.len() {
+                    assert!(decode(&body[..cut]).is_err(), "cut at {cut}");
+                }
+                let mut flipped = body.to_vec();
+                for at in 0..body.len() {
+                    let mask = g.range(1, 255) as u8;
+                    flipped[at] ^= mask;
+                    let _ = decode(&flipped);
+                    flipped[at] ^= mask;
+                }
+            }
+            assert_eq!(pos, wire.len());
         });
+    }
+
+    /// A PEER_INDEX_TABLE may mix every peer type (RFC 6396 §4.3.1): an
+    /// IPv4 or IPv6 address, a 2- or 4-byte AS number. Each entry is sized
+    /// by its type, and a table cut inside any entry is rejected.
+    #[test]
+    fn peer_table_entries_are_sized_by_their_type() {
+        let peers: Vec<(u8, PeerEntry)> = (0..4u8)
+            .map(|peer_type| {
+                let asn = if peer_type & PEER_TYPE_AS4 != 0 {
+                    4_200_000_000
+                } else {
+                    64_512
+                };
+                let bgp_id = 0x0A00_0001 + u32::from(peer_type);
+                (
+                    peer_type,
+                    PeerEntry {
+                        bgp_id,
+                        asn: asn + u32::from(peer_type),
+                    },
+                )
+            })
+            .collect();
+        let mut table = 7u32.to_be_bytes().to_vec();
+        table.extend_from_slice(&3u16.to_be_bytes());
+        table.extend_from_slice(b"rv2");
+        table.extend_from_slice(&(peers.len() as u16).to_be_bytes());
+        let mut entries = Vec::new();
+        for (peer_type, peer) in &peers {
+            let start = table.len();
+            table.push(*peer_type);
+            table.extend_from_slice(&peer.bgp_id.to_be_bytes());
+            let address_len = if peer_type & PEER_TYPE_IPV6 != 0 {
+                16
+            } else {
+                4
+            };
+            table.extend(std::iter::repeat_n(0x20, address_len));
+            if peer_type & PEER_TYPE_AS4 != 0 {
+                table.extend_from_slice(&peer.asn.to_be_bytes());
+            } else {
+                table.extend_from_slice(&(peer.asn as u16).to_be_bytes());
+            }
+            entries.push((start, table.len()));
+        }
+        assert_eq!(
+            entries.iter().map(|(s, e)| e - s).collect::<Vec<_>>(),
+            [11, 23, 13, 25]
+        );
+
+        let want: Vec<PeerEntry> = peers.iter().map(|(_, p)| p.clone()).collect();
+        let mut w = MrtWriter::new(0, 7, &want);
+        w.push(p("10.0.0.0/8"), &[entry(3, &[3356, 18692])]);
+        w.push(p("2001:db8::/32"), &[entry(1, &[174]), entry(3, &[701])]);
+        let mut dump = raw_record(SUBTYPE_PEER_INDEX_TABLE, &table);
+        dump.extend_from_slice(without_peer_table(&w.finish()));
+        let reader = MrtReader::new(&dump).expect("mixed peer table");
+        assert_eq!(reader.peers(), want);
+        let records = reader.read_all().expect("entries of the last peer");
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].entries[1].peer_index, 3);
+        assert_eq!(records[1].entries[1].attrs.origin_asns(), vec![701]);
+
+        for (start, end) in entries {
+            for cut in start + 1..end {
+                let cut_dump = raw_record(SUBTYPE_PEER_INDEX_TABLE, &table[..cut]);
+                let err = MrtReader::new(&cut_dump).expect_err("cut inside an entry");
+                assert_eq!(err.message, "truncated peer entry", "cut at {cut}");
+            }
+        }
     }
 
     /// A dump of the peer table plus one raw record with `subtype` and
     /// `body`, and the offset at which that record starts.
-    fn dump_with_raw_record(subtype: u16, body: &[u8]) -> (Bytes, usize) {
-        let mut data = BytesMut::from(&MrtWriter::new(0, 1, &peers()).finish()[..]);
+    fn dump_with_raw_record(subtype: u16, body: &[u8]) -> (Vec<u8>, usize) {
+        let mut data = MrtWriter::new(0, 1, &peers()).finish();
         let start = data.len();
-        data.put_u32(0);
-        data.put_u16(MRT_TYPE_TABLE_DUMP_V2);
-        data.put_u16(subtype);
-        data.put_u32(body.len() as u32);
-        data.put_slice(body);
-        (data.freeze(), start)
+        data.extend(raw_record(subtype, body));
+        (data, start)
     }
 
     /// The strict reader rejects the record and the lenient one quarantines
     /// it as `mrt_bad_record`; both name the bad prefix.
     fn assert_bad_prefix(subtype: u16, body: &[u8], what: &str) {
         let (data, start) = dump_with_raw_record(subtype, body);
-        let err = MrtReader::new(data.clone())
-            .unwrap()
-            .next_rib()
-            .expect_err(what);
+        let err = MrtReader::new(&data).unwrap().next_rib().expect_err(what);
         assert!(err.message.contains("prefix"), "{what}: {}", err.message);
-        let out = MrtReader::new(data).unwrap().read_all_lenient(1);
+        let out = MrtReader::new(&data).unwrap().read_all_lenient(1);
         assert!(out.records.is_empty(), "{what}");
         assert_eq!(out.quarantined.len(), 1, "{what}");
         assert_eq!(out.quarantined[0].kind, IngestErrorKind::MrtBadRecord);
@@ -902,7 +975,7 @@ mod tests {
         w.push(p("11.0.0.0/8"), &[entry(0, &[3])]);
         let data = w.finish();
         let total = data.len() as u64;
-        let mut r = MrtReader::new(data).unwrap();
+        let mut r = MrtReader::new(&data).unwrap();
         r.instrument(&obs);
         while r.next_rib().unwrap().is_some() {}
         assert_eq!(obs.counter("mrt.records").get(), 2);
@@ -927,21 +1000,16 @@ mod tests {
             w.push(prefix, &[entry(peer, &[3356, 64512 + i])]);
         }
         // Interleave an unknown subtype mid-dump.
-        let mut data = BytesMut::from(&w.finish()[..]);
-        data.put_u32(0);
-        data.put_u16(13);
-        data.put_u16(99);
-        data.put_u32(4);
-        data.put_u32(0xDEADBEEF);
-        let data = data.freeze();
+        let mut data = w.finish();
+        data.extend(raw_record(99, &0xDEADBEEFu32.to_be_bytes()));
 
-        let seq = MrtReader::new(data.clone()).unwrap().read_all_lenient(1);
+        let seq = MrtReader::new(&data).unwrap().read_all_lenient(1);
         assert_eq!(seq.records.len(), 499);
         assert_eq!(seq.quarantined.len(), 1);
         for threads in [2, 3, 8] {
             let obs = p2o_obs::Obs::new();
             obs.enable_tracing();
-            let mut r = MrtReader::new(data.clone()).unwrap();
+            let mut r = MrtReader::new(&data).unwrap();
             r.instrument(&obs);
             let par = r.read_all_lenient(threads);
             assert_eq!(par, seq, "threads={threads}");
@@ -967,7 +1035,7 @@ mod tests {
 
     /// Five-record dump plus the byte ranges of each RIB record
     /// (excluding the peer table): `(start, end)` pairs.
-    fn dump_with_ranges() -> (Bytes, Vec<(usize, usize)>) {
+    fn dump_with_ranges() -> (Vec<u8>, Vec<(usize, usize)>) {
         let mut w = MrtWriter::new(0, 1, &peers());
         let table_len = {
             let w0 = MrtWriter::new(0, 1, &peers());
@@ -990,11 +1058,9 @@ mod tests {
     #[test]
     fn lenient_matches_strict_on_clean_input() {
         let (data, _) = dump_with_ranges();
-        let strict = MrtReader::new(data.clone()).unwrap().read_all().unwrap();
+        let strict = MrtReader::new(&data).unwrap().read_all().unwrap();
         for threads in [1, 2, 4] {
-            let out = MrtReader::new(data.clone())
-                .unwrap()
-                .read_all_lenient(threads);
+            let out = MrtReader::new(&data).unwrap().read_all_lenient(threads);
             assert_eq!(out.records, strict, "threads={threads}");
             assert!(out.quarantined.is_empty());
         }
@@ -1002,14 +1068,11 @@ mod tests {
 
     #[test]
     fn lenient_resyncs_after_length_lie() {
-        let (data, ranges) = dump_with_ranges();
-        let mut bytes = data.to_vec();
+        let (mut bytes, ranges) = dump_with_ranges();
         // Lie in record 2's length field: claim a body far past EOF.
         let (start, _) = ranges[2];
         bytes[start + 8..start + 12].copy_from_slice(&0xFFFF_FF00u32.to_be_bytes());
-        let out = MrtReader::new(Bytes::from(bytes))
-            .unwrap()
-            .read_all_lenient(1);
+        let out = MrtReader::new(&bytes).unwrap().read_all_lenient(1);
         assert_eq!(out.records.len(), 4, "one victim, four survivors");
         assert_eq!(out.quarantined.len(), 1);
         assert_eq!(out.quarantined[0].kind, IngestErrorKind::MrtBadLength);
@@ -1019,15 +1082,12 @@ mod tests {
 
     #[test]
     fn lenient_skips_record_with_bad_type() {
-        let (data, ranges) = dump_with_ranges();
-        let mut bytes = data.to_vec();
+        let (mut bytes, ranges) = dump_with_ranges();
         // Record 1 claims a non-TABLE_DUMP_V2 type but an honest length,
         // so the length-field skip resyncs without scanning.
         let (start, _) = ranges[1];
         bytes[start + 4..start + 6].copy_from_slice(&0x2222u16.to_be_bytes());
-        let out = MrtReader::new(Bytes::from(bytes))
-            .unwrap()
-            .read_all_lenient(1);
+        let out = MrtReader::new(&bytes).unwrap().read_all_lenient(1);
         assert_eq!(out.records.len(), 4);
         assert_eq!(out.quarantined.len(), 1);
         assert_eq!(out.quarantined[0].kind, IngestErrorKind::MrtBadType);
@@ -1039,9 +1099,7 @@ mod tests {
         let (data, ranges) = dump_with_ranges();
         let (start, end) = ranges[4];
         for cut in [start + 5, start + 12, (start + end) / 2] {
-            let out = MrtReader::new(data.slice(..cut))
-                .unwrap()
-                .read_all_lenient(2);
+            let out = MrtReader::new(&data[..cut]).unwrap().read_all_lenient(2);
             assert_eq!(out.records.len(), 4, "cut at {cut}");
             assert_eq!(out.quarantined.len(), 1, "cut at {cut}");
             assert_eq!(out.quarantined[0].kind, IngestErrorKind::MrtTruncated);
@@ -1051,18 +1109,13 @@ mod tests {
 
     #[test]
     fn lenient_quarantines_undecodable_body() {
-        let (data, ranges) = dump_with_ranges();
-        let mut bytes = data.to_vec();
+        let (mut bytes, ranges) = dump_with_ranges();
         // Keep record 3's framing but fill its body with 0xFF: the NLRI
         // length byte becomes 255, which no prefix decoder accepts.
         let (start, end) = ranges[3];
-        for b in &mut bytes[start + 12..end] {
-            *b = 0xFF;
-        }
+        bytes[start + 12..end].fill(0xFF);
         for threads in [1, 4] {
-            let out = MrtReader::new(Bytes::from(bytes.clone()))
-                .unwrap()
-                .read_all_lenient(threads);
+            let out = MrtReader::new(&bytes).unwrap().read_all_lenient(threads);
             assert_eq!(out.records.len(), 4, "threads={threads}");
             assert_eq!(out.quarantined.len(), 1);
             assert_eq!(out.quarantined[0].kind, IngestErrorKind::MrtBadRecord);
@@ -1072,11 +1125,11 @@ mod tests {
 
     #[test]
     fn lenient_open_quarantines_garbage_input() {
-        let (reader, quarantined) = MrtReader::new_lenient(Bytes::from_static(b"not mrt data"));
+        let (reader, quarantined) = MrtReader::new_lenient(b"not mrt data");
         assert!(reader.is_none());
         assert_eq!(quarantined.len(), 1);
         assert_eq!(quarantined[0].offset, 0);
-        let (reader, quarantined) = MrtReader::new_lenient(Bytes::new());
+        let (reader, quarantined) = MrtReader::new_lenient(&[]);
         assert!(reader.is_none());
         assert_eq!(quarantined[0].kind, IngestErrorKind::MrtTruncated);
         assert_eq!(quarantined.len(), 1);
@@ -1084,17 +1137,12 @@ mod tests {
 
     #[test]
     fn lenient_recovers_multiple_corruptions() {
-        let (data, ranges) = dump_with_ranges();
-        let mut bytes = data.to_vec();
+        let (mut bytes, ranges) = dump_with_ranges();
         let (s1, _) = ranges[1];
         bytes[s1 + 4..s1 + 6].copy_from_slice(&0x2222u16.to_be_bytes());
         let (s3, e3) = ranges[3];
-        for b in &mut bytes[s3 + 12..e3] {
-            *b = 0xFF;
-        }
-        let out = MrtReader::new(Bytes::from(bytes))
-            .unwrap()
-            .read_all_lenient(2);
+        bytes[s3 + 12..e3].fill(0xFF);
+        let out = MrtReader::new(&bytes).unwrap().read_all_lenient(2);
         assert_eq!(out.records.len(), 3);
         assert_eq!(out.quarantined.len(), 2);
         // Quarantine entries arrive in byte order even though framing and
@@ -1108,7 +1156,7 @@ mod tests {
     /// one undecodable body, which frames cleanly.
     fn damaged_dump() -> Vec<u8> {
         let peer_table = MrtWriter::new(0, 1, &peers()).finish();
-        let mut out = peer_table.to_vec();
+        let mut out = peer_table.clone();
         for i in 0..12u32 {
             let mut w = MrtWriter::new(0, 1, &peers());
             w.push(
@@ -1158,9 +1206,7 @@ mod tests {
         );
         // The lenient reader quarantines exactly those ranges, plus the one
         // body that frames cleanly but does not decode.
-        let lenient = MrtReader::new(Bytes::from(data))
-            .unwrap()
-            .read_all_lenient(1);
+        let lenient = MrtReader::new(&data).unwrap().read_all_lenient(1);
         let framing: Vec<(u64, IngestErrorKind)> = lenient
             .quarantined
             .iter()
@@ -1180,7 +1226,7 @@ mod tests {
             w.push(prefix, &[entry((i % 2) as u16, &[3356, 64512 + i])]);
             want.push(prefix);
         }
-        let records = MrtReader::new(w.finish()).unwrap().read_all().unwrap();
+        let records = MrtReader::new(&w.finish()).unwrap().read_all().unwrap();
         assert_eq!(records.len(), 1000);
         assert_eq!(records.iter().map(|r| r.prefix).collect::<Vec<_>>(), want);
         // Sequence numbers are monotonic.

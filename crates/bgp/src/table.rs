@@ -64,8 +64,8 @@ impl RouteTable {
     }
 
     /// Builds a table from a binary MRT dump.
-    pub fn from_mrt(data: bytes::Bytes) -> Result<Self, MrtParseError> {
-        let mut reader = MrtReader::new(data)?;
+    pub fn from_mrt(data: impl AsRef<[u8]>) -> Result<Self, MrtParseError> {
+        let mut reader = MrtReader::new(data.as_ref())?;
         let mut table = RouteTable::new();
         while let Some(record) = reader.next_rib()? {
             table.add_rib_record(&record);
@@ -81,27 +81,30 @@ impl RouteTable {
     /// decode shard; record bodies decode on up to `threads` threads with
     /// identical results at any count.
     pub fn from_mrt_lenient(
-        data: bytes::Bytes,
+        data: impl AsRef<[u8]>,
         obs: Option<&p2o_obs::Obs>,
         threads: usize,
     ) -> LenientTable {
         let timer = obs.map(|o| o.stage("bgp.parse"));
-        let (reader, mut quarantined) = MrtReader::new_lenient(data);
+        let (reader, mut quarantined) = MrtReader::new_lenient(data.as_ref());
+        let parsed = reader
+            .map(|mut reader| {
+                if let Some(o) = obs {
+                    reader.instrument(o);
+                }
+                reader.read_all_lenient(threads)
+            })
+            .unwrap_or_default();
+        // Every record is decoded: free an owned dump before the table
+        // grows, so the table can reuse its memory.
+        drop(data);
         let mut table = RouteTable::new();
-        let mut records = 0u64;
-        if let Some(mut reader) = reader {
-            if let Some(o) = obs {
-                reader.instrument(o);
-            }
-            let parsed = reader.read_all_lenient(threads);
-            records = parsed.records.len() as u64;
-            for record in &parsed.records {
-                table.add_rib_record(record);
-            }
-            quarantined.extend(parsed.quarantined);
+        for record in &parsed.records {
+            table.add_rib_record(record);
         }
+        quarantined.extend(parsed.quarantined);
         if let Some(mut t) = timer {
-            t.items(records);
+            t.items(parsed.records.len() as u64);
             t.finish();
         }
         LenientTable { table, quarantined }
@@ -214,7 +217,7 @@ mod tests {
             }],
         );
         let data = w.finish();
-        let t = RouteTable::from_mrt(data.clone()).unwrap();
+        let t = RouteTable::from_mrt(&data).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(RouteTable::from_mrt_lenient(data, None, 4).table, t);
         assert_eq!(t.v4_count(), 1);

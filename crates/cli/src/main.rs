@@ -311,7 +311,7 @@ USAGE:
       for N ms and return a Chrome trace), POST /quit (graceful drain;
       gated behind --allow-quit). Every response carries a monotonic
       X-P2O-Request-Id. --access-log FILE appends one JSON object per
-      request (written atomically, flushed on drain). Shutdown drains
+      request, in batches of 64 and on drain, each appended and fsynced. Shutdown drains
       in-flight connections and prints a final run report to stderr.
       --exceptions applies the rule file to every served snapshot and
       re-reads it on each /reload, so edited rules land without a

@@ -134,8 +134,8 @@ pub fn write_world(vfs: &Vfs, world: &World, dir: &Path) -> Result<Manifest, Str
 
     // A CAIDA prefix2as rendering of the RIB for interchange with existing
     // tooling.
-    let routes = RouteTable::from_mrt(world.mrt.clone())
-        .map_err(|e| format!("generated MRT must parse: {e}"))?;
+    let routes =
+        RouteTable::from_mrt(&world.mrt).map_err(|e| format!("generated MRT must parse: {e}"))?;
     put(
         &mut manifest,
         "pfx2as.txt".to_string(),
@@ -975,7 +975,7 @@ fn whois_mrt_lane(
                     .collect()
             }
             InputKind::Mrt => {
-                let lenient = RouteTable::from_mrt_lenient(bytes::Bytes::from(bytes), obs, threads);
+                let lenient = RouteTable::from_mrt_lenient(bytes, obs, threads);
                 routes = lenient.table;
                 lenient.quarantined
             }

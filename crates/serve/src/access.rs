@@ -1,19 +1,18 @@
 //! The structured JSONL access log.
 //!
-//! One self-describing JSON object per request, accumulated in memory and
-//! flushed to disk as a whole-file atomic rewrite (tmp + fsync + rename)
-//! through [`p2o_util::atomic::write_atomic`] — the same protocol every
-//! other artifact uses, so the chaos harness's fault plans (short writes,
-//! ENOSPC, EIO, kill-points at label `access_log`) cover the log too. A
-//! reader therefore never observes a torn line: the file on disk is
-//! always a complete prefix-consistent image from the last flush.
-//!
-//! Writes flush every [`FLUSH_EVERY`] lines and on graceful drain; a
-//! crash between flushes loses at most the buffered tail, never the
-//! file's integrity. Line ordering follows *completion* order — under
-//! concurrent load a larger request id can complete (and log) before a
-//! smaller one, which is why the CI shape check validates id monotonicity
-//! only over sequential traffic.
+//! One self-describing JSON object per request. The log holds only the
+//! lines not yet flushed; it flushes every [`FLUSH_EVERY`] lines and on
+//! graceful drain. The first flush creates the file through
+//! [`p2o_util::atomic::write_atomic`] (replacing any older log, with the
+//! kill-points at label `access_log`); each later one appends its batch
+//! through [`Vfs::append`] and fsyncs, so the chaos harness's fault plans
+//! (short writes, ENOSPC, EIO) cover every flush. A failed flush keeps
+//! its lines, and the next append first cuts the file back to the end of
+//! the last good batch, so a torn batch is never followed by another.
+//! Line ordering follows *completion* order — under concurrent load a
+//! larger request id can complete (and log) before a smaller one, which
+//! is why the CI shape check validates id monotonicity only over
+//! sequential traffic.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -27,11 +26,15 @@ pub const FLUSH_EVERY: usize = 64;
 /// The kill-point / fault-injection label access-log writes carry.
 pub const ACCESS_LOG_LABEL: &str = "access_log";
 
+#[derive(Default)]
 struct AccessBuf {
-    /// Every line written this run (the flush image).
-    lines: String,
-    /// Lines appended since the last flush.
-    pending: usize,
+    /// The lines pushed since the last successful flush.
+    pending: String,
+    /// How many lines `pending` holds.
+    lines: usize,
+    /// The file's length after the last successful flush; `None` until
+    /// the first flush has created it.
+    flushed: Option<u64>,
 }
 
 /// A structured JSONL access log bound to one output path.
@@ -51,15 +54,12 @@ impl std::fmt::Debug for AccessLog {
 
 impl AccessLog {
     /// A log writing to `path` through `vfs`. The file is created (or
-    /// truncated) on the first flush.
+    /// replaced) on the first flush.
     pub fn new(vfs: Vfs, path: impl Into<PathBuf>) -> AccessLog {
         AccessLog {
             vfs,
             path: path.into(),
-            buf: Mutex::new(AccessBuf {
-                lines: String::new(),
-                pending: 0,
-            }),
+            buf: Mutex::default(),
         }
     }
 
@@ -74,33 +74,40 @@ impl AccessLog {
     /// attempt.
     pub fn push(&self, line: &str) -> Result<(), String> {
         let mut buf = self.buf.lock().expect("access log lock");
-        buf.lines.push_str(line);
-        buf.lines.push('\n');
-        buf.pending += 1;
-        if buf.pending >= FLUSH_EVERY {
+        buf.pending.push_str(line);
+        buf.pending.push('\n');
+        buf.lines += 1;
+        if buf.lines >= FLUSH_EVERY {
             return self.flush_locked(&mut buf);
         }
         Ok(())
     }
 
-    /// Writes the full accumulated image to disk atomically.
+    /// Writes the pending lines to disk: creates the file on the first
+    /// flush, appends to it after.
     pub fn flush(&self) -> Result<(), String> {
         let mut buf = self.buf.lock().expect("access log lock");
         self.flush_locked(&mut buf)
     }
 
     fn flush_locked(&self, buf: &mut AccessBuf) -> Result<(), String> {
-        if buf.pending == 0 && !buf.lines.is_empty() {
-            return Ok(()); // nothing new since the last flush
+        // A log removed while serving starts again with this batch.
+        if buf.flushed.is_some() && !self.path.exists() {
+            buf.flushed = None;
         }
-        write_atomic(
-            &self.vfs,
-            &self.path,
-            ACCESS_LOG_LABEL,
-            buf.lines.as_bytes(),
-        )
-        .map_err(|e| format!("access log {}: {e}", self.path.display()))?;
-        buf.pending = 0;
+        let batch = buf.pending.as_bytes();
+        let written = match buf.flushed {
+            Some(_) if batch.is_empty() => return Ok(()), // nothing new since the last flush
+            None => write_atomic(&self.vfs, &self.path, ACCESS_LOG_LABEL, batch),
+            Some(len) => self
+                .vfs
+                .append(&self.path, len, batch)
+                .and_then(|()| self.vfs.fsync(&self.path)),
+        };
+        written.map_err(|e| format!("access log {}: {e}", self.path.display()))?;
+        buf.flushed = Some(buf.flushed.unwrap_or(0) + batch.len() as u64);
+        buf.pending.clear();
+        buf.lines = 0;
         Ok(())
     }
 }
@@ -137,6 +144,11 @@ mod tests {
         // A second flush with nothing pending is a no-op, not a truncate.
         log.flush().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        // A log removed between flushes is created again.
+        std::fs::remove_file(&path).unwrap();
+        log.push("{\"id\":4}").unwrap();
+        log.flush().unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"id\":4}\n");
         // No leftover tmp debris from the atomic protocol.
         let debris: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -165,6 +177,71 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), FLUSH_EVERY);
         assert!(text.lines().all(|l| p2o_util::Json::parse(l).is_ok()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Each flush writes its own batch once: after ten batches the bytes
+    /// written equal the file's length, not the sum of ten growing images.
+    #[test]
+    fn each_flush_writes_only_its_batch() {
+        let dir = std::env::temp_dir().join(format!("p2o-access-flat-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("access.jsonl");
+        let vfs = Vfs::real();
+        let log = AccessLog::new(vfs.clone(), &path);
+        for i in 0..10 * FLUSH_EVERY {
+            log.push(&format!("{{\"id\":{}}}", i + 1)).unwrap();
+        }
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(vfs.stats().bytes_written, len);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap().lines().count(),
+            10 * FLUSH_EVERY
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Under torn writes, every successful flush leaves the file ending on
+    /// a line boundary and holding each pushed line once, in order: a
+    /// failed batch is cut off before it is written again.
+    #[test]
+    fn torn_flushes_are_cut_back_before_the_next_append() {
+        let dir = std::env::temp_dir().join(format!("p2o-access-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("access.jsonl");
+        let vfs = Vfs::with_faults(p2o_util::vfs::FaultPlan {
+            seed: 11,
+            short_write_one_in: Some(3),
+            ..Default::default()
+        });
+        let log = AccessLog::new(vfs.clone(), &path);
+        let mut pushed = String::new();
+        let (mut good, mut torn) = (0, 0);
+        for batch in 0..40 {
+            for i in 0..batch % 5 + 1 {
+                let line = format!("{{\"batch\":{batch},\"line\":{i}}}");
+                // A batch stays below FLUSH_EVERY: only `flush` writes.
+                log.push(&line).unwrap();
+                pushed.push_str(&line);
+                pushed.push('\n');
+            }
+            match log.flush() {
+                Ok(()) => {
+                    good += 1;
+                    assert_eq!(
+                        std::fs::read_to_string(&path).unwrap(),
+                        pushed,
+                        "batch {batch}"
+                    );
+                }
+                Err(e) => {
+                    torn += 1;
+                    assert!(e.contains("injected short write"), "{e}");
+                }
+            }
+        }
+        assert!(good > 5 && torn > 5, "{good} good, {torn} torn flushes");
+        assert_eq!(vfs.stats().faults_short_write, torn);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

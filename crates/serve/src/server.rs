@@ -100,24 +100,68 @@ const BATCH_GROUP: usize = 16;
 
 pub use p2o_obs::catalogue::ENDPOINTS;
 
-/// Index into [`ENDPOINTS`] for a request path.
-fn classify(path: &str) -> usize {
-    let name = if path == "/prefix" || path.starts_with("/prefix/") {
-        "prefix"
-    } else {
-        match path {
-            "/batch" => "batch",
-            "/dump" => "dump",
-            "/metrics" => "metrics",
-            "/health" => "health",
-            "/status" => "status",
-            "/debug/requests" => "debug.requests",
-            "/debug/trace" => "debug.trace",
-            "/reload" => "reload",
-            "/quit" => "quit",
-            _ => "other",
+/// What answers a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Handler {
+    Lookup,
+    Batch,
+    Dump,
+    Metrics,
+    Health,
+    Status,
+    DebugRequests,
+    DebugTrace,
+    Reload,
+    Quit,
+    /// A route takes the path, with another method: 405.
+    NotAllowed,
+    /// No route takes the path: 404.
+    NotFound,
+}
+
+/// The route table: `(method, path, endpoint label, handler)`, matched in
+/// order, so `/prefix/` and `/batch`, the benchmark's hot routes, come
+/// first. A path ending in `/` takes every path under it.
+const ROUTES: &[(&str, &str, &str, Handler)] = &[
+    ("GET", "/prefix/", "prefix", Handler::Lookup),
+    ("POST", "/batch", "batch", Handler::Batch),
+    ("GET", "/prefix", "prefix", Handler::Lookup),
+    ("GET", "/dump", "dump", Handler::Dump),
+    ("GET", "/metrics", "metrics", Handler::Metrics),
+    ("GET", "/health", "health", Handler::Health),
+    ("GET", "/status", "status", Handler::Status),
+    (
+        "GET",
+        "/debug/requests",
+        "debug.requests",
+        Handler::DebugRequests,
+    ),
+    ("GET", "/debug/trace", "debug.trace", Handler::DebugTrace),
+    ("POST", "/reload", "reload", Handler::Reload),
+    ("POST", "/quit", "quit", Handler::Quit),
+];
+
+/// Matches a request against [`ROUTES`]: the index into [`ENDPOINTS`] it
+/// counts under, and its handler. A path some route takes with another
+/// method counts under that route's endpoint; any other path, under
+/// `other`.
+fn match_route(method: &str, path: &str) -> (usize, Handler) {
+    let mut on_path = None;
+    for &(taken, pattern, endpoint, handler) in ROUTES {
+        let matches = path == pattern || pattern.ends_with('/') && path.starts_with(pattern);
+        if matches && taken == method {
+            return (endpoint_index(endpoint), handler);
         }
-    };
+        on_path = on_path.or(matches.then_some(endpoint));
+    }
+    match on_path {
+        Some(endpoint) => (endpoint_index(endpoint), Handler::NotAllowed),
+        None => (endpoint_index("other"), Handler::NotFound),
+    }
+}
+
+/// Index into [`ENDPOINTS`] of an endpoint label.
+fn endpoint_index(name: &str) -> usize {
     ENDPOINTS
         .iter()
         .position(|&e| e == name)
@@ -719,7 +763,7 @@ fn reject(
     state.metrics.requests.incr();
     let id = state.next_request_id();
     let snap = reader.get();
-    let endpoint_idx = classify("other");
+    let endpoint_idx = endpoint_index("other");
     count_response(state, endpoint_idx, status);
     let stamp = http::stamp(snap.serial, &snap.digest, id);
     let written = send(stream, head, status, "application/json", stamp, [body, &[]]);
@@ -785,7 +829,7 @@ fn respond(
     let id = state.next_request_id();
     let snap = Arc::clone(reader.get());
     let path = request.path();
-    let endpoint_idx = classify(path);
+    let (endpoint_idx, handler) = match_route(request.method, path);
     let Buffers { head, body, query } = buffers;
     body.clear();
     // Decoded once, for the lookup and for the address family.
@@ -807,7 +851,7 @@ fn respond(
             span.arg("target", request.target);
             span
         });
-        let routed = route(state, &snap, request, cidr.as_deref(), body);
+        let routed = route(state, &snap, request, handler, cidr.as_deref(), body);
         if let Some(span) = &span {
             span.arg("status", routed.status);
         }
@@ -854,78 +898,50 @@ fn address_family(cidr: &str) -> char {
     }
 }
 
-/// Dispatches one request, writing its body into `out`. `cidr` is the
+/// Runs the request's handler, writing its body into `out`. `cidr` is the
 /// decoded query of a `/prefix/` target.
 fn route<'s>(
     state: &Arc<ServerState>,
     snap: &'s Arc<Snapshot>,
     request: &Request<'_>,
+    handler: Handler,
     cidr: Option<&str>,
     out: &mut String,
 ) -> Routed<'s> {
-    let path = request.path();
-    let (status, content_type) = match (request.method, path) {
-        ("GET", "/health") => health(state, snap, out),
-        ("GET", "/status") => status_page(state, snap, out),
-        ("GET", "/debug/requests") => debug_requests(state, request.query_param("n"), out),
-        ("GET", "/debug/trace") => debug_trace(state, request.query_param("ms"), out),
-        ("POST", "/quit") => {
-            return quit(state, out);
-        }
-        ("GET", "/prefix") | ("GET", "/prefix/") => {
-            write_error(out, format_args!("usage: GET /prefix/<cidr>"));
-            (400, "application/json")
-        }
-        ("GET", p) if p.starts_with("/prefix/") => {
-            lookup_one(state, snap, cidr.unwrap_or_default(), out)
-        }
-        ("POST", "/batch") => batch(state, snap, request.body, out),
-        ("GET", "/dump") => {
-            return dump(state, snap, request.query_param("serial"), out);
-        }
-        ("GET", "/metrics") => {
+    let (status, content_type) = match handler {
+        Handler::Lookup => match cidr {
+            Some(cidr) if !cidr.is_empty() => lookup_one(state, snap, cidr, out),
+            _ => {
+                write_error(out, format_args!("usage: GET /prefix/<cidr>"));
+                (400, "application/json")
+            }
+        },
+        Handler::Batch => batch(state, snap, request.body, out),
+        Handler::Dump => return dump(state, snap, request.query_param("serial"), out),
+        Handler::Metrics => {
             out.push_str(&promexpo::to_prometheus(&state.obs.report()));
             windowed_exposition(state, out);
             snapshot_exposition(&state.metrics.gauges, snap, out);
             (200, "text/plain; version=0.0.4")
         }
-        ("POST", "/reload") => reload(state, request.body, out),
-        _ if known_path(path) && !method_matches(request.method, path) => {
-            let method = request.method;
+        Handler::Health => health(state, snap, out),
+        Handler::Status => status_page(state, snap, out),
+        Handler::DebugRequests => debug_requests(state, request.query_param("n"), out),
+        Handler::DebugTrace => debug_trace(state, request.query_param("ms"), out),
+        Handler::Reload => reload(state, request.body, out),
+        Handler::Quit => return quit(state, out),
+        Handler::NotAllowed => {
+            let (method, path) = (request.method, request.path());
             write_error(out, format_args!("method {method} not allowed on {path}"));
             (405, "application/json")
         }
-        _ => {
+        Handler::NotFound => {
+            let path = request.path();
             write_error(out, format_args!("no such route {path}"));
             (404, "application/json")
         }
     };
     Routed::new(status, content_type)
-}
-
-fn known_path(path: &str) -> bool {
-    matches!(
-        path,
-        "/health"
-            | "/batch"
-            | "/dump"
-            | "/metrics"
-            | "/reload"
-            | "/status"
-            | "/debug/requests"
-            | "/debug/trace"
-            | "/quit"
-            | "/prefix"
-    ) || path.starts_with("/prefix/")
-}
-
-fn method_matches(method: &str, path: &str) -> bool {
-    match path {
-        "/health" | "/dump" | "/metrics" | "/status" | "/debug/requests" | "/debug/trace"
-        | "/prefix" => method == "GET",
-        "/batch" | "/reload" | "/quit" => method == "POST",
-        p => p.starts_with("/prefix/") && method == "GET",
-    }
 }
 
 /// `GET /health`: liveness plus enough to tell whether the server is
@@ -1714,6 +1730,83 @@ mod tests {
                 id + 1
             );
             assert_eq!(String::from_utf8_lossy(&sent), want, "{request}");
+        }
+    }
+
+    /// Each method of the grid against every route and its near misses,
+    /// through `respond`: the status, the body of every 400, 404 and 405,
+    /// and the one `serve.requests.<endpoint>` counter that moved.
+    #[test]
+    fn route_grid_pins_status_body_and_endpoint() {
+        let state = tiny_state();
+        let mut buffers = Buffers::default();
+        let usage = "{\"error\":\"usage: GET /prefix/<cidr>\"}\n";
+        let uncovered = "{\"error\":\"10.0.0.0/8: no covering routed prefix in the snapshot\"}\n";
+        // (target, endpoint, the one method a route takes on the path with
+        // its status and any 4xx body), or no method for a path no route
+        // takes.
+        let grid = [
+            (
+                "/prefix/10.0.0.0%2f8",
+                "prefix",
+                Some(("GET", 404, Some(uncovered))),
+            ),
+            ("/prefix", "prefix", Some(("GET", 400, Some(usage)))),
+            ("/prefix/", "prefix", Some(("GET", 400, Some(usage)))),
+            ("/batch", "batch", Some(("POST", 200, None))),
+            ("/dump", "dump", Some(("GET", 200, None))),
+            ("/metrics", "metrics", Some(("GET", 200, None))),
+            ("/health", "health", Some(("GET", 200, None))),
+            ("/status", "status", Some(("GET", 200, None))),
+            (
+                "/debug/requests",
+                "debug.requests",
+                Some(("GET", 200, None)),
+            ),
+            ("/debug/trace?ms=1", "debug.trace", Some(("GET", 200, None))),
+            ("/reload", "reload", Some(("POST", 503, None))),
+            ("/quit", "quit", Some(("POST", 403, None))),
+            ("/prefixes", "other", None),
+            ("/batch/", "other", None),
+            ("/nope", "other", None),
+        ];
+        for method in ["GET", "POST", "PUT", "HEAD"] {
+            for (target, endpoint, taken) in grid {
+                let path = target.split('?').next().expect("a path");
+                let (status, body) = match taken {
+                    Some((taker, status, body)) if taker == method => {
+                        (status, body.map(String::from))
+                    }
+                    Some(_) => (
+                        405,
+                        Some(format!(
+                            "{{\"error\":\"method {method} not allowed on {path}\"}}\n"
+                        )),
+                    ),
+                    None => (
+                        404,
+                        Some(format!("{{\"error\":\"no such route {path}\"}}\n")),
+                    ),
+                };
+                let counts =
+                    || -> Vec<u64> { ENDPOINTS.iter().map(|name| counted(&state, name)).collect() };
+                let before = counts();
+                let raw = format!("{method} {target} HTTP/1.1\r\n\r\n");
+                let sent = answer(&state, &mut buffers, raw.as_bytes());
+                let cell = format!("{method} {target}");
+                let status_line = format!("HTTP/1.1 {status} ");
+                assert!(sent.starts_with(status_line.as_bytes()), "{cell}");
+                if let Some(body) = body {
+                    assert_eq!(body_of(&sent), body, "{cell}");
+                }
+                let after = counts();
+                let moved: Vec<&str> = (0..ENDPOINTS.len())
+                    .filter(|&i| after[i] != before[i])
+                    .map(|i| ENDPOINTS[i])
+                    .collect();
+                assert_eq!(moved, [endpoint], "{cell}");
+                assert_eq!(after.iter().sum::<u64>(), before.iter().sum::<u64>() + 1);
+            }
         }
     }
 

@@ -331,7 +331,7 @@ fn roa_prefixes_under(world: &World, cert: CertId) -> Vec<Prefix> {
 /// Routed prefixes with no VRP coverage for any of their origins,
 /// MOAS sets first. Takes up to two victims.
 fn pick_uncovered_routes(world: &World, rng: &mut StdRng) -> Vec<Prefix> {
-    let routes = RouteTable::from_mrt(world.mrt.clone()).expect("generated MRT parses");
+    let routes = RouteTable::from_mrt(&world.mrt).expect("generated MRT parses");
     let (valid, _) = world.rpki.validate(world.config.snapshot_date);
     let mut moas: Vec<Prefix> = Vec::new();
     let mut single: Vec<Prefix> = Vec::new();
@@ -443,7 +443,7 @@ mod tests {
         };
         let outcome = apply(&mut world, FaultClass::ExpiredCert, 7);
         let (adv_valid, _) = world.rpki.validate(world.config.snapshot_date);
-        let routes = RouteTable::from_mrt(world.mrt.clone()).expect("mrt");
+        let routes = RouteTable::from_mrt(&world.mrt).expect("mrt");
         let mut flipped = 0;
         for prefix in &outcome.affected_prefixes {
             let Some(origins) = routes.origins(prefix) else {
@@ -469,7 +469,7 @@ mod tests {
             problems.is_empty(),
             "the hijacker ROA is valid: {problems:?}"
         );
-        let routes = RouteTable::from_mrt(world.mrt.clone()).expect("mrt");
+        let routes = RouteTable::from_mrt(&world.mrt).expect("mrt");
         for prefix in &outcome.affected_prefixes {
             for &o in routes.origins(prefix).expect("targeted a routed prefix") {
                 assert_eq!(

@@ -42,7 +42,6 @@
 //! always implies at least one quarantined record per artifact that has
 //! eligible records (the CI smoke job asserts exactly this).
 
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -95,7 +94,7 @@ pub struct CorruptedWorld {
     /// Per-registry WHOIS dumps.
     pub whois: Vec<(Registry, Corrupted<String>)>,
     /// The MRT RIB snapshot.
-    pub mrt: Corrupted<Bytes>,
+    pub mrt: Corrupted<Vec<u8>>,
     /// The RPKI repository in persist JSONL form.
     pub rpki_jsonl: Corrupted<String>,
 }
@@ -194,10 +193,10 @@ fn junk_mrt_frame() -> Vec<u8> {
 
 /// Corrupts an MRT buffer. Record 0 (the peer index table) is never
 /// touched.
-pub fn corrupt_mrt(data: &Bytes, rate: f64, rng: &mut StdRng) -> Corrupted<Bytes> {
+pub fn corrupt_mrt(data: &[u8], rate: f64, rng: &mut StdRng) -> Corrupted<Vec<u8>> {
     let identity = || Corrupted {
-        data: data.clone(),
-        without_victims: data.clone(),
+        data: data.to_vec(),
+        without_victims: data.to_vec(),
         faults: 0,
     };
     if rate <= 0.0 {
@@ -307,8 +306,8 @@ pub fn corrupt_mrt(data: &Bytes, rate: f64, rng: &mut StdRng) -> Corrupted<Bytes
         }
     }
     Corrupted {
-        data: Bytes::from(out),
-        without_victims: Bytes::from(clean),
+        data: out,
+        without_victims: clean,
         faults,
     }
 }
@@ -731,14 +730,14 @@ mod tests {
         for seed in [1u64, 2, 3, 4, 5] {
             let mut rng = StdRng::seed_from_u64(seed);
             let c = corrupt_mrt(&w.mrt, 0.2, &mut rng);
-            let lenient = RouteTable::from_mrt_lenient(c.data.clone(), None, 1);
+            let lenient = RouteTable::from_mrt_lenient(&c.data, None, 1);
             assert_eq!(
                 lenient.quarantined.len(),
                 c.faults,
                 "seed {seed}: quarantined != injected"
             );
-            let strict = RouteTable::from_mrt(c.without_victims.clone())
-                .expect("victimless MRT parses strictly");
+            let strict =
+                RouteTable::from_mrt(&c.without_victims).expect("victimless MRT parses strictly");
             assert_eq!(
                 pfx2as::write(&lenient.table),
                 pfx2as::write(&strict),
@@ -807,7 +806,7 @@ mod tests {
     fn heavy_corruption_never_panics_and_reconciles() {
         let w = world();
         let c = corrupt_world(&w, &CorruptionConfig::uniform(99, 0.5));
-        let lenient = RouteTable::from_mrt_lenient(c.mrt.data.clone(), None, 2);
+        let lenient = RouteTable::from_mrt_lenient(&c.mrt.data, None, 2);
         assert_eq!(lenient.quarantined.len(), c.mrt.faults);
         let (_, q) = p2o_rpki::persist::from_jsonl_lenient(&c.rpki_jsonl.data);
         assert_eq!(q.len(), c.rpki_jsonl.faults);

@@ -3,7 +3,6 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -135,7 +134,7 @@ pub struct World {
     /// The JPNIC per-prefix allocation-type query service data (§4.2).
     pub jpnic_alloc: HashMap<Prefix, AllocationType>,
     /// The MRT RIB snapshot.
-    pub mrt: Bytes,
+    pub mrt: Vec<u8>,
     /// The RPKI repository (unvalidated; run `validate` yourself or use
     /// [`World::build_inputs`]).
     pub rpki: RpkiRepository,
@@ -195,7 +194,7 @@ impl World {
         }
         db.fill_jpnic_alloc(|p| self.jpnic_alloc.get(p).copied());
         let (tree, whois_stats) = db.build();
-        let lenient = RouteTable::from_mrt_lenient(self.mrt.clone(), obs, 1);
+        let lenient = RouteTable::from_mrt_lenient(&self.mrt, obs, 1);
         assert!(
             lenient.quarantined.is_empty(),
             "generated MRT parses: {:?}",
@@ -867,7 +866,7 @@ impl Generator {
         });
     }
 
-    fn make_mrt(&mut self) -> Bytes {
+    fn make_mrt(&mut self) -> Vec<u8> {
         let peers = vec![
             PeerEntry {
                 bgp_id: 0x0A000001,

@@ -239,21 +239,40 @@ impl Vfs {
         file.finish().map(drop)
     }
 
+    /// Writes `bytes` into the existing file `path` at offset `at`, after
+    /// cutting off whatever lay past `at`: an append after the last good
+    /// write that drops a torn one. The fault plan applies as it does to
+    /// [`write`](Self::write): a torn append leaves a prefix of `bytes`
+    /// past `at`, and only the bytes it wrote count as written.
+    pub fn append(&self, path: &Path, at: u64, bytes: &[u8]) -> io::Result<()> {
+        let file = fs::OpenOptions::new().append(true).open(path)?;
+        file.set_len(at)?;
+        let mut file = self.file_at(path, file, at);
+        file.write_all(bytes)?;
+        file.finish().map(drop)
+    }
+
     /// Creates (or truncates) `path` for a write in pieces: see
     /// [`VfsFile`]. The write takes its fault-plan op now, as
     /// [`write`](Self::write) does.
     pub fn create(&self, path: &Path) -> io::Result<VfsFile> {
+        Ok(self.file_at(path, fs::File::create(path)?, 0))
+    }
+
+    /// A write into `file` from offset `at`, taking its fault-plan op.
+    fn file_at(&self, path: &Path, file: fs::File, at: u64) -> VfsFile {
         let op = match &self.inner.fault {
             Some(_) => self.inner.cells.op.fetch_add(1, Ordering::Relaxed),
             None => 0,
         };
-        Ok(VfsFile {
-            file: io::BufWriter::with_capacity(WRITE_BUFFER, fs::File::create(path)?),
+        VfsFile {
+            file: io::BufWriter::with_capacity(WRITE_BUFFER, file),
             vfs: self.clone(),
             path: path.to_path_buf(),
             op,
+            at,
             len: 0,
-        })
+        }
     }
 
     /// The torn length and error the fault plan gives write `op` of `total`
@@ -389,6 +408,8 @@ pub struct VfsFile {
     vfs: Vfs,
     path: std::path::PathBuf,
     op: u64,
+    /// The offset the write started at: 0, or where an append began.
+    at: u64,
     len: u64,
 }
 
@@ -415,7 +436,7 @@ impl VfsFile {
         let c = &self.vfs.inner.cells;
         let (written, torn) = match self.vfs.tear(&self.path, self.op, self.len) {
             Some((keep, error)) => {
-                let _ = file.set_len(keep);
+                let _ = file.set_len(self.at + keep);
                 (keep, Some(error))
             }
             None => (self.len, None),
@@ -551,6 +572,38 @@ mod tests {
         assert_eq!(
             fs::read(dir.join("out-streamed")).unwrap().len(),
             whole.len() / 2
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_append_cuts_back_to_its_offset_and_tears_like_a_write() {
+        let dir = tmp("append");
+        let path = dir.join("log");
+        let vfs = Vfs::real();
+        vfs.write(&path, b"line 1\ntorn li").unwrap();
+        vfs.append(&path, 7, b"line 2\n").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"line 1\nline 2\n");
+        assert_eq!(vfs.stats().bytes_written, 14 + 7);
+        assert!(vfs.append(&dir.join("missing"), 0, b"x").is_err());
+        // Every op tears: the append keeps a prefix of its bytes past the
+        // offset, with the error one write of the same bytes gets.
+        let plan = FaultPlan {
+            seed: 3,
+            short_write_one_in: Some(1),
+            ..FaultPlan::default()
+        };
+        let (a, b) = (Vfs::with_faults(plan.clone()), Vfs::with_faults(plan));
+        let err = a.append(&path, 7, b"line 3\n").unwrap_err().to_string();
+        let other = dir.join("other");
+        let want = b.write(&other, b"line 3\n").unwrap_err().to_string();
+        let err = err.replace(&*path.to_string_lossy(), &other.to_string_lossy());
+        assert_eq!(err, want);
+        assert_eq!(a.stats(), b.stats());
+        let kept = a.stats().bytes_written as usize;
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            [&b"line 1\n"[..], &b"line 3\n"[..kept]].concat()
         );
         let _ = fs::remove_dir_all(&dir);
     }

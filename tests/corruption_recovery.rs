@@ -8,7 +8,6 @@
 //! the victim records removed up front. One corrupt record costs exactly
 //! that record, never a neighbour and never the run.
 
-use bytes::Bytes;
 use p2o_bgp::RouteTable;
 use p2o_synth::corrupt::{corrupt_world, CorruptionConfig};
 use p2o_synth::{World, WorldConfig};
@@ -25,7 +24,7 @@ struct RunResult {
 
 /// Ingests through the CLI loader's per-registry dispatch, but over
 /// in-memory artifacts so the test controls exactly what is corrupted.
-fn run_pipeline(world: &World, whois: &[(Registry, String)], mrt: Bytes, rpki: &str) -> RunResult {
+fn run_pipeline(world: &World, whois: &[(Registry, String)], mrt: &[u8], rpki: &str) -> RunResult {
     let mut db = WhoisDb::new();
     for (registry, text) in whois {
         db.add_dump(text, *registry, 1);
@@ -71,7 +70,7 @@ fn check_world(seed: u64, rate: f64) {
     let dirty = run_pipeline(
         &world,
         &dirty_whois,
-        corrupted.mrt.data.clone(),
+        &corrupted.mrt.data,
         &corrupted.rpki_jsonl.data,
     );
 
@@ -100,7 +99,7 @@ fn check_world(seed: u64, rate: f64) {
     let clean = run_pipeline(
         &world,
         &clean_whois,
-        corrupted.mrt.without_victims.clone(),
+        &corrupted.mrt.without_victims,
         &corrupted.rpki_jsonl.without_victims,
     );
     assert_eq!(clean.whois_quarantined, 0);

@@ -2,7 +2,6 @@
 //! gracefully — never panic, never silently fabricate — when fed damaged
 //! inputs, because real WHOIS/RPKI/MRT data is always partly damaged.
 
-use bytes::Bytes;
 use p2o_bgp::RouteTable;
 use p2o_net::Prefix;
 use p2o_rpki::{IpResourceSet, RpkiRepository};
@@ -115,11 +114,11 @@ fn truncated_mrt_fails_loud_not_wrong() {
     // yield a silently shorter table.
     for frac in [10, 50, 90] {
         let cut = world.mrt.len() * frac / 100;
-        let result = RouteTable::from_mrt(world.mrt.slice(..cut));
+        let result = RouteTable::from_mrt(&world.mrt[..cut]);
         assert!(result.is_err(), "cut at {frac}% parsed successfully");
     }
     // Empty input too.
-    assert!(RouteTable::from_mrt(Bytes::new()).is_err());
+    assert!(RouteTable::from_mrt([]).is_err());
 }
 
 #[test]

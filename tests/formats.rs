@@ -8,7 +8,15 @@ use p2o_whois::delegated;
 #[test]
 fn mrt_and_pfx2as_views_agree() {
     let world = World::generate(WorldConfig::tiny(0xF0F0));
-    let from_mrt = p2o_bgp::RouteTable::from_mrt(world.mrt.clone()).unwrap();
+    let from_mrt = p2o_bgp::RouteTable::from_mrt(&world.mrt).unwrap();
+
+    // The RIB decoded as perfbench's in-process build decodes it, through
+    // a `bytes::Bytes` (perfbench/src/inproc.rs): a change that breaks that
+    // call fails here, not only in the benchmark.
+    let rib = world.mrt.clone();
+    let lenient = p2o_bgp::RouteTable::from_mrt_lenient(bytes::Bytes::from(rib), None, 2);
+    assert!(lenient.quarantined.is_empty());
+    assert_eq!(lenient.table, from_mrt);
 
     // pfx2as rendering of the same table parses back identically.
     let text = p2o_bgp::pfx2as::write(&from_mrt);
@@ -67,7 +75,7 @@ fn rpki_persistence_preserves_world_scale_validation() {
     assert_eq!(a.cert_count(), b.cert_count());
 
     // Per-prefix agreement over the routed set.
-    let routes = p2o_bgp::RouteTable::from_mrt(world.mrt.clone()).unwrap();
+    let routes = p2o_bgp::RouteTable::from_mrt(&world.mrt).unwrap();
     for (prefix, origins) in routes.iter() {
         assert_eq!(a.child_most_rc(prefix), b.child_most_rc(prefix), "{prefix}");
         for &origin in origins {
