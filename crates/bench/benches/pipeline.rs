@@ -1,9 +1,10 @@
 //! Benches for the end-to-end pipeline: resolution + clustering at two
 //! world scales, and — with `--json` — a sequential-vs-parallel
-//! comparison of the two sharded stages (parse and cluster) plus
-//! single-thread timings of resolution, the dataset assembly, the export
-//! and the verified freeze, persisted to `BENCH_pipeline.json` at the
-//! repository root.
+//! comparison of the two sharded stages (parse and cluster) and of the
+//! emit (the export rendered beside the verified freeze, the frame digest
+//! beside the thaw check), plus single-thread timings of resolution, the
+//! dataset assembly, the export and the verified freeze, persisted to
+//! `BENCH_pipeline.json` at the repository root.
 //!
 //! ```text
 //! cargo bench -p p2o-bench --bench pipeline            # human-readable
@@ -20,7 +21,7 @@ use p2o_synth::{World, WorldConfig};
 use p2o_util::Json;
 use p2o_whois::WhoisDb;
 use prefix2org::cluster::{ClusterOptions, Clusterer};
-use prefix2org::{Pipeline, PipelineInputs, Prefix2OrgDataset};
+use prefix2org::{ExportBytes, FreezeLanes, Pipeline, PipelineInputs, Prefix2OrgDataset};
 
 fn bench_full_pipeline() {
     group("pipeline_full");
@@ -79,8 +80,8 @@ fn baseline_speedup(baseline: Option<&Json>, stage: &str, scale: &str) -> Option
 
 /// The sequential-vs-parallel stage comparison behind `--json`: for each
 /// scale and thread count, the mean wall time of the parse and cluster
-/// stages, plus the single-threaded resolve, assemble, export and freeze
-/// stages at one thread. Written as `BENCH_pipeline.json` at the repo root so the
+/// stages and of the emit, plus the single-threaded resolve, assemble,
+/// export and freeze stages at one thread. Written as `BENCH_pipeline.json` at the repo root so the
 /// baseline rides along with the code that produced it.
 ///
 /// Re-runs **merge** over the committed baseline instead of clobbering it:
@@ -111,6 +112,7 @@ fn bench_json(budget_ms: u64) {
     let mut assemble_cases: Vec<Json> = Vec::new();
     let mut export_cases: Vec<Json> = Vec::new();
     let mut freeze_cases: Vec<Json> = Vec::new();
+    let mut emit_cases: Vec<Json> = Vec::new();
     let mut speedups: Vec<Json> = Vec::new();
 
     for (scale, config) in [
@@ -188,11 +190,35 @@ fn bench_json(budget_ms: u64) {
         stage_means.push(("export", 1, mean));
         let jsonl = prefix2org::to_jsonl(&dataset);
         let mean = bench(&format!("freeze/{scale}/threads_1"), || {
-            let export = prefix2org::ExportBytes::in_memory(&jsonl);
-            prefix2org::freeze_verified(&built.routes, &dataset, &edges, 0, export, None)
+            let lanes = FreezeLanes {
+                export: || Ok(ExportBytes::in_memory(&jsonl)),
+                payload: |_: &[u8]| (),
+            };
+            prefix2org::freeze_verified(&built.routes, &dataset, &edges, 0, lanes, 1, None)
                 .expect("fresh freeze verifies")
         });
         stage_means.push(("freeze", 1, mean));
+        // The emit as `build` forks it: the export rendered beside the
+        // freeze, then the frame digest taken beside the thaw check.
+        for &threads in &thread_counts {
+            let mean = bench(&format!("emit/{scale}/threads_{threads}"), || {
+                let lanes = FreezeLanes {
+                    export: || Ok(ExportBytes::in_memory(prefix2org::to_jsonl(&dataset))),
+                    payload: p2o_util::atomic::frame_header,
+                };
+                prefix2org::freeze_verified(
+                    &built.routes,
+                    &dataset,
+                    &edges,
+                    0,
+                    lanes,
+                    threads,
+                    None,
+                )
+                .expect("fresh freeze verifies")
+            });
+            stage_means.push(("emit", threads, mean));
+        }
 
         for &(stage, threads, mean_ns) in &stage_means {
             let mut case = Json::object();
@@ -205,10 +231,11 @@ fn bench_json(budget_ms: u64) {
                 "cluster" => cluster_cases.push(case),
                 "assemble" => assemble_cases.push(case),
                 "export" => export_cases.push(case),
+                "emit" => emit_cases.push(case),
                 _ => freeze_cases.push(case),
             }
         }
-        for stage in ["parse", "cluster"] {
+        for stage in ["parse", "cluster", "emit"] {
             let at = |threads: usize| {
                 stage_means
                     .iter()
@@ -369,6 +396,7 @@ fn bench_json(budget_ms: u64) {
     groups.set("assemble", Json::Arr(assemble_cases));
     groups.set("export", Json::Arr(export_cases));
     groups.set("freeze", Json::Arr(freeze_cases));
+    groups.set("emit", Json::Arr(emit_cases));
     doc.set("groups", groups);
     doc.set("speedups", Json::Arr(speedups));
     doc.set("lookup", lookup);

@@ -12,7 +12,7 @@ use p2o_synth::{World, WorldConfig};
 use p2o_util::atomic;
 use p2o_util::ingest::{IngestLayer, DEFAULT_QUARANTINE_SAMPLES};
 use p2o_util::vfs::Vfs;
-use prefix2org::{ExportBytes, ExportRecord, Pipeline, PipelineInputs};
+use prefix2org::{ExportBytes, ExportRecord, FreezeLanes, Pipeline, PipelineInputs};
 
 use crate::args::Parsed;
 use crate::checkpoint;
@@ -354,7 +354,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
     };
 
     let store::LoadOutcome {
-        inputs,
+        mut inputs,
         mut quarantine,
         delegation_notes,
     } = store::load_inputs(&vfs, dir, obs.as_ref(), threads, mode, true)?;
@@ -435,11 +435,6 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         },
         obs.as_ref(),
     );
-    // The freeze reads only the route table: the other parsed inputs are
-    // released before the export and the freeze.
-    let timer = stage("build.release_inputs");
-    let routes = inputs.into_routes();
-    drop(timer);
     // Operator exceptions apply after resolution and clustering, so an
     // assert overrides the inferred attribution (keeping its evidence) and
     // a filter drops the record entirely — from the export, the frozen
@@ -464,141 +459,185 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
             exception_summary.unmatched,
         );
     }
-    // The export streams line by line into its tmp file and is hashed on
-    // the way, so it is never held whole.
-    let timer = stage("core.export");
-    let export = atomic::write_atomic_with(&vfs, out, "export", |lines| {
-        prefix2org::write_jsonl(&dataset, lines)
-    })
-    .map_err(|e| format!("writing {}: {e}", out.display()))?;
-    drop(timer);
 
-    // Freeze the same dataset into the zero-copy serve artifact. The META
-    // section stamps the option-independent inputs digest so a later
-    // `serve` can detect staleness no matter which flags this build ran
-    // with, and the thaw check proves the artifact reproduces the export
-    // just written, read back, byte for byte before anything touches disk.
+    // Freeze the dataset into the zero-copy serve artifact beside the
+    // export. The freeze reads only the route table, so the export lane
+    // first releases every other parsed input; it then streams the export
+    // into its tmp file, hashed on the way so it is never held whole, and
+    // opens it again for the thaw check. The META section stamps the
+    // option-independent inputs digest so a later `serve` can detect
+    // staleness no matter which flags this build ran with, and the thaw
+    // check proves the artifact reproduces the export just written, byte
+    // for byte, before anything else touches disk. The artifact's frame
+    // header is taken beside the check.
+    let routes = std::mem::take(&mut inputs.routes);
     let canonical_digest = checkpoint::canonical_inputs_digest(scan.files_digest, exceptions_bytes);
-    let written = vfs
-        .open(out)
-        .map_err(|e| format!("reading {} back: {e}", out.display()))?;
-    let frozen = prefix2org::freeze_verified(
+    let mut export = None;
+    let (frozen, header) = prefix2org::freeze_verified(
         &routes,
         &dataset,
         &merge_edges,
         canonical_digest,
-        ExportBytes {
-            digest: export.digest,
-            reader: io::BufReader::new(written),
+        FreezeLanes {
+            export: || {
+                let timer = stage("build.release_inputs");
+                drop(inputs);
+                drop(timer);
+                let timer = stage("core.export");
+                let entry = atomic::write_atomic_with(&vfs, out, "export", |lines| {
+                    prefix2org::write_jsonl(&dataset, lines)
+                })
+                .map_err(|e| format!("writing {}: {e}", out.display()))?;
+                drop(timer);
+                let written = vfs
+                    .open(out)
+                    .map_err(|e| format!("reading {} back: {e}", out.display()))?;
+                export = Some(entry);
+                Ok(ExportBytes {
+                    digest: entry.digest,
+                    reader: io::BufReader::new(written),
+                })
+            },
+            payload: |payload: &[u8]| {
+                let _timer = stage("util.frame_digest");
+                atomic::frame_header(payload)
+            },
         },
+        threads,
         obs.as_ref(),
     )?;
     let mut stamp = checkpoint::Stamp::new(inputs_digest);
-    stamp.record_entry("export", out_str, export);
+    stamp.record_entry("export", out_str, export.expect("the export lane wrote it"));
     if let (Some(p), Some(text)) = (exceptions_path, &exceptions_text) {
         // Recorded for the audit trail (which rules shaped this build);
         // the content already participates in the inputs digest.
         stamp.record("exceptions", p, text.as_bytes());
     }
+    let (m, records, routed) = (dataset.metrics().clone(), dataset.len(), routes.len());
 
-    // The frame header goes in front of the payload without copying it;
-    // the frame is the artifact's one integrity record (no manifest row).
-    let timer = stage("util.write_frozen");
-    let payload = frozen.payload();
-    let framed = atomic::write_atomic_parts(
-        &vfs,
-        &frozen_path,
-        prefix2org::FROZEN_LABEL,
-        &[&atomic::frame_header(payload), payload],
-    )
-    .map_err(|e| format!("writing {}: {e}", frozen_path.display()))?;
-    drop(frozen);
-    stamp.record_entry("frozen", &frozen_path_str, framed);
-    drop(timer);
-    let frozen_bytes = framed.bytes;
+    // The artifact, report, metrics, trace and stamp writes run on this
+    // thread beside a lane that drops the dataset, the route table and
+    // the merge edges. That lane records no span: it may end after the
+    // trace is written.
+    let (frozen_bytes, ()) = p2o_obs::run_beside(
+        None,
+        "emit.lane",
+        threads,
+        p2o_obs::LaneOrder::CallerFirst,
+        ("write", || -> Result<u64, CliError> {
+            // The frame header goes in front of the payload without
+            // copying it; the frame is the artifact's one integrity record
+            // (no manifest row).
+            let timer = stage("util.write_frozen");
+            let framed = atomic::write_atomic_parts(
+                &vfs,
+                &frozen_path,
+                prefix2org::FROZEN_LABEL,
+                &[&header, frozen.payload()],
+            )
+            .map_err(|e| format!("writing {}: {e}", frozen_path.display()))?;
+            drop(frozen);
+            stamp.record_entry("frozen", &frozen_path_str, framed);
+            drop(timer);
 
-    if let Some(o) = &obs {
-        // Fold the I/O layer's own statistics into the counter families
-        // before rendering, so the report and Prometheus export carry them.
-        let io = vfs.stats();
-        o.counter("io.fault.injected").add(io.faults_injected());
-        o.counter("io.fault.short_write").add(io.faults_short_write);
-        o.counter("io.fault.enospc").add(io.faults_enospc);
-        o.counter("io.fault.eio").add(io.faults_eio);
+            if let Some(o) = &obs {
+                // Fold the I/O layer's own statistics into the counter families
+                // before rendering, so the report and Prometheus export carry them.
+                let io = vfs.stats();
+                o.counter("io.fault.injected").add(io.faults_injected());
+                o.counter("io.fault.short_write").add(io.faults_short_write);
+                o.counter("io.fault.enospc").add(io.faults_enospc);
+                o.counter("io.fault.eio").add(io.faults_eio);
 
-        // What no top-level stage row saw, from the start of the build to
-        // here: the report, metrics, trace and stamp writes follow at once.
-        let attributed = o.report().top_level_wall_ns();
-        o.record_stage(
-            "build.unattributed",
-            started
-                .elapsed()
-                .saturating_sub(Duration::from_nanos(attributed)),
-        );
-        let mut report = o.report();
-        // Always present, all-zero on clean input: consumers can rely on
-        // the sections existing.
-        report.data_quality = Some(quarantine.summary(quarantine_samples));
-        report.durability = Some(p2o_obs::DurabilitySummary {
-            atomic_writes: io.writes,
-            artifacts_verified: scan.verified,
-            torn_detected,
-            checkpoint: ckpt_decision.to_string(),
-            faults_injected: io.faults_injected(),
-        });
-        report.memory = Some(p2o_obs::MemorySummary {
-            peak_rss_bytes: p2o_obs::process_peak_rss_bytes(),
-        });
-        if let Some(path) = report_path {
-            let text = report.to_json_string();
-            if report_to_stdout {
-                print_answers(|stdout| writeln!(stdout, "{text}"))?;
-            } else {
-                let written =
-                    atomic::write_atomic_parts(&vfs, Path::new(path), "report", &[text.as_bytes()])
+                // What no top-level stage row saw, from the start of the build to
+                // here: the report, metrics, trace and stamp writes follow at once.
+                let attributed = o.report().top_level_wall_ns();
+                o.record_stage(
+                    "build.unattributed",
+                    started
+                        .elapsed()
+                        .saturating_sub(Duration::from_nanos(attributed)),
+                );
+                let mut report = o.report();
+                // Always present, all-zero on clean input: consumers can rely on
+                // the sections existing.
+                report.data_quality = Some(quarantine.summary(quarantine_samples));
+                report.durability = Some(p2o_obs::DurabilitySummary {
+                    atomic_writes: io.writes,
+                    artifacts_verified: scan.verified,
+                    torn_detected,
+                    checkpoint: ckpt_decision.to_string(),
+                    faults_injected: io.faults_injected(),
+                });
+                report.memory = Some(p2o_obs::MemorySummary {
+                    peak_rss_bytes: p2o_obs::process_peak_rss_bytes(),
+                });
+                if let Some(path) = report_path {
+                    let text = report.to_json_string();
+                    if report_to_stdout {
+                        print_answers(|stdout| writeln!(stdout, "{text}"))?;
+                    } else {
+                        let written = atomic::write_atomic_parts(
+                            &vfs,
+                            Path::new(path),
+                            "report",
+                            &[text.as_bytes()],
+                        )
                         .map_err(|e| format!("writing report {path}: {e}"))?;
-                stamp.record_entry("report", path, written);
-            }
-            eprint!("{}", report.summary_table());
-            if !report_to_stdout {
-                eprintln!("run report written to {path}");
-            }
-        }
-        if let Some(path) = metrics_path {
-            let text = p2o_obs::promexpo::to_prometheus(&report);
-            let written =
-                atomic::write_atomic_parts(&vfs, Path::new(path), "metrics", &[text.as_bytes()])
+                        stamp.record_entry("report", path, written);
+                    }
+                    eprint!("{}", report.summary_table());
+                    if !report_to_stdout {
+                        eprintln!("run report written to {path}");
+                    }
+                }
+                if let Some(path) = metrics_path {
+                    let text = p2o_obs::promexpo::to_prometheus(&report);
+                    let written = atomic::write_atomic_parts(
+                        &vfs,
+                        Path::new(path),
+                        "metrics",
+                        &[text.as_bytes()],
+                    )
                     .map_err(|e| format!("writing metrics {path}: {e}"))?;
-            stamp.record_entry("metrics", path, written);
-            eprintln!("Prometheus metrics written to {path}");
-        }
-        if let Some(path) = trace_path {
-            let trace = o.take_trace();
-            let text = trace.to_chrome_json_string();
-            let written =
-                atomic::write_atomic_parts(&vfs, Path::new(path), "trace", &[text.as_bytes()])
+                    stamp.record_entry("metrics", path, written);
+                    eprintln!("Prometheus metrics written to {path}");
+                }
+                if let Some(path) = trace_path {
+                    let trace = o.take_trace();
+                    let text = trace.to_chrome_json_string();
+                    let written = atomic::write_atomic_parts(
+                        &vfs,
+                        Path::new(path),
+                        "trace",
+                        &[text.as_bytes()],
+                    )
                     .map_err(|e| format!("writing trace {path}: {e}"))?;
-            stamp.record_entry("trace", path, written);
-            eprintln!(
-                "Chrome trace ({} events across {} threads) written to {path}",
-                trace.event_count(),
-                trace.threads.len()
-            );
-        }
-    }
+                    stamp.record_entry("trace", path, written);
+                    eprintln!(
+                        "Chrome trace ({} events across {} threads) written to {path}",
+                        trace.event_count(),
+                        trace.threads.len()
+                    );
+                }
+            }
 
-    // The stamp is written last: a kill anywhere above leaves no (or a
-    // stale) stamp, and `--resume` recomputes.
-    stamp.save(&vfs, out).map_err(|e| {
-        format!(
-            "writing checkpoint {}: {e}",
-            checkpoint::stamp_path(out).display()
-        )
-    })?;
+            // The stamp is written last: a kill anywhere above leaves no
+            // (or a stale) stamp, and `--resume` recomputes.
+            stamp.save(&vfs, out).map_err(|e| {
+                format!(
+                    "writing checkpoint {}: {e}",
+                    checkpoint::stamp_path(out).display()
+                )
+            })?;
+            Ok(framed.bytes)
+        }),
+        ("teardown", || drop((dataset, routes, merge_edges))),
+    );
+    let frozen_bytes = frozen_bytes?;
 
-    let m = dataset.metrics();
     let summary = [
-        format!("dataset: {} prefixes -> {}", dataset.len(), out.display()),
+        format!("dataset: {records} prefixes -> {}", out.display()),
         format!(
             "  frozen dataset: {frozen_bytes} bytes -> {}",
             frozen_path.display()
@@ -614,7 +653,7 @@ pub fn build(args: &Parsed) -> Result<(), CliError> {
         format!(
             "  unresolved prefixes: {} ({:.3}%)",
             m.unresolved_prefixes,
-            100.0 * m.unresolved_prefixes as f64 / routes.len().max(1) as f64
+            100.0 * m.unresolved_prefixes as f64 / routed.max(1) as f64
         ),
     ];
     // When the JSON report goes to stdout, the human summary must not

@@ -595,14 +595,6 @@ pub struct LoadedInputs {
     pub snapshot_date: u32,
 }
 
-impl LoadedInputs {
-    /// The route table, the one input the freeze reads; every other
-    /// parsed input is dropped here.
-    pub fn into_routes(self) -> RouteTable {
-        self.routes
-    }
-}
-
 /// How record-level corruption in the inputs is treated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestMode {
@@ -695,23 +687,6 @@ const LOAD_STAGES: &[&str] = &[
     "whois.delegated",
 ];
 
-/// The two independent halves of the load; the inputs meet only in the
-/// pipeline.
-enum LoadLane {
-    /// `rpki.jsonl` read, parsed and validated, then the delegation-file
-    /// check.
-    Rpki,
-    /// The WHOIS dumps and `rib.mrt` in input order, the JPNIC back-fill,
-    /// the delegation tree and the AS2Org clusters.
-    WhoisMrt(Vec<Input>),
-}
-
-/// What a lane hands the join.
-enum LoadLaneOutput {
-    Rpki(Result<RpkiLane, LoadError>),
-    WhoisMrt(Result<WhoisMrtLane, WhoisMrtError>),
-}
-
 struct RpkiLane {
     rpki: p2o_rpki::ValidatedRepo,
     problems: Vec<p2o_rpki::RepoProblem>,
@@ -744,12 +719,12 @@ enum WhoisMrtError {
 /// [`scan_integrity`] is the integrity read. With `check_delegations` it
 /// also runs the §4.1 delegation-file check and returns its lines.
 ///
-/// The load runs in two lanes through [`p2o_obs::run_shards`], one
+/// The load runs in two lanes through [`p2o_obs::run_beside`], one
 /// `load.lane` trace span each: RPKI (shard 0, on the calling thread)
 /// beside WHOIS/MRT (on a thread of its own). Where each lane runs is a
 /// memory choice: glibc gives every thread its own malloc arena, and
-/// what the calling thread allocates is reused by the export and the
-/// freeze. At one thread the lanes run inline, WHOIS/MRT first. The join
+/// what the calling thread allocates is reused by the freeze. At one
+/// thread the lanes run inline, WHOIS/MRT first. The join
 /// folds the lanes in input order — WHOIS dumps, `rib.mrt`, `rpki.jsonl`,
 /// then `jpnic_alloc.tsv` and the AS2Org tables: the first failure in
 /// that order is the load's, and the quarantine lists the rejects in it.
@@ -814,50 +789,26 @@ pub fn load_inputs(
         kind: InputKind::Mrt,
     });
 
+    // The inputs meet only in the pipeline: RPKI on this thread beside
+    // WHOIS/MRT, or at one thread both inline, in input order.
     let load = obs.map(|o| o.enclosing_stage("build.load", LOAD_STAGES));
-    let run = |lane: LoadLane, span: Option<&p2o_obs::Span<'_>>| match lane {
-        LoadLane::Rpki => {
-            if let Some(s) = span {
-                s.arg("lane", "rpki");
-            }
-            LoadLaneOutput::Rpki(rpki_lane(
-                vfs,
-                dir,
-                obs,
-                snapshot_date,
-                mode,
-                check_delegations,
-            ))
-        }
-        LoadLane::WhoisMrt(inputs) => {
-            if let Some(s) = span {
-                s.arg("lane", "whois+mrt");
-            }
-            LoadLaneOutput::WhoisMrt(whois_mrt_lane(vfs, dir, inputs, obs, threads, mode))
-        }
-    };
-    // Two shards of one fork: RPKI on this thread, WHOIS/MRT spawned. At
-    // one thread, two single-shard forks, each inline, in input order.
-    let forks = if threads > 1 {
-        vec![vec![LoadLane::Rpki, LoadLane::WhoisMrt(inputs)]]
-    } else {
-        vec![vec![LoadLane::WhoisMrt(inputs)], vec![LoadLane::Rpki]]
-    };
-    let (mut rpki, mut whois_mrt) = (None, None);
-    for output in forks
-        .into_iter()
-        .flat_map(|lanes| p2o_obs::run_shards(obs, "load.lane", lanes, run))
-    {
-        match output {
-            LoadLaneOutput::Rpki(lane) => rpki = Some(lane),
-            LoadLaneOutput::WhoisMrt(lane) => whois_mrt = Some(lane),
-        }
-    }
+    let (rpki, whois_mrt) = p2o_obs::run_beside(
+        obs,
+        "load.lane",
+        threads,
+        p2o_obs::LaneOrder::OtherFirst,
+        ("rpki", || {
+            rpki_lane(vfs, dir, obs, snapshot_date, mode, check_delegations)
+        }),
+        ("whois+mrt", || {
+            whois_mrt_lane(vfs, dir, inputs, obs, threads, mode)
+        }),
+    );
     drop(load);
 
     // The first failure in input order is the load's, and the rejects
     // join the quarantine in input order.
-    let whois_mrt = match whois_mrt.expect("the WHOIS/MRT lane ran") {
+    let whois_mrt = match whois_mrt {
         Err(WhoisMrtError::Inputs(e)) => return Err(e),
         Err(WhoisMrtError::Tables(e)) => Err(e),
         Ok(lane) => Ok(lane),
@@ -867,7 +818,7 @@ pub fn load_inputs(
         problems,
         rejected,
         delegation_notes,
-    } = rpki.expect("the RPKI lane ran")?;
+    } = rpki?;
     let WhoisMrtLane {
         tree,
         whois_stats,

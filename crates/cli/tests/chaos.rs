@@ -263,6 +263,90 @@ fn write_errors_leave_old_artifact_intact_and_fsck_flags_debris() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fault on the export write while the freeze runs beside it ends the
+/// build as a serial build ends it: at one thread (export, then freeze)
+/// and at two (the freeze beside the export) the exit code, stderr and
+/// debris are the same — the export's error or kill line last, a tmp
+/// export, no export, no `world.p2ob`, no stamp — and `fsck` names the
+/// one leftover file.
+#[test]
+fn export_faults_beside_the_freeze_end_the_build_as_a_serial_build_does() {
+    let clean = temp_dir("lane-clean");
+    let clean_s = clean.to_str().unwrap();
+    run_ok(&[
+        "generate", "--out", clean_s, "--scale", "tiny", "--seed", "7",
+    ]);
+    let export = clean.join("dataset.jsonl");
+    run_ok(&["build", "--in", clean_s, "--out", export.to_str().unwrap()]);
+    let export_len = std::fs::metadata(&export).unwrap().len();
+    let _ = std::fs::remove_dir_all(&clean);
+
+    let dir = temp_dir("lane-fault");
+    let dir_s = dir.to_str().unwrap();
+    let out = dir.join("dataset.jsonl");
+    let out_s = out.to_str().unwrap();
+    for (fault, code, last_line) in [
+        (
+            "enospc:4096",
+            1,
+            format!(
+                "prefix2org: error: writing {out_s}: injected ENOSPC writing \
+                 {out_s}.p2o-tmp (4096 of {export_len} bytes fit, op 0)"
+            ),
+        ),
+        (
+            "eio:dataset.jsonl",
+            1,
+            format!(
+                "prefix2org: error: writing {out_s}: injected EIO writing {out_s}.p2o-tmp (op 0)"
+            ),
+        ),
+        (
+            "kill:export@tmp",
+            KILL_EXIT_CODE,
+            format!("vfs: kill-point export@tmp fired; exiting {KILL_EXIT_CODE}"),
+        ),
+    ] {
+        let mut stderrs = Vec::new();
+        for threads in ["1", "2"] {
+            let _ = std::fs::remove_dir_all(&dir);
+            run_ok(&["generate", "--out", dir_s, "--scale", "tiny", "--seed", "7"]);
+            let built = run_faulted(
+                &["build", "--in", dir_s, "--out", out_s, "--threads", threads],
+                fault,
+            );
+            let stderr = String::from_utf8(built.stderr).unwrap();
+            assert_eq!(
+                built.status.code(),
+                Some(code),
+                "{fault} at {threads}: {stderr}"
+            );
+            assert!(built.stdout.is_empty(), "{fault} at {threads}");
+            assert_eq!(stderr.lines().last(), Some(last_line.as_str()), "{fault}");
+            stderrs.push(stderr.replace(
+                &format!("clustering with {threads} threads"),
+                "clustering with N threads",
+            ));
+            for gone in ["dataset.jsonl", "world.p2ob", "dataset.jsonl.ckpt"] {
+                assert!(!dir.join(gone).exists(), "{fault} at {threads}: {gone}");
+            }
+            assert!(dir.join("dataset.jsonl.p2o-tmp").exists(), "{fault}");
+            let fsck = run(&["fsck", dir_s]);
+            assert_eq!(fsck.status.code(), Some(2), "{fault} at {threads}");
+            assert_eq!(
+                String::from_utf8(fsck.stdout).unwrap(),
+                "dataset.jsonl.p2o-tmp: leftover tmp file from an interrupted atomic write\n",
+                "{fault} at {threads}"
+            );
+        }
+        assert_eq!(
+            stderrs[0], stderrs[1],
+            "{fault}: stderr differs by thread count"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `generate` is covered by the same protocol: a kill mid-store leaves a
 /// directory that `fsck` flags (or a manifest that is simply missing),
 /// and regeneration converges to identical artifacts.

@@ -137,6 +137,19 @@ fn generate_build_lookup_org_validate() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The rows of the emit tail's two forks, each nested in its enclosing
+/// row in the order a one-thread build records them.
+const FORK_ROWS: [(&str, &[&str]); 2] = [
+    (
+        "emit.export_freeze",
+        &["build.release_inputs", "core.export", "core.freeze"],
+    ),
+    (
+        "emit.verify_frame",
+        &["core.thaw_verify", "util.frame_digest"],
+    ),
+];
+
 /// The ingest rows, nested in `build.load` in the order the one-lane
 /// load recorded them.
 const LOAD_ROWS: [&str; 7] = [
@@ -175,9 +188,10 @@ fn build_report_emits_run_report() {
     };
 
     // The ingest rows sit inside `build.load`, right after it, in the
-    // one-lane order at any thread count. Only top-level rows add up to
-    // the wall time, so what none of them saw stays above 0; at one
-    // thread the lanes run one after the other, within `build.load`.
+    // one-lane order at any thread count, and each fork's rows inside its
+    // enclosing row. Only top-level rows add up to the wall time, so what
+    // none of them saw stays above 0; at one thread the lanes run one
+    // after the other, within `build.load`.
     for threads in ["1", "4"] {
         let (_, parsed) = build(threads);
         let load = parsed
@@ -194,10 +208,25 @@ fn build_report_emits_run_report() {
         assert!(nested
             .iter()
             .all(|s| s.within.as_deref() == Some("build.load")));
+        for (fork, rows) in FORK_ROWS {
+            let at = parsed
+                .stages
+                .iter()
+                .position(|s| s.name == fork)
+                .unwrap_or_else(|| panic!("{fork} row"));
+            let parts: Vec<(&str, Option<&str>)> = parsed.stages[at + 1..]
+                .iter()
+                .take(rows.len())
+                .map(|s| (s.name.as_str(), s.within.as_deref()))
+                .collect();
+            let want: Vec<(&str, Option<&str>)> = rows.iter().map(|&r| (r, Some(fork))).collect();
+            assert_eq!(parts, want, "threads {threads}");
+        }
+        let fork_rows: usize = FORK_ROWS.iter().map(|(_, rows)| rows.len()).sum();
         assert_eq!(
             parsed.stages.iter().filter(|s| s.within.is_some()).count(),
-            LOAD_ROWS.len(),
-            "threads {threads}: only the ingest rows nest"
+            LOAD_ROWS.len() + fork_rows,
+            "threads {threads}: only the ingest and fork rows nest"
         );
         let unattributed = parsed.stage("build.unattributed").unwrap().wall_ns;
         assert!(unattributed > 0, "threads {threads}");
@@ -226,11 +255,14 @@ fn build_report_emits_run_report() {
         "whois.delegated",
         "pipeline.resolve",
         "pipeline.cluster",
-        "build.release_inputs",
         "core.exceptions",
+        "emit.export_freeze",
+        "build.release_inputs",
         "core.export",
         "core.freeze",
+        "emit.verify_frame",
         "core.thaw_verify",
+        "util.frame_digest",
         "util.write_frozen",
         "build.unattributed",
     ] {
@@ -485,12 +517,83 @@ fn build_trace_and_metrics_emit_valid_artifacts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The run report accounts for the build's wall time once: at one thread
+/// and at four, the top-level rows follow one another without overlapping
+/// (every overlapping row nests in an enclosing one and lies within it),
+/// and with `build.unattributed` they add up to the time from the build's
+/// start to its report, which ends after the last of them and before the
+/// process exits.
+#[test]
+fn top_level_rows_never_overlap_and_add_up_to_the_wall() {
+    let dir = temp_dir("wall");
+    let dir_s = dir.to_str().unwrap();
+    run_ok(&["generate", "--out", dir_s, "--scale", "tiny", "--seed", "7"]);
+    let dataset = dir.join("dataset.jsonl");
+    let report = dir.join("run.json");
+    for threads in ["1", "4"] {
+        let started = std::time::Instant::now();
+        run_ok(&[
+            "build",
+            "--in",
+            dir_s,
+            "--out",
+            dataset.to_str().unwrap(),
+            "--report",
+            report.to_str().unwrap(),
+            "--threads",
+            threads,
+        ]);
+        let process_ns = started.elapsed().as_nanos() as u64;
+        let doc = p2o_util::Json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+        let parsed = p2o_obs::RunReport::from_json(&doc).unwrap();
+        let end = |s: &p2o_obs::StageReport| s.start_ns + s.wall_ns;
+        let (unattributed, top): (Vec<_>, Vec<_>) = parsed
+            .stages
+            .iter()
+            .filter(|s| s.within.is_none())
+            .partition(|s| s.name == "build.unattributed");
+        for pair in top.windows(2) {
+            assert!(
+                pair[1].start_ns >= end(pair[0]),
+                "threads {threads}: {} starts before {} ends",
+                pair[1].name,
+                pair[0].name
+            );
+        }
+        for part in parsed.stages.iter().filter(|s| s.within.is_some()) {
+            let parent = parsed.stage(part.within.as_deref().unwrap()).unwrap();
+            assert!(
+                part.start_ns >= parent.start_ns && end(part) <= end(parent),
+                "threads {threads}: {} lies outside {}",
+                part.name,
+                parent.name
+            );
+        }
+        let [unattributed] = unattributed[..] else {
+            panic!("threads {threads}: one build.unattributed row");
+        };
+        let accounted = parsed.top_level_wall_ns();
+        assert_eq!(
+            accounted,
+            top.iter().map(|s| s.wall_ns).sum::<u64>() + unattributed.wall_ns
+        );
+        let last_end = end(top.last().unwrap());
+        assert!(
+            last_end <= accounted && accounted <= process_ns,
+            "threads {threads}: rows end at {last_end} ns, account for {accounted} ns, \
+             the process took {process_ns} ns"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `--threads` changes timing and nothing else: the export, the frozen
 /// artifact, the run report's stage rows (in report order, nesting
 /// included) and the set of span names are the same at one thread and at
 /// four. Per-shard timing lives only in the trace, as extra spans of the
-/// same names; the two load lanes, resolution and the freeze keep their
-/// span count at any thread count.
+/// same names; the two load lanes, the four lanes of the emit tail's two
+/// forks, resolution and the freeze keep their span count at any thread
+/// count.
 #[test]
 fn thread_count_changes_only_timing() {
     let dir = temp_dir("threads");
@@ -562,7 +665,12 @@ fn thread_count_changes_only_timing() {
             "{name}: four threads trace no extra shard spans"
         );
     }
-    for (name, spans) in [("load.lane", 2), ("resolve", 1), ("frozen.freeze", 1)] {
+    for (name, spans) in [
+        ("load.lane", 2),
+        ("emit.lane", 4),
+        ("resolve", 1),
+        ("frozen.freeze", 1),
+    ] {
         assert_eq!(
             (count(&spans1, name), count(&spans4, name)),
             (spans, spans),

@@ -64,7 +64,7 @@ use std::path::Path;
 use p2o_bgp::RouteTable;
 use p2o_net::{Prefix, Prefix4, Prefix6};
 use p2o_obs::provenance::{write_trace, write_trace_json};
-use p2o_obs::{traced, Obs};
+use p2o_obs::{run_beside, traced, LaneOrder, Obs};
 use p2o_radix::{freeze_v4, freeze_v6, LpmView4, LpmView6, LPM_LANES};
 use p2o_rpki::RovStatus;
 use p2o_util::arena::{u128_at, u32_at, u64_at, ArenaIndex, ArenaWriter};
@@ -193,14 +193,12 @@ pub fn freeze(
     merge_edges: &[MergeEdge],
     inputs_digest: u64,
 ) -> Vec<u8> {
-    let jsonl_digest = Digest::of_bytes(to_jsonl(dataset).as_bytes()).0;
-    freeze_with_digest(
-        inputs.routes,
-        dataset,
-        merge_edges,
-        inputs_digest,
-        jsonl_digest,
-    )
+    let mut payload = freeze_records(inputs.routes, dataset, merge_edges, inputs_digest);
+    stamp_jsonl_digest(
+        &mut payload,
+        Digest::of_bytes(to_jsonl(dataset).as_bytes()).0,
+    );
+    payload
 }
 
 /// The merge rows of every Direct Owner: the edges the owner's name
@@ -231,19 +229,18 @@ impl<'d> OwnerMerges<'d> {
     }
 }
 
-/// [`freeze`] with the digest of the dataset's canonical export already
-/// known, so the export is not rendered again to take it.
+/// [`freeze`] but for the digest of the dataset's canonical export: META's
+/// `jsonl_digest` slot is left 0 for [`stamp_jsonl_digest`] to fill.
 ///
 /// One pass over the records, in order, lays out the record, chain-step
 /// and pool sections against one string table, so every string keeps the
 /// id of its first occurrence in record order. The cluster and merge rows
 /// are interned last, in cluster-id and row order.
-fn freeze_with_digest(
+fn freeze_records(
     routes: &RouteTable,
     dataset: &Prefix2OrgDataset,
     merge_edges: &[MergeEdge],
     inputs_digest: u64,
-    jsonl_digest: u64,
 ) -> Vec<u8> {
     let merges = OwnerMerges::new(dataset.records(), merge_edges);
     let mut strings = StringBlobBuilder::new();
@@ -339,7 +336,7 @@ fn freeze_with_digest(
     let mut meta = Vec::with_capacity(META_SIZE);
     meta.extend_from_slice(&FROZEN_FORMAT_VERSION.to_le_bytes());
     meta.extend_from_slice(&(dataset.len() as u32).to_le_bytes());
-    meta.extend_from_slice(&jsonl_digest.to_le_bytes());
+    meta.extend_from_slice(&0u64.to_le_bytes()); // jsonl_digest, stamped after
     meta.extend_from_slice(&inputs_digest.to_le_bytes());
     meta.extend_from_slice(&dc_count.to_le_bytes());
     meta.extend_from_slice(&pool_count.to_le_bytes());
@@ -367,55 +364,133 @@ pub struct ExportBytes<R> {
     pub reader: R,
 }
 
-impl<'a> ExportBytes<&'a [u8]> {
+impl<T: AsRef<[u8]>> ExportBytes<io::Cursor<T>> {
     /// An export held in memory.
-    pub fn in_memory(jsonl: &'a str) -> Self {
+    pub fn in_memory(jsonl: T) -> Self {
         ExportBytes {
-            digest: Digest::of_bytes(jsonl.as_bytes()).0,
-            reader: jsonl.as_bytes(),
+            digest: Digest::of_bytes(jsonl.as_ref()).0,
+            reader: io::Cursor::new(jsonl),
         }
     }
 }
 
-/// [`freeze`], then prove the result before anyone uses it: the payload
-/// must pass the full [`FrozenDataset::from_payload`] audit and thaw back
-/// to `export` — the canonical export of `dataset` — byte for byte.
+/// The work a verified freeze runs beside ([`freeze_verified`]).
+pub struct FreezeLanes<E, P> {
+    /// Produces the dataset's canonical export beside the freeze — `build`
+    /// streams it to disk and opens it again, `serve` renders it in memory
+    /// — and hands back its digest and bytes, or why it could not.
+    pub export: E,
+    /// Reads the verified payload beside the thaw check; `build` takes the
+    /// artifact's frame header here.
+    pub payload: P,
+}
+
+/// The rows of the fork that runs the freeze beside the export, in the
+/// order a one-thread build records them: the export lane's (`build`
+/// releases its parsed inputs first), then the freeze.
+const EXPORT_FREEZE_ROWS: &[&str] = &["build.release_inputs", "core.export", "core.freeze"];
+
+/// The rows of the fork that runs the thaw check beside the payload lane
+/// (`build`'s frame digest), in the order a one-thread build records them.
+const VERIFY_FRAME_ROWS: &[&str] = &["core.thaw_verify", "util.frame_digest"];
+
+/// [`freeze`] beside the export, then prove the result before anyone uses
+/// it: the payload must pass the full [`FrozenDataset::from_payload`]
+/// audit and thaw back to the export — the canonical export of `dataset`
+/// — byte for byte.
 ///
-/// The one freeze sequence in the system: `build` checks it against the
-/// export it wrote, read back, then frames and writes the verified
-/// [`payload`](FrozenDataset::payload) as `world.p2ob`; `serve` checks it
-/// against the export it renders and serves the returned dataset directly
-/// when that file is missing or stale. The freeze reads only `routes` of
-/// the dataset's inputs. The payload is moved, never copied; each
-/// thawed line is written by the export's own writer and compared with the
-/// next bytes of `export.reader`, so neither side of the check is held
-/// whole. A mismatch names the first record whose line differs. An
-/// observed build times the freeze as stage `core.freeze` and the audit
-/// plus thaw check as `core.thaw_verify`.
-pub fn freeze_verified<R: BufRead>(
+/// The one freeze sequence in the system: `build` streams the export to
+/// disk in `lanes.export` and frames the verified
+/// [`payload`](FrozenDataset::payload) as `world.p2ob`; `serve` renders
+/// the export in memory and serves the returned dataset directly when
+/// that file is missing or stale. It forks twice through
+/// [`p2o_obs::run_beside`], one `emit.lane` span per lane (tagged `lane`):
+/// the freeze on the calling thread beside `lanes.export`, then the thaw
+/// check on the calling thread beside `lanes.payload`, which reads the
+/// payload the check reads. The freeze stays on the calling thread for
+/// its allocations: they reuse the memory the dataset's assembly freed in
+/// that thread's malloc arena. At one thread each fork runs its lanes
+/// inline: the export before the freeze, the check before the payload
+/// lane. The export's digest is known only
+/// at the first join, so it is stamped into META's `jsonl_digest` slot
+/// then, before the audit. An export error is returned once the freeze
+/// has finished, and an audit failure before the second fork; a thaw
+/// mismatch is returned once both lanes of the second fork have finished.
+///
+/// The freeze reads only `routes` of the dataset's inputs. The payload is
+/// moved, never copied; each thawed line is written by the export's own
+/// writer and compared with the next bytes of the export, so neither side
+/// of the check is held whole. A mismatch names the first record whose
+/// line differs. An observed build times the freeze as stage
+/// `core.freeze` within `emit.export_freeze`, and the audit plus thaw
+/// check as `core.thaw_verify` within `emit.verify_frame`; the lanes add
+/// their own rows to the same enclosing rows.
+pub fn freeze_verified<R, T, E, P>(
     routes: &RouteTable,
     dataset: &Prefix2OrgDataset,
     merge_edges: &[MergeEdge],
     inputs_digest: u64,
-    export: ExportBytes<R>,
+    lanes: FreezeLanes<E, P>,
+    threads: usize,
     obs: Option<&Obs>,
-) -> Result<FrozenDataset, String> {
+) -> Result<(FrozenDataset, T), String>
+where
+    R: BufRead + Send,
+    T: Send,
+    E: FnOnce() -> Result<ExportBytes<R>, String> + Send,
+    P: FnOnce(&[u8]) -> T + Send,
+{
     let stage = |name: &str| obs.map(|o| o.stage(name));
-    let timer = stage("core.freeze");
-    let payload = traced(obs, "frozen.freeze", |span| {
-        if let Some(s) = span {
-            s.arg("records", dataset.len());
-        }
-        freeze_with_digest(routes, dataset, merge_edges, inputs_digest, export.digest)
-    });
-    drop(timer);
-    let _timer = stage("core.thaw_verify");
+    let fork = obs.map(|o| o.enclosing_stage("emit.export_freeze", EXPORT_FREEZE_ROWS));
+    let (mut payload, export) = run_beside(
+        obs,
+        "emit.lane",
+        threads,
+        LaneOrder::OtherFirst,
+        ("freeze", || {
+            let _timer = stage("core.freeze");
+            traced(obs, "frozen.freeze", |span| {
+                if let Some(s) = span {
+                    s.arg("records", dataset.len());
+                }
+                freeze_records(routes, dataset, merge_edges, inputs_digest)
+            })
+        }),
+        ("export", lanes.export),
+    );
+    drop(fork);
+    let export = export?;
+    stamp_jsonl_digest(&mut payload, export.digest);
+
+    let fork = obs.map(|o| o.enclosing_stage("emit.verify_frame", VERIFY_FRAME_ROWS));
+    let timer = stage("core.thaw_verify");
     let frozen = FrozenDataset::from_payload(payload)
         .map_err(|e| format!("frozen artifact failed self-validation: {e}"))?;
-    frozen
-        .check_thaws_to(export.reader)
+    let (thawed, read) = run_beside(
+        obs,
+        "emit.lane",
+        threads,
+        LaneOrder::CallerFirst,
+        ("thaw_check", || {
+            let _timer = timer;
+            frozen.check_thaws_to(export.reader)
+        }),
+        ("payload", || (lanes.payload)(frozen.payload())),
+    );
+    drop(fork);
+    thawed
         .map_err(|e| format!("frozen artifact does not thaw back to the canonical export: {e}"))?;
-    Ok(frozen)
+    Ok((frozen, read))
+}
+
+/// Writes `digest` into the `jsonl_digest` slot of a freshly laid-out
+/// payload's META section (bytes 8..16); the arena holds no checksum of
+/// its own, so nothing else changes.
+fn stamp_jsonl_digest(payload: &mut [u8], digest: u64) {
+    let meta = ArenaIndex::parse(payload)
+        .and_then(|arena| arena.require("meta"))
+        .expect("a fresh payload has a meta section");
+    payload[meta.start + 8..meta.start + 16].copy_from_slice(&digest.to_le_bytes());
 }
 
 /// Whether the next bytes of `export` are `line`, consuming them while
@@ -1312,7 +1387,9 @@ mod tests {
     /// passes, and a copy with an altered first line, without its last
     /// line, or with a trailing byte fails, naming the first record whose
     /// line differs and where that line starts, or the bytes past the last
-    /// record.
+    /// record. At one thread and at two the payload is the plain freeze
+    /// with the export's digest stamped in, and the payload lane reads
+    /// exactly it.
     #[test]
     fn freeze_verified_returns_the_plain_freeze_and_rejects_a_thaw_mismatch() {
         let world = World::generate(WorldConfig::tiny(42));
@@ -1336,6 +1413,20 @@ mod tests {
                 reader: io::BufReader::new(vfs.open(&path).unwrap()),
             }
         };
+        let verified = |bytes: &[u8], threads: usize| {
+            freeze_verified(
+                &built.routes,
+                &dataset,
+                &edges,
+                7,
+                FreezeLanes {
+                    export: || Ok(written(bytes)),
+                    payload: |payload: &[u8]| payload.to_vec(),
+                },
+                threads,
+                None,
+            )
+        };
         let entry = p2o_util::atomic::write_atomic_with(&vfs, &path, "export", |out| {
             crate::export::write_jsonl(&dataset, out)
         })
@@ -1343,16 +1434,11 @@ mod tests {
         let jsonl = std::fs::read_to_string(&path).unwrap();
         assert_eq!(jsonl, to_jsonl(&dataset));
         assert_eq!(entry.digest, Digest::of_bytes(jsonl.as_bytes()).0);
-        let frozen = freeze_verified(
-            &built.routes,
-            &dataset,
-            &edges,
-            7,
-            written(jsonl.as_bytes()),
-            None,
-        )
-        .unwrap();
-        assert_eq!(frozen.payload(), &freeze(&inputs, &dataset, &edges, 7)[..]);
+        for threads in [1, 2] {
+            let (frozen, read) = verified(jsonl.as_bytes(), threads).unwrap();
+            assert_eq!(frozen.payload(), &freeze(&inputs, &dataset, &edges, 7)[..]);
+            assert_eq!(read, frozen.payload(), "threads {threads}");
+        }
         let first_line_end = jsonl.find('\n').unwrap();
         let last_line_start = jsonl[..jsonl.len() - 1].rfind('\n').unwrap() + 1;
         let last = dataset.len() - 1;
@@ -1380,21 +1466,107 @@ mod tests {
                 ),
             ),
         ] {
-            let err = freeze_verified(
-                &built.routes,
-                &dataset,
-                &edges,
-                7,
-                written(other.as_bytes()),
-                None,
-            )
-            .unwrap_err();
-            assert_eq!(
-                err,
-                format!("frozen artifact does not thaw back to the canonical export: {names}")
-            );
+            for threads in [1, 2] {
+                let err = verified(other.as_bytes(), threads).unwrap_err();
+                assert_eq!(
+                    err,
+                    format!("frozen artifact does not thaw back to the canonical export: {names}"),
+                    "threads {threads}"
+                );
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The export lane's error is the freeze's, once the freeze beside it
+    /// has finished, and a panic in either lane reaches the caller, at one
+    /// thread and at two; an observed freeze nests each fork's rows in
+    /// its enclosing row, in the one-thread order.
+    #[test]
+    fn lane_failures_reach_the_caller_and_rows_nest_per_fork() {
+        let world = World::generate(WorldConfig::tiny(7));
+        let built = world.build_inputs();
+        let inputs = PipelineInputs {
+            delegations: &built.tree,
+            routes: &built.routes,
+            asn_clusters: &built.clusters,
+            rpki: &built.rpki,
+        };
+        let (dataset, edges) = Pipeline::default().dataset_with_evidence(&inputs, None);
+        type Export<'a> = &'a (dyn Fn() -> Result<String, String> + Sync);
+        type Payload<'a> = &'a (dyn Fn(&[u8]) + Sync);
+        let freeze_beside =
+            |export: Export<'_>, payload: Payload<'_>, threads: usize, obs: Option<&Obs>| {
+                freeze_verified(
+                    &built.routes,
+                    &dataset,
+                    &edges,
+                    0,
+                    FreezeLanes {
+                        export: || export().map(ExportBytes::in_memory),
+                        payload,
+                    },
+                    threads,
+                    obs,
+                )
+                .map(drop)
+            };
+        let render = || Ok(to_jsonl(&dataset));
+        for threads in [1, 2] {
+            let failed = freeze_beside(&|| Err("disk full".into()), &|_| (), threads, None);
+            assert_eq!(failed.unwrap_err(), "disk full", "threads {threads}");
+            for (export, payload) in [
+                (
+                    &(|| -> Result<String, String> { panic!("the export lane panicked") })
+                        as Export<'_>,
+                    &(|_: &[u8]| ()) as Payload<'_>,
+                ),
+                (&render, &|_: &[u8]| panic!("the payload lane panicked")),
+            ] {
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    freeze_beside(export, payload, threads, None)
+                }));
+                let message = caught.expect_err("the panic must reach the caller");
+                assert!(
+                    message
+                        .downcast_ref::<&str>()
+                        .is_some_and(|m| m.ends_with("lane panicked")),
+                    "threads {threads}"
+                );
+            }
+            let obs = Obs::new();
+            let timed = |name: &str| obs.time(name, || ());
+            freeze_beside(
+                &|| {
+                    timed("core.export");
+                    render()
+                },
+                &|_| timed("util.frame_digest"),
+                threads,
+                Some(&obs),
+            )
+            .unwrap();
+            let rows: Vec<(String, Option<String>)> = obs
+                .report()
+                .stages
+                .into_iter()
+                .map(|s| (s.name, s.within))
+                .collect();
+            let row =
+                |name: &str, within: Option<&str>| (name.to_string(), within.map(str::to_string));
+            assert_eq!(
+                rows,
+                [
+                    row("emit.export_freeze", None),
+                    row("core.export", Some("emit.export_freeze")),
+                    row("core.freeze", Some("emit.export_freeze")),
+                    row("emit.verify_frame", None),
+                    row("core.thaw_verify", Some("emit.verify_frame")),
+                    row("util.frame_digest", Some("emit.verify_frame")),
+                ],
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]
@@ -1577,10 +1749,19 @@ mod tests {
                     let summary = set.apply(&mut dataset);
                     assert_eq!((summary.asserted, summary.filtered), (1, 1));
                 }
-                let jsonl = to_jsonl(&dataset);
-                let export = ExportBytes::in_memory(&jsonl);
-                let frozen =
-                    freeze_verified(&built.routes, &dataset, &edges, 0, export, None).unwrap();
+                let (frozen, ()) = freeze_verified(
+                    &built.routes,
+                    &dataset,
+                    &edges,
+                    0,
+                    FreezeLanes {
+                        export: || Ok(ExportBytes::in_memory(to_jsonl(&dataset))),
+                        payload: |_: &[u8]| (),
+                    },
+                    1,
+                    None,
+                )
+                .unwrap();
                 for (idx, rec) in (0u32..).zip(dataset.records()) {
                     let trace = attribution_trace(&inputs, &dataset, &edges, &rec.prefix);
                     let text = trace.render();

@@ -72,8 +72,8 @@ pub use exceptions::{ExceptionAction, ExceptionSet, ExceptionSummary};
 pub use explain::{attribution_trace, Step, Trace};
 pub use export::{from_jsonl, to_jsonl, write_jsonl, ExportRecord};
 pub use frozen::{
-    freeze, freeze_verified, ExportBytes, FrozenDataset, FROZEN_FILE, FROZEN_FORMAT_VERSION,
-    FROZEN_LABEL,
+    freeze, freeze_verified, ExportBytes, FreezeLanes, FrozenDataset, FROZEN_FILE,
+    FROZEN_FORMAT_VERSION, FROZEN_LABEL,
 };
 pub use leasing::{infer_leasing, LeasingCandidate, LeasingOptions};
 pub use p2o_radix::LPM_LANES;

@@ -52,7 +52,7 @@ pub use provenance::{DecisionTrace, DetailSink, TraceStep};
 pub use runtime::{
     FlightRecord, FlightRecorder, FlightSample, WindowSnapshot, WindowedHistogram, WINDOWS,
 };
-pub use shards::{run_shards, shard_count, split_shards, traced};
+pub use shards::{run_beside, run_shards, shard_count, split_shards, traced, LaneOrder};
 pub use trace::{
     CounterSample, Span, ThreadLog, ThreadTrace, Trace, TraceEvent, TracePhase, Tracer,
 };
@@ -259,6 +259,7 @@ impl StageTimer {
         self.done = true;
         let stage = StageReport {
             name: std::mem::take(&mut self.name),
+            start_ns: self.obs.offset_ns(self.started),
             wall_ns: self.started.elapsed().as_nanos() as u64,
             items: self.items,
             rss_bytes: process_rss_bytes(),
@@ -320,6 +321,7 @@ impl EnclosingStage {
             }
             stages.push(StageReport {
                 name: std::mem::take(&mut self.name),
+                start_ns: self.obs.offset_ns(self.started),
                 wall_ns,
                 items: None,
                 rss_bytes,
@@ -337,8 +339,10 @@ impl Drop for EnclosingStage {
     }
 }
 
-#[derive(Default)]
 struct ObsInner {
+    /// When the registry was created: every stage row's start is an
+    /// offset from it.
+    origin: Instant,
     counters: Mutex<Vec<(String, Counter)>>,
     histograms: Mutex<Vec<(String, Histogram)>>,
     stages: Mutex<Vec<StageReport>>,
@@ -346,6 +350,19 @@ struct ObsInner {
     /// Mirrors `tracer.is_some()` so hot paths can ask "is tracing on?"
     /// with one relaxed load instead of a mutex acquisition.
     tracing_on: AtomicBool,
+}
+
+impl Default for ObsInner {
+    fn default() -> Self {
+        ObsInner {
+            origin: Instant::now(),
+            counters: Mutex::default(),
+            histograms: Mutex::default(),
+            stages: Mutex::default(),
+            tracer: Mutex::default(),
+            tracing_on: AtomicBool::default(),
+        }
+    }
 }
 
 /// The observability registry handle.
@@ -428,13 +445,20 @@ impl Obs {
     /// Records stage `name` with a wall time the caller measured: a phase
     /// timed in pieces and summed, ending now.
     pub fn record_stage(&self, name: &str, wall: Duration) {
+        let now = Instant::now();
         self.push_stage(StageReport {
             name: name.to_string(),
+            start_ns: self.offset_ns(now.checked_sub(wall).unwrap_or(now)),
             wall_ns: wall.as_nanos() as u64,
             items: None,
             rss_bytes: process_rss_bytes(),
             within: None,
         });
+    }
+
+    /// Nanoseconds from the registry's creation to `at`.
+    fn offset_ns(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.inner.origin).as_nanos() as u64
     }
 
     fn push_stage(&self, stage: StageReport) {
@@ -692,6 +716,11 @@ impl DurabilitySummary {
 pub struct StageReport {
     /// Stage name (e.g. `whois.parse`).
     pub name: String,
+    /// When the stage started, in nanoseconds from the registry's
+    /// creation; a row recorded with [`Obs::record_stage`] starts its
+    /// wall time before it was recorded. 0 in a report written before
+    /// rows carried it.
+    pub start_ns: u64,
     /// Wall-clock duration in nanoseconds.
     pub wall_ns: u64,
     /// Items processed, when the stage attached a count.
@@ -829,6 +858,7 @@ impl RunReport {
         for s in &self.stages {
             let mut obj = Json::object();
             obj.set("name", s.name.as_str());
+            obj.set("start_ns", s.start_ns);
             obj.set("wall_ns", s.wall_ns);
             obj.set("rss_bytes", s.rss_bytes);
             if let Some(within) = &s.within {
@@ -899,6 +929,7 @@ impl RunReport {
                         .and_then(Json::as_str)
                         .ok_or("stage missing name")?
                         .to_string(),
+                    start_ns: s.get("start_ns").and_then(Json::as_u64).unwrap_or(0),
                     wall_ns: s
                         .get("wall_ns")
                         .and_then(Json::as_u64)
@@ -1173,14 +1204,41 @@ mod tests {
         assert_eq!(RunReport::from_json(&doc).unwrap().stages, report.stages);
     }
 
-    /// A report written before rows could nest has no `within` fields and
-    /// still parses, every row top-level.
+    /// A report written before rows could nest has no `within` or
+    /// `start_ns` fields and still parses, every row top-level and
+    /// starting at 0.
     #[test]
     fn a_report_without_within_fields_parses() {
         let text = r#"{"stages":[{"name":"whois.parse","wall_ns":5,"rss_bytes":7}],"counters":{}}"#;
         let report = RunReport::from_json(&p2o_util::Json::parse(text).unwrap()).unwrap();
         assert_eq!(report.stages[0].within, None);
+        assert_eq!(report.stages[0].start_ns, 0);
         assert_eq!(report.top_level_wall_ns(), 5);
+    }
+
+    /// Each row carries its start: rows timed one after another do not
+    /// overlap, an enclosing row holds its parts, and a row recorded with
+    /// a measured wall time starts that long before it was recorded.
+    #[test]
+    fn stage_rows_carry_their_start() {
+        let obs = Obs::new();
+        let sleep = || std::thread::sleep(Duration::from_millis(2));
+        obs.time("first", sleep);
+        let fork = obs.enclosing_stage("fork", &[]);
+        obs.time("part", sleep);
+        fork.finish();
+        let started = Instant::now();
+        sleep();
+        obs.record_stage("measured", started.elapsed());
+        let report = obs.report();
+        let end = |s: &StageReport| s.start_ns + s.wall_ns;
+        let [first, fork, part, measured] =
+            ["first", "fork", "part", "measured"].map(|name| report.stage(name).unwrap().clone());
+        assert!(fork.start_ns >= end(&first), "{first:?} {fork:?}");
+        assert!(part.start_ns >= fork.start_ns && end(&part) <= end(&fork));
+        assert!(measured.start_ns >= end(&fork), "{fork:?} {measured:?}");
+        let doc = p2o_util::Json::parse(&report.to_json_string()).unwrap();
+        assert_eq!(RunReport::from_json(&doc).unwrap().stages, report.stages);
     }
 
     /// With tracing on, every stage row ends with one point on the trace's

@@ -6,9 +6,12 @@
 //! shard order. Because each shard covers a contiguous run of the input
 //! and results come back in shard order, the folded output is the same at
 //! any thread count. Shard 0 always runs inline on the caller's thread, a
-//! single shard included. `store::load_inputs` runs its two ingest lanes
-//! through the same runner. DO/DC resolution and the freeze are one pass
-//! each, traced through [`traced`] as the single shard is.
+//! single shard included. Two independent steps of the build run side by
+//! side through [`run_beside`], a two-shard fork of the same runner:
+//! `store::load_inputs`'s two ingest lanes, and the freeze, the thaw check
+//! and the teardown beside the export, the frame digest and the artifact
+//! writes. DO/DC resolution and the freeze are one pass each, traced
+//! through [`traced`] as the single shard is.
 //!
 //! The runner records trace spans, never stage timers: the run report
 //! lists the same per-layer stages at every thread count, and per-shard
@@ -78,6 +81,75 @@ where
         }));
         results
     })
+}
+
+/// Which of two lanes [`run_beside`] runs first at one thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneOrder {
+    /// The calling thread's lane, then the other.
+    CallerFirst,
+    /// The other lane, then the calling thread's.
+    OtherFirst,
+}
+
+/// One lane of [`run_beside`], or what it returned.
+enum Lane<C, O> {
+    Caller(C),
+    Other(O),
+}
+
+/// Runs two independent lanes side by side and returns both results. At
+/// `threads > 1` they are one [`run_shards`] fork: `caller` is shard 0, on
+/// the calling thread, and `other` runs on a thread of its own. At one
+/// thread each runs inline as a fork of its own, in `order`. Either way
+/// each lane records one `name` span, tagged `lane` with the label it
+/// comes with.
+pub fn run_beside<C, O, FC, FO>(
+    obs: Option<&Obs>,
+    name: &str,
+    threads: usize,
+    order: LaneOrder,
+    caller: (&str, FC),
+    other: (&str, FO),
+) -> (C, O)
+where
+    C: Send,
+    O: Send,
+    FC: FnOnce() -> C + Send,
+    FO: FnOnce() -> O + Send,
+{
+    let work = |(label, lane): (&str, Lane<FC, FO>), span: Option<&Span<'_>>| {
+        if let Some(s) = span {
+            s.arg("lane", label);
+        }
+        match lane {
+            Lane::Caller(run) => Lane::Caller(run()),
+            Lane::Other(run) => Lane::Other(run()),
+        }
+    };
+    let (caller, other) = (
+        (caller.0, Lane::Caller(caller.1)),
+        (other.0, Lane::Other(other.1)),
+    );
+    let forks = match (threads > 1, order) {
+        (true, _) => vec![vec![caller, other]],
+        (false, LaneOrder::CallerFirst) => vec![vec![caller], vec![other]],
+        (false, LaneOrder::OtherFirst) => vec![vec![other], vec![caller]],
+    };
+    let (mut ran_caller, mut ran_other) = (None, None);
+    for output in forks
+        .into_iter()
+        .flat_map(|lanes| run_shards(obs, name, lanes, work))
+    {
+        match output {
+            Lane::Caller(c) => ran_caller = Some(c),
+            Lane::Other(o) => ran_other = Some(o),
+        }
+    }
+    (
+        ran_caller.expect("the caller's lane ran"),
+        ran_other.expect("the other lane ran"),
+    )
 }
 
 /// Runs `work` inline on the calling thread. With tracing on in `obs`, it
@@ -165,6 +237,89 @@ mod tests {
             assert_eq!(tagged, want);
             // The runner adds spans only, never stage rows.
             assert!(obs.report().stages.is_empty());
+        }
+    }
+
+    /// The caller's lane runs on the calling thread beside the other, or
+    /// at one thread both run there in the order asked; each records one
+    /// span either way.
+    #[test]
+    fn two_lanes_run_beside_each_other_or_in_order_at_one_thread() {
+        let caller = std::thread::current().id();
+        for threads in [1usize, 2, 4] {
+            for order in [LaneOrder::CallerFirst, LaneOrder::OtherFirst] {
+                let obs = Obs::new();
+                obs.enable_tracing();
+                let ran = std::sync::Mutex::new(Vec::new());
+                let lane = |name: &'static str| {
+                    ran.lock().unwrap().push(name);
+                    std::thread::current().id()
+                };
+                let (c, o) = run_beside(
+                    Some(&obs),
+                    "lane",
+                    threads,
+                    order,
+                    ("caller", || (lane("caller"), 'c')),
+                    ("other", || (lane("other"), 7u8)),
+                );
+                assert_eq!((c.0, c.1, o.1), (caller, 'c', 7), "threads {threads}");
+                if threads == 1 {
+                    assert_eq!(o.0, caller);
+                    let want = match order {
+                        LaneOrder::CallerFirst => ["caller", "other"],
+                        LaneOrder::OtherFirst => ["other", "caller"],
+                    };
+                    assert_eq!(*ran.lock().unwrap(), want);
+                } else {
+                    assert_ne!(o.0, caller, "threads {threads}");
+                }
+                let trace = obs.take_trace();
+                let mut tags: Vec<String> = trace
+                    .threads
+                    .iter()
+                    .flat_map(|t| &t.events)
+                    .filter(|e| e.phase == TracePhase::Begin)
+                    .map(|e| e.args[1].1.clone())
+                    .collect();
+                tags.sort();
+                assert_eq!(tags, ["caller", "other"], "threads {threads}");
+            }
+        }
+    }
+
+    /// A panic in either lane reaches the caller, at any thread count.
+    #[test]
+    fn a_panicking_lane_propagates() {
+        for threads in [1usize, 2] {
+            for order in [LaneOrder::CallerFirst, LaneOrder::OtherFirst] {
+                for failing in ["caller", "other"] {
+                    let lane = |name: &'static str| {
+                        move || -> u8 {
+                            if name == failing {
+                                panic!("the {name} lane failed");
+                            }
+                            1
+                        }
+                    };
+                    let caught = std::panic::catch_unwind(|| {
+                        run_beside(
+                            None,
+                            "lane",
+                            threads,
+                            order,
+                            ("caller", lane("caller")),
+                            ("other", lane("other")),
+                        )
+                    });
+                    let payload = caught.expect_err("the panic must reach the caller");
+                    assert_eq!(
+                        payload.downcast_ref::<String>(),
+                        Some(&format!("the {failing} lane failed")),
+                        "threads {threads}"
+                    );
+                }
+            }
         }
     }
 

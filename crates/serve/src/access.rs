@@ -68,13 +68,13 @@ impl AccessLog {
         &self.path
     }
 
-    /// Appends one pre-rendered JSON line (no trailing newline) and
-    /// flushes if the pending batch is full. Returns a flush error, if
-    /// one happened; the line itself is always retained for the next
-    /// attempt.
-    pub fn push(&self, line: &str) -> Result<(), String> {
+    /// Appends one JSON line, which `line` writes straight into the
+    /// pending batch (without its newline), and flushes if the batch is
+    /// full. Returns a flush error, if one happened; the line itself is
+    /// always retained for the next attempt.
+    pub fn push(&self, line: impl FnOnce(&mut String)) -> Result<(), String> {
         let mut buf = self.buf.lock().expect("access log lock");
-        buf.pending.push_str(line);
+        line(&mut buf.pending);
         buf.pending.push('\n');
         buf.lines += 1;
         if buf.lines >= FLUSH_EVERY {
@@ -126,7 +126,7 @@ mod tests {
             let mut o = p2o_util::Json::object();
             o.set("id", i as u64 + 1);
             o.set("endpoint", "prefix");
-            log.push(&o.to_string()).unwrap();
+            log.push(|line| line.push_str(&o.to_string())).unwrap();
         }
         log.flush().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -146,7 +146,7 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
         // A log removed between flushes is created again.
         std::fs::remove_file(&path).unwrap();
-        log.push("{\"id\":4}").unwrap();
+        log.push(|line| line.push_str("{\"id\":4}")).unwrap();
         log.flush().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"id\":4}\n");
         // No leftover tmp debris from the atomic protocol.
@@ -166,14 +166,15 @@ mod tests {
         let path = dir.join("access.jsonl");
         let log = AccessLog::new(Vfs::real(), &path);
         for i in 0..FLUSH_EVERY {
-            log.push(&format!("{{\"id\":{}}}", i + 1)).unwrap();
+            log.push(|line| line.push_str(&format!("{{\"id\":{}}}", i + 1)))
+                .unwrap();
         }
         // The FLUSH_EVERY-th push flushed without an explicit flush().
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), FLUSH_EVERY);
         // An unflushed tail is absent from disk (the "crash" image is the
         // last flush), but never torn.
-        log.push("{\"id\":9999}").unwrap();
+        log.push(|line| line.push_str("{\"id\":9999}")).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), FLUSH_EVERY);
         assert!(text.lines().all(|l| p2o_util::Json::parse(l).is_ok()));
@@ -190,7 +191,8 @@ mod tests {
         let vfs = Vfs::real();
         let log = AccessLog::new(vfs.clone(), &path);
         for i in 0..10 * FLUSH_EVERY {
-            log.push(&format!("{{\"id\":{}}}", i + 1)).unwrap();
+            log.push(|line| line.push_str(&format!("{{\"id\":{}}}", i + 1)))
+                .unwrap();
         }
         let len = std::fs::metadata(&path).unwrap().len();
         assert_eq!(vfs.stats().bytes_written, len);
@@ -221,7 +223,7 @@ mod tests {
             for i in 0..batch % 5 + 1 {
                 let line = format!("{{\"batch\":{batch},\"line\":{i}}}");
                 // A batch stays below FLUSH_EVERY: only `flush` writes.
-                log.push(&line).unwrap();
+                log.push(|pending| pending.push_str(&line)).unwrap();
                 pushed.push_str(&line);
                 pushed.push('\n');
             }

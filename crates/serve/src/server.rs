@@ -54,7 +54,7 @@ use p2o_obs::{
     process_rss_bytes, Counter, FlightRecorder, FlightSample, Histogram, Obs, WindowedHistogram,
     WINDOWS,
 };
-use p2o_util::json::{write_escaped, Escaper, Json};
+use p2o_util::json::{write_escaped, write_u64, Escaper, Json};
 use prefix2org::FrozenDataset;
 
 use crate::access::AccessLog;
@@ -404,29 +404,59 @@ fn record_response(state: &ServerState, out: &RequestOutcome<'_>) {
         target: out.target,
     });
     if let Some(access) = &state.access {
-        let mut o = Json::object();
-        o.set("type", "access");
-        o.set("id", out.id);
-        o.set(
-            "ts_unix_ms",
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0),
-        );
-        o.set("uptime_ms", state.started.elapsed().as_millis() as u64);
-        o.set("method", out.method);
-        o.set("target", out.target);
-        o.set("endpoint", stat.name);
-        o.set("status", out.status as u64);
-        o.set("latency_ns", out.latency_ns);
-        o.set("serial", out.serial);
-        o.set("snapshot", out.snapshot);
-        o.set("family", out.family.to_string());
-        if access.push(&o.to_string()).is_err() {
+        let ts_unix_ms = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_millis() as u64)
+            .unwrap_or(0);
+        let uptime_ms = state.started.elapsed().as_millis() as u64;
+        let pushed = access.push(|line| {
+            write_access_line(line, out, stat.name, ts_unix_ms, uptime_ms)
+                .expect("String writes succeed")
+        });
+        if pushed.is_err() {
             state.metrics.access_log_failures.incr();
         }
     }
+}
+
+/// Writes one access-log line, without its newline, straight into `line`:
+/// the response's id, times, request line, endpoint, status, latency,
+/// snapshot and address family, as the compact JSON of an object of those
+/// fields in that order (every number below 2^53 exactly as
+/// [`Json`] renders it).
+fn write_access_line(
+    line: &mut String,
+    out: &RequestOutcome<'_>,
+    endpoint: &str,
+    ts_unix_ms: u64,
+    uptime_ms: u64,
+) -> fmt::Result {
+    let number = |line: &mut String, key: &str, value: u64| {
+        line.push_str(",\"");
+        line.push_str(key);
+        line.push_str("\":");
+        write_u64(line, value)
+    };
+    let text = |line: &mut String, key: &str, value: &str| {
+        line.push_str(",\"");
+        line.push_str(key);
+        line.push_str("\":");
+        write_escaped(line, value)
+    };
+    line.push_str("{\"type\":\"access\"");
+    number(line, "id", out.id)?;
+    number(line, "ts_unix_ms", ts_unix_ms)?;
+    number(line, "uptime_ms", uptime_ms)?;
+    text(line, "method", out.method)?;
+    text(line, "target", out.target)?;
+    text(line, "endpoint", endpoint)?;
+    number(line, "status", u64::from(out.status))?;
+    number(line, "latency_ns", out.latency_ns)?;
+    number(line, "serial", out.serial)?;
+    text(line, "snapshot", out.snapshot)?;
+    text(line, "family", out.family.encode_utf8(&mut [0; 4]))?;
+    line.push('}');
+    Ok(())
 }
 
 /// A running server: its bound address and shutdown control.
@@ -1513,6 +1543,64 @@ mod tests {
     use crate::snapshot::LoadTiming;
     use p2o_synth::{World, WorldConfig};
     use std::collections::HashMap;
+
+    /// The access-log line as a `Json` object of the same fields renders
+    /// it: what every line was before it was written straight into the
+    /// log's batch.
+    fn access_line_json(
+        out: &RequestOutcome<'_>,
+        endpoint: &str,
+        ts_unix_ms: u64,
+        uptime_ms: u64,
+    ) -> String {
+        let mut o = Json::object();
+        o.set("type", "access");
+        o.set("id", out.id);
+        o.set("ts_unix_ms", ts_unix_ms);
+        o.set("uptime_ms", uptime_ms);
+        o.set("method", out.method);
+        o.set("target", out.target);
+        o.set("endpoint", endpoint);
+        o.set("status", out.status as u64);
+        o.set("latency_ns", out.latency_ns);
+        o.set("serial", out.serial);
+        o.set("snapshot", out.snapshot);
+        o.set("family", out.family.to_string());
+        o.to_string()
+    }
+
+    /// The line written straight into the batch is the `Json` rendering,
+    /// over targets and snapshots that need escaping and times and ids
+    /// above 2^32.
+    #[test]
+    fn access_line_is_the_json_rendering() {
+        let targets = [
+            "/prefix/41.0.0.0%2f13",
+            "/prefix/\"quoted\"\\back",
+            "/batch\u{1}\t\n\r\u{1f}",
+            "/ünïcode/→",
+            "",
+        ];
+        let big = [0, 1, (1 << 32) + 7, 1_760_000_000_000, (1 << 53) - 1];
+        for (i, target) in targets.into_iter().enumerate() {
+            for (j, &value) in big.iter().enumerate() {
+                let out = RequestOutcome {
+                    id: value ^ i as u64,
+                    endpoint_idx: 0,
+                    method: ["GET", "POST"][j % 2],
+                    target,
+                    status: [200, 400, 404, 503][(i + j) % 4],
+                    latency_ns: value,
+                    serial: big[(i + j) % big.len()],
+                    snapshot: ["12:7B:12", "a\"b"][i % 2],
+                    family: ['4', '6', '-', 'é'][(i + j) % 4],
+                };
+                let mut line = String::new();
+                write_access_line(&mut line, &out, "prefix", value, value / 3).unwrap();
+                assert_eq!(line, access_line_json(&out, "prefix", value, value / 3));
+            }
+        }
+    }
 
     /// The tiny seed-7 world, frozen in memory.
     fn tiny_snapshot() -> Snapshot {

@@ -31,8 +31,8 @@ use std::time::Duration;
 use p2o_net::Prefix;
 use p2o_util::json::{write_escaped, write_u32_array, write_u64};
 use prefix2org::{
-    freeze_verified, to_jsonl, ExceptionSet, ExportBytes, FrozenDataset, Pipeline, PipelineInputs,
-    LPM_LANES,
+    freeze_verified, to_jsonl, ExceptionSet, ExportBytes, FreezeLanes, FrozenDataset, Pipeline,
+    PipelineInputs, LPM_LANES,
 };
 
 /// One immutable, query-ready view of a built artifact directory: a
@@ -81,7 +81,7 @@ impl Snapshot {
     /// `exceptions`, and freezes the dataset in memory with
     /// [`freeze_verified`] — the freeze, audit and thaw check `build` runs
     /// before it writes `world.p2ob`, here against the export rendered in
-    /// memory. Nothing checks an in-memory freeze for staleness, so its
+    /// memory beside the freeze. Nothing checks an in-memory freeze for staleness, so its
     /// inputs digest is stamped 0. The parsed inputs are not kept: the
     /// snapshot holds only the payload.
     pub fn freeze_in_memory(
@@ -94,9 +94,18 @@ impl Snapshot {
         let (mut dataset, merge_edges) =
             Pipeline::with_threads(threads.max(1)).dataset_with_evidence(inputs, None);
         exceptions.apply(&mut dataset);
-        let jsonl = to_jsonl(&dataset);
-        let export = ExportBytes::in_memory(&jsonl);
-        let frozen = freeze_verified(inputs.routes, &dataset, &merge_edges, 0, export, None)?;
+        let (frozen, ()) = freeze_verified(
+            inputs.routes,
+            &dataset,
+            &merge_edges,
+            0,
+            FreezeLanes {
+                export: || Ok(ExportBytes::in_memory(to_jsonl(&dataset))),
+                payload: |_: &[u8]| (),
+            },
+            threads,
+            None,
+        )?;
         Ok(Self::attach(dir, serial, frozen, false))
     }
 

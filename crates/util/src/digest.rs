@@ -55,14 +55,21 @@ impl Digest {
     }
 }
 
+/// Upper-case hex digits by nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789ABCDEF";
+
 impl fmt::Display for Digest {
+    /// Eight upper-case hex byte pairs, most significant first, joined by
+    /// colons: 23 bytes laid out from a digit table. The dataset assembly
+    /// renders one per RPKI certificate id, so this skips the formatting
+    /// machinery.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let b = self.0.to_be_bytes();
-        write!(
-            f,
-            "{:02X}:{:02X}:{:02X}:{:02X}:{:02X}:{:02X}:{:02X}:{:02X}",
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
-        )
+        let mut text = [b':'; 23];
+        for (pair, byte) in text.chunks_mut(3).zip(self.0.to_be_bytes()) {
+            pair[0] = HEX_DIGITS[usize::from(byte >> 4)];
+            pair[1] = HEX_DIGITS[usize::from(byte & 0xF)];
+        }
+        f.write_str(std::str::from_utf8(&text).expect("hex digits and colons are ASCII"))
     }
 }
 
@@ -329,5 +336,20 @@ mod tests {
         let d = Digest(0x0E65A4FF00112233);
         assert_eq!(d.short(), "0E:65:A4");
         assert_eq!(d.to_string(), "0E:65:A4:FF:00:11:22:33");
+        // The table-driven `Display` writes what eight `{:02X}` pairs
+        // joined by colons write, over 0, `u64::MAX` and random values.
+        let formatted = |v: u64| {
+            let b = v.to_be_bytes();
+            format!(
+                "{:02X}:{:02X}:{:02X}:{:02X}:{:02X}:{:02X}:{:02X}:{:02X}",
+                b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
+            )
+        };
+        assert_eq!(Digest(0).to_string(), "00:00:00:00:00:00:00:00");
+        assert_eq!(Digest(u64::MAX).to_string(), "FF:FF:FF:FF:FF:FF:FF:FF");
+        crate::check::run_cases(4096, |g| {
+            let v = g.u64();
+            assert_eq!(Digest(v).to_string(), formatted(v), "{v:#x}");
+        });
     }
 }
