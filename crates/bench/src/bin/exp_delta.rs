@@ -6,17 +6,18 @@
 //! snapshots.
 
 use p2o_synth::{World, WorldConfig};
-use prefix2org::{diff, Pipeline, PipelineInputs};
+use prefix2org::{diff, ExportRecord, Pipeline, PipelineInputs};
 
-fn build(config: WorldConfig) -> prefix2org::Prefix2OrgDataset {
+fn build(config: WorldConfig) -> Vec<ExportRecord> {
     let world = World::generate(config);
     let built = world.build_inputs();
-    Pipeline::with_threads(4).run(&PipelineInputs {
+    let dataset = Pipeline::with_threads(4).run(&PipelineInputs {
         delegations: &built.tree,
         routes: &built.routes,
         asn_clusters: &built.clusters,
         rpki: &built.rpki,
-    })
+    });
+    dataset.records().iter().map(ExportRecord::from).collect()
 }
 
 fn main() {

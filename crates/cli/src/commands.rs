@@ -1,6 +1,6 @@
 //! The `prefix2org` subcommand implementations.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
@@ -12,7 +12,8 @@ use p2o_synth::{World, WorldConfig};
 use p2o_util::atomic;
 use p2o_util::ingest::{IngestLayer, DEFAULT_QUARANTINE_SAMPLES};
 use p2o_util::vfs::Vfs;
-use prefix2org::{ExportBytes, ExportRecord, FreezeLanes, Pipeline, PipelineInputs};
+use p2o_validate::{score_list, ValidationReport};
+use prefix2org::{ExportBytes, ExportRecord, FreezeLanes, OrgIndex, Pipeline, PipelineInputs};
 
 use crate::args::Parsed;
 use crate::checkpoint;
@@ -825,31 +826,25 @@ pub fn lookup(args: &Parsed) -> Result<(), CliError> {
     })
 }
 
-/// `org`: list the prefixes attributed to an organization name fragment.
+/// `org`: list the prefixes attributed to an organization name fragment:
+/// each final cluster it names ([`OrgIndex::matching`]), in label order,
+/// with its records.
 pub fn org(args: &Parsed) -> Result<(), CliError> {
     let records = load_dataset(args.require("dataset")?)?;
-    let needle = args
+    let fragment = args
         .positional()
         .first()
         .ok_or("org needs a NAME argument")?;
-    let needle = p2o_strings::clean::basic_clean(needle);
-    // Match cluster labels and owner names, like the validation path.
-    let mut clusters: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-    for rec in &records {
-        if p2o_strings::clean::basic_clean(&rec.direct_owner).contains(&needle)
-            || rec.final_cluster == needle
-            || rec.final_cluster.starts_with(&format!("{needle}-"))
-        {
-            clusters.insert(&rec.final_cluster);
-        }
-    }
+    let index = OrgIndex::of_export(&records);
+    let clusters = index.matching(fragment);
     print_answers(|out| {
         if clusters.is_empty() {
+            let needle = p2o_strings::clean::basic_clean(fragment);
             return writeln!(out, "no organization matching {needle:?}");
         }
-        for cluster in clusters {
-            writeln!(out, "{cluster}:")?;
-            for rec in records.iter().filter(|r| r.final_cluster == cluster) {
+        for (label, members) in clusters {
+            writeln!(out, "{label}:")?;
+            for rec in members.iter().map(|&r| &records[r as usize]) {
                 writeln!(
                     out,
                     "  {}  {} [{}]",
@@ -866,29 +861,17 @@ pub fn org(args: &Parsed) -> Result<(), CliError> {
 /// `stats`: summarize a JSONL snapshot.
 pub fn stats(args: &Parsed) -> Result<(), CliError> {
     let records = load_dataset(args.require("dataset")?)?;
+    let index = OrgIndex::of_export(&records);
     let mut v4 = 0usize;
     let mut v6 = 0usize;
-    let mut owners = std::collections::BTreeSet::new();
-    let mut clusters: std::collections::BTreeMap<&str, (usize, u64)> =
-        std::collections::BTreeMap::new();
-    let mut per_registry: std::collections::BTreeMap<String, usize> =
-        std::collections::BTreeMap::new();
+    let mut per_registry: BTreeMap<String, usize> = BTreeMap::new();
     let mut legacy = 0usize;
     let mut with_customers = 0usize;
     for rec in &records {
-        match rec.prefix {
-            Prefix::V4(p) => {
-                v4 += 1;
-                let slot = clusters.entry(&rec.final_cluster).or_default();
-                slot.0 += 1;
-                slot.1 += p.num_addrs();
-            }
-            Prefix::V6(_) => {
-                v6 += 1;
-                clusters.entry(&rec.final_cluster).or_default().0 += 1;
-            }
+        match rec.prefix.family() {
+            AddressFamily::V4 => v4 += 1,
+            AddressFamily::V6 => v6 += 1,
         }
-        owners.insert(rec.direct_owner.as_str());
         *per_registry.entry(rec.registry.to_string()).or_default() += 1;
         if rec.do_alloc.is_legacy() {
             legacy += 1;
@@ -897,16 +880,28 @@ pub fn stats(args: &Parsed) -> Result<(), CliError> {
             with_customers += 1;
         }
     }
-    let mut ranked: Vec<(&&str, &(usize, u64))> = clusters.iter().collect();
-    ranked.sort_by_key(|e| std::cmp::Reverse(e.1 .1));
+    // Each cluster's prefixes and IPv4 addresses, largest first (ties in
+    // label order).
+    let v4_addrs: Vec<u64> = records
+        .iter()
+        .map(|r| r.prefix.as_v4().map_or(0, |p| p.num_addrs()))
+        .collect();
+    let mut ranked: Vec<(&str, usize, u64)> = index
+        .clusters()
+        .map(|(label, members)| {
+            let addrs = members.iter().map(|&r| v4_addrs[r as usize]).sum();
+            (label, members.len(), addrs)
+        })
+        .collect();
+    ranked.sort_by_key(|&(_, _, addrs)| std::cmp::Reverse(addrs));
     print_answers(|out| {
         writeln!(
             out,
             "prefixes        : {} ({v4} IPv4, {v6} IPv6)",
             records.len()
         )?;
-        writeln!(out, "direct owners   : {}", owners.len())?;
-        writeln!(out, "final clusters  : {}", clusters.len())?;
+        writeln!(out, "direct owners   : {}", index.owner_count())?;
+        writeln!(out, "final clusters  : {}", ranked.len())?;
         writeln!(out, "legacy-typed    : {legacy}")?;
         writeln!(out, "with customers  : {with_customers}")?;
         writeln!(out, "per registry    :")?;
@@ -914,7 +909,7 @@ pub fn stats(args: &Parsed) -> Result<(), CliError> {
             writeln!(out, "  {registry:<8} {count}")?;
         }
         writeln!(out, "largest clusters by IPv4 addresses:")?;
-        for (label, (prefixes, addrs)) in ranked.into_iter().take(10) {
+        for (label, prefixes, addrs) in ranked.into_iter().take(10) {
             writeln!(
                 out,
                 "  {label:<24} {prefixes:>5} prefixes  {addrs:>12} addresses"
@@ -924,11 +919,11 @@ pub fn stats(args: &Parsed) -> Result<(), CliError> {
     })
 }
 
-/// `diff`: compare two JSONL snapshots.
+/// `diff`: compare two JSONL snapshots ([`prefix2org::diff`]).
 pub fn diff(args: &Parsed) -> Result<(), CliError> {
     let old = load_dataset(args.require("old")?)?;
     let new = load_dataset(args.require("new")?)?;
-    let delta = prefix2org::delta::diff_exports(&old, &new);
+    let delta = prefix2org::diff(&old, &new);
     print_answers(|out| {
         writeln!(
             out,
@@ -959,13 +954,9 @@ pub fn diff(args: &Parsed) -> Result<(), CliError> {
     })
 }
 
-/// `validate`: evaluate a snapshot against a directory's ground truth.
-///
-/// An organization's predicted prefixes are those of every final cluster
-/// holding a record whose cleaned Direct Owner contains the list's cleaned
-/// name. Each distinct owner name is cleaned once and indexed by trigram,
-/// so a list checks only the names that can contain its own, and each
-/// list's prediction is taken once and split by family.
+/// `validate`: evaluate a snapshot against a directory's ground truth: one
+/// [`score_list`] row per list and family with routed truth, and the
+/// [`ValidationReport`] totals.
 pub fn validate(args: &Parsed) -> Result<(), CliError> {
     let dir = Path::new(args.require("in")?);
     let records = load_dataset(args.require("dataset")?)?;
@@ -973,173 +964,57 @@ pub fn validate(args: &Parsed) -> Result<(), CliError> {
     if truth.is_empty() {
         return Err(format!("{} has no truth/lists.tsv", dir.display()).into());
     }
-
-    // Rebuild a queryable dataset view from the export: org -> prefixes via
-    // cluster labels, and each distinct cleaned owner name -> the clusters
-    // of its records.
-    let mut by_cluster: HashMap<&str, Vec<Prefix>> = HashMap::new();
-    let mut routed: HashSet<Prefix> = HashSet::new();
-    let mut by_owner: HashMap<&str, HashSet<&str>> = HashMap::new();
-    for rec in &records {
-        by_cluster
-            .entry(&rec.final_cluster)
-            .or_default()
-            .push(rec.prefix);
-        routed.insert(rec.prefix);
-        by_owner
-            .entry(&rec.direct_owner)
-            .or_default()
-            .insert(&rec.final_cluster);
+    let index = OrgIndex::of_export(&records);
+    let routed: HashSet<Prefix> = records.iter().map(|rec| rec.prefix).collect();
+    let routed = |p: &Prefix| routed.contains(p);
+    let mut report = ValidationReport::default();
+    for list in &truth {
+        let predicted = index.prefixes_of(&list.org_name);
+        let kind = if list.exhaustive {
+            "exhaustive"
+        } else {
+            "public"
+        };
+        for family in [AddressFamily::V4, AddressFamily::V6] {
+            let name = format!("{} ({family}, {kind})", list.org_name);
+            let v = score_list(&name, family, &list.prefixes, &predicted, routed);
+            if v.true_prefixes > 0 {
+                report.push(v);
+            }
+        }
     }
-    let owners: Vec<(String, HashSet<&str>)> = by_owner
-        .into_iter()
-        .map(|(owner, clusters)| (p2o_strings::clean::basic_clean(owner), clusters))
-        .collect();
-    let index = TrigramIndex::new(owners.iter().map(|(name, _)| name.as_str()));
-    let predicted_for = |org_name: &str| -> Vec<Prefix> {
-        let needle = p2o_strings::clean::basic_clean(org_name);
-        let clusters: HashSet<&str> = index
-            .candidates(&needle)
-            .map(|i| &owners[i])
-            .filter(|(name, _)| name.contains(&needle))
-            .flat_map(|(_, clusters)| clusters.iter().copied())
-            .collect();
-        let mut out: Vec<Prefix> = clusters
-            .into_iter()
-            .flat_map(|cluster| by_cluster[cluster].iter().copied())
-            .collect();
-        out.sort();
-        out.dedup();
-        out
-    };
-
+    let total = [
+        report.total_true(),
+        report.total_predicted(),
+        report.total_tp(),
+        report.total_fp(),
+        report.total_fn(),
+    ];
+    let rows = report.rows.iter().map(|v| {
+        let counts = [
+            v.true_prefixes,
+            v.predicted_prefixes,
+            v.true_positives,
+            v.false_positives,
+            v.false_negatives,
+        ];
+        (v.org_name.as_str(), counts, v.precision(), v.recall())
+    });
+    let total = ("Total", total, report.precision(), report.recall());
     print_answers(|out| {
         writeln!(
             out,
             "{:<40} {:>5} {:>5} {:>5} {:>5} {:>5} {:>9} {:>7}",
             "Organization", "True", "Pred", "TP", "FP", "FN", "Precision", "Recall"
         )?;
-        let mut tot = (0usize, 0usize, 0usize, 0usize, 0usize);
-        for list in &truth {
-            let predicted_all = predicted_for(&list.org_name);
-            for family in [AddressFamily::V4, AddressFamily::V6] {
-                let truth: Vec<Prefix> = list
-                    .prefixes
-                    .iter()
-                    .filter(|p| p.family() == family && routed.contains(p))
-                    .copied()
-                    .collect();
-                if truth.is_empty() {
-                    continue;
-                }
-                let predicted: Vec<Prefix> = predicted_all
-                    .iter()
-                    .filter(|p| p.family() == family)
-                    .copied()
-                    .collect();
-                let tp = predicted
-                    .iter()
-                    .filter(|p| truth.iter().any(|t| t.contains(p)))
-                    .count();
-                let fp = predicted.len() - tp;
-                let fnn = truth
-                    .iter()
-                    .filter(|t| !predicted.iter().any(|p| t.contains(p) || p.contains(t)))
-                    .count();
-                let precision = if tp + fp == 0 {
-                    100.0
-                } else {
-                    100.0 * tp as f64 / (tp + fp) as f64
-                };
-                let recall = 100.0 * (truth.len() - fnn) as f64 / truth.len() as f64;
-                let kind = if list.exhaustive {
-                    "exhaustive"
-                } else {
-                    "public"
-                };
-                writeln!(
-                    out,
-                    "{:<40} {:>5} {:>5} {:>5} {:>5} {:>5} {:>9.2} {:>7.2}",
-                    format!("{} ({family}, {kind})", list.org_name),
-                    truth.len(),
-                    predicted.len(),
-                    tp,
-                    fp,
-                    fnn,
-                    precision,
-                    recall
-                )?;
-                tot = (
-                    tot.0 + truth.len(),
-                    tot.1 + predicted.len(),
-                    tot.2 + tp,
-                    tot.3 + fp,
-                    tot.4 + fnn,
-                );
-            }
+        for (name, [truth, predicted, tp, fp, fnn], precision, recall) in rows.chain([total]) {
+            writeln!(
+                out,
+                "{name:<40} {truth:>5} {predicted:>5} {tp:>5} {fp:>5} {fnn:>5} {precision:>9.2} {recall:>7.2}"
+            )?;
         }
-        let precision = if tot.2 + tot.3 == 0 {
-            100.0
-        } else {
-            100.0 * tot.2 as f64 / (tot.2 + tot.3) as f64
-        };
-        let recall = if tot.0 == 0 {
-            100.0
-        } else {
-            100.0 * (tot.0 - tot.4) as f64 / tot.0 as f64
-        };
-        writeln!(
-            out,
-            "{:<40} {:>5} {:>5} {:>5} {:>5} {:>5} {:>9.2} {:>7.2}",
-            "Total", tot.0, tot.1, tot.2, tot.3, tot.4, precision, recall
-        )
+        Ok(())
     })
-}
-
-/// Names indexed by the byte trigrams they hold. A name that contains a
-/// needle holds every trigram of the needle, so a substring search need
-/// only check the names holding the needle's rarest trigram.
-struct TrigramIndex {
-    names: usize,
-    /// For each trigram, the indices of the names holding it, ascending.
-    postings: HashMap<[u8; 3], Vec<u32>>,
-}
-
-impl TrigramIndex {
-    fn new<'a>(names: impl ExactSizeIterator<Item = &'a str>) -> TrigramIndex {
-        let count = names.len();
-        let mut postings: HashMap<[u8; 3], Vec<u32>> = HashMap::new();
-        for (i, name) in names.enumerate() {
-            for trigram in name.as_bytes().windows(3) {
-                let posting = postings
-                    .entry(trigram.try_into().expect("3 bytes"))
-                    .or_default();
-                if posting.last() != Some(&(i as u32)) {
-                    posting.push(i as u32);
-                }
-            }
-        }
-        TrigramIndex {
-            names: count,
-            postings,
-        }
-    }
-
-    /// The indices of the names that may contain `needle`, ascending: those
-    /// holding its rarest trigram, or every name when the needle is shorter
-    /// than a trigram.
-    fn candidates<'s>(&'s self, needle: &str) -> Box<dyn Iterator<Item = usize> + 's> {
-        if needle.len() < 3 {
-            return Box::new(0..self.names);
-        }
-        let rarest = needle
-            .as_bytes()
-            .windows(3)
-            .map(|trigram| self.postings.get(trigram).map_or(&[][..], Vec::as_slice))
-            .min_by_key(|posting| posting.len())
-            .unwrap_or_default();
-        Box::new(rarest.iter().map(|&i| i as usize))
-    }
 }
 
 /// Loads `dir` the one way `serve` and `explain` answer from it: the fsck
@@ -1312,45 +1187,4 @@ pub fn serve(args: &Parsed) -> Result<(), CliError> {
     print_answers(|out| writeln!(out, "listening on {}", server.addr))?;
     server.join();
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The index finds exactly the names a full `contains` scan finds, for
-    /// needles of every length (the empty one included) drawn from the
-    /// names themselves and at random, over ASCII and multi-byte names.
-    #[test]
-    fn trigram_candidates_find_what_a_full_scan_finds() {
-        p2o_util::check::run_cases(200, |g| {
-            let names: Vec<String> = (0..g.below(40))
-                .map(|_| match g.below(3) {
-                    0 => g.unicode_string(12),
-                    _ => g.string_from("abc d", 12),
-                })
-                .collect();
-            let index = TrigramIndex::new(names.iter().map(String::as_str));
-            for _ in 0..20 {
-                let needle = match (g.below(3), names.is_empty()) {
-                    (0, false) => {
-                        let name = g.pick(&names).as_bytes();
-                        let start = g.below(name.len() + 1);
-                        let end = start + g.below(name.len() - start + 1);
-                        String::from_utf8_lossy(&name[start..end]).into_owned()
-                    }
-                    (1, _) => g.unicode_string(4),
-                    _ => g.string_from("abc d", 5),
-                };
-                let found: Vec<usize> = index
-                    .candidates(&needle)
-                    .filter(|&i| names[i].contains(&needle))
-                    .collect();
-                let want: Vec<usize> = (0..names.len())
-                    .filter(|&i| names[i].contains(&needle))
-                    .collect();
-                assert_eq!(found, want, "needle {needle:?} in {names:?}");
-            }
-        });
-    }
 }

@@ -1056,6 +1056,8 @@ fn unknown_options_are_refused_by_name() {
     }
 }
 
+/// `diff` prints exactly what `prefix2org::diff` finds between the two
+/// exports, transfers included.
 #[test]
 fn diff_detects_transfers() {
     let dir_a = temp_dir("diff-a");
@@ -1069,10 +1071,203 @@ fn diff_detects_transfers() {
         "--new",
         ds_b.to_str().unwrap(),
     ]);
-    assert!(out.contains("owner changes"), "{out}");
-    assert!(out.contains("transfer "), "expected transfer lines:\n{out}");
+    let (old, new) = (export_of(&ds_a), export_of(&ds_b));
+    let delta = prefix2org::diff(&old, &new);
+    assert!(!delta.owner_changes.is_empty(), "{delta:?}");
+    let mut want = format!(
+        "snapshots: {} -> {} prefixes; {} unchanged\n\
+         added {} / removed {} / owner changes {} / customer churn {}\n",
+        old.len(),
+        new.len(),
+        delta.unchanged,
+        delta.added.len(),
+        delta.removed.len(),
+        delta.owner_changes.len(),
+        delta.customer_changes.len()
+    );
+    for change in delta.owner_changes.iter().take(20) {
+        want += &format!(
+            "  transfer {}: {} -> {}\n",
+            change.prefix, change.from, change.to
+        );
+    }
+    if delta.owner_changes.len() > 20 {
+        want += &format!("  ... {} more\n", delta.owner_changes.len() - 20);
+    }
+    assert_eq!(out, want);
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+fn export_of(dataset: &Path) -> Vec<prefix2org::ExportRecord> {
+    prefix2org::from_jsonl(&std::fs::read_to_string(dataset).unwrap()).expect("export parses")
+}
+
+/// `org`'s answer by a scan of the export: every final cluster whose label
+/// is the cleaned fragment or starts with it plus `-`, or that holds a
+/// record whose cleaned Direct Owner contains it, in label order, each
+/// with its records in export order.
+fn org_by_scan(records: &[prefix2org::ExportRecord], fragment: &str) -> String {
+    let needle = p2o_strings::clean::basic_clean(fragment);
+    let labels: std::collections::BTreeSet<&str> = records
+        .iter()
+        .filter(|r| {
+            r.final_cluster == needle
+                || r.final_cluster.starts_with(&format!("{needle}-"))
+                || p2o_strings::clean::basic_clean(&r.direct_owner).contains(&needle)
+        })
+        .map(|r| r.final_cluster.as_str())
+        .collect();
+    if labels.is_empty() {
+        return format!("no organization matching {needle:?}\n");
+    }
+    let mut out = String::new();
+    for label in labels {
+        out += &format!("{label}:\n");
+        for r in records.iter().filter(|r| r.final_cluster == label) {
+            out += &format!(
+                "  {}  {} [{}]\n",
+                r.prefix,
+                r.direct_owner,
+                r.do_alloc.keyword()
+            );
+        }
+    }
+    out
+}
+
+/// On one tiny world, the organization questions get one answer on every
+/// surface: `org` equals a scan of the export, `validate`'s rows and
+/// totals equal `p2o_validate::evaluate_org` over the same dataset built
+/// in process, and `stats` counts the Direct Owners `build` reports.
+#[test]
+fn org_validate_and_stats_answer_as_the_library_does() {
+    let dir = temp_dir("org-answers");
+    let dir_s = dir.to_str().unwrap();
+    let dataset = dir.join("dataset.jsonl");
+    let dataset_s = dataset.to_str().unwrap();
+    run_ok(&[
+        "generate", "--out", dir_s, "--scale", "tiny", "--seed", "99",
+    ]);
+    let built = run_ok(&["build", "--in", dir_s, "--out", dataset_s]);
+    let records = export_of(&dataset);
+
+    // stats: the distinct cleaned Direct Owners, as build reports them.
+    let owners = built
+        .split(" Direct Owners")
+        .next()
+        .and_then(|head| head.rsplit(' ').next())
+        .expect("build summary names the Direct Owners");
+    let stats = run_ok(&["stats", "--dataset", dataset_s]);
+    assert!(
+        stats.contains(&format!("\ndirect owners   : {owners}\n")),
+        "build says {owners}:\n{stats}"
+    );
+
+    // org: a full owner name, a label's base, short fragments, one that
+    // names nothing, and the empty one, which names every cluster.
+    let base = records[0].final_cluster.rsplit_once('-').unwrap().0;
+    for fragment in [
+        records[0].direct_owner.as_str(),
+        base,
+        "net",
+        "o",
+        "zz qq",
+        "",
+    ] {
+        let out = run_ok(&["org", "--dataset", dataset_s, fragment]);
+        assert_eq!(
+            out,
+            org_by_scan(&records, fragment),
+            "fragment {fragment:?}"
+        );
+    }
+    let labels: std::collections::BTreeSet<&str> =
+        records.iter().map(|r| r.final_cluster.as_str()).collect();
+    let out = run_ok(&["org", "--dataset", dataset_s, ""]);
+    assert_eq!(
+        out.lines().filter(|l| !l.starts_with(' ')).count(),
+        labels.len()
+    );
+
+    // validate: the same dataset in process, scored list by list.
+    let world = p2o_synth::World::generate(p2o_synth::WorldConfig::tiny(99));
+    let inputs = world.build_inputs();
+    let ds = prefix2org::Pipeline::default().run(&prefix2org::PipelineInputs {
+        delegations: &inputs.tree,
+        routes: &inputs.routes,
+        asn_clusters: &inputs.clusters,
+        rpki: &inputs.rpki,
+    });
+    assert_eq!(
+        prefix2org::to_jsonl(&ds),
+        std::fs::read_to_string(&dataset).unwrap()
+    );
+    let lists = std::fs::read_to_string(dir.join("truth").join("lists.tsv")).unwrap();
+    let mut by_org: std::collections::BTreeMap<(String, bool), Vec<p2o_net::Prefix>> =
+        Default::default();
+    for line in lists.lines() {
+        let cols: Vec<&str> = line.split('\t').collect();
+        by_org
+            .entry((cols[0].to_string(), cols[1] == "true"))
+            .or_default()
+            .push(cols[2].parse().unwrap());
+    }
+    let out = run_ok(&["validate", "--in", dir_s, "--dataset", dataset_s]);
+    let mut rows = out.lines().skip(1);
+    let numbers = |row: &str| -> Vec<String> {
+        let fields: Vec<&str> = row.split_whitespace().collect();
+        fields[fields.len() - 7..]
+            .iter()
+            .map(|f| f.to_string())
+            .collect()
+    };
+    let mut report = p2o_validate::ValidationReport::default();
+    for ((org, exhaustive), prefixes) in &by_org {
+        for family in [p2o_net::AddressFamily::V4, p2o_net::AddressFamily::V6] {
+            let v = p2o_validate::evaluate_org(&ds, org, prefixes, family);
+            if v.true_prefixes == 0 {
+                continue;
+            }
+            let row = rows.next().expect("a row per list and family");
+            let kind = if *exhaustive { "exhaustive" } else { "public" };
+            assert!(
+                row.starts_with(&format!("{org} ({family}, {kind}) ")),
+                "{row}"
+            );
+            assert_eq!(
+                numbers(row),
+                [
+                    v.true_prefixes.to_string(),
+                    v.predicted_prefixes.to_string(),
+                    v.true_positives.to_string(),
+                    v.false_positives.to_string(),
+                    v.false_negatives.to_string(),
+                    format!("{:.2}", v.precision()),
+                    format!("{:.2}", v.recall()),
+                ],
+                "{row}"
+            );
+            report.push(v);
+        }
+    }
+    assert!(!report.rows.is_empty());
+    let total = rows.next().expect("a Total row");
+    assert!(total.starts_with("Total "), "{total}");
+    assert_eq!(
+        numbers(total),
+        [
+            report.total_true().to_string(),
+            report.total_predicted().to_string(),
+            report.total_tp().to_string(),
+            report.total_fp().to_string(),
+            report.total_fn().to_string(),
+            format!("{:.2}", report.precision()),
+            format!("{:.2}", report.recall()),
+        ]
+    );
+    assert_eq!(rows.next(), None);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! Table 4 metrics.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::OnceLock;
 
 use p2o_bgp::RouteTable;
 use p2o_net::{AddressFamily, AddressSpan, Prefix};
@@ -11,6 +12,7 @@ use p2o_whois::alloc::AllocationType;
 use p2o_whois::Registry;
 
 use crate::cluster::{ClusterId, ClusteringOutput};
+use crate::org::OrgIndex;
 use crate::resolve::{LpmWalk, OwnershipRecord};
 
 /// One materialized step in a prefix's delegation chain — the dataset-side
@@ -143,7 +145,7 @@ pub struct DatasetMetrics {
     pub base_clusters_with_asn: usize,
     /// Final clusters.
     pub final_clusters: usize,
-    /// Final clusters holding more than one exact WHOIS name.
+    /// Final clusters holding more than one 𝒲 (basic-cleaned) name.
     pub multi_name_clusters: usize,
     /// Percent of IPv4 prefixes in multi-name clusters.
     pub pct_v4_prefixes_multi_name: f64,
@@ -208,6 +210,8 @@ pub struct Prefix2OrgDataset {
     labels: Vec<String>,
     cluster_org_names: Vec<Vec<String>>,
     metrics: DatasetMetrics,
+    /// Built on first use, reset whenever an exception edits the records.
+    org_index: OnceLock<OrgIndex>,
 }
 
 impl Prefix2OrgDataset {
@@ -358,6 +362,7 @@ impl Prefix2OrgDataset {
             labels: clustering.labels,
             cluster_org_names: clustering.cluster_org_names,
             metrics,
+            org_index: OnceLock::new(),
         }
     }
 
@@ -399,6 +404,7 @@ impl Prefix2OrgDataset {
                 let rec = &mut self.records[i];
                 rec.final_cluster_label = org.to_string();
                 rec.local_exception = Some(org.to_string());
+                self.org_index.take();
                 true
             }
             None => false,
@@ -406,14 +412,15 @@ impl Prefix2OrgDataset {
     }
 
     /// Removes the records of `prefixes` (operator `filter` rules) in one
-    /// pass and rebuilds the prefix and cluster indexes once; exact-match
-    /// lookups then miss and LPM queries fall back to any covering record.
-    /// The other records keep their order.
+    /// pass, rebuilds the prefix and cluster indexes once and resets the
+    /// organization index; exact-match lookups then miss and LPM queries
+    /// fall back to any covering record. The other records keep their order.
     pub(crate) fn remove_records(&mut self, prefixes: &HashSet<Prefix>) {
         if prefixes.is_empty() {
             return;
         }
         self.records.retain(|rec| !prefixes.contains(&rec.prefix));
+        self.org_index.take();
         self.by_prefix.clear();
         self.by_cluster.clear();
         for (i, rec) in self.records.iter().enumerate() {
@@ -435,6 +442,7 @@ impl Prefix2OrgDataset {
     /// The records, for tests that hand-edit fields in place.
     #[cfg(test)]
     pub(crate) fn records_mut(&mut self) -> &mut [PrefixRecord] {
+        self.org_index.take();
         &mut self.records
     }
 
@@ -458,7 +466,8 @@ impl Prefix2OrgDataset {
         &self.labels[cluster.0 as usize]
     }
 
-    /// The exact WHOIS organization names of a cluster.
+    /// The basic-cleaned 𝒲 names of a cluster (its Direct Owners' names
+    /// as [`ClusteringOutput::cluster_org_names`] holds them), ascending.
     pub fn cluster_names(&self, cluster: ClusterId) -> &[String] {
         &self.cluster_org_names[cluster.0 as usize]
     }
@@ -484,26 +493,18 @@ impl Prefix2OrgDataset {
             .map(move |(id, idxs)| (*id, idxs.iter().map(|&i| &self.records[i]).collect()))
     }
 
-    /// The prefixes attributed to the cluster that owns `org_name_fragment`
-    /// — the validation query "extract the set of prefixes attributed to
-    /// these organizations" (§7.1). Matches clusters whose label or any
-    /// member WHOIS name contains the (basic-cleaned) fragment.
+    /// The prefixes attributed to the organization `org_name_fragment`
+    /// names, ascending — the validation query "extract the set of prefixes
+    /// attributed to these organizations" (§7.1), answered by
+    /// [`OrgIndex::prefixes_of`] over the records.
     pub fn prefixes_of_org(&self, org_name_fragment: &str) -> Vec<Prefix> {
-        let needle = p2o_strings::clean::basic_clean(org_name_fragment);
-        let mut out = Vec::new();
-        for (id, idxs) in &self.by_cluster {
-            let label_hit = self.labels[id.0 as usize].starts_with(&format!("{needle}-"))
-                || self.labels[id.0 as usize] == needle;
-            let name_hit = self.cluster_org_names[id.0 as usize]
-                .iter()
-                .any(|n| n.contains(&needle));
-            if label_hit || name_hit {
-                out.extend(idxs.iter().map(|&i| self.records[i].prefix));
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
+        let index = self.org_index.get_or_init(|| {
+            let records = self.records.iter();
+            OrgIndex::new(
+                records.map(|r| (r.prefix, &r.final_cluster_label[..], &r.direct_owner[..])),
+            )
+        });
+        index.prefixes_of(org_name_fragment)
     }
 
     /// Serializes one record as the Listing 1 JSON object (keyed by prefix).

@@ -194,6 +194,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterId;
     use crate::pipeline::{Pipeline, PipelineInputs};
+    use p2o_strings::clean::basic_clean;
     use p2o_synth::{World, WorldConfig};
 
     fn p(s: &str) -> Prefix {
@@ -344,6 +345,86 @@ this is not json\n\
             );
         }
         assert!(batch.clusters().eq(single.clusters()));
+    }
+
+    /// The organization match follows exception edits: after a rule set
+    /// asserts and filters records of a dataset whose index was already
+    /// built, `prefixes_of_org` answers from the edited records, as a scan
+    /// of the rule over them and the index of their export do.
+    #[test]
+    fn the_org_match_follows_exception_edits() {
+        let world = World::generate(WorldConfig::tiny(7));
+        let built = world.build_inputs();
+        let mut dataset = Pipeline::with_threads(1).run(&PipelineInputs {
+            delegations: &built.tree,
+            routes: &built.routes,
+            asn_clusters: &built.clusters,
+            rpki: &built.rpki,
+        });
+        let taken = dataset.records()[0].final_cluster_label.clone();
+        let mut text = String::new();
+        for (i, rec) in dataset.records().iter().enumerate() {
+            let org = match i % 4 {
+                0 => "filter".to_string(),
+                1 => format!("acme-{i}"),
+                2 => taken.clone(),
+                _ => continue,
+            };
+            text += &match org.as_str() {
+                "filter" => format!("{{\"prefix\":\"{}\",\"action\":\"filter\"}}\n", rec.prefix),
+                org => format!(
+                    "{{\"prefix\":\"{}\",\"action\":\"assert\",\"org\":\"{org}\"}}\n",
+                    rec.prefix
+                ),
+            };
+        }
+        let (set, rejects) = ExceptionSet::parse_lenient(&text);
+        assert!(rejects.is_empty(), "{rejects:?}");
+        let base = taken
+            .rsplit_once('-')
+            .expect("a roman suffix")
+            .0
+            .to_string();
+        // The first four answers change: the base's cluster loses record 0
+        // and gains the records asserted into it, `acme` names every
+        // `acme-N` assert, and the empty fragment names every record.
+        let fragments = [base.as_str(), "ACME", "Acme-5", "", "net", "o"];
+        let before: Vec<Vec<Prefix>> = fragments
+            .iter()
+            .map(|f| dataset.prefixes_of_org(f))
+            .collect();
+        set.apply(&mut dataset);
+
+        let exported: Vec<crate::ExportRecord> = dataset
+            .records()
+            .iter()
+            .map(crate::ExportRecord::from)
+            .collect();
+        let index = crate::OrgIndex::of_export(&exported);
+        for (i, (fragment, before)) in fragments.iter().zip(&before).enumerate() {
+            let needle = basic_clean(fragment);
+            let labels: std::collections::HashSet<&str> = dataset
+                .records()
+                .iter()
+                .filter(|r| {
+                    r.final_cluster_label == needle
+                        || r.final_cluster_label.starts_with(&format!("{needle}-"))
+                        || basic_clean(&r.direct_owner).contains(&needle)
+                })
+                .map(|r| r.final_cluster_label.as_str())
+                .collect();
+            let mut want: Vec<Prefix> = dataset
+                .records()
+                .iter()
+                .filter(|r| labels.contains(r.final_cluster_label.as_str()))
+                .map(|r| r.prefix)
+                .collect();
+            want.sort();
+            let got = dataset.prefixes_of_org(fragment);
+            assert_eq!(got, want, "fragment {fragment:?}");
+            assert_eq!(index.prefixes_of(fragment), want, "fragment {fragment:?}");
+            assert!(i >= 4 || got != *before, "fragment {fragment:?}");
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ use p2o_radix::{freeze_v4, freeze_v6, LpmView4, LpmView6, LPM_LANES};
 use p2o_rpki::RovStatus;
 use p2o_util::arena::{u128_at, u32_at, u64_at, ArenaIndex, ArenaWriter};
 use p2o_util::atomic::read_framed;
-use p2o_util::interner::{StringBlob, StringBlobBuilder};
+use p2o_util::interner::{Interner, StringBlob};
 use p2o_util::json::{write_escaped, write_u32_array};
 use p2o_util::vfs::Vfs;
 use p2o_util::Digest;
@@ -243,7 +243,7 @@ fn freeze_records(
     inputs_digest: u64,
 ) -> Vec<u8> {
     let merges = OwnerMerges::new(dataset.records(), merge_edges);
-    let mut strings = StringBlobBuilder::new();
+    let mut strings = Interner::new();
     let mut recs: Vec<u8> = Vec::with_capacity(dataset.len() * REC_SIZE);
     let mut dcsteps: Vec<u8> = Vec::new();
     let mut pool: Vec<u8> = Vec::new();
@@ -275,7 +275,7 @@ fn freeze_records(
         let dc_off = dc_count;
         for step in &rec.delegated_customers {
             push_prefix(&mut dcsteps, &step.prefix);
-            dcsteps.extend_from_slice(&strings.intern(&step.org_name).to_le_bytes());
+            dcsteps.extend_from_slice(&strings.intern(&step.org_name).0.to_le_bytes());
             dcsteps.push(alloc_index(step.alloc));
             dcsteps.push(0); // pad to 24 bytes
         }
@@ -293,14 +293,14 @@ fn freeze_records(
             rec.lpm.nodes,
             0,
         ]);
-        recs.extend_from_slice(&strings.intern(&rec.direct_owner).to_le_bytes());
-        recs.extend_from_slice(&strings.intern(&rec.base_name).to_le_bytes());
+        recs.extend_from_slice(&strings.intern(&rec.direct_owner).0.to_le_bytes());
+        recs.extend_from_slice(&strings.intern(&rec.base_name).0.to_le_bytes());
         let rpki_id = match &rec.rpki_certificate {
-            Some(id) => strings.intern(id),
+            Some(id) => strings.intern(id).0,
             None => NONE_ID,
         };
         recs.extend_from_slice(&rpki_id.to_le_bytes());
-        recs.extend_from_slice(&strings.intern(&rec.final_cluster_label).to_le_bytes());
+        recs.extend_from_slice(&strings.intern(&rec.final_cluster_label).0.to_le_bytes());
         recs.extend_from_slice(&rec.cluster.0.to_le_bytes());
         recs.extend_from_slice(&[
             alloc_index(rec.do_alloc),
@@ -324,13 +324,13 @@ fn freeze_records(
 
     let mut clusters = Vec::with_capacity(dataset.cluster_count() * CLUSTER_SIZE);
     for id in (0..dataset.cluster_count() as u32).map(ClusterId) {
-        clusters.extend_from_slice(&strings.intern(dataset.cluster_label(id)).to_le_bytes());
+        clusters.extend_from_slice(&strings.intern(dataset.cluster_label(id)).0.to_le_bytes());
         clusters.extend_from_slice(&(dataset.cluster_names(id).len() as u32).to_le_bytes());
     }
     let mut merge_rows = Vec::with_capacity(merges.rows.len() * MERGE_SIZE);
     for (other, evidence) in &merges.rows {
-        merge_rows.extend_from_slice(&strings.intern(other).to_le_bytes());
-        merge_rows.extend_from_slice(&strings.intern(evidence).to_le_bytes());
+        merge_rows.extend_from_slice(&strings.intern(other).0.to_le_bytes());
+        merge_rows.extend_from_slice(&strings.intern(evidence).0.to_le_bytes());
     }
 
     let mut meta = Vec::with_capacity(META_SIZE);

@@ -49,9 +49,10 @@
 //! [`resolve`] implements §5.2 (Direct Owner / Delegated Customer lookup in
 //! the delegation tree), [`cluster`] implements §5.3 (base names, 𝒲/𝓡/𝓐
 //! clusters, membership merge), [`dataset`] holds the resulting records and
-//! the Table 4 metrics, [`analytics`] computes the figures and case-study
-//! views, and [`pipeline`] orchestrates the whole run (optionally in
-//! parallel across prefixes).
+//! the Table 4 metrics, [`org`] answers which prefixes an organization
+//! holds (§7.1), [`delta`] diffs two snapshots (§10), [`analytics`]
+//! computes the figures and case-study views, and [`pipeline`]
+//! orchestrates the whole run (optionally in parallel across prefixes).
 
 pub mod analytics;
 pub mod cluster;
@@ -62,6 +63,7 @@ pub mod explain;
 pub mod export;
 pub mod frozen;
 pub mod leasing;
+pub mod org;
 pub mod pipeline;
 pub mod resolve;
 
@@ -76,6 +78,7 @@ pub use frozen::{
     FROZEN_FORMAT_VERSION, FROZEN_LABEL,
 };
 pub use leasing::{infer_leasing, LeasingCandidate, LeasingOptions};
+pub use org::OrgIndex;
 pub use p2o_radix::LPM_LANES;
 pub use pipeline::{default_threads, Pipeline, PipelineInputs};
 pub use resolve::{DelegationStep, LpmWalk, OwnershipRecord, Resolver};

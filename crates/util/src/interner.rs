@@ -17,21 +17,35 @@ impl Symbol {
     }
 }
 
-/// Interns strings, assigning each distinct string a dense [`Symbol`].
+/// Interns strings, assigning each distinct string a dense [`Symbol`],
+/// and serializes them as the frozen artifact's string table
+/// ([`StringBlob`]).
+///
+/// Each string is held once, in one contiguous UTF-8 blob addressed by an
+/// offsets array: the lookup map keys symbols by a hash of the string and
+/// checks a hit against the blob, so no second copy of a string is kept.
 ///
 /// ```
-/// use p2o_util::Interner;
+/// use p2o_util::interner::{Interner, StringBlob};
 /// let mut i = Interner::new();
 /// let a = i.intern("verizon");
 /// let b = i.intern("fastly");
 /// assert_eq!(i.intern("verizon"), a);
 /// assert_ne!(a, b);
 /// assert_eq!(i.resolve(a), "verizon");
+/// let bytes = i.into_parts().concat();
+/// assert_eq!(StringBlob::parse(&bytes).unwrap().get(b.0), Some("fastly"));
 /// ```
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Interner {
-    map: HashMap<String, Symbol>,
-    strings: Vec<String>,
+    /// The first symbol interned under each string hash.
+    by_hash: HashMap<u64, u32>,
+    /// Strings whose hash an earlier, different string already took.
+    collided: HashMap<String, u32>,
+    /// `ends[i]` is where string `i` ends in `blob`; it starts where string
+    /// `i - 1` ends, or at 0.
+    ends: Vec<u32>,
+    blob: String,
 }
 
 impl Interner {
@@ -40,140 +54,45 @@ impl Interner {
         Self::default()
     }
 
-    /// Builds an interner from an ordered list of distinct strings; the
-    /// string at position `i` gets symbol `i`. Panics on duplicates, which
-    /// would make symbol identity ambiguous.
-    pub fn from_strings(strings: Vec<String>) -> Self {
-        let mut map = HashMap::with_capacity(strings.len());
-        for (i, s) in strings.iter().enumerate() {
-            let prev = map.insert(s.clone(), Symbol(i as u32));
-            assert!(prev.is_none(), "duplicate string {s:?} in from_strings");
-        }
-        Self { map, strings }
-    }
-
     /// Interns `s`, returning its symbol (existing or freshly assigned).
+    /// Symbols are assigned in first-intern order, so a deterministic
+    /// intern sequence yields a byte-deterministic table.
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&sym) = self.map.get(s) {
-            return sym;
-        }
-        let sym = Symbol(self.strings.len() as u32);
-        self.strings.push(s.to_string());
-        self.map.insert(s.to_string(), sym);
-        sym
-    }
-
-    /// Looks up the symbol for `s` without interning it.
-    pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.map.get(s).copied()
-    }
-
-    /// Returns the string for a symbol. Panics on a foreign symbol.
-    pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.strings[sym.index()]
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// Whether nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
-    /// Iterates `(symbol, string)` pairs in interning order.
-    pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        self.strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (Symbol(i as u32), s.as_str()))
-    }
-}
-
-/// Builds the frozen artifact's interned-string table: every distinct
-/// string stored once in one contiguous UTF-8 blob, addressed by dense
-/// `u32` ids through an offsets array.
-///
-/// Serialized layout (all little-endian):
-///
-/// ```text
-/// count: u32 | offsets: (count+1) × u32 | blob: UTF-8 bytes
-/// ```
-///
-/// `offsets[i]..offsets[i+1]` is string `i`'s byte range in the blob.
-///
-/// ```
-/// use p2o_util::interner::{StringBlob, StringBlobBuilder};
-/// let mut b = StringBlobBuilder::new();
-/// let hi = b.intern("hi");
-/// assert_eq!(b.intern("hi"), hi);
-/// let bytes = b.into_bytes();
-/// let view = StringBlob::parse(&bytes).unwrap();
-/// assert_eq!(view.get(hi), Some("hi"));
-/// ```
-///
-/// Each string is held once, in the blob: the lookup map keys ids by a
-/// hash of the string and checks a hit against the blob, so the builder
-/// holds no second copy of the strings it interns.
-#[derive(Debug, Default)]
-pub struct StringBlobBuilder {
-    /// The first id interned under each string hash.
-    by_hash: HashMap<u64, u32>,
-    /// Strings whose hash an earlier, different string already took.
-    collided: HashMap<String, u32>,
-    offsets: Vec<u32>,
-    blob: String,
-}
-
-impl StringBlobBuilder {
-    /// An empty builder.
-    pub fn new() -> StringBlobBuilder {
-        StringBlobBuilder {
-            offsets: vec![0],
-            ..StringBlobBuilder::default()
-        }
-    }
-
-    /// Interns `s`, returning its dense id (existing or freshly assigned).
-    /// Ids are assigned in first-intern order, so a deterministic intern
-    /// sequence yields a byte-deterministic table.
-    pub fn intern(&mut self, s: &str) -> u32 {
         let hash = text_hash(s);
         let first = self.by_hash.get(&hash).copied();
         match first {
-            Some(id) if self.text(id) == s => return id,
+            Some(id) if self.resolve(Symbol(id)) == s => return Symbol(id),
             Some(_) => {
                 if let Some(&id) = self.collided.get(s) {
-                    return id;
+                    return Symbol(id);
                 }
             }
             None => {}
         }
-        let id = (self.offsets.len() - 1) as u32;
+        let id = self.len() as u32;
         self.blob.push_str(s);
         assert!(
             self.blob.len() <= u32::MAX as usize,
             "string blob exceeds u32 offsets"
         );
-        self.offsets.push(self.blob.len() as u32);
+        self.ends.push(self.blob.len() as u32);
         match first {
             None => self.by_hash.insert(hash, id),
             Some(_) => self.collided.insert(s.to_string(), id),
         };
-        id
+        Symbol(id)
     }
 
-    /// The string interned as `id`.
-    fn text(&self, id: u32) -> &str {
-        let i = id as usize;
-        &self.blob[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    /// Returns the string for a symbol. Panics on a foreign symbol.
+    pub fn resolve(&self, sym: Symbol) -> &str {
+        let i = sym.index();
+        let start = i.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.blob[start as usize..self.ends[i] as usize]
     }
 
-    /// Number of distinct strings interned so far.
+    /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.ends.len()
     }
 
     /// Whether nothing has been interned.
@@ -181,22 +100,20 @@ impl StringBlobBuilder {
         self.len() == 0
     }
 
-    /// The serialized table as two parts whose concatenation is
-    /// [`into_bytes`](Self::into_bytes): count and offsets, then the blob,
-    /// handed over without a copy.
+    /// The serialized string table as two parts, count and offsets, then
+    /// the blob, handed over without a copy. Layout (little-endian):
+    ///
+    /// ```text
+    /// count: u32 | offsets: (count+1) × u32 | blob: UTF-8 bytes
+    /// ```
     pub fn into_parts(self) -> Vec<Vec<u8>> {
-        let count = (self.offsets.len() - 1) as u32;
-        let mut head = Vec::with_capacity(4 + self.offsets.len() * 4);
-        head.extend_from_slice(&count.to_le_bytes());
-        for off in &self.offsets {
-            head.extend_from_slice(&off.to_le_bytes());
+        let mut head = Vec::with_capacity(8 + self.ends.len() * 4);
+        head.extend_from_slice(&(self.len() as u32).to_le_bytes());
+        head.extend_from_slice(&0u32.to_le_bytes());
+        for end in &self.ends {
+            head.extend_from_slice(&end.to_le_bytes());
         }
         vec![head, self.blob.into_bytes()]
-    }
-
-    /// Serializes the table: count, offsets, blob.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.into_parts().concat()
     }
 }
 
@@ -208,7 +125,7 @@ fn text_hash(s: &str) -> u64 {
     h.finish()
 }
 
-/// A zero-copy view over a serialized [`StringBlobBuilder`] table. Its
+/// A zero-copy view over a serialized [`Interner`] table. Its
 /// blob is a `str` that [`parse`](Self::parse) validated once, so
 /// [`get`](Self::get) slices it without re-checking any string's UTF-8.
 #[derive(Debug, Clone, Copy)]
@@ -338,6 +255,15 @@ impl<'a> StringBlob<'a> {
 mod tests {
     use super::*;
 
+    /// The serialized table of the strings `strs`, interned in order.
+    fn table(strs: &[&str]) -> Vec<u8> {
+        let mut i = Interner::new();
+        for s in strs {
+            i.intern(s);
+        }
+        i.into_parts().concat()
+    }
+
     #[test]
     fn interning_is_idempotent_and_dense() {
         let mut i = Interner::new();
@@ -360,24 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn get_does_not_intern() {
-        let mut i = Interner::new();
-        assert_eq!(i.get("nope"), None);
-        let s = i.intern("yes");
-        assert_eq!(i.get("yes"), Some(s));
-        assert_eq!(i.len(), 1);
-    }
-
-    #[test]
-    fn iter_in_order() {
-        let mut i = Interner::new();
-        i.intern("first");
-        i.intern("second");
-        let got: Vec<_> = i.iter().map(|(s, t)| (s.index(), t.to_string())).collect();
-        assert_eq!(got, vec![(0, "first".into()), (1, "second".into())]);
-    }
-
-    #[test]
     fn empty_strings_are_valid_keys() {
         let mut i = Interner::new();
         let e = i.intern("");
@@ -386,40 +294,25 @@ mod tests {
     }
 
     #[test]
-    fn from_strings_assigns_positional_symbols() {
-        let i = Interner::from_strings(vec!["a".into(), "b".into()]);
-        assert_eq!(i.get("a"), Some(Symbol(0)));
-        assert_eq!(i.get("b"), Some(Symbol(1)));
-        assert_eq!(i.resolve(Symbol(1)), "b");
-        assert_eq!(i.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate string")]
-    fn from_strings_rejects_duplicates() {
-        let _ = Interner::from_strings(vec!["a".into(), "a".into()]);
-    }
-
-    #[test]
     fn string_blob_round_trips_and_dedups() {
-        let mut b = StringBlobBuilder::new();
-        let a = b.intern("verizon");
-        let empty = b.intern("");
-        let uni = b.intern("nüñez-网络");
-        assert_eq!(b.intern("verizon"), a);
-        assert_eq!(b.len(), 3);
-        let bytes = b.into_bytes();
+        let mut i = Interner::new();
+        let a = i.intern("verizon");
+        let empty = i.intern("");
+        let uni = i.intern("nüñez-网络");
+        assert_eq!(i.intern("verizon"), a);
+        assert_eq!(i.len(), 3);
+        let bytes = i.into_parts().concat();
         let view = StringBlob::parse(&bytes).unwrap();
         assert_eq!(view.len(), 3);
-        assert_eq!(view.get(a), Some("verizon"));
-        assert_eq!(view.get(empty), Some(""));
-        assert_eq!(view.get(uni), Some("nüñez-网络"));
+        assert_eq!(view.get(a.0), Some("verizon"));
+        assert_eq!(view.get(empty.0), Some(""));
+        assert_eq!(view.get(uni.0), Some("nüñez-网络"));
         assert_eq!(view.get(3), None);
     }
 
     #[test]
     fn empty_string_blob() {
-        let bytes = StringBlobBuilder::new().into_bytes();
+        let bytes = table(&[]);
         let view = StringBlob::parse(&bytes).unwrap();
         assert!(view.is_empty());
         assert_eq!(view.get(0), None);
@@ -427,10 +320,7 @@ mod tests {
 
     #[test]
     fn string_blob_rejects_damage() {
-        let mut b = StringBlobBuilder::new();
-        b.intern("hello");
-        b.intern("world");
-        let bytes = b.into_bytes();
+        let bytes = table(&["hello", "world"]);
 
         // Truncated before the count.
         assert!(StringBlob::parse(&bytes[..2])
@@ -466,34 +356,34 @@ mod tests {
     }
 
     /// A string whose hash an earlier string already took is still
-    /// interned once, under its own id, and found again.
+    /// interned once, under its own symbol, and found again.
     #[test]
     fn blob_builder_survives_a_hash_collision() {
-        let mut b = StringBlobBuilder::new();
-        assert_eq!(b.intern("hello"), 0);
+        let mut i = Interner::new();
+        assert_eq!(i.intern("hello"), Symbol(0));
         // Make "world" hash-collide with "hello".
-        b.by_hash.insert(text_hash("world"), 0);
-        assert_eq!(b.intern("world"), 1);
-        assert_eq!(b.intern("world"), 1);
-        assert_eq!(b.intern("hello"), 0);
-        assert_eq!(b.collided.len(), 1);
-        let bytes = b.into_bytes();
+        i.by_hash.insert(text_hash("world"), 0);
+        assert_eq!(i.intern("world"), Symbol(1));
+        assert_eq!(i.intern("world"), Symbol(1));
+        assert_eq!(i.intern("hello"), Symbol(0));
+        assert_eq!(i.collided.len(), 1);
+        assert_eq!(i.resolve(Symbol(1)), "world");
+        let bytes = i.into_parts().concat();
         let view = StringBlob::parse(&bytes).unwrap();
         assert_eq!((view.get(0), view.get(1)), (Some("hello"), Some("world")));
     }
 
+    /// The table's second part is the blob: every distinct string once,
+    /// in symbol order.
     #[test]
     fn blob_parts_concatenate_to_the_table() {
-        let build = || {
-            let mut b = StringBlobBuilder::new();
-            for s in ["a", "bc", "a", "", "déf"] {
-                b.intern(s);
-            }
-            b
-        };
-        let parts = build().into_parts();
+        let mut i = Interner::new();
+        for s in ["a", "bc", "a", "", "déf"] {
+            i.intern(s);
+        }
+        let parts = i.into_parts();
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[1], b"abcd\xc3\xa9f");
-        assert_eq!(parts.concat(), build().into_bytes());
+        assert_eq!(parts[0][..4], 4u32.to_le_bytes());
     }
 }

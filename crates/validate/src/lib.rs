@@ -13,5 +13,5 @@
 pub mod metrics;
 pub mod roa;
 
-pub use metrics::{evaluate_org, OrgValidation, ValidationReport};
+pub use metrics::{evaluate_org, score_list, OrgValidation, ValidationReport};
 pub use roa::{roa_coverage, RoaCoverageRow};

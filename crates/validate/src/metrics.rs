@@ -44,56 +44,60 @@ impl OrgValidation {
     }
 }
 
-/// Evaluates one organization's list for one family (§7.1 procedure):
-///
-/// 1. keep only ground-truth prefixes present in the dataset's routed set
-///    ("we exclude any prefixes from these datasets that are not present in
-///    the BGP routing tables");
-/// 2. predicted = the dataset's prefixes for the organization (cluster
-///    lookup by name);
-/// 3. TP = predicted prefixes equal to or covered by some true prefix;
-///    FP = the rest; FN = true prefixes no predicted prefix equals,
-///    covers, or is covered by.
-pub fn evaluate_org(
-    dataset: &Prefix2OrgDataset,
+/// Scores the prefixes attributed to an organization (`predicted`, from
+/// [`prefix2org::OrgIndex::prefixes_of`]) against its list for one family
+/// (§7.1): true prefixes not `routed` are dropped ("we exclude any prefixes
+/// ... not present in the BGP routing tables"); TP = predicted prefixes
+/// equal to or covered by a true prefix, FP = the rest, FN = true prefixes
+/// no predicted prefix equals, covers or is covered by.
+pub fn score_list(
     org_name: &str,
-    truth: &[Prefix],
     family: AddressFamily,
+    truth: &[Prefix],
+    predicted: &[Prefix],
+    routed: impl Fn(&Prefix) -> bool,
 ) -> OrgValidation {
     let truth: Vec<Prefix> = truth
         .iter()
-        .filter(|p| p.family() == family && dataset.record(p).is_some())
+        .filter(|p| p.family() == family && routed(p))
         .copied()
         .collect();
-    let predicted: Vec<Prefix> = dataset
-        .prefixes_of_org(org_name)
-        .into_iter()
+    let predicted: Vec<Prefix> = predicted
+        .iter()
         .filter(|p| p.family() == family)
+        .copied()
         .collect();
-
-    let mut tp = 0usize;
-    for p in &predicted {
-        if truth.iter().any(|t| t.contains(p)) {
-            tp += 1;
-        }
-    }
-    let fp = predicted.len() - tp;
-    let mut fnn = 0usize;
-    for t in &truth {
-        let attributed = predicted.iter().any(|p| t.contains(p) || p.contains(t));
-        if !attributed {
-            fnn += 1;
-        }
-    }
+    let tp = predicted
+        .iter()
+        .filter(|p| truth.iter().any(|t| t.contains(p)))
+        .count();
+    let fnn = truth
+        .iter()
+        .filter(|t| !predicted.iter().any(|p| t.contains(p) || p.contains(t)))
+        .count();
     OrgValidation {
         org_name: org_name.to_string(),
         family,
         true_prefixes: truth.len(),
         predicted_prefixes: predicted.len(),
         true_positives: tp,
-        false_positives: fp,
+        false_positives: predicted.len() - tp,
         false_negatives: fnn,
     }
+}
+
+/// Evaluates one organization's list for one family against a dataset:
+/// [`score_list`] over the dataset's records and
+/// [`Prefix2OrgDataset::prefixes_of_org`].
+pub fn evaluate_org(
+    dataset: &Prefix2OrgDataset,
+    org_name: &str,
+    truth: &[Prefix],
+    family: AddressFamily,
+) -> OrgValidation {
+    let routed = |p: &Prefix| dataset.record(p).is_some();
+    let predicted = dataset.prefixes_of_org(org_name);
+    score_list(org_name, family, truth, &predicted, routed)
 }
 
 /// A whole validation campaign: per-org rows plus totals.

@@ -106,12 +106,19 @@ fn snapshot_diff_laws() {
     run_cases(12, |g| {
         let seed = g.u64();
         let transfers = 1 + g.below(4);
-        let (_w1, _b1, before) = build(seed, 0);
-        let (_w2, _b2, same) = build(seed, 0);
+        let exports = |dataset: &prefix2org::Prefix2OrgDataset| -> Vec<prefix2org::ExportRecord> {
+            dataset
+                .records()
+                .iter()
+                .map(prefix2org::ExportRecord::from)
+                .collect()
+        };
+        let before = exports(&build(seed, 0).2);
+        let same = exports(&build(seed, 0).2);
         let d = prefix2org::diff(&before, &same);
         assert_eq!(d.changed(), 0);
 
-        let (_w3, _b3, after) = build(seed, transfers);
+        let after = exports(&build(seed, transfers).2);
         let d = prefix2org::diff(&before, &after);
         assert!(d.added.is_empty(), "transfers must not add prefixes");
         assert!(d.removed.is_empty(), "transfers must not remove prefixes");
